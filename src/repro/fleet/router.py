@@ -39,45 +39,42 @@ Request handling:
 A replica is marked unhealthy after ``unhealthy_after`` consecutive
 transport failures; a background probe loop keeps knocking and restores
 it on the first successful health check.
+
+The router is an :class:`~repro.server.http.HttpService` like the daemon
+it fronts, so its connection handling, request ids (forwarded on every
+replica call), error mapping and shutdown are the daemon's — see
+``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-import signal
-import threading
-import time
 import uuid
-
-from urllib.parse import parse_qs
+from urllib.parse import urlencode
 
 from repro import telemetry
 from repro.fleet.hashing import rendezvous_rank
 from repro.fleet.transport import BackendError, BackendPool
-from repro.server.protocol import (
-    ApiError,
-    HttpRequest,
-    RawResponse,
-    read_request,
-    render_response,
+from repro.server.http import (
+    Handler,
+    HttpService,
+    Response,
+    ServiceThread,
+    metrics_response,
+    query_choice,
+    query_int,
 )
-from repro.telemetry.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    merge_snapshots,
-    snapshot_to_prometheus,
-)
+from repro.server.jobs import JobState
+from repro.server.protocol import ApiError, HttpRequest
+from repro.telemetry.export import merge_snapshots
 
 __all__ = ["FleetRouter", "RouterThread"]
 
 log = logging.getLogger("repro.fleet.router")
 
-#: Metric families recorded by the router (name, help[, labels]).
-FLEET_REQUESTS_TOTAL = (
-    "cbes_fleet_requests_total",
-    "HTTP requests served by the fleet router.",
-    ("method", "route", "status"),
-)
+#: Metric families recorded by the router (name, help[, labels]); its
+#: HTTP families are the core's, under the ``cbes_fleet`` prefix.
 FLEET_BACKEND_REQUESTS_TOTAL = (
     "cbes_fleet_backend_requests_total",
     "Requests forwarded to replicas.",
@@ -104,7 +101,7 @@ class _Replica:
         self.failures = 0
 
 
-class FleetRouter:
+class FleetRouter(HttpService):
     """Routes the CBES HTTP API across shared-nothing replica daemons.
 
     Parameters
@@ -149,24 +146,20 @@ class FleetRouter:
             raise ValueError("unhealthy_after must be >= 1")
         if probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be > 0")
-        self._host = host
-        self._port = port
+        super().__init__(
+            name="fleet-router",
+            metric_prefix="cbes_fleet",
+            host=host,
+            port=port,
+            metrics=metrics if metrics is not None else telemetry.MetricsRegistry(),
+            keepalive_timeout_s=keepalive_timeout_s,
+        )
         self._unhealthy_after = unhealthy_after
         self._probe_interval = probe_interval_s
-        self._keepalive_timeout = keepalive_timeout_s
         self._replicas = {b: _Replica(b, timeout_s=timeout_s) for b in backends}
         self._order = list(backends)
-        self._metrics = metrics if metrics is not None else telemetry.MetricsRegistry()
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._probe_task: asyncio.Task | None = None
-        self._shutdown_requested: asyncio.Event | None = None
-        self._started_at: float | None = None
-        self._instrument()
-
-    def _instrument(self) -> None:
         m = self._metrics
-        self._m_requests = m.counter(*FLEET_REQUESTS_TOTAL)
         self._m_backend = m.counter(*FLEET_BACKEND_REQUESTS_TOTAL)
         self._m_unhealthy = m.counter(*FLEET_BACKEND_UNHEALTHY_TOTAL)
         self._m_retries = m.counter(*FLEET_RETRIES_TOTAL)
@@ -179,79 +172,50 @@ class FleetRouter:
             callback=lambda: sum(r.healthy for r in self._replicas.values()),
         )
 
-    # -- properties -----------------------------------------------------
+    def routes(self) -> dict[tuple[str, str], Handler]:
+        return {
+            ("POST", "/v1/jobs"): self._submit,
+            ("GET", "/v1/jobs"): self._list_jobs,
+            ("POST", "/v1/jobs:batch"): self._submit_batch,
+            ("GET", "/v1/jobs/{id}"): self._get_job,
+            ("POST", "/v1/schedule:best"): self._schedule_best,
+            ("POST", "/v1/load"): self._inject_load,
+            ("GET", "/v1/remap/{path}"): self._remap_not_proxied,
+            ("POST", "/v1/remap/{path}"): self._remap_not_proxied,
+            ("GET", "/v1/healthz"): self._healthz,
+            ("GET", "/v1/metrics"): self._merged_metrics,
+            ("GET", "/v1/snapshot"): self._forward_read,
+            ("GET", "/v1/profiles"): self._forward_read,
+            ("GET", "/v1/traces"): self._forward_read,
+        }
+
     @property
     def backends(self) -> list[str]:
         return list(self._order)
 
-    @property
-    def metrics(self) -> telemetry.MetricsRegistry:
-        return self._metrics
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._server is None:
-            raise RuntimeError("router is not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
-
-    # -- lifecycle ------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        if self._server is not None:
-            return self.address
-        self._loop = asyncio.get_running_loop()
-        self._shutdown_requested = asyncio.Event()
-        self._started_at = time.monotonic()
+    # -- lifecycle hooks ------------------------------------------------
+    async def _on_start(self) -> None:
+        assert self._loop is not None
         self._probe_task = self._loop.create_task(self._probe_loop(), name="fleet-probe")
-        self._server = await asyncio.start_server(self._handle_connection, self._host, self._port)
-        host, port = self.address
-        log.info("fleet router on %s:%d over %s", host, port, ", ".join(self._order))
-        return host, port
+        log.info("fleet router over %s", ", ".join(self._order))
 
-    def request_shutdown(self) -> None:
-        loop, event = self._loop, self._shutdown_requested
-        if loop is None or event is None or loop.is_closed():
-            return
-        loop.call_soon_threadsafe(event.set)
-
-    async def wait_shutdown(self) -> None:
-        assert self._shutdown_requested is not None, "router is not started"
-        await self._shutdown_requested.wait()
-
-    async def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
+    async def _on_stop(self, drain: bool) -> None:
         if self._probe_task is not None:
             self._probe_task.cancel()
             await asyncio.gather(self._probe_task, return_exceptions=True)
         for replica in self._replicas.values():
             replica.pool.close()
-        self._server = None
-        log.info("fleet router stopped")
-
-    async def serve_forever(self) -> None:
-        await self.start()
-        assert self._loop is not None
-        installed: list[signal.Signals] = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._loop.add_signal_handler(sig, self.request_shutdown)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-        try:
-            await self.wait_shutdown()
-        finally:
-            for sig in installed:
-                self._loop.remove_signal_handler(sig)
-            await self.stop()
 
     # -- replica health -------------------------------------------------
     def _healthy(self) -> list[str]:
         return [b for b in self._order if self._replicas[b].healthy]
+
+    def _require_healthy(self) -> list[str]:
+        """The healthy replicas, or 503 when there are none."""
+        backends = self._healthy()
+        if not backends:
+            raise ApiError(503, "no-replicas", "no healthy replicas available")
+        return backends
 
     def _note_success(self, backend: str) -> None:
         replica = self._replicas[backend]
@@ -275,17 +239,60 @@ class FleetRouter:
             )
 
     async def _call(
-        self, backend: str, method: str, path: str, body: dict | None = None
+        self, request: HttpRequest, backend: str, method: str, path: str, body: dict | None = None
     ) -> tuple[int, dict]:
-        """One replica exchange with health accounting."""
+        """One replica exchange on behalf of *request*, with health accounting.
+
+        The inbound request id rides along, so one client request is one
+        id in the router's and every replica's logs and job records.
+        """
         replica = self._replicas[backend]
         try:
-            status, doc = await replica.pool.request_json(method, path, body)
+            status, doc = await replica.pool.request_json(
+                method, path, body, headers={"X-Request-Id": request.request_id}
+            )
         except BackendError:
             self._note_failure(backend)
             raise
         self._note_success(backend)
         return status, doc
+
+    async def _scatter(
+        self,
+        request: HttpRequest,
+        backends: list[str],
+        method: str,
+        path: str,
+        body: dict | None = None,
+    ) -> list[tuple[str, int, dict]]:
+        """The same call to every backend at once: (backend, status, doc).
+
+        A replica that fails at the transport level is left out — a
+        freshly-failed replica must not take the survivors' answer down
+        with it.
+        """
+        outcomes = await asyncio.gather(
+            *(self._call(request, b, method, path, body) for b in backends),
+            return_exceptions=True,
+        )
+        answered = []
+        for backend, outcome in zip(backends, outcomes):
+            if isinstance(outcome, BackendError):
+                continue
+            if isinstance(outcome, BaseException):
+                raise outcome
+            answered.append((backend, *outcome))
+        return answered
+
+    @staticmethod
+    def _relay_error(backend: str, status: int, payload: dict) -> ApiError:
+        """A replica's error answer, re-raised to the client as ours."""
+        error = payload.get("error", {})
+        return ApiError(
+            status,
+            error.get("code", "replica-error"),
+            f"replica {backend}: {error.get('message', 'rejected the request')}",
+        )
 
     async def _probe_loop(self) -> None:
         """Knock on unhealthy replicas until they answer again."""
@@ -304,138 +311,13 @@ class FleetRouter:
                     replica.healthy = True
                     log.info("replica %s resurrected by probe", backend)
 
-    # -- HTTP front end -------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                status: int | None = None
-                method, path = "-", "-"
-                keep_alive = False
-                try:
-                    request = await asyncio.wait_for(
-                        read_request(reader), self._keepalive_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
-                except ApiError as exc:
-                    status, payload, headers = exc.status, exc.to_payload(), exc.headers
-                    keep_alive = exc.recoverable
-                else:
-                    if request is None:
-                        break
-                    method, path = request.method, request.path
-                    try:
-                        status, payload, headers = await self._dispatch(request)
-                    except ApiError as exc:
-                        status, payload, headers = exc.status, exc.to_payload(), exc.headers
-                    except Exception:  # noqa: BLE001 - never leak a traceback
-                        log.exception("unhandled error routing %s %s", method, path)
-                        status = 500
-                        payload = {"error": {"code": "internal", "message": "internal error"}}
-                        headers = {}
-                    keep_alive = (
-                        status < 500
-                        and request.headers.get("connection", "").lower() != "close"
-                    )
-                writer.write(render_response(status, payload, headers=headers, close=not keep_alive))
-                await writer.drain()
-                route = self._route_of(path)
-                self._m_requests.inc(method=method, route=route, status=status)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown closed the server while this connection idled in
-            # keep-alive; swallowing the cancellation here keeps the
-            # streams connection callback from logging it as an error.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    _ROUTES = (
-        "/v1/jobs",
-        "/v1/jobs:batch",
-        "/v1/healthz",
-        "/v1/metrics",
-        "/v1/snapshot",
-        "/v1/profiles",
-        "/v1/traces",
-        "/v1/load",
-        "/v1/schedule:best",
-    )
-
-    @classmethod
-    def _route_of(cls, path: str) -> str:
-        path = path.partition("?")[0].rstrip("/") or "/"
-        if path in cls._ROUTES:
-            return path
-        if path.startswith("/v1/jobs/"):
-            return "/v1/jobs/{id}"
-        if path.startswith("/v1/remap"):
-            return "/v1/remap"
-        return "(unmatched)"
-
-    async def _dispatch(self, request: HttpRequest) -> tuple[int, dict | RawResponse, dict]:
-        method = request.method
-        path, _, query_string = request.path.partition("?")
-        path = path.rstrip("/") or "/"
-        query = parse_qs(query_string)
-        if path == "/v1/jobs":
-            if method == "POST":
-                return await self._submit(request)
-            if method == "GET":
-                return await self._list_jobs(query)
-            raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-        if path == "/v1/jobs:batch":
-            if method == "POST":
-                return await self._submit_batch(request)
-            raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-            return await self._get_job(path.removeprefix("/v1/jobs/"))
-        if path == "/v1/schedule:best":
-            if method != "POST":
-                raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-            return await self._schedule_best(request, query)
-        if path == "/v1/load":
-            if method != "POST":
-                raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-            return await self._inject_load(request)
-        if path.startswith("/v1/remap"):
-            raise ApiError(
-                501,
-                "not-implemented",
-                "remap watches are per-replica state; register them on a "
-                "replica directly (the fleet router does not proxy them)",
-            )
-        if method != "GET":
-            raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-        if path == "/v1/healthz":
-            return await self._healthz()
-        if path == "/v1/metrics":
-            return await self._merged_metrics(query)
-        if path in ("/v1/snapshot", "/v1/profiles", "/v1/traces"):
-            return await self._forward_read(request.path)
-        raise ApiError(404, "not-found", f"no route for {path}")
-
     # -- submission -----------------------------------------------------
     def _routed_backends(self, job_id: str) -> list[str]:
         """Healthy replicas in the id's rendezvous preference order."""
-        healthy = set(self._healthy())
-        ranked = [b for b in rendezvous_rank(job_id, self._order) if b in healthy]
-        if not ranked:
-            raise ApiError(503, "no-replicas", "no healthy replicas available")
-        return ranked
+        healthy = set(self._require_healthy())
+        return [b for b in rendezvous_rank(job_id, self._order) if b in healthy]
 
-    async def _submit(self, request: HttpRequest) -> tuple[int, dict, dict]:
+    async def _submit(self, request: HttpRequest) -> Response:
         doc = request.json()
         job_id = doc.get("id")
         if job_id is None:
@@ -448,7 +330,7 @@ class FleetRouter:
         last_error: BackendError | None = None
         for backend in self._routed_backends(job_id):
             try:
-                status, payload = await self._call(backend, "POST", "/v1/jobs", doc)
+                status, payload = await self._call(request, backend, "POST", "/v1/jobs", doc)
             except BackendError as exc:
                 last_error = exc
                 continue
@@ -458,7 +340,7 @@ class FleetRouter:
             503, "no-replicas", f"every routed replica failed (last: {last_error})"
         )
 
-    async def _submit_batch(self, request: HttpRequest) -> tuple[int, dict, dict]:
+    async def _submit_batch(self, request: HttpRequest) -> Response:
         doc = request.json()
         entries = doc.get("jobs")
         if not isinstance(entries, list) or not entries:
@@ -477,34 +359,29 @@ class FleetRouter:
         for i, entry in enumerate(stamped):
             backend = self._routed_backends(entry["id"])[0]
             groups.setdefault(backend, []).append(i)
-
-        async def _send(backend: str, indices: list[int]) -> tuple[int, dict]:
-            return await self._call(
-                backend, "POST", "/v1/jobs:batch", {"jobs": [stamped[i] for i in indices]}
-            )
-
         results = await asyncio.gather(
-            *(_send(b, idx) for b, idx in groups.items()), return_exceptions=True
+            *(
+                self._call(
+                    request, b, "POST", "/v1/jobs:batch", {"jobs": [stamped[i] for i in indices]}
+                )
+                for b, indices in groups.items()
+            ),
+            return_exceptions=True,
         )
         merged: list[dict | None] = [None] * len(stamped)
         for (backend, indices), outcome in zip(groups.items(), results):
+            if isinstance(outcome, BackendError):
+                raise ApiError(
+                    503,
+                    "replica-failed",
+                    f"sub-batch to {backend} failed ({outcome}); "
+                    "other sub-batches may have been accepted",
+                )
             if isinstance(outcome, BaseException):
-                if isinstance(outcome, (BackendError, ApiError)):
-                    raise ApiError(
-                        503,
-                        "replica-failed",
-                        f"sub-batch to {backend} failed ({outcome}); "
-                        "other sub-batches may have been accepted",
-                    )
                 raise outcome
             status, payload = outcome
             if status >= 400:
-                error = payload.get("error", {})
-                raise ApiError(
-                    status,
-                    error.get("code", "replica-error"),
-                    f"replica {backend}: {error.get('message', 'rejected the sub-batch')}",
-                )
+                raise self._relay_error(backend, status, payload)
             for slot, job_doc in zip(indices, payload.get("jobs", [])):
                 merged[slot] = job_doc
         if any(job is None for job in merged):
@@ -512,12 +389,13 @@ class FleetRouter:
         return 202, {"jobs": merged, "count": len(merged)}, {}
 
     # -- lookup / listing -----------------------------------------------
-    async def _get_job(self, job_id: str) -> tuple[int, dict, dict]:
+    async def _get_job(self, request: HttpRequest) -> Response:
         """Walk the id's preference order until someone owns it."""
+        job_id = request.params["id"]
         last_error: BackendError | None = None
         for rank, backend in enumerate(self._routed_backends(job_id)):
             try:
-                status, payload = await self._call(backend, "GET", f"/v1/jobs/{job_id}")
+                status, payload = await self._call(request, backend, "GET", f"/v1/jobs/{job_id}")
             except BackendError as exc:
                 last_error = exc
                 continue
@@ -529,40 +407,26 @@ class FleetRouter:
             raise ApiError(503, "no-replicas", f"lookup failed on every replica ({last_error})")
         raise ApiError(404, "not-found", f"no job {job_id!r} on any replica")
 
-    async def _list_jobs(self, query: dict[str, list[str]]) -> tuple[int, dict, dict]:
-        state = query.get("state", [None])[0]
-        after = query.get("after", [None])[0]
-        limit = None
-        if "limit" in query:
-            try:
-                limit = int(query["limit"][0])
-            except ValueError:
-                raise ApiError(400, "bad-request", "limit must be an integer") from None
-            if limit < 0:
-                raise ApiError(400, "bad-request", "limit must be >= 0")
-        suffix = f"?state={state}" if state is not None else ""
+    async def _list_jobs(self, request: HttpRequest) -> Response:
+        state = query_choice(request.query, "state", [s.value for s in JobState])
+        limit = query_int(request.query, "limit", minimum=0)
+        after = request.query.get("after", [None])[0]
         # `after` pages over the *merged* list, so the cursor must be
         # resolved here — replicas only get the state filter (plus the
         # limit when no cursor shifts the window).
+        forwarded: dict[str, str | int] = {}
+        if state is not None:
+            forwarded["state"] = state
         if after is None and limit is not None:
-            joiner = "&" if suffix else "?"
-            suffix += f"{joiner}limit={limit}"
-        backends = self._healthy()
-        if not backends:
-            raise ApiError(503, "no-replicas", "no healthy replicas available")
-        results = await asyncio.gather(
-            *(self._call(b, "GET", f"/v1/jobs{suffix}") for b in backends),
-            return_exceptions=True,
-        )
+            forwarded["limit"] = limit
+        path = f"/v1/jobs?{urlencode(forwarded)}" if forwarded else "/v1/jobs"
         jobs: list[dict] = []
-        for backend, outcome in zip(backends, results):
-            if isinstance(outcome, BaseException):
-                if isinstance(outcome, BackendError):
-                    continue  # freshly-failed replica: serve the survivors
-                raise outcome
-            status, payload = outcome
-            if status == 200:
-                jobs.extend(payload.get("jobs", []))
+        for backend, status, payload in await self._scatter(
+            request, self._require_healthy(), "GET", path
+        ):
+            if status != 200:
+                raise self._relay_error(backend, status, payload)
+            jobs.extend(payload.get("jobs", []))
         if after is not None:
             index = next((i for i, job in enumerate(jobs) if job.get("id") == after), None)
             if index is None:
@@ -573,12 +437,10 @@ class FleetRouter:
         return 200, {"jobs": jobs}, {}
 
     # -- aggregation ----------------------------------------------------
-    async def _healthz(self) -> tuple[int, dict, dict]:
-        assert self._started_at is not None
-
+    async def _healthz(self, request: HttpRequest) -> Response:
         async def _probe(backend: str) -> dict:
             try:
-                status, payload = await self._call(backend, "GET", "/v1/healthz")
+                status, payload = await self._call(request, backend, "GET", "/v1/healthz")
             except BackendError as exc:
                 return {"backend": backend, "healthy": False, "error": str(exc)}
             if status != 200:
@@ -599,7 +461,7 @@ class FleetRouter:
         return 200, {
             "status": "ok" if healthy == len(reports) else "degraded",
             "role": "fleet-router",
-            "uptime_s": time.monotonic() - self._started_at,
+            "uptime_s": self.uptime_s,
             "replicas_total": len(reports),
             "replicas_healthy": healthy,
             "jobs": totals,
@@ -609,38 +471,21 @@ class FleetRouter:
             "replicas": reports,
         }, {}
 
-    async def _merged_metrics(
-        self, query: dict[str, list[str]]
-    ) -> tuple[int, dict | RawResponse, dict]:
-        backends = self._healthy()
-        results = await asyncio.gather(
-            *(self._call(b, "GET", "/v1/metrics?format=json") for b in backends),
-            return_exceptions=True,
-        )
+    async def _merged_metrics(self, request: HttpRequest) -> Response:
         snapshots = [self._metrics.snapshot()]
-        for outcome in results:
-            if isinstance(outcome, BaseException):
-                if isinstance(outcome, BackendError):
-                    continue
-                raise outcome
-            status, payload = outcome
+        for _backend, status, payload in await self._scatter(
+            request, self._healthy(), "GET", "/v1/metrics?format=json"
+        ):
             if status == 200 and isinstance(payload.get("metrics"), dict):
                 snapshots.append(payload["metrics"])
-        merged = merge_snapshots(snapshots)
-        if query.get("format", [""])[0] == "json":
-            return 200, {"metrics": merged}, {}
-        text = snapshot_to_prometheus(merged)
-        return 200, RawResponse(text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE), {}
+        return metrics_response(merge_snapshots(snapshots), request.query)
 
-    async def _forward_read(self, path: str) -> tuple[int, dict, dict]:
+    async def _forward_read(self, request: HttpRequest) -> Response:
         """Forward an idempotent read, retrying on a healthy peer."""
-        backends = self._healthy()
-        if not backends:
-            raise ApiError(503, "no-replicas", "no healthy replicas available")
         last_error: BackendError | None = None
-        for i, backend in enumerate(backends):
+        for i, backend in enumerate(self._require_healthy()):
             try:
-                status, payload = await self._call(backend, "GET", path)
+                status, payload = await self._call(request, backend, "GET", request.path)
             except BackendError as exc:
                 last_error = exc
                 continue
@@ -649,45 +494,32 @@ class FleetRouter:
             return status, payload, {}
         raise ApiError(503, "no-replicas", f"read failed on every replica ({last_error})")
 
-    async def _inject_load(self, request: HttpRequest) -> tuple[int, dict, dict]:
+    async def _remap_not_proxied(self, request: HttpRequest) -> Response:
+        raise ApiError(
+            501,
+            "not-implemented",
+            "remap watches are per-replica state; register them on a "
+            "replica directly (the fleet router does not proxy them)",
+        )
+
+    async def _inject_load(self, request: HttpRequest) -> Response:
         """Fan a load injection to every healthy replica.
 
         Each replica owns an independent simulated cluster; injecting
         everywhere keeps their snapshots telling the same story.
         """
-        doc = request.json()
-        backends = self._healthy()
-        if not backends:
-            raise ApiError(503, "no-replicas", "no healthy replicas available")
-        results = await asyncio.gather(
-            *(self._call(b, "POST", "/v1/load", doc) for b in backends),
-            return_exceptions=True,
+        answers = await self._scatter(
+            request, self._require_healthy(), "POST", "/v1/load", request.json()
         )
-        first: dict | None = None
-        applied = 0
-        for outcome in results:
-            if isinstance(outcome, BaseException):
-                if isinstance(outcome, BackendError):
-                    continue
-                raise outcome
-            status, payload = outcome
-            if status == 200:
-                applied += 1
-                if first is None:
-                    first = payload
-            else:
-                error = payload.get("error", {})
-                raise ApiError(
-                    status, error.get("code", "replica-error"), error.get("message", "")
-                )
-        if first is None:
+        for backend, status, payload in answers:
+            if status != 200:
+                raise self._relay_error(backend, status, payload)
+        if not answers:
             raise ApiError(503, "no-replicas", "load injection failed on every replica")
-        return 200, {**first, "replicas_applied": applied}, {}
+        return 200, {**answers[0][2], "replicas_applied": len(answers)}, {}
 
     # -- best-of race ---------------------------------------------------
-    async def _schedule_best(
-        self, request: HttpRequest, query: dict[str, list[str]]
-    ) -> tuple[int, dict, dict]:
+    async def _schedule_best(self, request: HttpRequest) -> Response:
         """Race one schedule request across the fleet; reduce to the best.
 
         Each healthy replica runs the same search from a distinct seed
@@ -701,30 +533,27 @@ class FleetRouter:
         if doc.get("kind", "schedule") != "schedule":
             raise ApiError(400, "bad-request", "schedule:best accepts schedule jobs only")
         try:
-            timeout_s = float(query.get("timeout_s", ["120"])[0])
+            timeout_s = float(request.query.get("timeout_s", ["120"])[0])
         except ValueError:
             raise ApiError(400, "bad-request", "timeout_s must be a number") from None
         base_seed = doc.get("seed", 0)
         if not isinstance(base_seed, int) or isinstance(base_seed, bool):
             raise ApiError(400, "bad-request", "payload field 'seed' must be an integer")
-        backends = self._healthy()
-        if not backends:
-            raise ApiError(503, "no-replicas", "no healthy replicas available")
+        backends = self._require_healthy()
+        loop = asyncio.get_running_loop()
 
         async def _race(index: int, backend: str) -> dict:
             # Identity, not a decision (see _submit).
             job_id = uuid.uuid4().hex  # repro: disable=RPR101
             body = {**doc, "kind": "schedule", "seed": base_seed + index, "id": job_id}
-            status, payload = await self._call(backend, "POST", "/v1/jobs", body)
+            status, payload = await self._call(request, backend, "POST", "/v1/jobs", body)
             if status >= 400:
-                error = payload.get("error", {})
-                raise ApiError(
-                    status, error.get("code", "replica-error"),
-                    f"replica {backend}: {error.get('message', '')}",
-                )
-            deadline = self._loop.time() + timeout_s if self._loop else timeout_s
+                raise self._relay_error(backend, status, payload)
+            deadline = loop.time() + timeout_s
             while True:
-                status, payload = await self._call(backend, "GET", f"/v1/jobs/{job_id}")
+                status, payload = await self._call(
+                    request, backend, "GET", f"/v1/jobs/{job_id}"
+                )
                 job = payload.get("job", {})
                 if job.get("state") == "done":
                     return {"backend": backend, "seed": base_seed + index, **job["result"]}
@@ -732,8 +561,7 @@ class FleetRouter:
                     raise ApiError(
                         500, "job-failed", f"replica {backend}: {job.get('error', '')}"
                     )
-                assert self._loop is not None
-                if self._loop.time() >= deadline:
+                if loop.time() >= deadline:
                     raise ApiError(
                         503, "timeout", f"replica {backend} still running after {timeout_s:.0f}s"
                     )
@@ -744,12 +572,12 @@ class FleetRouter:
         )
         results = []
         for backend, outcome in zip(backends, outcomes):
-            if isinstance(outcome, BaseException):
-                if isinstance(outcome, (BackendError, ApiError)):
-                    log.warning("schedule:best leg on %s failed: %s", backend, outcome)
-                    continue
+            if isinstance(outcome, (BackendError, ApiError)):
+                log.warning("schedule:best leg on %s failed: %s", backend, outcome)
+            elif isinstance(outcome, BaseException):
                 raise outcome
-            results.append(outcome)
+            else:
+                results.append(outcome)
         if not results:
             raise ApiError(503, "no-replicas", "every schedule:best leg failed")
         best_index = min(
@@ -762,7 +590,7 @@ class FleetRouter:
         }, {}
 
 
-class RouterThread:
+class RouterThread(ServiceThread):
     """Run a :class:`FleetRouter` on a dedicated thread and event loop.
 
     The blocking convenience mirror of
@@ -775,54 +603,4 @@ class RouterThread:
 
     def __init__(self, backends: list[str], *, startup_timeout_s: float = 30.0, **router_kwargs):
         self.router = FleetRouter(backends, **router_kwargs)
-        self._startup_timeout = startup_timeout_s
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._main, name="fleet-router", daemon=True)
-
-    def _main(self) -> None:
-        asyncio.run(self._amain())
-
-    async def _amain(self) -> None:
-        try:
-            await self.router.start()
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the starter
-            self._error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            await self.router.wait_shutdown()
-        finally:
-            await self.router.stop()
-
-    def __enter__(self) -> "RouterThread":
-        self._thread.start()
-        if not self._ready.wait(self._startup_timeout):
-            raise RuntimeError("fleet router did not start within the startup timeout")
-        if self._error is not None:
-            raise RuntimeError("fleet router failed to start") from self._error
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def shutdown(self, *, timeout_s: float = 60.0) -> None:
-        self.router.request_shutdown()
-        self._thread.join(timeout_s)
-        if self._thread.is_alive():
-            raise RuntimeError("fleet router thread did not stop within the timeout")
-
-    @property
-    def host(self) -> str:
-        return self.router.address[0]
-
-    @property
-    def port(self) -> int:
-        return self.router.address[1]
-
-    def client(self, **kwargs):
-        """A blocking :class:`~repro.server.client.CbesClient` for the router."""
-        from repro.server.client import CbesClient
-
-        return CbesClient(self.host, self.port, **kwargs)
+        super().__init__(self.router, startup_timeout_s=startup_timeout_s)

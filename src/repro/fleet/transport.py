@@ -115,12 +115,16 @@ class BackendPool:
         method: str,
         path: str,
         body: dict | None = None,
+        *,
+        headers: dict[str, str] | None = None,
     ) -> tuple[int, dict[str, str], bytes]:
         """One HTTP exchange with the replica; returns (status, headers, body).
 
         Reuses a pooled connection when one is idle; a reused socket
         that dies before response bytes arrive is retried once on a
         fresh connection (the request never reached a handler).
+        *headers* are extra request headers (the router's
+        ``X-Request-Id``); the caller vouches for their framing.
         """
         data = json.dumps(body).encode("utf-8") if body is not None else b""
         head = (
@@ -130,6 +134,8 @@ class BackendPool:
         )
         if data:
             head += "Content-Type: application/json\r\n"
+        for name, value in (headers or {}).items():
+            head += f"{name}: {value}\r\n"
         frame = (head + "\r\n").encode("latin-1") + data
         for _attempt in (0, 1):
             reused = bool(self._idle)
@@ -158,10 +164,15 @@ class BackendPool:
         raise BackendError(self.backend, "retry loop exhausted")  # pragma: no cover
 
     async def request_json(
-        self, method: str, path: str, body: dict | None = None
+        self,
+        method: str,
+        path: str,
+        body: dict | None = None,
+        *,
+        headers: dict[str, str] | None = None,
     ) -> tuple[int, dict]:
         """:meth:`request` with the body parsed as a JSON object."""
-        status, _headers, raw = await self.request(method, path, body)
+        status, _headers, raw = await self.request(method, path, body, headers=headers)
         if not raw:
             return status, {}
         try:

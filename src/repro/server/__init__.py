@@ -5,9 +5,14 @@ requests from external clients such as the schedulers" (figure 2); this
 package is that deployment shape — a long-running, stdlib-only asyncio
 daemon owning a calibrated :class:`~repro.core.service.CBES` instance:
 
-* :mod:`repro.server.daemon` — the asyncio JSON-over-HTTP daemon with a
-  bounded job queue, thread worker pool, periodic snapshot refresh, and
-  graceful SIGTERM/SIGINT drain;
+* :mod:`repro.server.http` — the one HTTP service core (keep-alive
+  connection loop, route table, request ids, access log, metrics,
+  SIGTERM/SIGINT drain) shared with the fleet router;
+* :mod:`repro.server.daemon` — the daemon's routes over that core: the
+  bounded job queue contract, ``/v1/healthz``;
+* :mod:`repro.server.execution` — the thread worker pool, cached
+  evaluation contexts and periodic snapshot refresh;
+* :mod:`repro.server.watches` — the ``/v1/remap/*`` background loops;
 * :mod:`repro.server.jobs` — the job lifecycle state machine and the
   TTL-evicting job store;
 * :mod:`repro.server.protocol` — minimal HTTP/1.1 framing;

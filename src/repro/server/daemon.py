@@ -1,138 +1,56 @@
-"""The CBES scheduling daemon: an asyncio JSON-over-HTTP service.
+"""The CBES scheduling daemon: the service's routes over its parts.
 
 This is the paper's figure-2 deployment shape made real: a long-running
 process owns the calibrated :class:`~repro.core.service.CBES` facade and
 its monitoring, and serves scheduling / prediction / comparison requests
-from external clients over the network.
+from external clients over the network (API: ``docs/SERVICE.md``).
 
-Design:
-
-* ``asyncio.start_server`` accepts connections; every request is JSON in
-  and JSON out (see ``docs/SERVICE.md`` for the API).  Connections are
-  HTTP/1.1 keep-alive: one socket serves up to
-  ``keepalive_max_requests`` requests (idle-bounded), and
-  ``Connection: close`` from the client is honored.
-* Submitted jobs enter a **bounded** queue; when it is full the daemon
-  answers HTTP 429 with ``Retry-After`` instead of queueing unboundedly.
-* A small ``ThreadPoolExecutor`` worker pool runs jobs off the event
-  loop (scheduling is CPU-bound); workers reuse cached
-  :class:`~repro.core.fast_eval.EvaluationContext` precomputation, one
-  per (application, options) pair and snapshot generation.
-* A background task refreshes the :class:`SystemSnapshot` on a
-  configurable interval; a changed snapshot ``fingerprint()`` swaps the
-  serving snapshot and invalidates every cached evaluation context.
-* ``SIGTERM``/``SIGINT`` stop accepting work and drain in-flight jobs
-  before the daemon exits (graceful shutdown).
+:class:`CbesDaemon` is composition plus a route table.  The
+:class:`~repro.server.http.HttpService` core it extends serves the
+connections; a :class:`~repro.server.jobs.JobStore` (journaled when
+``data_dir`` is given) holds job state; a
+:class:`~repro.server.execution.JobRunner` runs accepted jobs against a
+periodically refreshed snapshot; a
+:class:`~repro.server.watches.RemapWatches` drives the ``/v1/remap/*``
+loops.  What is left here is the API itself: validating submissions,
+the **bounded** queue contract (HTTP 429 with ``Retry-After`` instead of
+queueing unboundedly, 503 while draining), and ``GET /v1/healthz``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
-import signal
-import threading
-import time
-import uuid
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-
-from urllib.parse import parse_qs
 
 from repro import telemetry
-from repro.core.evaluation import EvaluationOptions
-from repro.core.fast_eval import EvaluationContext, FastEvalUnavailable
-from repro.core.mapping import TaskMapping
 from repro.core.service import CBES
 from repro.monitoring.load import LoadEvent, LoadGenerator
-from repro.remap.drift import DRIFT_EVENTS_TOTAL, DriftWatcher
-from repro.remap.remapper import DECISIONS_TOTAL, MIGRATION_SECONDS_TOTAL, Remapper
-from repro.schedulers import make_scheduler
+from repro.server.execution import JobRunner
+from repro.server.http import (
+    Handler,
+    HttpService,
+    Response,
+    ServiceThread,
+    metrics_response,
+    query_choice,
+    query_int,
+)
 from repro.server.jobs import DuplicateJobError, Job, JobState, JobStore
-from repro.server.protocol import (
-    MAX_BODY_BYTES,
-    ApiError,
-    HttpRequest,
-    RawResponse,
-    read_request,
-    render_response,
-)
-from repro.search.pool import (
-    POOL_SPAWNS_TOTAL,
-    SPEC_RESENDS_TOTAL,
-    WORKER_CACHE_EVENTS_TOTAL,
-)
+from repro.server.protocol import MAX_BODY_BYTES, ApiError, HttpRequest
 from repro.server.serialize import (
-    options_from_dict,
-    prediction_to_dict,
-    schedule_result_to_dict,
     snapshot_to_dict,
     validate_batch_payload,
     validate_job_payload,
     validate_load_events,
     validate_remap_watch,
 )
-from repro.telemetry.export import PROMETHEUS_CONTENT_TYPE, to_prometheus
+from repro.server.watches import RemapWatches
 
-__all__ = ["CbesDaemon", "DaemonThread", "RemapWatch"]
+__all__ = ["CbesDaemon", "DaemonThread"]
 
 log = logging.getLogger("repro.server.daemon")
-access_log = logging.getLogger("repro.server.access")
-
-#: Retained remap decision documents (oldest dropped beyond this).
-MAX_DECISIONS = 256
 
 
-@dataclass
-class RemapWatch:
-    """State of one ``POST /v1/remap/watch`` registration.
-
-    Mutated only from the watch's own (strictly sequential) tick chain,
-    so no lock is needed; the listing endpoint reads a point-in-time
-    view of plain ints/floats.
-    """
-
-    id: str
-    app: str
-    mapping: TaskMapping
-    pool: tuple[str, ...] | None
-    interval_s: float
-    max_ticks: int | None
-    seed: int
-    #: Predicted execution time of the mapping under the snapshot the
-    #: watch was registered (or last remapped) against — the drift
-    #: baseline.  A daemon watch has no progress signal, so drift and
-    #: cost/benefit both use ``fraction_remaining=1.0`` (whole-run
-    #: scale); external callers with progress knowledge should drive
-    #: :class:`~repro.remap.remapper.Remapper` directly.
-    baseline_s: float
-    watcher: DriftWatcher
-    remapper: Remapper
-    ticks: int = 0
-    drift_events: int = 0
-    proposals: int = 0
-    remaps: int = 0
-    done: bool = False
-    task: asyncio.Task | None = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "app": self.app,
-            "mapping": list(self.mapping.as_tuple()),
-            "pool": list(self.pool) if self.pool is not None else None,
-            "interval_s": self.interval_s,
-            "max_ticks": self.max_ticks,
-            "seed": self.seed,
-            "baseline_s": self.baseline_s,
-            "ticks": self.ticks,
-            "drift_events": self.drift_events,
-            "proposals": self.proposals,
-            "remaps": self.remaps,
-            "done": self.done,
-        }
-
-
-class CbesDaemon:
+class CbesDaemon(HttpService):
     """Serves CBES requests over JSON-over-HTTP from an asyncio loop.
 
     Parameters
@@ -221,29 +139,31 @@ class CbesDaemon:
             raise ValueError("queue_limit must be >= 1")
         if refresh_interval_s is not None and refresh_interval_s <= 0:
             raise ValueError("refresh_interval_s must be > 0")
-        if keepalive_max_requests < 1:
-            raise ValueError("keepalive_max_requests must be >= 1")
-        if keepalive_timeout_s is not None and keepalive_timeout_s <= 0:
-            raise ValueError("keepalive_timeout_s must be > 0")
-        if max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
+        super().__init__(
+            name="daemon",
+            metric_prefix="cbes",
+            host=host,
+            port=port,
+            metrics=metrics if metrics is not None else telemetry.MetricsRegistry(),
+            keepalive_max_requests=keepalive_max_requests,
+            keepalive_timeout_s=keepalive_timeout_s,
+            max_body_bytes=max_body_bytes,
+        )
         self._service = service
-        self._host = host
-        self._port = port
-        self._workers = workers
-        self._queue_limit = queue_limit
-        self._refresh_interval = refresh_interval_s
-        self._drain_timeout = drain_timeout_s
-        self._keepalive_max = keepalive_max_requests
-        self._keepalive_timeout = keepalive_timeout_s
-        self._monitor_kwargs = dict(monitor_kwargs) if monitor_kwargs else None
         self._replica_id = replica_id
-        self._max_body_bytes = int(max_body_bytes)
-
-        self._metrics = metrics if metrics is not None else telemetry.MetricsRegistry()
         self._tracer = tracer if tracer is not None else telemetry.Tracer(max_traces=max_traces)
-        self._snapshot_adopted_at: float | None = None
-        self._instrument()
+        m = self._metrics
+        self._m_evicted = m.counter(
+            "cbes_jobs_evicted_total", "Terminal jobs dropped by TTL eviction."
+        )
+        self._m_batches = m.counter(
+            "cbes_batch_submissions_total", "Accepted POST /v1/jobs:batch requests."
+        )
+        m.gauge(
+            "cbes_uptime_seconds",
+            "Seconds since the daemon started.",
+            callback=lambda: self.uptime_s,
+        )
         self._durable = data_dir is not None
         if data_dir is not None:
             # Imported here, not at module top: repro.persist builds on
@@ -255,37 +175,39 @@ class CbesDaemon:
                 ttl_s=job_ttl_s,
                 on_evict=self._on_job_evicted,
                 fsync=fsync,
-                metrics=self._metrics,
+                metrics=m,
             )
         else:
             self._store = JobStore(ttl_s=job_ttl_s, on_evict=self._on_job_evicted)
-        self._queue: asyncio.Queue[Job] | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._worker_tasks: list[asyncio.Task] = []
-        self._refresh_task: asyncio.Task | None = None
-        self._shutdown_requested: asyncio.Event | None = None
-        self._draining = False
-        self._started_at: float | None = None
-        self._snapshot = None  # current frozen SystemSnapshot
-        self._snapshot_refreshes = 0
-        #: (app name, EvaluationOptions) -> EvaluationContext, all built
-        #: from the *current* snapshot generation.
-        self._contexts: dict[tuple[str, EvaluationOptions], EvaluationContext] = {}
-        self._ctx_lock = threading.Lock()
-        #: Serializes context *builds* so N batch jobs arriving together
-        #: share one build per (app, options) instead of racing N.
-        self._ctx_build_lock = threading.Lock()
-        #: Open client connections -> whether a request is mid-dispatch
-        #: (idle ones are closed outright on stop; busy ones close
-        #: themselves after their in-flight response).
-        self._conn_busy: dict[asyncio.StreamWriter, bool] = {}
-        self._watches: dict[str, RemapWatch] = {}
-        self._watch_seq = 0
-        #: Remap decision documents, oldest first, capped at MAX_DECISIONS.
-        self._decisions: list[dict] = []
-        self._decision_lock = threading.Lock()
+        self.runner = JobRunner(
+            service,
+            self._store,
+            workers=workers,
+            queue_limit=queue_limit,
+            refresh_interval_s=refresh_interval_s,
+            drain_timeout_s=drain_timeout_s,
+            monitor_kwargs=monitor_kwargs,
+            metrics=m,
+            tracer=self._tracer,
+        )
+        self.watches = RemapWatches(service, self.runner, m)
+
+    def routes(self) -> dict[tuple[str, str], Handler]:
+        return {
+            ("POST", "/v1/jobs"): self._submit,
+            ("GET", "/v1/jobs"): self._list_jobs,
+            ("POST", "/v1/jobs:batch"): self._submit_batch,
+            ("GET", "/v1/jobs/{id}"): self._get_job,
+            ("POST", "/v1/remap/watch"): self._create_watch,
+            ("GET", "/v1/remap/watch"): self._list_watches,
+            ("GET", "/v1/remap/decisions"): self._list_decisions,
+            ("POST", "/v1/load"): self._inject_load,
+            ("GET", "/v1/healthz"): self._healthz,
+            ("GET", "/v1/snapshot"): self._get_snapshot,
+            ("GET", "/v1/profiles"): self._get_profiles,
+            ("GET", "/v1/metrics"): self._get_metrics,
+            ("GET", "/v1/traces"): self._get_traces,
+        }
 
     # -- properties -----------------------------------------------------
     @property
@@ -297,628 +219,132 @@ class CbesDaemon:
         return self._store
 
     @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port); only meaningful after :meth:`start`."""
-        if self._server is None:
-            raise RuntimeError("daemon is not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
-
-    @property
     def snapshot_refreshes(self) -> int:
         """How many times the refresh task swapped in a fresher snapshot."""
-        return self._snapshot_refreshes
-
-    @property
-    def metrics(self) -> telemetry.MetricsRegistry:
-        """The registry served at ``GET /v1/metrics``."""
-        return self._metrics
+        return self.runner.snapshot_refreshes
 
     @property
     def tracer(self) -> telemetry.Tracer:
         """The tracer served at ``GET /v1/traces``."""
         return self._tracer
 
-    # -- telemetry ------------------------------------------------------
-    def _instrument(self) -> None:
-        """Declare this daemon's metric families once, up front."""
-        m = self._metrics
-        self._m_requests = m.counter(
-            "cbes_requests_total", "HTTP requests served.", ("method", "route", "status")
-        )
-        self._m_request_seconds = m.histogram(
-            "cbes_request_seconds", "HTTP request latency.", ("route",)
-        )
-        self._m_jobs = m.counter(
-            "cbes_jobs_total", "Job state transitions.", ("kind", "state")
-        )
-        self._m_job_seconds = m.histogram(
-            "cbes_job_seconds", "Job execution wall time.", ("kind",)
-        )
-        self._m_evicted = m.counter(
-            "cbes_jobs_evicted_total", "Terminal jobs dropped by TTL eviction."
-        )
-        self._m_refreshes = m.counter(
-            "cbes_snapshot_refreshes_total", "Snapshot generations adopted."
-        )
-        self._m_connections = m.counter(
-            "cbes_connections_total", "Client TCP connections accepted."
-        )
-        self._m_keepalive_reqs = m.counter(
-            "cbes_keepalive_requests_total",
-            "Requests served on an already-open (reused) connection.",
-        )
-        self._m_batches = m.counter(
-            "cbes_batch_submissions_total", "Accepted POST /v1/jobs:batch requests."
-        )
-        self._m_ctx_cache = m.counter(
-            "cbes_context_cache_events_total",
-            "Daemon-side evaluation-context cache events.",
-            ("event",),
-        )
-        m.gauge(
-            "cbes_open_connections",
-            "Client connections currently open.",
-            callback=lambda: len(self._conn_busy),
-        )
-        # Warm-pool families are incremented by repro.search.pool through
-        # the ambient registry; declaring them here (same name/help)
-        # makes them visible at /v1/metrics from the first scrape.
-        m.counter(*WORKER_CACHE_EVENTS_TOTAL)
-        m.counter(*POOL_SPAWNS_TOTAL)
-        m.counter(*SPEC_RESENDS_TOTAL)
-        # Remap families are incremented by repro.remap through the
-        # ambient registry; declaring them here (same name/help) makes
-        # them visible at /v1/metrics from the first scrape.
-        m.counter(*DRIFT_EVENTS_TOTAL)
-        m.counter(*DECISIONS_TOTAL)
-        m.counter(*MIGRATION_SECONDS_TOTAL)
-        m.gauge(
-            "cbes_remap_watches",
-            "Registered remap watches (including finished ones).",
-            callback=lambda: len(self._watches),
-        )
-        m.gauge(
-            "cbes_queue_depth",
-            "Jobs waiting for a worker.",
-            callback=lambda: self._queue.qsize() if self._queue is not None else 0,
-        )
-        m.gauge(
-            "cbes_queue_limit",
-            "Bound of the job queue (429 beyond it).",
-            callback=lambda: self._queue_limit,
-        )
-        m.gauge(
-            "cbes_snapshot_age_seconds",
-            "Seconds since the serving snapshot was adopted.",
-            callback=lambda: (
-                time.monotonic() - self._snapshot_adopted_at
-                if self._snapshot_adopted_at is not None
-                else 0.0
-            ),
-        )
-        m.gauge(
-            "cbes_uptime_seconds",
-            "Seconds since the daemon started.",
-            callback=lambda: (
-                time.monotonic() - self._started_at if self._started_at is not None else 0.0
-            ),
-        )
-
     def _on_job_evicted(self, job: Job, age_s: float) -> None:
         self._m_evicted.inc()
 
-    # -- lifecycle ------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        """Bind the listener and start workers + the refresh task."""
-        if self._server is not None:
-            return self.address
-        self._loop = asyncio.get_running_loop()
-        self._shutdown_requested = asyncio.Event()
-        self._snapshot = self._service.snapshot().freeze()
-        self._snapshot_adopted_at = time.monotonic()
+    # -- lifecycle hooks ------------------------------------------------
+    async def _on_start(self) -> None:
+        """Start workers + the refresh task; re-enqueue recovered jobs."""
         # Worker threads (and any in-process scheduler) record into this
         # daemon's registry through the ambient global fallback.
         telemetry.set_registry(self._metrics)
         telemetry.set_tracer(self._tracer)
-        # Unbounded queue, bounded by the explicit capacity checks in the
-        # submit handlers: recovery may legitimately re-enqueue more jobs
-        # than queue_limit, and those must never be dropped.
-        self._queue = asyncio.Queue()
+        await self.runner.start()
         if self._durable:
             recovered = self._store.take_recovered()
             for job in recovered:
-                self._queue.put_nowait(job)
+                self.runner.enqueue(job)
             if recovered:
                 log.info(
                     "re-enqueued %d recovered job(s): %s",
                     len(recovered),
                     " ".join(job.id for job in recovered),
                 )
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="cbes-job"
-        )
-        self._started_at = time.monotonic()
-        self._worker_tasks = [
-            self._loop.create_task(self._worker(), name=f"cbes-worker-{i}")
-            for i in range(self._workers)
-        ]
-        if self._refresh_interval is not None:
-            self._refresh_task = self._loop.create_task(
-                self._refresh_loop(), name="cbes-snapshot-refresh"
-            )
-        self._server = await asyncio.start_server(self._handle_connection, self._host, self._port)
-        host, port = self.address
-        log.info(
-            "daemon listening on %s:%d (workers=%d queue_limit=%d refresh=%s)",
-            host,
-            port,
-            self._workers,
-            self._queue_limit,
-            self._refresh_interval,
-        )
-        return host, port
 
-    def request_shutdown(self) -> None:
-        """Ask the daemon to drain and stop; safe from any thread."""
-        loop, event = self._loop, self._shutdown_requested
-        if loop is None or event is None or loop.is_closed():
-            return
-        loop.call_soon_threadsafe(event.set)
-
-    async def wait_shutdown(self) -> None:
-        """Block until :meth:`request_shutdown` (or a signal) fires."""
-        assert self._shutdown_requested is not None, "daemon is not started"
-        await self._shutdown_requested.wait()
-
-    async def stop(self, *, drain: bool = True) -> None:
-        """Stop the daemon; with *drain*, finish accepted jobs first."""
-        if self._server is None:
-            return
-        self._draining = True
-        self._server.close()
-        # Idle keep-alive connections would otherwise pin wait_closed()
-        # (which waits for connection handlers on Python >= 3.12.1)
-        # until their idle timeout; busy handlers notice _draining and
-        # close themselves right after the in-flight response.
-        for conn_writer, busy in list(self._conn_busy.items()):
-            if not busy:
-                conn_writer.close()
-        await self._server.wait_closed()
-        assert self._queue is not None
-        if drain:
-            try:
-                await asyncio.wait_for(self._queue.join(), timeout=self._drain_timeout)
-            except asyncio.TimeoutError:
-                log.warning(
-                    "drain timeout after %.1fs; abandoning %d queued job(s)",
-                    self._drain_timeout,
-                    self._queue.qsize(),
-                )
-                while not self._queue.empty():
-                    job = self._queue.get_nowait()
-                    self._store.mark_failed(job.id, "daemon shut down before the job ran")
-                    self._queue.task_done()
-        if self._refresh_task is not None:
-            self._refresh_task.cancel()
-        watch_tasks = [w.task for w in self._watches.values() if w.task is not None]
-        for task in (*self._worker_tasks, *watch_tasks):
-            task.cancel()
-        pending = [
-            t for t in (*self._worker_tasks, *watch_tasks, self._refresh_task) if t is not None
-        ]
-        await asyncio.gather(*pending, return_exceptions=True)
-        assert self._executor is not None
-        self._executor.shutdown(wait=True)
-        self._server = None
+    async def _on_stop(self, drain: bool) -> None:
+        """With *drain*, finish accepted jobs; then release everything."""
+        await self.watches.stop()
+        await self.runner.stop(drain=drain)
         if telemetry.get_registry() is self._metrics:
             telemetry.set_registry(None)
         if telemetry.get_tracer() is self._tracer:
             telemetry.set_tracer(None)
         if self._durable:
             self._store.close()
-        log.info("daemon stopped (drained=%s, jobs=%s)", drain, self._store.counts())
+        log.info("daemon jobs at stop: %s", self._store.counts())
 
-    async def serve_forever(self) -> None:
-        """Start, serve until SIGTERM/SIGINT (or request_shutdown), drain."""
-        await self.start()
-        assert self._loop is not None
-        installed: list[signal.Signals] = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._loop.add_signal_handler(sig, self.request_shutdown)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError, ValueError):
-                # Platforms/threads without signal support: rely on
-                # request_shutdown() being called programmatically.
-                pass
-        try:
-            await self.wait_shutdown()
-            log.info("shutdown requested; draining in-flight jobs")
-        finally:
-            for sig in installed:
-                self._loop.remove_signal_handler(sig)
-            await self.stop(drain=True)
+    # -- jobs -----------------------------------------------------------
+    def _accept(self, request: HttpRequest, entries: list[dict], validated: list) -> list[Job]:
+        """Create and enqueue one job per validated entry, all or nothing.
 
-    # -- snapshot refresh -----------------------------------------------
-    def _poll_snapshot(self):
-        """Poll the monitor (if any) and return a frozen snapshot."""
-        if self._service.is_monitoring:
-            self._service.monitor.poll()
-        return self._service.snapshot().freeze()
-
-    def _adopt_snapshot(self, snapshot) -> bool:
-        """Swap in *snapshot* if its fingerprint differs; invalidate caches."""
-        fingerprint = snapshot.fingerprint()
-        if self._snapshot is not None and fingerprint == self._snapshot.fingerprint():
-            return False
-        self._snapshot = snapshot
-        with self._ctx_lock:
-            stale = [
-                key
-                for key, ctx in self._contexts.items()
-                if ctx.snapshot_fingerprint != fingerprint
-            ]
-            for key in stale:
-                del self._contexts[key]
-        if stale:
-            self._m_ctx_cache.inc(len(stale), event="evicted")
-        self._snapshot_adopted_at = time.monotonic()
-        self._snapshot_refreshes += 1
-        self._m_refreshes.inc()
-        log.info(
-            "snapshot refreshed (fingerprint %s, %d stale context(s) dropped)",
-            fingerprint[:12],
-            len(stale),
-        )
-        return True
-
-    async def _refresh_loop(self) -> None:
-        assert self._loop is not None and self._refresh_interval is not None
-        while True:
-            await asyncio.sleep(self._refresh_interval)
-            try:
-                snapshot = await self._loop.run_in_executor(None, self._poll_snapshot)
-            except Exception as exc:  # noqa: BLE001 - keep the daemon alive
-                log.warning("snapshot refresh failed: %s", exc)
-                if self._monitor_kwargs is not None:
-                    # The monitor lifecycle is idempotent, so a restart
-                    # is always safe here.
-                    self._service.stop_monitoring()
-                    self._service.start_monitoring(**self._monitor_kwargs)
-                    log.info("monitoring restarted after refresh failure")
-                continue
-            self._adopt_snapshot(snapshot)
-            self._store.evict_expired()
-
-    # -- job execution --------------------------------------------------
-    async def _worker(self) -> None:
-        assert self._queue is not None and self._loop is not None
-        while True:
-            job = await self._queue.get()
-            try:
-                await self._run_job(job)
-            finally:
-                self._queue.task_done()
-
-    async def _run_job(self, job: Job) -> None:
-        assert self._loop is not None
-        self._store.mark_running(job.id)
-        self._m_jobs.inc(kind=job.kind, state="running")
-        queued_for = (job.started_at or 0.0) - job.created_at
-        log.info("job %s (%s, req=%s) started after %.1f ms queued",
-                 job.id, job.kind, job.request_id, queued_for * 1e3)
-        started = time.perf_counter()
-        try:
-            result = await self._loop.run_in_executor(self._executor, self._execute, job)
-        except asyncio.CancelledError:
-            self._store.mark_failed(job.id, "daemon shut down while the job ran")
-            self._m_jobs.inc(kind=job.kind, state="failed")
-            raise
-        except Exception as exc:  # noqa: BLE001 - job errors become job state
-            self._store.mark_failed(job.id, f"{type(exc).__name__}: {exc}")
-            self._m_jobs.inc(kind=job.kind, state="failed")
-            self._m_job_seconds.observe(time.perf_counter() - started, kind=job.kind)
-            log.warning("job %s failed: %s: %s", job.id, type(exc).__name__, exc)
-        else:
-            self._store.mark_done(job.id, result)
-            self._m_jobs.inc(kind=job.kind, state="done")
-            self._m_job_seconds.observe(time.perf_counter() - started, kind=job.kind)
-            log.info(
-                "job %s done in %.1f ms", job.id, (time.perf_counter() - started) * 1e3
+        The queue must have room for *every* job (else 429, nothing
+        queued) and no caller-supplied id may collide (else 409, nothing
+        queued).  The queue itself is unbounded (recovery may overfill
+        it); the client contract — 429 beyond ``queue_limit`` waiting
+        jobs — is enforced here.  Submit handlers run on the event loop
+        with no awaits between this check and the enqueues, so
+        concurrent submits cannot interleave into a partially accepted
+        batch.
+        """
+        free, limit = self.runner.free_slots, self.runner.queue_limit
+        if len(validated) > free:
+            message = (
+                f"job queue is full ({limit} waiting); retry later"
+                if len(validated) == 1
+                else f"batch of {len(validated)} jobs exceeds free queue capacity "
+                f"({free} of {limit}); retry later or split the batch"
             )
-
-    def _context_for(self, app: str, options: EvaluationOptions, snapshot, evaluator) -> None:
-        """Install the cached fast-eval context (or cache a fresh one).
-
-        Builds are serialized behind ``_ctx_build_lock`` with a
-        double-check, so a batch of N jobs for one application arriving
-        together performs one context build and N-1 cache hits instead
-        of N racing builds.
-        """
-        key = (app, options)
-        fingerprint = snapshot.fingerprint()
-        with self._ctx_lock:
-            context = self._contexts.get(key)
-        if context is not None and context.snapshot_fingerprint == fingerprint:
-            self._m_ctx_cache.inc(event="hit")
-            evaluator.install_context(context)
-            return
-        with self._ctx_build_lock:
-            # Re-check: another worker may have built it while we waited.
-            with self._ctx_lock:
-                context = self._contexts.get(key)
-            if context is not None and context.snapshot_fingerprint == fingerprint:
-                self._m_ctx_cache.inc(event="hit")
-                evaluator.install_context(context)
-                return
-            self._m_ctx_cache.inc(event="miss")
-            try:
-                context = evaluator.fast_context(options)
-            except FastEvalUnavailable:
-                return
-            with self._ctx_lock:
-                self._contexts[key] = context
-
-    def _execute(self, job: Job) -> dict:
-        """Run one job on a worker thread; returns the JSON result doc."""
-        payload = job.payload
-        app = payload["app"]
-        with self._tracer.trace(
-            "cbes.job", job_id=job.id, kind=job.kind, app=app, request_id=job.request_id
-        ) as span:
-            options = options_from_dict(payload.get("options"))
-            snapshot = self._snapshot  # one atomic read: jobs see one generation
-            evaluator = self._service.evaluator(app, options=options, snapshot=snapshot)
-            if job.kind == "schedule":
-                self._context_for(app, options, snapshot, evaluator)
-                scheduler = make_scheduler(
-                    payload["scheduler"],
-                    parallel=payload.get("workers", 1),
-                    time_budget=payload.get("time_budget"),
-                )
-                result = scheduler.schedule(evaluator, payload["pool"], seed=payload["seed"])
-                doc = schedule_result_to_dict(result)
-            elif job.kind == "predict":
-                doc = prediction_to_dict(evaluator.predict(TaskMapping(payload["nodes"])))
-            else:  # compare
-                ranked = evaluator.compare([TaskMapping(m) for m in payload["mappings"]])
-                doc = {"ranked": [prediction_to_dict(p) for p in ranked]}
-            if job.kind != "schedule":
-                # Schedule jobs are counted by Scheduler.schedule itself;
-                # counting here too would double the evaluations.
-                self._metrics.counter(
-                    "cbes_evaluations_total", "Mapping evaluations consumed by scheduling."
-                ).inc(evaluator.evaluations)
-            span.set_attribute("evaluations", evaluator.evaluations)
-        doc["snapshot_fingerprint"] = snapshot.fingerprint()
-        return doc
-
-    # -- HTTP front end -------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve requests off one connection until it is done.
-
-        HTTP/1.1 keep-alive: the loop keeps serving requests on the same
-        socket until the client sends ``Connection: close`` (or hangs
-        up), ``keepalive_max_requests`` is reached, the idle timeout
-        expires between requests, the daemon starts draining, or an
-        error leaves the stream in an unknowable state (parse failures
-        desynchronize framing; 500s are closed defensively).
-        """
-        self._m_connections.inc()
-        self._conn_busy[writer] = False
-        served = 0
+            raise ApiError(429, "queue-full", message, headers={"Retry-After": "1"})
+        jobs: list[Job] = []
         try:
-            while True:
-                request_id = uuid.uuid4().hex[:8]
-                method, path = "-", "-"
-                status: int | None = None
-                keep_alive = False
-                started = time.perf_counter()
-                try:
-                    try:
-                        request = await asyncio.wait_for(
-                            read_request(reader, max_body_bytes=self._max_body_bytes),
-                            self._keepalive_timeout,
-                        )
-                    except asyncio.TimeoutError:
-                        break  # idle keep-alive connection: reap it
-                    except ApiError as exc:
-                        # Parse-level failure.  Recoverable ones (413
-                        # with the oversized body drained) leave the
-                        # stream correctly framed, so keep-alive can
-                        # survive them; anything else may be
-                        # desynchronized — answer and close.
-                        status, payload, headers = exc.status, exc.to_payload(), exc.headers
-                        if exc.recoverable:
-                            served += 1
-                            keep_alive = (
-                                served < self._keepalive_max and not self._draining
-                            )
-                    else:
-                        if request is None:
-                            break  # clean EOF between requests
-                        self._conn_busy[writer] = True
-                        served += 1
-                        if served > 1:
-                            self._m_keepalive_reqs.inc()
-                        started = time.perf_counter()
-                        method, path = request.method, request.path
-                        try:
-                            status, payload, headers = self._dispatch(request, request_id)
-                        except ApiError as exc:
-                            status, payload, headers = exc.status, exc.to_payload(), exc.headers
-                        except Exception:  # noqa: BLE001 - never leak a traceback
-                            log.exception("unhandled error serving %s %s", method, path)
-                            status = 500
-                            payload = {
-                                "error": {"code": "internal", "message": "internal server error"}
-                            }
-                            headers = {}
-                        keep_alive = (
-                            status < 500
-                            and served < self._keepalive_max
-                            and not self._draining
-                            and request.headers.get("connection", "").lower() != "close"
-                        )
-                    headers["X-Request-Id"] = request_id
-                    writer.write(
-                        render_response(status, payload, headers=headers, close=not keep_alive)
+            for (kind, payload), entry in zip(validated, entries):
+                jobs.append(
+                    self._store.create(
+                        kind, payload, request_id=request.request_id, job_id=entry.get("id")
                     )
-                    await writer.drain()
-                finally:
-                    # Accounting runs on EVERY served response — 429
-                    # backpressure, errors, clients that reset mid-write —
-                    # so latency and the per-route counters never
-                    # undercount.
-                    if status is not None:
-                        elapsed = time.perf_counter() - started
-                        route = self._route_of(path)
-                        self._m_requests.inc(method=method, route=route, status=status)
-                        self._m_request_seconds.observe(elapsed, route=route)
-                        access_log.info(
-                            "req=%s %s %s -> %d (%.1f ms)",
-                            request_id,
-                            method,
-                            path,
-                            status,
-                            elapsed * 1e3,
-                        )
-                    self._conn_busy[writer] = False
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-response
-        finally:
-            self._conn_busy.pop(writer, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                )
+        except DuplicateJobError as exc:
+            for job in jobs:  # roll back: nothing is enqueued yet
+                self._store.discard(job.id)
+            raise ApiError(409, "duplicate-job", str(exc)) from None
+        for job in jobs:
+            self.runner.enqueue(job)
+        self._store.evict_expired()
+        log.info(
+            "req=%s queued %d job(s): %s",
+            request.request_id,
+            len(jobs),
+            " ".join(f"{job.id}({job.kind} app={job.payload['app']})" for job in jobs),
+        )
+        return jobs
 
-    #: Fixed route set for metric labels; anything else collapses into
-    #: one bucket so a client cannot mint unbounded label cardinality.
-    _ROUTES = (
-        "/v1/jobs",
-        "/v1/jobs:batch",
-        "/v1/healthz",
-        "/v1/snapshot",
-        "/v1/profiles",
-        "/v1/metrics",
-        "/v1/traces",
-        "/v1/remap/watch",
-        "/v1/remap/decisions",
-        "/v1/load",
-    )
+    async def _submit(self, request: HttpRequest) -> Response:
+        if self._draining:
+            raise ApiError(503, "shutting-down", "daemon is draining; submit elsewhere")
+        doc = request.json()
+        (job,) = self._accept(request, [doc], [validate_job_payload(self._service, doc)])
+        return 202, {"job": job.to_dict()}, {}
 
-    @classmethod
-    def _route_of(cls, path: str) -> str:
-        """Collapse a request path to its route template."""
-        path = path.partition("?")[0].rstrip("/") or "/"
-        if path in cls._ROUTES:
-            return path
-        if path.startswith("/v1/jobs/"):
-            return "/v1/jobs/{id}"
-        return "(unmatched)"
+    async def _submit_batch(self, request: HttpRequest) -> Response:
+        """``POST /v1/jobs:batch``: N scenarios in one request, atomically.
 
-    def _dispatch(
-        self, request: HttpRequest, request_id: str
-    ) -> tuple[int, dict | RawResponse, dict]:
-        """Route one request; returns (status, payload, headers)."""
-        method = request.method
-        path, _, query_string = request.path.partition("?")
-        path = path.rstrip("/") or "/"
-        query = parse_qs(query_string)
-        if path == "/v1/jobs":
-            if method == "POST":
-                return self._submit(request, request_id)
-            if method == "GET":
-                return self._list_jobs(query)
-            raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-        if path == "/v1/jobs:batch":
-            if method == "POST":
-                return self._submit_batch(request, request_id)
-            raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-            job_id = path.removeprefix("/v1/jobs/")
-            try:
-                job = self._store.get(job_id)
-            except KeyError:
-                raise ApiError(
-                    404, "not-found", f"no job {job_id!r} (unknown, or expired past TTL)"
-                ) from None
-            return 200, {"job": job.to_dict()}, {}
-        if path == "/v1/remap/watch":
-            if method == "POST":
-                return self._create_watch(request)
-            if method == "GET":
-                return 200, {"watches": [w.to_dict() for w in self._watches.values()]}, {}
-            raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-        if path == "/v1/load":
-            if method == "POST":
-                return self._inject_load(request)
-            raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-        if method != "GET":
-            raise ApiError(405, "method-not-allowed", f"{method} not allowed on {path}")
-        if path == "/v1/remap/decisions":
-            limit = None
-            if "limit" in query:
-                try:
-                    limit = int(query["limit"][0])
-                except ValueError:
-                    raise ApiError(400, "bad-request", "limit must be an integer") from None
-            with self._decision_lock:
-                decisions = list(self._decisions)
-            if limit is not None:
-                decisions = decisions[-limit:] if limit > 0 else []
-            return 200, {"decisions": decisions}, {}
-        if path == "/v1/healthz":
-            return 200, self._health(), {}
-        if path == "/v1/snapshot":
-            return 200, {"snapshot": snapshot_to_dict(self._snapshot)}, {}
-        if path == "/v1/profiles":
-            return 200, {"applications": self._service.profiled_applications}, {}
-        if path == "/v1/metrics":
-            if query.get("format", [""])[0] == "json":
-                return 200, {"metrics": self._metrics.snapshot()}, {}
-            text = to_prometheus(self._metrics)
-            return 200, RawResponse(text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE), {}
-        if path == "/v1/traces":
-            limit = None
-            if "limit" in query:
-                try:
-                    limit = int(query["limit"][0])
-                except ValueError:
-                    raise ApiError(400, "bad-request", "limit must be an integer") from None
-            return 200, {"traces": self._tracer.traces(limit)}, {}
-        raise ApiError(404, "not-found", f"no route for {path}")
+        All-or-nothing at both stages: every entry must validate (else
+        400 naming the bad index, nothing queued) and :meth:`_accept`
+        must take the *whole* batch.  Jobs for one application then
+        share one evaluation-context build (see
+        :meth:`~repro.server.execution.JobRunner.context_for`).
+        """
+        if self._draining:
+            raise ApiError(503, "shutting-down", "daemon is draining; submit elsewhere")
+        doc = request.json()
+        jobs = self._accept(request, doc["jobs"], validate_batch_payload(self._service, doc))
+        self._m_batches.inc()
+        return 202, {"jobs": [job.to_dict() for job in jobs], "count": len(jobs)}, {}
 
-    def _list_jobs(self, query: dict[str, list[str]]) -> tuple[int, dict, dict]:
+    async def _get_job(self, request: HttpRequest) -> Response:
+        job_id = request.params["id"]
+        try:
+            job = self._store.get(job_id)
+        except KeyError:
+            raise ApiError(
+                404, "not-found", f"no job {job_id!r} (unknown, or expired past TTL)"
+            ) from None
+        return 200, {"job": job.to_dict()}, {}
+
+    async def _list_jobs(self, request: HttpRequest) -> Response:
         """``GET /v1/jobs``: listing with ``state``/``limit``/``after``."""
-        state = query.get("state", [None])[0]
-        if state is not None:
-            try:
-                JobState(state)
-            except ValueError:
-                valid = ", ".join(s.value for s in JobState)
-                raise ApiError(
-                    400, "bad-request", f"unknown state {state!r}; valid: {valid}"
-                ) from None
-        limit = None
-        if "limit" in query:
-            try:
-                limit = int(query["limit"][0])
-            except ValueError:
-                raise ApiError(400, "bad-request", "limit must be an integer") from None
-            if limit < 0:
-                raise ApiError(400, "bad-request", "limit must be >= 0")
-        after = query.get("after", [None])[0]
+        state = query_choice(request.query, "state", [s.value for s in JobState])
+        limit = query_int(request.query, "limit", minimum=0)
+        after = request.query.get("after", [None])[0]
         try:
             jobs = self._store.list(state=state, limit=limit, after=after)
         except KeyError:
@@ -927,197 +353,21 @@ class CbesDaemon:
             ) from None
         return 200, {"jobs": [job.to_dict() for job in jobs]}, {}
 
-    def _submit(self, request: HttpRequest, request_id: str) -> tuple[int, dict, dict]:
-        if self._draining:
-            raise ApiError(503, "shutting-down", "daemon is draining; submit elsewhere")
-        doc = request.json()
-        kind, payload = validate_job_payload(self._service, doc)
-        assert self._queue is not None
-        # The queue is unbounded (recovery may overfill it); the client
-        # contract — 429 beyond queue_limit waiting jobs — is enforced
-        # here, with no awaits between check and enqueue.
-        if self._queue.qsize() >= self._queue_limit:
-            raise ApiError(
-                429,
-                "queue-full",
-                f"job queue is full ({self._queue_limit} waiting); retry later",
-                headers={"Retry-After": "1"},
-            )
-        try:
-            job = self._store.create(
-                kind, payload, request_id=request_id, job_id=doc.get("id")
-            )
-        except DuplicateJobError as exc:
-            raise ApiError(409, "duplicate-job", str(exc)) from None
-        self._queue.put_nowait(job)
-        self._store.evict_expired()
-        log.info("job %s (%s app=%s req=%s) queued", job.id, kind, payload["app"], request_id)
-        return 202, {"job": job.to_dict()}, {}
-
-    def _submit_batch(self, request: HttpRequest, request_id: str) -> tuple[int, dict, dict]:
-        """``POST /v1/jobs:batch``: N scenarios in one request, atomically.
-
-        All-or-nothing at both stages: every entry must validate (else
-        400 naming the bad index, nothing queued) and the queue must
-        have room for the *whole* batch (else 429, nothing queued).
-        Runs on the event loop with no awaits between the capacity check
-        and the enqueues, so concurrent submits cannot interleave into a
-        partially accepted batch.  Jobs for one application then share
-        one evaluation-context build (see :meth:`_context_for`).
-        """
-        if self._draining:
-            raise ApiError(503, "shutting-down", "daemon is draining; submit elsewhere")
-        doc = request.json()
-        validated = validate_batch_payload(self._service, doc)
-        assert self._queue is not None
-        free = self._queue_limit - self._queue.qsize()
-        if len(validated) > free:
-            raise ApiError(
-                429,
-                "queue-full",
-                f"batch of {len(validated)} jobs exceeds free queue capacity "
-                f"({free} of {self._queue_limit}); retry later or split the batch",
-                headers={"Retry-After": "1"},
-            )
-        ids = [entry.get("id") for entry in doc["jobs"]]
-        jobs: list[Job] = []
-        try:
-            for (kind, payload), job_id in zip(validated, ids):
-                jobs.append(
-                    self._store.create(kind, payload, request_id=request_id, job_id=job_id)
-                )
-        except DuplicateJobError as exc:
-            # All-or-nothing holds for ids too: roll back what was
-            # created (nothing is enqueued yet).
-            for job in jobs:
-                self._store.discard(job.id)
-            raise ApiError(409, "duplicate-job", str(exc)) from None
-        for job in jobs:
-            self._queue.put_nowait(job)
-        self._m_batches.inc()
-        self._store.evict_expired()
-        log.info(
-            "batch req=%s queued %d job(s): %s",
-            request_id,
-            len(jobs),
-            " ".join(job.id for job in jobs),
-        )
-        return 202, {"jobs": [job.to_dict() for job in jobs], "count": len(jobs)}, {}
-
-    # -- remap watches ---------------------------------------------------
-    def _create_watch(self, request: HttpRequest) -> tuple[int, dict, dict]:
+    # -- remap watches --------------------------------------------------
+    async def _create_watch(self, request: HttpRequest) -> Response:
         """``POST /v1/remap/watch``: register a background remap loop."""
         if self._draining:
             raise ApiError(503, "shutting-down", "daemon is draining; no new watches")
-        assert self._loop is not None
-        doc = validate_remap_watch(self._service, request.json())
-        mapping = TaskMapping(doc["mapping"])
-        evaluator = self._service.evaluator(doc["app"], snapshot=self._snapshot)
-        try:
-            baseline_s = evaluator.execution_time(mapping)
-        except Exception as exc:  # e.g. rank count != profiled nprocs
-            raise ApiError(400, "bad-request", f"mapping rejected: {exc}") from None
-        self._watch_seq += 1
-        watch = RemapWatch(
-            id=f"w{self._watch_seq:04d}",
-            app=doc["app"],
-            mapping=mapping,
-            pool=tuple(doc["pool"]) if doc["pool"] is not None else None,
-            interval_s=doc["interval_s"],
-            max_ticks=doc["max_ticks"],
-            seed=doc["seed"],
-            baseline_s=baseline_s,
-            watcher=DriftWatcher(
-                threshold=doc["threshold"],
-                hysteresis=doc["hysteresis"],
-                cooldown_s=doc["cooldown_s"],
-            ),
-            remapper=Remapper(safety_factor=doc["safety_factor"]),
-        )
-        self._watches[watch.id] = watch
-        watch.task = self._loop.create_task(
-            self._watch_loop(watch), name=f"cbes-remap-{watch.id}"
-        )
-        log.info(
-            "remap watch %s registered (app=%s interval=%.2fs baseline=%.2fs)",
-            watch.id,
-            watch.app,
-            watch.interval_s,
-            baseline_s,
-        )
+        watch = self.watches.create(validate_remap_watch(self._service, request.json()))
         return 201, {"watch": watch.to_dict()}, {}
 
-    async def _watch_loop(self, watch: RemapWatch) -> None:
-        """Drive one watch: refresh the snapshot, then tick, repeat.
+    async def _list_watches(self, request: HttpRequest) -> Response:
+        return 200, {"watches": self.watches.to_dicts()}, {}
 
-        Ticks are awaited one at a time, so a watch never has two
-        proposals in flight — drift arriving while a remap decision is
-        being computed is simply observed on the next tick, against the
-        already-adopted mapping.
-        """
-        assert self._loop is not None
-        while not watch.done:
-            await asyncio.sleep(watch.interval_s)
-            watch.ticks += 1
-            try:
-                snapshot = await self._loop.run_in_executor(None, self._poll_snapshot)
-                self._adopt_snapshot(snapshot)
-                await self._loop.run_in_executor(self._executor, self._watch_tick, watch)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - keep the watch alive
-                log.warning("remap watch %s tick failed: %s", watch.id, exc)
-            if watch.max_ticks is not None and watch.ticks >= watch.max_ticks:
-                watch.done = True
-                log.info("remap watch %s finished after %d tick(s)", watch.id, watch.ticks)
+    async def _list_decisions(self, request: HttpRequest) -> Response:
+        return 200, {"decisions": self.watches.decisions(query_int(request.query, "limit"))}, {}
 
-    def _watch_tick(self, watch: RemapWatch) -> None:
-        """One monitoring tick, on a worker thread (CPU-bound search)."""
-        snapshot = self._snapshot  # one atomic read per tick
-        evaluator = self._service.evaluator(watch.app, snapshot=snapshot)
-        self._context_for(watch.app, evaluator.options, snapshot, evaluator)
-        now_s = watch.ticks * watch.interval_s  # logical clock: deterministic
-        predicted_s = evaluator.execution_time(watch.mapping)
-        event = watch.watcher.observe(now_s, predicted_s, watch.baseline_s)
-        if event is None:
-            return
-        watch.drift_events += 1
-        plan = watch.remapper.propose(
-            evaluator,
-            watch.mapping,
-            pool=watch.pool,
-            fraction_remaining=1.0,
-            seed=watch.seed,
-        )
-        watch.proposals += 1
-        doc = plan.to_dict()
-        doc.update(
-            watch_id=watch.id,
-            app=watch.app,
-            tick=watch.ticks,
-            at_s=now_s,
-            drift=round(event.degradation, 6),
-            snapshot_fingerprint=snapshot.fingerprint(),
-        )
-        with self._decision_lock:
-            self._decisions.append(doc)
-            del self._decisions[:-MAX_DECISIONS]
-        if plan.remap:
-            watch.mapping = plan.candidate
-            watch.remaps += 1
-            watch.watcher.rebase(now_s)
-            watch.baseline_s = evaluator.execution_time(plan.candidate)
-        log.info(
-            "remap watch %s tick %d: drift %.1f%% -> %s (savings %.2fs, cost %.2fs)",
-            watch.id,
-            watch.ticks,
-            event.degradation * 100.0,
-            "remap" if plan.remap else "stay",
-            plan.savings_s,
-            plan.migration_cost_s,
-        )
-
-    def _inject_load(self, request: HttpRequest) -> tuple[int, dict, dict]:
+    async def _inject_load(self, request: HttpRequest) -> Response:
         """``POST /v1/load``: set background/NIC load on cluster nodes.
 
         The test/demo lever for the closed loop: it mutates the daemon's
@@ -1128,8 +378,8 @@ class CbesDaemon:
         triples = validate_load_events(self._service, request.json())
         events = [LoadEvent(node, cpu_load=cpu, nic_load=nic) for node, cpu, nic in triples]
         LoadGenerator(self._service.cluster).apply(events)
-        snapshot = self._poll_snapshot()
-        self._adopt_snapshot(snapshot)
+        snapshot = self.runner.poll_snapshot()
+        self.runner.adopt_snapshot(snapshot)
         return 200, {
             "applied": [
                 {"node": e.node_id, "cpu_load": e.cpu_load, "nic_load": e.nic_load}
@@ -1138,20 +388,33 @@ class CbesDaemon:
             "snapshot_fingerprint": snapshot.fingerprint(),
         }, {}
 
-    def _health(self) -> dict:
-        assert self._queue is not None and self._started_at is not None
+    # -- reads ----------------------------------------------------------
+    async def _get_snapshot(self, request: HttpRequest) -> Response:
+        return 200, {"snapshot": snapshot_to_dict(self.runner.snapshot)}, {}
+
+    async def _get_profiles(self, request: HttpRequest) -> Response:
+        return 200, {"applications": self._service.profiled_applications}, {}
+
+    async def _get_metrics(self, request: HttpRequest) -> Response:
+        return metrics_response(self._metrics.snapshot(), request.query)
+
+    async def _get_traces(self, request: HttpRequest) -> Response:
+        return 200, {"traces": self._tracer.traces(query_int(request.query, "limit"))}, {}
+
+    async def _healthz(self, request: HttpRequest) -> Response:
+        runner = self.runner
         doc = {
             "status": "draining" if self._draining else "ok",
-            "uptime_s": time.monotonic() - self._started_at,
-            "workers": self._workers,
-            "queue_depth": self._queue.qsize(),
-            "queue_limit": self._queue_limit,
+            "uptime_s": self.uptime_s,
+            "workers": runner.workers,
+            "queue_depth": runner.queue_depth,
+            "queue_limit": runner.queue_limit,
             "jobs": self._store.counts(),
-            "snapshot_fingerprint": self._snapshot.fingerprint(),
-            "snapshot_refreshes": self._snapshot_refreshes,
+            "snapshot_fingerprint": runner.snapshot.fingerprint(),
+            "snapshot_refreshes": runner.snapshot_refreshes,
             "monitoring": self._service.is_monitoring,
-            "remap_watches": len(self._watches),
-            "remap_decisions": len(self._decisions),
+            "remap_watches": len(self.watches),
+            "remap_decisions": self.watches.decision_count,
         }
         if self._replica_id:
             doc["replica"] = self._replica_id
@@ -1163,10 +426,10 @@ class CbesDaemon:
                 "compactions": self._store.compactions,
                 "recovered_terminal": self._store.recovered_terminal,
             }
-        return doc
+        return 200, doc, {}
 
 
-class DaemonThread:
+class DaemonThread(ServiceThread):
     """Run a :class:`CbesDaemon` on a dedicated thread and event loop.
 
     The blocking convenience used by tests, examples and benchmarks::
@@ -1181,57 +444,4 @@ class DaemonThread:
 
     def __init__(self, service: CBES, *, startup_timeout_s: float = 30.0, **daemon_kwargs):
         self.daemon = CbesDaemon(service, **daemon_kwargs)
-        self._startup_timeout = startup_timeout_s
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._main, name="cbes-daemon", daemon=True)
-
-    def _main(self) -> None:
-        asyncio.run(self._amain())
-
-    async def _amain(self) -> None:
-        try:
-            await self.daemon.start()
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the starter
-            self._error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            await self.daemon.wait_shutdown()
-        finally:
-            await self.daemon.stop(drain=True)
-
-    # -- context manager ------------------------------------------------
-    def __enter__(self) -> "DaemonThread":
-        self._thread.start()
-        if not self._ready.wait(self._startup_timeout):
-            raise RuntimeError("daemon did not start within the startup timeout")
-        if self._error is not None:
-            raise RuntimeError("daemon failed to start") from self._error
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def shutdown(self, *, timeout_s: float = 60.0) -> None:
-        """Request shutdown and join the daemon thread."""
-        self.daemon.request_shutdown()
-        self._thread.join(timeout_s)
-        if self._thread.is_alive():
-            raise RuntimeError("daemon thread did not stop within the timeout")
-
-    # -- conveniences ---------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.daemon.address[0]
-
-    @property
-    def port(self) -> int:
-        return self.daemon.address[1]
-
-    def client(self, **kwargs):
-        """A blocking :class:`~repro.server.client.CbesClient` for this daemon."""
-        from repro.server.client import CbesClient
-
-        return CbesClient(self.host, self.port, **kwargs)
+        super().__init__(self.daemon, startup_timeout_s=startup_timeout_s)

@@ -1,11 +1,11 @@
-"""Minimal JSON-over-HTTP/1.1 framing for the scheduling daemon.
+"""Minimal JSON-over-HTTP/1.1 framing for the CBES service.
 
-The daemon speaks just enough HTTP for its fixed API surface:
+The service speaks just enough HTTP for its fixed API surface:
 ``GET``/``POST`` with JSON bodies both ways, and HTTP/1.1 keep-alive
-(the daemon's request loop serves multiple requests per connection;
-``render_response(close=True)`` opts any response out).  Kept
-stdlib-only and asyncio-stream based so the service has no dependencies
-beyond what the library already requires.
+(the connection loop in :mod:`repro.server.http` serves multiple
+requests per connection; ``render_response(close=True)`` opts any
+response out).  Kept stdlib-only and asyncio-stream based so the service
+has no dependencies beyond what the library already requires.
 """
 
 from __future__ import annotations
@@ -86,12 +86,22 @@ class RawResponse:
 
 @dataclass
 class HttpRequest:
-    """One parsed request."""
+    """One parsed request.
+
+    ``request_id``, ``query`` and ``params`` are filled in by the
+    service core (:mod:`repro.server.http`) when it routes the request:
+    the id this request is logged and answered under, the parsed query
+    string, and the values bound by the route template (``{"id": ...}``
+    for ``/v1/jobs/{id}``).
+    """
 
     method: str
     path: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    request_id: str = ""
+    query: dict[str, list[str]] = field(default_factory=dict)
+    params: dict[str, str] = field(default_factory=dict)
 
     def json(self) -> dict:
         """The body parsed as a JSON object; raises :class:`ApiError` (400)."""

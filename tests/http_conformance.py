@@ -1,0 +1,247 @@
+"""One HTTP conformance suite for both front doors.
+
+The daemon and the fleet router serve clients through the same
+:class:`repro.server.http.HttpService` core, so the connection /
+keep-alive / request-id / error contract is asserted once, here, as
+mixin classes; ``tests/test_server_*.py`` run them against a
+``DaemonThread`` and ``tests/test_fleet.py`` against a
+``RouterThread`` over one replica.  A test class picks the door by
+defining a ``front_door`` fixture: a factory ``front_door(**http)`` (the
+keyword arguments are the core's keep-alive / body-size knobs) returning
+a context manager that yields a :class:`Door`.
+"""
+
+from __future__ import annotations
+
+import socket
+import time
+from contextlib import contextmanager
+from typing import NamedTuple
+
+import pytest
+
+from repro.fleet import RouterThread
+from repro.server import DaemonThread, ServerError
+from repro.server.http import HttpService, ServiceThread
+
+
+class Door(NamedTuple):
+    """A running front door: its harness, its service core, its metric prefix."""
+
+    thread: ServiceThread
+    core: HttpService
+    prefix: str
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.thread.host, self.thread.port
+
+    def client(self, **kwargs):
+        return self.thread.client(**kwargs)
+
+
+@contextmanager
+def daemon_door(service, **http):
+    """A daemon as the front door."""
+    with DaemonThread(service, workers=1, queue_limit=4, **http) as srv:
+        yield Door(srv, srv.daemon, "cbes")
+
+
+@contextmanager
+def router_door(service, **http):
+    """A fleet router over one replica daemon as the front door."""
+    with DaemonThread(service, workers=1, queue_limit=4, replica_id="r0") as replica:
+        fleet = RouterThread([f"{replica.host}:{replica.port}"])
+        # The router has no constructor knobs for these; they are plain
+        # attributes of the shared core.
+        for name, value in http.items():
+            setattr(fleet.router, name, value)
+        with fleet:
+            yield Door(fleet, fleet.router, "cbes_fleet")
+
+
+def metric_value(client, name: str, labels: str = "") -> float:
+    """Read one sample off the Prometheus text exposition."""
+    needle = f"{name}{labels} " if labels else f"{name} "
+    for line in client.metrics_text().splitlines():
+        if line.startswith(needle):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
+def raw_exchange(sock: socket.socket, request: bytes) -> bytes:
+    """One request on an already-open socket; reads headers + body."""
+    sock.sendall(request)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+    head, body = data.split(b"\r\n\r\n", 1)
+    length = 0
+    for line in head.decode("latin-1").split("\r\n"):
+        if line.lower().startswith("content-length:"):
+            length = int(line.split(":", 1)[1])
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        body += chunk
+    return head + b"\r\n\r\n" + body
+
+
+HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+class KeepAliveConformance:
+    def test_one_connection_serves_many_requests(self, front_door):
+        with front_door() as door:
+            client = door.client()
+            for _ in range(5):
+                assert client.healthz()["status"] == "ok"
+            # 5 requests, 1 TCP connection, 4 of them keep-alive reuses
+            # (the metrics scrape itself rides the same connection).
+            assert metric_value(client, f"{door.prefix}_connections_total") == 1.0
+            assert metric_value(client, f"{door.prefix}_keepalive_requests_total") >= 4.0
+
+    def test_connection_close_header_honored(self, front_door):
+        with front_door() as door:
+            with socket.create_connection(door.address, timeout=10) as sock:
+                reply = raw_exchange(
+                    sock,
+                    b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+                )
+                assert b"200 OK" in reply
+                assert b"Connection: close" in reply
+                sock.settimeout(5)
+                assert sock.recv(1) == b""  # server closed after responding
+
+    def test_keepalive_responses_advertise_keepalive(self, front_door):
+        with front_door() as door:
+            with socket.create_connection(door.address, timeout=10) as sock:
+                first = raw_exchange(sock, HEALTHZ)
+                second = raw_exchange(sock, HEALTHZ)
+                assert b"Connection: keep-alive" in first
+                assert b"200 OK" in second  # same socket, second answer
+
+    def test_max_requests_per_connection(self, front_door):
+        with front_door(keepalive_max_requests=2) as door:
+            with socket.create_connection(door.address, timeout=10) as sock:
+                first = raw_exchange(sock, HEALTHZ)
+                second = raw_exchange(sock, HEALTHZ)
+                assert b"Connection: keep-alive" in first
+                assert b"Connection: close" in second  # bound reached
+                sock.settimeout(5)
+                assert sock.recv(1) == b""
+            # The pooled client rides through the bound transparently.
+            client = door.client()
+            for _ in range(5):
+                assert client.healthz()["status"] == "ok"
+
+    def test_client_reconnects_after_idle_drop(self, front_door):
+        """Satellite: stale pooled sockets retry once, transparently."""
+        with front_door(keepalive_timeout_s=0.2) as door:
+            client = door.client()
+            assert client.healthz()["status"] == "ok"
+            time.sleep(0.6)  # idle timeout reaps the server side
+            assert client.healthz()["status"] == "ok"  # transparent retry
+
+    def test_client_keep_alive_off_uses_fresh_connections(self, front_door):
+        with front_door() as door:
+            client = door.client()
+            client.keep_alive = False
+            for _ in range(3):
+                assert client.healthz()["status"] == "ok"
+            assert metric_value(client, f"{door.prefix}_connections_total") >= 3.0
+
+
+class RoutingConformance:
+    """404 / 405 derived from the route table; needs a ``client`` fixture."""
+
+    def test_unknown_route_404(self, client):
+        with pytest.raises(ServerError) as excinfo:
+            client._request("GET", "/v2/nothing")
+        assert excinfo.value.status == 404
+
+    def test_unknown_job_404(self, client):
+        with pytest.raises(ServerError) as excinfo:
+            client.job("j999999")
+        assert excinfo.value.status == 404
+
+    def test_template_spelled_literally_is_an_unknown_job(self, client):
+        with pytest.raises(ServerError) as excinfo:
+            client._request("GET", "/v1/jobs/{id}")
+        assert excinfo.value.status == 404
+
+    def test_wrong_method_405(self, client):
+        with pytest.raises(ServerError) as excinfo:
+            client._request("POST", "/v1/healthz", {"x": 1})
+        assert excinfo.value.status == 405
+
+
+class OversizedBodyConformance:
+    def test_oversized_body_413_keeps_connection_alive(self, front_door):
+        with front_door(max_body_bytes=1024) as door:
+            body = b"{" + b" " * 4096 + b"}"
+            request = (
+                f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n"
+                f"Content-Type: application/json\r\n\r\n"
+            ).encode() + body
+            follow_up = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            with socket.create_connection(door.address, timeout=10) as sock:
+                first = raw_exchange(sock, request)
+                assert b"413" in first.split(b"\r\n", 1)[0]
+                assert b"keep-alive" in first.lower()
+                # The same socket must still serve the next request.
+                second = raw_exchange(sock, follow_up)
+                assert b"200" in second.split(b"\r\n", 1)[0]
+
+
+class ErrorContractConformance:
+    def test_malformed_request_line_400_and_close(self, front_door):
+        with front_door() as door:
+            with socket.create_connection(door.address, timeout=10) as sock:
+                reply = raw_exchange(sock, b"NONSENSE\r\n\r\n")
+                assert reply.startswith(b"HTTP/1.1 400 ")
+                assert b"Connection: close" in reply
+                sock.settimeout(5)
+                assert sock.recv(1) == b""  # framing is unknowable: closed
+
+    def test_handler_exception_500_and_close_without_traceback(self, front_door):
+        async def boom(request):
+            raise RuntimeError("secret internal detail")
+
+        with front_door() as door:
+            door.core._table["/v1/healthz"]["GET"] = boom
+            with socket.create_connection(door.address, timeout=10) as sock:
+                reply = raw_exchange(sock, HEALTHZ)
+                assert reply.startswith(b"HTTP/1.1 500 ")
+                assert b"Connection: close" in reply
+                assert b'"internal server error"' in reply
+                assert b"secret" not in reply and b"Traceback" not in reply
+                sock.settimeout(5)
+                assert sock.recv(1) == b""
+
+    def test_every_response_carries_a_request_id(self, front_door):
+        def request_id(reply: bytes) -> str:
+            for line in reply.split(b"\r\n\r\n", 1)[0].decode("latin-1").split("\r\n"):
+                if line.lower().startswith("x-request-id:"):
+                    return line.split(":", 1)[1].strip()
+            pytest.fail(f"no X-Request-Id in {reply[:200]!r}")
+
+        with front_door() as door:
+            with socket.create_connection(door.address, timeout=10) as sock:
+                minted = request_id(raw_exchange(sock, HEALTHZ))
+                assert minted
+                # A well-formed inbound id is honoured; errors carry one too.
+                echoed = raw_exchange(
+                    sock, b"GET /v2/nothing HTTP/1.1\r\nHost: x\r\nX-Request-Id: trace-42.a\r\n\r\n"
+                )
+                assert echoed.startswith(b"HTTP/1.1 404 ")
+                assert request_id(echoed) == "trace-42.a"
+                # A hostile one is replaced, never reflected.
+                replaced = raw_exchange(
+                    sock, b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nX-Request-Id: a b<c>\r\n\r\n"
+                )
+                assert request_id(replaced) not in ("a b<c>", minted)

@@ -6,8 +6,12 @@ must produce byte-identical results to direct submission — the
 correctness bar for transparent scale-out.
 """
 
+import http.client
 import json
+import socket
+import time
 import urllib.request
+from functools import partial
 
 import pytest
 
@@ -17,6 +21,15 @@ from repro.fleet import RouterThread, pick_backend, rendezvous_rank
 from repro.server import DaemonThread
 from repro.server.client import ServerError
 from repro.workloads import SyntheticBenchmark
+from tests.http_conformance import (
+    HEALTHZ,
+    ErrorContractConformance,
+    KeepAliveConformance,
+    OversizedBodyConformance,
+    RoutingConformance,
+    raw_exchange,
+    router_door,
+)
 
 
 def make_service() -> tuple[CBES, str]:
@@ -219,6 +232,84 @@ class TestFleetRouter:
         backends = [f"{d1.host}:{d1.port}", f"{d2.host}:{d2.port}"]
         with RouterThread(backends) as second_router:
             assert second_router.client().job(job_id)["state"] == "done"
+
+
+    def test_listing_state_filter_cannot_inject_requests(self, fleet):
+        """Regression: ``state`` was pasted un-encoded into the replica request line."""
+        router, _, _ = fleet
+        client = router.client()
+        with pytest.raises(ServerError) as err:
+            client._request("GET", "/v1/jobs?state=bogus")
+        assert err.value.status == 400
+        smuggle = (
+            "/v1/jobs?state=done%20HTTP/1.1%0d%0aContent-Length:%200%0d%0a%0d%0a"
+            "GET%20/v1/profiles"
+        )
+        with pytest.raises(ServerError) as err:
+            client._request("GET", smuggle)
+        assert err.value.status == 400
+        # No second request reached a replica: its pooled socket is
+        # still in sync, so the next scatter gets the answer it asked for.
+        assert isinstance(client.healthz()["jobs"], dict)
+
+    def test_request_id_is_one_id_through_the_fleet(self, fleet):
+        router, _, app = fleet
+        conn = http.client.HTTPConnection(router.host, router.port, timeout=30)
+        try:
+            body = json.dumps({"kind": "predict", "app": app, "nodes": NODES})
+            conn.request(
+                "POST", "/v1/jobs", body, {"Content-Type": "application/json"}
+            )
+            response = conn.getresponse()
+            job = json.loads(response.read())["job"]
+            seen = response.getheader("X-Request-Id")
+            assert response.status == 202 and seen
+            # The replica stored the id the client saw, not a per-hop one.
+            assert job["request_id"] == seen
+            # ... and a client-chosen id survives both hops.
+            conn.request(
+                "POST",
+                "/v1/jobs",
+                body,
+                {"Content-Type": "application/json", "X-Request-Id": "client-chosen.1"},
+            )
+            response = conn.getresponse()
+            job = json.loads(response.read())["job"]
+            assert response.getheader("X-Request-Id") == "client-chosen.1"
+            assert job["request_id"] == "client-chosen.1"
+        finally:
+            conn.close()
+
+
+@pytest.fixture(scope="module")
+def conformance_service():
+    return make_service()[0]
+
+
+class TestRouterConformance(
+    KeepAliveConformance, OversizedBodyConformance, ErrorContractConformance, RoutingConformance
+):
+    """The daemon's HTTP contract (tests/http_conformance.py), through the router."""
+
+    @pytest.fixture
+    def front_door(self, conformance_service):
+        return partial(router_door, conformance_service)
+
+    @pytest.fixture
+    def client(self, front_door):
+        with front_door() as door:
+            yield door.client()
+
+    def test_shutdown_reaps_idle_keepalive_socket(self, front_door):
+        """An idle keep-alive client must not pin the router's shutdown."""
+        with front_door() as door:
+            with socket.create_connection(door.address, timeout=10) as sock:
+                assert b"Connection: keep-alive" in raw_exchange(sock, HEALTHZ)
+                started = time.monotonic()
+                door.thread.shutdown()
+                assert time.monotonic() - started < 5.0
+                sock.settimeout(5)
+                assert sock.recv(1) == b""  # the router closed it
 
 
 class TestFleetDegradation:

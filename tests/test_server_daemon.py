@@ -20,6 +20,7 @@ from repro.core import CBES, TaskMapping
 from repro.schedulers import CbesScheduler
 from repro.server import BackpressureError, DaemonThread, JobFailed, JobState, ServerError
 from repro.workloads import SyntheticBenchmark
+from tests.http_conformance import RoutingConformance
 
 
 def make_service() -> tuple[CBES, str]:
@@ -48,7 +49,9 @@ def client(server):
     return server.client()
 
 
-class TestEndpoints:
+class TestEndpoints(RoutingConformance):
+    # 404 / 405 come from the shared suite in tests/http_conformance.py.
+
     def test_healthz(self, client):
         health = client.healthz()
         assert health["status"] == "ok"
@@ -66,21 +69,6 @@ class TestEndpoints:
         snapshot = client.snapshot()
         assert snapshot["fingerprint"] == service.snapshot().fingerprint()
         assert set(snapshot["nodes"]) == set(service.cluster.node_ids())
-
-    def test_unknown_route_404(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client._request("GET", "/v2/nothing")
-        assert excinfo.value.status == 404
-
-    def test_unknown_job_404(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.job("j999999")
-        assert excinfo.value.status == 404
-
-    def test_wrong_method_405(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client._request("POST", "/v1/healthz", {"x": 1})
-        assert excinfo.value.status == 405
 
 
 class TestValidation:
@@ -180,9 +168,9 @@ class TestJobRoundTrip:
     def test_schedule_context_is_cached_and_reused(self, server, client, service_and_app):
         service, app_name = service_and_app
         client.schedule(app_name, scheduler="cs", seed=1)
-        daemon = server.daemon
-        with daemon._ctx_lock:
-            contexts = dict(daemon._contexts)
+        runner = server.daemon.runner
+        with runner._ctx_lock:
+            contexts = dict(runner._contexts)
         assert contexts, "schedule job should cache an EvaluationContext"
         fingerprint = service.snapshot().fingerprint()
         assert all(ctx.snapshot_fingerprint == fingerprint for ctx in contexts.values())
@@ -201,7 +189,7 @@ class TestBackpressure:
             return {"ok": True}
 
         srv = DaemonThread(service, workers=1, queue_limit=1)
-        srv.daemon._execute = blocked_execute
+        srv.daemon.runner.execute = blocked_execute
         try:
             with srv:
                 client = srv.client()
@@ -232,7 +220,7 @@ class TestGracefulShutdown:
             return {"ok": True}
 
         srv = DaemonThread(service, workers=1, queue_limit=4)
-        srv.daemon._execute = slow_execute
+        srv.daemon.runner.execute = slow_execute
         with srv:
             client = srv.client()
             nodes = service.cluster.node_ids()[:3]
@@ -266,11 +254,11 @@ class TestSnapshotRefresh:
                     pytest.fail("refresh loop never picked up the injected load")
                 assert client.healthz()["snapshot_refreshes"] >= 1
                 # Contexts built against the pre-load snapshot are gone.
-                daemon = srv.daemon
-                with daemon._ctx_lock:
+                runner = srv.daemon.runner
+                with runner._ctx_lock:
                     stale = [
                         ctx
-                        for ctx in daemon._contexts.values()
+                        for ctx in runner._contexts.values()
                         if ctx.snapshot_fingerprint == first["snapshot_fingerprint"]
                     ]
                 assert not stale
@@ -295,7 +283,7 @@ class TestSnapshotRefresh:
         def broken_poll():
             raise RuntimeError("sensor exploded")
 
-        srv.daemon._poll_snapshot = broken_poll
+        srv.daemon.runner.poll_snapshot = broken_poll
         with srv:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline and service.monitor is original:

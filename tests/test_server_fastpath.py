@@ -3,11 +3,12 @@
 Covers the daemon side (HTTP/1.1 keep-alive request loop with its
 request-count bound and idle timeout, ``POST /v1/jobs:batch`` with
 atomic accept/reject) and the client side (pooled connection, transparent
-reconnect after the server drops an idle socket).
+reconnect after the server drops an idle socket).  The keep-alive and
+error-contract tests are the shared suite in ``tests/http_conformance.py``
+(``tests/test_fleet.py`` runs the same classes through the router).
 """
 
-import socket
-import time
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,12 @@ from repro.cluster import single_switch
 from repro.core import CBES
 from repro.server import BackpressureError, DaemonThread, ServerError
 from repro.workloads import SyntheticBenchmark
+from tests.http_conformance import (
+    ErrorContractConformance,
+    KeepAliveConformance,
+    daemon_door,
+    metric_value,
+)
 
 
 def make_service() -> tuple[CBES, str]:
@@ -30,107 +37,18 @@ def service_and_app():
     return make_service()
 
 
-def metric_value(client, name: str, labels: str = "") -> float:
-    """Read one sample off the Prometheus text exposition."""
-    needle = f"{name}{labels} " if labels else f"{name} "
-    for line in client.metrics_text().splitlines():
-        if line.startswith(needle):
-            return float(line.rsplit(" ", 1)[1])
-    return 0.0
+@pytest.fixture
+def front_door(service_and_app):
+    """The daemon as the conformance suite's front door."""
+    return partial(daemon_door, service_and_app[0])
 
 
-def raw_exchange(sock: socket.socket, request: bytes) -> bytes:
-    """One request on an already-open socket; reads headers + body."""
-    sock.sendall(request)
-    data = b""
-    while b"\r\n\r\n" not in data:
-        chunk = sock.recv(65536)
-        if not chunk:
-            return data
-        data += chunk
-    head, body = data.split(b"\r\n\r\n", 1)
-    length = 0
-    for line in head.decode("latin-1").split("\r\n"):
-        if line.lower().startswith("content-length:"):
-            length = int(line.split(":", 1)[1])
-    while len(body) < length:
-        chunk = sock.recv(65536)
-        if not chunk:
-            break
-        body += chunk
-    return head + b"\r\n\r\n" + body
+class TestKeepAlive(KeepAliveConformance):
+    """The shared keep-alive contract, served by a ``DaemonThread``."""
 
 
-class TestKeepAlive:
-    def test_one_connection_serves_many_requests(self, service_and_app):
-        service, _ = service_and_app
-        with DaemonThread(service, workers=1, queue_limit=4) as srv:
-            client = srv.client()
-            for _ in range(5):
-                assert client.healthz()["status"] == "ok"
-            # 5 requests, 1 TCP connection, 4 of them keep-alive reuses
-            # (the metrics scrape itself rides the same connection).
-            assert metric_value(client, "cbes_connections_total") == 1.0
-            assert metric_value(client, "cbes_keepalive_requests_total") >= 4.0
-
-    def test_connection_close_header_honored(self, service_and_app):
-        service, _ = service_and_app
-        with DaemonThread(service, workers=1, queue_limit=4) as srv:
-            with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
-                reply = raw_exchange(
-                    sock,
-                    b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
-                )
-                assert b"200 OK" in reply
-                assert b"Connection: close" in reply
-                sock.settimeout(5)
-                assert sock.recv(1) == b""  # server closed after responding
-
-    def test_keepalive_responses_advertise_keepalive(self, service_and_app):
-        service, _ = service_and_app
-        with DaemonThread(service, workers=1, queue_limit=4) as srv:
-            with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
-                request = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
-                first = raw_exchange(sock, request)
-                second = raw_exchange(sock, request)
-                assert b"Connection: keep-alive" in first
-                assert b"200 OK" in second  # same socket, second answer
-
-    def test_max_requests_per_connection(self, service_and_app):
-        service, _ = service_and_app
-        with DaemonThread(service, workers=1, queue_limit=4, keepalive_max_requests=2) as srv:
-            with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
-                request = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
-                first = raw_exchange(sock, request)
-                second = raw_exchange(sock, request)
-                assert b"Connection: keep-alive" in first
-                assert b"Connection: close" in second  # bound reached
-                sock.settimeout(5)
-                assert sock.recv(1) == b""
-            # The pooled client rides through the bound transparently.
-            client = srv.client()
-            for _ in range(5):
-                assert client.healthz()["status"] == "ok"
-
-    def test_client_reconnects_after_idle_drop(self, service_and_app):
-        """Satellite: stale pooled sockets retry once, transparently."""
-        service, _ = service_and_app
-        with DaemonThread(
-            service, workers=1, queue_limit=4, keepalive_timeout_s=0.2
-        ) as srv:
-            client = srv.client()
-            assert client.healthz()["status"] == "ok"
-            time.sleep(0.6)  # idle timeout reaps the server side
-            assert client.healthz()["status"] == "ok"  # transparent retry
-
-    def test_client_keep_alive_off_uses_fresh_connections(self, service_and_app):
-        service, _ = service_and_app
-        with DaemonThread(service, workers=1, queue_limit=4) as srv:
-            client = srv.client()
-            client.keep_alive = False
-            for _ in range(3):
-                assert client.healthz()["status"] == "ok"
-            assert metric_value(client, "cbes_connections_total") >= 3.0
+class TestErrorContract(ErrorContractConformance):
+    """The shared error / request-id contract, served by a ``DaemonThread``."""
 
 
 class TestBatchSubmission:

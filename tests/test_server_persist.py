@@ -11,9 +11,9 @@ Two layers:
 """
 
 import signal
-import socket
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,7 @@ from repro.core import CBES
 from repro.server import DaemonThread
 from repro.server.client import CbesClient, ServerError
 from repro.workloads import SyntheticBenchmark
+from tests.http_conformance import OversizedBodyConformance, daemon_door
 
 
 def make_service() -> tuple[CBES, str]:
@@ -41,7 +42,13 @@ def service_and_app():
 NODES = ["mini-n00", "mini-n01", "mini-n02"]
 
 
-class TestDurableDaemon:
+class TestDurableDaemon(OversizedBodyConformance):
+    # The recoverable-413 test is the shared one in tests/http_conformance.py.
+
+    @pytest.fixture
+    def front_door(self, service_and_app):
+        return partial(daemon_door, service_and_app[0])
+
     def test_results_survive_daemon_restart(self, service_and_app, tmp_path):
         service, app = service_and_app
         data_dir = tmp_path / "data"
@@ -76,25 +83,6 @@ class TestDurableDaemon:
             assert err.value.status == 409
             assert err.value.code == "duplicate-job"
 
-    def test_oversized_body_413_keeps_connection_alive(self, service_and_app):
-        service, _ = service_and_app
-        with DaemonThread(service, workers=1, max_body_bytes=1024) as srv:
-            body = b"{" + b" " * 4096 + b"}"
-            request = (
-                f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n"
-                f"Content-Type: application/json\r\n\r\n"
-            ).encode() + body
-            follow_up = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-            with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
-                sock.sendall(request)
-                first = _read_one_response(sock)
-                assert b"413" in first.split(b"\r\n", 1)[0]
-                assert b"keep-alive" in first.lower()
-                # The same socket must still serve the next request.
-                sock.sendall(follow_up)
-                second = _read_one_response(sock)
-                assert b"200" in second.split(b"\r\n", 1)[0]
-
     def test_jobs_listing_filters_and_paging(self, service_and_app, tmp_path):
         service, app = service_and_app
         with DaemonThread(service, workers=1, data_dir=tmp_path / "data") as srv:
@@ -116,27 +104,6 @@ class TestDurableDaemon:
             assert err.value.status == 400
             with pytest.raises(ServerError):
                 client.jobs(state="bogus")
-
-
-def _read_one_response(sock: socket.socket) -> bytes:
-    """Read exactly one Content-Length-framed HTTP response."""
-    data = b""
-    while b"\r\n\r\n" not in data:
-        chunk = sock.recv(4096)
-        if not chunk:
-            return data
-        data += chunk
-    head, _, rest = data.partition(b"\r\n\r\n")
-    length = 0
-    for line in head.split(b"\r\n")[1:]:
-        if line.lower().startswith(b"content-length:"):
-            length = int(line.split(b":", 1)[1])
-    while len(rest) < length:
-        chunk = sock.recv(4096)
-        if not chunk:
-            break
-        rest += chunk
-    return head + b"\r\n\r\n" + rest
 
 
 class TestCrashRecoverySubprocess:
