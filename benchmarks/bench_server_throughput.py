@@ -5,7 +5,10 @@ service and pushes prediction jobs through the full network path —
 HTTP framing, queue, worker pool, JSON codecs — measuring jobs/second
 and the per-request overhead versus calling the evaluator directly.
 Every remote answer is checked against the direct path, so the run
-doubles as an end-to-end consistency test.
+doubles as an end-to-end consistency test.  It also gates that waiting
+on a batch costs the batch, not the store: a 32-job ``submit_batch`` +
+``wait_many`` round against a daemon holding ~2 000 finished jobs may
+take at most 1.5x the round against an empty one.
 
 Run modes
 ---------
@@ -23,6 +26,7 @@ Run modes
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -34,6 +38,9 @@ from repro.server import BackpressureError, DaemonThread
 from repro.workloads import SyntheticBenchmark
 
 AGREEMENT_TOL = 1e-9
+#: The store-size-independence gate: batch size, finished jobs held by
+#: the "full" store, timed rounds per side, and the allowed ratio.
+ROUND_JOBS, FULL_STORE_JOBS, ROUNDS, MAX_ROUND_RATIO = 32, 2000, 9, 1.5
 
 
 def build_service(nnodes: int, nprocs: int) -> tuple[CBES, str]:
@@ -79,6 +86,38 @@ def daemon_throughput(
     return elapsed, times, retries
 
 
+def batch_round_ms(service: CBES, app_name: str, nodes: list[str]) -> tuple[float, float]:
+    """Median ``submit_batch`` + ``wait_many`` round (ms): empty store, full store.
+
+    One daemon and one connection serve both sides; between them the
+    store is filled in-process with finished jobs carrying a real result
+    document, so only the number of jobs held differs.
+    """
+    docs = [{"kind": "predict", "app": app_name, "nodes": nodes}] * ROUND_JOBS
+    with DaemonThread(service, workers=2, queue_limit=2 * ROUND_JOBS, job_ttl_s=3600.0) as srv:
+        client = srv.client()
+
+        def round_ms() -> float:
+            samples = []
+            for _ in range(ROUNDS):
+                start = time.perf_counter()
+                ids = [job["id"] for job in client.submit_batch(docs)]
+                client.wait_many(ids, timeout_s=300.0, poll_interval_s=0.002)
+                samples.append(time.perf_counter() - start)
+            return statistics.median(samples) * 1e3
+
+        round_ms()  # warm-up: connection, evaluator, worker threads
+        empty_ms = round_ms()
+        result = client.jobs(limit=1)[0]["result"]
+        store = srv.daemon.store
+        for _ in range(FULL_STORE_JOBS):
+            job = store.create("predict", docs[0])
+            store.mark_running(job.id)
+            store.mark_done(job.id, result)
+        full_ms = round_ms()
+    return empty_ms, full_ms
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke mode (small instance)")
@@ -96,6 +135,8 @@ def main(argv: list[str] | None = None) -> int:
         service, app_name, mappings, workers=workers
     )
 
+    empty_ms, full_ms = batch_round_ms(service, app_name, mappings[0])
+
     disagreements = sum(
         1 for a, b in zip(direct_times, daemon_times, strict=True) if abs(a - b) > AGREEMENT_TOL
     )
@@ -107,6 +148,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"daemon round-trip: {rate:10.1f} jobs/s        ({daemon_s * 1e3:7.1f} ms total)")
     print(f"per-job service overhead: {overhead_ms:.2f} ms (HTTP + queue + store)")
     print(f"backpressure retries: {retries}, disagreements: {disagreements}")
+    print(
+        f"{ROUND_JOBS}-job batch round: {empty_ms:.1f} ms on an empty store, {full_ms:.1f} ms "
+        f"with {FULL_STORE_JOBS} finished jobs held ({full_ms / empty_ms:.2f}x)"
+    )
 
     report = GateReport("server_throughput", mode="quick" if args.quick else "full")
     report.metric("nnodes", nnodes)
@@ -115,10 +160,18 @@ def main(argv: list[str] | None = None) -> int:
     report.metric("daemon_jobs_per_s", round(rate, 2))
     report.metric("overhead_ms_per_job", round(overhead_ms, 3))
     report.metric("backpressure_retries", retries)
+    report.metric("batch_round_ms_empty_store", round(empty_ms, 2))
+    report.metric("batch_round_ms_full_store", round(full_ms, 2))
     report.gate(
         "agreement",
         disagreements == 0,
         f"{disagreements} remote results disagree with the direct evaluator",
+    )
+    report.gate(
+        "store_size_independence",
+        full_ms <= MAX_ROUND_RATIO * empty_ms,
+        f"batch round with {FULL_STORE_JOBS} finished jobs held is {full_ms / empty_ms:.2f}x "
+        f"the empty-store round (limit {MAX_ROUND_RATIO}x)",
     )
     if not args.quick:
         report.gate(

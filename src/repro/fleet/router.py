@@ -22,6 +22,9 @@ Request handling:
 * ``GET /v1/jobs`` — scatter to healthy replicas, concatenate in
   configured replica order, apply ``state``/``after``/``limit``
   centrally;
+* ``GET /v1/jobs?ids=...`` — partition the ids by owner like a batch,
+  ask only the owning replicas, and walk an id its owner did not return
+  down its preference order like a point lookup;
 * ``GET /v1/metrics`` — scatter, then associatively merge the replica
   snapshots (counters/gauges sum, histograms merge bucket-wise — the
   same discipline :mod:`repro.telemetry` uses within one process) and
@@ -51,7 +54,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import uuid
-from urllib.parse import urlencode
+from urllib.parse import quote, urlencode
 
 from repro import telemetry
 from repro.fleet.hashing import rendezvous_rank
@@ -63,6 +66,7 @@ from repro.server.http import (
     ServiceThread,
     metrics_response,
     query_choice,
+    query_ids,
     query_int,
 )
 from repro.server.jobs import JobState
@@ -407,10 +411,70 @@ class FleetRouter(HttpService):
             raise ApiError(503, "no-replicas", f"lookup failed on every replica ({last_error})")
         raise ApiError(404, "not-found", f"no job {job_id!r} on any replica")
 
+    async def _lookup_jobs(self, request: HttpRequest, ids: list[str]) -> list[dict]:
+        """The jobs named by *ids*, from the replicas that can hold them.
+
+        Ids are grouped by their best healthy replica, exactly as
+        :meth:`_submit_batch` places them, and the groups fetched
+        concurrently.  An id its replica did not return (or whose
+        replica failed mid-call) moves on to the next replica in its
+        preference order, as in :meth:`_get_job`, until it is found or
+        the order runs out — then it is absent, like an evicted job.
+        Found jobs come back in configured replica order.
+        """
+        healthy = set(self._require_healthy())
+        remaining = {
+            job_id: [b for b in rendezvous_rank(job_id, self._order) if b in healthy]
+            for job_id in dict.fromkeys(ids)
+        }
+        found: dict[str, list[dict]] = {backend: [] for backend in self._order}
+        rank = 0
+        while remaining:
+            groups: dict[str, list[str]] = {}
+            for job_id, backends in remaining.items():
+                groups.setdefault(backends[rank], []).append(job_id)
+            if rank > 0:
+                self._m_retries.inc(len(groups))
+            outcomes = await asyncio.gather(
+                *(
+                    self._call(
+                        request,
+                        backend,
+                        "GET",
+                        "/v1/jobs?ids=" + ",".join(quote(job_id, safe="") for job_id in group),
+                    )
+                    for backend, group in groups.items()
+                ),
+                return_exceptions=True,
+            )
+            for backend, outcome in zip(groups, outcomes):
+                if isinstance(outcome, BackendError):
+                    continue
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                status, payload = outcome
+                if status != 200:
+                    raise self._relay_error(backend, status, payload)
+                for job in payload.get("jobs", []):
+                    found[backend].append(job)
+                    remaining.pop(job.get("id"), None)
+            rank += 1
+            remaining = {j: bs for j, bs in remaining.items() if rank < len(bs)}
+        return [job for backend in self._order for job in found[backend]]
+
     async def _list_jobs(self, request: HttpRequest) -> Response:
         state = query_choice(request.query, "state", [s.value for s in JobState])
         limit = query_int(request.query, "limit", minimum=0)
         after = request.query.get("after", [None])[0]
+        ids = query_ids(request.query)
+        if ids is not None:
+            # The state filter is applied here, not forwarded: a replica
+            # must return every named job it holds, or "still running on
+            # its owner" would read as "ask the next replica".
+            jobs = await self._lookup_jobs(request, ids)
+            if state is not None:
+                jobs = [job for job in jobs if job.get("state") == state]
+            return 200, {"jobs": jobs}, {}
         # `after` pages over the *merged* list, so the cursor must be
         # resolved here — replicas only get the state filter (plus the
         # limit when no cursor shifts the window).

@@ -20,11 +20,12 @@ the journal never records an illegal transition.
   anything created after recovery).
 
 **Compaction** folds the journal into an atomically-replaced snapshot
-file (``jobs.snapshot.json``) whenever the journal outgrows
-``compact_bytes``, and once right after recovery (which also discards a
-replayed torn tail).  Replaying ``snapshot + journal-tail`` is
-equivalent to replaying the whole pre-compaction journal — the property
-``tests/test_persist.py`` pins down.
+file (``jobs.snapshot.json``) whenever the journal outgrows both
+``compact_bytes`` and the last snapshot written, and once right after
+recovery (which also discards a replayed torn tail).  Replaying
+``snapshot + journal-tail`` is equivalent to replaying the whole
+pre-compaction journal — the property ``tests/test_persist.py`` pins
+down.
 
 Replay is *lenient*: records for unknown jobs or replays of
 already-applied transitions are skipped, because compaction and
@@ -156,7 +157,8 @@ class DurableJobStore(JobStore):
     fsync, fsync_interval_s:
         Journal durability policy (see :class:`Journal`).
     compact_bytes:
-        Journal size beyond which the next append triggers compaction.
+        Journal size beyond which the next append triggers compaction —
+        or the size of the last snapshot written, when that is larger.
     metrics:
         Optional :class:`~repro.telemetry.MetricsRegistry` receiving the
         journal metric families declared at the top of this module.
@@ -194,6 +196,8 @@ class DurableJobStore(JobStore):
         #: compaction never interleaves half a transition.
         self._mutex = threading.RLock()
         self._compactions = 0
+        #: Size of the last snapshot this instance wrote.
+        self._snapshot_bytes = 0
         self._recovered_pending: list[Job] = []
         self.recovered_terminal = 0
         if metrics is not None:
@@ -261,16 +265,18 @@ class DurableJobStore(JobStore):
                 if doc["state"] == "done":
                     job.state = JobState.DONE
                     job.result = doc.get("result")
-                    job.finished_at = now
-                    self.recovered_terminal += 1
                 elif doc["state"] == "failed":
                     job.state = JobState.FAILED
                     job.error = doc.get("error", "")
-                    job.finished_at = now
-                    self.recovered_terminal += 1
                 else:  # queued or running: rewind and hand back for re-enqueue
                     job.state = JobState.QUEUED
                     self._recovered_pending.append(job)
+                if job.state.is_terminal:
+                    # The fresh TTL starts now: one TTL after restart
+                    # the expiry queue drops it like any finished job.
+                    job.finished_at = now
+                    self._expiry.append(job)
+                    self.recovered_terminal += 1
                 self._jobs[job.id] = job
         if self._m_recovered is not None and docs:
             requeued = len(self._recovered_pending)
@@ -296,7 +302,10 @@ class DurableJobStore(JobStore):
         if self._m_appends is not None:
             self._m_appends.inc()
             self._m_bytes.inc(written)
-        if self._journal.size_bytes > self._compact_bytes:
+        # A snapshot costs its own size to write, so the journal must
+        # outgrow the last one before the next: compaction work stays
+        # linear in bytes appended however large the store gets.
+        if self._journal.size_bytes > max(self._compact_bytes, self._snapshot_bytes):
             self.compact()
 
     def create(self, kind: str, payload: dict, *, request_id: str = "", job_id: str | None = None) -> Job:
@@ -380,6 +389,7 @@ class DurableJobStore(JobStore):
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, separators=(",", ":"))
                 fh.flush()
+                self._snapshot_bytes = os.fstat(fh.fileno()).st_size
                 os.fsync(fh.fileno())
             os.replace(tmp, self.snapshot_path)
             self._fsync_dir()

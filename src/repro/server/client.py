@@ -18,7 +18,10 @@ from __future__ import annotations
 import http.client
 import json
 import time
+from collections.abc import Iterator
 from urllib.parse import quote
+
+from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS
 
 __all__ = ["ServerError", "BackpressureError", "JobFailed", "CbesClient"]
 
@@ -47,6 +50,45 @@ class JobFailed(RuntimeError):
     def __init__(self, job: dict):
         super().__init__(f"job {job.get('id')} failed: {job.get('error')}")
         self.job = job
+
+
+#: First sleep of a polling loop; it doubles up to the caller's interval.
+_FIRST_POLL_S = 0.002
+
+
+def _poll_delays(poll_interval_s: float) -> Iterator[float]:
+    """Sleeps between polls: from 2 ms, doubling, capped at *poll_interval_s*."""
+    delay = min(poll_interval_s, _FIRST_POLL_S)
+    while True:
+        yield delay
+        delay = min(delay * 2, poll_interval_s)
+
+
+def _pause(delays: Iterator[float], deadline: float, still_pending: str) -> None:
+    """Sleep the next poll delay, never past *deadline*; ``TimeoutError`` once there."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError(still_pending)
+    time.sleep(min(next(delays), remaining))
+
+
+def _id_chunks(ids: list[str]) -> Iterator[str]:
+    """*ids* as ``ids=`` values that each fit one request.
+
+    A chunk holds at most :data:`MAX_LOOKUP_IDS` ids and half of
+    :data:`MAX_HEADER_BYTES`; the other half is left to the rest of the
+    request line and the headers (a router adds its own on the way).
+    """
+    chunk: list[str] = []
+    size = 0
+    for quoted in (quote(job_id, safe="") for job_id in ids):
+        if chunk and (len(chunk) == MAX_LOOKUP_IDS or size + len(quoted) >= MAX_HEADER_BYTES // 2):
+            yield ",".join(chunk)
+            chunk, size = [], 0
+        chunk.append(quoted)
+        size += len(quoted) + 1
+    if chunk:
+        yield ",".join(chunk)
 
 
 class CbesClient:
@@ -216,12 +258,18 @@ class CbesClient:
         state: str | None = None,
         limit: int | None = None,
         after: str | None = None,
+        ids: list[str] | None = None,
     ) -> list[dict]:
         """List jobs, optionally filtered by *state* and paged.
 
         *after* is a cursor: only jobs submitted strictly after the job
         with that id are returned; *limit* caps the page size (applied
         after filtering).
+
+        *ids* looks up just those jobs instead of listing the store; ids
+        the service does not hold (unknown, or evicted past the TTL) are
+        absent from the answer.  A long list is sent as several requests
+        that each fit the service's header and id-count limits.
         """
         params = []
         if state is not None:
@@ -230,16 +278,25 @@ class CbesClient:
             params.append(f"limit={limit}")
         if after is not None:
             params.append(f"after={quote(after, safe='')}")
-        path = "/v1/jobs" + ("?" + "&".join(params) if params else "")
-        return self._request("GET", path)["jobs"]
+        if ids is None:
+            path = "/v1/jobs" + ("?" + "&".join(params) if params else "")
+            return self._request("GET", path)["jobs"]
+        found: list[dict] = []
+        for chunk in _id_chunks(ids):
+            path = "/v1/jobs?" + "&".join([*params, "ids=" + chunk])
+            found.extend(self._request("GET", path)["jobs"])
+        return found
 
     def wait(self, job_id: str, *, timeout_s: float = 120.0, poll_interval_s: float = 0.05) -> dict:
         """Poll until the job finishes; returns the ``done`` job document.
 
-        Raises :class:`JobFailed` if the job failed and ``TimeoutError``
-        if it is still pending at the deadline.
+        The sleep between polls ramps from 2 ms up to *poll_interval_s*,
+        so a job that takes milliseconds is not held for a whole
+        interval.  Raises :class:`JobFailed` if the job failed and
+        ``TimeoutError`` if it is still pending at the deadline.
         """
         deadline = time.monotonic() + timeout_s
+        delays = _poll_delays(poll_interval_s)
         while True:
             job = self.job(job_id)
             state = job["state"]
@@ -247,9 +304,7 @@ class CbesClient:
                 return job
             if state == "failed":
                 raise JobFailed(job)
-            if time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} still {state} after {timeout_s:.0f}s")
-            time.sleep(poll_interval_s)
+            _pause(delays, deadline, f"job {job_id} still {state} after {timeout_s:.0f}s")
 
     def wait_many(
         self,
@@ -260,36 +315,37 @@ class CbesClient:
     ) -> list[dict]:
         """Poll until every job in *job_ids* finishes; docs in input order.
 
-        One ``GET /v1/jobs`` listing per sweep (not one request per
-        job), over the pooled connection.  Raises :class:`JobFailed` on
-        the first job observed ``failed`` and ``TimeoutError`` when any
-        job is still pending at the deadline.
+        One ``GET /v1/jobs?ids=...`` lookup per sweep, naming only the
+        jobs still pending: a sweep costs what the batch costs, however
+        many finished jobs the service holds, and every result document
+        crosses the wire once.  Sleeps ramp as in :meth:`wait`.  Raises
+        :class:`JobFailed` on the first job observed ``failed`` and
+        ``TimeoutError`` when any job is still pending at the deadline.
         """
         deadline = time.monotonic() + timeout_s
+        delays = _poll_delays(poll_interval_s)
         done: dict[str, dict] = {}
-        wanted = list(job_ids)
+        pending = list(dict.fromkeys(job_ids))
         while True:
-            listed = {job["id"]: job for job in self.jobs()}
-            for job_id in wanted:
-                if job_id in done:
-                    continue
-                # Fall back to a point GET when the listing misses the
-                # job (e.g. evicted from the TTL store mid-wait).
-                job = listed.get(job_id) or self.job(job_id)
+            found = {job["id"]: job for job in self.jobs(ids=pending)}
+            for job_id in pending:
+                # Fall back to a point GET when the lookup misses the
+                # job: a 404 there says it was evicted mid-wait.
+                job = found.get(job_id) or self.job(job_id)
                 state = job["state"]
                 if state == "failed":
                     raise JobFailed(job)
                 if state == "done":
                     done[job_id] = job
-            if len(done) == len(wanted):
-                return [done[job_id] for job_id in wanted]
-            if time.monotonic() >= deadline:
-                missing = [j for j in wanted if j not in done]
-                raise TimeoutError(
-                    f"{len(missing)} of {len(wanted)} jobs still pending after "
-                    f"{timeout_s:.0f}s (first: {missing[0]})"
-                )
-            time.sleep(poll_interval_s)
+            pending = [job_id for job_id in pending if job_id not in done]
+            if not pending:
+                return [done[job_id] for job_id in job_ids]
+            _pause(
+                delays,
+                deadline,
+                f"{len(pending)} of {len(done) + len(pending)} jobs still pending after "
+                f"{timeout_s:.0f}s (first: {pending[0]})",
+            )
 
     # -- remapping ------------------------------------------------------
     def remap_watch(

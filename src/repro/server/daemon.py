@@ -32,6 +32,7 @@ from repro.server.http import (
     ServiceThread,
     metrics_response,
     query_choice,
+    query_ids,
     query_int,
 )
 from repro.server.jobs import DuplicateJobError, Job, JobState, JobStore
@@ -341,12 +342,13 @@ class CbesDaemon(HttpService):
         return 200, {"job": job.to_dict()}, {}
 
     async def _list_jobs(self, request: HttpRequest) -> Response:
-        """``GET /v1/jobs``: listing with ``state``/``limit``/``after``."""
+        """``GET /v1/jobs``: listing with ``state``/``limit``/``after``, or lookup by ``ids``."""
         state = query_choice(request.query, "state", [s.value for s in JobState])
         limit = query_int(request.query, "limit", minimum=0)
         after = request.query.get("after", [None])[0]
+        ids = query_ids(request.query)
         try:
-            jobs = self._store.list(state=state, limit=limit, after=after)
+            jobs = self._store.list(state=state, limit=limit, after=after, ids=ids)
         except KeyError:
             raise ApiError(
                 400, "bad-request", f"unknown 'after' job id {after!r} (evicted or never existed)"

@@ -28,6 +28,7 @@ from repro import telemetry
 from repro.server.client import CbesClient
 from repro.server.protocol import (
     MAX_BODY_BYTES,
+    MAX_LOOKUP_IDS,
     ApiError,
     HttpRequest,
     RawResponse,
@@ -43,6 +44,7 @@ __all__ = [
     "ServiceThread",
     "metrics_response",
     "query_choice",
+    "query_ids",
     "query_int",
 ]
 
@@ -82,6 +84,31 @@ def query_choice(query: Mapping[str, list[str]], name: str, valid: Sequence[str]
     if value is not None and value not in valid:
         raise ApiError(400, "bad-request", f"unknown {name} {value!r}; valid: {', '.join(valid)}")
     return value
+
+
+def query_ids(query: Mapping[str, list[str]]) -> list[str] | None:
+    """The optional ``ids`` lookup parameter of ``GET /v1/jobs``.
+
+    A comma-separated list of 1 to :data:`MAX_LOOKUP_IDS` non-empty job
+    ids (400 otherwise).  A lookup is not a page, so combining it with
+    ``after`` / ``limit`` is a 400 too.
+    """
+    if "ids" not in query:
+        return None
+    if "after" in query or "limit" in query:
+        raise ApiError(400, "bad-request", "ids cannot be combined with after or limit")
+    ids = query["ids"][0].split(",")
+    if "" in ids:
+        raise ApiError(
+            400, "bad-request", "ids must be a comma-separated list of non-empty job ids"
+        )
+    if len(ids) > MAX_LOOKUP_IDS:
+        raise ApiError(
+            400,
+            "bad-request",
+            f"ids names {len(ids)} jobs; at most {MAX_LOOKUP_IDS} per request",
+        )
+    return ids
 
 
 def metrics_response(snapshot: dict, query: Mapping[str, list[str]]) -> Response:
@@ -388,7 +415,9 @@ class HttpService:
         """
         path, _, query_string = request.path.partition("?")
         path = path.rstrip("/") or "/"
-        request.query = parse_qs(query_string)
+        # Blank values are kept: `?ids=` must be refused, not mistaken
+        # for the un-filtered listing.
+        request.query = parse_qs(query_string, keep_blank_values=True)
         if path in self._table and "{" not in path:  # a literal "{id}" is no template
             return path, path
         for prefix, name, template in self._prefixed:

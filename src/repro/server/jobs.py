@@ -16,7 +16,8 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -122,6 +123,9 @@ class JobStore:
         self._clock = clock
         self._on_evict = on_evict
         self._jobs: dict[str, Job] = {}
+        #: Terminal jobs in ``finished_at`` order, oldest at the left, so
+        #: :meth:`evict_expired` touches only the jobs it drops.
+        self._expiry: deque[Job] = deque()
         self._lock = threading.Lock()
         #: Next sequence number for store-minted ids (``j000001``...).
         #: A plain int (not itertools.count) so a durable subclass can
@@ -179,11 +183,18 @@ class JobStore:
         state: JobState | str | None = None,
         limit: int | None = None,
         after: str | None = None,
+        ids: Iterable[str] | None = None,
     ) -> list[Job]:
         """Live jobs, oldest first (ties broken by id), with paging.
 
         Parameters
         ----------
+        ids:
+            Look up just these jobs (dict lookups: the cost depends on
+            how many are asked for, not on how many the store holds).
+            Unknown or evicted ids are simply absent from the result and
+            a repeated id yields its job once; the other parameters then
+            apply to the jobs found.
         state:
             Keep only jobs in this state.
         after:
@@ -198,7 +209,11 @@ class JobStore:
         if state is not None:
             state = JobState(state)
         with self._lock:
-            ordered = sorted(self._jobs.values(), key=lambda j: (j.created_at, j.id))
+            if ids is None:
+                jobs = self._jobs.values()
+            else:
+                jobs = {i: self._jobs[i] for i in ids if i in self._jobs}.values()
+            ordered = sorted(jobs, key=lambda j: (j.created_at, j.id))
             if after is not None:
                 cursor = self._jobs.get(after)
                 if cursor is None:
@@ -220,30 +235,39 @@ class JobStore:
         return out
 
     # -- transitions ----------------------------------------------------
-    def _transition(self, job_id: str, new: JobState) -> Job:
+    def _transition(self, job_id: str, new: JobState, **outcome) -> Job:
+        """Move a job to *new*, publishing the state **last**.
+
+        Everything the new state promises — the *outcome* fields, the
+        timestamp, a place in the expiry queue — is in place before the
+        state flips, so a reader on another thread never sees ``done``
+        without its result.
+        """
         job = self.get(job_id)
         with job._lock:
             if new not in _TRANSITIONS[job.state]:
                 raise JobStateError(f"job {job.id}: illegal transition {job.state.value} -> {new.value}")
+            for name, value in outcome.items():
+                setattr(job, name, value)
+            if new.is_terminal:
+                # Stamped and enqueued under one lock: the queue stays in
+                # finished_at order whichever thread finishes a job.
+                with self._lock:
+                    job.finished_at = self._clock()
+                    self._expiry.append(job)
+            else:
+                job.started_at = self._clock()
             job.state = new
         return job
 
     def mark_running(self, job_id: str) -> Job:
-        job = self._transition(job_id, JobState.RUNNING)
-        job.started_at = self._clock()
-        return job
+        return self._transition(job_id, JobState.RUNNING)
 
     def mark_done(self, job_id: str, result: dict) -> Job:
-        job = self._transition(job_id, JobState.DONE)
-        job.result = result
-        job.finished_at = self._clock()
-        return job
+        return self._transition(job_id, JobState.DONE, result=result)
 
     def mark_failed(self, job_id: str, error: str) -> Job:
-        job = self._transition(job_id, JobState.FAILED)
-        job.error = error
-        job.finished_at = self._clock()
-        return job
+        return self._transition(job_id, JobState.FAILED, error=error)
 
     # -- eviction -------------------------------------------------------
     def evict_expired(self) -> int:
@@ -255,22 +279,20 @@ class JobStore:
         """
         now = self._clock()
         deadline = now - self._ttl
+        expired: list[Job] = []
         with self._lock:
-            expired = [
-                job
-                for job in self._jobs.values()
-                if job.state.is_terminal
-                and job.finished_at is not None
-                and job.finished_at <= deadline
-            ]
-            for job in expired:
-                del self._jobs[job.id]
+            # Oldest first, stopping at the first job still within its
+            # TTL: the work is O(evicted), not a scan of the store.
+            while self._expiry and self._expiry[0].finished_at <= deadline:
+                job = self._expiry.popleft()
+                # A job discarded after it finished is already gone.
+                if self._jobs.get(job.id) is job:
+                    del self._jobs[job.id]
+                    expired.append(job)
         # Logging and callbacks run outside the lock: neither may block
         # create()/get() on the event loop.
         for job in expired:
-            # The selection above guarantees finished_at is set; a plain
-            # `or` fallback would misread a legitimate 0.0 timestamp.
-            age = now - (job.finished_at if job.finished_at is not None else now)
+            age = now - job.finished_at
             log.debug(
                 "evicted job %s (%s, state=%s) finished %.1f s ago (ttl=%.1f s)",
                 job.id,

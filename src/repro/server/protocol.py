@@ -21,6 +21,9 @@ __all__ = ["ApiError", "HttpRequest", "RawResponse", "read_request", "render_res
 #: (``--max-body-bytes``) into :func:`read_request` per call.
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Most job ids one ``GET /v1/jobs?ids=...`` lookup may name; the client
+#: splits longer lists into several requests.
+MAX_LOOKUP_IDS = 512
 
 #: When rejecting an oversized body we still *drain* it (in chunks of
 #: this size) so the connection stays framed for keep-alive reuse.

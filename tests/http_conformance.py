@@ -23,6 +23,7 @@ import pytest
 from repro.fleet import RouterThread
 from repro.server import DaemonThread, ServerError
 from repro.server.http import HttpService, ServiceThread
+from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS
 
 
 class Door(NamedTuple):
@@ -178,6 +179,77 @@ class RoutingConformance:
         with pytest.raises(ServerError) as excinfo:
             client._request("POST", "/v1/healthz", {"x": 1})
         assert excinfo.value.status == 405
+
+
+class JobLookupConformance:
+    """``GET /v1/jobs?ids=...``; needs a ``client`` fixture over a service
+    with one profiled 3-rank application."""
+
+    @staticmethod
+    def _finished(client, count: int = 3) -> list[dict]:
+        doc = {
+            "kind": "predict",
+            "app": client.profiles()[0],
+            "nodes": sorted(client.snapshot()["nodes"])[:3],
+        }
+        accepted = client.submit_batch([doc] * count)
+        return client.wait_many([job["id"] for job in accepted], timeout_s=60.0)
+
+    def test_lookup_returns_the_named_jobs_once_each(self, client):
+        done = self._finished(client)
+        ids = [job["id"] for job in done]
+        found = client.jobs(ids=[ids[2], "no-such-job", ids[0], ids[2]])
+        # Unknown ids are absent, a repeated id is answered once, and the
+        # documents are the ones a point lookup serves.
+        assert sorted(job["id"] for job in found) == sorted([ids[0], ids[2]])
+        assert all(job == client.job(job["id"]) for job in found)
+        assert client.jobs(ids=["no-such-job"]) == []
+
+    def test_lookup_state_filter(self, client):
+        ids = [job["id"] for job in self._finished(client)]
+        assert {job["id"] for job in client.jobs(ids=ids, state="done")} == set(ids)
+        assert client.jobs(ids=ids, state="failed") == []
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "ids=",
+            "ids=a,,b",
+            "ids=a,",
+            "ids=" + ",".join(f"j{i}" for i in range(MAX_LOOKUP_IDS + 1)),
+            "ids=a&limit=1",
+            "ids=a&after=b",
+        ],
+    )
+    def test_malformed_lookup_400(self, client, query):
+        with pytest.raises(ServerError) as excinfo:
+            client._request("GET", f"/v1/jobs?{query}")
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-request"
+        assert client.healthz()["status"] == "ok"  # the connection survived it
+
+    def test_client_chunks_id_lists_past_the_header_cap(self, client):
+        ids = [job["id"] for job in self._finished(client)]
+        filler = [f"never-submitted-{i:04d}-{'x' * 24}" for i in range(3 * MAX_LOOKUP_IDS)]
+        asked = filler[: len(filler) // 2] + ids + filler[len(filler) // 2 :]
+        assert sum(map(len, asked)) > 2 * MAX_HEADER_BYTES
+        paths = []
+        request = client._request
+
+        def recording(method, path, body=None):
+            paths.append(path)
+            return request(method, path, body)
+
+        client._request = recording
+        try:
+            found = client.jobs(ids=asked)
+        finally:
+            del client._request
+        assert sorted(job["id"] for job in found) == sorted(ids)
+        assert len(paths) > 1
+        for path in paths:
+            assert len(path) < MAX_HEADER_BYTES
+            assert path.count(",") < MAX_LOOKUP_IDS
 
 
 class OversizedBodyConformance:

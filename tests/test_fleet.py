@@ -24,9 +24,11 @@ from repro.workloads import SyntheticBenchmark
 from tests.http_conformance import (
     HEALTHZ,
     ErrorContractConformance,
+    JobLookupConformance,
     KeepAliveConformance,
     OversizedBodyConformance,
     RoutingConformance,
+    metric_value,
     raw_exchange,
     router_door,
 )
@@ -180,6 +182,59 @@ class TestFleetRouter:
             client.jobs(after="nonexistent")
         assert err.value.status == 400
 
+    def test_id_lookup_asks_only_the_owning_replicas(self, fleet):
+        router, (d1, d2), app = fleet
+        client = router.client()
+        backends = router.router.backends
+        accepted = client.submit_batch(
+            [{"kind": "predict", "app": app, "nodes": NODES} for _ in range(6)]
+        )
+        ids = [job["id"] for job in accepted]
+        client.wait_many(ids, timeout_s=120)
+        on_first = [i for i in ids if rendezvous_rank(i, backends)[0] == backends[0]]
+        assert on_first and len(on_first) < len(ids), "uuid ids should land on both replicas"
+
+        def lookups(replica) -> float:
+            return metric_value(
+                replica.client(),
+                "cbes_requests_total",
+                '{method="GET",route="/v1/jobs",status="200"}',
+            )
+
+        before = lookups(d1), lookups(d2)
+        found = client.jobs(ids=on_first)
+        assert sorted(job["id"] for job in found) == sorted(on_first)
+        assert (lookups(d1), lookups(d2)) == (before[0] + 1, before[1])
+        # Ids of both replicas: one call each, merged in replica order.
+        found = client.jobs(ids=ids)
+        assert sorted(job["id"] for job in found) == sorted(ids)
+        owners = [rendezvous_rank(job["id"], backends)[0] for job in found]
+        assert owners == sorted(owners, key=backends.index)
+        assert (lookups(d1), lookups(d2)) == (before[0] + 2, before[1] + 1)
+
+    def test_wait_many_finds_a_job_on_its_second_choice_replica(self, fleet):
+        """fleet == direct still holds when a job does not live on its owner."""
+        router, replicas, app = fleet
+        client = router.client()
+        backends = router.router.backends
+        doc = {"kind": "predict", "app": app, "nodes": NODES}
+        # As if its first choice had been unhealthy at submit time: the
+        # job is placed on the second replica of its preference order.
+        stray = "stray-job-1"
+        second = replicas[backends.index(rendezvous_rank(stray, backends)[1])]
+        second.client().submit(**doc, id=stray)
+        routed = [job["id"] for job in client.submit_batch([doc, doc])]
+        retries = metric_value(client, "cbes_fleet_retries_total")
+        done = client.wait_many([routed[0], stray, routed[1]], timeout_s=120)
+        assert [job["id"] for job in done] == [routed[0], stray, routed[1]]
+        assert metric_value(client, "cbes_fleet_retries_total") > retries
+        # Bit-identical to what the replica itself serves, and to the
+        # answer a direct daemon gives the same request.
+        assert done[1] == second.client().job(stray)
+        direct = replicas[0].client()
+        expected = direct.wait(direct.submit(**doc)["id"], timeout_s=120)["result"]
+        assert [job["result"] for job in done] == [expected] * 3
+
     def test_metrics_merge_replica_counters(self, fleet):
         router, _, _ = fleet
         client = router.client()
@@ -287,7 +342,11 @@ def conformance_service():
 
 
 class TestRouterConformance(
-    KeepAliveConformance, OversizedBodyConformance, ErrorContractConformance, RoutingConformance
+    KeepAliveConformance,
+    OversizedBodyConformance,
+    ErrorContractConformance,
+    RoutingConformance,
+    JobLookupConformance,
 ):
     """The daemon's HTTP contract (tests/http_conformance.py), through the router."""
 

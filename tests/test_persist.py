@@ -257,10 +257,81 @@ class TestDurableJobStore:
             store.mark_running(job.id)
             store.mark_done(job.id, {"i": i})
         assert store.compactions >= 1
-        assert store.journal.size_bytes <= 512 + 200  # bounded, not ever-growing
+        # Bounded, not ever-growing: by the larger of compact_bytes and
+        # the last snapshot, plus the record that tripped the trigger.
+        assert store.journal.size_bytes <= max(512, store.snapshot_path.stat().st_size) + 200
         # Everything is still there after the folds.
         reopened = self._store(tmp_path, compact_bytes=512)
         assert len(reopened.list()) == 32
+
+    def test_compaction_work_is_linear_in_bytes_appended(self, tmp_path):
+        """A snapshot is rewritten only once the journal has outgrown the last one."""
+        registry = MetricsRegistry()
+        store = self._store(tmp_path, compact_bytes=512, metrics=registry)
+        snapshot_bytes = 0
+        compact = store.compact
+
+        def counting_compact() -> None:
+            nonlocal snapshot_bytes
+            compact()
+            snapshot_bytes += store.snapshot_path.stat().st_size
+
+        store.compact = counting_compact
+        for i in range(300):
+            job = store.create("predict", {"filler": "x" * 40, "i": i})
+            store.mark_running(job.id)
+            store.mark_done(job.id, {"i": i})
+        appended = registry.snapshot()["cbes_journal_bytes_total"]["samples"][0]["value"]
+        assert store.compactions >= 3
+        # Triggering on compact_bytes alone wrote ~40x the bytes appended here.
+        assert snapshot_bytes <= 3 * appended
+        assert len(self._store(tmp_path, compact_bytes=512).list()) == 300
+
+    def test_expiry_queue_journals_evictions_in_finished_order(self, tmp_path):
+        clock = FakeClock()
+        evicted = []
+        store = self._store(
+            tmp_path, ttl_s=5.0, clock=clock, on_evict=lambda job, age: evicted.append(job.id)
+        )
+        ids = []
+        for _ in range(3):
+            job = store.create("predict", {})
+            store.mark_failed(job.id, "x")
+            ids.append(job.id)
+            clock.advance(1.0)
+        keeper = store.create("predict", {})
+        clock.advance(3.5)  # t0+6.5: finished at t0 and t0+1 are past the 5 s TTL
+        assert store.evict_expired() == 2
+        assert evicted == ids[:2]
+        records = [r for r in replay_journal(store.journal.path) if r["op"] == "evict"]
+        assert [r["id"] for r in records] == ids[:2]
+        reopened = self._store(tmp_path, clock=clock)
+        assert {job.id for job in reopened.list()} == {ids[2], keeper.id}
+
+    def test_recovered_terminal_jobs_expire_one_ttl_after_restart(self, tmp_path):
+        clock = FakeClock()
+        store = self._store(tmp_path, ttl_s=5.0, clock=clock)
+        done = store.create("predict", {})
+        store.mark_running(done.id)
+        store.mark_done(done.id, {"v": 1})
+        failed = store.create("predict", {})
+        store.mark_failed(failed.id, "x")
+        requeued = store.create("predict", {})
+        clock.advance(100.0)  # the old process's stamps mean nothing to the new one
+        evicted = []
+        reopened = self._store(
+            tmp_path, ttl_s=5.0, clock=clock, on_evict=lambda job, age: evicted.append(job.id)
+        )
+        assert reopened.recovered_terminal == 2
+        clock.advance(4.9)
+        assert reopened.evict_expired() == 0
+        clock.advance(0.2)
+        assert reopened.evict_expired() == 2
+        assert evicted == [done.id, failed.id]
+        assert [job.id for job in reopened.list()] == [requeued.id]
+        # The evictions were journaled: a third generation does not see them.
+        third = self._store(tmp_path, clock=clock)
+        assert [job.id for job in third.list()] == [requeued.id]
 
     def test_eviction_is_journaled(self, tmp_path):
         clock = FakeClock()

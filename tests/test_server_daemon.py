@@ -20,7 +20,7 @@ from repro.core import CBES, TaskMapping
 from repro.schedulers import CbesScheduler
 from repro.server import BackpressureError, DaemonThread, JobFailed, JobState, ServerError
 from repro.workloads import SyntheticBenchmark
-from tests.http_conformance import RoutingConformance
+from tests.http_conformance import JobLookupConformance, RoutingConformance
 
 
 def make_service() -> tuple[CBES, str]:
@@ -69,6 +69,10 @@ class TestEndpoints(RoutingConformance):
         snapshot = client.snapshot()
         assert snapshot["fingerprint"] == service.snapshot().fingerprint()
         assert set(snapshot["nodes"]) == set(service.cluster.node_ids())
+
+
+class TestJobLookup(JobLookupConformance):
+    """``GET /v1/jobs?ids=...`` (tests/http_conformance.py), served by the daemon."""
 
 
 class TestValidation:
@@ -174,6 +178,89 @@ class TestJobRoundTrip:
         assert contexts, "schedule job should cache an EvaluationContext"
         fingerprint = service.snapshot().fingerprint()
         assert all(ctx.snapshot_fingerprint == fingerprint for ctx in contexts.values())
+
+
+class TestBatchWait:
+    def test_sweeps_cost_the_batch_not_the_store(self, service_and_app):
+        """Each sweep asks for the pending ids only; a done document crosses once."""
+        service, app_name = service_and_app
+        nodes = service.cluster.node_ids()[:3]
+        with DaemonThread(service, workers=1, queue_limit=16) as srv:
+            store = srv.daemon.store
+            for _ in range(600):
+                old = store.create("predict", {"app": app_name})
+                store.mark_running(old.id)
+                store.mark_done(old.id, {"execution_time": 1.0})
+            client = srv.client()
+            accepted = client.submit_batch(
+                [{"kind": "predict", "app": app_name, "nodes": nodes}] * 12
+            )
+            ids = [job["id"] for job in accepted]
+            sweeps: list[tuple[list[str], list[dict]]] = []
+            lookup = client.jobs
+
+            def recording(*, ids):
+                found = lookup(ids=ids)
+                sweeps.append((list(ids), found))
+                return found
+
+            client.jobs = recording
+            done = client.wait_many(ids, timeout_s=60.0, poll_interval_s=0.002)
+            assert [job["id"] for job in done] == ids
+            assert len(store) == 612
+            served_done = [
+                job["id"] for _, found in sweeps for job in found if job["state"] == "done"
+            ]
+            assert sorted(served_done) == sorted(ids)  # each exactly once
+            still_pending = set(ids)
+            for asked, found in sweeps:
+                assert set(asked) == still_pending  # only what is still pending
+                assert len(found) <= len(asked)
+                still_pending -= {job["id"] for job in found if job["state"] == "done"}
+
+    def test_duplicate_ids_wait_once_and_answer_in_input_order(self, client, service_and_app):
+        service, app_name = service_and_app
+        nodes = service.cluster.node_ids()[:3]
+        a, b = client.submit_batch([{"kind": "predict", "app": app_name, "nodes": nodes}] * 2)
+        done = client.wait_many([b["id"], a["id"], b["id"]], timeout_s=60.0)
+        assert [job["id"] for job in done] == [b["id"], a["id"], b["id"]]
+        assert client.wait_many([], timeout_s=1.0) == []
+
+
+class TestPollRamp:
+    def test_sleeps_double_from_2ms_up_to_the_interval(self, monkeypatch):
+        from repro.server import client as client_module
+
+        slept: list[float] = []
+        monkeypatch.setattr(client_module.time, "sleep", slept.append)
+        polls = iter(["queued"] * 7 + ["done"])
+        waiter = client_module.CbesClient()
+        waiter.job = lambda job_id: {"id": job_id, "state": next(polls)}
+        assert waiter.wait("j1", poll_interval_s=0.05)["state"] == "done"
+        assert slept == [0.002, 0.004, 0.008, 0.016, 0.032, 0.05, 0.05]
+
+    @pytest.mark.parametrize("interval", [0.002, 0.001])
+    def test_short_intervals_stay_flat(self, monkeypatch, interval):
+        from repro.server import client as client_module
+
+        slept: list[float] = []
+        monkeypatch.setattr(client_module.time, "sleep", slept.append)
+        sweeps = iter([[]] * 4 + [[{"id": "j1", "state": "done"}]])
+        waiter = client_module.CbesClient()
+        waiter.jobs = lambda *, ids: next(sweeps)
+        waiter.job = lambda job_id: {"id": job_id, "state": "queued"}
+        assert len(waiter.wait_many(["j1"], poll_interval_s=interval)) == 1
+        assert slept == [interval] * 4
+
+    def test_never_sleeps_past_the_deadline(self):
+        from repro.server.client import CbesClient
+
+        waiter = CbesClient()
+        waiter.job = lambda job_id: {"id": job_id, "state": "queued"}
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            waiter.wait("j1", timeout_s=0.05, poll_interval_s=30.0)
+        assert time.monotonic() - started < 1.0
 
 
 class TestBackpressure:

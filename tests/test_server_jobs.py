@@ -159,3 +159,110 @@ class TestTtlEviction:
             assert store.evict_expired() == 1
         messages = [r.getMessage() for r in caplog.records]
         assert any(job.id in m and "12.5" in m for m in messages)
+
+
+class TestLookupByIds:
+    def _finished(self, store, clock, n):
+        jobs = []
+        for _ in range(n):
+            clock.advance(1.0)
+            job = store.create("predict", {})
+            store.mark_running(job.id)
+            store.mark_done(job.id, {})
+            jobs.append(job)
+        return jobs
+
+    def test_unknown_ids_are_omitted_and_order_is_oldest_first(self, store, clock):
+        a, b, c = self._finished(store, clock, 3)
+        assert store.list(ids=[c.id, "no-such-job", a.id]) == [a, c]
+        assert store.list(ids=[]) == []
+        assert store.list(ids=["no-such-job"]) == []
+
+    def test_duplicates_yield_the_job_once(self, store, clock):
+        a, b = self._finished(store, clock, 2)
+        assert store.list(ids=[b.id, a.id, b.id, b.id]) == [a, b]
+
+    def test_state_still_filters(self, store, clock):
+        done, _ = self._finished(store, clock, 2)
+        queued = store.create("predict", {})
+        ids = [queued.id, done.id]
+        assert store.list(ids=ids, state="done") == [done]
+        assert store.list(ids=ids, state=JobState.QUEUED) == [queued]
+        assert store.list(ids=ids, state="failed") == []
+
+    def test_evicted_ids_are_absent(self, store, clock):
+        (job,) = self._finished(store, clock, 1)
+        clock.advance(11.0)
+        store.evict_expired()
+        assert store.list(ids=[job.id]) == []
+
+
+class TestTerminalStatePublishedLast:
+    @pytest.mark.parametrize("outcome", ["done", "failed"])
+    def test_outcome_is_set_before_the_state_flips(self, outcome):
+        """The finish stamp is read with the result in place and the state not yet terminal."""
+        seen = []
+        watched = []
+
+        def clock() -> float:
+            seen.extend((job.state, job.result, job.error) for job in watched)
+            return 1.0
+
+        store = JobStore(ttl_s=10.0, clock=clock)
+        job = store.create("predict", {})
+        store.mark_running(job.id)
+        watched.append(job)
+        if outcome == "done":
+            store.mark_done(job.id, {"v": 1})
+            assert seen == [(JobState.RUNNING, {"v": 1}, None)]
+        else:
+            store.mark_failed(job.id, "boom")
+            assert seen == [(JobState.RUNNING, None, "boom")]
+        assert job.state.value == outcome and job.finished_at == 1.0
+
+
+class TestExpiryQueue:
+    def test_evicts_in_finished_order_not_creation_order(self, clock):
+        evicted: list[str] = []
+        store = JobStore(ttl_s=10.0, clock=clock, on_evict=lambda job, age: evicted.append(job.id))
+        first = store.create("predict", {})
+        second = store.create("predict", {})
+        pending = store.create("predict", {})
+        clock.advance(1.0)
+        store.mark_failed(second.id, "x")  # finishes at t=1
+        clock.advance(4.0)
+        store.mark_running(first.id)
+        store.mark_done(first.id, {})  # finishes at t=5
+        clock.advance(6.5)  # t=11.5: only the job that finished at t=1 is past its TTL
+        assert store.evict_expired() == 1
+        assert evicted == [second.id]
+        clock.advance(4.0)  # t=15.5
+        assert store.evict_expired() == 1
+        assert evicted == [second.id, first.id]
+        assert store.evict_expired() == 0
+        assert store.list() == [pending]
+
+    def test_one_call_drains_every_expired_job_oldest_first(self, clock):
+        evicted: list[str] = []
+        store = JobStore(ttl_s=10.0, clock=clock, on_evict=lambda job, age: evicted.append(job.id))
+        ids = []
+        for _ in range(5):
+            job = store.create("predict", {})
+            store.mark_failed(job.id, "x")
+            ids.append(job.id)
+            clock.advance(1.0)
+        clock.advance(7.5)  # t=12.5: finished at 0, 1, 2 are expired; 3 and 4 are not
+        assert store.evict_expired() == 3
+        assert evicted == ids[:3]
+        assert [job.id for job in store.list()] == ids[3:]
+
+    def test_job_discarded_after_finishing_is_not_evicted_twice(self, clock):
+        evicted: list[str] = []
+        store = JobStore(ttl_s=10.0, clock=clock, on_evict=lambda job, age: evicted.append(job.id))
+        job = store.create("predict", {}, job_id="mine")
+        store.mark_failed(job.id, "x")
+        store.discard(job.id)
+        again = store.create("predict", {}, job_id="mine")  # the id is free again
+        clock.advance(11.0)
+        assert store.evict_expired() == 0
+        assert evicted == [] and store.get("mine") is again
