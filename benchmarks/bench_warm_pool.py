@@ -64,10 +64,8 @@ def result_key(result):
 
 
 def schedule_once(evaluator, node_ids, *, parallel: int, schedule: AnnealingSchedule,
-                  restarts: int, reuse_pool: bool) -> tuple[tuple, float]:
-    scheduler = make_scheduler(
-        "cs", restarts=restarts, schedule=schedule, parallel=parallel, reuse_pool=reuse_pool
-    )
+                  restarts: int) -> tuple[tuple, float]:
+    scheduler = make_scheduler("cs", restarts=restarts, schedule=schedule, parallel=parallel)
     started = time.perf_counter()
     result = scheduler.schedule(evaluator, node_ids, seed=421)
     return result_key(result), time.perf_counter() - started
@@ -83,30 +81,26 @@ def bench_warm_vs_cold(report: GateReport, *, quick: bool) -> None:
     schedule = AnnealingSchedule(moves_per_temperature=8, steps=6, patience=6)
     evaluator, node_ids = build_workload(nnodes, nprocs)
 
-    run = lambda reuse: schedule_once(  # noqa: E731
-        evaluator, node_ids, parallel=workers, schedule=schedule,
-        restarts=restarts, reuse_pool=reuse,
+    run = lambda parallel: schedule_once(  # noqa: E731
+        evaluator, node_ids, parallel=parallel, schedule=schedule, restarts=restarts
     )
 
     cold_s, cold_keys = [], []
     for _ in range(repeats):
         shutdown_pool()
-        key, elapsed = run(True)
+        key, elapsed = run(workers)
         cold_s.append(elapsed)
         cold_keys.append(key)
 
     shutdown_pool()
-    run(True)  # prime: spawn the pool and fill the worker caches
+    run(workers)  # prime: spawn the pool and fill the worker caches
     warm_s, warm_keys = [], []
     for _ in range(repeats):
-        key, elapsed = run(True)
+        key, elapsed = run(workers)
         warm_s.append(elapsed)
         warm_keys.append(key)
 
-    serial_key, _ = schedule_once(
-        evaluator, node_ids, parallel=1, schedule=schedule,
-        restarts=restarts, reuse_pool=False,
-    )
+    serial_key, _ = run(1)
     shutdown_pool()
 
     cold = statistics.median(cold_s)

@@ -19,7 +19,7 @@ from repro.core.fast_eval import (
     IncrementalEvaluator,
 )
 from repro.core.mapping import TaskMapping
-from repro.core.remap import RemapAdvisor, RemapCostModel, RemapDecision
+from repro.remap.advisor import RemapAdvisor, RemapCostModel, RemapDecision
 from repro.core.runtime import RemapTrigger, RunningApplication, RuntimeScheduler
 from repro.core.segments import SegmentPlan, SegmentScheduler
 from repro.core.service import CBES, ApplicationModel

@@ -188,9 +188,6 @@ class MappingEvaluator:
         snapshot whose content changed — even in place — produces a new
         fingerprint and therefore a fresh context, so stale precomputed
         ACPU/latency tables can never serve an evaluation.
-
-        Raises :class:`~repro.core.fast_eval.FastEvalUnavailable` when
-        the configuration cannot use the fast path.
         """
         from repro.core.fast_eval import EvaluationContext
 
@@ -325,21 +322,14 @@ class MappingEvaluator:
         """``S_M`` for a whole population of mappings, in input order.
 
         One batched :meth:`~repro.core.fast_eval.EvaluationContext.
-        evaluate_many` sweep when the fast path is available, a
-        :meth:`predict` loop otherwise; either way every mapping counts
-        exactly one evaluation, so the scheduler cost metric is
-        independent of how the population was submitted.
+        evaluate_many` sweep; every mapping counts exactly one
+        evaluation, so the scheduler cost metric is independent of how
+        the population was submitted.
         """
-        from repro.core.fast_eval import FastEvalUnavailable
-
         mappings = list(mappings)
         if not mappings:
             return []
-        try:
-            context = self.fast_context(options)
-        except FastEvalUnavailable:
-            return [self.predict(m, options=options).execution_time for m in mappings]
-        energies = context.evaluate_many(mappings)
+        energies = self.fast_context(options).evaluate_many(mappings)
         self.record_evaluations(len(mappings))
         return energies
 

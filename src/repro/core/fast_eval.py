@@ -1,13 +1,14 @@
-"""Fast-path mapping evaluation: precomputed context + delta evaluation.
+"""The evaluation kernel: precomputed context + delta evaluation.
 
 The schedulers of section 6 spend essentially all their time inside the
 mapping-evaluation formula ``S_M = max_i (R_i + C_i)`` (eqs. 4-8).  The
-reference implementation, :meth:`repro.core.evaluation.MappingEvaluator.
-predict`, rebuilds the ACPU table and re-walks every message group of
-every process on each call — correct, but wasteful inside a local-search
-loop where one move relocates only one or two ranks.
+paper oracle, :meth:`repro.core.evaluation.MappingEvaluator.predict`,
+rebuilds the ACPU table and re-walks every message group of every
+process on each call — right for one quote with its per-rank breakdown,
+wasteful inside a search loop where one move relocates one or two ranks.
 
-This module provides the fast path:
+Everything that evaluates candidates in a loop — schedulers, pool
+workers, the remapper, the daemon — does it through this module:
 
 :class:`EvaluationContext`
     Everything about ``(profile, latency model, nodes, snapshot,
@@ -45,11 +46,14 @@ This module provides the fast path:
     schedulers while keeping the evaluation counter exact.
 
 The reference ``predict()`` stays authoritative: ``tests/test_fast_eval
-.py`` holds the two paths to 1e-9 agreement over randomized move
+.py`` holds this module to 1e-9 agreement with it over randomized move
 sequences, ``tests/test_batch_eval.py`` holds the two batch backends to
 bit-identical agreement, and ``benchmarks/bench_batch_eval.py`` measures
 the population speedup (target: >= 10x on 64 nodes / 32 ranks / 256
-mappings).
+mappings).  There is no second path to fall back to: inputs no context
+can serve (an empty node table here, an out-of-range message peer in
+:class:`~repro.profiling.profile.ApplicationProfile`) are refused with
+``ValueError`` where they enter.
 """
 
 from __future__ import annotations
@@ -82,10 +86,10 @@ __all__ = [
 
 
 class FastEvalUnavailable(CbesError):
-    """The fast evaluation path cannot be built for this configuration.
+    """``REPRO_EVAL_BACKEND=numpy`` was requested but numpy is not installed.
 
-    Callers (the schedulers) catch this and fall back to the reference
-    :meth:`~repro.core.evaluation.MappingEvaluator.predict` path.
+    A deployment error, raised by :func:`active_backend`; nothing in the
+    package catches it.
     """
 
 
@@ -139,7 +143,7 @@ class EvaluationContext:
         options: EvaluationOptions = EvaluationOptions(),
     ) -> None:
         if not nodes:
-            raise FastEvalUnavailable("evaluation context requires at least one node")
+            raise ValueError("evaluation context requires at least one node")
         self.profile = profile
         self.options = options
         self.snapshot_fingerprint = snapshot.fingerprint()
@@ -219,10 +223,6 @@ class EvaluationContext:
                 gs.append((True, g.peer, float(g.count), g.size_bytes))
             self.groups.append(gs)
             for _, peer, _, _ in gs:
-                if not 0 <= peer < nprocs:
-                    raise FastEvalUnavailable(
-                        f"rank {p.rank} communicates with unknown peer {peer}"
-                    )
                 rev[peer].add(p.rank)
         #: rev[p] — ranks that have p as a message-group peer (whose C_i
         #: depends on where p sits / how loaded p's node is).
@@ -373,8 +373,6 @@ class EvaluationContext:
 
     def _np_cols(self) -> dict:
         """The numpy mirrors of the SoA columns, built on first use."""
-        if np is None:  # pragma: no cover - guarded by active_backend()
-            raise FastEvalUnavailable("numpy backend requested but numpy is not installed")
         cols = self._np_cache
         if cols is None:
             n = self.nnodes
@@ -622,12 +620,13 @@ class IncrementalEvaluator:
         self._ctx = context
         self._on_evaluate = on_evaluate
         self._pending: tuple | None = None
+        #: Empty until the first committed mapping (unbound).
         self._pos: list[int] = []
         self._counts: list[int] = []
         self._acpu: list[float] = []
-        self._r: list[float] = []
-        self._c: list[float] = []
-        self._totals: list[float] = []
+        self._r: list[float] = [0.0] * context.nprocs
+        self._c: list[float] = [0.0] * context.nprocs
+        self._totals: list[float] = [0.0] * context.nprocs
         self._best = float("nan")
         self._arg = -1
         if mapping is not None:
@@ -655,23 +654,26 @@ class IncrementalEvaluator:
         an SA trajectory is a pure function of seed and mapping — never
         of which batch backend is selected.
         """
+        best = self._propose_full(mapping)
+        self.commit()
+        return best
+
+    def _propose_full(self, mapping: TaskMapping) -> float:
+        """Stage *mapping* as a proposal in which every rank changed."""
         ctx = self._ctx
-        r_arr, c_arr, acpu = ctx.evaluate(mapping)
-        self._pos = ctx.positions(mapping)
+        pos = ctx.positions(mapping)
+        r_arr, c_arr, acpu = ctx._evaluate_positions(pos)
         counts = [0] * ctx.nnodes
-        for node in self._pos:
+        for node in pos:
             counts[node] += 1
-        self._counts = counts
-        self._acpu = list(acpu)
-        self._r = list(r_arr)
-        self._c = list(c_arr)
-        totals = [r + c for r, c in zip(r_arr, c_arr)]
-        self._totals = totals
-        self._arg = max(range(len(totals)), key=totals.__getitem__)
-        self._best = totals[self._arg]
-        self._pending = None
+        changed = {
+            r: (r_i, c_i, r_i + c_i) for r, (r_i, c_i) in enumerate(zip(r_arr, c_arr))
+        }
+        arg = max(changed, key=lambda r: changed[r][2])
+        best = changed[arg][2]
+        self._pending = (pos, counts, acpu, changed, best, arg)
         self._note()
-        return self._best
+        return best
 
     def __call__(self, mapping: TaskMapping) -> float:
         """Stateless full evaluation of an arbitrary mapping."""
@@ -693,7 +695,7 @@ class IncrementalEvaluator:
     def propose(self, candidate: TaskMapping) -> float:
         """``S_M`` of *candidate*, recomputing only the affected ranks."""
         if not self._pos:
-            return self.reset(candidate)
+            return self._propose_full(candidate)
         ctx = self._ctx
         self._note()
         new_pos = ctx.positions(candidate)

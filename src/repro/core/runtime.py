@@ -13,7 +13,7 @@ implements that layer on top of the existing pieces:
   against the profile the mapping was chosen for);
 * :class:`RuntimeScheduler` puts them together: on a trigger it asks a
   scheduler for a candidate mapping and the
-  :class:`~repro.core.remap.RemapAdvisor` for the final cost/benefit
+  :class:`~repro.remap.advisor.RemapAdvisor` for the final cost/benefit
   verdict.
 """
 

@@ -128,6 +128,12 @@ class ApplicationProfile:
         for rank, speed in self.profile_speeds.items():
             if speed <= 0:
                 raise ValueError(f"profile speed for rank {rank} must be > 0")
+        for p in self.processes:
+            for group in (*p.recvs, *p.sends):
+                if group.peer >= self.nprocs:
+                    raise ValueError(
+                        f"rank {p.rank} communicates with unknown peer {group.peer}"
+                    )
 
     # -- derived quantities --------------------------------------------
     def process(self, rank: int) -> ProcessProfile:

@@ -14,9 +14,9 @@ costs"* — as a first-class subsystem:
   mapping and returns a deterministic :class:`RemapPlan` under the rule
   ``remap <=> predicted_savings > migration_cost * safety_factor``
   (:mod:`repro.remap.remapper`);
-* the flat-cost :class:`RemapAdvisor` baseline is kept for API
-  stability (:mod:`repro.remap.advisor`; ``repro.core.remap`` re-exports
-  it for older imports).
+* the flat-cost :class:`RemapAdvisor` is the default advisor of
+  :class:`~repro.core.runtime.RuntimeScheduler`
+  (:mod:`repro.remap.advisor`; also importable from :mod:`repro.core`).
 
 The daemon loop lives in :mod:`repro.server` (``POST /v1/remap/watch``)
 and the closed-loop simulation in :mod:`repro.simulate.closedloop`.

@@ -8,9 +8,10 @@ application remains, the predicted remaining time under the current and
 the candidate mapping, and the cost of moving the tasks, it recommends
 whether to remap.
 
-This is the *flat-cost* advisor kept for API stability (it predates the
-topology-aware :class:`~repro.remap.cost.MigrationCostModel`); the
-online remapping loop lives in :class:`~repro.remap.remapper.Remapper`.
+This is the *flat-cost* advisor, the default of
+:class:`~repro.core.runtime.RuntimeScheduler`; the online remapping loop
+with the topology-aware :class:`~repro.remap.cost.MigrationCostModel`
+lives in :class:`~repro.remap.remapper.Remapper`.
 """
 
 from __future__ import annotations

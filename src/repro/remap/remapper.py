@@ -28,10 +28,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.evaluation import MappingEvaluator
-from repro.core.fast_eval import FastEvalUnavailable
 from repro.core.mapping import TaskMapping
 from repro.remap.cost import MigrationCostModel
-from repro.remap.plan import RankMove, RemapPlan
+from repro.remap.plan import RemapPlan
 from repro.schedulers.annealing import AnnealingSchedule
 from repro.search.portfolio import ParallelPortfolio
 from repro.search.spec import SearchSpec
@@ -76,7 +75,6 @@ class Remapper:
         seed_scan: int = 8,
         parallel: int = 1,
         mp_context: str | None = None,
-        use_fast_path: bool = True,
     ) -> None:
         if safety_factor <= 0.0:
             raise ValueError("safety_factor must be > 0")
@@ -96,7 +94,6 @@ class Remapper:
         self._seed_scan = seed_scan
         self._parallel = parallel
         self._mp_context = mp_context
-        self._use_fast_path = use_fast_path
 
     def propose(
         self,
@@ -130,7 +127,9 @@ class Remapper:
             stay_s, move_s = evaluator.execution_times([current, candidate])
             stay_s *= fraction_remaining
             move_s *= fraction_remaining
-            moves = self._moves(evaluator, current, candidate)
+            moves = self.cost_model.moves_from_context(
+                evaluator.fast_context(evaluator.options), current, candidate
+            )
             cost = self.cost_model.total_cost(moves)
             savings = stay_s - move_s
             decision = bool(moves) and savings > cost * self.safety_factor
@@ -166,9 +165,7 @@ class Remapper:
         pool: tuple[str, ...],
         seed: int,
     ) -> tuple[TaskMapping, int]:
-        spec = SearchSpec.from_evaluator(
-            evaluator, list(pool), use_fast_path=self._use_fast_path
-        )
+        spec = SearchSpec.from_evaluator(evaluator, list(pool))
         # Restart 0 warm-starts from the incumbent mapping; restart 1
         # from the fastest-nodes greedy construction; the rest from
         # batched random seed scans — polish vs escape in one portfolio.
@@ -185,36 +182,8 @@ class Remapper:
             )
             for attempt in range(self._restarts)
         ]
-        context = None
-        if self._parallel == 1 and self._use_fast_path:
-            try:
-                context = evaluator.fast_context(evaluator.options)
-            except FastEvalUnavailable:
-                context = None
+        context = evaluator.fast_context(evaluator.options) if self._parallel == 1 else None
         portfolio = ParallelPortfolio(self._parallel, mp_context=self._mp_context)
         result = portfolio.run_sa(spec, tasks, context=context)
         evaluator.record_evaluations(result.evaluations)
         return result.mapping, result.evaluations
-
-    # -- migration pricing -----------------------------------------------
-    def _moves(
-        self,
-        evaluator: MappingEvaluator,
-        current: TaskMapping,
-        candidate: TaskMapping,
-    ) -> tuple[RankMove, ...]:
-        """Price the diff; vectorized context path with scalar fallback."""
-        if self._use_fast_path:
-            try:
-                context = evaluator.fast_context(evaluator.options)
-            except FastEvalUnavailable:
-                context = None
-            if context is not None:
-                return self.cost_model.moves_from_context(context, current, candidate)
-        return self.cost_model.moves(
-            evaluator.profile,
-            evaluator.latency_model,
-            current,
-            candidate,
-            snapshot=evaluator.snapshot,
-        )

@@ -22,31 +22,13 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from repro._rng import Rng
 from repro.core.mapping import TaskMapping
 from repro.schedulers.moves import MoveGenerator
 from repro.telemetry import get_registry
 
-__all__ = ["AnnealingSchedule", "CostBound", "anneal", "supports_incremental"]
-
-
-@runtime_checkable
-class CostBound(Protocol):
-    """A best-so-far bound shared between concurrent annealing chains.
-
-    Works in *cost* space (the sign-adjusted energy the annealer
-    minimizes), so one bound serves both search directions.  The
-    parallel portfolio backs this with a ``multiprocessing`` value so
-    chains in different worker processes can cut each other short.
-    """
-
-    def update(self, cost: float) -> None:
-        """Publish this chain's best cost so far."""
-
-    def should_prune(self, cost: float) -> bool:
-        """Whether a chain currently at *cost* can no longer win."""
+__all__ = ["AnnealingSchedule", "anneal", "supports_incremental"]
 
 
 def supports_incremental(energy: object) -> bool:
@@ -95,7 +77,6 @@ def anneal(
     feasible: Callable[[TaskMapping], bool] | None = None,
     direction: str = "minimize",
     deadline: float | None = None,
-    bound: CostBound | None = None,
 ) -> tuple[TaskMapping, float, list[float]]:
     """Run one simulated-annealing search.
 
@@ -105,10 +86,7 @@ def anneal(
 
     *deadline* is an absolute :func:`time.monotonic` instant; once it
     passes, the search stops at the next temperature-step boundary and
-    returns its best-so-far (never an exception).  *bound* is a shared
-    best-so-far :class:`CostBound`; the chain publishes its best cost
-    after every temperature step and abandons the cooling schedule when
-    the bound says it can no longer win.
+    returns its best-so-far (never an exception).
     """
     if direction not in ("minimize", "maximize"):
         raise ValueError("direction must be 'minimize' or 'maximize'")
@@ -149,12 +127,8 @@ def anneal(
     # after the loop: the inner loop is the search hot path and must not
     # pay a registry call per move.
     accepted = rejected = 0
-    if bound is not None:
-        bound.update(best_cost)
     for _ in range(schedule.steps):
         if deadline is not None and time.monotonic() >= deadline:
-            break
-        if bound is not None and bound.should_prune(best_cost):
             break
         improved = False
         for _ in range(schedule.moves_per_temperature):
@@ -180,8 +154,6 @@ def anneal(
         history.append(sign * best_cost)
         temperature *= schedule.cooling
         stale = 0 if improved else stale + 1
-        if bound is not None:
-            bound.update(best_cost)
         if stale >= schedule.patience:
             break
 

@@ -62,19 +62,12 @@ class Scheduler(ABC):
         parallel: int = 1,
         time_budget: float | None = None,
         mp_context: str | None = None,
-        reuse_pool: bool | None = None,
     ):
         self._constraint = constraint
         self._parallel = 1
         self._time_budget: float | None = None
         self._mp_context: str | None = None
-        self._reuse_pool: bool | None = None
-        self.set_execution(
-            parallel=parallel,
-            time_budget=time_budget,
-            mp_context=mp_context,
-            reuse_pool=reuse_pool,
-        )
+        self.set_execution(parallel=parallel, time_budget=time_budget, mp_context=mp_context)
 
     def set_execution(
         self,
@@ -82,14 +75,8 @@ class Scheduler(ABC):
         parallel: int | None = None,
         time_budget: float | None = None,
         mp_context: str | None = None,
-        reuse_pool: bool | None = None,
     ) -> "Scheduler":
-        """Adjust the execution options in place; returns ``self``.
-
-        ``reuse_pool`` controls whether parallel runs use the persistent
-        warm worker pool (:mod:`repro.search.pool`); ``None`` defers to
-        the ``REPRO_WARM_POOL`` environment default (on).
-        """
+        """Adjust the execution options in place; returns ``self``."""
         if parallel is not None:
             if not isinstance(parallel, int) or isinstance(parallel, bool) or parallel < 1:
                 raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
@@ -102,8 +89,6 @@ class Scheduler(ABC):
             self._time_budget = float(time_budget)
         if mp_context is not None:
             self._mp_context = mp_context
-        if reuse_pool is not None:
-            self._reuse_pool = bool(reuse_pool)
         return self
 
     @property

@@ -4,7 +4,6 @@ cost function (computation + communication terms)."""
 from __future__ import annotations
 
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator
-from repro.core.fast_eval import FastEvalUnavailable
 from repro.schedulers.annealing import AnnealingSchedule
 from repro.schedulers.base import MappingConstraint, Scheduler
 from repro.search.portfolio import ParallelPortfolio
@@ -28,9 +27,6 @@ class CbesScheduler(Scheduler):
     a seed substream, so results are independent of the restart count of
     the *other* restarts and of the ``parallel`` degree — ``parallel=1``
     and ``parallel=N`` return byte-identical mappings for one seed.
-    ``share_bound=True`` lets concurrent restarts prune each other
-    through a shared best-so-far (a throughput heuristic that trades
-    away that strict determinism).
     """
 
     name = "CS"
@@ -43,7 +39,6 @@ class CbesScheduler(Scheduler):
         swap_probability: float = 0.5,
         restarts: int = 2,
         seed_scan: int = 8,
-        share_bound: bool = False,
         constraint: MappingConstraint | None = None,
         **execution,
     ):
@@ -59,7 +54,6 @@ class CbesScheduler(Scheduler):
         self._swap_p = swap_probability
         self._restarts = restarts
         self._seed_scan = seed_scan
-        self._share_bound = share_bound
 
     #: Options the annealer's energy uses; None means the evaluator's own.
     energy_options: EvaluationOptions | None = None
@@ -68,10 +62,6 @@ class CbesScheduler(Scheduler):
     #: must stay random, as the paper describes ("NCS behaves like RS
     #: when selecting from a set of nodes of equivalent speeds").
     use_greedy_start: bool = True
-    #: Anneal through the incremental delta-evaluation path when the
-    #: evaluator supports it; the reference predict() remains the
-    #: fallback (and always produces the reported prediction).
-    use_fast_path: bool = True
 
     def _run(self, evaluator: MappingEvaluator, pool: list[str], seed: int):
         options = (
@@ -81,7 +71,6 @@ class CbesScheduler(Scheduler):
             evaluator,
             pool,
             options=options,
-            use_fast_path=self.use_fast_path,
             constraint=self._constraint,
         )
         deadline = self._deadline()
@@ -116,18 +105,8 @@ class CbesScheduler(Scheduler):
         ]
         # The inline path reuses the evaluator's cached context so a
         # serial scheduler keeps its zero-setup-cost fast path.
-        context = None
-        if self.parallel == 1 and self.use_fast_path:
-            try:
-                context = evaluator.fast_context(options)
-            except FastEvalUnavailable:
-                context = None
-        portfolio = ParallelPortfolio(
-            self.parallel,
-            mp_context=self._mp_context,
-            share_bound=self._share_bound,
-            reuse_pool=self._reuse_pool,
-        )
+        context = evaluator.fast_context(options) if self.parallel == 1 else None
+        portfolio = ParallelPortfolio(self.parallel, mp_context=self._mp_context)
         result = portfolio.run_sa(spec, tasks, direction=self._direction, context=context)
         evaluator.record_evaluations(result.evaluations)
         # Report the *full* predicted time for the chosen mapping even if

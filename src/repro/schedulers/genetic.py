@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from repro._rng import Rng
 from repro.core.evaluation import MappingEvaluator
-from repro.core.fast_eval import FastEvalUnavailable
 from repro.core.mapping import TaskMapping
 from repro.schedulers.base import MappingConstraint, Scheduler, make_rng
 from repro.schedulers.moves import MoveGenerator
@@ -184,13 +183,9 @@ class GeneticScheduler(Scheduler):
         rng = make_rng(seed, self.name, tuple(pool), evaluator.profile.app_name)
         moves = MoveGenerator(pool)
 
-        # Population fitness uses the vectorized full evaluation of the
-        # fast path (GA children have no single base mapping to delta
-        # against); the reference predict() is the fallback.
-        try:
-            fit = evaluator.incremental()
-        except FastEvalUnavailable:
-            fit = evaluator.execution_time
+        # Population fitness is the batched full evaluation (GA children
+        # have no single base mapping to delta against).
+        fit = evaluator.incremental()
 
         deadline = self._deadline()
         population = [self._initial_mapping(evaluator, pool, rng) for _ in range(p.population)]
@@ -232,9 +227,7 @@ class GeneticScheduler(Scheduler):
         from repro.search.islands import run_island_ga
         from repro.search.spec import SearchSpec
 
-        spec = SearchSpec.from_evaluator(
-            evaluator, pool, use_fast_path=True, constraint=self._constraint
-        )
+        spec = SearchSpec.from_evaluator(evaluator, pool, constraint=self._constraint)
         result = run_island_ga(
             spec,
             self._params,
@@ -246,7 +239,6 @@ class GeneticScheduler(Scheduler):
             workers=self.parallel,
             mp_context=self._mp_context,
             deadline=self._deadline(),
-            reuse_pool=self._reuse_pool,
         )
         evaluator.record_evaluations(result.evaluations)
         return result.mapping, result.energy, result.history

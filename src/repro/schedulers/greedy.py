@@ -10,7 +10,6 @@ sanity bound for the SA schedulers — SA should never lose to it badly.
 from __future__ import annotations
 
 from repro.core.evaluation import MappingEvaluator
-from repro.core.fast_eval import FastEvalUnavailable
 from repro.core.mapping import TaskMapping
 from repro.schedulers.base import MappingConstraint, Scheduler, make_rng
 
@@ -50,15 +49,11 @@ class GreedyScheduler(Scheduler):
             # choice violates the constraint (e.g. zone mix rules).
             rng = make_rng(seed, self.name, tuple(pool), profile.app_name)
             mapping = self._initial_mapping(evaluator, pool, rng)
-        # Swap-based local search runs on the incremental delta path
-        # when available: each candidate swap costs a propose() over the
-        # two moved ranks and their peers, not a full re-evaluation.
-        fast = None
-        try:
-            fast = evaluator.incremental()
-        except FastEvalUnavailable:
-            fast = None
-        best_time = fast.reset(mapping) if fast is not None else evaluator.execution_time(mapping)
+        # Swap-based local search runs on the incremental delta path:
+        # each candidate swap costs a propose() over the two moved ranks
+        # and their peers, not a full re-evaluation.
+        fast = evaluator.incremental()
+        best_time = fast.reset(mapping)
         history = [best_time]
         for _ in range(self._rounds):
             improved = False
@@ -67,19 +62,13 @@ class GreedyScheduler(Scheduler):
                     candidate = mapping.with_swap(a, b)
                     if not self.feasible(candidate):
                         continue
-                    if fast is not None:
-                        t = fast.propose(candidate)
-                        if t < best_time:
-                            fast.commit()
-                            mapping, best_time = candidate, t
-                            improved = True
-                        else:
-                            fast.reject()
+                    t = fast.propose(candidate)
+                    if t < best_time:
+                        fast.commit()
+                        mapping, best_time = candidate, t
+                        improved = True
                     else:
-                        t = evaluator.execution_time(candidate)
-                        if t < best_time:
-                            mapping, best_time = candidate, t
-                            improved = True
+                        fast.reject()
             history.append(best_time)
             if not improved:
                 break

@@ -11,8 +11,6 @@ reports the full predicted time for the selected mapping.
 from __future__ import annotations
 
 from repro.core.evaluation import EvaluationOptions
-from repro.schedulers.annealing import AnnealingSchedule
-from repro.schedulers.base import MappingConstraint
 from repro.schedulers.cs import CbesScheduler
 
 __all__ = ["NoCommScheduler"]
@@ -25,28 +23,3 @@ class NoCommScheduler(CbesScheduler):
     energy_options = EvaluationOptions(communication=False)
     #: NCS must pick randomly among equal-speed nodes (paper section 6).
     use_greedy_start = False
-    #: The incremental path applies here too — with the communication
-    #: term dropped, a move's delta evaluation touches only the moved
-    #: ranks (no peer set), so NCS benefits even more than CS.
-    use_fast_path = True
-
-    def __init__(
-        self,
-        *,
-        schedule: AnnealingSchedule = AnnealingSchedule(),
-        direction: str = "minimize",
-        swap_probability: float = 0.5,
-        restarts: int = 2,
-        share_bound: bool = False,
-        constraint: MappingConstraint | None = None,
-        **execution,
-    ):
-        super().__init__(
-            schedule=schedule,
-            direction=direction,
-            swap_probability=swap_probability,
-            restarts=restarts,
-            share_bound=share_bound,
-            constraint=constraint,
-            **execution,
-        )

@@ -1,15 +1,14 @@
 """Process-parallel search engine for CBES schedulers.
 
-Layers on the PR-1 fast-evaluation machinery: a
-:class:`~repro.search.spec.SearchSpec` ships one search problem to
-worker processes, :class:`~repro.search.portfolio.ParallelPortfolio`
-fans SA restarts out with a deterministic best-of reduction, and
+A :class:`~repro.search.spec.SearchSpec` ships one search problem to
+the warm worker pool (:mod:`repro.search.pool`),
+:class:`~repro.search.portfolio.ParallelPortfolio` fans SA restarts
+out with a deterministic best-of reduction, and
 :func:`~repro.search.islands.run_island_ga` runs the island-model GA
 with ring migration.  ``parallel=1`` and ``parallel=N`` produce
 byte-identical mappings for the same master seed.
 """
 
-from repro.search.bound import LocalBound, SharedBound
 from repro.search.islands import IslandResult, run_island_ga
 from repro.search.pool import WorkerPool, get_pool, shutdown_pool
 from repro.search.portfolio import ParallelPortfolio, PortfolioResult, effective_workers
@@ -20,8 +19,6 @@ __all__ = [
     "SearchSpec",
     "draw_initial_mapping",
     "greedy_mapping",
-    "LocalBound",
-    "SharedBound",
     "ParallelPortfolio",
     "PortfolioResult",
     "effective_workers",

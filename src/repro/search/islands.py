@@ -23,24 +23,16 @@ stay in lockstep for migration to be deterministic.
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro import telemetry
 from repro._util import spawn_rng
 from repro.core.mapping import TaskMapping
 from repro.schedulers.genetic import GeneticParams
-from repro.search.pool import default_start_method, get_pool, warm_pool_enabled
+from repro.search.pool import get_pool
 from repro.search.spec import SearchSpec
-from repro.search.worker import (
-    GaEpochTask,
-    IslandState,
-    TaskRunner,
-    _initialize_worker,
-    _run_ga_epoch_task,
-)
+from repro.search.worker import GaEpochTask, IslandState, TaskRunner
 
 __all__ = ["IslandResult", "run_island_ga"]
 
@@ -69,12 +61,11 @@ def run_island_ga(
     workers: int = 1,
     mp_context: str | None = None,
     deadline: float | None = None,
-    reuse_pool: bool | None = None,
 ) -> IslandResult:
     """Evolve *islands* populations with ring migration; reduce to best.
 
-    ``reuse_pool`` (default: the ``REPRO_WARM_POOL`` setting, on) runs
-    epochs on the process-wide warm pool instead of a per-call executor.
+    ``workers > 1`` runs each epoch's islands on the process-wide warm
+    pool (:mod:`repro.search.pool`).
     """
     if islands < 2:
         raise ValueError("island GA needs at least 2 islands")
@@ -107,31 +98,12 @@ def run_island_ga(
         return states
 
     nworkers = min(workers, islands)
-    if reuse_pool is None:
-        reuse_pool = warm_pool_enabled()
     if nworkers <= 1:
         runner = TaskRunner(spec)
         states = epochs(lambda tasks: [runner.run_ga_epoch(t) for t in tasks])
-    elif reuse_pool:
+    else:
         pool = get_pool(mp_context)
         states = epochs(lambda tasks: pool.run(spec, "ga", tasks, workers=nworkers))
-    else:
-        spec.ensure_picklable()
-        ctx = mp.get_context(mp_context or default_start_method())
-        with ProcessPoolExecutor(
-            max_workers=nworkers,
-            mp_context=ctx,
-            initializer=_initialize_worker,
-            initargs=(spec, None, 0.0, telemetry.enabled()),
-        ) as executor:
-            # Explicit chunksize batches each worker's island share into
-            # one IPC message per epoch (see ParallelPortfolio._run_pool).
-            chunksize = math.ceil(islands / nworkers)
-            states = epochs(
-                lambda tasks: list(
-                    executor.map(_run_ga_epoch_task, tasks, chunksize=chunksize)
-                )
-            )
 
     return _reduce(states)
 

@@ -1,11 +1,8 @@
 """Persistent warm worker pool with fingerprint-cached contexts.
 
-The portfolio historically created a fresh ``ProcessPoolExecutor`` per
-``schedule()`` call and every worker rebuilt its
-:class:`~repro.core.fast_eval.EvaluationContext` from the pickled
-:class:`~repro.search.spec.SearchSpec` — the service paid full
-cold-start on every request.  This module keeps one module-level
-:class:`WorkerPool` alive across calls:
+Every ``parallel > 1`` search — SA restarts, candidate scans, GA island
+epochs — runs on the one module-level :class:`WorkerPool`, the only
+place the package creates worker processes:
 
 * the executor is spawned lazily on first use, reused by every
   subsequent portfolio/island run (including the daemon's job worker
@@ -19,18 +16,20 @@ cold-start on every request.  This module keeps one module-level
   resends that task with the spec attached (an executor cannot target a
   specific worker, so the "ship once" protocol needs a retry path);
 * cache hit/miss/eviction counts ride back on every reply and are folded
-  into the ambient :mod:`repro.telemetry` registry by the master.
+  into the ambient :mod:`repro.telemetry` registry by the master;
+* a worker that dies (OOM kill, ``SIGKILL``) breaks its executor;
+  :meth:`WorkerPool.run` discards the broken executor and re-runs the
+  batch once on a fresh one, so the pool heals under steady traffic.
 
 Determinism is untouched: a task's outcome is a pure function of the
 task and the spec (runners carry no cross-task state that reaches the
 result — evaluation counts are reported as per-task deltas), so which
-worker, which cache entry, or how warm the pool is cannot change the
-reduced mapping.  ``parallel=1`` keeps bypassing the pool entirely.
+worker, which cache entry, how warm the pool is, or whether a batch had
+to be re-run cannot change the reduced mapping.  ``parallel=1`` never
+touches the pool.
 
-The shared best-so-far bound of ``share_bound=True`` still uses the
-legacy per-call executor: shared ctypes must thread through a pool
-*initializer*, which a long-lived multi-spec pool cannot re-run per
-call.
+Deployment settings: the start method (``mp_context``),
+``REPRO_WORKER_CACHE`` and ``REPRO_POOL_IDLE_S``.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from repro import telemetry
@@ -95,14 +95,6 @@ def effective_workers(requested: int) -> int:
     except AttributeError:  # platforms without sched_getaffinity
         available = os.cpu_count() or 1
     return max(1, min(requested, available))
-
-
-def warm_pool_enabled() -> bool:
-    """Whether the persistent pool is on (REPRO_WARM_POOL, default on)."""
-    value = os.environ.get("REPRO_WARM_POOL", "").strip().lower()
-    if not value:
-        return True
-    return value not in ("0", "false", "no", "off")
 
 
 def _cache_capacity() -> int:
@@ -246,26 +238,38 @@ class WorkerPool:
         if not tasks:
             return []
         spec.ensure_picklable()
-        key = spec.fingerprint()
         workers = max(1, min(workers, len(tasks)))
         with self._lock:
             self._active += 1
         try:
-            executor = self._executor_for(workers)
-            with self._lock:
-                first_time = key not in self._shipped
-                self._shipped.add(key)
-            enabled = telemetry.enabled()
-            envelopes = [
-                PoolTask(
-                    key=key,
-                    kind=kind,
-                    task=task,
-                    spec=spec if first_time else None,
-                    telemetry_enabled=enabled,
-                )
-                for task in tasks
-            ]
+            try:
+                return self._run_batch(spec, kind, tasks, workers)
+            except BrokenProcessPool:
+                # A worker died.  Outcomes are pure functions of task and
+                # spec, so re-running the whole batch on a fresh executor
+                # cannot change a result.
+                return self._run_batch(spec, kind, tasks, workers)
+        finally:
+            self._touch()
+
+    def _run_batch(self, spec: SearchSpec, kind: str, tasks: list, workers: int) -> list:
+        key = spec.fingerprint()
+        executor = self._executor_for(workers)
+        with self._lock:
+            first_time = key not in self._shipped
+            self._shipped.add(key)
+        enabled = telemetry.enabled()
+        envelopes = [
+            PoolTask(
+                key=key,
+                kind=kind,
+                task=task,
+                spec=spec if first_time else None,
+                telemetry_enabled=enabled,
+            )
+            for task in tasks
+        ]
+        try:
             replies = self._submit_windowed(executor, envelopes, window=workers)
             missed = [i for i, reply in enumerate(replies) if reply.missing_spec]
             if missed:
@@ -275,17 +279,16 @@ class WorkerPool:
                 for i, reply in zip(missed, self._submit_windowed(executor, redo, window=workers)):
                     replies[i] = reply
                 telemetry.get_registry().counter(*SPEC_RESENDS_TOTAL).inc(len(missed))
-            self._record_cache_events(replies)
-            return [reply.outcome for reply in replies]
-        finally:
-            self._touch()
+        except BrokenProcessPool:
+            self._discard(executor)
+            raise
+        self._record_cache_events(replies)
+        return [reply.outcome for reply in replies]
 
     def shutdown(self, *, wait: bool = True) -> None:
         """Tear the executor down now; the next run starts cold."""
         with self._lock:
-            executor, self._executor = self._executor, None
-            self._size = 0
-            self._shipped.clear()
+            executor = self._detach()
             if self._reaper is not None:
                 self._reaper.cancel()
                 self._reaper = None
@@ -293,6 +296,25 @@ class WorkerPool:
             executor.shutdown(wait=wait)
 
     # -- internals -------------------------------------------------------
+    def _detach(self) -> ProcessPoolExecutor | None:
+        """Forget the resident executor and everything that described it
+        (lock held); the caller shuts the returned executor down."""
+        executor, self._executor = self._executor, None
+        self._size = 0
+        self._shipped.clear()
+        return executor
+
+    def _discard(self, broken: ProcessPoolExecutor) -> None:
+        """Drop *broken* so the next batch spawns a fresh executor.
+
+        Leaves the pool alone when a concurrent run already replaced it
+        — that run's fresh executor must survive.
+        """
+        with self._lock:
+            if self._executor is broken:
+                self._detach()
+        broken.shutdown(wait=False)
+
     def _executor_for(self, workers: int) -> ProcessPoolExecutor:
         with self._lock:
             if self._executor is not None and self._size < workers and self._active == 1:
@@ -303,9 +325,7 @@ class WorkerPool:
                 # run still submitting to the old executor would hit its
                 # closed state, so it keeps the smaller pool instead
                 # (the submit window caps its parallelism anyway).
-                self._executor.shutdown(wait=False)
-                self._executor = None
-                self._shipped.clear()
+                self._detach().shutdown(wait=False)
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
                     max_workers=workers,
@@ -368,9 +388,7 @@ class WorkerPool:
                 return
             if time.monotonic() - self._last_used < self._idle_timeout:
                 return
-            executor, self._executor = self._executor, None
-            self._size = 0
-            self._shipped.clear()
+            executor = self._detach()
             self._reaper = None
         executor.shutdown(wait=False)
 

@@ -1,57 +1,31 @@
-"""Process-parallel portfolio of search restarts with deterministic reduction.
+"""Portfolio of search restarts with deterministic reduction.
 
-The portfolio fans independent SA restarts (and GA island epochs, via
-:mod:`repro.search.islands`) across a :class:`~concurrent.futures.
-ProcessPoolExecutor` and reduces the outcomes with a deterministic
-best-of: ties on energy break by task index, results come back through
-the order-preserving ``Executor.map``, and every task owns a seed
-substream — so ``workers=1`` and ``workers=N`` produce byte-identical
-mappings for the same master seed.  ``workers=1`` does not start a pool
-at all: it runs the very same :class:`~repro.search.worker.TaskRunner`
-inline.
+The portfolio runs independent SA restarts and candidate scans (GA
+island epochs go through :mod:`repro.search.islands`) and reduces the
+outcomes with a deterministic best-of: ties on energy break by task
+index, outcomes are ordered by task index whatever order they finished
+in, and every task owns a seed substream — so ``workers=1`` and
+``workers=N`` produce byte-identical mappings for the same master seed.
 
-Two opt-in features trade that determinism for throughput and are
-therefore off by default: ``share_bound`` (chains publish their best
-cost through a shared value and abandon basins they have already lost)
-and per-task deadlines (set by the scheduler's ``time_budget``).
-
-By default the pooled paths run on the process-wide *warm* pool
-(:mod:`repro.search.pool`): the executor persists across calls and its
-workers cache their ``TaskRunner`` per spec fingerprint, so repeat
-schedule calls skip both the pool spawn and the context rebuild.
-``reuse_pool=False`` (or ``REPRO_WARM_POOL=0``) restores the historical
-per-call executor; ``share_bound=True`` implies it, because the shared
-ctypes value must thread through a dedicated pool initializer.
+``workers=1`` runs a :class:`~repro.search.worker.TaskRunner` inline;
+``workers > 1`` runs the very same runner on the process-wide warm pool
+(:mod:`repro.search.pool`), whose executor persists across calls and
+whose workers cache their runner per spec fingerprint.  Per-task
+deadlines (the scheduler's ``time_budget``) are the one thing that can
+make two runs differ: a chain that hits its deadline returns its
+best-so-far.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro import telemetry
 from repro.core.fast_eval import EvaluationContext
 from repro.core.mapping import TaskMapping
-from repro.search.bound import LocalBound
-from repro.search.pool import (
-    default_start_method,
-    effective_workers,
-    get_pool,
-    warm_pool_enabled,
-)
+from repro.search.pool import default_start_method, effective_workers, get_pool
 from repro.search.spec import SearchSpec
-from repro.search.worker import (
-    SaOutcome,
-    SaTask,
-    ScanOutcome,
-    ScanTask,
-    TaskRunner,
-    _initialize_worker,
-    _run_sa_task,
-    _run_scan_task,
-)
+from repro.search.worker import SaOutcome, SaTask, ScanTask, TaskRunner
 
 __all__ = [
     "ParallelPortfolio",
@@ -86,31 +60,13 @@ class ScanResult:
 
 
 class ParallelPortfolio:
-    """Runs a batch of search tasks over one spec, inline or in a pool."""
+    """Runs a batch of search tasks over one spec, inline or on the warm pool."""
 
-    def __init__(
-        self,
-        workers: int = 1,
-        *,
-        mp_context: str | None = None,
-        share_bound: bool = False,
-        bound_margin: float = 0.05,
-        reuse_pool: bool | None = None,
-    ):
+    def __init__(self, workers: int = 1, *, mp_context: str | None = None):
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-        if bound_margin < 0.0:
-            raise ValueError("bound_margin must be >= 0")
         self._workers = workers
         self._mp_context = mp_context
-        self._share_bound = share_bound
-        self._margin = bound_margin
-        # share_bound needs the legacy per-call executor: the shared
-        # ctypes value can only reach workers through an initializer.
-        self._reuse_pool = (
-            (warm_pool_enabled() if reuse_pool is None else reuse_pool)
-            and not share_bound
-        )
 
     @property
     def workers(self) -> int:
@@ -137,13 +93,10 @@ class ParallelPortfolio:
             raise ValueError("direction must be 'minimize' or 'maximize'")
         nworkers = min(self._workers, len(tasks))
         if nworkers <= 1:
-            bound = LocalBound(self._margin) if self._share_bound else None
-            runner = TaskRunner(spec, bound=bound, context=context)
+            runner = TaskRunner(spec, context=context)
             outcomes = [runner.run_sa(task) for task in tasks]
-        elif self._reuse_pool:
-            outcomes = get_pool(self._mp_context).run(spec, "sa", tasks, workers=nworkers)
         else:
-            outcomes = self._run_pool(spec, tasks)
+            outcomes = get_pool(self._mp_context).run(spec, "sa", tasks, workers=nworkers)
         return reduce_outcomes(outcomes, direction)
 
     def run_scan(
@@ -175,12 +128,7 @@ class ParallelPortfolio:
                 for i in range(nworkers)
                 if candidates[i * step : (i + 1) * step]
             ]
-            if self._reuse_pool:
-                outcomes = get_pool(self._mp_context).run(
-                    spec, "scan", tasks, workers=nworkers
-                )
-            else:
-                outcomes = self._run_scan_pool(spec, tasks)
+            outcomes = get_pool(self._mp_context).run(spec, "scan", tasks, workers=nworkers)
         ordered = sorted(outcomes, key=lambda o: o.index)
         registry = telemetry.get_registry()
         for outcome in ordered:
@@ -193,43 +141,6 @@ class ParallelPortfolio:
             evaluations=sum(o.evaluations for o in ordered),
             best_index=best_index,
         )
-
-    def _run_scan_pool(self, spec: SearchSpec, tasks: list[ScanTask]) -> list[ScanOutcome]:
-        spec.ensure_picklable()
-        ctx = mp.get_context(self._mp_context or default_start_method())
-        max_workers = len(tasks)
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=ctx,
-            initializer=_initialize_worker,
-            initargs=(spec, None, 0.0, telemetry.enabled()),
-        ) as executor:
-            # Explicit chunksize: ship each worker its whole task share
-            # in one IPC round-trip instead of the map() default of one
-            # message per task.  Chunking only changes which process
-            # runs which slice — slice contents (and therefore energies
-            # and best_index) are already fixed, so determinism holds.
-            chunksize = math.ceil(len(tasks) / max_workers)
-            return list(executor.map(_run_scan_task, tasks, chunksize=chunksize))
-
-    def _run_pool(self, spec: SearchSpec, tasks: list[SaTask]) -> list[SaOutcome]:
-        spec.ensure_picklable()
-        ctx = mp.get_context(self._mp_context or default_start_method())
-        bound_value = ctx.Value("d", math.inf) if self._share_bound else None
-        max_workers = min(self._workers, len(tasks))
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=ctx,
-            initializer=_initialize_worker,
-            initargs=(spec, bound_value, self._margin, telemetry.enabled()),
-        ) as executor:
-            # Executor.map preserves task order regardless of which
-            # worker finishes first — half of the determinism story.
-            # The explicit chunksize batches each worker's expected task
-            # share into one IPC message; outcomes are a pure function
-            # of the task, so placement cannot change the reduction.
-            chunksize = math.ceil(len(tasks) / max_workers)
-            return list(executor.map(_run_sa_task, tasks, chunksize=chunksize))
 
 
 def reduce_outcomes(outcomes: list[SaOutcome], direction: str) -> PortfolioResult:

@@ -45,8 +45,6 @@ class SearchSpec:
     #: The *energy* options the search anneals on (already resolved —
     #: never ``None``; e.g. NCS drops the communication term here).
     options: EvaluationOptions = field(default_factory=EvaluationOptions)
-    #: Whether workers may use the incremental fast path.
-    use_fast_path: bool = True
     #: Optional feasibility predicate.  Must be picklable (a module-level
     #: function, not a lambda) when the search runs with ``parallel > 1``.
     constraint: MappingConstraint | None = None
@@ -58,7 +56,6 @@ class SearchSpec:
         pool: list[str] | tuple[str, ...],
         *,
         options: EvaluationOptions | None = None,
-        use_fast_path: bool = True,
         constraint: MappingConstraint | None = None,
     ) -> "SearchSpec":
         """Snapshot one evaluator's inputs into a shippable spec.
@@ -73,7 +70,6 @@ class SearchSpec:
             snapshot=evaluator.snapshot.freeze(),
             pool=tuple(pool),
             options=options if options is not None else evaluator.options,
-            use_fast_path=use_fast_path,
             constraint=constraint,
         )
 
@@ -103,7 +99,6 @@ class SearchSpec:
                     self.nodes,
                     self.pool,
                     self.options,
-                    self.use_fast_path,
                     self.constraint,
                 ),
                 protocol=pickle.HIGHEST_PROTOCOL,
@@ -114,7 +109,7 @@ class SearchSpec:
         return value
 
     def build_evaluator(self) -> MappingEvaluator:
-        """A fresh reference evaluator (the worker-side fallback path)."""
+        """A fresh reference evaluator: the oracle for worker results."""
         return MappingEvaluator(
             self.profile, self.latency_model, self.nodes, self.snapshot, self.options
         )

@@ -2,19 +2,12 @@
 
 A :class:`TaskRunner` is the unit of worker-side state: it builds its
 own :class:`~repro.core.fast_eval.EvaluationContext` from the pickled
-:class:`~repro.search.spec.SearchSpec` (falling back to a reference
-:class:`~repro.core.evaluation.MappingEvaluator` when the fast path is
-unavailable) and then executes search tasks against it.  The master
-process runs the *same* runner inline when ``parallel == 1`` — identical
-code path, identical arithmetic, which is what lets the portfolio
-promise byte-identical results across parallel degrees.
-
-Module-level ``_initialize_worker`` / ``_run_sa_task`` /
-``_run_ga_epoch_task`` are the :class:`~concurrent.futures.
-ProcessPoolExecutor` entry points (they must be importable by name in a
-fresh interpreter, hence no closures).  The shared best-so-far value is
-threaded through the pool *initializer* because ``multiprocessing``
-shared ctypes cannot travel through the task queue.
+:class:`~repro.search.spec.SearchSpec` and executes search tasks
+against it.  The master process runs the *same* runner inline when
+``parallel == 1`` — identical code path, identical arithmetic, which is
+what lets the portfolio promise byte-identical results across parallel
+degrees.  Pool workers reach their runners through
+:func:`repro.search.pool._run_pool_task`.
 """
 
 from __future__ import annotations
@@ -25,16 +18,11 @@ from dataclasses import dataclass, field, replace
 from repro import telemetry
 from repro._rng import Rng
 from repro._util import spawn_rng
-from repro.core.fast_eval import (
-    EvaluationContext,
-    FastEvalUnavailable,
-    IncrementalEvaluator,
-)
+from repro.core.fast_eval import EvaluationContext, IncrementalEvaluator
 from repro.core.mapping import TaskMapping
-from repro.schedulers.annealing import AnnealingSchedule, CostBound, anneal
-from repro.schedulers.genetic import GeneticParams, ga_generation, score_population
+from repro.schedulers.annealing import AnnealingSchedule, anneal
+from repro.schedulers.genetic import GeneticParams, ga_generation
 from repro.schedulers.moves import MoveGenerator
-from repro.search.bound import SharedBound
 from repro.search.spec import SearchSpec, draw_initial_mapping, greedy_mapping
 from repro.telemetry import MetricsDelta, MetricsRegistry
 
@@ -150,51 +138,25 @@ class TaskRunner:
         self,
         spec: SearchSpec,
         *,
-        bound: CostBound | None = None,
         context: EvaluationContext | None = None,
         telemetry_enabled: bool | None = None,
     ):
         self.spec = spec
-        self.bound = bound
         self.count = 0
-        # Decided once at construction: worker processes inherit the
-        # master's setting through the pool initializer (the ambient
-        # registry itself does not cross process boundaries).
+        # Pool workers receive the master's setting with every task (the
+        # ambient registry itself does not cross process boundaries).
         self.telemetry_enabled = (
             telemetry.enabled() if telemetry_enabled is None else telemetry_enabled
         )
-        self._incremental: IncrementalEvaluator | None = None
-        self._evaluator = None
-        if spec.use_fast_path:
-            try:
-                ctx = context
-                if ctx is None:
-                    ctx = EvaluationContext(
-                        spec.profile, spec.latency_model, spec.nodes, spec.snapshot, spec.options
-                    )
-                self._incremental = IncrementalEvaluator(ctx, on_evaluate=self._tick)
-            except FastEvalUnavailable:
-                self._incremental = None
-        if self._incremental is None:
-            self._evaluator = spec.build_evaluator()
+        if context is None:
+            context = EvaluationContext(
+                spec.profile, spec.latency_model, spec.nodes, spec.snapshot, spec.options
+            )
+        #: The energy every task evaluates with; counts into ``count``.
+        self._energy = IncrementalEvaluator(context, on_evaluate=self._tick)
 
-    # -- evaluation plumbing --------------------------------------------
     def _tick(self) -> None:
         self.count += 1
-
-    def _reference_energy(self, mapping: TaskMapping) -> float:
-        self.count += 1
-        return self._evaluator.execution_time(mapping)
-
-    def _energy(self):
-        """The annealing energy: incremental protocol or plain callable."""
-        if self._incremental is not None:
-            return self._incremental
-        return self._reference_energy
-
-    def batch_energies(self, mappings: list[TaskMapping]) -> list[float]:
-        """Energies of *mappings* as one sweep (fast path: evaluate_many)."""
-        return score_population(self._energy(), mappings)
 
     # -- task telemetry --------------------------------------------------
     def _record_task(self, registry, kind: str, seconds: float) -> None:
@@ -233,14 +195,14 @@ class TaskRunner:
             # evaluate_many sweep and begin from the best (ties by draw
             # order keep this deterministic).
             candidates = [draw_initial_mapping(self.spec, rng) for _ in range(task.seed_scan)]
-            energies = self.batch_energies(candidates)
+            energies = self._energy.many(candidates)
             sign = 1.0 if task.direction == "minimize" else -1.0
             best = min(range(len(candidates)), key=lambda i: (sign * energies[i], i))
             start = candidates[best]
         if start is None:
             start = draw_initial_mapping(self.spec, rng)
         best, energy_value, history = anneal(
-            self._energy(),
+            self._energy,
             start,
             moves,
             rng,
@@ -248,7 +210,6 @@ class TaskRunner:
             feasible=self.spec.feasible,
             direction=task.direction,
             deadline=task.deadline,
-            bound=self.bound,
         )
         return SaOutcome(
             index=task.index,
@@ -272,7 +233,7 @@ class TaskRunner:
 
     def _run_scan(self, task: ScanTask) -> ScanOutcome:
         start_count = self.count
-        energies = self.batch_energies(list(task.mappings))
+        energies = self._energy.many(task.mappings)
         return ScanOutcome(
             index=task.index,
             energies=tuple(energies),
@@ -298,12 +259,11 @@ class TaskRunner:
         start_count = self.count
         rng = state.rng
         moves = MoveGenerator(list(self.spec.pool))
-        fit = self._incremental if self._incremental is not None else self._reference_energy
         pool = list(self.spec.pool)
         history = list(state.history)
         if state.population is None:
             population = [draw_initial_mapping(self.spec, rng) for _ in range(p.population)]
-            fitness = score_population(fit, population)
+            fitness = self._energy.many(population)
             history.append(min(fitness))
         else:
             population = list(state.population)
@@ -313,7 +273,7 @@ class TaskRunner:
             if task.deadline is not None and time.monotonic() >= task.deadline:
                 break
             population, fitness = ga_generation(
-                population, fitness, fit, p, moves, pool, rng, self.spec.feasible
+                population, fitness, self._energy, p, moves, pool, rng, self.spec.feasible
             )
             history.append(min(min(fitness), history[-1]))
             generations_done += 1
@@ -328,31 +288,3 @@ class TaskRunner:
             history=history,
             evaluations=state.evaluations + (self.count - start_count),
         )
-
-
-# -- ProcessPoolExecutor entry points -----------------------------------
-_RUNNER: TaskRunner | None = None
-
-
-def _initialize_worker(
-    spec: SearchSpec, bound_value, margin: float, telemetry_enabled: bool = False
-) -> None:
-    """Pool initializer: build this worker's runner once, reuse per task."""
-    global _RUNNER
-    bound = SharedBound(bound_value, margin) if bound_value is not None else None
-    _RUNNER = TaskRunner(spec, bound=bound, telemetry_enabled=telemetry_enabled)
-
-
-def _run_sa_task(task: SaTask) -> SaOutcome:
-    assert _RUNNER is not None, "worker used before _initialize_worker"
-    return _RUNNER.run_sa(task)
-
-
-def _run_ga_epoch_task(task: GaEpochTask) -> IslandState:
-    assert _RUNNER is not None, "worker used before _initialize_worker"
-    return _RUNNER.run_ga_epoch(task)
-
-
-def _run_scan_task(task: ScanTask) -> ScanOutcome:
-    assert _RUNNER is not None, "worker used before _initialize_worker"
-    return _RUNNER.run_scan(task)

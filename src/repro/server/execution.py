@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import telemetry
 from repro.core.evaluation import EvaluationOptions
-from repro.core.fast_eval import EvaluationContext, FastEvalUnavailable
+from repro.core.fast_eval import EvaluationContext
 from repro.core.mapping import TaskMapping
 from repro.core.service import CBES
 from repro.schedulers import make_scheduler
@@ -302,10 +302,7 @@ class JobRunner:
                 evaluator.install_context(context)
                 return
             self._m_ctx_cache.inc(event="miss")
-            try:
-                context = evaluator.fast_context(options)
-            except FastEvalUnavailable:
-                return
+            context = evaluator.fast_context(options)
             with self._ctx_lock:
                 self._contexts[key] = context
 

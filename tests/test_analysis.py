@@ -219,7 +219,7 @@ def test_rpr102_allows_module_level_function_and_data_fields():
         class S:
             def go(self, executor, evaluator, pool):
                 spec = SearchSpec.from_evaluator(
-                    evaluator, pool, constraint=feasible, use_fast_path=self.use_fast_path
+                    evaluator, pool, constraint=feasible, options=self.energy_options
                 )
                 return executor.submit(feasible), spec
         """

@@ -8,6 +8,7 @@ the full formula and for every ablation option combination.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -19,6 +20,7 @@ from repro.cluster.latency import LOCAL_ALPHA_S, LatencyModel
 from repro.core import CBES, EvaluationOptions, TaskMapping
 from repro.core.fast_eval import EvaluationContext
 from repro.monitoring.snapshot import NodeState, SystemSnapshot
+from repro.profiling.profile import ApplicationProfile, MessageGroup
 from repro.schedulers.annealing import AnnealingSchedule, anneal, supports_incremental
 from repro.schedulers.cs import CbesScheduler
 from repro.schedulers.moves import MoveGenerator
@@ -149,6 +151,34 @@ class TestProposeCommitReject:
         with pytest.raises(RuntimeError):
             inc.commit()
 
+    @pytest.mark.parametrize("resolve", ["commit", "reject"])
+    def test_first_propose_on_unbound_evaluator(self, service, app_name, resolve):
+        """An evaluator that was never reset() treats its first propose()
+        like any other: one evaluation, resolvable either way."""
+        evaluator = service.evaluator(app_name)
+        pool = service.cluster.node_ids()
+        inc = evaluator.incremental()
+        first = TaskMapping(pool[:4])
+        start = evaluator.evaluations
+        assert inc.propose(first) == pytest.approx(evaluator.execution_time(first), abs=TOL)
+        assert evaluator.evaluations == start + 2  # the propose and the reference
+        getattr(inc, resolve)()
+        if resolve == "commit":
+            assert inc.execution_time == pytest.approx(
+                evaluator.execution_time(first), abs=TOL
+            )
+        else:
+            assert inc.execution_time != inc.execution_time  # still unbound (NaN)
+        # Either way the next proposal is served correctly.
+        candidate = first.with_assignment(1, pool[6])
+        assert inc.propose(candidate) == pytest.approx(
+            evaluator.execution_time(candidate), abs=TOL
+        )
+        inc.commit()
+        assert inc.execution_time == pytest.approx(
+            evaluator.execution_time(candidate), abs=TOL
+        )
+
     def test_noop_propose_returns_current(self, service, app_name):
         inc = service.evaluator(app_name).incremental()
         base = TaskMapping(service.cluster.node_ids()[:4])
@@ -209,10 +239,9 @@ class TestWiring:
         pool = service.cluster.node_ids()
         schedule = AnnealingSchedule(moves_per_temperature=20, steps=12, patience=6)
         fast = service.schedule(app_name, CbesScheduler(schedule=schedule), pool, seed=11)
-        slow_scheduler = CbesScheduler(schedule=schedule)
-        slow_scheduler.use_fast_path = False
-        slow = service.schedule(app_name, slow_scheduler, pool, seed=11)
-        assert fast.predicted_time == pytest.approx(slow.predicted_time, rel=0.02)
+        # The time CS reports for its mapping is the reference's time.
+        reference = service.evaluator(app_name).predict(fast.mapping).execution_time
+        assert fast.predicted_time == pytest.approx(reference, abs=TOL)
         assert fast.evaluations > 100  # cost metric survives the fast path
 
 
@@ -310,3 +339,38 @@ class TestFalsyZeroAcpuRegression:
         colocated = TaskMapping([pool[0], pool[1], pool[1], pool[2]])
         with pytest.raises(ValueError, match="acpu"):
             evaluator.predict(colocated)
+
+
+class TestDegenerateInputsRefused:
+    """Inputs no evaluation could serve are refused where they enter —
+    not discovered later by a search falling back to ``predict()``."""
+
+    def test_out_of_range_peer_refused_at_profile_construction(self, service, app_name):
+        profile = service.profile(app_name)
+        doc = profile.to_dict()
+        doc["processes"][1]["sends"].append([profile.nprocs, 1024.0, 1])
+        with pytest.raises(ValueError, match="rank 1 communicates with unknown peer 4"):
+            ApplicationProfile.from_dict(doc)
+        bad = dataclasses.replace(
+            profile.processes[2], recvs=(MessageGroup(profile.nprocs + 3, 8.0, 1),)
+        )
+        processes = (*profile.processes[:2], bad, *profile.processes[3:])
+        with pytest.raises(ValueError, match="rank 2 communicates with unknown peer 7"):
+            dataclasses.replace(profile, processes=processes)
+
+    def test_out_of_range_peer_refused_in_segment_profiles(self, service, app_name):
+        doc = service.profile(app_name).to_dict()
+        segment = ApplicationProfile.from_dict(doc).to_dict()
+        segment["processes"][0]["recvs"].append([99, 8.0, 1])
+        doc["segments"] = {"0": segment}
+        with pytest.raises(ValueError, match="unknown peer 99"):
+            ApplicationProfile.from_dict(doc)
+
+    def test_empty_node_table_refused_at_context_construction(self, service, app_name):
+        with pytest.raises(ValueError, match="at least one node"):
+            EvaluationContext(
+                service.profile(app_name),
+                service.cluster.latency_model,
+                {},
+                service.snapshot(),
+            )

@@ -12,10 +12,13 @@ Four contracts:
 * **Pool lifecycle** — lazy spawn, reuse across runs, growth by
   replacement, explicit shutdown, and the module-level singleton.
 * **Identity** — warm, cold, and serial schedules are byte-identical
-  across parallel degrees and across repeated warm calls.
+  across parallel degrees and across repeated warm calls, for every
+  task kind on one pool, and across a worker death.
 """
 
 import dataclasses
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -23,7 +26,7 @@ import pytest
 
 from repro.core import TaskMapping
 from repro.schedulers import make_scheduler
-from repro.search import SearchSpec, get_pool, shutdown_pool
+from repro.search import ParallelPortfolio, SearchSpec, get_pool, shutdown_pool
 from repro.search import pool as pool_mod
 from repro.search.pool import PoolTask, WorkerPool
 from repro.search.worker import ScanTask
@@ -240,31 +243,65 @@ class TestWarmColdIdentity:
         yield
         shutdown_pool()
 
-    def run(self, evaluator_and_pool, *, parallel, reuse_pool):
+    def run(self, evaluator_and_pool, *, parallel, name="cs", **options):
         evaluator, pool = evaluator_and_pool
-        scheduler = make_scheduler(
-            "cs", restarts=3, parallel=parallel, reuse_pool=reuse_pool
-        )
+        scheduler = make_scheduler(name, parallel=parallel, **options)
         ev = evaluator.with_snapshot(evaluator.snapshot)
         return result_key(scheduler.schedule(ev, pool, seed=29))
 
     def test_warm_equals_cold_equals_serial(self, evaluator_and_pool):
-        serial = self.run(evaluator_and_pool, parallel=1, reuse_pool=False)
-        cold = self.run(evaluator_and_pool, parallel=2, reuse_pool=False)
-        warm_first = self.run(evaluator_and_pool, parallel=2, reuse_pool=True)
-        warm_second = self.run(evaluator_and_pool, parallel=2, reuse_pool=True)
-        assert serial == cold == warm_first == warm_second
+        serial = self.run(evaluator_and_pool, parallel=1, restarts=3)
+        colds = []
+        for _ in range(2):
+            shutdown_pool()  # cold: the call pays spawn + spec ship + context build
+            colds.append(self.run(evaluator_and_pool, parallel=2, restarts=3))
+        assert get_pool().spawns == 1  # the second cold call got a new pool
+        warm = self.run(evaluator_and_pool, parallel=2, restarts=3)
+        assert get_pool().spawns == 1  # ... and the warm call reused it
+        assert serial == colds[0] == colds[1] == warm
 
     def test_identical_across_parallel_degrees_on_one_pool(self, evaluator_and_pool):
         degrees = {
-            parallel: self.run(evaluator_and_pool, parallel=parallel, reuse_pool=True)
+            parallel: self.run(evaluator_and_pool, parallel=parallel, restarts=3)
             for parallel in (1, 2, 4)
         }
         assert degrees[1] == degrees[2] == degrees[4]
 
-    def test_env_kill_switch_disables_pool(self, evaluator_and_pool, monkeypatch):
-        monkeypatch.setenv("REPRO_WARM_POOL", "0")
+    def test_every_task_kind_shares_one_pool(self, evaluator_and_pool):
+        """SA restarts, a candidate scan and GA island epochs at
+        parallel=2, back to back: one executor serves all three, and
+        each equals its parallel=1 result."""
+        evaluator, pool = evaluator_and_pool
+        spec = SearchSpec.from_evaluator(evaluator.with_snapshot(evaluator.snapshot), pool)
+        candidates = [TaskMapping(pool[i : i + 6]) for i in range(6)]
         baseline = get_pool().spawns
-        result = self.run(evaluator_and_pool, parallel=2, reuse_pool=None)
-        assert result is not None
-        assert get_pool().spawns == baseline  # legacy per-call executor path
+        parallel = (
+            self.run(evaluator_and_pool, parallel=2, restarts=3),
+            ParallelPortfolio(2).run_scan(spec, candidates),
+            self.run(evaluator_and_pool, parallel=2, name="ga", islands=3),
+        )
+        assert get_pool().spawns == baseline + 1
+        serial = (
+            self.run(evaluator_and_pool, parallel=1, restarts=3),
+            ParallelPortfolio(1).run_scan(spec, candidates),
+            self.run(evaluator_and_pool, parallel=1, name="ga", islands=3),
+        )
+        assert parallel == serial
+        assert get_pool().spawns == baseline + 1  # parallel=1 never touches the pool
+
+    def test_dead_worker_heals_the_pool(self, evaluator_and_pool):
+        """A SIGKILLed worker breaks the executor; the next run replaces
+        it and still returns the parallel=1 result."""
+        serial = self.run(evaluator_and_pool, parallel=1, restarts=3)
+        assert self.run(evaluator_and_pool, parallel=2, restarts=3) == serial
+        pool = get_pool()
+        spawns = pool.spawns
+        victim = next(iter(pool._executor._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        assert self.run(evaluator_and_pool, parallel=2, restarts=3) == serial
+        assert pool.spawns == spawns + 1
+        # Healed for good: the next call reuses the fresh executor.
+        assert self.run(evaluator_and_pool, parallel=2, restarts=3) == serial
+        assert pool.spawns == spawns + 1
