@@ -2,16 +2,18 @@
 
 A long-running application is mapped by CBES; midway through, background
 load lands on one of its nodes.  The monitoring daemons pick the change
-up, the evaluator's predictions shift, and the remapping advisor weighs
+up, the evaluator's predictions shift, and ``Remapper.decide`` weighs
 migrating against staying — exactly the cost/benefit calculus the system
-is named after.
+is named after (here at the flat ``RemapCostModel`` price; drop the
+``cost_model`` argument for checkpoint-over-link pricing).
 
 Run:  python examples/load_aware_remapping.py
 """
 
 from repro import CBES, orange_grove
-from repro.core import RemapAdvisor, RemapCostModel
+from repro.core import RemapCostModel
 from repro.monitoring import LoadEvent, LoadGenerator
+from repro.remap import Remapper
 from repro.schedulers import CbesScheduler
 from repro.workloads import Aztec
 
@@ -52,20 +54,22 @@ def main() -> None:
 
     # Find a candidate replacement mapping and weigh the migration.
     candidate = service.schedule(app.name, CbesScheduler(), pool, seed=6)
-    advisor = RemapAdvisor(RemapCostModel(fixed_s=2.0, per_task_s=1.0))
+    remapper = Remapper(
+        cost_model=RemapCostModel(fixed_s=2.0, per_task_s=1.0), safety_factor=1.0
+    )
     for remaining in (0.9, 0.25, 0.05):
-        decision = advisor.evaluate(
+        plan = remapper.decide(
             service.evaluator(app.name, snapshot=snapshot),
             initial.mapping,
             candidate.mapping,
             fraction_remaining=remaining,
         )
-        verdict = "REMAP" if decision.remap else "stay"
+        verdict = "REMAP" if plan.remap else "stay"
         print(
             f"{remaining * 100:3.0f}% of run remaining: {verdict:5s} "
-            f"(stay {decision.current_remaining_s:.1f} s vs move "
-            f"{decision.candidate_remaining_s:.1f} s + {decision.migration_cost_s:.1f} s migration, "
-            f"net benefit {decision.benefit_s:+.1f} s)"
+            f"(stay {plan.current_remaining_s:.1f} s vs move "
+            f"{plan.candidate_remaining_s:.1f} s + {plan.migration_cost_s:.1f} s migration, "
+            f"net benefit {plan.net_benefit_s:+.1f} s)"
         )
 
 

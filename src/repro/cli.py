@@ -15,8 +15,12 @@ Commands
 ``inspect``    show stored profiles / cluster facts
 ``demo``       end-to-end walkthrough on Orange Grove
 ``serve``      run the scheduling daemon (JSON-over-HTTP service)
+``fleet``      run a sharded multi-daemon router over N replica daemons
 ``submit``     submit a schedule/predict job to a running daemon
+``metrics``    pretty-print a running daemon's metrics (``--raw``: exposition)
 ``jobs``       list a running daemon's jobs (or show one)
+``remap``      drive a daemon's online-remapping loop
+               (``watch`` | ``wait`` | ``decisions`` | ``inject``)
 
 The daemon logs through the ``repro.server`` logger hierarchy; pass
 ``--log-level debug|info|warning`` to ``serve`` to control verbosity

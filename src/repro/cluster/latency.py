@@ -25,11 +25,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-try:  # numpy is the optional [speed] extra; the matrix APIs need it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
 from repro._util import check_fraction, check_positive
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
@@ -235,36 +230,6 @@ class LatencyModel:
                 a_net[base + j] = pc.alpha_net
                 beta[base + j] = pc.beta
         return a_src, a_dst, a_net, beta
-
-    def component_matrices(self, hosts: Sequence[str]):
-        """:meth:`component_tables` reshaped to four ``(m, m)`` numpy arrays.
-
-        Requires the optional numpy extra; the pure-python
-        :meth:`component_tables` carries the same data without it.
-        """
-        if np is None:
-            raise ModuleNotFoundError(
-                "component_matrices requires numpy (install the [speed] extra); "
-                "use component_tables() for the pure-python form"
-            )
-        m = len(hosts)
-        a_src, a_dst, a_net, beta = self.component_tables(hosts)
-        return (
-            np.asarray(a_src).reshape(m, m),
-            np.asarray(a_dst).reshape(m, m),
-            np.asarray(a_net).reshape(m, m),
-            np.asarray(beta).reshape(m, m),
-        )
-
-    def no_load_matrix(self, hosts: Sequence[str], size_bytes: float):
-        """Pairwise no-load latencies at one message size (bulk ``L_0``).
-
-        NaN marks pairs the model has no data for.  Requires numpy.
-        """
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
-        a_src, a_dst, a_net, beta = self.component_matrices(hosts)
-        return a_src + a_dst + a_net + size_bytes * beta
 
     def spread(self, size_bytes: float = 1024.0) -> tuple[float, float, float]:
         """Latency heterogeneity statistics at a given message size.

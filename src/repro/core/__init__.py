@@ -19,7 +19,7 @@ from repro.core.fast_eval import (
     IncrementalEvaluator,
 )
 from repro.core.mapping import TaskMapping
-from repro.remap.advisor import RemapAdvisor, RemapCostModel, RemapDecision
+from repro.remap import RemapCostModel
 from repro.core.runtime import RemapTrigger, RunningApplication, RuntimeScheduler
 from repro.core.segments import SegmentPlan, SegmentScheduler
 from repro.core.service import CBES, ApplicationModel
@@ -38,9 +38,7 @@ __all__ = [
     "MappingPrediction",
     "NotCalibratedError",
     "ProcessPrediction",
-    "RemapAdvisor",
     "RemapCostModel",
-    "RemapDecision",
     "RemapTrigger",
     "Reservation",
     "RunningApplication",

@@ -239,21 +239,17 @@ class EvaluationContext:
         #: Lazily-built numpy mirrors of the columns (None until the
         #: vectorized batch kernel first runs).
         self._np_cache: dict | None = None
-        #: Scalar no-load latency memo keyed by (src_idx, dst_idx, size).
-        self._noload_cache: dict[tuple[int, int, float], float] = {}
 
     # -- pickling -------------------------------------------------------
     def __getstate__(self) -> dict:
         """Pickle without per-process warm state.
 
         Parallel search workers receive contexts (or rebuild them from
-        snapshots); the ``_noload_cache`` memo and the numpy column
-        mirrors are pure warm state the receiver rebuilds lazily —
-        shipping them would bloat the pickle (and the mirrors would pin
-        the pickle to a numpy install the receiver may not have).
+        snapshots); the numpy column mirrors are pure warm state the
+        receiver rebuilds lazily — shipping them would bloat the pickle
+        (and pin it to a numpy install the receiver may not have).
         """
         state = dict(self.__dict__)
-        state["_noload_cache"] = {}
         state["_np_cache"] = None
         state.pop("_np_row_cache", None)
         return state
@@ -295,16 +291,6 @@ class EvaluationContext:
         """
         acpu1 = [curve[1] for curve in self.acpu_curve]
         return self._a_src, self._a_dst, self._a_net, self._beta, self._binv, acpu1
-
-    def no_load(self, src: str, dst: str, size_bytes: float) -> float:
-        """Memoized scalar no-load latency lookup (table keyed by pair+size)."""
-        key = (self.index[src], self.index[dst], size_bytes)
-        value = self._noload_cache.get(key)
-        if value is None:
-            a_s, a_d, a_n, b = self._comp_flat[key[0] * self.nnodes + key[1]]
-            value = a_s + a_d + a_n + size_bytes * b
-            self._noload_cache[key] = value
-        return value
 
     # -- full evaluation (scalar reference) ------------------------------
     def acpu_by_node(self, counts: Sequence[int]) -> list[float]:

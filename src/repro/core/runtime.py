@@ -11,10 +11,12 @@ implements that layer on top of the existing pieces:
   current mapping) and **internal** events (the application's own
   behaviour changed, detected by comparing the active segment's profile
   against the profile the mapping was chosen for);
-* :class:`RuntimeScheduler` puts them together: on a trigger it asks a
-  scheduler for a candidate mapping and the
-  :class:`~repro.remap.advisor.RemapAdvisor` for the final cost/benefit
-  verdict.
+* :class:`RuntimeScheduler` puts them together: on a trigger it asks
+  its launch scheduler for a candidate mapping and :meth:`Remapper.decide
+  <repro.remap.remapper.Remapper.decide>` — the one cost/benefit rule,
+  by default at the flat :class:`~repro.remap.cost.RemapCostModel`
+  price — for the verdict.  (The load-driven loop with drift hysteresis
+  and a warm-started search is :class:`~repro.remap.loop.RemapLoop`.)
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field
 from repro.core.errors import CbesError
 from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
-from repro.remap.advisor import RemapAdvisor, RemapDecision
 from repro.core.service import CBES
 from repro.profiling.profile import ApplicationProfile
+from repro.remap import RemapCostModel, Remapper, RemapPlan
 
 __all__ = ["RunningApplication", "RemapTrigger", "RuntimeScheduler"]
 
@@ -131,7 +133,7 @@ class RuntimeScheduler:
         scheduler,
         *,
         pool: list[str],
-        advisor: RemapAdvisor | None = None,
+        remapper: Remapper | None = None,
         trigger: RemapTrigger | None = None,
     ) -> None:
         if not pool:
@@ -139,7 +141,7 @@ class RuntimeScheduler:
         self._service = service
         self._scheduler = scheduler
         self._pool = list(pool)
-        self._advisor = advisor or RemapAdvisor()
+        self._remapper = remapper or Remapper(cost_model=RemapCostModel(), safety_factor=1.0)
         self._trigger = trigger or RemapTrigger()
         self._running: dict[str, RunningApplication] = {}
 
@@ -164,10 +166,10 @@ class RuntimeScheduler:
             raise CbesError(f"{app_name!r} is not under runtime management") from None
 
     # -- periodic check ----------------------------------------------------
-    def check(self, app_name: str, *, seed: int = 0) -> RemapDecision | None:
+    def check(self, app_name: str, *, seed: int = 0) -> RemapPlan | None:
         """One monitoring tick: evaluate triggers, maybe remap.
 
-        Returns the advisor's decision when a trigger fired (whether or
+        Returns the remapper's plan when a trigger fired (whether or
         not it recommended remapping), or None when nothing fired.
         """
         running = self.running(app_name)
@@ -183,19 +185,19 @@ class RuntimeScheduler:
         candidate = self._service.schedule(
             app_name, self._scheduler, self._pool, seed=seed
         )
-        decision = self._advisor.evaluate(
+        plan = self._remapper.decide(
             evaluator,
             running.mapping,
             candidate.mapping,
             fraction_remaining=max(running.fraction_remaining, 1e-6),
         )
-        if decision.remap:
+        if plan.remap:
             running.mapping = candidate.mapping
             running.predicted_time = candidate.predicted_time
             running.remap_count += 1
             running.history.append(
-                f"remapped at {running.progress:.0%} (benefit {decision.benefit_s:.1f}s)"
+                f"remapped at {running.progress:.0%} (benefit {plan.net_benefit_s:.1f}s)"
             )
         else:
             running.history.append(f"trigger at {running.progress:.0%}: stayed")
-        return decision
+        return plan

@@ -7,24 +7,24 @@ costs"* — as a first-class subsystem:
 
 * :class:`MigrationCostModel` prices a mapping switch as per-rank
   checkpoint transfers over the actual source->destination links
-  (:mod:`repro.remap.cost`);
+  (:mod:`repro.remap.cost`); :class:`RemapCostModel` is the flat
+  per-task baseline behind the same interface;
 * :class:`DriftWatcher` turns the monitoring stream into
   thrash-resistant drift events (:mod:`repro.remap.drift`);
 * :class:`Remapper` searches candidates warm-started from the current
-  mapping and returns a deterministic :class:`RemapPlan` under the rule
+  mapping (``propose``) and gives the one cost/benefit verdict
+  (``decide``): a deterministic :class:`RemapPlan` under the rule
   ``remap <=> predicted_savings > migration_cost * safety_factor``
   (:mod:`repro.remap.remapper`);
-* the flat-cost :class:`RemapAdvisor` is the default advisor of
-  :class:`~repro.core.runtime.RuntimeScheduler`
-  (:mod:`repro.remap.advisor`; also importable from :mod:`repro.core`).
-
-The daemon loop lives in :mod:`repro.server` (``POST /v1/remap/watch``)
-and the closed-loop simulation in :mod:`repro.simulate.closedloop`.
+* :class:`RemapLoop` is one application's remap state and the one tick
+  that advances it (:mod:`repro.remap.loop`) — driven by the daemon's
+  watches (:mod:`repro.server.watches`, ``POST /v1/remap/watch``) and
+  the closed-loop simulation (:mod:`repro.simulate.closedloop`).
 """
 
-from repro.remap.advisor import RemapAdvisor, RemapCostModel, RemapDecision
-from repro.remap.cost import MigrationCostModel
+from repro.remap.cost import MigrationCostModel, RemapCostModel
 from repro.remap.drift import DriftEvent, DriftWatcher
+from repro.remap.loop import RemapLoop
 from repro.remap.plan import RankMove, RemapPlan
 from repro.remap.remapper import Remapper
 
@@ -33,9 +33,8 @@ __all__ = [
     "DriftWatcher",
     "MigrationCostModel",
     "RankMove",
-    "RemapAdvisor",
     "RemapCostModel",
-    "RemapDecision",
+    "RemapLoop",
     "RemapPlan",
     "Remapper",
 ]

@@ -1,13 +1,18 @@
-"""Topology-aware migration cost: checkpoints shipped over real links.
+"""Migration cost models: what switching mappings costs.
 
-The seed's :class:`~repro.remap.advisor.RemapCostModel` charges a flat
-``per_task_s`` for every moved rank.  This model replaces that constant
-with the thing it abbreviates: each moved rank ships its checkpoint
-over the *actual* source->destination path, priced by the same
-calibrated ``L_c`` latency components (``alpha_src + alpha_dst +
-alpha_net + size * beta``, load-adjusted) that the mapping evaluator
-uses — so migrating across the federation bottleneck costs what the
-bottleneck costs, and an intra-switch shuffle is nearly free.
+Two models price a mapping diff for :class:`~repro.remap.remapper.
+Remapper` through one interface — ``moves_from_context`` (per-rank
+:class:`~repro.remap.plan.RankMove` records) and ``total_cost``:
+
+* :class:`RemapCostModel`, the flat baseline, charges a constant
+  ``per_task_s`` for every moved rank;
+* :class:`MigrationCostModel` replaces that constant with the thing it
+  abbreviates: each moved rank ships its checkpoint over the *actual*
+  source->destination path, priced by the same calibrated ``L_c``
+  latency components (``alpha_src + alpha_dst + alpha_net + size *
+  beta``, load-adjusted) that the mapping evaluator uses — so migrating
+  across the federation bottleneck costs what the bottleneck costs, and
+  an intra-switch shuffle is nearly free.
 
 Checkpoint sizes are derived from the application profile: the stored
 profiles carry no explicit memory footprint, so the model estimates one
@@ -15,7 +20,7 @@ as a base image plus a fraction of the rank's profiled traffic volume
 (communication-heavy ranks hold proportionally more live state).  Both
 knobs are parameters.
 
-Two equivalent paths produce the per-rank costs:
+Two equivalent paths produce its per-rank costs:
 
 * :meth:`MigrationCostModel.moves` — the scalar reference, one
   :meth:`~repro.cluster.latency.LatencyModel.components` lookup per
@@ -37,7 +42,51 @@ from repro.monitoring.snapshot import SystemSnapshot
 from repro.profiling.profile import ApplicationProfile
 from repro.remap.plan import RankMove
 
-__all__ = ["MigrationCostModel"]
+__all__ = ["MigrationCostModel", "RemapCostModel"]
+
+
+@dataclass(frozen=True)
+class RemapCostModel:
+    """Flat cost of migrating application tasks between nodes.
+
+    ``fixed_s`` covers coordination (quiesce, barrier, restart);
+    ``per_task_s`` covers checkpoint + transfer + restore of one task's
+    state, charged once per task whose assigned node changes.  The
+    :class:`MigrationCostModel` replaces the flat ``per_task_s``
+    constant with the actual checkpoint-over-link transfer time; this
+    model remains the simple baseline (with ``safety_factor=1.0``:
+    ``remap <=> savings > fixed_s + per_task_s * moved``).
+    """
+
+    fixed_s: float = 1.0
+    per_task_s: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.fixed_s < 0 or self.per_task_s < 0:
+            raise ValueError("remap costs must be >= 0")
+
+    def moves_from_context(
+        self, context: EvaluationContext | None, current: TaskMapping, candidate: TaskMapping
+    ) -> tuple[RankMove, ...]:
+        """Per-rank moves at the flat price; *context* (link tables) is not read."""
+        if current.nprocs != candidate.nprocs:
+            raise ValueError("mappings must place the same number of processes")
+        pairs = zip(current.as_tuple(), candidate.as_tuple(), strict=True)
+        return tuple(
+            RankMove(rank, src, dst, 0.0, self.per_task_s)
+            for rank, (src, dst) in enumerate(pairs)
+            if src != dst
+        )
+
+    def total_cost(self, moves: tuple[RankMove, ...]) -> float:
+        """Plan-wide migration cost; exactly 0.0 when nothing moves."""
+        if not moves:
+            return 0.0
+        return self.fixed_s + self.per_task_s * len(moves)
+
+    def cost(self, current: TaskMapping, candidate: TaskMapping) -> float:
+        """Migration cost of switching from *current* to *candidate*."""
+        return self.total_cost(self.moves_from_context(None, current, candidate))
 
 
 @dataclass(frozen=True)
@@ -147,7 +196,7 @@ class MigrationCostModel:
             # No-load pricing: raw beta slope, unit endpoint ACPU.
             binv = beta
             acpu1 = [1.0] * context.nnodes
-        ckpt = self._checkpoint_from_context(context)
+        ckpt = self.checkpoint_bytes(context.profile)
         node_ids = context.node_ids
         n = context.nnodes
         out: list[RankMove] = []
@@ -170,38 +219,9 @@ class MigrationCostModel:
             out.append(RankMove(rank, node_ids[s], node_ids[d], size, seconds))
         return tuple(out)
 
-    def _checkpoint_from_context(self, context: EvaluationContext) -> list[float]:
-        """Checkpoint sizes recomputed from the context's message groups.
-
-        ``context.groups`` carries each rank's send groups in profile
-        order, so the per-rank traffic sum reproduces
-        ``ProcessProfile.bytes_sent`` exactly.
-        """
-        base = self.checkpoint_base_bytes
-        frac = self.checkpoint_traffic_fraction
-        out = []
-        for groups in context.groups:
-            sent = sum(count * size for is_send, _, count, size in groups if is_send)
-            out.append(base + frac * sent)
-        return out
-
     # -- totals ----------------------------------------------------------
     def total_cost(self, moves: tuple[RankMove, ...]) -> float:
         """Plan-wide migration cost; exactly 0.0 when nothing moves."""
         if not moves:
             return 0.0
         return self.fixed_s + sum(m.seconds for m in moves)
-
-    def cost(
-        self,
-        profile: ApplicationProfile,
-        latency_model: LatencyModel,
-        current: TaskMapping,
-        candidate: TaskMapping,
-        *,
-        snapshot: SystemSnapshot | None = None,
-    ) -> float:
-        """One-call scalar total (reference path)."""
-        return self.total_cost(
-            self.moves(profile, latency_model, current, candidate, snapshot=snapshot)
-        )

@@ -71,11 +71,6 @@ class RemapPlan:
         """Savings minus the (uninflated) migration cost; can be negative."""
         return self.savings_s - self.migration_cost_s
 
-    @property
-    def moved_ranks(self) -> tuple[int, ...]:
-        """Ranks whose assigned node changes, in rank order."""
-        return tuple(m.rank for m in self.moves)
-
     def to_dict(self) -> dict:
         """Plain-JSON document (the daemon's decision record body)."""
         return {

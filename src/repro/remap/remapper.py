@@ -1,8 +1,8 @@
-"""The remapper: candidate search + cost/benefit verdict, in one call.
+"""The remapper: candidate search + the one cost/benefit verdict.
 
-:meth:`Remapper.propose` is the heart of the online remapping loop.
-Given an evaluator bound to the *fresh* snapshot and the application's
-current mapping, it
+:meth:`Remapper.propose` is what a :class:`~repro.remap.loop.RemapLoop`
+runs on a drift event.  Given an evaluator bound to the *fresh*
+snapshot and the application's current mapping, it
 
 1. searches for a candidate mapping with a :mod:`repro.search`
    portfolio whose first restart is *warm-started from the current
@@ -10,26 +10,29 @@ current mapping, it
    scans, so the search can both polish the incumbent and escape it),
 2. scores current-vs-candidate with one batched
    :meth:`~repro.core.fast_eval.EvaluationContext.evaluate_many` sweep,
-3. prices the mapping diff with the topology-aware
-   :class:`~repro.remap.cost.MigrationCostModel`, and
+3. prices the mapping diff with its cost model (by default the
+   topology-aware :class:`~repro.remap.cost.MigrationCostModel`), and
 4. applies the decision rule
 
        ``remap  <=>  predicted_savings > migration_cost * safety_factor``
 
 returning everything as one deterministic :class:`~repro.remap.plan.
-RemapPlan`.  Every restart owns a seed substream, so plans are
-byte-identical across ``parallel`` degrees — the property the test
-suite asserts for remap decisions just as the schedulers assert it for
-mappings.
+RemapPlan`.  Steps 2-4 are :meth:`Remapper.decide`, for callers that
+bring their own candidate.  Every restart owns a seed substream, so
+plans are byte-identical across ``parallel`` degrees — the property the
+test suite asserts for remap decisions just as the schedulers assert it
+for mappings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 
+from repro._util import check_fraction
 from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
-from repro.remap.cost import MigrationCostModel
+from repro.remap.cost import MigrationCostModel, RemapCostModel
 from repro.remap.plan import RemapPlan
 from repro.schedulers.annealing import AnnealingSchedule
 from repro.search.portfolio import ParallelPortfolio
@@ -67,7 +70,7 @@ class Remapper:
     def __init__(
         self,
         *,
-        cost_model: MigrationCostModel | None = None,
+        cost_model: MigrationCostModel | RemapCostModel | None = None,
         safety_factor: float = 1.5,
         schedule: AnnealingSchedule | None = None,
         swap_probability: float = 0.5,
@@ -112,8 +115,7 @@ class Remapper:
         time predictions, so late-run remaps must clear the same
         absolute migration cost with a smaller absolute saving.
         """
-        if not 0.0 < fraction_remaining <= 1.0:
-            raise ValueError("fraction_remaining must be in (0, 1]")
+        check_fraction(fraction_remaining, "fraction_remaining", closed_low=False)
         node_pool = tuple(pool) if pool is not None else tuple(sorted(evaluator.nodes))
         if not node_pool:
             raise ValueError("pool must contain at least one node")
@@ -124,38 +126,56 @@ class Remapper:
             seed=seed,
         ) as span:
             candidate, search_evals = self._search(evaluator, current, node_pool, seed)
-            stay_s, move_s = evaluator.execution_times([current, candidate])
-            stay_s *= fraction_remaining
-            move_s *= fraction_remaining
-            moves = self.cost_model.moves_from_context(
-                evaluator.fast_context(evaluator.options), current, candidate
+            plan = self.decide(
+                evaluator, current, candidate, fraction_remaining=fraction_remaining
             )
-            cost = self.cost_model.total_cost(moves)
-            savings = stay_s - move_s
-            decision = bool(moves) and savings > cost * self.safety_factor
-            plan = RemapPlan(
-                remap=decision,
-                current=current,
-                candidate=candidate,
-                moves=moves,
-                current_remaining_s=stay_s,
-                candidate_remaining_s=move_s,
-                migration_cost_s=cost,
-                safety_factor=self.safety_factor,
-                evaluations=search_evals + 2,
-            )
-            registry = get_registry()
-            registry.counter(*DECISIONS_TOTAL).inc(
-                decision="remap" if decision else "stay"
-            )
-            if decision:
-                registry.counter(*MIGRATION_SECONDS_TOTAL).inc(cost)
-            span.set_attribute("decision", "remap" if decision else "stay")
-            span.set_attribute("moved", len(moves))
-            span.set_attribute("savings_s", savings)
-            span.set_attribute("migration_cost_s", cost)
+            plan = replace(plan, evaluations=plan.evaluations + search_evals)
+            span.set_attribute("decision", "remap" if plan.remap else "stay")
+            span.set_attribute("moved", len(plan.moves))
+            span.set_attribute("savings_s", plan.savings_s)
+            span.set_attribute("migration_cost_s", plan.migration_cost_s)
             span.set_attribute("evaluations", plan.evaluations)
         return plan
+
+    def decide(
+        self,
+        evaluator: MappingEvaluator,
+        current: TaskMapping,
+        candidate: TaskMapping,
+        *,
+        fraction_remaining: float,
+    ) -> RemapPlan:
+        """The cost/benefit verdict on switching *current* -> *candidate*.
+
+        Steps 2-4 of :meth:`propose`, for a candidate the caller already
+        has: one batched stay/move scoring under *evaluator*'s (fresh)
+        snapshot, the cost model's price of the diff, and the rule.
+        ``fraction_remaining`` is the share of work still to be done.
+        """
+        check_fraction(fraction_remaining, "fraction_remaining", closed_low=False)
+        stay_s, move_s = evaluator.execution_times([current, candidate])
+        stay_s *= fraction_remaining
+        move_s *= fraction_remaining
+        moves = self.cost_model.moves_from_context(
+            evaluator.fast_context(evaluator.options), current, candidate
+        )
+        cost = self.cost_model.total_cost(moves)
+        decision = bool(moves) and stay_s - move_s > cost * self.safety_factor
+        registry = get_registry()
+        registry.counter(*DECISIONS_TOTAL).inc(decision="remap" if decision else "stay")
+        if decision:
+            registry.counter(*MIGRATION_SECONDS_TOTAL).inc(cost)
+        return RemapPlan(
+            remap=decision,
+            current=current,
+            candidate=candidate,
+            moves=moves,
+            current_remaining_s=stay_s,
+            candidate_remaining_s=move_s,
+            migration_cost_s=cost,
+            safety_factor=self.safety_factor,
+            evaluations=2,
+        )
 
     # -- candidate search ------------------------------------------------
     def _search(

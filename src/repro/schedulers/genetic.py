@@ -150,10 +150,6 @@ class GeneticScheduler(Scheduler):
 
     name = "GA"
 
-    #: Kept as staticmethods for callers that poke the operators directly.
-    _tournament = staticmethod(_tournament)
-    _crossover = staticmethod(_crossover)
-
     def __init__(
         self,
         *,

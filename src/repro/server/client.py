@@ -410,7 +410,8 @@ class CbesClient:
         """Poll until the watch records a decision (or finishes).
 
         Returns the first decision document for *watch_id*; raises
-        ``TimeoutError`` if the watch hit ``max_ticks`` — or the
+        ``TimeoutError`` if the watch hit ``max_ticks`` (a finished
+        watch may since have left the daemon's listing) — or the
         deadline passed — without one.
         """
         deadline = time.monotonic() + timeout_s
@@ -425,8 +426,8 @@ class CbesClient:
                 )
             # One more decisions fetch happens after the watch finishes,
             # so a decision recorded on its final tick is not missed.
-            give_up = time.monotonic() >= deadline or any(
-                w["id"] == watch_id and w["done"] for w in self.remap_watches()
+            give_up = time.monotonic() >= deadline or not any(
+                w["id"] == watch_id and not w["done"] for w in self.remap_watches()
             )
             if not give_up:
                 time.sleep(poll_interval_s)

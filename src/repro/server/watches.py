@@ -1,11 +1,12 @@
 """Remap watches: the daemon's background drift → remap-decision loops.
 
-One :class:`RemapWatch` per ``POST /v1/remap/watch`` registration, each
-a strictly sequential tick chain: refresh the snapshot, predict the
-watched mapping, feed the drift watcher, and on a drift event ask the
-:class:`~repro.remap.remapper.Remapper` for a cost/benefit decision.
-:class:`RemapWatches` owns the registry, the loops and the bounded ring
-of decision documents.  See ``docs/REMAPPING.md``.
+One :class:`RemapWatch` per ``POST /v1/remap/watch`` registration: a
+:class:`~repro.remap.loop.RemapLoop` (the whole remap state) plus the
+daemon's schedule for it, a strictly sequential tick chain.  A tick
+refreshes the snapshot and calls ``RemapLoop.step``; this module adds
+the decision document, the log line and adoption at the tick's logical
+time.  :class:`RemapWatches` owns the registry, the loops and the
+bounded ring of decision documents.  See ``docs/REMAPPING.md``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro import telemetry
 from repro.core.mapping import TaskMapping
 from repro.core.service import CBES
 from repro.remap.drift import DRIFT_EVENTS_TOTAL, DriftWatcher
+from repro.remap.loop import RemapLoop
 from repro.remap.remapper import DECISIONS_TOTAL, MIGRATION_SECONDS_TOTAL, Remapper
 from repro.server.execution import JobRunner
 from repro.server.protocol import ApiError
@@ -27,58 +29,48 @@ __all__ = ["MAX_DECISIONS", "RemapWatch", "RemapWatches"]
 
 log = logging.getLogger("repro.server.watches")
 
-#: Retained remap decision documents (oldest dropped beyond this).
+#: Retained remap decision documents, and retained finished watches
+#: (oldest dropped beyond this; running watches are always kept).
 MAX_DECISIONS = 256
+
+#: Wire order of a watch document's fields.
+_WATCH_FIELDS = (
+    "id", "app", "mapping", "pool", "interval_s", "max_ticks", "seed",
+    "baseline_s", "ticks", "drift_events", "proposals", "remaps", "done",
+)
 
 
 @dataclass
 class RemapWatch:
-    """State of one ``POST /v1/remap/watch`` registration.
+    """One ``POST /v1/remap/watch`` registration: a loop and its schedule.
 
     Mutated only from the watch's own (strictly sequential) tick chain,
     so no lock is needed; the listing endpoint reads a point-in-time
-    view of plain ints/floats.
+    view of plain ints/floats.  A daemon watch has no progress signal,
+    so its loop steps at ``fraction_remaining=1.0`` (whole-run scale);
+    callers with progress knowledge should drive a ``RemapLoop`` directly.
     """
 
     id: str
     app: str
-    mapping: TaskMapping
-    pool: tuple[str, ...] | None
+    loop: RemapLoop
     interval_s: float
     max_ticks: int | None
-    seed: int
-    #: Predicted execution time of the mapping under the snapshot the
-    #: watch was registered (or last remapped) against — the drift
-    #: baseline.  A daemon watch has no progress signal, so drift and
-    #: cost/benefit both use ``fraction_remaining=1.0`` (whole-run
-    #: scale); external callers with progress knowledge should drive
-    #: :class:`~repro.remap.remapper.Remapper` directly.
-    baseline_s: float
-    watcher: DriftWatcher
-    remapper: Remapper
     ticks: int = 0
-    drift_events: int = 0
-    proposals: int = 0
-    remaps: int = 0
     done: bool = False
     task: asyncio.Task | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "app": self.app,
-            "mapping": list(self.mapping.as_tuple()),
-            "pool": list(self.pool) if self.pool is not None else None,
-            "interval_s": self.interval_s,
-            "max_ticks": self.max_ticks,
-            "seed": self.seed,
-            "baseline_s": self.baseline_s,
-            "ticks": self.ticks,
-            "drift_events": self.drift_events,
-            "proposals": self.proposals,
-            "remaps": self.remaps,
-            "done": self.done,
-        }
+        doc = self.loop.to_dict()
+        doc.update(
+            id=self.id,
+            app=self.app,
+            interval_s=self.interval_s,
+            max_ticks=self.max_ticks,
+            ticks=self.ticks,
+            done=self.done,
+        )
+        return {key: doc[key] for key in _WATCH_FIELDS}
 
 
 class RemapWatches:
@@ -106,7 +98,7 @@ class RemapWatches:
         metrics.counter(*MIGRATION_SECONDS_TOTAL)
         metrics.gauge(
             "cbes_remap_watches",
-            "Registered remap watches (including finished ones).",
+            "Listed remap watches (running, plus retained finished ones).",
             callback=lambda: len(self._watches),
         )
 
@@ -114,7 +106,7 @@ class RemapWatches:
         return len(self._watches)
 
     def to_dicts(self) -> list[dict]:
-        """Every registered watch (finished ones included), oldest first."""
+        """Running watches and the retained finished ones, oldest first."""
         return [watch.to_dict() for watch in self._watches.values()]
 
     @property
@@ -141,18 +133,20 @@ class RemapWatches:
         watch = RemapWatch(
             id=f"w{self._seq:04d}",
             app=doc["app"],
-            mapping=mapping,
-            pool=tuple(doc["pool"]) if doc["pool"] is not None else None,
+            loop=RemapLoop(
+                mapping=mapping,
+                baseline_s=baseline_s,
+                watcher=DriftWatcher(
+                    threshold=doc["threshold"],
+                    hysteresis=doc["hysteresis"],
+                    cooldown_s=doc["cooldown_s"],
+                ),
+                remapper=Remapper(safety_factor=doc["safety_factor"]),
+                pool=tuple(doc["pool"]) if doc["pool"] is not None else None,
+                seed=doc["seed"],
+            ),
             interval_s=doc["interval_s"],
             max_ticks=doc["max_ticks"],
-            seed=doc["seed"],
-            baseline_s=baseline_s,
-            watcher=DriftWatcher(
-                threshold=doc["threshold"],
-                hysteresis=doc["hysteresis"],
-                cooldown_s=doc["cooldown_s"],
-            ),
-            remapper=Remapper(safety_factor=doc["safety_factor"]),
         )
         self._watches[watch.id] = watch
         watch.task = asyncio.get_running_loop().create_task(
@@ -196,7 +190,14 @@ class RemapWatches:
                 log.warning("remap watch %s tick failed: %s", watch.id, exc)
             if watch.max_ticks is not None and watch.ticks >= watch.max_ticks:
                 watch.done = True
+                self._forget_finished()
                 log.info("remap watch %s finished after %d tick(s)", watch.id, watch.ticks)
+
+    def _forget_finished(self) -> None:
+        """Drop all but the newest ``MAX_DECISIONS`` finished watches."""
+        finished = [watch.id for watch in self._watches.values() if watch.done]
+        for watch_id in finished[:-MAX_DECISIONS]:
+            del self._watches[watch_id]
 
     def _tick(self, watch: RemapWatch) -> None:
         """One monitoring tick, on a worker thread (CPU-bound search)."""
@@ -204,19 +205,10 @@ class RemapWatches:
         evaluator = self._service.evaluator(watch.app, snapshot=snapshot)
         self._runner.context_for(watch.app, evaluator.options, snapshot, evaluator)
         now_s = watch.ticks * watch.interval_s  # logical clock: deterministic
-        predicted_s = evaluator.execution_time(watch.mapping)
-        event = watch.watcher.observe(now_s, predicted_s, watch.baseline_s)
-        if event is None:
+        fired = watch.loop.step(evaluator, now_s)
+        if fired is None:
             return
-        watch.drift_events += 1
-        plan = watch.remapper.propose(
-            evaluator,
-            watch.mapping,
-            pool=watch.pool,
-            fraction_remaining=1.0,
-            seed=watch.seed,
-        )
-        watch.proposals += 1
+        event, plan = fired
         doc = plan.to_dict()
         doc.update(
             watch_id=watch.id,
@@ -230,10 +222,8 @@ class RemapWatches:
             self._decisions.append(doc)
             del self._decisions[:-MAX_DECISIONS]
         if plan.remap:
-            watch.mapping = plan.candidate
-            watch.remaps += 1
-            watch.watcher.rebase(now_s)
-            watch.baseline_s = evaluator.execution_time(plan.candidate)
+            # The daemon's clock does not pause for the migration.
+            watch.loop.adopt(plan, evaluator, now_s)
         log.info(
             "remap watch %s tick %d: drift %.1f%% -> %s (savings %.2fs, cost %.2fs)",
             watch.id,

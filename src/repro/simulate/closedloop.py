@@ -7,12 +7,11 @@ conditions change" of the paper's future-work scenario), and compare
 two policies over the *same* injection schedule:
 
 * ``stay`` — keep the initial mapping to the end (the baseline);
-* ``remap`` — between phases, feed the :class:`~repro.remap.drift.
-  DriftWatcher` the current mapping's predicted remaining time under
-  the fresh snapshot; when drift fires, ask the :class:`~repro.remap.
-  remapper.Remapper` for a plan and, if it says remap, *pause the
-  simulated clock for the plan's migration cost* and continue on the
-  new mapping.
+* ``remap`` — between phases, :meth:`RemapLoop.step
+  <repro.remap.loop.RemapLoop.step>` (the same tick the daemon's
+  watches run) at the simulated clock and the remaining work fraction;
+  when its plan says remap, *pause the simulated clock for the plan's
+  migration cost* and adopt the new mapping at the post-pause time.
 
 Makespans therefore charge the remap policy its own medicine: a switch
 only wins if the migration pause is recouped by faster phases — which
@@ -22,25 +21,18 @@ seeded simulator runs, and injected loads restored on exit.
 
 This module is intentionally *not* imported by ``repro.simulate``'s
 package ``__init__`` — it sits above :mod:`repro.remap` in the layer
-graph while the simulator's contention kernel sits below the core
-fast path; import it directly::
-
-    from repro.simulate.closedloop import LoadPhase, run_closed_loop
+graph while the simulator's contention kernel sits below the core fast
+path; import it directly (``from repro.simulate.closedloop import ...``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.mapping import TaskMapping
 from repro.monitoring.load import LoadEvent, LoadGenerator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layer cycles
-    from repro.remap.drift import DriftWatcher
-    from repro.remap.plan import RemapPlan
-    from repro.remap.remapper import Remapper
+from repro.remap import DriftWatcher, RemapLoop, Remapper, RemapPlan
 
 __all__ = ["LoadPhase", "ClosedLoopResult", "run_closed_loop"]
 
@@ -77,7 +69,7 @@ class ClosedLoopResult:
     #: said "stay" executes nothing).
     drift_events: int
     #: Every plan evaluated, in firing order (empty for ``stay``).
-    decisions: tuple["RemapPlan", ...]
+    decisions: tuple[RemapPlan, ...]
     phase_wall_s: tuple[float, ...]
     final_mapping: TaskMapping
 
@@ -91,8 +83,8 @@ def run_closed_loop(
     scenario: Sequence[LoadPhase] = (),
     phases: int = 8,
     policy: str = "remap",
-    remapper: "Remapper | None" = None,
-    watcher: "DriftWatcher | None" = None,
+    remapper: Remapper | None = None,
+    watcher: DriftWatcher | None = None,
     pool: Sequence[str] | None = None,
     seed: int = 0,
 ) -> ClosedLoopResult:
@@ -106,9 +98,6 @@ def run_closed_loop(
     before returning, even on error, so back-to-back policy runs see
     identical conditions.
     """
-    from repro.remap.drift import DriftWatcher
-    from repro.remap.remapper import Remapper
-
     if policy not in ("remap", "stay"):
         raise ValueError("policy must be 'remap' or 'stay'")
     if phases < 1:
@@ -120,20 +109,24 @@ def run_closed_loop(
         raise ValueError("mapping must place exactly nprocs processes")
     program = app.program(nprocs)
     schedule = sorted(scenario, key=lambda p: p.at_fraction)
-    remapper = remapper or Remapper()
-    watcher = watcher or DriftWatcher()
     generator = LoadGenerator(cluster)
+    # Baseline: what the incumbent mapping was expected to take under
+    # pre-injection conditions; the drift signal is predicted/baseline.
+    loop = RemapLoop(
+        mapping=current,
+        baseline_s=service.evaluator(app.name).execution_time(current),
+        watcher=watcher or DriftWatcher(),
+        remapper=remapper or Remapper(),
+        pool=pool,
+        seed=seed,
+    )
 
     clock = 0.0
     compute_s = 0.0
     migration_s = 0.0
-    remaps = 0
-    decisions: list = []
+    decisions: list[RemapPlan] = []
     phase_wall: list[float] = []
     restore: list[tuple[LoadEvent, ...]] = []
-    # Baseline: what the incumbent mapping was expected to take under
-    # pre-injection conditions; the drift signal is predicted/baseline.
-    baseline_s = service.evaluator(app.name).execution_time(current)
     injected = 0
     try:
         for phase in range(phases):
@@ -142,33 +135,20 @@ def run_closed_loop(
                 restore.append(generator.apply(list(schedule[injected].events)))
                 injected += 1
             if policy == "remap":
-                fraction = 1.0 - progress
                 evaluator = service.evaluator(app.name)
-                predicted_s = evaluator.execution_time(current)
-                event = watcher.observe(
-                    clock, predicted_s * fraction, baseline_s * fraction
-                )
-                if event is not None:
-                    plan = remapper.propose(
-                        evaluator,
-                        current,
-                        pool=pool,
-                        fraction_remaining=fraction,
-                        seed=seed,
-                    )
+                fired = loop.step(evaluator, clock, 1.0 - progress)
+                if fired is not None:
+                    _, plan = fired
                     decisions.append(plan)
                     if plan.remap:
-                        # Pause for the migration, adopt, rebase the
-                        # drift baseline to the new mapping's forecast.
+                        # Pause for the migration; the new mapping (and
+                        # its cooldown window) starts after the pause.
                         clock += plan.migration_cost_s
                         migration_s += plan.migration_cost_s
-                        remaps += 1
-                        current = plan.candidate
-                        watcher.rebase(clock)
-                        baseline_s = evaluator.execution_time(current)
+                        loop.adopt(plan, evaluator, clock)
             result = service.simulator.run(
                 program,
-                current.as_dict(),
+                loop.mapping.as_dict(),
                 seed=seed + 101 * phase,
                 arch_affinity=app.arch_affinity,
                 collect_trace=False,
@@ -185,9 +165,9 @@ def run_closed_loop(
         makespan_s=clock,
         compute_s=compute_s,
         migration_s=migration_s,
-        remaps=remaps,
-        drift_events=watcher.events,
+        remaps=loop.remaps,
+        drift_events=loop.drift_events,
         decisions=tuple(decisions),
         phase_wall_s=tuple(phase_wall),
-        final_mapping=current,
+        final_mapping=loop.mapping,
     )

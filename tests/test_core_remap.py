@@ -1,11 +1,21 @@
-"""Tests for the remapping cost/benefit advisor."""
+"""Tests for the flat cost model and the cost/benefit verdict it prices.
+
+``TestRemapAdvisor`` keeps its name (and test ids) from the class it
+used to cover: ``Remapper(cost_model=RemapCostModel(...),
+safety_factor=1.0).decide(...)`` is that advisor.
+"""
 
 import pytest
 
 from repro.cluster import single_switch
-from repro.core import CBES, RemapAdvisor, RemapCostModel, TaskMapping
+from repro.core import CBES, RemapCostModel, TaskMapping
 from repro.monitoring.load import LoadEvent, LoadGenerator
+from repro.remap import Remapper
 from repro.workloads import SyntheticBenchmark
+
+
+def flat_remapper(cost_model: RemapCostModel | None = None) -> Remapper:
+    return Remapper(cost_model=cost_model or RemapCostModel(), safety_factor=1.0)
 
 
 class TestRemapCostModel:
@@ -43,11 +53,13 @@ class TestRemapAdvisor:
         current = TaskMapping(nodes[:2])
         candidate = TaskMapping(nodes[2:4])
         LoadGenerator(cluster).apply([LoadEvent(nodes[0], cpu_load=1.0)])
-        decision = RemapAdvisor(RemapCostModel(fixed_s=0.5, per_task_s=0.25)).evaluate(
+        plan = flat_remapper(RemapCostModel(fixed_s=0.5, per_task_s=0.25)).decide(
             service.evaluator(app.name), current, candidate, fraction_remaining=1.0
         )
-        assert decision.remap
-        assert decision.benefit_s > 0
+        assert plan.remap
+        assert plan.net_benefit_s > 0
+        assert plan.migration_cost_s == 0.5 + 0.25 * 2
+        assert [(m.rank, m.seconds) for m in plan.moves] == [(0, 0.25), (1, 0.25)]
 
     def test_rejects_when_little_work_remains(self, setup):
         cluster, service, app = setup
@@ -56,29 +68,30 @@ class TestRemapAdvisor:
         candidate = TaskMapping(nodes[2:4])
         LoadGenerator(cluster).apply([LoadEvent(nodes[0], cpu_load=1.0)])
         # Huge migration cost vs 1% of remaining work: stay put.
-        decision = RemapAdvisor(RemapCostModel(fixed_s=100.0, per_task_s=10.0)).evaluate(
+        plan = flat_remapper(RemapCostModel(fixed_s=100.0, per_task_s=10.0)).decide(
             service.evaluator(app.name), current, candidate, fraction_remaining=0.01
         )
-        assert not decision.remap
+        assert not plan.remap
 
     def test_identical_candidate_never_remaps(self, setup):
         cluster, service, app = setup
         current = TaskMapping(cluster.node_ids()[:2])
-        decision = RemapAdvisor().evaluate(
+        plan = flat_remapper().decide(
             service.evaluator(app.name), current, current, fraction_remaining=0.5
         )
-        assert not decision.remap
-        assert decision.migration_cost_s == 0.0
-        assert decision.benefit_s == pytest.approx(0.0)
+        assert not plan.remap
+        assert plan.moves == ()
+        assert plan.migration_cost_s == 0.0
+        assert plan.net_benefit_s == pytest.approx(0.0)
 
     def test_fraction_validation(self, setup):
         cluster, service, app = setup
         current = TaskMapping(cluster.node_ids()[:2])
         with pytest.raises(ValueError):
-            RemapAdvisor().evaluate(
+            flat_remapper().decide(
                 service.evaluator(app.name), current, current, fraction_remaining=0.0
             )
         with pytest.raises(ValueError):
-            RemapAdvisor().evaluate(
+            flat_remapper().decide(
                 service.evaluator(app.name), current, current, fraction_remaining=1.2
             )

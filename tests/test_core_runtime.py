@@ -6,7 +6,6 @@ from repro.cluster import orange_grove
 from repro.core import (
     CBES,
     CbesError,
-    RemapAdvisor,
     RemapCostModel,
     RemapTrigger,
     RuntimeScheduler,
@@ -14,6 +13,7 @@ from repro.core import (
     TaskMapping,
 )
 from repro.monitoring.load import LoadEvent, LoadGenerator
+from repro.remap import Remapper
 from repro.schedulers import AnnealingSchedule, CbesScheduler
 from repro.workloads import LU, PhasedApplication
 
@@ -37,7 +37,9 @@ def make_runtime(service, pool, **kwargs):
         service,
         CbesScheduler(schedule=FAST_SA, restarts=1),
         pool=pool,
-        advisor=RemapAdvisor(RemapCostModel(fixed_s=0.5, per_task_s=0.2)),
+        remapper=Remapper(
+            cost_model=RemapCostModel(fixed_s=0.5, per_task_s=0.2), safety_factor=1.0
+        ),
         **kwargs,
     )
 
@@ -87,6 +89,10 @@ class TestRemapTriggers:
         assert decision.remap
         assert running.remap_count == 1
         assert victim not in running.mapping.nodes_used()
+        # The verdict is a RemapPlan at the flat price.
+        assert running.mapping == decision.candidate
+        assert decision.migration_cost_s == pytest.approx(0.5 + 0.2 * len(decision.moves))
+        assert decision.savings_s > decision.migration_cost_s
 
     def test_no_remap_when_nearly_done(self, setup):
         cluster, service, app = setup

@@ -9,14 +9,12 @@ the full formula and for every ablation option combination.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import pytest
 
 from repro._rng import Rng
 from repro._util import spawn_rng
 from repro.cluster import single_switch
-from repro.cluster.latency import LOCAL_ALPHA_S, LatencyModel
 from repro.core import CBES, EvaluationOptions, TaskMapping
 from repro.core.fast_eval import EvaluationContext
 from repro.monitoring.snapshot import NodeState, SystemSnapshot
@@ -270,40 +268,6 @@ class TestContextCache:
         snap = service.snapshot()
         assert context.is_valid_for(snap)
         assert not context.is_valid_for(snap.with_load(service.cluster.node_ids()[0], 2.5))
-
-
-class TestLatencyBulkApi:
-    def test_component_matrices_match_scalar_queries(self, service):
-        pytest.importorskip("numpy")
-        model: LatencyModel = service.cluster.latency_model
-        hosts = sorted(model.hosts)
-        a_src, a_dst, a_net, beta = model.component_matrices(hosts)
-        for i, j in itertools.product(range(len(hosts)), repeat=2):
-            pc = model.components(hosts[i], hosts[j])
-            assert a_src[i, j] == pc.alpha_src
-            assert a_dst[i, j] == pc.alpha_dst
-            assert a_net[i, j] == pc.alpha_net
-            assert beta[i, j] == pc.beta
-        assert a_src[0, 0] == LOCAL_ALPHA_S
-
-    def test_no_load_matrix_matches_scalar(self, service):
-        pytest.importorskip("numpy")
-        model: LatencyModel = service.cluster.latency_model
-        hosts = sorted(model.hosts)[:4]
-        matrix = model.no_load_matrix(hosts, 2048.0)
-        for i, j in itertools.product(range(len(hosts)), repeat=2):
-            assert matrix[i, j] == pytest.approx(
-                model.no_load(hosts[i], hosts[j], 2048.0), abs=1e-15
-            )
-
-    def test_memoized_no_load_lookup(self, service, app_name):
-        evaluator = service.evaluator(app_name)
-        context: EvaluationContext = evaluator.fast_context()
-        hosts = context.node_ids
-        first = context.no_load(hosts[0], hosts[1], 4096.0)
-        model = service.cluster.latency_model
-        assert first == pytest.approx(model.no_load(hosts[0], hosts[1], 4096.0), abs=1e-15)
-        assert context.no_load(hosts[0], hosts[1], 4096.0) == first  # served from the table
 
 
 class TestFalsyZeroAcpuRegression:

@@ -8,8 +8,9 @@ at reduced scale.
 import pytest
 
 from repro.cluster import orange_grove
-from repro.core import CBES, EvaluationOptions, RemapAdvisor, RemapCostModel, TaskMapping
+from repro.core import CBES, EvaluationOptions, RemapCostModel, TaskMapping
 from repro.monitoring.load import LoadEvent, LoadGenerator
+from repro.remap import Remapper
 from repro.schedulers import AnnealingSchedule, CbesScheduler, NoCommScheduler, RandomScheduler
 from repro.workloads import LU, Aztec, Towhee
 
@@ -64,7 +65,7 @@ class TestFullPipeline:
         assert loaded_pred > idle_pred * 1.2
 
     def test_remapping_story(self, og_service):
-        """Load lands on a mapped node -> the advisor recommends moving."""
+        """Load lands on a mapped node -> the verdict is to move."""
         service = og_service
         cluster = service.cluster
         alphas = cluster.nodes_by_arch("alpha-533")
@@ -74,11 +75,12 @@ class TestFullPipeline:
         with generator.loaded([LoadEvent(alphas[0], cpu_load=1.0)]):
             evaluator = service.evaluator("lu.A")
             candidate = TaskMapping([intels[0]] + alphas[1:])
-            decision = RemapAdvisor(RemapCostModel(fixed_s=1.0, per_task_s=0.5)).evaluate(
-                evaluator, current, candidate, fraction_remaining=0.8
-            )
-        assert decision.remap
-        assert decision.benefit_s > 0
+            plan = Remapper(
+                cost_model=RemapCostModel(fixed_s=1.0, per_task_s=0.5), safety_factor=1.0
+            ).decide(evaluator, current, candidate, fraction_remaining=0.8)
+        assert plan.remap
+        assert plan.net_benefit_s > 0
+        assert [m.rank for m in plan.moves] == [0]
 
 
 class TestScientificClaims:

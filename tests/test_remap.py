@@ -4,7 +4,8 @@ Covers the three pieces and their composition: the topology-aware
 migration cost model (scalar reference vs vectorized fast-eval diff
 path), the hysteresis/cooldown drift watcher, the warm-started
 remapper (including decision determinism across search parallelism),
-and the closed-loop simulation experiment.
+the one remap tick (``RemapLoop.step`` / ``adopt``), and the closed-loop
+simulation experiment.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from repro.cluster import single_switch
 from repro.core import CBES, TaskMapping
 from repro.monitoring.load import LoadEvent, LoadGenerator
-from repro.remap import DriftWatcher, MigrationCostModel, Remapper
+from repro.remap import DriftWatcher, MigrationCostModel, RemapLoop, Remapper
 from repro.simulate.closedloop import LoadPhase, run_closed_loop
 from repro.workloads import LU, SyntheticBenchmark
 
@@ -238,6 +239,87 @@ class TestRemapper:
             remapper.propose(evaluator, current, pool=[])
         with pytest.raises(ValueError):
             Remapper(safety_factor=0.0)
+
+
+class TestRemapLoop:
+    """``RemapLoop.step`` over a scripted load sequence, one row a tick."""
+
+    #: (now_s, load the incumbent's nodes?, fraction_remaining, outcome)
+    SCRIPT = [
+        (0.0, False, 1.0, None),  # idle: nothing fires
+        (10.0, True, 0.01, "stay"),  # drift, but the tail cannot repay a migration
+        (20.0, False, 1.0, None),  # receded: re-arms
+        (30.0, True, 1.0, "remap"),  # drift with the whole run ahead
+        (35.0, True, 1.0, None),  # new incumbent drifts inside its cooldown
+        (50.0, True, 1.0, "remap"),  # cooldown (from the adoption at 30) over
+    ]
+
+    def test_step_table(self, service_and_app):
+        service, app = service_and_app
+        start = TaskMapping(service.cluster.node_ids()[:NPROCS])
+        loop = RemapLoop(
+            mapping=start,
+            baseline_s=service.evaluator(app.name).execution_time(start),
+            watcher=DriftWatcher(threshold=0.10, cooldown_s=15.0),
+            remapper=Remapper(restarts=2, seed_scan=4),
+            seed=3,
+        )
+        generator = LoadGenerator(service.cluster)
+        for now_s, load, fraction, outcome in self.SCRIPT:
+            events = [LoadEvent(n, cpu_load=1.5) for n in loop.mapping.as_tuple()] if load else []
+            before = loop.to_dict()
+            with generator.loaded(events):
+                evaluator = service.evaluator(app.name)
+                fired = loop.step(evaluator, now_s, fraction)
+                if outcome is None:
+                    assert fired is None, now_s
+                    assert loop.to_dict() == before  # no state change
+                    continue
+                event, plan = fired
+                assert event.now_s == now_s
+                assert plan.remap is (outcome == "remap"), now_s
+                assert plan.current.as_tuple() == tuple(before["mapping"])
+                # Verdict recorded, nothing adopted yet.
+                assert loop.drift_events == before["drift_events"] + 1
+                assert loop.proposals == before["proposals"] + 1
+                assert not loop.watcher.armed
+                unadopted = dict(before, drift_events=loop.drift_events, proposals=loop.proposals)
+                assert loop.to_dict() == unadopted
+                if plan.remap:
+                    loop.adopt(plan, evaluator, now_s)
+                    # Mapping, baseline and watcher move together.
+                    assert loop.mapping == plan.candidate != plan.current
+                    assert loop.baseline_s == evaluator.execution_time(plan.candidate)
+                    assert loop.remaps == before["remaps"] + 1
+                    assert loop.watcher.armed
+        assert (loop.drift_events, loop.proposals, loop.remaps) == (3, 3, 2)
+
+    def test_adoption_time_starts_the_cooldown(self, service_and_app):
+        """The caller's resume time, not the tick time, opens the window."""
+        service, app = service_and_app
+        nodes = service.cluster.node_ids()
+        start = TaskMapping(nodes[:NPROCS])
+        evaluator = service.evaluator(app.name)
+        baseline_s = evaluator.execution_time(start)
+        fired_at = []
+        for resume_s in (1.0, 4.0):  # no pause; a 3 s migration pause
+            loop = RemapLoop(
+                mapping=start,
+                baseline_s=baseline_s,
+                watcher=DriftWatcher(threshold=0.10, cooldown_s=5.0),
+                remapper=Remapper(restarts=2, seed_scan=4),
+            )
+            with LoadGenerator(service.cluster).loaded(
+                [LoadEvent(n, cpu_load=1.5) for n in nodes[:NPROCS]]
+            ):
+                loaded = service.evaluator(app.name)
+                _, plan = loop.step(loaded, 1.0)
+                loop.adopt(plan, loaded, resume_s)
+            with LoadGenerator(service.cluster).loaded(
+                [LoadEvent(n, cpu_load=1.5) for n in loop.mapping.as_tuple()]
+            ):
+                fired_at.append(loop.step(service.evaluator(app.name), 7.0) is not None)
+        assert fired_at == [True, False]
 
 
 class TestClosedLoop:

@@ -16,6 +16,7 @@ from repro.schedulers import (
     anneal,
     random_mapping,
 )
+from repro.schedulers.genetic import _crossover
 
 POOL = [f"n{i}" for i in range(8)]
 
@@ -257,7 +258,7 @@ class TestGeneticInternals:
         a = TaskMapping(POOL[:4])
         b = TaskMapping(POOL[4:8])
         for _ in range(50):
-            child = GeneticScheduler._crossover(a, b, POOL, rng)
+            child = _crossover(a, b, POOL, rng)
             assert child.nprocs == 4
             assert child.is_one_per_node
             assert set(child.nodes_used()) <= set(POOL)
@@ -265,5 +266,5 @@ class TestGeneticInternals:
     def test_crossover_inherits_genes(self):
         rng = spawn_rng(3, "ga")
         a = TaskMapping(POOL[:4])
-        child = GeneticScheduler._crossover(a, a, POOL, rng)
+        child = _crossover(a, a, POOL, rng)
         assert child == a

@@ -7,11 +7,15 @@ smoke runs: register a watch, inject drift, and wait for the recorded
 cost/benefit decision.
 """
 
+import time
+
 import pytest
 
 from repro.cluster import single_switch
-from repro.core import CBES
-from repro.server import DaemonThread, ServerError
+from repro.core import CBES, TaskMapping
+from repro.monitoring.load import LoadEvent, LoadGenerator
+from repro.remap import DriftWatcher, RemapLoop, Remapper
+from repro.server import DaemonThread, ServerError, watches
 from repro.workloads import LU
 
 NPROCS = 4
@@ -138,6 +142,34 @@ class TestWatchLoop:
         assert "cbes_remap_drift_events_total 1" in metrics
         assert "cbes_remap_migration_seconds_total" in metrics
 
+        # Daemon == library: the same scenario through a bare RemapLoop
+        # on an identically seeded service yields the recorded documents.
+        service, app_name = make_service()
+        start = TaskMapping(nodes)
+        loop = RemapLoop(
+            mapping=start,
+            baseline_s=service.evaluator(app_name).execution_time(start),
+            watcher=DriftWatcher(),
+            remapper=Remapper(),
+            seed=5,
+        )
+        assert loop.baseline_s == watch["baseline_s"]
+        LoadGenerator(service.cluster).apply([LoadEvent(n, cpu_load=1.5) for n in nodes])
+        snapshot = service.snapshot().freeze()
+        evaluator = service.evaluator(app_name, snapshot=snapshot)
+        event, plan = loop.step(evaluator, decision["at_s"])
+        added = {
+            "watch_id": watch["id"],
+            "app": app_name,
+            "tick": decision["tick"],
+            "at_s": decision["at_s"],
+            "drift": round(event.degradation, 6),
+            "snapshot_fingerprint": snapshot.fingerprint(),
+        }
+        assert decision == {**plan.to_dict(), **added}
+        loop.adopt(plan, evaluator, decision["at_s"])
+        assert {key: state[key] for key in loop.to_dict()} == loop.to_dict()
+
     def test_steady_watch_finishes_without_decisions(self, client, server):
         nodes = [f"watchy-n{i:02d}" for i in range(NPROCS)]
         watch = client.remap_watch(
@@ -150,6 +182,28 @@ class TestWatchLoop:
         assert state["ticks"] == 5
         assert state["drift_events"] == 0
         assert client.remap_decisions() == []
+
+    def test_finished_watches_are_forgotten_running_ones_kept(
+        self, client, server, monkeypatch
+    ):
+        monkeypatch.setattr(watches, "MAX_DECISIONS", 3)
+        nodes = [f"watchy-n{i:02d}" for i in range(NPROCS)]
+        running = client.remap_watch(server.app_name, nodes, interval_s=30.0)
+        burst = [
+            client.remap_watch(server.app_name, nodes, interval_s=0.01, max_ticks=1)["id"]
+            for _ in range(8)
+        ]
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            listed = client.remap_watches()
+            if all(w["done"] for w in listed if w["id"] != running["id"]):
+                break
+            time.sleep(0.05)
+        # The oldest watch is still running, so it stays; of the eight
+        # finished ones only the newest three are retained.
+        assert [w["id"] for w in listed] == [running["id"], *burst[-3:]]
+        assert [w["done"] for w in listed] == [False, True, True, True]
+        assert client.healthz()["remap_watches"] == 4
 
     def test_decisions_limit_query(self, client):
         assert client.remap_decisions(limit=3) == []
