@@ -13,6 +13,7 @@ import numpy as np
 
 from repro._util import spawn_rng
 from repro.core import TaskMapping
+from repro.experiments.harness import Artefact
 from repro.experiments.report import ascii_table
 from repro.monitoring.monitor import SystemMonitor
 from repro.workloads import SyntheticBenchmark
@@ -20,7 +21,7 @@ from repro.workloads import SyntheticBenchmark
 KINDS = ["last-value", "mean", "median", "ewma", "ar1", "adaptive"]
 
 
-def run_ablation(ctx):
+def run(ctx):
     cluster = ctx.service.cluster
     app = SyntheticBenchmark(comm_fraction=0.1, duration_s=30.0, steps=6, name="abl.fc")
     alphas = cluster.nodes_by_arch("alpha-533")
@@ -63,16 +64,15 @@ def run_ablation(ctx):
     return rows
 
 
-def test_ablation_forecasting(benchmark, og_ctx):
-    rows = benchmark.pedantic(run_ablation, args=(og_ctx,), rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["forecaster", "load MAE", "prediction error vs true-load %"],
-            [[r["kind"], f"{r['snap_mae']:.3f}", f"{r['pred_err']:.2f}"] for r in rows],
-            title="Ablation: monitoring forecaster choice",
-        )
+def render(rows) -> str:
+    return ascii_table(
+        ["forecaster", "load MAE", "prediction error vs true-load %"],
+        [[r["kind"], f"{r['snap_mae']:.3f}", f"{r['pred_err']:.2f}"] for r in rows],
+        title="Ablation: monitoring forecaster choice",
     )
+
+
+def check(rows) -> None:
     by = {r["kind"]: r for r in rows}
     # With sensor noise dominating signal drift, smoothing beats raw
     # last-value, and the adaptive (NWS-style) ensemble finds that out.
@@ -81,3 +81,6 @@ def test_ablation_forecasting(benchmark, og_ctx):
     best = min(rows, key=lambda r: r["snap_mae"])
     worst = max(rows, key=lambda r: r["snap_mae"])
     assert best["pred_err"] <= worst["pred_err"] + 0.5
+
+
+ARTEFACT = Artefact("ablation_forecasting", "orange-grove", run, render, check)

@@ -13,12 +13,13 @@ import numpy as np
 
 from repro._util import percent_error, spawn_rng
 from repro.core import EvaluationOptions
+from repro.experiments.harness import Artefact
 from repro.experiments.report import ascii_table
 from repro.schedulers.base import random_mapping
 from repro.workloads import SyntheticBenchmark
 
 
-def run_ablation(ctx):
+def run(ctx):
     cluster = ctx.service.cluster
     rng = spawn_rng(91, "abl-lambda")
     rows = []
@@ -53,21 +54,15 @@ def run_ablation(ctx):
     return rows
 
 
-def test_ablation_lambda_correction(benchmark, cent_ctx):
-    # Run on Centurion: its fat backbone keeps self-contention out of
-    # the picture, isolating the lambda effect itself.
-    rows = benchmark.pedantic(run_ablation, args=(cent_ctx,), rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["case", "mean lambda", "error with lambda %", "error without %"],
-            [
-                [r["case"], f"{r['lambda']:.2f}", f"{r['with']:.1f}", f"{r['without']:.1f}"]
-                for r in rows
-            ],
-            title="Ablation: eq. (7) lambda correction",
-        )
+def render(rows) -> str:
+    return ascii_table(
+        ["case", "mean lambda", "error with lambda %", "error without %"],
+        [[r["case"], f"{r['lambda']:.2f}", f"{r['with']:.1f}", f"{r['without']:.1f}"] for r in rows],
+        title="Ablation: eq. (7) lambda correction",
     )
+
+
+def check(rows) -> None:
     overlapped = rows[0]
     # Overlapped communication has lambda well below 1; dropping the
     # correction then badly overestimates the communication term.
@@ -76,3 +71,8 @@ def test_ablation_lambda_correction(benchmark, cent_ctx):
     # With the correction, errors stay in the paper's single-digit band.
     for r in rows:
         assert r["with"] < 10.0, r["case"]
+
+
+# Run on Centurion: its fat backbone keeps self-contention out of
+# the picture, isolating the lambda effect itself.
+ARTEFACT = Artefact("ablation_lambda", "centurion", run, render, check)

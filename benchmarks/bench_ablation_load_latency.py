@@ -12,12 +12,13 @@ import numpy as np
 
 from repro._util import percent_error
 from repro.core import EvaluationOptions, TaskMapping
+from repro.experiments.harness import Artefact
 from repro.experiments.report import ascii_table
 from repro.monitoring.load import LoadEvent, LoadGenerator
 from repro.workloads import SyntheticBenchmark
 
 
-def run_ablation(ctx):
+def run(ctx):
     cluster = ctx.service.cluster
     app = SyntheticBenchmark(
         comm_fraction=0.45, overlap=0.5, duration_s=30.0, steps=10, name="abl.loadlat"
@@ -60,22 +61,24 @@ def run_ablation(ctx):
     return rows
 
 
-def test_ablation_load_adjusted_latency(benchmark, og_ctx):
-    rows = benchmark.pedantic(run_ablation, args=(og_ctx,), rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["cpu load", "nic load", "error w/ adjustment %", "error w/o %"],
-            [
-                [f"{r['cpu']:.1f}", f"{r['nic']:.1f}", f"{r['adjusted']:.1f}", f"{r['unadjusted']:.1f}"]
-                for r in rows
-            ],
-            title="Ablation: load-adjusted latency L_c vs no-load L_0",
-        )
+def render(rows) -> str:
+    return ascii_table(
+        ["cpu load", "nic load", "error w/ adjustment %", "error w/o %"],
+        [
+            [f"{r['cpu']:.1f}", f"{r['nic']:.1f}", f"{r['adjusted']:.1f}", f"{r['unadjusted']:.1f}"]
+            for r in rows
+        ],
+        title="Ablation: load-adjusted latency L_c vs no-load L_0",
     )
+
+
+def check(rows) -> None:
     # With no load the two coincide.
     assert abs(rows[0]["adjusted"] - rows[0]["unadjusted"]) < 1.0
     # Under heavy NIC+CPU load, the adjustment matters.
     heavy = rows[-1]
     assert heavy["adjusted"] < heavy["unadjusted"]
     assert heavy["adjusted"] < 15.0
+
+
+ARTEFACT = Artefact("ablation_load_latency", "orange-grove", run, render, check)

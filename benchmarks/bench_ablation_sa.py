@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.experiments.harness import Artefact
 from repro.experiments.report import ascii_table
 from repro.experiments.scheduling import lu_zones
 from repro.schedulers import AnnealingSchedule, CbesScheduler
@@ -25,7 +26,7 @@ VARIANTS = [
 ]
 
 
-def run_ablation(ctx, nruns: int = 5):
+def run(ctx, nruns: int = 5):
     app = LU("A")
     cluster = ctx.service.cluster
     zone = lu_zones(cluster)["medium"]
@@ -54,19 +55,18 @@ def run_ablation(ctx, nruns: int = 5):
     return rows
 
 
-def test_ablation_sa_schedule_and_moves(benchmark, og_ctx):
-    rows = benchmark.pedantic(run_ablation, args=(og_ctx,), rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["variant", "mean predicted (s)", "best predicted (s)", "mean evaluations"],
-            [
-                [r["variant"], f"{r['mean_pred']:.1f}", f"{r['best_pred']:.1f}", f"{r['mean_evals']:.0f}"]
-                for r in rows
-            ],
-            title="Ablation: SA cooling schedule and move mix (LU medium zone)",
-        )
+def render(rows) -> str:
+    return ascii_table(
+        ["variant", "mean predicted (s)", "best predicted (s)", "mean evaluations"],
+        [
+            [r["variant"], f"{r['mean_pred']:.1f}", f"{r['best_pred']:.1f}", f"{r['mean_evals']:.0f}"]
+            for r in rows
+        ],
+        title="Ablation: SA cooling schedule and move mix (LU medium zone)",
     )
+
+
+def check(rows) -> None:
     by = {r["variant"]: r for r in rows}
     slow = by["slow cool (0.97), more moves"]
     fast = by["fast cool (0.8), few moves"]
@@ -76,3 +76,6 @@ def test_ablation_sa_schedule_and_moves(benchmark, og_ctx):
     # Swap-only search cannot change the node set: on a mixed-speed
     # pool it gets stuck with whatever nodes the random start drew.
     assert by["swap-only moves"]["mean_pred"] >= by["default (0.92)"]["mean_pred"] - 0.5
+
+
+ARTEFACT = Artefact("ablation_sa", "orange-grove", run, render, check)

@@ -8,13 +8,14 @@ node compute speeds, the in-zone range from communication.
 
 from __future__ import annotations
 
-from repro.experiments.harness import repetitions
+from repro.experiments.harness import Artefact, repetitions
 from repro.experiments.report import range_plot
 from repro.experiments.scheduling import lu_zones, sample_mapping_times
 from repro.workloads import LU
 
 
-def run_fig6(ctx, samples: int):
+def run(ctx):
+    samples = repetitions(12, 34)  # ~3 zones x samples ~ paper's 100 cases
     app = LU("A")
     zones = lu_zones(ctx.service.cluster)
     data = {}
@@ -23,19 +24,23 @@ def run_fig6(ctx, samples: int):
     return data
 
 
-def test_fig6_lu_execution_time_zones(benchmark, og_ctx):
-    samples = repetitions(12, 34)  # ~3 zones x samples ~ paper's 100 cases
-    data = benchmark.pedantic(run_fig6, args=(og_ctx, samples), rounds=1, iterations=1)
-    print()
-    print(
-        range_plot(
-            [
-                (f"{name} speed node group", min(times), max(times))
-                for name, times in data.items()
-            ],
-            label="Figure 6: LU on 8 Orange Grove nodes, measured time ranges",
-        )
+def space_gain(data) -> float:
+    """Overall average vs best (paper: 296.5 s avg vs 207.8 s best ~ 30%)."""
+    all_times = data["high"] + data["medium"] + data["low"]
+    mean = sum(all_times) / len(all_times)
+    return (mean - min(all_times)) / mean
+
+
+def render(data) -> str:
+    plot = range_plot(
+        [(f"{name} speed node group", min(times), max(times)) for name, times in data.items()],
+        label="Figure 6: LU on 8 Orange Grove nodes, measured time ranges",
     )
+    gain = space_gain(data)
+    return f"{plot}\naverage-case gain over the whole mapping space: {gain * 100:.1f}% (paper ~30%)"
+
+
+def check(data) -> None:
     high, medium, low = data["high"], data["medium"], data["low"]
     # Three distinct zones: the high band ends below the low band.
     assert max(high) < min(low)
@@ -47,10 +52,8 @@ def test_fig6_lu_execution_time_zones(benchmark, og_ctx):
     for name, times in data.items():
         spread = (max(times) - min(times)) / max(times)
         assert 0.005 < spread < 0.25, name
-    # Overall average vs best (paper: 296.5 s avg vs 207.8 s best ~ 30%).
-    all_times = high + medium + low
-    gain = (sum(all_times) / len(all_times) - min(all_times)) / (
-        sum(all_times) / len(all_times)
-    )
-    print(f"average-case gain over the whole mapping space: {gain * 100:.1f}% (paper ~30%)")
+    gain = space_gain(data)
     assert 0.10 < gain < 0.45
+
+
+ARTEFACT = Artefact("figure6", "orange-grove", run, render, check)

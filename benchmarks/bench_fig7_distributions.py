@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.harness import repetitions
+from repro.experiments.harness import Artefact, repetitions
 from repro.experiments.report import text_histogram
 from repro.experiments.scheduling import average_case, lu_zones
 from repro.workloads import LU
@@ -18,7 +18,8 @@ from repro.workloads import LU
 from conftest import BENCH_SA
 
 
-def run_fig7(ctx, nruns: int):
+def run(ctx):
+    nruns = repetitions(12, 100)
     cluster = ctx.service.cluster
     zone = lu_zones(cluster)["low"]
     return average_case(
@@ -33,13 +34,13 @@ def run_fig7(ctx, nruns: int):
     )
 
 
-def test_fig7_predicted_time_distributions(benchmark, og_ctx):
-    nruns = repetitions(12, 100)
-    result = benchmark.pedantic(run_fig7, args=(og_ctx, nruns), rounds=1, iterations=1)
-    print()
-    print(text_histogram(result.cs.predicted_times, bins=10, label="CS predicted times (s)"))
-    print()
-    print(text_histogram(result.ncs.predicted_times, bins=10, label="NCS predicted times (s)"))
+def render(result) -> str:
+    cs = text_histogram(result.cs.predicted_times, bins=10, label="CS predicted times (s)")
+    ncs = text_histogram(result.ncs.predicted_times, bins=10, label="NCS predicted times (s)")
+    return f"{cs}\n\n{ncs}"
+
+
+def check(result) -> None:
     cs = np.asarray(result.cs.predicted_times)
     ncs = np.asarray(result.ncs.predicted_times)
     # CS's distribution sits at the fast end of NCS's.
@@ -47,3 +48,6 @@ def test_fig7_predicted_time_distributions(benchmark, og_ctx):
     assert np.median(cs) <= np.percentile(ncs, 35)
     # CS is concentrated (skewed to the minimum); NCS spread out.
     assert cs.std() <= ncs.std() + 1e-9
+
+
+ARTEFACT = Artefact("figure7", "orange-grove", run, render, check)

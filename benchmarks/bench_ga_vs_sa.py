@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.experiments.harness import Artefact
 from repro.experiments.report import ascii_table
 from repro.experiments.scheduling import lu_zones
 from repro.schedulers import (
@@ -32,7 +33,7 @@ SCHEDULERS = [
 ]
 
 
-def run_comparison(ctx, nruns: int = 5):
+def run(ctx, nruns: int = 5):
     app = LU("A")
     cluster = ctx.service.cluster
     zone = lu_zones(cluster)["medium"]
@@ -60,19 +61,18 @@ def run_comparison(ctx, nruns: int = 5):
     return rows
 
 
-def test_ga_vs_sa_scheduling(benchmark, og_ctx):
-    rows = benchmark.pedantic(run_comparison, args=(og_ctx,), rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["scheduler", "mean predicted (s)", "best predicted (s)", "mean evals", "wall (s)"],
-            [
-                [r["scheduler"], f"{r['mean']:.1f}", f"{r['best']:.1f}", f"{r['evals']:.0f}", f"{r['wall']:.3f}"]
-                for r in rows
-            ],
-            title="Future work: GA vs SA scheduling on the CBES energy (LU medium zone)",
-        )
+def render(rows) -> str:
+    return ascii_table(
+        ["scheduler", "mean predicted (s)", "best predicted (s)", "mean evals", "wall (s)"],
+        [
+            [r["scheduler"], f"{r['mean']:.1f}", f"{r['best']:.1f}", f"{r['evals']:.0f}", f"{r['wall']:.3f}"]
+            for r in rows
+        ],
+        title="Future work: GA vs SA scheduling on the CBES energy (LU medium zone)",
     )
+
+
+def check(rows) -> None:
     by = {r["scheduler"]: r for r in rows}
     # Both metaheuristics beat random selection decisively.
     assert by["SA (CS)"]["mean"] < by["random"]["mean"] - 2.0
@@ -81,3 +81,6 @@ def test_ga_vs_sa_scheduling(benchmark, og_ctx):
     assert by["GA"]["mean"] <= by["SA (CS)"]["mean"] * 1.03
     # Quality degrades gracefully with a smaller GA budget.
     assert by["GA small"]["mean"] >= by["GA"]["mean"] - 0.5
+
+
+ARTEFACT = Artefact("ga_vs_sa", "orange-grove", run, render, check)

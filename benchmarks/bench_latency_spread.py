@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from repro.cluster import centurion, orange_grove
 from repro.cluster.latency import LatencyModel
+from repro.experiments.harness import Artefact
 from repro.experiments.report import ascii_table
 
 
-def run_spreads():
+def run(_ctx):
     rows = []
     for builder in (centurion, orange_grove):
         cluster = builder()
@@ -41,28 +42,27 @@ def run_spreads():
     return rows
 
 
-def test_latency_spread_and_calibration(benchmark):
-    rows = benchmark.pedantic(run_spreads, rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["cluster", "nodes", "spread @64B", "spread @1KB", "rounds", "pairs", "clique speedup", "fit err"],
+def render(rows) -> str:
+    return ascii_table(
+        ["cluster", "nodes", "spread @64B", "spread @1KB", "rounds", "pairs", "clique speedup", "fit err"],
+        [
             [
-                [
-                    r["cluster"],
-                    r["nodes"],
-                    f"{r['spread_small'] * 100:.1f}%",
-                    f"{r['spread_1k'] * 100:.1f}%",
-                    r["rounds"],
-                    r["pairs"],
-                    f"{r['clique_speedup']:.1f}x",
-                    f"{r['fit_err'] * 100:.2f}%",
-                ]
-                for r in rows
-            ],
-            title="Internode latency heterogeneity (paper: ~13% Centurion, ~54% Orange Grove)",
-        )
+                r["cluster"],
+                r["nodes"],
+                f"{r['spread_small'] * 100:.1f}%",
+                f"{r['spread_1k'] * 100:.1f}%",
+                r["rounds"],
+                r["pairs"],
+                f"{r['clique_speedup']:.1f}x",
+                f"{r['fit_err'] * 100:.2f}%",
+            ]
+            for r in rows
+        ],
+        title="Internode latency heterogeneity (paper: ~13% Centurion, ~54% Orange Grove)",
     )
+
+
+def check(rows) -> None:
     cent, og = rows
     assert 0.08 <= cent["spread_small"] <= 0.18  # ~13 %
     assert 0.40 <= max(og["spread_small"], og["spread_1k"]) <= 0.62  # ~54 %
@@ -71,3 +71,7 @@ def test_latency_spread_and_calibration(benchmark):
     assert cent["clique_speedup"] > 30
     # The fitted model tracks ground truth within a few percent.
     assert cent["fit_err"] < 0.05 and og["fit_err"] < 0.05
+
+
+# Builds (and calibrates with its own seed) both testbeds itself.
+ARTEFACT = Artefact("latency_spread", "", run, render, check)

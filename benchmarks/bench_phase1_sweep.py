@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.harness import full_scale
+from repro.experiments.harness import Artefact, full_scale
 from repro.experiments.report import text_histogram
 from repro.experiments.validation import Phase1Config, phase1_sweep
 
@@ -35,23 +35,29 @@ FULL = Phase1Config(
 )
 
 
-def run_phase1(ctx):
+def run(ctx):
     return phase1_sweep(ctx, FULL if full_scale() else REDUCED, seed=71)
 
 
-def test_phase1_synthetic_sweep(benchmark, cent_ctx):
-    # The paper's first prototype (and the bulk of its sweep) ran on
-    # Centurion, whose 1.2 Gb backbone absorbs concurrent flows; the
-    # federated Orange Grove adds self-contention the formula cannot
-    # see, which is studied separately in the scheduling experiments.
-    errors = benchmark.pedantic(run_phase1, args=(cent_ctx,), rounds=1, iterations=1)
+def render(errors) -> str:
     arr = np.asarray(errors)
     within_4 = float((arr <= 4.0).mean()) * 100.0
-    print()
-    print(text_histogram(errors, bins=10, label="Phase 1: prediction error distribution (%)"))
-    print(
-        f"cases: {arr.size}, mean error {arr.mean():.2f}%, "
+    return (
+        text_histogram(errors, bins=10, label="Phase 1: prediction error distribution (%)")
+        + f"\ncases: {arr.size}, mean error {arr.mean():.2f}%, "
         f"{within_4:.0f}% of cases at or under 4% (paper: >90%, mean ~2%)"
     )
+
+
+def check(errors) -> None:
+    arr = np.asarray(errors)
+    within_4 = float((arr <= 4.0).mean()) * 100.0
     assert within_4 >= 90.0
     assert arr.mean() <= 2.5
+
+
+# The paper's first prototype (and the bulk of its sweep) ran on
+# Centurion, whose 1.2 Gb backbone absorbs concurrent flows; the
+# federated Orange Grove adds self-contention the formula cannot
+# see, which is studied separately in the scheduling experiments.
+ARTEFACT = Artefact("phase1_sweep", "centurion", run, render, check)

@@ -8,7 +8,8 @@ leave a standing prediction valid.  A fresh snapshot restores accuracy.
 
 from __future__ import annotations
 
-from repro.experiments.harness import repetitions
+from repro.core import TaskMapping
+from repro.experiments.harness import Artefact, repetitions
 from repro.experiments.report import ascii_table
 from repro.experiments.validation import load_sensitivity
 from repro.workloads import BT, LU, SP
@@ -37,10 +38,7 @@ def run_burst(ctx, runs: int):
     app = LU("A")
     ctx.ensure_profiled(app, 8, seed=81)
     pool = ctx.service.cluster.nodes_by_arch("alpha-533")
-    mapping_nodes = pool[:8]
-    from repro.core import TaskMapping
-
-    mapping = TaskMapping(mapping_nodes)
+    mapping = TaskMapping(pool[:8])
     predicted = ctx.predict(app.name, mapping)
     victim = mapping.node_of(0)
     node = ctx.service.cluster.node(victim)
@@ -51,10 +49,13 @@ def run_burst(ctx, runs: int):
     return abs(predicted - measured.mean) / measured.mean * 100
 
 
-def test_phase3_load_sensitivity(benchmark, og_ctx):
+def run(ctx):
     runs = repetitions(2, 5)
-    data = benchmark.pedantic(run_phase3, args=(og_ctx, runs), rounds=1, iterations=1)
-    burst_error = run_burst(og_ctx, runs)
+    return run_phase3(ctx, runs), run_burst(ctx, runs)
+
+
+def render(result) -> str:
+    data, burst_error = result
     rows = []
     for label, points in data.items():
         for p in points:
@@ -62,14 +63,16 @@ def test_phase3_load_sensitivity(benchmark, og_ctx):
                 [label, f"{p.load * 100:.0f}%", f"{p.stale_error_percent:.1f}",
                  f"{p.fresh_error_percent:.1f}"]
             )
-    print()
-    print(
-        ascii_table(
-            ["case", "injected load", "stale prediction err %", "fresh prediction err %"],
-            rows,
-            title="Phase 3: prediction error vs background load on one mapped node",
-        )
+    table = ascii_table(
+        ["case", "injected load", "stale prediction err %", "fresh prediction err %"],
+        rows,
+        title="Phase 3: prediction error vs background load on one mapped node",
     )
+    return f"{table}\nshort 5s full-load burst on one node: stale error {burst_error:.1f}%"
+
+
+def check(result) -> None:
+    data, burst_error = result
     for label, points in data.items():
         by_load = {p.load: p for p in points}
         # Light load (5%) keeps the stale prediction within ~the no-load band.
@@ -83,5 +86,7 @@ def test_phase3_load_sensitivity(benchmark, og_ctx):
         assert by_load[0.4].fresh_error_percent < 10.0, label
     # The paper's other finding: "instantaneous or short term loads ...
     # were found to not invalidate the predictions."
-    print(f"short 5s full-load burst on one node: stale error {burst_error:.1f}%")
     assert burst_error < 5.0
+
+
+ARTEFACT = Artefact("phase3_load", "orange-grove", run, render, check)

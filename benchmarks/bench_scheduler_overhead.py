@@ -10,6 +10,7 @@ amortize it.
 
 from __future__ import annotations
 
+from repro.experiments.harness import Artefact
 from repro.experiments.report import ascii_table
 from repro.schedulers import AnnealingSchedule, CbesScheduler
 from repro.workloads import EP, SAMRAI, SMG2000, Aztec
@@ -25,7 +26,7 @@ CASES = [
 ]
 
 
-def run_overheads(ctx):
+def run(ctx):
     pool = ctx.service.cluster.nodes_by_arch("pii-400")
     rows = []
     for label, factory in CASES:
@@ -47,26 +48,25 @@ def run_overheads(ctx):
     return rows
 
 
-def test_scheduler_overhead_tracks_profile_complexity(benchmark, og_ctx):
-    rows = benchmark.pedantic(run_overheads, args=(og_ctx,), rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["case", "message groups", "SA evals", "scheduler (s)", "per-eval (us)", "app run (s)"],
+def render(rows) -> str:
+    return ascii_table(
+        ["case", "message groups", "SA evals", "scheduler (s)", "per-eval (us)", "app run (s)"],
+        [
             [
-                [
-                    r["case"],
-                    r["groups"],
-                    r["evals"],
-                    f"{r['sched_s']:.2f}",
-                    f"{r['per_eval_us']:.0f}",
-                    f"{r['run_s']:.1f}",
-                ]
-                for r in rows
-            ],
-            title="Scheduler overhead vs communication-pattern complexity",
-        )
+                r["case"],
+                r["groups"],
+                r["evals"],
+                f"{r['sched_s']:.2f}",
+                f"{r['per_eval_us']:.0f}",
+                f"{r['run_s']:.1f}",
+            ]
+            for r in rows
+        ],
+        title="Scheduler overhead vs communication-pattern complexity",
     )
+
+
+def check(rows) -> None:
     by_case = {r["case"]: r for r in rows}
     # Per-evaluation cost grows with the number of message groups.
     assert (
@@ -76,3 +76,6 @@ def test_scheduler_overhead_tracks_profile_complexity(benchmark, og_ctx):
     # Complexity ordering holds for the group counts themselves.
     assert by_case["SAMRAI (all-to-all)"]["groups"] > by_case["Aztec (halo)"]["groups"]
     assert by_case["Aztec (halo)"]["groups"] > by_case["EP-A (no comm)"]["groups"]
+
+
+ARTEFACT = Artefact("scheduler_overhead", "orange-grove", run, render, check)

@@ -7,7 +7,7 @@ cross-zone best-vs-worst bound reaches 36.6 %.
 
 from __future__ import annotations
 
-from repro.experiments.harness import repetitions
+from repro.experiments.harness import Artefact, repetitions
 from repro.experiments.report import ascii_table
 from repro.experiments.scheduling import lu_zones, worst_vs_best
 from repro.workloads import LU
@@ -15,7 +15,8 @@ from repro.workloads import LU
 from conftest import BENCH_SA
 
 
-def run_table1(ctx, runs: int):
+def run(ctx):
+    runs = repetitions(3, 5)
     app = LU("A")
     cluster = ctx.service.cluster
     zones = lu_zones(cluster)
@@ -37,28 +38,33 @@ def run_table1(ctx, runs: int):
     return results
 
 
-def test_table1_lu_worst_vs_best(benchmark, og_ctx):
-    runs = repetitions(3, 5)
-    results = benchmark.pedantic(run_table1, args=(og_ctx, runs), rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["test case", "worst (s)", "±", "best (s)", "±", "speedup %", "sched time (s)"],
+def cross_zone(results) -> float:
+    """Cross-zone maximum speedup (vs a random scheduler over all zones)."""
+    high, _, low = results
+    return (low.worst.mean - high.best.mean) / low.worst.mean * 100.0
+
+
+def render(results) -> str:
+    table = ascii_table(
+        ["test case", "worst (s)", "±", "best (s)", "±", "speedup %", "sched time (s)"],
+        [
             [
-                [
-                    r.case,
-                    f"{r.worst.mean:.1f}",
-                    f"{r.worst.ci95:.1f}",
-                    f"{r.best.mean:.1f}",
-                    f"{r.best.ci95:.1f}",
-                    f"{r.speedup_percent:.1f}",
-                    f"{r.scheduler_time_s:.1f}",
-                ]
-                for r in results
-            ],
-            title="Table 1: LU worst vs best case scenario",
-        )
+                r.case,
+                f"{r.worst.mean:.1f}",
+                f"{r.worst.ci95:.1f}",
+                f"{r.best.mean:.1f}",
+                f"{r.best.ci95:.1f}",
+                f"{r.speedup_percent:.1f}",
+                f"{r.scheduler_time_s:.1f}",
+            ]
+            for r in results
+        ],
+        title="Table 1: LU worst vs best case scenario",
     )
+    return f"{table}\ncross-zone best-vs-worst speedup: {cross_zone(results):.1f}% (paper: 36.6%)"
+
+
+def check(results) -> None:
     high, medium, low = results
     # Zone ordering (figure 6 bands).
     assert high.best.mean < medium.best.mean < low.best.mean
@@ -66,7 +72,8 @@ def test_table1_lu_worst_vs_best(benchmark, og_ctx):
     for r in results:
         assert 2.0 <= r.speedup_percent <= 20.0, r.case
         assert not r.uncertain
-    # Cross-zone maximum speedup (vs a random scheduler over all zones):
-    cross = (low.worst.mean - high.best.mean) / low.worst.mean * 100.0
-    print(f"cross-zone best-vs-worst speedup: {cross:.1f}% (paper: 36.6%)")
+    cross = cross_zone(results)
     assert 25.0 <= cross <= 50.0
+
+
+ARTEFACT = Artefact("table1", "orange-grove", run, render, check)

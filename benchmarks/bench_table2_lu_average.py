@@ -7,18 +7,18 @@ within a few percent; measured CS-over-NCS speedups 4.8 / 8.7 / 5.5 %.
 
 from __future__ import annotations
 
-from repro.experiments.harness import repetitions
+from repro.experiments.harness import Artefact, repetitions
 from repro.experiments.report import ascii_table
 from repro.experiments.scheduling import average_case, lu_zones
-from repro.workloads import LU
-
 from repro.schedulers import AnnealingSchedule
+from repro.workloads import LU
 
 #: Average-case runs need a converged SA, like the paper's.
 TABLE2_SA = AnnealingSchedule(moves_per_temperature=60, steps=40, patience=12)
 
 
-def run_table2(ctx, nruns: int):
+def run(ctx):
+    nruns = repetitions(10, 100)
     app = LU("A")
     cluster = ctx.service.cluster
     zones = lu_zones(cluster)
@@ -41,9 +41,7 @@ def run_table2(ctx, nruns: int):
     return results
 
 
-def test_table2_lu_average_case(benchmark, og_ctx):
-    nruns = repetitions(10, 100)
-    results = benchmark.pedantic(run_table2, args=(og_ctx, nruns), rounds=1, iterations=1)
+def render(results) -> str:
     rows = []
     for r in results:
         for side in (r.ncs, r.cs):
@@ -67,14 +65,14 @@ def test_table2_lu_average_case(benchmark, og_ctx):
                 f"max {r.maximum_speedup_percent:.1f}%",
             ]
         )
-    print()
-    print(
-        ascii_table(
-            ["case", "sched", "avg predicted (s)", "hits %", "avg measured (s)", "±95%"],
-            rows,
-            title="Table 2: LU average case scenario",
-        )
+    return ascii_table(
+        ["case", "sched", "avg predicted (s)", "hits %", "avg measured (s)", "±95%"],
+        rows,
+        title="Table 2: LU average case scenario",
     )
+
+
+def check(results) -> None:
     for r in results:
         # CS finds minimum-time mappings far more reliably than NCS...
         assert r.cs.hit_percent >= r.ncs.hit_percent
@@ -83,3 +81,6 @@ def test_table2_lu_average_case(benchmark, og_ctx):
         assert r.measured_speedup_percent >= 1.0, r.case
     # On the homogeneous high-speed zone CS is reliably near-optimal.
     assert results[0].cs.hit_percent >= 50.0
+
+
+ARTEFACT = Artefact("table2", "orange-grove", run, render, check)

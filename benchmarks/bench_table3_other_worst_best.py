@@ -20,7 +20,7 @@ Aztec          90.7        80.9        10.8 %
 
 from __future__ import annotations
 
-from repro.experiments.harness import repetitions
+from repro.experiments.harness import Artefact, repetitions
 from repro.experiments.report import ascii_table
 from repro.experiments.scheduling import worst_vs_best
 from repro.workloads import HPL, SAMRAI, SMG2000, Aztec, Sweep3D, Towhee
@@ -42,7 +42,8 @@ TABLE3_CASES = [
 ]
 
 
-def run_table3(ctx, runs: int):
+def run(ctx):
+    runs = repetitions(3, 5)
     # Homogeneous pool: the 12 Intel nodes, as only they are numerous
     # enough for meaningful 8-node mapping choice.
     pool = ctx.service.cluster.nodes_by_arch("pii-400")
@@ -56,28 +57,26 @@ def run_table3(ctx, runs: int):
     return results
 
 
-def test_table3_other_worst_vs_best(benchmark, og_ctx):
-    runs = repetitions(3, 5)
-    results = benchmark.pedantic(run_table3, args=(og_ctx, runs), rounds=1, iterations=1)
-    print()
-    print(
-        ascii_table(
-            ["test case", "worst (s)", "±", "best (s)", "±", "speedup %", "comment"],
+def render(results) -> str:
+    return ascii_table(
+        ["test case", "worst (s)", "±", "best (s)", "±", "speedup %", "comment"],
+        [
             [
-                [
-                    r.case,
-                    f"{r.worst.mean:.1f}",
-                    f"{r.worst.ci95:.1f}",
-                    f"{r.best.mean:.1f}",
-                    f"{r.best.ci95:.1f}",
-                    f"{r.speedup_percent:.1f}",
-                    "uncertain speedup" if r.uncertain else "",
-                ]
-                for r, _ in results
-            ],
-            title="Table 3: other tests, worst vs best case scenario",
-        )
+                r.case,
+                f"{r.worst.mean:.1f}",
+                f"{r.worst.ci95:.1f}",
+                f"{r.best.mean:.1f}",
+                f"{r.best.ci95:.1f}",
+                f"{r.speedup_percent:.1f}",
+                "uncertain speedup" if r.uncertain else "",
+            ]
+            for r, _ in results
+        ],
+        title="Table 3: other tests, worst vs best case scenario",
     )
+
+
+def check(results) -> None:
     for r, paper_uncertain in results:
         if r.case.startswith("HPL (1)"):
             # The paper marks HPL(1) uncertain because "the short
@@ -93,3 +92,6 @@ def test_table3_other_worst_vs_best(benchmark, og_ctx):
             # the paper's 5-12 % band (we allow 2-20 at reduced scale).
             assert 2.0 < r.speedup_percent < 20.0, r.case
             assert not r.uncertain, r.case
+
+
+ARTEFACT = Artefact("table3", "orange-grove", run, render, check)

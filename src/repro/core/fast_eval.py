@@ -352,11 +352,6 @@ class EvaluationContext:
             out.append(max(r + c for r, c in zip(r_arr, c_arr)))
         return out
 
-    #: Ceiling (entries) on the per-(group, pair) latency tables the
-    #: numpy backend precomputes; above it the kernel falls back to
-    #: gathering the components per batch (same bits, more ops).
-    _TABLE_LIMIT = 1 << 22
-
     def _np_cols(self) -> dict:
         """The numpy mirrors of the SoA columns, built on first use."""
         cols = self._np_cache
@@ -373,7 +368,6 @@ class EvaluationContext:
             a_dst = np.asarray(self._a_dst, dtype=float)
             a_net = np.asarray(self._a_net, dtype=float)
             beta = np.asarray(self._beta, dtype=float)
-            invnic = np.asarray(self._invnic, dtype=float)
             cols = {
                 "lam": np.asarray(self.lam, dtype=float),
                 "ncpus": np.asarray(self._ncpus, dtype=float),
@@ -393,21 +387,7 @@ class EvaluationContext:
                 # source/destination for each group (send: rank -> peer).
                 "gsrc": np.where(gsend, grank, gpeer),
                 "gdst": np.where(gsend, gpeer, grank),
-                "goff": np.arange(len(grank), dtype=np.intp) * (n * n),
             }
-            del invnic  # folded into binv; the kernel never reads it raw
-            ngroups = len(self._grp_rank)
-            if 0 < ngroups * n * n <= self._TABLE_LIMIT:
-                # No-load weighted latency per (group, pair), matching
-                # the scalar association exactly:
-                #   wlat0 = count * (((a_src + a_dst) + a_net) + size * beta)
-                # (The load-adjusted path gathers its three small pair
-                # tables instead: at population sizes a big per-group
-                # table gather loses to three cache-resident ones.)
-                cols["wlat0"] = (
-                    gcount[:, None]
-                    * ((a_src + a_dst + a_net)[None, :] + gsize[:, None] * beta[None, :])
-                ).ravel()
             self._np_cache = cols
         return cols
 
@@ -435,12 +415,11 @@ class EvaluationContext:
         Bit-identical to the scalar path by construction: every
         reduction (`bincount` over row-major raveled indices) accumulates
         in exactly the order the scalar loops do, and every elementwise
-        expression keeps the scalar association order (the precomputed
-        ``tail``/``wlat0`` tables bake in the same grouping the scalar
-        inner loop uses).  Gathers go through flat ``ndarray.take``
-        indices — several times faster than ``take_along_axis`` at these
-        array sizes, which is where the 10x population-scoring target
-        comes from.
+        expression keeps the scalar association order (``tail`` bakes in
+        the same grouping the scalar inner loop uses).  Gathers go
+        through flat ``ndarray.take`` indices — several times faster
+        than ``take_along_axis`` at these array sizes, which is where
+        the 10x population-scoring target comes from.
         """
         cols = self._np_cols()
         nbatch = len(mappings)
@@ -508,8 +487,6 @@ class EvaluationContext:
             lat += tail
             lat *= cols["gcount"]
             weights = lat
-        elif "wlat0" in cols:
-            weights = cols["wlat0"].take(pair + cols["goff"])
         else:
             lat = cols["a_src"].take(pair) + cols["a_dst"].take(pair)
             lat += cols["a_net"].take(pair)

@@ -252,26 +252,10 @@ class CBES:
         *,
         options: EvaluationOptions = EvaluationOptions(),
         seed: int = 0,
-        parallel: int | None = None,
-        time_budget: float | None = None,
     ):
-        """Run an external scheduler against this service's evaluator.
-
-        *parallel* / *time_budget* override the scheduler's execution
-        options for this call (worker-process fan-out and wall-clock
-        budget of the parallel search engine, :mod:`repro.search`);
-        schedulers without a ``set_execution`` hook only accept the
-        defaults.
-        """
+        """Run an external scheduler against this service's evaluator."""
         from repro.telemetry import get_tracer
 
-        if parallel is not None or time_budget is not None:
-            set_execution = getattr(scheduler, "set_execution", None)
-            if set_execution is None:
-                raise TypeError(
-                    f"scheduler {scheduler!r} does not support execution options"
-                )
-            set_execution(parallel=parallel, time_budget=time_budget)
         with get_tracer().trace(
             "cbes.schedule",
             app=app_name,

@@ -11,14 +11,15 @@ experiments run at a reduced scale that finishes in seconds; with
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro._util import mean_and_ci95
 from repro.core.mapping import TaskMapping
 from repro.core.service import CBES, ApplicationModel
 
-__all__ = ["Measurement", "full_scale", "repetitions", "ExperimentContext"]
+__all__ = ["Artefact", "Measurement", "full_scale", "repetitions", "ExperimentContext"]
 
 
 def full_scale() -> bool:
@@ -104,3 +105,20 @@ class ExperimentContext:
     def predict(self, app_name: str, mapping: TaskMapping) -> float:
         """One full CBES prediction for *mapping*."""
         return self._service.evaluator(app_name).execution_time(mapping)
+
+
+@dataclass(frozen=True)
+class Artefact:
+    """One table or figure of the paper: its recipe, its text, its shape.
+
+    ``run(ctx)`` takes the calibrated context of the testbed named by
+    ``cluster`` and returns the measured result, ``render(result)`` is
+    the printed artefact, and ``check(result)`` raises
+    ``AssertionError`` when the paper's shape does not hold.
+    """
+
+    name: str
+    cluster: str
+    run: Callable[[ExperimentContext], Any]
+    render: Callable[[Any], str]
+    check: Callable[[Any], None]

@@ -63,33 +63,18 @@ class Scheduler(ABC):
         time_budget: float | None = None,
         mp_context: str | None = None,
     ):
-        self._constraint = constraint
-        self._parallel = 1
-        self._time_budget: float | None = None
-        self._mp_context: str | None = None
-        self.set_execution(parallel=parallel, time_budget=time_budget, mp_context=mp_context)
-
-    def set_execution(
-        self,
-        *,
-        parallel: int | None = None,
-        time_budget: float | None = None,
-        mp_context: str | None = None,
-    ) -> "Scheduler":
-        """Adjust the execution options in place; returns ``self``."""
-        if parallel is not None:
-            if not isinstance(parallel, int) or isinstance(parallel, bool) or parallel < 1:
-                raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
-            self._parallel = parallel
+        if not isinstance(parallel, int) or isinstance(parallel, bool) or parallel < 1:
+            raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
         if time_budget is not None:
             if not isinstance(time_budget, (int, float)) or isinstance(time_budget, bool):
                 raise ValueError(f"time_budget must be a number of seconds, got {time_budget!r}")
             if time_budget <= 0:
                 raise ValueError(f"time_budget must be > 0 seconds, got {time_budget!r}")
-            self._time_budget = float(time_budget)
-        if mp_context is not None:
-            self._mp_context = mp_context
-        return self
+            time_budget = float(time_budget)
+        self._constraint = constraint
+        self._parallel = parallel
+        self._time_budget = time_budget
+        self._mp_context = mp_context
 
     @property
     def parallel(self) -> int:

@@ -258,21 +258,9 @@ class TestServiceWiring:
         service, app_name = service_and_app
         pool = service.cluster.node_ids()
         serial = service.schedule(app_name, make_scheduler("cs"), pool, seed=6)
-        fanned = service.schedule(
-            app_name, make_scheduler("cs"), pool, seed=6, parallel=2
-        )
+        fanned = service.schedule(app_name, make_scheduler("cs", parallel=2), pool, seed=6)
         assert fanned.mapping == serial.mapping
         assert fanned.predicted_time == pytest.approx(serial.predicted_time, abs=1e-12)
-
-    def test_service_schedule_rejects_plain_callables(self, service_and_app):
-        service, app_name = service_and_app
-
-        class Bare:
-            def schedule(self, evaluator, pool, *, seed=0):  # pragma: no cover
-                raise AssertionError("should not run")
-
-        with pytest.raises(TypeError, match="execution options"):
-            service.schedule(app_name, Bare(), service.cluster.node_ids(), parallel=2)
 
     def test_daemon_validates_workers_and_budget(self, service_and_app):
         service, app_name = service_and_app

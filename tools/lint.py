@@ -10,7 +10,7 @@ Two gates run in sequence and the worst exit status wins:
    (RPR000) and an unused-import detector (RPR100), which covers the
    most common real defects ruff's default rules catch.
 2. **Invariants** — the :mod:`repro.analysis` checker suite (RPR100-
-   RPR105: determinism, picklability, async-safety, float equality,
+   RPR106: determinism, picklability, async-safety, float equality,
    API hygiene) over every source root, honoring the committed
    baseline at tools/analysis_baseline.json.
 

@@ -1,9 +1,12 @@
 """Regenerate the paper's full evaluation into a results directory.
 
-A front door for reviewers: runs every experiment the benchmark suite
-covers (at reduced scale by default; ``--full`` for paper-scale
-repetitions) and writes the reproduced tables/figures as text files
-under ``results/``, plus a combined REPORT.txt.
+Runs every ``ARTEFACT`` record the benchmark suite defines — Tables 1-4,
+Figs. 5-7, the text experiments E1/E3/E10/E11, the ablations and the
+fidelity check (EXPERIMENTS.md, "Regenerate") — at reduced scale by
+default, ``--full`` for paper-scale repetitions.  Each record's ``run``,
+``render`` and ``check`` are the ones ``pytest benchmarks/bench_<x>.py -s``
+uses, so ``<out>/<name>.txt`` holds exactly the text that bench prints;
+``REPORT.txt`` combines them.  Exits 1 if any ``check`` fails.
 
 Usage::
 
@@ -13,16 +16,45 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
-# Allow "from bench_* import ..." regardless of invocation directory.
-_REPO = Path(__file__).resolve().parent.parent
-for extra in (str(_REPO), str(_REPO / "benchmarks")):
-    if extra not in sys.path:
-        sys.path.insert(0, extra)
+_BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+if str(_BENCH) not in sys.path:
+    sys.path.insert(0, str(_BENCH))  # bench modules import each other by bare name
+
+
+def discover() -> list:
+    """Every record under benchmarks/, in file-name order."""
+    modules = [importlib.import_module(path.stem) for path in sorted(_BENCH.glob("bench_*.py"))]
+    return [module.ARTEFACT for module in modules if hasattr(module, "ARTEFACT")]
+
+
+def reproduce(artefacts, out: Path) -> list[str]:
+    """Run, write and check each record; returns the names whose check failed."""
+    from conftest import make_context  # benchmarks/conftest.py: the suite's own helper
+
+    out.mkdir(parents=True, exist_ok=True)
+    report, failed = [], []
+    for artefact in artefacts:
+        result = artefact.run(make_context(artefact.cluster))
+        text = artefact.render(result)
+        (out / f"{artefact.name}.txt").write_text(text + "\n")
+        try:
+            artefact.check(result)
+            verdict = "ok"
+        except AssertionError:
+            traceback.print_exc()
+            failed.append(artefact.name)
+            verdict = "CHECK FAILED"
+        report.append(f"==== {artefact.name} [{verdict}] ====\n{text}\n")
+        print(f"[{time.strftime('%H:%M:%S')}] wrote {artefact.name}: {verdict}")
+    (out / "REPORT.txt").write_text("\n".join(report))
+    return failed
 
 
 def main() -> int:
@@ -31,177 +63,12 @@ def main() -> int:
     parser.add_argument("--full", action="store_true", help="paper-scale repetitions")
     args = parser.parse_args()
     if args.full:
-        os.environ["REPRO_FULL"] = "1"
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    # Import after REPRO_FULL is set.
-    from repro.cluster import centurion, orange_grove
-    from repro.core import CBES, TaskMapping
-    from repro.experiments import (
-        ExperimentContext,
-        ascii_table,
-        lu_zones,
-        range_plot,
-        repetitions,
-        sample_mapping_times,
-        text_histogram,
-    )
-    from repro.experiments.scheduling import average_case, worst_vs_best
-    from repro.experiments.validation import (
-        load_sensitivity,
-        phase1_sweep,
-        prediction_error_case,
-    )
-    from repro.schedulers import AnnealingSchedule
-    from repro.workloads import HPL, LU, SAMRAI, SMG2000, Aztec, Sweep3D, Towhee
-    from bench_fig5_prediction_error import FIG5_CASES
-    from bench_phase1_sweep import FULL, REDUCED
-
-    sa = AnnealingSchedule(moves_per_temperature=40, steps=25, patience=8)
-    report: list[str] = []
-
-    def emit(name: str, text: str) -> None:
-        (out / f"{name}.txt").write_text(text + "\n")
-        report.append(f"==== {name} ====\n{text}\n")
-        print(f"[{time.strftime('%H:%M:%S')}] wrote {name}")
-
-    # --- contexts ------------------------------------------------------
-    og = ExperimentContext(CBES(orange_grove()))
-    cent = ExperimentContext(CBES(centurion()))
-    og.ensure_profiled(
-        LU("A"), 8, mapping=TaskMapping(og.service.cluster.nodes_by_arch("alpha-533")), seed=0
-    )
-
-    # --- E10: latency spread ----------------------------------------------
-    rows = []
-    for ctx in (cent, og):
-        cluster = ctx.service.cluster
-        low, high, spread = cluster.latency_model.spread(64)
-        rows.append([cluster.name, cluster.size, f"{spread * 100:.1f}%"])
-    emit("latency_spread", ascii_table(["cluster", "nodes", "spread @64B"], rows))
-
-    # --- E1: phase 1 -----------------------------------------------------
-    errors = phase1_sweep(cent, FULL if args.full else REDUCED, seed=71)
-    within = sum(1 for e in errors if e <= 4.0) / len(errors) * 100
-    emit(
-        "phase1_sweep",
-        text_histogram(errors, bins=10, label="prediction error distribution (%)")
-        + f"\ncases={len(errors)} mean={sum(errors) / len(errors):.2f}% <=4%: {within:.0f}%",
-    )
-
-    # --- E2: figure 5 -------------------------------------------------------
-    runs = repetitions(3, 5)
-    fig5 = []
-    for label, factory, nprocs in FIG5_CASES:
-        mapping = TaskMapping(cent.service.cluster.node_ids()[:nprocs])
-        case = prediction_error_case(
-            cent, factory(), nprocs, runs=runs, seed=11, mapping=mapping, case=label
-        )
-        fig5.append([case.case, nprocs, f"{case.predicted:.1f}", f"{case.measured.mean:.1f}",
-                     f"{case.error_percent:.2f}"])
-    emit("figure5", ascii_table(["case", "nodes", "predicted", "measured", "error %"], fig5))
-
-    # --- E3: phase 3 -----------------------------------------------------------
-    points = load_sensitivity(
-        og, LU("A"), og.service.cluster.nodes_by_arch("alpha-533"),
-        nprocs=8, loads=(0.0, 0.05, 0.1, 0.2, 0.4), runs=repetitions(2, 5), seed=81,
-    )
-    og.service.cluster.clear_loads()
-    emit(
-        "phase3_load",
-        ascii_table(
-            ["load", "stale err %", "fresh err %"],
-            [[f"{p.load:.0%}", f"{p.stale_error_percent:.1f}", f"{p.fresh_error_percent:.1f}"]
-             for p in points],
-        ),
-    )
-
-    # --- E4: figure 6 ------------------------------------------------------------
-    zones = lu_zones(og.service.cluster)
-    samples = {
-        name: sample_mapping_times(og, LU("A"), zone, samples=repetitions(10, 34), seed=41)
-        for name, zone in zones.items()
-    }
-    emit(
-        "figure6",
-        range_plot([(n, min(t), max(t)) for n, t in samples.items()],
-                   label="LU zones (s)"),
-    )
-
-    # --- E5: table 1 -----------------------------------------------------------------
-    t1 = []
-    for idx, name in enumerate(("high", "medium", "low"), 1):
-        zone = zones[name]
-        r = worst_vs_best(
-            og, LU("A"), zone.pool, constraint=zone.constraint(og.service.cluster),
-            runs=runs, seed=21, case=f"LU ({idx}) {name}", schedule=sa,
-        )
-        t1.append([r.case, f"{r.worst.mean:.1f}", f"{r.best.mean:.1f}", f"{r.speedup_percent:.1f}"])
-    emit("table1", ascii_table(["case", "worst", "best", "speedup %"], t1))
-
-    # --- E6+E7: table 2 / figure 7 ----------------------------------------------------
-    nruns = repetitions(10, 100)
-    t2 = []
-    fig7 = None
-    for idx, name in enumerate(("high", "medium", "low"), 1):
-        zone = zones[name]
-        r = average_case(
-            og, LU("A"), zone.pool, constraint=zone.constraint(og.service.cluster),
-            nruns=nruns, seed=33, case=f"LU ({idx}) {name}",
-            schedule=AnnealingSchedule(moves_per_temperature=60, steps=40, patience=12),
-        )
-        for side in (r.ncs, r.cs):
-            t2.append([r.case, side.scheduler, f"{side.predicted.mean:.1f}",
-                       f"{side.hit_percent:.0f}", f"{side.measured.mean:.1f}"])
-        if name == "low":
-            fig7 = (
-                text_histogram(r.cs.predicted_times, bins=10, label="CS predicted (s)")
-                + "\n\n"
-                + text_histogram(r.ncs.predicted_times, bins=10, label="NCS predicted (s)")
-            )
-    emit("table2", ascii_table(["case", "sched", "avg pred", "hits %", "avg meas"], t2))
-    assert fig7 is not None
-    emit("figure7", fig7)
-
-    # --- E8: table 3 ------------------------------------------------------------------
-    t3_cases = [
-        ("HPL (1) n=500", lambda: HPL(500, nb=125)),
-        ("HPL (2) n=5000", lambda: HPL(5000)),
-        ("HPL (3) n=10000", lambda: HPL(10000)),
-        ("sweep3d", Sweep3D),
-        ("smg2000 12^3", lambda: SMG2000(12)),
-        ("smg2000 50^3", lambda: SMG2000(50)),
-        ("smg2000 60^3", lambda: SMG2000(60)),
-        ("SAMRAI", SAMRAI),
-        ("Towhee", Towhee),
-        ("Aztec", lambda: Aztec(500)),
-    ]
-    intels = og.service.cluster.nodes_by_arch("pii-400")
-    t3 = []
-    for label, factory in t3_cases:
-        r = worst_vs_best(og, factory(), intels, runs=runs, seed=57, case=label, schedule=sa)
-        t3.append([r.case, f"{r.worst.mean:.1f}", f"{r.best.mean:.1f}",
-                   f"{r.speedup_percent:.1f}", "uncertain" if r.uncertain else ""])
-    emit("table3", ascii_table(["case", "worst", "best", "speedup %", ""], t3))
-
-    # --- E9: table 4 --------------------------------------------------------------------
-    t4 = []
-    for label, factory in t3_cases:
-        if label.startswith(("HPL (1)", "sweep3d", "SAMRAI", "Towhee")):
-            continue
-        r = average_case(og, factory(), intels, nruns=repetitions(8, 100), seed=61,
-                         case=label, schedule=sa)
-        t4.append([r.case, f"{r.ncs.hit_percent:.0f}", f"{r.ncs.measured.mean:.1f}",
-                   f"{r.cs.hit_percent:.0f}", f"{r.cs.measured.mean:.1f}",
-                   f"{r.measured_speedup_percent:.1f}"])
-    emit("table4", ascii_table(
-        ["case", "NCS hit%", "NCS meas", "CS hit%", "CS meas", "speedup %"], t4))
-
-    (out / "REPORT.txt").write_text("\n".join(report))
-    print(f"\nall artifacts written to {out}/ (REPORT.txt combines them)")
-    return 0
+        os.environ["REPRO_FULL"] = "1"  # read by every run() through harness.repetitions
+    failed = reproduce(discover(), Path(args.out))
+    print(f"\nall artifacts written to {args.out}/ (REPORT.txt combines them)")
+    if failed:
+        print(f"paper-shape checks FAILED: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
