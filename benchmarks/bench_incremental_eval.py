@@ -5,6 +5,17 @@ synthetic heterogeneous workload (default: 64 nodes / 32 ranks, the
 scale named in docs/PERFORMANCE.md) while checking that they agree to
 within 1e-9 on every evaluated mapping.
 
+It also times the loop *around* the delta path — a whole ``anneal()``
+on the 64-node / 32-rank instance, in both modes — because a propose
+rate measured over a pre-built chain of mappings cannot see what
+drawing the moves costs.  Two ratios are gated (ratios, so no host
+constant): ``move_overhead_ratio`` — a whole SA move over one
+``propose(mapping)`` + ``commit``, the probe this file and
+``core.propose_us`` have always timed, so 1.0 means "a move costs what
+the propose probe says"; the generator that walked the pool per move
+sat near 3.2 — and pool-size independence (us per move on a 128-node
+pool within 1.3x of a 32-node pool, same ranks and schedule).
+
 Run modes
 ---------
 ``python benchmarks/bench_incremental_eval.py``
@@ -32,9 +43,20 @@ from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
 from repro.monitoring.snapshot import NodeState, SystemSnapshot
 from repro.profiling.profile import ApplicationProfile, MessageGroup, ProcessProfile
+from repro.schedulers.annealing import AnnealingSchedule, anneal
 from repro.schedulers.moves import MoveGenerator
 
 AGREEMENT_TOL = 1e-9
+#: The SA-loop instance (both modes) and its fixed-length schedule:
+#: patience == steps, so every run proposes exactly SA_MOVES moves.
+SA_NODES, SA_RANKS = 64, 32
+SA_SCHEDULE = AnnealingSchedule(moves_per_temperature=100, steps=30, patience=30)
+SA_MOVES = 12 + SA_SCHEDULE.moves_per_temperature * SA_SCHEDULE.steps
+MAX_MOVE_OVERHEAD = 1.5
+#: Pool-size independence: same ranks and schedule, 4x the nodes.
+POOL_SIZES, POOL_RANKS = (32, 128), 16
+MAX_POOL_RATIO = 1.3
+TRIALS = 5
 
 ARCHS = [
     Architecture("alpha-533", 1.30),
@@ -152,6 +174,65 @@ def run(nnodes: int, nprocs: int, ref_moves: int, inc_moves: int, check_moves: i
     return ref_rate, inc_rate, worst, agrees
 
 
+def anneal_seconds(energy, start: TaskMapping, moves: MoveGenerator) -> float:
+    """Wall time of one whole seeded ``anneal()`` of exactly SA_MOVES moves."""
+    rng = spawn_rng(5, "bench-inc-sa")
+    started = time.perf_counter()
+    anneal(energy, start, moves, rng, schedule=SA_SCHEDULE)
+    return time.perf_counter() - started
+
+
+def sa_loop_us(evaluator, node_ids: list[str], nprocs: int) -> tuple[float, float, float]:
+    """``(loop, propose, propose_move)`` microseconds per move.
+
+    *loop* is a whole ``anneal()`` — draw, propose, accept or reject,
+    bookkeeping — divided by the moves it proposed.  The other two are
+    the evaluation alone over as many pre-drawn moves: the mapping entry
+    (``propose(mapping)`` + ``commit``, re-index and diff included) and
+    the move entry the loop really calls.  Each is the best of TRIALS
+    interleaved passes: a neighbour's burst sinks a pass, not all.
+    """
+    start = TaskMapping(node_ids[:nprocs])
+    moves = MoveGenerator(node_ids)
+    energy = evaluator.incremental()
+    rng = spawn_rng(5, "bench-inc-sa-moves")
+    occupancy = moves.occupancy(start)
+    chain = []
+    for _ in range(SA_MOVES):
+        move = moves.draw(occupancy, rng)
+        occupancy.apply(move)
+        chain.append((move, occupancy.mapping()))
+    by_mapping = [(energy.propose, mapping) for _, mapping in chain]
+    by_move = [(energy.propose_move, move) for move, _ in chain]
+    best = [float("inf")] * 3
+    for _ in range(TRIALS):
+        timings = [anneal_seconds(energy, start, moves)]
+        for proposals in (by_mapping, by_move):
+            energy.reset(start)
+            started = time.perf_counter()
+            for propose, candidate in proposals:
+                propose(candidate)
+                energy.commit()
+            timings.append(time.perf_counter() - started)
+        best = [min(pair) for pair in zip(best, timings)]
+    return tuple(seconds / SA_MOVES * 1e6 for seconds in best)
+
+
+def pool_loop_us() -> dict[int, float]:
+    """Whole-``anneal()`` microseconds per move for each pool size, interleaved."""
+    setups = {}
+    for nnodes in POOL_SIZES:
+        evaluator, node_ids = build_workload(nnodes, POOL_RANKS)
+        setups[nnodes] = (
+            evaluator.incremental(), TaskMapping(node_ids[:POOL_RANKS]), MoveGenerator(node_ids)
+        )
+    best = dict.fromkeys(POOL_SIZES, float("inf"))
+    for _ in range(TRIALS):
+        for nnodes, setup in setups.items():
+            best[nnodes] = min(best[nnodes], anneal_seconds(*setup))
+    return {nnodes: seconds / SA_MOVES * 1e6 for nnodes, seconds in best.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -180,6 +261,33 @@ def main(argv=None) -> int:
     print(f"speedup:                 {speedup:10.1f}x   (target >= {target:.0f}x)")
     print(f"worst disagreement:      {worst:10.2e}   (tolerance {AGREEMENT_TOL:.0e})")
 
+    # One re-measure before failing either ratio: a CI neighbour's burst
+    # can sink a whole interleaved pass, but not two in a row.
+    sa_workload = build_workload(SA_NODES, SA_RANKS)
+    loop_us, propose_us, propose_move_us = sa_loop_us(*sa_workload, SA_RANKS)
+    if loop_us > MAX_MOVE_OVERHEAD * propose_us:
+        loop_us, propose_us, propose_move_us = sa_loop_us(*sa_workload, SA_RANKS)
+    overhead = loop_us / propose_us
+    by_pool = pool_loop_us()
+    if by_pool[POOL_SIZES[1]] > MAX_POOL_RATIO * by_pool[POOL_SIZES[0]]:
+        by_pool = pool_loop_us()
+    small, large = (by_pool[n] for n in POOL_SIZES)
+    print(f"SA loop: {SA_NODES} nodes / {SA_RANKS} ranks, {SA_MOVES} moves per anneal()")
+    print(f"whole anneal():          {1e6 / loop_us:10.0f} moves/s   ({loop_us:.1f} us per move)")
+    print(
+        f"propose(mapping)+commit: {1e6 / propose_us:10.0f} moves/s   "
+        f"({propose_us:.1f} us per move)"
+    )
+    print(
+        f"propose_move + commit:   {1e6 / propose_move_us:10.0f} moves/s   "
+        f"({propose_move_us:.1f} us per move)"
+    )
+    print(f"move overhead ratio:     {overhead:10.2f}x   (limit {MAX_MOVE_OVERHEAD}x)")
+    print(
+        f"{POOL_RANKS} ranks, pool {POOL_SIZES[0]} -> {POOL_SIZES[1]}: "
+        f"{small:.1f} -> {large:.1f} us per move ({large / small:.2f}x, limit {MAX_POOL_RATIO}x)"
+    )
+
     report = GateReport("incremental_eval", mode="quick" if args.quick else "full")
     report.metric("nnodes", nnodes)
     report.metric("nprocs", nprocs)
@@ -187,6 +295,13 @@ def main(argv=None) -> int:
     report.metric("inc_rate_per_s", round(inc_rate, 1))
     report.metric("speedup", round(speedup, 3))
     report.metric("worst_disagreement", worst)
+    report.metric("sa_moves_per_s", round(1e6 / loop_us, 1))
+    report.metric("sa_loop_us_per_move", round(loop_us, 2))
+    report.metric("propose_us", round(propose_us, 2))
+    report.metric("propose_move_us", round(propose_move_us, 2))
+    report.metric("move_overhead_ratio", round(overhead, 3))
+    for n in POOL_SIZES:
+        report.metric(f"sa_loop_us_per_move_pool{n}", round(by_pool[n], 2))
     report.gate(
         "agreement",
         agrees,
@@ -197,6 +312,18 @@ def main(argv=None) -> int:
         "speedup",
         speedup >= target,
         f"incremental speedup {speedup:.2f}x below target {target:.0f}x",
+    )
+    report.gate(
+        "move_overhead",
+        overhead <= MAX_MOVE_OVERHEAD,
+        f"a whole SA move costs {overhead:.2f}x one propose(mapping) + commit "
+        f"(limit {MAX_MOVE_OVERHEAD}x): the loop around the delta path is the cost",
+    )
+    report.gate(
+        "pool_size_independence",
+        large <= MAX_POOL_RATIO * small,
+        f"an SA move on a {POOL_SIZES[1]}-node pool costs {large / small:.2f}x one on a "
+        f"{POOL_SIZES[0]}-node pool (limit {MAX_POOL_RATIO}x)",
     )
     return report.finish()
 

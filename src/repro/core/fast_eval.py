@@ -35,8 +35,9 @@ workers, the remapper, the daemon — does it through this module:
     cleanly when it is not.
 
 :class:`IncrementalEvaluator`
-    Mutable search state over a context: ``propose(candidate)`` returns
-    the candidate's ``S_M`` after recomputing only the moved ranks'
+    Mutable search state over a context: ``propose_move(move)`` (or
+    ``propose(candidate)``, the same kernel behind a diff) returns the
+    candidate's ``S_M`` after recomputing only the moved ranks'
     ``R_i``/``C_i``, the ``C_i`` of their communication peers, and the
     ACPU-driven terms on the affected nodes; ``commit()`` / ``reject()``
     resolve the proposal.  Affected ranks are recomputed *from scratch*
@@ -557,8 +558,10 @@ class IncrementalEvaluator:
     Protocol (advertised to :func:`repro.schedulers.annealing.anneal`):
 
     * ``reset(mapping) -> S_M`` — rebind the search state to *mapping*;
-    * ``propose(candidate) -> S_M`` — cost of *candidate*, recomputing
-      only ranks affected by the diff against the current mapping;
+    * ``propose_move(move) -> S_M`` — cost of the current mapping after
+      one :class:`~repro.schedulers.moves.Move`, recomputing only the
+      ranks the move affects; ``propose(candidate)`` is the same kernel
+      behind a diff of *candidate* against the current mapping;
     * ``commit()`` / ``reject()`` — resolve the outstanding proposal
       (a new ``propose`` implicitly rejects the previous one);
     * ``evaluator(mapping) -> S_M`` — stateless full evaluation, via
@@ -656,79 +659,120 @@ class IncrementalEvaluator:
 
     # -- the propose / commit / reject cycle ----------------------------
     def propose(self, candidate: TaskMapping) -> float:
-        """``S_M`` of *candidate*, recomputing only the affected ranks."""
+        """``S_M`` of *candidate*, recomputing only the affected ranks.
+
+        The mapping entry: diff *candidate* against the current mapping,
+        then the delta kernel.  A search loop that already knows its
+        move uses :meth:`propose_move` and skips the diff.
+        """
         if not self._pos:
             return self._propose_full(candidate)
-        ctx = self._ctx
-        self._note()
-        new_pos = ctx.positions(candidate)
+        new_pos = self._ctx.positions(candidate)
         pos = self._pos
-        nprocs = ctx.nprocs
-        moved = [r for r in range(nprocs) if new_pos[r] != pos[r]]
+        return self._propose_moved(
+            new_pos, [r for r in range(len(pos)) if new_pos[r] != pos[r]]
+        )
+
+    def propose_move(self, move) -> float:
+        """``S_M`` after *move* (:class:`repro.schedulers.moves.Move`).
+
+        The move entry: the search loop says which ranks go where, so
+        nothing is re-indexed or diffed.  Same delta kernel, same float,
+        same state as :meth:`propose` of ``move.apply(current)``.
+        """
+        pos = self._pos
+        if not pos:
+            raise RuntimeError("propose_move() before reset()")
+        new_pos = pos.copy()
+        rank = move.rank
+        moved: tuple[int, ...] = (rank,)
+        try:
+            if move.node is None:
+                other = move.other
+                new_pos[rank], new_pos[other] = pos[other], pos[rank]
+                moved = (rank, other) if rank < other else (other, rank)
+            else:
+                new_pos[rank] = self._ctx.index[move.node]
+        except IndexError:
+            raise InvalidMappingError(f"move ranks out of range: {move!r}") from None
+        except KeyError:
+            raise InvalidMappingError(f"mapping uses unknown node {move.node!r}") from None
+        if new_pos[rank] == pos[rank]:
+            moved = ()  # co-located swap / replace onto its own node
+        return self._propose_moved(new_pos, moved)
+
+    def _propose_moved(self, new_pos: list[int], moved: Sequence[int]) -> float:
+        """The delta kernel: stage *new_pos*, in which only *moved* changed node.
+
+        *moved* lists, in ascending rank order, exactly the ranks whose
+        node differs from the committed mapping.
+        """
+        self._note()
         if not moved:
             self._pending = (new_pos, self._counts, self._acpu, {}, self._best, self._arg)
             return self._best
+        ctx = self._ctx
+        pos = self._pos
 
-        # Node occupancy and ACPU updates, restricted to touched nodes.
-        counts = self._counts.copy()
-        touched_nodes = set()
+        # Node occupancy and ACPU, copied only when a count really
+        # changes (a swap permutes nodes among ranks: nothing does).
+        shift: dict[int, int] = {}
         for r in moved:
-            counts[pos[r]] -= 1
-            counts[new_pos[r]] += 1
-            touched_nodes.add(pos[r])
-            touched_nodes.add(new_pos[r])
-        acpu = self._acpu
+            old, new = pos[r], new_pos[r]
+            shift[old] = shift.get(old, 0) - 1
+            shift[new] = shift.get(new, 0) + 1
+        counts, acpu = self._counts, self._acpu
         curve = ctx.acpu_curve
         acpu_changed: list[int] = []
-        new_acpu_vals: dict[int, float] = {}
-        for node in touched_nodes:
-            k = counts[node]
-            value = curve[node][k] if k > 0 else 1.0
-            if value != acpu[node]:
-                acpu_changed.append(node)
-                new_acpu_vals[node] = value
-        if acpu_changed:
-            acpu = acpu.copy()
-            for node, value in new_acpu_vals.items():
-                acpu[node] = value
+        for node, by in shift.items():
+            if by:
+                if counts is self._counts:
+                    counts = counts.copy()
+                k = counts[node] = counts[node] + by
+                value = curve[node][k]  # column 0 is 1.0: an emptied node
+                if value != acpu[node]:
+                    if acpu is self._acpu:
+                        acpu = acpu.copy()
+                    acpu[node] = value
+                    acpu_changed.append(node)
 
-        # Affected ranks: moved ranks change R and C; ranks on ACPU-
-        # changed nodes change R (eq. 5) and C (endpoint stretching);
-        # communication peers of either group change C only.
-        moved_set = set(moved)
-        aff_r = set(moved)
-        base = set(moved)
-        if acpu_changed:
-            changed_nodes = set(acpu_changed)
-            for r in range(nprocs):
-                if new_pos[r] in changed_nodes:
-                    aff_r.add(r)
-                    base.add(r)
+        # Affected ranks.  ``base``: moved ranks plus every rank hosted
+        # on an ACPU-changed node — their R_i changes (eq. 5), and under
+        # load-adjusted latencies so does their endpoint stretching.
+        # C_i is recomputed for those and for their communication peers;
+        # under no-load latencies only relocations reach C_i.
+        base = list(moved)
+        if acpu_changed and sum(counts[n] for n in acpu_changed) > sum(
+            new_pos[r] in acpu_changed for r in moved
+        ):
+            base += [
+                r for r in range(ctx.nprocs) if new_pos[r] in acpu_changed and r not in moved
+            ]
         aff_c: set[int] = set()
         if ctx.options.communication:
-            # Under no-load latencies, ACPU changes cannot affect C_i —
-            # only actual relocations do.
-            base_c = base if ctx.options.load_adjusted_latency else moved_set
-            aff_c = set(base_c)
             rev = ctx.rev
-            for p in base_c:
+            for p in base if ctx.options.load_adjusted_latency else moved:
+                aff_c.add(p)
                 aff_c.update(rev[p])
 
         changed: dict[int, tuple[float, float, float]] = {}
         r_list, c_list = self._r, self._c
-        for r in aff_r | aff_c:
-            r_i = ctx.comp_time(r, new_pos[r], acpu) if r in aff_r else r_list[r]
-            c_i = ctx.comm_time(r, new_pos, acpu) if r in aff_c else c_list[r]
+        for r in base:
+            if r not in aff_c:
+                r_i = ctx.comp_time(r, new_pos[r], acpu)
+                changed[r] = (r_i, c_list[r], r_i + c_list[r])
+        for r in aff_c:
+            r_i = ctx.comp_time(r, new_pos[r], acpu) if r in base else r_list[r]
+            c_i = ctx.comm_time(r, new_pos, acpu)
             changed[r] = (r_i, c_i, r_i + c_i)
 
         # Running max: the old argmax stands unless it was recomputed.
-        totals = self._totals
         if self._arg in changed:
-            arg = max(
-                range(nprocs),
-                key=lambda r: changed[r][2] if r in changed else totals[r],
-            )
-            best = changed[arg][2] if arg in changed else totals[arg]
+            totals = self._totals.copy()
+            for r, (_, _, total) in changed.items():
+                totals[r] = total
+            best = max(totals)
+            arg = totals.index(best)
         else:
             best, arg = self._best, self._arg
             for r, (_, _, total) in changed.items():

@@ -45,6 +45,19 @@ class TaskMapping:
             d[rank] = node
         return cls(d)
 
+    @classmethod
+    def _trusted(cls, nodes: tuple[str, ...]) -> "TaskMapping":
+        """Wrap a node tuple the caller vouches for, skipping validation.
+
+        For derivations from an already-valid mapping (and the search
+        loop's own node lists): every id either came out of a validated
+        mapping or was checked on its way in.
+        """
+        self = object.__new__(cls)
+        self._nodes = nodes
+        self._hash = hash(nodes)
+        return self
+
     # -- queries ------------------------------------------------------------
     @property
     def nprocs(self) -> int:
@@ -93,9 +106,11 @@ class TaskMapping:
         """A copy with one process moved to *node*."""
         if not 0 <= rank < len(self._nodes):
             raise InvalidMappingError(f"rank {rank} out of range")
+        if not (isinstance(node, str) and node):
+            raise InvalidMappingError("node ids must be nonempty strings")
         nodes = list(self._nodes)
         nodes[rank] = node
-        return TaskMapping(nodes)
+        return TaskMapping._trusted(tuple(nodes))
 
     def with_swap(self, rank_a: int, rank_b: int) -> "TaskMapping":
         """A copy with two processes' nodes swapped."""
@@ -104,7 +119,7 @@ class TaskMapping:
             nodes[rank_a], nodes[rank_b] = nodes[rank_b], nodes[rank_a]
         except IndexError:
             raise InvalidMappingError("swap ranks out of range") from None
-        return TaskMapping(nodes)
+        return TaskMapping._trusted(tuple(nodes))
 
     # -- dunder ----------------------------------------------------------------
     def __reduce__(self):

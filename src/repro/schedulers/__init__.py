@@ -5,7 +5,7 @@ from repro.schedulers.base import MappingConstraint, ScheduleResult, Scheduler, 
 from repro.schedulers.cs import CbesScheduler
 from repro.schedulers.genetic import GeneticParams, GeneticScheduler
 from repro.schedulers.greedy import GreedyScheduler
-from repro.schedulers.moves import MoveGenerator
+from repro.schedulers.moves import Move, MoveGenerator
 from repro.schedulers.ncs import NoCommScheduler
 from repro.schedulers.random_scheduler import RandomScheduler
 
@@ -17,6 +17,7 @@ __all__ = [
     "GeneticScheduler",
     "GreedyScheduler",
     "MappingConstraint",
+    "Move",
     "MoveGenerator",
     "NoCommScheduler",
     "RandomScheduler",

@@ -9,11 +9,14 @@ schedule drives acceptance from near-random walk to strict descent.
 is how the worst-vs-best scenario experiments (tables 1 and 3) obtain
 their worst cases.
 
-The energy may be a plain callable (one full evaluation per neighbour)
-or an object advertising the incremental protocol of
+The loop speaks *moves* (:class:`~repro.schedulers.moves.Move`), not
+mappings.  An energy advertising the incremental protocol of
 :class:`repro.core.fast_eval.IncrementalEvaluator` — ``reset(mapping)``,
-``propose(candidate)``, ``commit()``, ``reject()`` — in which case each
-neighbour costs only a delta evaluation of the ranks the move touched.
+``propose_move(move)``, ``commit()``, ``reject()`` — is handed the move
+itself, so a neighbour costs a delta evaluation of the ranks the move
+touched and a rejected one never becomes a :class:`TaskMapping`.  A
+plain callable energy (one full evaluation per neighbour) and a
+*feasible* predicate get ``move.apply(current)``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ __all__ = ["AnnealingSchedule", "anneal", "supports_incremental"]
 
 
 def supports_incremental(energy: object) -> bool:
-    """Whether *energy* advertises the propose/commit/reject protocol."""
+    """Whether *energy* advertises the propose_move/commit/reject protocol."""
     return all(
         callable(getattr(energy, attr, None))
-        for attr in ("reset", "propose", "commit", "reject")
+        for attr in ("reset", "propose_move", "commit", "reject")
     )
 
 
@@ -96,26 +99,35 @@ def anneal(
     def cost(m: TaskMapping) -> float:
         return sign * energy(m)
 
-    current = start
-    current_cost = sign * energy.reset(current) if incremental else cost(current)
-    best, best_cost = current, current_cost
+    # The chain's state is an Occupancy advanced move by move; the
+    # TaskMapping of the current point is kept only when something needs
+    # a mapping per candidate (a constraint, a plain callable energy).
+    materialise = feasible is not None or not incremental
+    current = start if materialise else None
+    current_cost = sign * energy.reset(start) if incremental else cost(start)
+    best, best_cost = start, current_cost
 
     # Auto-scale T0 from an initial sample of move deltas so acceptance
     # starts near the configured level regardless of the energy scale.
     deltas = []
-    probe = current
+    occupancy = moves.occupancy(start)
+    probe = start
     for _ in range(12):
-        cand = moves.neighbour(probe, rng)
-        if feasible is not None and not feasible(cand):
-            continue
+        move = moves.draw(occupancy, rng)
+        if materialise:
+            candidate = move.apply(probe)
+            if feasible is not None and not feasible(candidate):
+                continue
+            probe = candidate
         if incremental:
-            deltas.append(abs(sign * energy.propose(cand) - current_cost))
+            deltas.append(abs(sign * energy.propose_move(move) - current_cost))
             energy.commit()  # walk the probe chain
         else:
-            deltas.append(abs(cost(cand) - current_cost))
-        probe = cand
+            deltas.append(abs(cost(probe) - current_cost))
+        occupancy.apply(move)
     if incremental:
         energy.reset(start)  # rewind the probe walk
+    occupancy = moves.occupancy(start)
     mean_delta = math.fsum(deltas) / len(deltas) if deltas else abs(current_cost) * 0.01
     if mean_delta == 0.0:
         mean_delta = max(abs(current_cost), 1e-9) * 1e-3
@@ -132,20 +144,26 @@ def anneal(
             break
         improved = False
         for _ in range(schedule.moves_per_temperature):
-            candidate = moves.neighbour(current, rng)
-            if feasible is not None and not feasible(candidate):
-                continue
+            move = moves.draw(occupancy, rng)
+            if materialise:
+                candidate = move.apply(current)
+                if feasible is not None and not feasible(candidate):
+                    continue
             candidate_cost = (
-                sign * energy.propose(candidate) if incremental else cost(candidate)
+                sign * energy.propose_move(move) if incremental else cost(candidate)
             )
             delta = candidate_cost - current_cost
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
                 if incremental:
                     energy.commit()
-                current, current_cost = candidate, candidate_cost
+                occupancy.apply(move)
+                if materialise:
+                    current = candidate
+                current_cost = candidate_cost
                 accepted += 1
                 if current_cost < best_cost:
-                    best, best_cost = current, current_cost
+                    best = current if materialise else occupancy.mapping()
+                    best_cost = current_cost
                     improved = True
             else:
                 rejected += 1

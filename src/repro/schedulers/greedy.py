@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
 from repro.schedulers.base import MappingConstraint, Scheduler, make_rng
+from repro.schedulers.moves import Move
 
 __all__ = ["GreedyScheduler"]
 
@@ -50,22 +51,25 @@ class GreedyScheduler(Scheduler):
             rng = make_rng(seed, self.name, tuple(pool), profile.app_name)
             mapping = self._initial_mapping(evaluator, pool, rng)
         # Swap-based local search runs on the incremental delta path:
-        # each candidate swap costs a propose() over the two moved ranks
-        # and their peers, not a full re-evaluation.
+        # each candidate swap is handed to the evaluator as a move and
+        # costs the two swapped ranks and their peers, not a full
+        # re-evaluation; a mapping is built for a constraint check and
+        # for an accepted swap only.
         fast = evaluator.incremental()
         best_time = fast.reset(mapping)
         history = [best_time]
+        constraint = self._constraint
         for _ in range(self._rounds):
             improved = False
             for a in range(nprocs):
                 for b in range(a + 1, nprocs):
-                    candidate = mapping.with_swap(a, b)
-                    if not self.feasible(candidate):
+                    move = Move.swap(a, b)
+                    if constraint is not None and not constraint(move.apply(mapping)):
                         continue
-                    t = fast.propose(candidate)
+                    t = fast.propose_move(move)
                     if t < best_time:
                         fast.commit()
-                        mapping, best_time = candidate, t
+                        mapping, best_time = move.apply(mapping), t
                         improved = True
                     else:
                         fast.reject()

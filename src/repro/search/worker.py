@@ -207,7 +207,7 @@ class TaskRunner:
             moves,
             rng,
             schedule=task.schedule,
-            feasible=self.spec.feasible,
+            feasible=self.spec.constraint,
             direction=task.direction,
             deadline=task.deadline,
         )

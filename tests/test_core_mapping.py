@@ -1,5 +1,7 @@
 """Tests for TaskMapping (paper eqs. 1-3)."""
 
+import pickle
+
 import pytest
 
 from repro.core import InvalidMappingError, TaskMapping
@@ -81,6 +83,20 @@ class TestDerivation:
     def test_assignment_out_of_range(self):
         with pytest.raises(InvalidMappingError):
             TaskMapping(["a"]).with_assignment(3, "b")
+
+    @pytest.mark.parametrize("node", ["", None, 3])
+    def test_assignment_validates_the_incoming_node(self, node):
+        with pytest.raises(InvalidMappingError):
+            TaskMapping(["a", "b"]).with_assignment(0, node)
+
+    def test_derived_mappings_equal_hash_and_pickle_like_built_ones(self):
+        built = TaskMapping(["c", "b", "a"])
+        for derived in (
+            TaskMapping(["a", "b", "c"]).with_swap(0, 2),
+            TaskMapping(["x", "b", "a"]).with_assignment(0, "c"),
+        ):
+            assert derived == built and hash(derived) == hash(built)
+            assert pickle.loads(pickle.dumps(derived)) == built
 
 
 class TestEqualityHashing:

@@ -52,11 +52,6 @@ class TestMoveGenerator:
         mapping = TaskMapping(["only"])
         assert moves.neighbour(mapping, rng) == mapping
 
-    def test_neighbours_count(self):
-        rng = spawn_rng(1, "mv")
-        moves = MoveGenerator(POOL)
-        assert len(moves.neighbours(TaskMapping(POOL[:3]), 7, rng)) == 7
-
     def test_swap_probability_validation(self):
         with pytest.raises(ValueError):
             MoveGenerator(POOL, swap_probability=1.5)
