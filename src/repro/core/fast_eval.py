@@ -37,24 +37,33 @@ workers, the remapper, the daemon — does it through this module:
 :class:`IncrementalEvaluator`
     Mutable search state over a context: ``propose_move(move)`` (or
     ``propose(candidate)``, the same kernel behind a diff) returns the
-    candidate's ``S_M`` after recomputing only the moved ranks'
-    ``R_i``/``C_i``, the ``C_i`` of their communication peers, and the
-    ACPU-driven terms on the affected nodes; ``commit()`` / ``reject()``
-    resolve the proposal.  Affected ranks are recomputed *from scratch*
-    (never ``+= delta``), so the incremental state cannot drift from the
-    reference path no matter how long the move sequence runs.  Its
-    ``many(mappings)`` method exposes the batched kernel to population
-    schedulers while keeping the evaluation counter exact.
+    candidate's ``S_M``; ``commit()`` / ``reject()`` resolve the
+    proposal.  The unit it recomputes is one message-group *term*,
+    ``count * L(src, dst, size)``: the evaluator keeps the committed
+    term list of every rank (:meth:`EvaluationContext.comm_terms`), and
+    a move recomputes every term of the ranks whose own node or ACPU
+    changed, and of a rank that merely has one of those as a peer only
+    the terms facing it (:meth:`EvaluationContext.moved_terms`).  What
+    is re-folded is ``C_i``: ``λ_i`` times the left fold of the rank's
+    whole list, in group order.  A term is recomputed *from scratch* or
+    left alone, never adjusted (no ``+= delta`` anywhere), and the fold
+    keeps the scalar association, so the incremental state equals a
+    fresh full evaluation exactly, however long the move sequence
+    runs.  ``R_i`` is recomputed for moved ranks and the ranks on
+    ACPU-changed nodes.  Its ``many(mappings)`` method exposes the
+    batched kernel to population schedulers while keeping the
+    evaluation counter exact.
 
 The reference ``predict()`` stays authoritative: ``tests/test_fast_eval
 .py`` holds this module to 1e-9 agreement with it over randomized move
-sequences, ``tests/test_batch_eval.py`` holds the two batch backends to
-bit-identical agreement, and ``benchmarks/bench_batch_eval.py`` measures
-the population speedup (target: >= 10x on 64 nodes / 32 ranks / 256
-mappings).  There is no second path to fall back to: inputs no context
-can serve (an empty node table here, an out-of-range message peer in
-:class:`~repro.profiling.profile.ApplicationProfile`) are refused with
-``ValueError`` where they enter.
+sequences and the cached terms to ``==`` with a fresh evaluation after
+every commit and reject, ``tests/test_batch_eval.py`` holds the two
+batch backends to bit-identical agreement, and ``benchmarks/
+bench_batch_eval.py`` measures the population speedup (target: >= 10x
+on 64 nodes / 32 ranks / 256 mappings).  There is no second path to
+fall back to: inputs no context can serve (an empty node table here, an
+out-of-range message peer in :class:`~repro.profiling.profile.
+ApplicationProfile`) are refused with ``ValueError`` where they enter.
 """
 
 from __future__ import annotations
@@ -118,6 +127,18 @@ def active_backend() -> str:
             )
         return "python"
     return "numpy"
+
+
+def left_fold(terms: list[float]) -> float:
+    """``((0.0 + t0) + t1) + ...`` — the scalar association of every ``Θ_i``.
+
+    Never builtin ``sum``: CPython >= 3.12 compensates float sums, which
+    would change energies with the interpreter version.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 class EvaluationContext:
@@ -215,7 +236,9 @@ class EvaluationContext:
         # Message groups per rank, recvs first (reference summation
         # order): tuples (is_send, peer, count, size).
         self.groups: list[list[tuple[bool, int, float, float]]] = []
-        rev: list[set[int]] = [set() for _ in range(nprocs)]
+        reach: list[dict[int, list[tuple[int, bool, float, float]]]] = [
+            {} for _ in range(nprocs)
+        ]
         for p in profile.processes:
             gs: list[tuple[bool, int, float, float]] = []
             for g in p.recvs:
@@ -223,11 +246,20 @@ class EvaluationContext:
             for g in p.sends:
                 gs.append((True, g.peer, float(g.count), g.size_bytes))
             self.groups.append(gs)
-            for _, peer, _, _ in gs:
-                rev[peer].add(p.rank)
-        #: rev[p] — ranks that have p as a message-group peer (whose C_i
-        #: depends on where p sits / how loaded p's node is).
-        self.rev: list[tuple[int, ...]] = [tuple(sorted(s)) for s in rev]
+            for g, (is_send, peer, count, size) in enumerate(gs):
+                if peer != p.rank:
+                    reach[peer].setdefault(p.rank, []).append((g, is_send, count, size))
+        #: peer_groups[p] — the message-group terms a change at rank p
+        #: reaches, and only those: one ``(r, records)`` per other rank r
+        #: that has p as a peer (ascending r), *records* one ``(g,
+        #: is_send, count, size)`` per group of r whose peer is p, g its
+        #: index in ``groups[r]``.
+        self.peer_groups: list[
+            tuple[tuple[int, tuple[tuple[int, bool, float, float], ...]], ...]
+        ] = [
+            tuple((r, tuple(records)) for r, records in by_rank.items())
+            for by_rank in reach
+        ]
 
         # CSR columns of all message groups, rank-major and in group
         # order within a rank — the accumulation order of every backend.
@@ -312,11 +344,13 @@ class EvaluationContext:
         incremental evaluator's rebinds in particular — is independent
         of the batch backend selection.
         """
-        return self._evaluate_positions(self.positions(mapping))
+        r_arr, c_arr, acpu, _ = self._evaluate_positions(self.positions(mapping))
+        return r_arr, c_arr, acpu
 
     def _evaluate_positions(
         self, pos: list[int]
-    ) -> tuple[list[float], list[float], list[float]]:
+    ) -> tuple[list[float], list[float], list[float], list[list[float]]]:
+        """(R, C, acpu-by-node, message-group terms per rank) at *pos*."""
         counts = [0] * self.nnodes
         for j in pos:
             counts[j] += 1
@@ -324,9 +358,10 @@ class EvaluationContext:
         work, speed = self.work, self.speed
         r_arr = [work[i] / speed[pos[i]] / acpu[pos[i]] for i in range(self.nprocs)]
         if not self.options.communication or not self._grp_rank:
-            return r_arr, [0.0] * self.nprocs, acpu
-        c_arr = [self.comm_time(i, pos, acpu) for i in range(self.nprocs)]
-        return r_arr, c_arr, acpu
+            return r_arr, [0.0] * self.nprocs, acpu, [[] for _ in range(self.nprocs)]
+        terms = [self.comm_terms(i, pos, acpu) for i in range(self.nprocs)]
+        lam = self.lam
+        return r_arr, [left_fold(t) * lam[i] for i, t in enumerate(terms)], acpu, terms
 
     def execution_time(self, mapping: TaskMapping) -> float:
         """``S_M`` of one mapping (stateless, scalar path)."""
@@ -349,7 +384,7 @@ class EvaluationContext:
             return self._evaluate_many_numpy(mappings)
         out = []
         for mapping in mappings:
-            r_arr, c_arr, _ = self._evaluate_positions(self.positions(mapping))
+            r_arr, c_arr, _, _ = self._evaluate_positions(self.positions(mapping))
             out.append(max(r + c for r, c in zip(r_arr, c_arr)))
         return out
 
@@ -505,29 +540,34 @@ class EvaluationContext:
         return r_arr.max(axis=1).tolist()
 
     # -- scalar kernels for the delta path ------------------------------
-    def comm_time(self, rank: int, pos: list[int], acpu: list[float]) -> float:
-        """``C_i`` of one rank under (pos, acpu) — tuned scalar loop."""
+    def _no_latency(self, s: int, d: int) -> KeyError:
+        return KeyError(f"no latency data for pair ({self.node_ids[s]!r}, {self.node_ids[d]!r})")
+
+    def comm_terms(self, rank: int, pos: list[int], acpu: list[float]) -> list[float]:
+        """The message-group terms of one rank under (pos, acpu), in group order.
+
+        One ``count * L(src, dst, size)`` per group of ``groups[rank]``:
+        their left fold is ``Θ_i`` and ``λ_i`` times that is ``C_i``.
+        This is the full-list form of the term expression;
+        :meth:`moved_terms` holds the patch form beside it.
+        """
         groups = self.groups[rank]
-        if not groups:
-            return 0.0
         n = self.nnodes
         comp = self._comp_flat
         binv = self._binv
         me = pos[rank]
-        total = 0.0
         if self._missing_pairs:
             a_net = self._a_net
             for is_send, peer, _, _ in groups:
                 s, d = (me, pos[peer]) if is_send else (pos[peer], me)
                 if a_net[s * n + d] != a_net[s * n + d]:  # NaN check
-                    raise KeyError(
-                        f"no latency data for pair ({self.node_ids[s]!r}, {self.node_ids[d]!r})"
-                    )
+                    raise self._no_latency(s, d)
         # The grouping below — endpoint terms first, then the load-
         # independent tail ``a_net + size * (beta*invnic)`` as one unit
         # (with the fused ``binv`` slope) — is the association the
         # vectorized backend replays; both paths must keep it for their
         # energies to stay bit-identical.
+        terms = []
         if self.options.load_adjusted_latency:
             for is_send, peer, count, size in groups:
                 if is_send:
@@ -536,7 +576,7 @@ class EvaluationContext:
                     s, d = pos[peer], me
                 k = s * n + d
                 a_s, a_d, a_n, _ = comp[k]
-                total += count * (a_s / acpu[s] + a_d / acpu[d] + (a_n + size * binv[k]))
+                terms.append(count * (a_s / acpu[s] + a_d / acpu[d] + (a_n + size * binv[k])))
         else:
             for is_send, peer, count, size in groups:
                 if is_send:
@@ -544,8 +584,90 @@ class EvaluationContext:
                 else:
                     s, d = pos[peer], me
                 a_s, a_d, a_n, b = comp[s * n + d]
-                total += count * (a_s + a_d + a_n + size * b)
-        return total * self.lam[rank]
+                terms.append(count * (a_s + a_d + a_n + size * b))
+        return terms
+
+    def moved_terms(
+        self,
+        src: Sequence[int],
+        committed: list[list[float]],
+        pos: list[int],
+        acpu: list[float],
+    ) -> list[tuple[int, list[float], float]]:
+        """``(rank, terms, C_i)`` of every rank a change at the ranks *src* reaches.
+
+        *src* are the ranks whose own node (or, under load-adjusted
+        latencies, own ACPU) differs between the state the term lists
+        *committed* were computed in and (pos, acpu): every term of
+        theirs has a changed operand, so each gets a fresh
+        :meth:`comm_terms`.  A rank that merely has one of them as a
+        peer keeps a copy of its committed list in which only the
+        entries of those peers (:attr:`peer_groups`) are recomputed —
+        the patch form: the full-list form's expression on the same
+        operands, so a patched list ``==`` a fresh one — and is
+        re-folded in group order.  Nothing in *committed* is written.
+        """
+        # Plain loops, here and for the fold below: a comprehension's
+        # frame and a call per rank are 1.5 us of a 14 us cg.A move.
+        fresh: dict[int, list[float]] = {}
+        for r in src:
+            fresh[r] = self.comm_terms(r, pos, acpu)
+        peer_groups = self.peer_groups
+        n = self.nnodes
+        if self._missing_pairs:
+            a_net = self._a_net
+            for p in src:
+                there = pos[p]
+                for r, records in peer_groups[p]:
+                    if r not in fresh:
+                        me = pos[r]
+                        for _, is_send, _, _ in records:
+                            s, d = (me, there) if is_send else (there, me)
+                            if a_net[s * n + d] != a_net[s * n + d]:  # NaN check
+                                raise self._no_latency(s, d)
+        comp = self._comp_flat
+        binv = self._binv
+        load_adjusted = self.options.load_adjusted_latency
+        patched: dict[int, list[float]] = {}
+        for p in src:
+            there = pos[p]
+            for r, records in peer_groups[p]:
+                if r in fresh:
+                    continue
+                terms = patched.get(r)
+                if terms is None:
+                    terms = patched[r] = committed[r].copy()
+                me = pos[r]
+                if load_adjusted:
+                    for g, is_send, count, size in records:
+                        if is_send:
+                            s, d = me, there
+                        else:
+                            s, d = there, me
+                        k = s * n + d
+                        a_s, a_d, a_n, _ = comp[k]
+                        terms[g] = count * (a_s / acpu[s] + a_d / acpu[d] + (a_n + size * binv[k]))
+                else:
+                    for g, is_send, count, size in records:
+                        if is_send:
+                            s, d = me, there
+                        else:
+                            s, d = there, me
+                        a_s, a_d, a_n, b = comp[s * n + d]
+                        terms[g] = count * (a_s + a_d + a_n + size * b)
+        lam = self.lam
+        out = []
+        for part in (fresh, patched):
+            for r, terms in part.items():
+                total = 0.0  # left_fold, inlined
+                for term in terms:
+                    total += term
+                out.append((r, terms, total * lam[r]))
+        return out
+
+    def comm_time(self, rank: int, pos: list[int], acpu: list[float]) -> float:
+        """``C_i`` of one rank under (pos, acpu): ``λ_i`` times the fold of its terms."""
+        return left_fold(self.comm_terms(rank, pos, acpu)) * self.lam[rank]
 
     def comp_time(self, rank: int, node: int, acpu: list[float]) -> float:
         """``R_i`` of one rank placed on *node* — scalar kernel."""
@@ -592,6 +714,8 @@ class IncrementalEvaluator:
         self._acpu: list[float] = []
         self._r: list[float] = [0.0] * context.nprocs
         self._c: list[float] = [0.0] * context.nprocs
+        #: The message-group terms each ``_c[r]`` is the fold of.
+        self._terms: list[list[float]] = [[] for _ in range(context.nprocs)]
         self._totals: list[float] = [0.0] * context.nprocs
         self._best = float("nan")
         self._arg = -1
@@ -628,16 +752,14 @@ class IncrementalEvaluator:
         """Stage *mapping* as a proposal in which every rank changed."""
         ctx = self._ctx
         pos = ctx.positions(mapping)
-        r_arr, c_arr, acpu = ctx._evaluate_positions(pos)
+        r_arr, c_arr, acpu, terms = ctx._evaluate_positions(pos)
         counts = [0] * ctx.nnodes
         for node in pos:
             counts[node] += 1
-        changed = {
-            r: (r_i, c_i, r_i + c_i) for r, (r_i, c_i) in enumerate(zip(r_arr, c_arr))
-        }
-        arg = max(changed, key=lambda r: changed[r][2])
-        best = changed[arg][2]
-        self._pending = (pos, counts, acpu, changed, best, arg)
+        totals = [r_i + c_i for r_i, c_i in zip(r_arr, c_arr)]
+        best = max(totals)
+        changed = dict(enumerate(zip(r_arr, c_arr, totals, terms)))
+        self._pending = (pos, counts, acpu, changed, best, totals.index(best))
         self._note()
         return best
 
@@ -684,19 +806,20 @@ class IncrementalEvaluator:
         if not pos:
             raise RuntimeError("propose_move() before reset()")
         new_pos = pos.copy()
-        rank = move.rank
+        rank, other = move.rank, move.other
+        # Checked, not caught: a negative rank would index from the end
+        # and stand for the same rank under a second number.
+        if not (0 <= rank < len(pos) and 0 <= other < len(pos)):
+            raise InvalidMappingError(f"move ranks out of range: {move!r}")
         moved: tuple[int, ...] = (rank,)
-        try:
-            if move.node is None:
-                other = move.other
-                new_pos[rank], new_pos[other] = pos[other], pos[rank]
-                moved = (rank, other) if rank < other else (other, rank)
-            else:
+        if move.node is None:
+            new_pos[rank], new_pos[other] = pos[other], pos[rank]
+            moved = (rank, other) if rank < other else (other, rank)
+        else:
+            try:
                 new_pos[rank] = self._ctx.index[move.node]
-        except IndexError:
-            raise InvalidMappingError(f"move ranks out of range: {move!r}") from None
-        except KeyError:
-            raise InvalidMappingError(f"mapping uses unknown node {move.node!r}") from None
+            except KeyError:
+                raise InvalidMappingError(f"mapping uses unknown node {move.node!r}") from None
         if new_pos[rank] == pos[rank]:
             moved = ()  # co-located swap / replace onto its own node
         return self._propose_moved(new_pos, moved)
@@ -739,8 +862,6 @@ class IncrementalEvaluator:
         # Affected ranks.  ``base``: moved ranks plus every rank hosted
         # on an ACPU-changed node — their R_i changes (eq. 5), and under
         # load-adjusted latencies so does their endpoint stretching.
-        # C_i is recomputed for those and for their communication peers;
-        # under no-load latencies only relocations reach C_i.
         base = list(moved)
         if acpu_changed and sum(counts[n] for n in acpu_changed) > sum(
             new_pos[r] in acpu_changed for r in moved
@@ -748,34 +869,32 @@ class IncrementalEvaluator:
             base += [
                 r for r in range(ctx.nprocs) if new_pos[r] in acpu_changed and r not in moved
             ]
-        aff_c: set[int] = set()
+        # A message-group term is recomputed where an operand of it
+        # changed and nowhere else: every term of the ranks in ``src``,
+        # and of their peers the terms facing them.  Under no-load
+        # latencies only relocations reach a term.
+        changed: dict[int, tuple[float, float, float, list[float]]] = {}
+        r_list, c_list, t_list = self._r, self._c, self._terms
         if ctx.options.communication:
-            rev = ctx.rev
-            for p in base if ctx.options.load_adjusted_latency else moved:
-                aff_c.add(p)
-                aff_c.update(rev[p])
-
-        changed: dict[int, tuple[float, float, float]] = {}
-        r_list, c_list = self._r, self._c
+            src = base if ctx.options.load_adjusted_latency else moved
+            for r, terms, c_i in ctx.moved_terms(src, t_list, new_pos, acpu):
+                r_i = ctx.comp_time(r, new_pos[r], acpu) if r in base else r_list[r]
+                changed[r] = (r_i, c_i, r_i + c_i, terms)
         for r in base:
-            if r not in aff_c:
+            if r not in changed:
                 r_i = ctx.comp_time(r, new_pos[r], acpu)
-                changed[r] = (r_i, c_list[r], r_i + c_list[r])
-        for r in aff_c:
-            r_i = ctx.comp_time(r, new_pos[r], acpu) if r in base else r_list[r]
-            c_i = ctx.comm_time(r, new_pos, acpu)
-            changed[r] = (r_i, c_i, r_i + c_i)
+                changed[r] = (r_i, c_list[r], r_i + c_list[r], t_list[r])
 
         # Running max: the old argmax stands unless it was recomputed.
         if self._arg in changed:
             totals = self._totals.copy()
-            for r, (_, _, total) in changed.items():
+            for r, (_, _, total, _) in changed.items():
                 totals[r] = total
             best = max(totals)
             arg = totals.index(best)
         else:
             best, arg = self._best, self._arg
-            for r, (_, _, total) in changed.items():
+            for r, (_, _, total, _) in changed.items():
                 if total > best:
                     best, arg = total, r
         self._pending = (new_pos, counts, acpu, changed, best, arg)
@@ -789,10 +908,11 @@ class IncrementalEvaluator:
         self._pos = new_pos
         self._counts = counts
         self._acpu = acpu
-        for r, (r_i, c_i, total) in changed.items():
+        for r, (r_i, c_i, total, terms) in changed.items():
             self._r[r] = r_i
             self._c[r] = c_i
             self._totals[r] = total
+            self._terms[r] = terms
         self._best = best
         self._arg = arg
         self._pending = None

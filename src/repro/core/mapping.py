@@ -114,11 +114,11 @@ class TaskMapping:
 
     def with_swap(self, rank_a: int, rank_b: int) -> "TaskMapping":
         """A copy with two processes' nodes swapped."""
+        nprocs = len(self._nodes)
+        if not (0 <= rank_a < nprocs and 0 <= rank_b < nprocs):
+            raise InvalidMappingError("swap ranks out of range")
         nodes = list(self._nodes)
-        try:
-            nodes[rank_a], nodes[rank_b] = nodes[rank_b], nodes[rank_a]
-        except IndexError:
-            raise InvalidMappingError("swap ranks out of range") from None
+        nodes[rank_a], nodes[rank_b] = nodes[rank_b], nodes[rank_a]
         return TaskMapping._trusted(tuple(nodes))
 
     # -- dunder ----------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 
 from repro._rng import Rng
+from repro.core.errors import InvalidMappingError
 from repro.core.mapping import TaskMapping
 
 __all__ = ["Move", "MoveGenerator", "Occupancy"]
@@ -97,13 +98,15 @@ class Occupancy:
     def apply(self, move: Move) -> None:
         """Advance to the mapping *move* (drawn against this state) produces."""
         nodes = self.nodes
+        a, b = move.rank, move.other
+        if not (0 <= a < len(nodes) and 0 <= b < len(nodes)):
+            raise InvalidMappingError(f"move ranks out of range: {move!r}")
         node = move.node
         if node is None:
-            a, b = move.rank, move.other
             nodes[a], nodes[b] = nodes[b], nodes[a]
             return
-        old = nodes[move.rank]
-        nodes[move.rank] = node
+        old = nodes[a]
+        nodes[a] = node
         count = self._count
         free = self.free
         del free[bisect_left(free, self._slot[node])]

@@ -380,14 +380,13 @@ class CbesDaemon(HttpService):
         triples = validate_load_events(self._service, request.json())
         events = [LoadEvent(node, cpu_load=cpu, nic_load=nic) for node, cpu, nic in triples]
         LoadGenerator(self._service.cluster).apply(events)
-        snapshot = self.runner.poll_snapshot()
-        self.runner.adopt_snapshot(snapshot)
+        self.runner.adopt_snapshot(self.runner.poll_snapshot())
         return 200, {
             "applied": [
                 {"node": e.node_id, "cpu_load": e.cpu_load, "nic_load": e.nic_load}
                 for e in events
             ],
-            "snapshot_fingerprint": snapshot.fingerprint(),
+            "snapshot_fingerprint": self.runner.serving[1],
         }, {}
 
     # -- reads ----------------------------------------------------------
@@ -412,7 +411,7 @@ class CbesDaemon(HttpService):
             "queue_depth": runner.queue_depth,
             "queue_limit": runner.queue_limit,
             "jobs": self._store.counts(),
-            "snapshot_fingerprint": runner.snapshot.fingerprint(),
+            "snapshot_fingerprint": runner.serving[1],
             "snapshot_refreshes": runner.snapshot_refreshes,
             "monitoring": self._service.is_monitoring,
             "remap_watches": len(self.watches),

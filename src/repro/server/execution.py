@@ -24,6 +24,7 @@ from repro.core.evaluation import EvaluationOptions
 from repro.core.fast_eval import EvaluationContext
 from repro.core.mapping import TaskMapping
 from repro.core.service import CBES
+from repro.monitoring.snapshot import SystemSnapshot
 from repro.schedulers import make_scheduler
 from repro.search.pool import (
     POOL_SPAWNS_TOTAL,
@@ -76,8 +77,10 @@ class JobRunner:
         self._queue: asyncio.Queue[Job] | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._tasks: list[asyncio.Task] = []
-        #: The frozen SystemSnapshot jobs and watches are served against.
-        self.snapshot = None
+        #: ``(snapshot, fingerprint)`` — the frozen SystemSnapshot jobs and
+        #: watches are served against and its digest, swapped as one
+        #: value so a reader sees one generation and nobody re-hashes it.
+        self.serving: tuple[SystemSnapshot, str] | None = None
         self.snapshot_refreshes = 0
         self._snapshot_adopted_at: float | None = None
         #: (app name, EvaluationOptions) -> EvaluationContext, all built
@@ -126,6 +129,11 @@ class JobRunner:
             ),
         )
 
+    @property
+    def snapshot(self) -> SystemSnapshot | None:
+        """The serving snapshot (``None`` before :meth:`start`)."""
+        return self.serving[0] if self.serving is not None else None
+
     # -- queue ----------------------------------------------------------
     @property
     def queue_depth(self) -> int:
@@ -151,7 +159,8 @@ class JobRunner:
     async def start(self) -> None:
         """Take the first snapshot and start workers + the refresh task."""
         self._loop = asyncio.get_running_loop()
-        self.snapshot = self._service.snapshot().freeze()
+        snapshot = self._service.snapshot().freeze()
+        self.serving = (snapshot, snapshot.fingerprint())
         self._snapshot_adopted_at = time.monotonic()
         # Unbounded queue, bounded by the explicit capacity checks in the
         # submit handlers: recovery may legitimately re-enqueue more jobs
@@ -200,9 +209,9 @@ class JobRunner:
     def adopt_snapshot(self, snapshot) -> bool:
         """Swap in *snapshot* if its fingerprint differs; invalidate caches."""
         fingerprint = snapshot.fingerprint()
-        if self.snapshot is not None and fingerprint == self.snapshot.fingerprint():
+        if self.serving is not None and fingerprint == self.serving[1]:
             return False
-        self.snapshot = snapshot
+        self.serving = (snapshot, fingerprint)
         with self._ctx_lock:
             stale = [
                 key
@@ -277,16 +286,19 @@ class JobRunner:
                 "job %s done in %.1f ms", job.id, (time.perf_counter() - started) * 1e3
             )
 
-    def context_for(self, app: str, options: EvaluationOptions, snapshot, evaluator) -> None:
+    def context_for(
+        self, app: str, options: EvaluationOptions, fingerprint: str, evaluator
+    ) -> None:
         """Install the cached fast-eval context (or cache a fresh one).
 
+        *fingerprint* is the digest :attr:`serving` holds for
+        *evaluator*'s snapshot.
         Builds are serialized behind ``_ctx_build_lock`` with a
         double-check, so a batch of N jobs for one application arriving
         together performs one context build and N-1 cache hits instead
         of N racing builds.
         """
         key = (app, options)
-        fingerprint = snapshot.fingerprint()
         with self._ctx_lock:
             context = self._contexts.get(key)
         if context is not None and context.snapshot_fingerprint == fingerprint:
@@ -314,10 +326,10 @@ class JobRunner:
             "cbes.job", job_id=job.id, kind=job.kind, app=app, request_id=job.request_id
         ) as span:
             options = options_from_dict(payload.get("options"))
-            snapshot = self.snapshot  # one atomic read: jobs see one generation
+            snapshot, fingerprint = self.serving  # one atomic read: jobs see one generation
             evaluator = self._service.evaluator(app, options=options, snapshot=snapshot)
             if job.kind == "schedule":
-                self.context_for(app, options, snapshot, evaluator)
+                self.context_for(app, options, fingerprint, evaluator)
                 scheduler = make_scheduler(
                     payload["scheduler"],
                     parallel=payload.get("workers", 1),
@@ -337,5 +349,5 @@ class JobRunner:
                     "cbes_evaluations_total", "Mapping evaluations consumed by scheduling."
                 ).inc(evaluator.evaluations)
             span.set_attribute("evaluations", evaluator.evaluations)
-        doc["snapshot_fingerprint"] = snapshot.fingerprint()
+        doc["snapshot_fingerprint"] = fingerprint
         return doc

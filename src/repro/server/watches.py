@@ -201,9 +201,9 @@ class RemapWatches:
 
     def _tick(self, watch: RemapWatch) -> None:
         """One monitoring tick, on a worker thread (CPU-bound search)."""
-        snapshot = self._runner.snapshot  # one atomic read per tick
+        snapshot, fingerprint = self._runner.serving  # one atomic read per tick
         evaluator = self._service.evaluator(watch.app, snapshot=snapshot)
-        self._runner.context_for(watch.app, evaluator.options, snapshot, evaluator)
+        self._runner.context_for(watch.app, evaluator.options, fingerprint, evaluator)
         now_s = watch.ticks * watch.interval_s  # logical clock: deterministic
         fired = watch.loop.step(evaluator, now_s)
         if fired is None:
@@ -216,7 +216,7 @@ class RemapWatches:
             tick=watch.ticks,
             at_s=now_s,
             drift=round(event.degradation, 6),
-            snapshot_fingerprint=snapshot.fingerprint(),
+            snapshot_fingerprint=fingerprint,
         )
         with self._decision_lock:
             self._decisions.append(doc)

@@ -3,25 +3,33 @@
 The central property: over randomized move sequences (swaps, replaces,
 and colocating assignments), :class:`IncrementalEvaluator` must agree
 with the reference ``MappingEvaluator.predict()`` to within 1e-9 — for
-the full formula and for every ablation option combination.
+the full formula and for every ablation option combination.  Against
+its own context it must agree *exactly*: the message-group terms it
+caches per rank, patched move by move, ``==`` a fresh evaluation after
+every commit and every reject.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 import pytest
 
 from repro._rng import Rng
 from repro._util import spawn_rng
 from repro.cluster import single_switch
+from repro.cluster.latency import LatencyModel, PathComponents
+from repro.cluster.node import Architecture, Node
 from repro.core import CBES, EvaluationOptions, TaskMapping
-from repro.core.fast_eval import EvaluationContext
+from repro.core.evaluation import MappingEvaluator
+from repro.core.fast_eval import EvaluationContext, left_fold
 from repro.monitoring.snapshot import NodeState, SystemSnapshot
-from repro.profiling.profile import ApplicationProfile, MessageGroup
+from repro.profiling.profile import ApplicationProfile, MessageGroup, ProcessProfile
 from repro.schedulers.annealing import AnnealingSchedule, anneal, supports_incremental
 from repro.schedulers.cs import CbesScheduler
-from repro.schedulers.moves import MoveGenerator
+from repro.schedulers.moves import Move, MoveGenerator
 from repro.workloads import LU
 
 TOL = 1e-9
@@ -123,6 +131,236 @@ class TestAgreementProperty:
         for proc in prediction.processes:
             assert r_arr[proc.rank] == pytest.approx(proc.computation, abs=TOL)
             assert c_arr[proc.rank] == pytest.approx(proc.communication, abs=TOL)
+
+
+# -- cached message-group terms --------------------------------------------
+
+TERM_NODES = [f"t{i}" for i in range(10)]
+TERM_RANKS = 6
+#: rank -> (sends, recvs) as (peer, size_bytes, count).  Deliberately
+#: lopsided: rank 5 has no group of its own though 0, 3 and 4 message
+#: it (so a change at 5 reaches them through the patch form only), rank
+#: 2 also messages itself, and several ranks hold more than one group
+#: per peer and direction.
+TERM_GROUPS = {
+    0: (
+        [(1, 8192.0, 50), (1, 64.0, 7), (5, 1024.0, 20), (3, 512.0, 3)],
+        [(1, 8192.0, 50), (4, 256.0, 9)],
+    ),
+    1: ([(0, 8192.0, 50), (2, 4096.0, 11)], [(0, 8192.0, 50), (0, 64.0, 7), (2, 128.0, 5)]),
+    2: ([(1, 128.0, 5), (2, 32.0, 2), (4, 2048.0, 13)], [(1, 4096.0, 11), (3, 16.0, 1)]),
+    3: ([(2, 16.0, 1), (5, 65536.0, 4)], [(0, 512.0, 3), (4, 1024.0, 6), (4, 8.0, 90)]),
+    4: ([(0, 256.0, 9), (3, 1024.0, 6), (3, 8.0, 90), (5, 300.0, 2)], [(2, 2048.0, 13)]),
+    5: ([], []),
+}
+
+
+def term_evaluator(options=None, *, missing=(), groups=None) -> MappingEvaluator:
+    """A 10-node / 6-rank synthetic instance under a loaded snapshot.
+
+    Every node carries background load on one or two CPUs, so changes
+    of a node's process count move its ACPU.  *missing* lists ordered
+    node pairs left out of the latency model; *groups* replaces
+    :data:`TERM_GROUPS`.
+    """
+    rng = spawn_rng(11, "cached-terms")
+    archs = [Architecture("fast", 1.3), Architecture("slow", 0.9)]
+    nodes = {
+        nid: Node(nid, archs[i % 2], ncpus=1 + (i % 3 == 0)) for i, nid in enumerate(TERM_NODES)
+    }
+    comps = {
+        (src, dst): PathComponents(
+            alpha_src=25e-6 * rng.uniform(0.8, 1.2),
+            alpha_dst=25e-6 * rng.uniform(0.8, 1.2),
+            alpha_net=10e-6 * rng.uniform(0.5, 2.0),
+            beta=8.0 / 100e6 * rng.uniform(0.9, 1.1),
+        )
+        for src, dst in itertools.permutations(TERM_NODES, 2)
+    }
+    for pair in missing:
+        del comps[pair]
+    snapshot = SystemSnapshot(
+        states={
+            nid: NodeState(rng.uniform(0.2, 1.5), rng.uniform(0.0, 0.4)) for nid in TERM_NODES
+        },
+        ncpus={nid: nodes[nid].ncpus for nid in TERM_NODES},
+    )
+    procs = tuple(
+        ProcessProfile(
+            rank=rank,
+            own_time=rng.uniform(5.0, 15.0),
+            overhead_time=rng.uniform(0.1, 0.5),
+            blocked_time=rng.uniform(0.5, 2.0),
+            sends=tuple(MessageGroup(*g) for g in sends),
+            recvs=tuple(MessageGroup(*g) for g in recvs),
+            lam=rng.uniform(0.7, 1.1),
+        )
+        for rank, (sends, recvs) in (groups or TERM_GROUPS).items()
+    )
+    profile = ApplicationProfile(
+        app_name="cached-terms",
+        nprocs=len(procs),
+        processes=procs,
+        profile_mapping={r: TERM_NODES[r] for r in range(len(procs))},
+        profile_speeds={r: 1.0 for r in range(len(procs))},
+    )
+    return MappingEvaluator(
+        profile, LatencyModel(comps), nodes, snapshot, options or EvaluationOptions()
+    )
+
+
+def assert_state_is_fresh(inc, mapping: TaskMapping, where) -> None:
+    """The committed state of *inc* is, exactly, a full evaluation of *mapping*."""
+    ctx = inc.context
+    pos = ctx.positions(mapping)
+    assert inc._pos == pos, where
+    counts = [pos.count(j) for j in range(ctx.nnodes)]
+    assert inc._counts == counts, where
+    acpu = ctx.acpu_by_node(counts)
+    assert inc._acpu == acpu, where
+    has_terms = ctx.options.communication
+    for rank in range(ctx.nprocs):
+        assert inc._terms[rank] == (ctx.comm_terms(rank, pos, acpu) if has_terms else []), (
+            where, rank,
+        )
+        assert inc._c[rank] == (ctx.comm_time(rank, pos, acpu) if has_terms else 0.0), (
+            where, rank,
+        )
+        assert inc._r[rank] == ctx.comp_time(rank, pos[rank], acpu), (where, rank)
+    assert inc.execution_time == ctx.execution_time(mapping), where
+
+
+class TestCachedTerms:
+    """The delta kernel patches per-rank term lists; they never drift."""
+
+    @pytest.mark.parametrize("cpu_availability", [True, False])
+    @pytest.mark.parametrize("load_adjusted_latency", [True, False])
+    def test_terms_equal_a_fresh_evaluation_after_every_resolve(
+        self, load_adjusted_latency, cpu_availability
+    ):
+        options = EvaluationOptions(
+            load_adjusted_latency=load_adjusted_latency, cpu_availability=cpu_availability
+        )
+        inc = term_evaluator(options).incremental()
+        rng = spawn_rng(3, "cached-terms-walk")
+        # Co-located start: ranks 0/1 and 2/3 share a node.
+        current = TaskMapping(["t0", "t0", "t1", "t1", "t2", "t3"])
+        inc.reset(current)
+        assert_state_is_fresh(inc, current, "reset")
+        kinds = {"swap": 0, "replace": 0, "diff": 0}
+        acpu_moved = shared = 0
+        for step in range(2400):
+            kind = ("swap", "replace", "diff")[rng.integers(3)]
+            if kind == "swap":
+                move = Move.swap(rng.integers(TERM_RANKS), rng.integers(TERM_RANKS))
+                candidate = move.apply(current)
+                got = inc.propose_move(move)
+            elif kind == "replace":
+                # Any node, occupied ones included: co-locates and separates.
+                move = Move.replace(rng.integers(TERM_RANKS), TERM_NODES[rng.integers(10)])
+                candidate = move.apply(current)
+                got = inc.propose_move(move)
+            else:
+                nodes = list(current.as_tuple())
+                for _ in range(2 + rng.integers(3)):
+                    nodes[rng.integers(TERM_RANKS)] = TERM_NODES[rng.integers(10)]
+                candidate = TaskMapping(nodes)
+                got = inc.propose(candidate)
+            assert got == inc.context.execution_time(candidate), (step, kind)
+            if rng.random() < 0.5:
+                before = inc._acpu
+                inc.commit()
+                current = candidate
+                kinds[kind] += 1
+                acpu_moved += inc._acpu != before
+                shared += not current.is_one_per_node
+            else:
+                inc.reject()
+            assert_state_is_fresh(inc, current, (step, kind))
+        assert min(kinds.values()) > 300
+        assert shared > 300
+        # The snapshot is loaded: under eq. 5 re-placements really moved ACPU.
+        assert (acpu_moved > 300) is cpu_availability
+
+    def test_zero_group_rank_and_self_messages_are_served(self):
+        ctx = term_evaluator().fast_context()
+        assert ctx.groups[5] == [] and ctx.peer_groups[5]  # messaged, never messaging
+        assert all(r != p for p in range(TERM_RANKS) for r, _ in ctx.peer_groups[p])
+        pos = list(range(TERM_RANKS))
+        acpu = ctx.acpu_by_node([1] * TERM_RANKS + [0] * 4)
+        assert ctx.comm_terms(5, pos, acpu) == [] and ctx.comm_time(5, pos, acpu) == 0.0
+        # Every group is indexed under its peer exactly once, self-messages excepted.
+        indexed = sorted(
+            (r, g) for p in range(TERM_RANKS) for r, records in ctx.peer_groups[p]
+            for g, *_ in records
+        )
+        assert indexed == [
+            (r, g) for r in range(TERM_RANKS)
+            for g, (_, peer, _, _) in enumerate(ctx.groups[r]) if peer != r
+        ]
+
+    def test_missing_pair_raises_from_the_patched_path(self):
+        """Rank 5 holds no groups, so moving it computes no full list that
+        could trip over the missing pair: the patch form must."""
+        evaluator = term_evaluator(missing=[("t0", "t9"), ("t9", "t0")])
+        inc = evaluator.incremental()
+        start = TaskMapping(TERM_NODES[:TERM_RANKS])
+        s0 = inc.reset(start)
+        with pytest.raises(KeyError, match=r"no latency data for pair \('t0', 't9'\)"):
+            inc.propose_move(Move.replace(5, "t9"))  # rank 0 on t0 sends to rank 5
+        with pytest.raises(KeyError, match="no latency data for pair"):
+            inc.propose(start.with_assignment(5, "t9"))
+        with pytest.raises(KeyError, match=r"no latency data for pair \('t0', 't9'\)"):
+            evaluator.fast_context().execution_time(start.with_assignment(5, "t9"))
+        # Nothing was staged: the walk goes on from the committed state.
+        assert inc.propose_move(Move.replace(5, "t8")) == evaluator.fast_context().execution_time(
+            start.with_assignment(5, "t8")
+        )
+        inc.reject()
+        assert inc.execution_time == s0
+        assert_state_is_fresh(inc, start, "after the refusals")
+
+
+class TestLeftFold:
+    """``C_i`` is a plain left fold; CPython >= 3.12 compensates ``sum``."""
+
+    def test_fold_is_uncompensated(self):
+        terms = [1e16, 1.0, -1e16, 1.0]
+        total = 0.0
+        for term in terms:
+            total += term
+        assert left_fold(terms) == total == 1.0  # a compensated sum says 2.0
+        assert left_fold([]) == 0.0
+        assert math.fsum(terms) == 2.0
+
+    def test_every_kernel_folds_the_same_way(self):
+        """One huge term, then nine below half its ulp: the plain fold
+        drops them all, a compensated one keeps them."""
+        groups = {rank: ([], []) for rank in range(TERM_RANKS)}
+        groups[0] = ([(1, 1024.0, 2**55)] + [(1, 1024.0, 1)] * 9, [])
+        groups[2] = ([(0, 64.0, 3)], [])  # a peer of 0 that is neither 0 nor 1
+        inc = term_evaluator(groups=groups).incremental()
+        ctx = inc.context
+        start = TaskMapping(TERM_NODES[:TERM_RANKS])
+        inc.reset(start)
+
+        def check(mapping):
+            pos = ctx.positions(mapping)
+            acpu = ctx.acpu_by_node([pos.count(j) for j in range(ctx.nnodes)])
+            terms = ctx.comm_terms(0, pos, acpu)
+            total = 0.0
+            for term in terms:
+                total += term
+            assert total == terms[0] != math.fsum(terms)  # the instance discriminates
+            want = total * ctx.lam[0]
+            assert inc._c[0] == ctx.comm_time(0, pos, acpu) == ctx.evaluate(mapping)[1][0] == want
+
+        check(start)  # the full form, through reset
+        for move in (Move.replace(1, "t9"), Move.replace(0, "t8"), Move.swap(0, 1)):
+            inc.propose_move(move)  # the patch form (rank 0 as a peer), then fresh lists
+            inc.commit()
+            start = move.apply(start)
+            check(start)
 
 
 class TestProposeCommitReject:

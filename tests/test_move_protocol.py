@@ -127,6 +127,27 @@ class TestMove:
         with pytest.raises(InvalidMappingError):
             Move.replace(0, "").apply(mapping)
 
+    @pytest.mark.parametrize("ranks", [(-1, 0), (0, -1), (-3, -2), (0, 3), (3, 3)])
+    def test_with_swap_refuses_ranks_outside_the_mapping(self, ranks):
+        """A negative rank is not "the last rank": no wrap-around."""
+        mapping = TaskMapping(["a", "b", "c"])
+        with pytest.raises(InvalidMappingError, match="out of range"):
+            mapping.with_swap(*ranks)
+
+    @pytest.mark.parametrize(
+        "move",
+        [Move.swap(-1, 0), Move.swap(0, -1), Move.swap(0, 5), Move.replace(-1, POOL[7]),
+         Move.replace(5, POOL[7])],
+        ids=repr,
+    )
+    def test_occupancy_refuses_ranks_outside_the_mapping(self, move):
+        start = TaskMapping(POOL[:5])
+        occupancy = MoveGenerator(POOL).occupancy(start)
+        free = list(occupancy.free)
+        with pytest.raises(InvalidMappingError, match="out of range"):
+            occupancy.apply(move)
+        assert occupancy.mapping() == start and occupancy.free == free
+
 
 # -- delta identity --------------------------------------------------------
 
@@ -139,7 +160,7 @@ OPTION_COMBOS = [
     EvaluationOptions(load_adjusted_latency=False, cpu_availability=False),
 ]
 
-STATE = ("_pos", "_counts", "_acpu", "_r", "_c", "_totals", "_best", "_arg")
+STATE = ("_pos", "_counts", "_acpu", "_r", "_c", "_terms", "_totals", "_best", "_arg")
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +257,12 @@ class TestDeltaIdentity:
             inc.propose_move(Move.swap(0, 6))
         with pytest.raises(InvalidMappingError, match="out of range"):
             inc.propose_move(Move.replace(9, pool[7]))
+        # A negative rank is refused, not wrapped round to the last rank.
+        for move in (Move.swap(-1, 0), Move.swap(0, -1), Move.replace(-1, pool[7])):
+            with pytest.raises(InvalidMappingError, match="out of range"):
+                inc.propose_move(move)
+            with pytest.raises(InvalidMappingError):
+                move.apply(TaskMapping(pool[:6]))
         assert inc.execution_time == s0
 
 

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -178,6 +179,37 @@ class TestJobRoundTrip:
         assert contexts, "schedule job should cache an EvaluationContext"
         fingerprint = service.snapshot().fingerprint()
         assert all(ctx.snapshot_fingerprint == fingerprint for ctx in contexts.values())
+
+
+    def test_serving_snapshot_is_hashed_once_per_generation(self, server, client, service_and_app):
+        """The runner keeps ``(snapshot, fingerprint)`` as one value: the
+        digest every document reports, computed when the snapshot was
+        adopted and not again per job."""
+        service, app_name = service_and_app
+        runner = server.daemon.runner
+        snapshot, fingerprint = runner.serving
+        assert snapshot is runner.snapshot and fingerprint == snapshot.fingerprint()
+        assert client.healthz()["snapshot_fingerprint"] == fingerprint
+        callers = []
+        hashing = type(snapshot).fingerprint
+
+        def counted(self):
+            callers.append(Path(sys._getframe(1).f_code.co_filename).name)
+            return hashing(self)
+
+        with mock.patch.object(type(snapshot), "fingerprint", counted):
+            nodes = service.cluster.node_ids()[:3]
+            job = client.wait(client.submit("predict", app=app_name, nodes=nodes)["id"])
+            assert job["result"]["snapshot_fingerprint"] == fingerprint
+            assert callers == []  # a quote never hashes the cluster
+            scheduled = client.schedule(app_name, scheduler="cs", seed=1)
+            assert scheduled["snapshot_fingerprint"] == fingerprint
+            # What is left is the evaluator keying its own context cache
+            # (and a context build stamping itself); the runner adds none.
+            assert set(callers) <= {"evaluation.py", "fast_eval.py"}
+            # Same content: not adopted, the pair is untouched.
+            assert runner.adopt_snapshot(service.snapshot().freeze()) is False
+            assert runner.serving[0] is snapshot and runner.serving[1] == fingerprint
 
 
 class TestBatchWait:
