@@ -38,7 +38,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.cluster import Cluster, centurion, orange_grove
-from repro.core import CBES, TaskMapping
+from repro.core import CBES, InvalidMappingError, TaskMapping
 from repro.profiling import ProfileDatabase
 from repro.schedulers import SCHEDULERS
 from repro.server import (
@@ -195,9 +195,11 @@ def cmd_schedule(args) -> int:
 
 def cmd_predict(args) -> int:
     service, _ = open_service(args)
-    nodes = args.nodes.split(",")
-    mapping = TaskMapping([n.strip() for n in nodes])
-    prediction = service.evaluator(resolve_app_name(service, args.app)).predict(mapping)
+    evaluator = service.evaluator(resolve_app_name(service, args.app))
+    try:
+        prediction = evaluator.predict(TaskMapping([n.strip() for n in args.nodes.split(",")]))
+    except InvalidMappingError as exc:
+        raise SystemExit(f"error: {exc}") from None
     print(f"predicted execution time: {prediction.execution_time:.2f} s")
     crit = prediction.breakdown(prediction.critical_rank)
     print(

@@ -13,16 +13,27 @@ workers, the remapper, the daemon — does it through this module:
 :class:`EvaluationContext`
     Everything about ``(profile, latency model, nodes, snapshot,
     options)`` that does **not** depend on the candidate mapping, frozen
-    once in a struct-of-arrays layout: per-node speed / cpu / background
-    tables, the ACPU-vs-colocation curves, the pairwise latency
-    components as flat row-major tables (the bulk form of a memo table
-    keyed by ``(src, dst, size)``), and the profile's message groups in
-    CSR layout.  The canonical storage is plain python lists — the
-    context builds and serves evaluations without numpy — with numpy
-    mirrors materialized lazily for the batched kernel.  A context is
-    bound to one snapshot *fingerprint* (:meth:`repro.monitoring.
-    snapshot.SystemSnapshot.fingerprint`); fresher monitoring data
-    invalidates it.
+    once: per-node speeds, the ACPU-vs-colocation curves, the pairwise
+    latency components as flat row-major tables (the bulk form of a
+    memo table keyed by ``(src, dst, size)``), and the profile's message
+    groups as per-rank record lists.  The canonical storage is plain
+    python lists — the context builds and serves evaluations without
+    numpy — with numpy mirrors materialized lazily for the batched
+    kernel.  A context is bound to one snapshot *fingerprint*
+    (:meth:`repro.monitoring.snapshot.SystemSnapshot.fingerprint`);
+    fresher monitoring data invalidates it.
+
+    An :class:`~repro.core.evaluation.EvaluationOptions` toggle is a
+    table substitution made there, in ``__init__``, and nowhere else:
+    ``use_lambda`` off is ``lam`` of ones, ``cpu_availability`` off an
+    ACPU curve of ones, ``load_adjusted_latency`` off idle NICs (``binv``
+    is ``beta``) and an endpoint stretch of ones — ``L_0`` is ``L_c``
+    read on an idle system — and ``communication`` off empty message
+    groups.  No kernel reads an option, so eq. 6's message-group term
+    ``count * L(src, dst, size)`` has exactly two expressions: one over
+    lists (:meth:`EvaluationContext._fill_terms`, behind the full
+    evaluation and the delta alike) and one over ndarrays
+    (``_evaluate_many_numpy``).
 
 :meth:`EvaluationContext.evaluate_many`
     The batched kernel: energies of a whole population of mappings in
@@ -114,9 +125,7 @@ def active_backend() -> str:
     """
     choice = os.environ.get("REPRO_EVAL_BACKEND", "auto").strip().lower() or "auto"
     if choice not in ("auto", "numpy", "python"):
-        raise ValueError(
-            f"REPRO_EVAL_BACKEND must be auto, numpy, or python, got {choice!r}"
-        )
+        raise ValueError(f"REPRO_EVAL_BACKEND must be auto, numpy, or python, got {choice!r}")
     if choice == "python":
         return "python"
     if np is None:
@@ -127,6 +136,10 @@ def active_backend() -> str:
             )
         return "python"
     return "numpy"
+
+
+#: One message group of a rank: ``(g, src, dst, count, size)``.
+_Record = tuple[int, int, int, float, float]
 
 
 def left_fold(terms: list[float]) -> float:
@@ -148,12 +161,12 @@ class EvaluationContext:
     :meth:`is_valid_for` (fingerprint comparison) before reusing a
     cached instance after a monitoring refresh.
 
-    Storage is struct-of-arrays throughout: per-node columns
-    (``speed``, ``_ncpus``, ``_bg``), flat row-major pair tables
-    (``_a_src`` .. ``_beta``, ``_invnic``), and CSR message-group
-    columns (``_grp_rank`` .. ``_grp_size``) — all plain python lists.
-    Numpy mirrors of the columns are built lazily (:meth:`_np_cols`)
-    the first time the vectorized batch kernel runs.
+    Storage is plain python lists: per-node columns (``speed``,
+    ``acpu_curve``), flat row-major pair tables (``_a_src`` ..
+    ``_beta``, ``_binv``) and per-rank message-group records
+    (``groups``, indexed by peer in ``peer_groups``).  Numpy mirrors,
+    the groups as CSR columns among them, are built lazily
+    (:meth:`_np_cols`) the first time the vectorized batch kernel runs.
     """
 
     def __init__(
@@ -180,18 +193,21 @@ class EvaluationContext:
         self.speed: list[float] = [
             nodes[nid].speed_for(profile.arch_speed_ratios) for nid in self.node_ids
         ]
-        self._ncpus: list[int] = [snapshot.ncpus.get(nid, 1) for nid in self.node_ids]
-        self._bg: list[float] = [snapshot.background_load(nid) for nid in self.node_ids]
-        nic: list[float] = [snapshot.nic_load(nid) for nid in self.node_ids]
 
         # ACPU-vs-colocation curve per node: acpu_curve[j][k] is ACPU_j
         # with k co-mapped processes (k = 0 column unused, kept at 1.0).
         # With cpu_availability off, eq. 5's 1/ACPU factor and the
         # endpoint stretching both use 1.0, exactly like the reference.
+        # Every backend reads ACPU off this curve; the fair-share rule
+        # itself lives in ``cpu_share`` only.
         if options.cpu_availability:
+            loads = [
+                (snapshot.ncpus.get(nid, 1), snapshot.background_load(nid))
+                for nid in self.node_ids
+            ]
             self.acpu_curve: list[list[float]] = [
-                [1.0] + [cpu_share(self._ncpus[j], k, self._bg[j]) for k in range(1, nprocs + 1)]
-                for j in range(n)
+                [1.0] + [cpu_share(ncpus, k, bg) for k in range(1, nprocs + 1)]
+                for ncpus, bg in loads
             ]
         else:
             self.acpu_curve = [[1.0] * (nprocs + 1) for _ in range(n)]
@@ -206,25 +222,29 @@ class EvaluationContext:
         self._a_net: list[float] = a_net
         self._beta: list[float] = beta
         self._missing_pairs = any(x != x for x in a_net)  # NaN scan
-        # Effective NIC stretch per ordered pair: 1 / (1 - min(max(nic_s,
-        # nic_d), 0.95)), precomputed so the load-adjusted latency is
-        # pure arithmetic.  Identity (all ones) under the no-load option.
+        # Fused serialization slope ``beta * invnic`` (the load-adjusted
+        # seconds-per-byte of each ordered pair), invnic the effective
+        # NIC stretch 1 / (1 - min(max(nic_s, nic_d), 0.95)).  The no-
+        # load option reads the same expression on an idle system —
+        # ``L_0`` is ``L_c`` at nic = 0 and ACPU = 1 (``x / 1.0 == x``):
+        # ``binv`` is ``beta``, and ``_idle_acpu`` (None otherwise)
+        # stands in for the live ACPU list that stretches a latency's
+        # endpoint terms.
         if options.load_adjusted_latency:
-            self._invnic: list[float] = [
-                1.0 / (1.0 - min(max(nic[i], nic[j]), 0.95))
+            nic = [snapshot.nic_load(nid) for nid in self.node_ids]
+            self._binv: list[float] = [
+                beta[i * n + j] * (1.0 / (1.0 - min(max(nic[i], nic[j]), 0.95)))
                 for i in range(n)
                 for j in range(n)
             ]
+            self._idle_acpu: list[float] | None = None
         else:
-            self._invnic = [1.0] * (n * n)
+            self._binv = beta
+            self._idle_acpu = [1.0] * n
         # Row tuples for the scalar inner loop: one index, four reads.
         self._comp_flat: list[tuple[float, float, float, float]] = list(
-            zip(a_src, a_dst, a_net, beta, strict=True)
+            zip(a_src, a_dst, a_net, self._binv, strict=True)
         )
-        # Fused serialization slope ``beta * invnic`` (the load-adjusted
-        # seconds-per-byte of each ordered pair); equals ``beta`` exactly
-        # under the no-load option since invnic is identically 1.0.
-        self._binv: list[float] = [b * iv for b, iv in zip(beta, self._invnic, strict=True)]
 
         # -- per-rank profile columns
         self.work: list[float] = [
@@ -233,44 +253,40 @@ class EvaluationContext:
         self.lam: list[float] = [
             (p.lam if options.use_lambda else 1.0) for p in profile.processes
         ]
-        # Message groups per rank, recvs first (reference summation
-        # order): tuples (is_send, peer, count, size).
-        self.groups: list[list[tuple[bool, int, float, float]]] = []
-        reach: list[dict[int, list[tuple[int, bool, float, float]]]] = [
-            {} for _ in range(nprocs)
-        ]
+        #: groups[r] — the message groups of rank r, recvs first (the
+        #: reference summation order, and the accumulation order of
+        #: every backend): one record ``(g, src, dst, count, size)`` per
+        #: group, g its index in the list, src -> dst the sending and
+        #: the receiving rank (r is one of them, its peer the other).
+        #: Empty for every rank with communication off: ``Θ_i`` folds
+        #: to 0.0.
+        self.groups: list[list[_Record]] = []
+        reach: list[dict[int, list[_Record]]] = [{} for _ in range(nprocs)]
         for p in profile.processes:
-            gs: list[tuple[bool, int, float, float]] = []
-            for g in p.recvs:
-                gs.append((False, g.peer, float(g.count), g.size_bytes))
-            for g in p.sends:
-                gs.append((True, g.peer, float(g.count), g.size_bytes))
-            self.groups.append(gs)
-            for g, (is_send, peer, count, size) in enumerate(gs):
-                if peer != p.rank:
-                    reach[peer].setdefault(p.rank, []).append((g, is_send, count, size))
+            records: list[_Record] = []
+            if options.communication:
+                ends = [(m.peer, p.rank, m) for m in p.recvs]
+                ends += [(p.rank, m.peer, m) for m in p.sends]
+                for g, (src, dst, m) in enumerate(ends):
+                    records.append((g, src, dst, float(m.count), m.size_bytes))
+                    if m.peer != p.rank:
+                        reach[m.peer].setdefault(p.rank, []).append(records[g])
+            self.groups.append(records)
         #: peer_groups[p] — the message-group terms a change at rank p
         #: reaches, and only those: one ``(r, records)`` per other rank r
-        #: that has p as a peer (ascending r), *records* one ``(g,
-        #: is_send, count, size)`` per group of r whose peer is p, g its
-        #: index in ``groups[r]``.
-        self.peer_groups: list[
-            tuple[tuple[int, tuple[tuple[int, bool, float, float], ...]], ...]
-        ] = [
+        #: that has p as a peer (ascending r), *records* the records of
+        #: ``groups[r]`` whose peer is p.
+        self.peer_groups: list[tuple[tuple[int, tuple[_Record, ...]], ...]] = [
             tuple((r, tuple(records)) for r, records in by_rank.items())
             for by_rank in reach
         ]
-
-        # CSR columns of all message groups, rank-major and in group
-        # order within a rank — the accumulation order of every backend.
-        flat = [(r, g) for r in range(nprocs) for g in self.groups[r]]
-        self._grp_rank: list[int] = [r for r, _ in flat]
-        self._grp_peer: list[int] = [g[1] for _, g in flat]
-        self._grp_send: list[bool] = [g[0] for _, g in flat]
-        self._grp_count: list[float] = [g[2] for _, g in flat]
-        self._grp_size: list[float] = [g[3] for _, g in flat]
-        #: Lazily-built numpy mirrors of the columns (None until the
-        #: vectorized batch kernel first runs).
+        #: Whether any rank has a message group at all.  The list kernels
+        #: exit on it as the ndarray kernel does on an empty ``grank``:
+        #: with nothing to fold, an NCS move costs its ``R_i`` only.
+        self._has_groups = any(self.groups)
+        #: Per-process warm state: the lazily-built numpy mirrors of the
+        #: columns and the index arrays of the last batch size (None
+        #: until the vectorized batch kernel first runs).
         self._np_cache: dict | None = None
 
     # -- pickling -------------------------------------------------------
@@ -284,11 +300,7 @@ class EvaluationContext:
         """
         state = dict(self.__dict__)
         state["_np_cache"] = None
-        state.pop("_np_row_cache", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # -- queries --------------------------------------------------------
     def is_valid_for(self, snapshot: SystemSnapshot) -> bool:
@@ -332,8 +344,6 @@ class EvaluationContext:
         Unused nodes keep ACPU 1.0 (never read; keeps the delta path's
         node-touched bookkeeping consistent with the full path).
         """
-        if not self.options.cpu_availability:
-            return [1.0] * self.nnodes
         curve = self.acpu_curve
         return [curve[j][k] for j, k in enumerate(counts)]
 
@@ -344,24 +354,25 @@ class EvaluationContext:
         incremental evaluator's rebinds in particular — is independent
         of the batch backend selection.
         """
-        r_arr, c_arr, acpu, _ = self._evaluate_positions(self.positions(mapping))
+        r_arr, c_arr, acpu, _, _ = self._evaluate_positions(self.positions(mapping))
         return r_arr, c_arr, acpu
 
     def _evaluate_positions(
         self, pos: list[int]
-    ) -> tuple[list[float], list[float], list[float], list[list[float]]]:
-        """(R, C, acpu-by-node, message-group terms per rank) at *pos*."""
+    ) -> tuple[list[float], list[float], list[float], list[list[float]], list[int]]:
+        """(R, C, acpu-by-node, message-group terms per rank, procs per node) at *pos*."""
         counts = [0] * self.nnodes
         for j in pos:
             counts[j] += 1
         acpu = self.acpu_by_node(counts)
         work, speed = self.work, self.speed
         r_arr = [work[i] / speed[pos[i]] / acpu[pos[i]] for i in range(self.nprocs)]
-        if not self.options.communication or not self._grp_rank:
-            return r_arr, [0.0] * self.nprocs, acpu, [[] for _ in range(self.nprocs)]
-        terms = [self.comm_terms(i, pos, acpu) for i in range(self.nprocs)]
+        if not self._has_groups:  # no message group anywhere: every Θ_i is 0.0
+            return r_arr, [0.0] * self.nprocs, acpu, [[] for _ in self.groups], counts
+        terms = [[0.0] * len(records) for records in self.groups]
+        self._fill_terms(list(zip(terms, self.groups)), pos, acpu)
         lam = self.lam
-        return r_arr, [left_fold(t) * lam[i] for i, t in enumerate(terms)], acpu, terms
+        return r_arr, [left_fold(t) * lam[i] for i, t in enumerate(terms)], acpu, terms, counts
 
     def execution_time(self, mapping: TaskMapping) -> float:
         """``S_M`` of one mapping (stateless, scalar path)."""
@@ -382,52 +393,45 @@ class EvaluationContext:
             return []
         if active_backend() == "numpy":
             return self._evaluate_many_numpy(mappings)
-        out = []
-        for mapping in mappings:
-            r_arr, c_arr, _, _ = self._evaluate_positions(self.positions(mapping))
-            out.append(max(r + c for r, c in zip(r_arr, c_arr)))
-        return out
+        return [self.execution_time(mapping) for mapping in mappings]
 
     def _np_cols(self) -> dict:
-        """The numpy mirrors of the SoA columns, built on first use."""
+        """The numpy mirrors of the context's tables, built on first use."""
         cols = self._np_cache
         if cols is None:
-            n = self.nnodes
             work = np.asarray(self.work, dtype=float)
             speed = np.asarray(self.speed, dtype=float)
-            grank = np.asarray(self._grp_rank, dtype=np.intp)
-            gpeer = np.asarray(self._grp_peer, dtype=np.intp)
-            gsend = np.asarray(self._grp_send, dtype=bool)
-            gcount = np.asarray(self._grp_count, dtype=float)
-            gsize = np.asarray(self._grp_size, dtype=float)
-            a_src = np.asarray(self._a_src, dtype=float)
-            a_dst = np.asarray(self._a_dst, dtype=float)
-            a_net = np.asarray(self._a_net, dtype=float)
-            beta = np.asarray(self._beta, dtype=float)
+            # CSR columns of all message groups, rank-major and in group
+            # order within a rank — the accumulation order of every
+            # backend: rows (rank, g, src, dst, count, size).
+            csr = np.asarray(
+                [(r, *record) for r, records in enumerate(self.groups) for record in records],
+                dtype=float,
+            ).reshape(-1, 6).T
             cols = {
                 "lam": np.asarray(self.lam, dtype=float),
-                "ncpus": np.asarray(self._ncpus, dtype=float),
-                "bg": np.asarray(self._bg, dtype=float),
-                "a_src": a_src,
-                "a_dst": a_dst,
-                "a_net": a_net,
-                "beta": beta,
+                # The ACPU curves, flat (n, P + 1).
+                "acpu": np.asarray(self.acpu_curve, dtype=float).ravel(),
+                "a_src": np.asarray(self._a_src, dtype=float),
+                "a_dst": np.asarray(self._a_dst, dtype=float),
+                "a_net": np.asarray(self._a_net, dtype=float),
                 "binv": np.asarray(self._binv, dtype=float),
-                "grank": grank,
-                "gcount": gcount,
-                "gsize": gsize,
+                "grank": csr[0].astype(np.intp),
+                "gcount": csr[4].copy(),
+                "gsize": csr[5].copy(),
                 # R_i numerator table: work_i / speed_j, flat (P, n).
                 "rt": (work[:, None] / speed[None, :]).ravel(),
-                "col_n": np.arange(self.nprocs, dtype=np.intp) * n,
+                "col_n": np.arange(self.nprocs, dtype=np.intp) * self.nnodes,
                 # Gather selectors: which rank's position is the message
-                # source/destination for each group (send: rank -> peer).
-                "gsrc": np.where(gsend, grank, gpeer),
-                "gdst": np.where(gsend, gpeer, grank),
+                # source/destination for each group.
+                "gsrc": csr[2].astype(np.intp),
+                "gdst": csr[3].astype(np.intp),
+                "rows": (0, None, None),
             }
             self._np_cache = cols
         return cols
 
-    def _np_rows(self, nbatch: int) -> tuple:
+    def _np_rows(self, cols: dict, nbatch: int) -> tuple:
         """Per-batch-row index arrays, cached for the last batch size.
 
         ``row_n`` offsets each batch row into a ``(B, n)`` ravel;
@@ -435,18 +439,14 @@ class EvaluationContext:
         ``(mapping, rank)`` cell of the ``theta`` bincount — both depend
         only on the batch size, so population loops reuse them.
         """
-        cached = getattr(self, "_np_row_cache", None)
-        if cached is not None and cached[0] == nbatch:
-            return cached[1], cached[2]
-        rows = np.arange(nbatch, dtype=np.intp)[:, None]
-        row_n = rows * self.nnodes
-        grank = self._np_cols()["grank"]
-        theta_idx = (grank + rows * self.nprocs).ravel()
-        self._np_row_cache = (nbatch, row_n, theta_idx)
-        return row_n, theta_idx
+        if cols["rows"][0] != nbatch:
+            rows = np.arange(nbatch, dtype=np.intp)[:, None]
+            theta_idx = (cols["grank"] + rows * self.nprocs).ravel()
+            cols["rows"] = (nbatch, rows * self.nnodes, theta_idx)
+        return cols["rows"][1:]
 
     def _evaluate_many_numpy(self, mappings: Sequence[TaskMapping]) -> list[float]:
-        """Vectorized batch kernel.
+        """Vectorized batch kernel — the ndarray form of the term expression.
 
         Bit-identical to the scalar path by construction: every
         reduction (`bincount` over row-major raveled indices) accumulates
@@ -477,24 +477,17 @@ class EvaluationContext:
             ).reshape(nbatch, nprocs)
         except KeyError as exc:
             raise InvalidMappingError(f"mapping uses unknown node {exc.args[0]!r}") from None
-        row_n, theta_idx = self._np_rows(nbatch)
+        row_n, theta_idx = self._np_rows(cols, nbatch)
         flat_nodes = pos + row_n  # (B, P) indices into a (B, n) ravel
-        if self.options.cpu_availability:
-            counts = np.bincount(flat_nodes.ravel(), minlength=nbatch * n)
-            # ACPU is only ever read at mapped nodes (rank positions and
-            # message endpoints), so compute it sparsely on the (B, P)
-            # grid: every gathered count is >= 1, which also rules the
-            # count > 0 branch of the dense formula in (and division by
-            # zero out).
-            demand = counts.take(flat_nodes) + cols["bg"].take(pos)
-            ncp = cols["ncpus"].take(pos)
-            acpu_pos = np.where(demand > ncp, ncp / demand, 1.0)
-            r_arr = cols["rt"].take(pos + cols["col_n"]) / acpu_pos
-        else:
-            # ACPU is identically 1.0; x / 1.0 == x, so skip the gather.
-            acpu_pos = None
-            r_arr = cols["rt"].take(pos + cols["col_n"])
-        if not self.options.communication or not self._grp_rank:
+        counts = np.bincount(flat_nodes.ravel(), minlength=nbatch * n)
+        # ACPU is only ever read at mapped nodes (rank positions and
+        # message endpoints), so gather it on the (B, P) grid: the curve
+        # cell of each rank's node at that node's process count.
+        cell = pos * (nprocs + 1)
+        cell += counts.take(flat_nodes)
+        acpu_pos = cols["acpu"].take(cell)
+        r_arr = cols["rt"].take(pos + cols["col_n"]) / acpu_pos
+        if not cols["grank"].size:  # no message group anywhere: every Θ_i is 0.0
             return r_arr.max(axis=1).tolist()
         src = pos.take(cols["gsrc"], axis=1)  # (B, G) source node per group
         dst = pos.take(cols["gdst"], axis=1)
@@ -506,85 +499,65 @@ class EvaluationContext:
                 # Ravel order is mapping-major, groups in rank order —
                 # the same first-bad-pair the scalar loop would hit.
                 b, g = divmod(int(bad.ravel().argmax()), pair.shape[1])
-                raise KeyError(
-                    f"no latency data for pair ({self.node_ids[int(src[b, g])]!r}, "
-                    f"{self.node_ids[int(dst[b, g])]!r})"
-                )
-        if self.options.load_adjusted_latency:
-            tail = cols["gsize"] * cols["binv"].take(pair)
-            tail += cols["a_net"].take(pair)
-            if acpu_pos is not None:
-                # Endpoint ACPU by gathering the (B, P) per-rank table —
-                # cheaper than re-offsetting src/dst into the (B, n) ravel.
-                lat = cols["a_src"].take(pair) / acpu_pos.take(cols["gsrc"], axis=1)
-                lat += cols["a_dst"].take(pair) / acpu_pos.take(cols["gdst"], axis=1)
-            else:
-                lat = cols["a_src"].take(pair) + cols["a_dst"].take(pair)
-            lat += tail
-            lat *= cols["gcount"]
-            weights = lat
-        else:
-            lat = cols["a_src"].take(pair) + cols["a_dst"].take(pair)
-            lat += cols["a_net"].take(pair)
-            sb = cols["gsize"] * cols["beta"].take(pair)
-            lat += sb
-            lat *= cols["gcount"]
-            weights = lat
-        theta = np.bincount(
-            theta_idx,
-            weights=weights.ravel(),
-            minlength=nbatch * nprocs,
-        ).reshape(nbatch, nprocs)
-        theta *= cols["lam"]
-        r_arr += theta
+                raise self._no_latency(int(src[b, g]), int(dst[b, g]))
+        tail = cols["gsize"] * cols["binv"].take(pair)
+        tail += cols["a_net"].take(pair)
+        # Endpoint stretch by gathering the (B, P) per-rank table (the
+        # live ACPU gathered above, or the idle system's ones) — cheaper
+        # than re-offsetting src/dst into the (B, n) ravel.
+        stretch = acpu_pos if self._idle_acpu is None else np.ones_like(acpu_pos)
+        lat = cols["a_src"].take(pair) / stretch.take(cols["gsrc"], axis=1)
+        lat += cols["a_dst"].take(pair) / stretch.take(cols["gdst"], axis=1)
+        lat += tail
+        lat *= cols["gcount"]
+        theta = np.bincount(theta_idx, weights=lat.ravel(), minlength=nbatch * nprocs)
+        r_arr += theta.reshape(nbatch, nprocs) * cols["lam"]
         return r_arr.max(axis=1).tolist()
 
     # -- scalar kernels for the delta path ------------------------------
     def _no_latency(self, s: int, d: int) -> KeyError:
         return KeyError(f"no latency data for pair ({self.node_ids[s]!r}, {self.node_ids[d]!r})")
 
-    def comm_terms(self, rank: int, pos: list[int], acpu: list[float]) -> list[float]:
-        """The message-group terms of one rank under (pos, acpu), in group order.
+    def _fill_terms(self, jobs: Sequence[tuple], pos: list[int], acpu: list[float]) -> None:
+        """``terms[g] = count * L(src, dst, size)`` for every record of every job.
 
-        One ``count * L(src, dst, size)`` per group of ``groups[rank]``:
-        their left fold is ``Θ_i`` and ``λ_i`` times that is ``C_i``.
-        This is the full-list form of the term expression;
-        :meth:`moved_terms` holds the patch form beside it.
+        The list form of eq. 6's message-group term, written here and
+        nowhere else.  A job is ``(terms, records)``: *records* are
+        group records of one rank (all of ``groups[r]``, or the part of
+        them facing one peer) and *terms* that rank's term list,
+        written at each record's own index.
         """
-        groups = self.groups[rank]
         n = self.nnodes
-        comp = self._comp_flat
-        binv = self._binv
-        me = pos[rank]
         if self._missing_pairs:
             a_net = self._a_net
-            for is_send, peer, _, _ in groups:
-                s, d = (me, pos[peer]) if is_send else (pos[peer], me)
-                if a_net[s * n + d] != a_net[s * n + d]:  # NaN check
-                    raise self._no_latency(s, d)
+            for _, records in jobs:
+                for _, src, dst, _, _ in records:
+                    s, d = pos[src], pos[dst]
+                    if a_net[s * n + d] != a_net[s * n + d]:  # NaN check
+                        raise self._no_latency(s, d)
+        comp = self._comp_flat
+        stretch = acpu if self._idle_acpu is None else self._idle_acpu
         # The grouping below — endpoint terms first, then the load-
         # independent tail ``a_net + size * (beta*invnic)`` as one unit
         # (with the fused ``binv`` slope) — is the association the
         # vectorized backend replays; both paths must keep it for their
         # energies to stay bit-identical.
-        terms = []
-        if self.options.load_adjusted_latency:
-            for is_send, peer, count, size in groups:
-                if is_send:
-                    s, d = me, pos[peer]
-                else:
-                    s, d = pos[peer], me
-                k = s * n + d
-                a_s, a_d, a_n, _ = comp[k]
-                terms.append(count * (a_s / acpu[s] + a_d / acpu[d] + (a_n + size * binv[k])))
-        else:
-            for is_send, peer, count, size in groups:
-                if is_send:
-                    s, d = me, pos[peer]
-                else:
-                    s, d = pos[peer], me
-                a_s, a_d, a_n, b = comp[s * n + d]
-                terms.append(count * (a_s + a_d + a_n + size * b))
+        for terms, records in jobs:
+            for g, src, dst, count, size in records:
+                s = pos[src]
+                d = pos[dst]
+                a_s, a_d, a_n, slope = comp[s * n + d]
+                terms[g] = count * (a_s / stretch[s] + a_d / stretch[d] + (a_n + size * slope))
+
+    def comm_terms(self, rank: int, pos: list[int], acpu: list[float]) -> list[float]:
+        """The message-group terms of one rank under (pos, acpu), in group order.
+
+        One ``count * L(src, dst, size)`` per group of ``groups[rank]``:
+        their left fold is ``Θ_i`` and ``λ_i`` times that is ``C_i``.
+        """
+        records = self.groups[rank]
+        terms = [0.0] * len(records)
+        self._fill_terms(((terms, records),), pos, acpu)
         return terms
 
     def moved_terms(
@@ -596,65 +569,34 @@ class EvaluationContext:
     ) -> list[tuple[int, list[float], float]]:
         """``(rank, terms, C_i)`` of every rank a change at the ranks *src* reaches.
 
-        *src* are the ranks whose own node (or, under load-adjusted
-        latencies, own ACPU) differs between the state the term lists
-        *committed* were computed in and (pos, acpu): every term of
-        theirs has a changed operand, so each gets a fresh
-        :meth:`comm_terms`.  A rank that merely has one of them as a
+        *src* are the ranks whose own node or own ACPU differs between
+        the state the term lists *committed* were computed in and (pos,
+        acpu): every term of theirs may have a changed operand, so each
+        gets a fresh list.  A rank that merely has one of them as a
         peer keeps a copy of its committed list in which only the
         entries of those peers (:attr:`peer_groups`) are recomputed —
-        the patch form: the full-list form's expression on the same
-        operands, so a patched list ``==`` a fresh one — and is
-        re-folded in group order.  Nothing in *committed* is written.
+        by the same :meth:`_fill_terms` on the same operands, so a
+        patched list ``==`` a fresh one — and is re-folded in group
+        order.  Nothing in *committed* is written.
         """
         # Plain loops, here and for the fold below: a comprehension's
         # frame and a call per rank are 1.5 us of a 14 us cg.A move.
+        groups, peer_groups = self.groups, self.peer_groups
         fresh: dict[int, list[float]] = {}
+        jobs = []
         for r in src:
-            fresh[r] = self.comm_terms(r, pos, acpu)
-        peer_groups = self.peer_groups
-        n = self.nnodes
-        if self._missing_pairs:
-            a_net = self._a_net
-            for p in src:
-                there = pos[p]
-                for r, records in peer_groups[p]:
-                    if r not in fresh:
-                        me = pos[r]
-                        for _, is_send, _, _ in records:
-                            s, d = (me, there) if is_send else (there, me)
-                            if a_net[s * n + d] != a_net[s * n + d]:  # NaN check
-                                raise self._no_latency(s, d)
-        comp = self._comp_flat
-        binv = self._binv
-        load_adjusted = self.options.load_adjusted_latency
+            terms = fresh[r] = [0.0] * len(groups[r])
+            jobs.append((terms, groups[r]))
         patched: dict[int, list[float]] = {}
         for p in src:
-            there = pos[p]
             for r, records in peer_groups[p]:
                 if r in fresh:
                     continue
                 terms = patched.get(r)
                 if terms is None:
                     terms = patched[r] = committed[r].copy()
-                me = pos[r]
-                if load_adjusted:
-                    for g, is_send, count, size in records:
-                        if is_send:
-                            s, d = me, there
-                        else:
-                            s, d = there, me
-                        k = s * n + d
-                        a_s, a_d, a_n, _ = comp[k]
-                        terms[g] = count * (a_s / acpu[s] + a_d / acpu[d] + (a_n + size * binv[k]))
-                else:
-                    for g, is_send, count, size in records:
-                        if is_send:
-                            s, d = me, there
-                        else:
-                            s, d = there, me
-                        a_s, a_d, a_n, b = comp[s * n + d]
-                        terms[g] = count * (a_s + a_d + a_n + size * b)
+                jobs.append((terms, records))
+        self._fill_terms(jobs, pos, acpu)
         lam = self.lam
         out = []
         for part in (fresh, patched):
@@ -752,10 +694,7 @@ class IncrementalEvaluator:
         """Stage *mapping* as a proposal in which every rank changed."""
         ctx = self._ctx
         pos = ctx.positions(mapping)
-        r_arr, c_arr, acpu, terms = ctx._evaluate_positions(pos)
-        counts = [0] * ctx.nnodes
-        for node in pos:
-            counts[node] += 1
+        r_arr, c_arr, acpu, terms, counts = ctx._evaluate_positions(pos)
         totals = [r_i + c_i for r_i, c_i in zip(r_arr, c_arr)]
         best = max(totals)
         changed = dict(enumerate(zip(r_arr, c_arr, totals, terms)))
@@ -791,9 +730,7 @@ class IncrementalEvaluator:
             return self._propose_full(candidate)
         new_pos = self._ctx.positions(candidate)
         pos = self._pos
-        return self._propose_moved(
-            new_pos, [r for r in range(len(pos)) if new_pos[r] != pos[r]]
-        )
+        return self._propose_moved(new_pos, [r for r in range(len(pos)) if new_pos[r] != pos[r]])
 
     def propose_move(self, move) -> float:
         """``S_M`` after *move* (:class:`repro.schedulers.moves.Move`).
@@ -860,8 +797,8 @@ class IncrementalEvaluator:
                     acpu_changed.append(node)
 
         # Affected ranks.  ``base``: moved ranks plus every rank hosted
-        # on an ACPU-changed node — their R_i changes (eq. 5), and under
-        # load-adjusted latencies so does their endpoint stretching.
+        # on an ACPU-changed node — their R_i changes (eq. 5), and so
+        # does the endpoint stretching of their latencies.
         base = list(moved)
         if acpu_changed and sum(counts[n] for n in acpu_changed) > sum(
             new_pos[r] in acpu_changed for r in moved
@@ -870,18 +807,16 @@ class IncrementalEvaluator:
                 r for r in range(ctx.nprocs) if new_pos[r] in acpu_changed and r not in moved
             ]
         # A message-group term is recomputed where an operand of it
-        # changed and nowhere else: every term of the ranks in ``src``,
-        # and of their peers the terms facing them.  Under no-load
-        # latencies only relocations reach a term.
+        # may have changed and nowhere else: every term of the ranks in
+        # ``base``, and of their peers the terms facing them.
         changed: dict[int, tuple[float, float, float, list[float]]] = {}
         r_list, c_list, t_list = self._r, self._c, self._terms
-        if ctx.options.communication:
-            src = base if ctx.options.load_adjusted_latency else moved
-            for r, terms, c_i in ctx.moved_terms(src, t_list, new_pos, acpu):
+        if ctx._has_groups:
+            for r, terms, c_i in ctx.moved_terms(base, t_list, new_pos, acpu):
                 r_i = ctx.comp_time(r, new_pos[r], acpu) if r in base else r_list[r]
                 changed[r] = (r_i, c_i, r_i + c_i, terms)
-        for r in base:
-            if r not in changed:
+        else:  # no message group anywhere (NCS): a move reaches R_i only
+            for r in base:
                 r_i = ctx.comp_time(r, new_pos[r], acpu)
                 changed[r] = (r_i, c_list[r], r_i + c_list[r], t_list[r])
 

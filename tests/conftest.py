@@ -7,6 +7,8 @@ state build their own small clusters via the factory fixtures.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.cluster import (
@@ -21,9 +23,19 @@ from repro.cluster import (
     orange_grove,
     single_switch,
 )
-from repro.core import CBES, TaskMapping
+from repro.core import CBES, EvaluationOptions, TaskMapping
 from repro.simulate import ClusterSimulator
 from repro.workloads import LU, SyntheticBenchmark
+
+
+#: Every combination of the four evaluation toggles, the full formula
+#: first.  The one list the kernel, batch and move-protocol suites (and
+#: ``benchmarks/bench_batch_eval.py``, which builds the same product)
+#: run over: a toggle is a table substitution in ``EvaluationContext``,
+#: so no combination may split a backend or a delta from a full pass.
+OPTION_COMBOS = [
+    EvaluationOptions(*toggles) for toggles in itertools.product((True, False), repeat=4)
+]
 
 
 def make_tiny_cluster(n: int = 4, *, two_switches: bool = False) -> Cluster:

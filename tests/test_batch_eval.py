@@ -17,21 +17,13 @@ import pytest
 
 from repro._util import spawn_rng
 from repro.cluster import single_switch
-from repro.core import CBES, EvaluationOptions, TaskMapping
+from repro.core import CBES, TaskMapping
 from repro.core.fast_eval import FastEvalUnavailable, active_backend
 from repro.schedulers.genetic import score_population
 from repro.workloads import CG, LU
+from tests.conftest import OPTION_COMBOS
 
 TOL = 1e-9
-
-OPTION_COMBOS = [
-    EvaluationOptions(),
-    EvaluationOptions(communication=False),
-    EvaluationOptions(use_lambda=False),
-    EvaluationOptions(load_adjusted_latency=False),
-    EvaluationOptions(cpu_availability=False),
-    EvaluationOptions(load_adjusted_latency=False, cpu_availability=False),
-]
 
 BACKENDS = ["python", "numpy"]
 

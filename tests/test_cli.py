@@ -90,6 +90,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "critical rank" in out
 
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ("og-a00,og-a01,og-a02,nowhere", "error: mapping uses unknown node 'nowhere'"),
+            ("og-a00,og-a01,og-a02", "error: mapping places 3 processes but profile has 4"),
+        ],
+        ids=["unknown-node", "wrong-rank-count"],
+    )
+    def test_predict_refuses_a_bad_mapping_without_a_traceback(self, db_dir, nodes, message):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(db_dir, "predict", "lu.S", nodes)
+        assert exit_info.value.code == message
+
     def test_inspect(self, db_dir, capsys):
         assert self.run(db_dir, "inspect") == 0
         out = capsys.readouterr().out

@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
+from unittest import mock
 
 import pytest
 
@@ -31,19 +33,9 @@ from repro.schedulers.annealing import AnnealingSchedule, anneal, supports_incre
 from repro.schedulers.cs import CbesScheduler
 from repro.schedulers.moves import Move, MoveGenerator
 from repro.workloads import LU
+from tests.conftest import OPTION_COMBOS
 
 TOL = 1e-9
-
-#: The ablation combinations named by the NCS/ablation studies.
-OPTION_COMBOS = [
-    EvaluationOptions(),
-    EvaluationOptions(communication=False),
-    EvaluationOptions(use_lambda=False),
-    EvaluationOptions(load_adjusted_latency=False),
-    EvaluationOptions(cpu_availability=False),
-    EvaluationOptions(use_lambda=False, load_adjusted_latency=False),
-    EvaluationOptions(communication=False, cpu_availability=False),
-]
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +147,14 @@ TERM_GROUPS = {
 }
 
 
-def term_evaluator(options=None, *, missing=(), groups=None) -> MappingEvaluator:
+def term_evaluator(options=None, *, missing=(), groups=None, idle=False) -> MappingEvaluator:
     """A 10-node / 6-rank synthetic instance under a loaded snapshot.
 
     Every node carries background load on one or two CPUs, so changes
     of a node's process count move its ACPU.  *missing* lists ordered
     node pairs left out of the latency model; *groups* replaces
-    :data:`TERM_GROUPS`.
+    :data:`TERM_GROUPS`; *idle* reads the same instance with no
+    background and no NIC load anywhere.
     """
     rng = spawn_rng(11, "cached-terms")
     archs = [Architecture("fast", 1.3), Architecture("slow", 0.9)]
@@ -179,12 +172,10 @@ def term_evaluator(options=None, *, missing=(), groups=None) -> MappingEvaluator
     }
     for pair in missing:
         del comps[pair]
-    snapshot = SystemSnapshot(
-        states={
-            nid: NodeState(rng.uniform(0.2, 1.5), rng.uniform(0.0, 0.4)) for nid in TERM_NODES
-        },
-        ncpus={nid: nodes[nid].ncpus for nid in TERM_NODES},
-    )
+    states = {nid: NodeState(rng.uniform(0.2, 1.5), rng.uniform(0.0, 0.4)) for nid in TERM_NODES}
+    if idle:
+        states = dict.fromkeys(TERM_NODES, NodeState(0.0, 0.0))
+    snapshot = SystemSnapshot(states=states, ncpus={nid: nodes[nid].ncpus for nid in TERM_NODES})
     procs = tuple(
         ProcessProfile(
             rank=rank,
@@ -218,14 +209,9 @@ def assert_state_is_fresh(inc, mapping: TaskMapping, where) -> None:
     assert inc._counts == counts, where
     acpu = ctx.acpu_by_node(counts)
     assert inc._acpu == acpu, where
-    has_terms = ctx.options.communication
     for rank in range(ctx.nprocs):
-        assert inc._terms[rank] == (ctx.comm_terms(rank, pos, acpu) if has_terms else []), (
-            where, rank,
-        )
-        assert inc._c[rank] == (ctx.comm_time(rank, pos, acpu) if has_terms else 0.0), (
-            where, rank,
-        )
+        assert inc._terms[rank] == ctx.comm_terms(rank, pos, acpu), (where, rank)
+        assert inc._c[rank] == ctx.comm_time(rank, pos, acpu), (where, rank)
         assert inc._r[rank] == ctx.comp_time(rank, pos[rank], acpu), (where, rank)
     assert inc.execution_time == ctx.execution_time(mapping), where
 
@@ -296,7 +282,7 @@ class TestCachedTerms:
         )
         assert indexed == [
             (r, g) for r in range(TERM_RANKS)
-            for g, (_, peer, _, _) in enumerate(ctx.groups[r]) if peer != r
+            for g, src, dst, _, _ in ctx.groups[r] if src != dst
         ]
 
     def test_missing_pair_raises_from_the_patched_path(self):
@@ -319,6 +305,94 @@ class TestCachedTerms:
         inc.reject()
         assert inc.execution_time == s0
         assert_state_is_fresh(inc, start, "after the refusals")
+
+
+class TestTogglesAreTables:
+    """A toggle substitutes a table in ``EvaluationContext.__init__``;
+    the kernels never learn which one they were handed."""
+
+    #: One process per node, heavy co-location, and everything on one node.
+    MAPPINGS = [
+        TaskMapping(TERM_NODES[:TERM_RANKS]),
+        TaskMapping(["t0", "t0", "t1", "t1", "t2", "t3"]),
+        TaskMapping(["t4"] * TERM_RANKS),
+    ]
+
+    def test_no_load_latency_is_the_load_adjusted_one_read_on_an_idle_system(self):
+        no_load = term_evaluator(EvaluationOptions(load_adjusted_latency=False)).fast_context()
+        idle = term_evaluator(EvaluationOptions(cpu_availability=False), idle=True).fast_context()
+        stretched = 0
+        for mapping in self.MAPPINGS:
+            pos = no_load.positions(mapping)
+            counts = [pos.count(j) for j in range(no_load.nnodes)]
+            # The loaded context still prices R_i off its live ACPU ...
+            live = no_load.acpu_by_node(counts)
+            stretched += min(live) < 1.0
+            for rank in range(TERM_RANKS):
+                # ... but every term is the idle system's, to the last bit.
+                assert no_load.comm_terms(rank, pos, live) == idle.comm_terms(
+                    rank, pos, idle.acpu_by_node(counts)
+                )
+            assert no_load.evaluate(mapping)[1] == idle.evaluate(mapping)[1]
+        assert stretched == len(self.MAPPINGS)  # the instance discriminates
+
+    def test_no_communication_is_empty_message_groups(self):
+        evaluator = term_evaluator(EvaluationOptions(communication=False))
+        ctx = evaluator.fast_context()
+        assert ctx.groups == [[] for _ in range(TERM_RANKS)]
+        assert not any(ctx.peer_groups)
+        inc = evaluator.incremental()
+        inc.reset(self.MAPPINGS[0])
+        for mapping, move in zip(
+            self.MAPPINGS, [Move.swap(0, 5), Move.replace(4, "t0"), Move.replace(2, "t9")]
+        ):
+            r_arr, c_arr, acpu = ctx.evaluate(mapping)
+            pos = ctx.positions(mapping)
+            assert all(ctx.comm_terms(rank, pos, acpu) == [] for rank in range(TERM_RANKS))
+            assert c_arr == [0.0] * TERM_RANKS
+            assert inc.propose(mapping) == max(r_arr)
+            inc.commit()
+            moved = move.apply(mapping)
+            assert inc.propose_move(move) == max(ctx.evaluate(moved)[0])
+            inc.commit()
+            assert inc._terms == [[] for _ in range(TERM_RANKS)]
+            assert inc._c == [0.0] * TERM_RANKS
+            assert_state_is_fresh(inc, moved, move)
+        want = [max(ctx.evaluate(mapping)[0]) for mapping in self.MAPPINGS]
+        for backend in ("python", "numpy"):
+            if backend == "numpy":
+                pytest.importorskip("numpy")
+            with mock.patch.dict(os.environ, {"REPRO_EVAL_BACKEND": backend}):
+                assert ctx.evaluate_many(self.MAPPINGS) == want
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"options": EvaluationOptions(communication=False)},
+            {"groups": {rank: ([], []) for rank in range(TERM_RANKS)}},
+        ],
+        ids=["communication-off", "profile-without-messages"],
+    )
+    def test_no_group_anywhere_costs_no_term_work(self, kwargs):
+        """The early exit is on the frozen data, whichever way the
+        groups came to be empty: an NCS evaluation or move pays for its
+        ``R_i`` and never enters the term routines."""
+        evaluator = term_evaluator(**kwargs)
+        ctx = evaluator.fast_context()
+        inc = evaluator.incremental()
+        off = mock.Mock(side_effect=AssertionError("term routine entered"))
+        with (
+            mock.patch.object(EvaluationContext, "_fill_terms", off),
+            mock.patch.object(EvaluationContext, "moved_terms", off),
+            mock.patch.dict(os.environ, {"REPRO_EVAL_BACKEND": "python"}),
+        ):
+            inc.reset(self.MAPPINGS[1])
+            for move in (Move.swap(0, 5), Move.replace(4, "t0"), Move.replace(2, "t9")):
+                inc.propose_move(move)
+                inc.commit()
+            assert ctx.evaluate_many(self.MAPPINGS) == [
+                max(ctx.evaluate(mapping)[0]) for mapping in self.MAPPINGS
+            ]
 
 
 class TestLeftFold:

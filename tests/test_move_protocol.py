@@ -22,10 +22,11 @@ import pytest
 from repro._rng import Rng
 from repro._util import spawn_rng
 from repro.cluster import single_switch
-from repro.core import CBES, EvaluationOptions, InvalidMappingError, TaskMapping
+from repro.core import CBES, InvalidMappingError, TaskMapping
 from repro.schedulers import AnnealingSchedule, Move, MoveGenerator, anneal
 from repro.schedulers import moves as moves_module
 from repro.workloads import CG, LU
+from tests.conftest import OPTION_COMBOS
 
 POOL = [f"n{i:02d}" for i in range(12)]
 
@@ -150,15 +151,6 @@ class TestMove:
 
 
 # -- delta identity --------------------------------------------------------
-
-OPTION_COMBOS = [
-    EvaluationOptions(),
-    EvaluationOptions(communication=False),
-    EvaluationOptions(use_lambda=False),
-    EvaluationOptions(load_adjusted_latency=False),
-    EvaluationOptions(cpu_availability=False),
-    EvaluationOptions(load_adjusted_latency=False, cpu_availability=False),
-]
 
 STATE = ("_pos", "_counts", "_acpu", "_r", "_c", "_terms", "_totals", "_best", "_arg")
 

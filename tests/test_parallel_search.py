@@ -16,6 +16,7 @@ HTTP level.
 """
 
 import ast
+import dataclasses
 import pickle
 from pathlib import Path
 
@@ -23,7 +24,8 @@ import pytest
 
 import repro
 from repro.cluster import single_switch
-from repro.core import CBES, TaskMapping
+from repro.core import CBES, EvaluationOptions, TaskMapping
+from repro.core.fast_eval import active_backend
 from repro.schedulers import make_scheduler
 from repro.schedulers.annealing import AnnealingSchedule
 from repro.schedulers.genetic import GeneticParams
@@ -80,15 +82,22 @@ class TestPicklability:
     def test_context_round_trip_drops_memo(self, fresh_evaluator):
         evaluator, pool = fresh_evaluator
         context = evaluator.fast_context()
+        m = TaskMapping(pool[:6])
         # Warm the numpy column mirrors (a no-op on the python backend),
         # then check they do not travel.
-        context.evaluate_many([TaskMapping(pool[:6])])
+        served = context.evaluate_many([m, m])
+        if active_backend() == "numpy":
+            # Both kinds of warm state: the mirrors and, in the same
+            # slot, the index arrays of the batch size just served.
+            assert context._np_cache["rows"][0] == 2
+        state = context.__getstate__()
+        assert state["_np_cache"] is None
+        assert not any(type(value).__module__.startswith("numpy") for value in state.values())
         clone = pickle.loads(pickle.dumps(context))
         assert clone._np_cache is None
-        assert not hasattr(clone, "_np_row_cache")
         assert clone.snapshot_fingerprint == context.snapshot_fingerprint
-        m = TaskMapping(pool[:6])
         assert clone.execution_time(m) == pytest.approx(context.execution_time(m), abs=1e-12)
+        assert clone.evaluate_many([m, m]) == served  # repro: disable=RPR104
 
     def test_spec_round_trip_evaluates_identically(self, fresh_evaluator):
         evaluator, pool = fresh_evaluator
@@ -358,6 +367,44 @@ class TestOnePath:
                         executor_sites.append(where)
         assert offenders == []
         assert executor_sites == ["search/pool.py"]
+
+    def test_an_ablation_is_a_table_not_a_branch(self):
+        """Inside ``core/fast_eval.py`` the four toggles are read where
+        the context freezes its tables and nowhere else, and so is the
+        fair-share rule: no kernel keeps ``ncpus`` / ``bg`` columns to
+        restate ``cpu_share`` from."""
+        toggles = {field.name for field in dataclasses.fields(EvaluationOptions)}
+        assert toggles == {
+            "communication", "use_lambda", "load_adjusted_latency", "cpu_availability",
+        }
+        tree = dict(self._sources())["core/fast_eval.py"]
+        [context] = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "EvaluationContext"
+        ]
+        [init] = [
+            node for node in context.body
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        ]
+        frozen = {id(node) for node in ast.walk(init)}
+        guarded = toggles | {"cpu_share", "ncpus", "_ncpus", "bg", "_bg", "background_load"}
+        offenders = []
+        reads = 0
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if isinstance(name, str) and name in guarded:
+                reads += name in toggles
+                if id(node) not in frozen:
+                    offenders.append(f"core/fast_eval.py:{node.lineno} {name}")
+        assert offenders == []
+        assert reads == len(toggles)  # each toggle is applied exactly once
 
     def test_one_remap_tick_one_verdict(self):
         """Only ``remap/loop.py`` drives a drift watcher or asks a
