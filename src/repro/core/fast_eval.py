@@ -383,9 +383,9 @@ class EvaluationContext:
     def evaluate_many(self, mappings: Sequence[TaskMapping]) -> list[float]:
         """``S_M`` for a whole population of mappings in one sweep.
 
-        The workhorse of population schedulers: GA generation scoring,
-        portfolio restart seeding, and candidate scans submit their
-        mappings here instead of looping.  Backend per
+        The workhorse of population schedulers: GA generation scoring
+        and SA restart seeding submit their mappings here instead of
+        looping.  Backend per
         :func:`active_backend`; both backends produce bit-identical
         energies, so callers never need to know which one served them.
         """

@@ -202,8 +202,7 @@ class Remapper:
             )
             for attempt in range(self._restarts)
         ]
-        context = evaluator.fast_context(evaluator.options) if self._parallel == 1 else None
         portfolio = ParallelPortfolio(self._parallel, mp_context=self._mp_context)
-        result = portfolio.run_sa(spec, tasks, context=context)
+        result = portfolio.run_sa(spec, tasks, evaluator=evaluator)
         evaluator.record_evaluations(result.evaluations)
         return result.mapping, result.evaluations

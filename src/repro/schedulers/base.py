@@ -17,12 +17,17 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro._rng import Rng
-from repro._util import spawn_rng
 from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
 from repro.telemetry import get_registry, get_tracer
 
-__all__ = ["ScheduleResult", "Scheduler", "MappingConstraint", "random_mapping"]
+__all__ = [
+    "ScheduleResult",
+    "Scheduler",
+    "MappingConstraint",
+    "random_mapping",
+    "draw_initial_mapping",
+]
 
 #: Optional predicate restricting the feasible mapping set (e.g. "must
 #: include at least one Intel node" for the paper's zone experiments).
@@ -142,20 +147,6 @@ class Scheduler(ABC):
     ) -> tuple[TaskMapping, float, list[float]]:
         """Scheduler-specific search.  Returns (mapping, energy, history)."""
 
-    def _initial_mapping(
-        self, evaluator: MappingEvaluator, pool: list[str], rng: Rng
-    ) -> TaskMapping:
-        """A random feasible starting point (rejection sampling)."""
-        nprocs = evaluator.profile.nprocs
-        for _ in range(10_000):
-            mapping = random_mapping(pool, nprocs, rng)
-            if self.feasible(mapping):
-                return mapping
-        raise RuntimeError(
-            f"{self.name}: could not draw a feasible mapping from the pool; "
-            "the constraint may be unsatisfiable"
-        )
-
 
 def random_mapping(pool: Sequence[str], nprocs: int, rng: Rng) -> TaskMapping:
     """A uniform random one-process-per-node mapping over *pool*."""
@@ -165,6 +156,15 @@ def random_mapping(pool: Sequence[str], nprocs: int, rng: Rng) -> TaskMapping:
     return TaskMapping([pool[int(i)] for i in idx])
 
 
-def make_rng(seed: int, *parts: object) -> Rng:
-    """Seeded RNG for scheduler runs (re-export of the shared helper)."""
-    return spawn_rng(seed, *parts)
+def draw_initial_mapping(
+    pool: Sequence[str], nprocs: int, rng: Rng, constraint: MappingConstraint | None = None
+) -> TaskMapping:
+    """A random feasible starting point (rejection sampling)."""
+    for _ in range(10_000):
+        mapping = random_mapping(pool, nprocs, rng)
+        if constraint is None or constraint(mapping):
+            return mapping
+    raise RuntimeError(
+        "could not draw a feasible mapping from the pool; "
+        "the constraint may be unsatisfiable"
+    )

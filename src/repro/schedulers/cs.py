@@ -103,11 +103,8 @@ class CbesScheduler(Scheduler):
             )
             for attempt in range(self._restarts)
         ]
-        # The inline path reuses the evaluator's cached context so a
-        # serial scheduler keeps its zero-setup-cost fast path.
-        context = evaluator.fast_context(options) if self.parallel == 1 else None
         portfolio = ParallelPortfolio(self.parallel, mp_context=self._mp_context)
-        result = portfolio.run_sa(spec, tasks, direction=self._direction, context=context)
+        result = portfolio.run_sa(spec, tasks, direction=self._direction, evaluator=evaluator)
         evaluator.record_evaluations(result.evaluations)
         # Report the *full* predicted time for the chosen mapping even if
         # the search annealed on a reduced energy (NCS).

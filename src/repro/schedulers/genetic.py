@@ -20,9 +20,10 @@ import time
 from dataclasses import dataclass
 
 from repro._rng import Rng
+from repro._util import spawn_rng
 from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
-from repro.schedulers.base import MappingConstraint, Scheduler, make_rng
+from repro.schedulers.base import MappingConstraint, Scheduler, draw_initial_mapping
 from repro.schedulers.moves import MoveGenerator
 from repro.telemetry import get_registry
 
@@ -176,7 +177,7 @@ class GeneticScheduler(Scheduler):
         if self._islands > 1:
             return self._run_islands(evaluator, pool, seed)
         p = self._params
-        rng = make_rng(seed, self.name, tuple(pool), evaluator.profile.app_name)
+        rng = spawn_rng(seed, self.name, tuple(pool), evaluator.profile.app_name)
         moves = MoveGenerator(pool)
 
         # Population fitness is the batched full evaluation (GA children
@@ -184,7 +185,10 @@ class GeneticScheduler(Scheduler):
         fit = evaluator.incremental()
 
         deadline = self._deadline()
-        population = [self._initial_mapping(evaluator, pool, rng) for _ in range(p.population)]
+        nprocs = evaluator.profile.nprocs
+        population = [
+            draw_initial_mapping(pool, nprocs, rng, self._constraint) for _ in range(p.population)
+        ]
         fitness = score_population(fit, population)
         history = [min(fitness)]
         stale = 0
@@ -233,6 +237,7 @@ class GeneticScheduler(Scheduler):
             seed=seed,
             rng_parts=(self.name, tuple(pool), evaluator.profile.app_name),
             workers=self.parallel,
+            evaluator=evaluator,
             mp_context=self._mp_context,
             deadline=self._deadline(),
         )

@@ -9,10 +9,11 @@ sanity bound for the SA schedulers — SA should never lose to it badly.
 
 from __future__ import annotations
 
+from repro._util import spawn_rng
 from repro.core.evaluation import MappingEvaluator
-from repro.core.mapping import TaskMapping
-from repro.schedulers.base import MappingConstraint, Scheduler, make_rng
+from repro.schedulers.base import MappingConstraint, Scheduler, draw_initial_mapping
 from repro.schedulers.moves import Move
+from repro.search.spec import SearchSpec, greedy_mapping
 
 __all__ = ["GreedyScheduler"]
 
@@ -37,19 +38,14 @@ class GreedyScheduler(Scheduler):
     def _run(self, evaluator: MappingEvaluator, pool: list[str], seed: int):
         profile = evaluator.profile
         nprocs = profile.nprocs
-        snapshot = evaluator._snapshot  # noqa: SLF001 - package-internal
-        nodes = evaluator._nodes  # noqa: SLF001
-
-        def effective_speed(nid: str) -> float:
-            return nodes[nid].speed_for(profile.arch_speed_ratios) * snapshot.acpu(nid)
-
-        ranked = sorted(pool, key=lambda nid: (-effective_speed(nid), nid))
-        mapping = TaskMapping(ranked[:nprocs])
-        if not self.feasible(mapping):
+        mapping = greedy_mapping(
+            SearchSpec.from_evaluator(evaluator, pool, constraint=self._constraint)
+        )
+        if mapping is None:
             # Fall back to a feasible random start if the pure-greedy
             # choice violates the constraint (e.g. zone mix rules).
-            rng = make_rng(seed, self.name, tuple(pool), profile.app_name)
-            mapping = self._initial_mapping(evaluator, pool, rng)
+            rng = spawn_rng(seed, self.name, tuple(pool), profile.app_name)
+            mapping = draw_initial_mapping(pool, nprocs, rng, self._constraint)
         # Swap-based local search runs on the incremental delta path:
         # each candidate swap is handed to the evaluator as a move and
         # costs the two swapped ranks and their peers, not a full

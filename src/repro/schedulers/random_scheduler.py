@@ -7,8 +7,9 @@ point of reference for the maximum feasible overall speedup.
 
 from __future__ import annotations
 
+from repro._util import spawn_rng
 from repro.core.evaluation import MappingEvaluator
-from repro.schedulers.base import MappingConstraint, Scheduler, make_rng
+from repro.schedulers.base import MappingConstraint, Scheduler, draw_initial_mapping
 
 __all__ = ["RandomScheduler"]
 
@@ -22,8 +23,9 @@ class RandomScheduler(Scheduler):
         super().__init__(constraint=constraint, **execution)
 
     def _run(self, evaluator: MappingEvaluator, pool: list[str], seed: int):
-        rng = make_rng(seed, self.name, tuple(pool), evaluator.profile.app_name)
-        mapping = self._initial_mapping(evaluator, pool, rng)
+        profile = evaluator.profile
+        rng = spawn_rng(seed, self.name, tuple(pool), profile.app_name)
+        mapping = draw_initial_mapping(pool, profile.nprocs, rng, self._constraint)
         # RS itself never evaluates; the prediction is computed only so
         # the result is comparable with the other schedulers.
         predicted = evaluator.execution_time(mapping)

@@ -26,13 +26,13 @@ import math
 import time
 from dataclasses import dataclass
 
-from repro import telemetry
 from repro._util import spawn_rng
+from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
 from repro.schedulers.genetic import GeneticParams
-from repro.search.pool import get_pool
+from repro.search.pool import run_tasks
 from repro.search.spec import SearchSpec
-from repro.search.worker import GaEpochTask, IslandState, TaskRunner
+from repro.search.worker import GaEpochTask, IslandState
 
 __all__ = ["IslandResult", "run_island_ga"]
 
@@ -59,13 +59,15 @@ def run_island_ga(
     seed: int,
     rng_parts: tuple,
     workers: int = 1,
+    evaluator: MappingEvaluator | None = None,
     mp_context: str | None = None,
     deadline: float | None = None,
 ) -> IslandResult:
     """Evolve *islands* populations with ring migration; reduce to best.
 
-    ``workers > 1`` runs each epoch's islands on the process-wide warm
-    pool (:mod:`repro.search.pool`).
+    Every epoch is one :func:`~repro.search.pool.run_tasks` batch of
+    *islands* tasks; *workers*, *evaluator* (the one *spec* was taken
+    from, if any) and *mp_context* are handed to it as they are.
     """
     if islands < 2:
         raise ValueError("island GA needs at least 2 islands")
@@ -79,47 +81,21 @@ def run_island_ga(
         for i in range(islands)
     ]
     generations = params.generations
-
-    def epochs(mapper) -> list[IslandState]:
-        nonlocal states
-        done = 0
-        # The +1 covers population initialisation, which the first epoch
-        # performs inside the workers (so it uses each island's own RNG).
-        while done < generations:
-            if deadline is not None and time.monotonic() >= deadline and done > 0:
-                break
-            span = min(migration_interval, generations - done)
-            tasks = [GaEpochTask(state, params, span, deadline) for state in states]
-            states = mapper(tasks)
-            _drain_metrics(states)
-            done += span
-            if done < generations:
-                _ring_migrate(states, migrants)
-        return states
-
-    nworkers = min(workers, islands)
-    if nworkers <= 1:
-        runner = TaskRunner(spec)
-        states = epochs(lambda tasks: [runner.run_ga_epoch(t) for t in tasks])
-    else:
-        pool = get_pool(mp_context)
-        states = epochs(lambda tasks: pool.run(spec, "ga", tasks, workers=nworkers))
-
+    done = 0
+    while done < generations:
+        if deadline is not None and time.monotonic() >= deadline and done > 0:
+            break
+        span = min(migration_interval, generations - done)
+        # The first epoch also initialises each population inside the
+        # runner, so it uses each island's own RNG.
+        tasks = [GaEpochTask(state, params, span, deadline) for state in states]
+        states = run_tasks(
+            spec, tasks, workers=workers, evaluator=evaluator, mp_context=mp_context
+        )
+        done += span
+        if done < generations:
+            _ring_migrate(states, migrants)
     return _reduce(states)
-
-
-def _drain_metrics(states: list[IslandState]) -> None:
-    """Fold each island's epoch telemetry into the ambient registry.
-
-    Applied in island order at every epoch barrier (deterministic across
-    worker counts) and cleared so a delta never rides back out to the
-    workers with the next epoch's state.
-    """
-    registry = telemetry.get_registry()
-    for state in states:
-        if state.metrics is not None:
-            registry.apply_delta(state.metrics)
-            state.metrics = None
 
 
 def _ring_migrate(states: list[IslandState], migrants: int) -> None:

@@ -1,8 +1,11 @@
-"""Persistent warm worker pool with fingerprint-cached contexts.
+"""The search runtime's one entry, and the warm worker pool behind it.
 
-Every ``parallel > 1`` search — SA restarts, candidate scans, GA island
-epochs — runs on the one module-level :class:`WorkerPool`, the only
-place the package creates worker processes:
+:func:`run_tasks` is the only door: it alone decides whether a batch of
+search tasks (SA restarts, GA island epochs) runs inline on one
+:class:`~repro.search.worker.TaskRunner` or on the module-level
+:class:`WorkerPool`, the only place the package creates worker
+processes.  :class:`PoolTask` / :class:`PoolReply` are the one envelope
+pair that crosses the process boundary.  The pool:
 
 * the executor is spawned lazily on first use, reused by every
   subsequent portfolio/island run (including the daemon's job worker
@@ -25,8 +28,8 @@ Determinism is untouched: a task's outcome is a pure function of the
 task and the spec (runners carry no cross-task state that reaches the
 result — evaluation counts are reported as per-task deltas), so which
 worker, which cache entry, how warm the pool is, or whether a batch had
-to be re-run cannot change the reduced mapping.  ``parallel=1`` never
-touches the pool.
+to be re-run cannot change the reduced mapping.  A batch that runs
+inline never touches the pool.
 
 Deployment settings: the start method (``mp_context``),
 ``REPRO_WORKER_CACHE`` and ``REPRO_POOL_IDLE_S``.
@@ -45,8 +48,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from repro import telemetry
+from repro.core.evaluation import MappingEvaluator
 from repro.search.spec import SearchSpec
-from repro.search.worker import GaEpochTask, SaTask, ScanTask, TaskRunner
+from repro.search.worker import GaEpochTask, SaTask, TaskRunner
+from repro.telemetry import MetricsDelta
 
 __all__ = [
     "DEFAULT_CACHE_CAPACITY",
@@ -55,8 +60,8 @@ __all__ = [
     "PoolReply",
     "WorkerPool",
     "default_start_method",
-    "effective_workers",
     "get_pool",
+    "run_tasks",
     "shutdown_pool",
 ]
 
@@ -86,15 +91,6 @@ def default_start_method() -> str:
     """``fork`` where available (cheap, inherits the code for free),
     ``spawn`` elsewhere."""
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
-def effective_workers(requested: int) -> int:
-    """Clamp a worker request to the CPUs actually schedulable here."""
-    try:
-        available = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        available = os.cpu_count() or 1
-    return max(1, min(requested, available))
 
 
 def _cache_capacity() -> int:
@@ -127,17 +123,18 @@ class PoolTask:
     """
 
     key: str
-    kind: str  # "sa" | "scan" | "ga"
-    task: SaTask | ScanTask | GaEpochTask
+    task: SaTask | GaEpochTask
     spec: SearchSpec | None = None
     telemetry_enabled: bool = False
 
 
 @dataclass(frozen=True)
 class PoolReply:
-    """One task's outcome plus the worker-side cache events it caused."""
+    """One task's outcome, the telemetry it recorded (``None`` when
+    disabled) and the worker-side cache events it caused."""
 
     outcome: object = None
+    metrics: MetricsDelta | None = None
     hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -167,23 +164,16 @@ def _run_pool_task(pt: PoolTask) -> PoolReply:
     else:
         if pt.spec is None:
             return PoolReply(missing_spec=True)
-        runner = TaskRunner(pt.spec, telemetry_enabled=pt.telemetry_enabled)
+        runner = TaskRunner(pt.spec)
         misses = 1
         _CACHE[pt.key] = runner
         while len(_CACHE) > _cache_capacity():
             _CACHE.popitem(last=False)
             evictions += 1
-    # The master's telemetry setting can change between calls that hit
-    # the same cached runner; honor the per-task flag, not the cached one.
-    runner.telemetry_enabled = pt.telemetry_enabled
-    task = pt.task
-    if isinstance(task, SaTask):
-        outcome: object = runner.run_sa(task)
-    elif isinstance(task, ScanTask):
-        outcome = runner.run_scan(task)
-    else:
-        outcome = runner.run_ga_epoch(task)
-    return PoolReply(outcome=outcome, hits=hits, misses=misses, evictions=evictions)
+    outcome, metrics = runner.run(pt.task, telemetry_enabled=pt.telemetry_enabled)
+    return PoolReply(
+        outcome=outcome, metrics=metrics, hits=hits, misses=misses, evictions=evictions
+    )
 
 
 # -- master side ---------------------------------------------------------
@@ -228,31 +218,29 @@ class WorkerPool:
         """How many executors this pool has created (cold starts)."""
         return self._spawns
 
-    def run(self, spec: SearchSpec, kind: str, tasks: list, *, workers: int) -> list:
-        """Execute *tasks* for *spec* on warm workers; outcomes in order.
+    def run(self, spec: SearchSpec, tasks: list, *, workers: int) -> list[tuple]:
+        """Execute *tasks* for *spec* on warm workers (:func:`run_tasks`
+        is the caller); ``(outcome, telemetry delta)`` pairs in order.
 
         At most *workers* tasks are in flight at once even when the
         resident executor is larger (a previous caller may have grown
         it), so a run's parallelism matches what its caller asked for.
         """
-        if not tasks:
-            return []
         spec.ensure_picklable()
-        workers = max(1, min(workers, len(tasks)))
         with self._lock:
             self._active += 1
         try:
             try:
-                return self._run_batch(spec, kind, tasks, workers)
+                return self._run_batch(spec, tasks, workers)
             except BrokenProcessPool:
                 # A worker died.  Outcomes are pure functions of task and
                 # spec, so re-running the whole batch on a fresh executor
                 # cannot change a result.
-                return self._run_batch(spec, kind, tasks, workers)
+                return self._run_batch(spec, tasks, workers)
         finally:
             self._touch()
 
-    def _run_batch(self, spec: SearchSpec, kind: str, tasks: list, workers: int) -> list:
+    def _run_batch(self, spec: SearchSpec, tasks: list, workers: int) -> list[tuple]:
         key = spec.fingerprint()
         executor = self._executor_for(workers)
         with self._lock:
@@ -262,7 +250,6 @@ class WorkerPool:
         envelopes = [
             PoolTask(
                 key=key,
-                kind=kind,
                 task=task,
                 spec=spec if first_time else None,
                 telemetry_enabled=enabled,
@@ -283,7 +270,7 @@ class WorkerPool:
             self._discard(executor)
             raise
         self._record_cache_events(replies)
-        return [reply.outcome for reply in replies]
+        return [(reply.outcome, reply.metrics) for reply in replies]
 
     def shutdown(self, *, wait: bool = True) -> None:
         """Tear the executor down now; the next run starts cold."""
@@ -345,7 +332,6 @@ class WorkerPool:
         replies: list[PoolReply | None] = [None] * len(envelopes)
         pending: dict = {}
         cursor = 0
-        window = max(1, window)
         while cursor < len(envelopes) or pending:
             while cursor < len(envelopes) and len(pending) < window:
                 pending[executor.submit(_run_pool_task, envelopes[cursor])] = cursor
@@ -393,7 +379,7 @@ class WorkerPool:
         executor.shutdown(wait=False)
 
 
-# -- module-level singleton ----------------------------------------------
+# -- module-level singleton and the one entry ----------------------------
 _POOL: WorkerPool | None = None
 _POOL_LOCK = threading.Lock()
 
@@ -425,6 +411,39 @@ def shutdown_pool(*, wait: bool = True) -> None:
         pool, _POOL = _POOL, None
     if pool is not None:
         pool.shutdown(wait=wait)
+
+
+def run_tasks(
+    spec: SearchSpec,
+    tasks: list,
+    *,
+    workers: int,
+    evaluator: MappingEvaluator | None = None,
+    mp_context: str | None = None,
+) -> list:
+    """Run search *tasks* against *spec*; their outcomes in task order.
+
+    The one place inline-or-pool is decided: a batch that cannot use
+    more than one worker runs here, on one
+    :class:`~repro.search.worker.TaskRunner` — over the cached context
+    of *evaluator* (the one *spec* was taken from) when given, else over
+    one it builds from the spec; anything wider runs on the warm pool,
+    whose workers build their own.  Either way each task's telemetry is
+    folded into the ambient registry in task order before returning, so
+    aggregates do not depend on worker count or finish order.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        context = evaluator.fast_context(spec.options) if evaluator is not None else None
+        runner = TaskRunner(spec, context=context)
+        pairs = [runner.run(task) for task in tasks]
+    else:
+        pairs = get_pool(mp_context).run(spec, tasks, workers=workers)
+    registry = telemetry.get_registry()
+    for _, metrics in pairs:
+        if metrics is not None:
+            registry.apply_delta(metrics)
+    return [outcome for outcome, _ in pairs]
 
 
 atexit.register(shutdown_pool)

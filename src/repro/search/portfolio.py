@@ -1,39 +1,30 @@
-"""Portfolio of search restarts with deterministic reduction.
+"""Portfolio of SA restarts with deterministic reduction.
 
-The portfolio runs independent SA restarts and candidate scans (GA
-island epochs go through :mod:`repro.search.islands`) and reduces the
-outcomes with a deterministic best-of: ties on energy break by task
-index, outcomes are ordered by task index whatever order they finished
-in, and every task owns a seed substream — so ``workers=1`` and
-``workers=N`` produce byte-identical mappings for the same master seed.
+The portfolio runs independent SA restarts (GA island epochs go through
+:mod:`repro.search.islands`) and reduces the outcomes with a
+deterministic best-of: ties on energy break by task index, outcomes are
+ordered by task index whatever order they finished in, and every task
+owns a seed substream — so ``workers=1`` and ``workers=N`` produce
+byte-identical mappings for the same master seed.
 
-``workers=1`` runs a :class:`~repro.search.worker.TaskRunner` inline;
-``workers > 1`` runs the very same runner on the process-wide warm pool
-(:mod:`repro.search.pool`), whose executor persists across calls and
-whose workers cache their runner per spec fingerprint.  Per-task
-deadlines (the scheduler's ``time_budget``) are the one thing that can
-make two runs differ: a chain that hits its deadline returns its
-best-so-far.
+Where the restarts run — inline or on the process-wide warm pool — is
+:func:`repro.search.pool.run_tasks`' decision, not this module's.
+Per-task deadlines (the scheduler's ``time_budget``) are the one thing
+that can make two runs differ: a chain that hits its deadline returns
+its best-so-far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import telemetry
-from repro.core.fast_eval import EvaluationContext
+from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
-from repro.search.pool import default_start_method, effective_workers, get_pool
+from repro.search.pool import run_tasks
 from repro.search.spec import SearchSpec
-from repro.search.worker import SaOutcome, SaTask, ScanTask, TaskRunner
+from repro.search.worker import SaOutcome, SaTask
 
-__all__ = [
-    "ParallelPortfolio",
-    "PortfolioResult",
-    "ScanResult",
-    "default_start_method",
-    "effective_workers",
-]
+__all__ = ["ParallelPortfolio", "PortfolioResult"]
 
 
 @dataclass(frozen=True)
@@ -49,18 +40,8 @@ class PortfolioResult:
     outcomes: tuple[SaOutcome, ...]
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Energies for a candidate scan, in candidate submission order."""
-
-    energies: list[float]
-    evaluations: int
-    #: Index of the best (lowest-energy) candidate; ties by position.
-    best_index: int
-
-
 class ParallelPortfolio:
-    """Runs a batch of search tasks over one spec, inline or on the warm pool."""
+    """Runs a batch of SA restarts over one spec and reduces to the best."""
 
     def __init__(self, workers: int = 1, *, mp_context: str | None = None):
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
@@ -78,69 +59,22 @@ class ParallelPortfolio:
         tasks: list[SaTask],
         *,
         direction: str = "minimize",
-        context: EvaluationContext | None = None,
+        evaluator: MappingEvaluator | None = None,
     ) -> PortfolioResult:
         """Execute *tasks* and reduce to the single best outcome.
 
-        *context* is an optional pre-built evaluation context for the
-        inline (``workers == 1``) path, so a scheduler can hand over its
-        evaluator's cached context instead of rebuilding one; it is
-        ignored when a pool is used (workers build their own).
+        *evaluator* is the evaluator *spec* was taken from, if the
+        caller has one: an inline run then uses its cached context
+        instead of rebuilding one (see :func:`run_tasks`).
         """
         if not tasks:
             raise ValueError("portfolio needs at least one task")
         if direction not in ("minimize", "maximize"):
             raise ValueError("direction must be 'minimize' or 'maximize'")
-        nworkers = min(self._workers, len(tasks))
-        if nworkers <= 1:
-            runner = TaskRunner(spec, context=context)
-            outcomes = [runner.run_sa(task) for task in tasks]
-        else:
-            outcomes = get_pool(self._mp_context).run(spec, "sa", tasks, workers=nworkers)
-        return reduce_outcomes(outcomes, direction)
-
-    def run_scan(
-        self,
-        spec: SearchSpec,
-        candidates: list[TaskMapping],
-        *,
-        context: EvaluationContext | None = None,
-    ) -> ScanResult:
-        """Score *candidates* as batched sweeps, preserving order.
-
-        The inline path submits the whole population as one
-        ``evaluate_many`` call; with a pool the candidates are split into
-        one contiguous slice per worker, each scored as a single batch,
-        and reassembled in slice order — so the energies (and the
-        deterministic ``best_index``) are identical at every parallel
-        degree.
-        """
-        if not candidates:
-            raise ValueError("scan needs at least one candidate mapping")
-        nworkers = min(self._workers, len(candidates))
-        if nworkers <= 1:
-            runner = TaskRunner(spec, context=context)
-            outcomes = [runner.run_scan(ScanTask(0, tuple(candidates)))]
-        else:
-            step = (len(candidates) + nworkers - 1) // nworkers
-            tasks = [
-                ScanTask(i, tuple(candidates[i * step : (i + 1) * step]))
-                for i in range(nworkers)
-                if candidates[i * step : (i + 1) * step]
-            ]
-            outcomes = get_pool(self._mp_context).run(spec, "scan", tasks, workers=nworkers)
-        ordered = sorted(outcomes, key=lambda o: o.index)
-        registry = telemetry.get_registry()
-        for outcome in ordered:
-            if outcome.metrics is not None:
-                registry.apply_delta(outcome.metrics)
-        energies = [e for outcome in ordered for e in outcome.energies]
-        best_index = min(range(len(energies)), key=lambda i: (energies[i], i))
-        return ScanResult(
-            energies=energies,
-            evaluations=sum(o.evaluations for o in ordered),
-            best_index=best_index,
+        outcomes = run_tasks(
+            spec, tasks, workers=self._workers, evaluator=evaluator, mp_context=self._mp_context
         )
+        return reduce_outcomes(outcomes, direction)
 
 
 def reduce_outcomes(outcomes: list[SaOutcome], direction: str) -> PortfolioResult:
@@ -148,12 +82,6 @@ def reduce_outcomes(outcomes: list[SaOutcome], direction: str) -> PortfolioResul
     sign = 1.0 if direction == "minimize" else -1.0
     ordered = sorted(outcomes, key=lambda o: o.index)
     best = min(ordered, key=lambda o: (sign * o.energy, o.index))
-    # Fold each task's telemetry into the ambient registry in task-index
-    # order — deterministic regardless of worker count or finish order.
-    registry = telemetry.get_registry()
-    for outcome in ordered:
-        if outcome.metrics is not None:
-            registry.apply_delta(outcome.metrics)
     history: list[float] = []
     for outcome in ordered:
         history.extend(outcome.history)

@@ -19,14 +19,13 @@ import hashlib
 import pickle
 from dataclasses import dataclass, field
 
-from repro._rng import Rng
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator
 from repro.core.mapping import TaskMapping
 from repro.monitoring.snapshot import SystemSnapshot
 from repro.profiling.profile import ApplicationProfile
-from repro.schedulers.base import MappingConstraint, random_mapping
+from repro.schedulers.base import MappingConstraint
 
-__all__ = ["SearchSpec", "draw_initial_mapping", "greedy_mapping"]
+__all__ = ["SearchSpec", "greedy_mapping"]
 
 
 @dataclass(frozen=True)
@@ -127,20 +126,6 @@ class SearchSpec:
                 f"({type(exc).__name__}: {exc}); constraints must be module-level "
                 "functions, not lambdas or closures, when parallel > 1"
             ) from exc
-
-
-def draw_initial_mapping(spec: SearchSpec, rng: Rng) -> TaskMapping:
-    """A random feasible start (rejection sampling, mirrors Scheduler)."""
-    nprocs = spec.profile.nprocs
-    pool = list(spec.pool)
-    for _ in range(10_000):
-        mapping = random_mapping(pool, nprocs, rng)
-        if spec.feasible(mapping):
-            return mapping
-    raise RuntimeError(
-        "could not draw a feasible mapping from the pool; "
-        "the constraint may be unsatisfiable"
-    )
 
 
 def greedy_mapping(spec: SearchSpec) -> TaskMapping | None:

@@ -6,14 +6,14 @@ own :class:`~repro.core.fast_eval.EvaluationContext` from the pickled
 against it.  The master process runs the *same* runner inline when
 ``parallel == 1`` — identical code path, identical arithmetic, which is
 what lets the portfolio promise byte-identical results across parallel
-degrees.  Pool workers reach their runners through
-:func:`repro.search.pool._run_pool_task`.
+degrees.  Either way the entry is :func:`repro.search.pool.run_tasks`
+and the body is the one :meth:`TaskRunner.run`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro._rng import Rng
@@ -21,20 +21,13 @@ from repro._util import spawn_rng
 from repro.core.fast_eval import EvaluationContext, IncrementalEvaluator
 from repro.core.mapping import TaskMapping
 from repro.schedulers.annealing import AnnealingSchedule, anneal
+from repro.schedulers.base import draw_initial_mapping
 from repro.schedulers.genetic import GeneticParams, ga_generation
 from repro.schedulers.moves import MoveGenerator
-from repro.search.spec import SearchSpec, draw_initial_mapping, greedy_mapping
+from repro.search.spec import SearchSpec, greedy_mapping
 from repro.telemetry import MetricsDelta, MetricsRegistry
 
-__all__ = [
-    "SaTask",
-    "SaOutcome",
-    "IslandState",
-    "GaEpochTask",
-    "ScanTask",
-    "ScanOutcome",
-    "TaskRunner",
-]
+__all__ = ["SaTask", "SaOutcome", "IslandState", "GaEpochTask", "TaskRunner"]
 
 
 @dataclass(frozen=True)
@@ -76,10 +69,6 @@ class SaOutcome:
     energy: float
     history: tuple[float, ...]
     evaluations: int
-    #: Telemetry recorded while running this task (None when disabled).
-    #: The reducer merges deltas in task-index order, so aggregates are
-    #: independent of worker count.
-    metrics: MetricsDelta | None = None
 
 
 @dataclass
@@ -97,10 +86,6 @@ class IslandState:
     fitness: list[float] | None = None
     history: list[float] = field(default_factory=list)
     evaluations: int = 0
-    #: Telemetry recorded during the *last* epoch only (None when
-    #: disabled); the master drains it after each epoch barrier so it is
-    #: never shipped back to the workers.
-    metrics: MetricsDelta | None = None
 
 
 @dataclass(frozen=True)
@@ -113,41 +98,12 @@ class GaEpochTask:
     deadline: float | None = None
 
 
-@dataclass(frozen=True)
-class ScanTask:
-    """Score one slice of a candidate-mapping scan as a single batch."""
-
-    index: int
-    mappings: tuple[TaskMapping, ...]
-
-
-@dataclass(frozen=True)
-class ScanOutcome:
-    """Energies for one scan slice, in submission order."""
-
-    index: int
-    energies: tuple[float, ...]
-    evaluations: int
-    metrics: MetricsDelta | None = None
-
-
 class TaskRunner:
     """Executes search tasks against one spec, counting evaluations."""
 
-    def __init__(
-        self,
-        spec: SearchSpec,
-        *,
-        context: EvaluationContext | None = None,
-        telemetry_enabled: bool | None = None,
-    ):
+    def __init__(self, spec: SearchSpec, *, context: EvaluationContext | None = None):
         self.spec = spec
         self.count = 0
-        # Pool workers receive the master's setting with every task (the
-        # ambient registry itself does not cross process boundaries).
-        self.telemetry_enabled = (
-            telemetry.enabled() if telemetry_enabled is None else telemetry_enabled
-        )
         if context is None:
             context = EvaluationContext(
                 spec.profile, spec.latency_model, spec.nodes, spec.snapshot, spec.options
@@ -158,27 +114,41 @@ class TaskRunner:
     def _tick(self) -> None:
         self.count += 1
 
-    # -- task telemetry --------------------------------------------------
-    def _record_task(self, registry, kind: str, seconds: float) -> None:
-        registry.counter(
-            "cbes_search_tasks_total", "Search tasks executed by runners.", ("kind",)
-        ).inc(kind=kind)
-        registry.histogram(
-            "cbes_search_task_seconds", "Wall time of one search task.", ("kind",)
-        ).observe(seconds, kind=kind)
+    def _draw(self, rng: Rng) -> TaskMapping:
+        spec = self.spec
+        return draw_initial_mapping(spec.pool, spec.profile.nprocs, rng, spec.constraint)
 
-    # -- SA restarts ----------------------------------------------------
-    def run_sa(self, task: SaTask) -> SaOutcome:
-        """Run one SA restart; attaches a MetricsDelta when telemetry is on."""
-        if not self.telemetry_enabled:
-            return self._run_sa(task)
+    def run(
+        self, task: SaTask | GaEpochTask, *, telemetry_enabled: bool | None = None
+    ) -> tuple[SaOutcome | IslandState, MetricsDelta | None]:
+        """Run one task; the outcome and the telemetry it recorded.
+
+        The delta is ``None`` when telemetry is off.  Pool workers pass
+        the master's setting with every task (the ambient registry does
+        not cross process boundaries); inline it is the ambient one.
+        """
+        if isinstance(task, SaTask):
+            body, kind = self._run_sa, "sa-restart"
+        else:
+            body, kind = self._run_ga_epoch, "ga-epoch"
+        if telemetry_enabled is None:
+            telemetry_enabled = telemetry.enabled()
+        if not telemetry_enabled:
+            return body(task), None
         local = MetricsRegistry()
         started = time.perf_counter()
         with telemetry.use_registry(local):
-            outcome = self._run_sa(task)
-            self._record_task(local, "sa-restart", time.perf_counter() - started)
-        return replace(outcome, metrics=local.collect_delta())
+            outcome = body(task)
+            seconds = time.perf_counter() - started
+            local.counter(
+                "cbes_search_tasks_total", "Search tasks executed by runners.", ("kind",)
+            ).inc(kind=kind)
+            local.histogram(
+                "cbes_search_task_seconds", "Wall time of one search task.", ("kind",)
+            ).observe(seconds, kind=kind)
+        return outcome, local.collect_delta()
 
+    # -- SA restarts ----------------------------------------------------
     def _run_sa(self, task: SaTask) -> SaOutcome:
         start_count = self.count
         rng = spawn_rng(task.seed, *task.rng_parts)
@@ -194,13 +164,13 @@ class TaskRunner:
             # Batched restart seeding: score all candidate starts in one
             # evaluate_many sweep and begin from the best (ties by draw
             # order keep this deterministic).
-            candidates = [draw_initial_mapping(self.spec, rng) for _ in range(task.seed_scan)]
+            candidates = [self._draw(rng) for _ in range(task.seed_scan)]
             energies = self._energy.many(candidates)
             sign = 1.0 if task.direction == "minimize" else -1.0
             best = min(range(len(candidates)), key=lambda i: (sign * energies[i], i))
             start = candidates[best]
         if start is None:
-            start = draw_initial_mapping(self.spec, rng)
+            start = self._draw(rng)
         best, energy_value, history = anneal(
             self._energy,
             start,
@@ -219,40 +189,7 @@ class TaskRunner:
             evaluations=self.count - start_count,
         )
 
-    # -- candidate scans -------------------------------------------------
-    def run_scan(self, task: ScanTask) -> ScanOutcome:
-        """Score one scan slice; attaches a MetricsDelta when telemetry is on."""
-        if not self.telemetry_enabled:
-            return self._run_scan(task)
-        local = MetricsRegistry()
-        started = time.perf_counter()
-        with telemetry.use_registry(local):
-            outcome = self._run_scan(task)
-            self._record_task(local, "scan", time.perf_counter() - started)
-        return replace(outcome, metrics=local.collect_delta())
-
-    def _run_scan(self, task: ScanTask) -> ScanOutcome:
-        start_count = self.count
-        energies = self._energy.many(task.mappings)
-        return ScanOutcome(
-            index=task.index,
-            energies=tuple(energies),
-            evaluations=self.count - start_count,
-        )
-
     # -- GA island epochs -----------------------------------------------
-    def run_ga_epoch(self, task: GaEpochTask) -> IslandState:
-        """Evolve one island epoch; attaches a MetricsDelta when telemetry is on."""
-        if not self.telemetry_enabled:
-            return self._run_ga_epoch(task)
-        local = MetricsRegistry()
-        started = time.perf_counter()
-        with telemetry.use_registry(local):
-            state = self._run_ga_epoch(task)
-            self._record_task(local, "ga-epoch", time.perf_counter() - started)
-        state.metrics = local.collect_delta()
-        return state
-
     def _run_ga_epoch(self, task: GaEpochTask) -> IslandState:
         state = task.state
         p = task.params
@@ -262,7 +199,7 @@ class TaskRunner:
         pool = list(self.spec.pool)
         history = list(state.history)
         if state.population is None:
-            population = [draw_initial_mapping(self.spec, rng) for _ in range(p.population)]
+            population = [self._draw(rng) for _ in range(p.population)]
             fitness = self._energy.many(population)
             history.append(min(fitness))
         else:

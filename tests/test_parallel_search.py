@@ -25,7 +25,7 @@ import pytest
 import repro
 from repro.cluster import single_switch
 from repro.core import CBES, EvaluationOptions, TaskMapping
-from repro.core.fast_eval import active_backend
+from repro.core.fast_eval import EvaluationContext, active_backend
 from repro.schedulers import make_scheduler
 from repro.schedulers.annealing import AnnealingSchedule
 from repro.schedulers.genetic import GeneticParams
@@ -317,11 +317,46 @@ class TestInlineFastPathParity:
         evaluator, pool = fresh_evaluator
         spec = SearchSpec.from_evaluator(evaluator, pool)
         task = SaTask(index=0, seed=13, rng_parts=("parity",))
-        with_cache = TaskRunner(spec, context=evaluator.fast_context()).run_sa(task)
-        self_built = TaskRunner(spec).run_sa(task)
+        with_cache, _ = TaskRunner(spec, context=evaluator.fast_context()).run(task)
+        self_built, _ = TaskRunner(spec).run(task)
         assert with_cache.mapping == self_built.mapping
         assert with_cache.energy == self_built.energy
         assert with_cache.evaluations == self_built.evaluations
+
+    def test_inline_island_ga_takes_the_evaluators_cached_context(
+        self, fresh_evaluator, monkeypatch
+    ):
+        """Two inline island schedules over one evaluator build one
+        context between them (the parent built one per ``schedule()``),
+        and the result is the one a self-built context gives."""
+        evaluator, pool = fresh_evaluator
+        built = []
+        init = EvaluationContext.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationContext, "__init__", counting)
+        scheduler = make_scheduler("ga", islands=3)
+        first = result_key(scheduler.schedule(evaluator, pool, seed=21))
+        second = result_key(scheduler.schedule(evaluator, pool, seed=21))
+        assert len(built) == 1
+        assert first == second
+        # Without an evaluator every epoch's runner builds its own
+        # context from the spec: same arithmetic, same result.
+        spec = SearchSpec.from_evaluator(evaluator, pool)
+        self_built = run_island_ga(
+            spec,
+            GeneticParams(),
+            islands=3,
+            migration_interval=5,
+            migrants=2,
+            seed=21,
+            rng_parts=("GA", tuple(pool), evaluator.profile.app_name),
+        )
+        assert len(built) > 1
+        assert (self_built.mapping.as_tuple(), self_built.energy) == first[:2]
 
 
 class TestOnePath:
@@ -367,6 +402,38 @@ class TestOnePath:
                         executor_sites.append(where)
         assert offenders == []
         assert executor_sites == ["search/pool.py"]
+
+    def test_one_door_into_the_search_runtime(self):
+        """``run_tasks`` alone picks inline or pool: the only caller of
+        ``get_pool`` and, with the pool worker, the only builder of a
+        ``TaskRunner``; the scan kind and the unused clamp stay gone."""
+        gone = {"run_scan", "ScanTask", "ScanOutcome", "ScanResult", "effective_workers"}
+        sites = {"get_pool": [], "TaskRunner": []}
+        offenders = []
+
+        def visit(where, node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if child.name in gone:
+                        offenders.append(f"{where}:{child.lineno} {child.name}")
+                    if not isinstance(child, ast.ClassDef):
+                        inner = child.name
+                elif isinstance(child, ast.Call):
+                    func = child.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                    if called in sites:
+                        sites[called].append(f"{where}:{scope}")
+                visit(where, child, inner)
+
+        for where, tree in self._sources():
+            visit(where, tree, "<module>")
+        assert offenders == []
+        assert sites["get_pool"] == ["search/pool.py:run_tasks"]
+        assert sorted(sites["TaskRunner"]) == [
+            "search/pool.py:_run_pool_task",
+            "search/pool.py:run_tasks",
+        ]
 
     def test_an_ablation_is_a_table_not_a_branch(self):
         """Inside ``core/fast_eval.py`` the four toggles are read where

@@ -24,12 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import TaskMapping
 from repro.schedulers import make_scheduler
-from repro.search import ParallelPortfolio, SearchSpec, get_pool, shutdown_pool
+from repro.schedulers.annealing import AnnealingSchedule
+from repro.search import SaTask, SearchSpec, get_pool, shutdown_pool
 from repro.search import pool as pool_mod
 from repro.search.pool import PoolTask, WorkerPool
-from repro.search.worker import ScanTask
 from repro.telemetry import MetricsRegistry, use_registry
 
 
@@ -51,8 +50,12 @@ def spec(evaluator_and_pool):
     return SearchSpec.from_evaluator(evaluator.with_snapshot(evaluator.snapshot), pool)
 
 
-def scan_task(pool, *, index=0, width=6):
-    return ScanTask(index=index, mappings=(TaskMapping(pool[:width]),))
+#: The cheapest task there is: one temperature, a handful of moves.
+TINY = AnnealingSchedule(steps=1, moves_per_temperature=4, patience=1)
+
+
+def sa_task(index=0):
+    return SaTask(index=index, seed=3, rng_parts=("warm-pool", index), schedule=TINY)
 
 
 def counter_samples(registry: MetricsRegistry, name: str) -> dict:
@@ -110,26 +113,21 @@ class TestWorkerCacheLru:
         yield
         pool_mod._initialize_pool_worker()
 
-    def envelope(self, spec, pool, *, with_spec=True, width=6):
+    def envelope(self, spec, *, with_spec=True):
         return PoolTask(
-            key=spec.fingerprint(),
-            kind="scan",
-            task=scan_task(pool, width=width),
-            spec=spec if with_spec else None,
+            key=spec.fingerprint(), task=sa_task(), spec=spec if with_spec else None
         )
 
-    def test_miss_then_hit(self, evaluator_and_pool, spec):
-        _, pool = evaluator_and_pool
-        first = pool_mod._run_pool_task(self.envelope(spec, pool))
+    def test_miss_then_hit(self, spec):
+        first = pool_mod._run_pool_task(self.envelope(spec))
         assert (first.misses, first.hits) == (1, 0)
         assert first.outcome is not None
-        second = pool_mod._run_pool_task(self.envelope(spec, pool, with_spec=False))
+        second = pool_mod._run_pool_task(self.envelope(spec, with_spec=False))
         assert (second.misses, second.hits) == (0, 1)
-        assert second.outcome.energies == first.outcome.energies
+        assert second.outcome == first.outcome
 
-    def test_key_only_without_cached_runner_asks_for_spec(self, evaluator_and_pool, spec):
-        _, pool = evaluator_and_pool
-        reply = pool_mod._run_pool_task(self.envelope(spec, pool, with_spec=False))
+    def test_key_only_without_cached_runner_asks_for_spec(self, spec):
+        reply = pool_mod._run_pool_task(self.envelope(spec, with_spec=False))
         assert reply.missing_spec
         assert reply.outcome is None
 
@@ -139,51 +137,47 @@ class TestWorkerCacheLru:
             SearchSpec.from_evaluator(evaluator, pool[: len(pool) - i]) for i in range(3)
         ]
         assert len({s.fingerprint() for s in specs}) == 3
-        replies = [pool_mod._run_pool_task(self.envelope(s, pool)) for s in specs]
+        replies = [pool_mod._run_pool_task(self.envelope(s)) for s in specs]
         assert [r.misses for r in replies] == [1, 1, 1]
         # Capacity 2: inserting the third evicted the least-recent (first).
         assert [r.evictions for r in replies] == [0, 0, 1]
-        evicted = pool_mod._run_pool_task(self.envelope(specs[0], pool, with_spec=False))
+        evicted = pool_mod._run_pool_task(self.envelope(specs[0], with_spec=False))
         assert evicted.missing_spec
-        kept = pool_mod._run_pool_task(self.envelope(specs[2], pool, with_spec=False))
+        kept = pool_mod._run_pool_task(self.envelope(specs[2], with_spec=False))
         assert kept.hits == 1
 
 
 class TestPoolLifecycle:
-    def test_lazy_spawn_and_reuse(self, evaluator_and_pool, spec):
-        _, pool = evaluator_and_pool
+    def test_lazy_spawn_and_reuse(self, spec):
         wp = WorkerPool(idle_timeout_s=None)
         try:
             assert wp.workers == 0 and wp.spawns == 0
-            first = wp.run(spec, "scan", [scan_task(pool)], workers=1)
-            second = wp.run(spec, "scan", [scan_task(pool)], workers=1)
+            first = wp.run(spec, [sa_task()], workers=1)
+            second = wp.run(spec, [sa_task()], workers=1)
             assert wp.spawns == 1  # same executor served both runs
             assert wp.workers == 1
-            assert first[0].energies == second[0].energies
+            assert first == second  # (outcome, telemetry delta) pairs
         finally:
             wp.shutdown()
 
-    def test_grows_by_replacement(self, evaluator_and_pool, spec):
-        _, pool = evaluator_and_pool
+    def test_grows_by_replacement(self, spec):
         wp = WorkerPool(idle_timeout_s=None)
         try:
-            wp.run(spec, "scan", [scan_task(pool)], workers=1)
-            tasks = [scan_task(pool, index=i) for i in range(4)]
-            outcomes = wp.run(spec, "scan", tasks, workers=2)
+            wp.run(spec, [sa_task()], workers=1)
+            pairs = wp.run(spec, [sa_task(i) for i in range(4)], workers=2)
             assert wp.spawns == 2 and wp.workers == 2
-            assert [o.index for o in outcomes] == [0, 1, 2, 3]
+            assert [outcome.index for outcome, _ in pairs] == [0, 1, 2, 3]
         finally:
             wp.shutdown()
 
-    def test_shutdown_goes_cold_then_respawns(self, evaluator_and_pool, spec):
-        _, pool = evaluator_and_pool
+    def test_shutdown_goes_cold_then_respawns(self, spec):
         wp = WorkerPool(idle_timeout_s=None)
         try:
-            wp.run(spec, "scan", [scan_task(pool)], workers=1)
+            wp.run(spec, [sa_task()], workers=1)
             wp.shutdown()
             assert wp.workers == 0
-            outcomes = wp.run(spec, "scan", [scan_task(pool)], workers=1)
-            assert outcomes[0].energies
+            [(outcome, _)] = wp.run(spec, [sa_task()], workers=1)
+            assert outcome.energy > 0
             assert wp.spawns == 2
         finally:
             wp.shutdown()
@@ -198,14 +192,13 @@ class TestPoolLifecycle:
         assert c is not a
         shutdown_pool()
 
-    def test_cache_event_counters(self, evaluator_and_pool, spec):
-        _, pool = evaluator_and_pool
+    def test_cache_event_counters(self, spec):
         registry = MetricsRegistry()
         wp = WorkerPool(idle_timeout_s=None)
         try:
             with use_registry(registry):
-                wp.run(spec, "scan", [scan_task(pool)], workers=1)
-                wp.run(spec, "scan", [scan_task(pool)], workers=1)
+                wp.run(spec, [sa_task()], workers=1)
+                wp.run(spec, [sa_task()], workers=1)
             events = counter_samples(registry, "cbes_worker_cache_events_total")
             assert events[(("event", "miss"),)] == 1
             assert events[(("event", "hit"),)] == 1
@@ -225,8 +218,8 @@ class TestPoolLifecycle:
         wp = WorkerPool(idle_timeout_s=None)
         try:
             with use_registry(registry):
-                wp.run(spec_a, "scan", [scan_task(pool)], workers=1)
-                wp.run(spec_b, "scan", [scan_task(pool)], workers=1)
+                wp.run(spec_a, [sa_task()], workers=1)
+                wp.run(spec_b, [sa_task()], workers=1)
             events = counter_samples(registry, "cbes_worker_cache_events_total")
             # Two distinct fingerprints: the refresh cannot hit the stale
             # cached context.
@@ -268,22 +261,16 @@ class TestWarmColdIdentity:
         assert degrees[1] == degrees[2] == degrees[4]
 
     def test_every_task_kind_shares_one_pool(self, evaluator_and_pool):
-        """SA restarts, a candidate scan and GA island epochs at
-        parallel=2, back to back: one executor serves all three, and
-        each equals its parallel=1 result."""
-        evaluator, pool = evaluator_and_pool
-        spec = SearchSpec.from_evaluator(evaluator.with_snapshot(evaluator.snapshot), pool)
-        candidates = [TaskMapping(pool[i : i + 6]) for i in range(6)]
+        """SA restarts and GA island epochs at parallel=2, back to back:
+        one executor serves both, and each equals its parallel=1 result."""
         baseline = get_pool().spawns
         parallel = (
             self.run(evaluator_and_pool, parallel=2, restarts=3),
-            ParallelPortfolio(2).run_scan(spec, candidates),
             self.run(evaluator_and_pool, parallel=2, name="ga", islands=3),
         )
         assert get_pool().spawns == baseline + 1
         serial = (
             self.run(evaluator_and_pool, parallel=1, restarts=3),
-            ParallelPortfolio(1).run_scan(spec, candidates),
             self.run(evaluator_and_pool, parallel=1, name="ga", islands=3),
         )
         assert parallel == serial

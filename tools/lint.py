@@ -4,20 +4,16 @@
 Two gates run in sequence and the worst exit status wins:
 
 1. **Style** — ``ruff check .`` when ruff is on PATH (the same command
-   CI's lint job runs, with the rule selection from pyproject.toml).
-   In hermetic environments without ruff this degrades gracefully: the
-   project invariant suite below already includes a syntax check
-   (RPR000) and an unused-import detector (RPR100), which covers the
-   most common real defects ruff's default rules catch.
-2. **Invariants** — the :mod:`repro.analysis` checker suite (RPR100-
-   RPR106: determinism, picklability, async-safety, float equality,
-   API hygiene) over every source root, honoring the committed
-   baseline at tools/analysis_baseline.json.
+   CI's lint job runs, with the rule selection from pyproject.toml);
+   skipped, with a note, in hermetic environments without ruff.
+2. **Invariants** — the :mod:`repro.analysis` checker suite (RPR000
+   syntax, RPR100 unused imports, RPR101-RPR106: determinism,
+   picklability, async-safety, float equality, API and telemetry
+   hygiene) over every source root, honoring the committed baseline at
+   tools/analysis_baseline.json.
 
-The historical F401 detector that used to live in this file is now
-rule RPR100 of the suite — with the false negative fixed where any
-string constant matching an import name marked it "used" (strings now
-only count inside ``__all__``; string annotations are parsed properly).
+Unused imports are checked once: by RPR100, which runs with or without
+ruff.  pyproject.toml ignores ruff's ``F401`` for that reason.
 
 Exit status is nonzero on any finding, like ``ruff check``.
 """
@@ -37,7 +33,7 @@ def run_ruff() -> int:
     """The style gate: ruff when present, otherwise a no-op."""
     ruff = shutil.which("ruff")
     if ruff is None:
-        print("lint: ruff not found; relying on repro.analysis (RPR000/RPR100)")
+        print("lint: ruff not found; style gate skipped, repro.analysis still runs")
         return 0
     return subprocess.call([ruff, "check", str(REPO)])
 
