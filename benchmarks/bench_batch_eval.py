@@ -3,9 +3,10 @@
 Measures population-scoring throughput of the batched kernel (the path
 GA generations, portfolio seed scans, and candidate sweeps go through)
 against the per-mapping stateless fast path, while checking that the
-batch agrees element-wise with the reference ``predict()`` and that the
-two batch backends (pure python and numpy) are bit-identical under
-every one of the 16 ``EvaluationOptions`` toggle combinations.
+batch equals element-wise the reference ``predict()`` (zero difference)
+and that the two batch backends (pure python and numpy) are
+bit-identical under every one of the 16 ``EvaluationOptions`` toggle
+combinations.
 
 Run modes
 ---------
@@ -33,7 +34,7 @@ import sys
 import time
 
 from _gate import GateReport
-from bench_incremental_eval import AGREEMENT_TOL, build_workload
+from bench_incremental_eval import build_workload
 
 from repro._util import spawn_rng
 from repro.core.evaluation import EvaluationOptions
@@ -162,14 +163,13 @@ def main(argv=None) -> int:
     )
     print(
         f"worst disagreement:      {results['worst_disagreement']:10.2e}"
-        f"   (tolerance {AGREEMENT_TOL:.0e})"
+        "   (must be 0: same association)"
     )
 
     report.gate(
         "agreement",
-        results["worst_disagreement"] <= AGREEMENT_TOL,
-        f"batch vs predict() disagreement {results['worst_disagreement']:.2e} "
-        f"exceeds {AGREEMENT_TOL:.0e}",
+        results["worst_disagreement"] == 0.0,
+        f"batch vs predict() disagreement {results['worst_disagreement']:.2e} (must be 0.0)",
     )
     report.gate(
         "backend_equality",

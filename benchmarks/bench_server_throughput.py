@@ -4,23 +4,32 @@ Boots the asyncio daemon in-process (ephemeral port) around a calibrated
 service and pushes prediction jobs through the full network path —
 HTTP framing, queue, worker pool, JSON codecs — measuring jobs/second
 and the per-request overhead versus calling the evaluator directly.
-Every remote answer is checked against the direct path, so the run
-doubles as an end-to-end consistency test.  It also gates that waiting
-on a batch costs the batch, not the store: a 32-job ``submit_batch`` +
+Every remote answer is checked ``==`` against the direct path (the
+daemon prices a quote with the kernel, the direct path with the paper
+loop ``predict()``; they share one association), so the run doubles as
+an end-to-end consistency test.  It also gates that waiting on a batch
+costs the batch, not the store: a 32-job ``submit_batch`` +
 ``wait_many`` round against a daemon holding ~2 000 finished jobs may
-take at most 1.5x the round against an empty one.
+take at most 1.5x the round against an empty one; and that a quote
+through the daemon's executor costs less than one reference loop:
+``predict_job_ratio`` is ``JobRunner.execute`` of a ``predict`` job over
+``evaluator.predict()`` of the same mapping, timed in the same
+interleaved passes on the 16-node / 8-rank instance in both run modes
+(8 ranks is the quote ``benchmarks/e2e`` sends; a ratio, so no host
+constant: ~1.3 when the executor ran the reference loop itself, ~0.5
+off the cached context).
 
 Run modes
 ---------
 ``python benchmarks/bench_server_throughput.py``
     Full benchmark: 16 nodes / 8 ranks, 200 jobs across 4 workers;
-    fails (exit 1) if jobs fail, answers disagree, or throughput drops
-    below 10 jobs/s.
+    fails (exit 1) if jobs fail, any answer differs from the direct
+    path, a predict job costs more than one reference loop, or
+    throughput drops below 10 jobs/s.
 
 ``python benchmarks/bench_server_throughput.py --quick``
-    CI smoke mode: 6 nodes, 24 jobs, 2 workers; fails on any failed
-    job or remote/direct disagreement (no throughput floor — shared CI
-    runners make one meaningless).
+    CI smoke mode: 6 nodes, 24 jobs, 2 workers; the same gates without
+    the throughput floor (shared CI runners make one meaningless).
 """
 
 from __future__ import annotations
@@ -35,12 +44,16 @@ from _gate import GateReport
 from repro.cluster import single_switch
 from repro.core import CBES, TaskMapping
 from repro.server import BackpressureError, DaemonThread
+from repro.server.jobs import Job
 from repro.workloads import SyntheticBenchmark
 
-AGREEMENT_TOL = 1e-9
 #: The store-size-independence gate: batch size, finished jobs held by
 #: the "full" store, timed rounds per side, and the allowed ratio.
 ROUND_JOBS, FULL_STORE_JOBS, ROUNDS, MAX_ROUND_RATIO = 32, 2000, 9, 1.5
+#: The quote-cost gate: its instance (nodes, ranks, mappings), the
+#: interleaved passes over them, and the most a predict job's
+#: ``execute`` may cost in reference loops.
+PROBE_SHAPE, PROBE_PASSES, MAX_PREDICT_JOB_RATIO = (16, 8, 24), 15, 1.0
 
 
 def build_service(nnodes: int, nprocs: int) -> tuple[CBES, str]:
@@ -118,6 +131,56 @@ def batch_round_ms(service: CBES, app_name: str, nodes: list[str]) -> tuple[floa
     return empty_ms, full_ms
 
 
+def predict_job_probe() -> tuple[float, float, float]:
+    """``(predict_job_us, reference_predict_us, context_cache_hit_ratio)``.
+
+    On its own :data:`PROBE_SHAPE` instance, each pass times
+    ``JobRunner.execute`` over one predict job per mapping, then
+    ``evaluator.predict()`` over the same mappings; the figures are the
+    medians over the passes.  The hit ratio is read off
+    ``cbes_context_cache_events_total`` over the timed passes (the one
+    miss is the untimed first call).
+    """
+    nnodes, nprocs, njobs = PROBE_SHAPE
+    service, app_name = build_service(nnodes, nprocs)
+    mappings = pools(service, nprocs, njobs)
+    jobs = [
+        Job(f"probe-{i}", "predict", {"app": app_name, "seed": 0, "options": None, "nodes": nodes})
+        for i, nodes in enumerate(mappings)
+    ]
+    candidates = [TaskMapping(nodes) for nodes in mappings]
+    with DaemonThread(service, workers=1, queue_limit=8) as srv:
+        client = srv.client()
+        execute = srv.daemon.runner.execute
+        evaluator = service.evaluator(app_name, snapshot=srv.daemon.runner.snapshot)
+        execute(jobs[0])  # the one miss: builds the context
+
+        def events() -> dict[str, float]:
+            family = client.metrics()["cbes_context_cache_events_total"]
+            return {s["labels"]["event"]: s["value"] for s in family["samples"]}
+
+        before = events()
+        job_s, reference_s = [], []
+        for _ in range(PROBE_PASSES):
+            start = time.perf_counter()
+            for job in jobs:
+                execute(job)
+            middle = time.perf_counter()
+            for mapping in candidates:
+                evaluator.predict(mapping)
+            job_s.append(middle - start)
+            reference_s.append(time.perf_counter() - middle)
+        after = events()
+    hits = after.get("hit", 0.0) - before.get("hit", 0.0)
+    misses = after.get("miss", 0.0) - before.get("miss", 0.0)
+    per_call = 1e6 / len(jobs)
+    return (
+        statistics.median(job_s) * per_call,
+        statistics.median(reference_s) * per_call,
+        hits / (hits + misses),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke mode (small instance)")
@@ -137,9 +200,15 @@ def main(argv: list[str] | None = None) -> int:
 
     empty_ms, full_ms = batch_round_ms(service, app_name, mappings[0])
 
-    disagreements = sum(
-        1 for a, b in zip(direct_times, daemon_times, strict=True) if abs(a - b) > AGREEMENT_TOL
-    )
+    job_us, reference_us, hit_ratio = predict_job_probe()
+    if job_us > MAX_PREDICT_JOB_RATIO * reference_us:
+        # One re-measure before failing: a CI neighbour's burst can sink
+        # a whole run of interleaved passes, but not two in a row.
+        job_us, reference_us, hit_ratio = predict_job_probe()
+    job_ratio = job_us / reference_us
+
+    # Kernel (daemon) against paper loop (direct): a zero-difference gate.
+    disagreements = sum(1 for a, b in zip(direct_times, daemon_times, strict=True) if a != b)
     rate = njobs / daemon_s
     overhead_ms = (daemon_s - direct_s) / njobs * 1e3
 
@@ -152,6 +221,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{ROUND_JOBS}-job batch round: {empty_ms:.1f} ms on an empty store, {full_ms:.1f} ms "
         f"with {FULL_STORE_JOBS} finished jobs held ({full_ms / empty_ms:.2f}x)"
     )
+    print(
+        f"predict job in the executor ({PROBE_SHAPE[1]} ranks): {job_us:.1f} us, reference "
+        f"predict(): {reference_us:.1f} us ({job_ratio:.2f}x), context-cache hit ratio "
+        f"{hit_ratio:.3f}"
+    )
 
     report = GateReport("server_throughput", mode="quick" if args.quick else "full")
     report.metric("nnodes", nnodes)
@@ -162,6 +236,10 @@ def main(argv: list[str] | None = None) -> int:
     report.metric("backpressure_retries", retries)
     report.metric("batch_round_ms_empty_store", round(empty_ms, 2))
     report.metric("batch_round_ms_full_store", round(full_ms, 2))
+    report.metric("predict_job_us", round(job_us, 2))
+    report.metric("reference_predict_us", round(reference_us, 2))
+    report.metric("predict_job_ratio", round(job_ratio, 3))
+    report.metric("context_cache_hit_ratio", round(hit_ratio, 4))
     report.gate(
         "agreement",
         disagreements == 0,
@@ -172,6 +250,12 @@ def main(argv: list[str] | None = None) -> int:
         full_ms <= MAX_ROUND_RATIO * empty_ms,
         f"batch round with {FULL_STORE_JOBS} finished jobs held is {full_ms / empty_ms:.2f}x "
         f"the empty-store round (limit {MAX_ROUND_RATIO}x)",
+    )
+    report.gate(
+        "predict_job",
+        job_ratio <= MAX_PREDICT_JOB_RATIO,
+        f"a predict job costs {job_ratio:.2f}x one reference predict() in the executor "
+        f"(limit {MAX_PREDICT_JOB_RATIO}x)",
     )
     if not args.quick:
         report.gate(

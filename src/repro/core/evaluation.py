@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 
+from repro._util import check_fraction
 from repro.cluster.latency import LatencyModel
 from repro.cluster.node import Node
 from repro.core.errors import InvalidMappingError
@@ -122,6 +123,9 @@ class MappingEvaluator:
         # Fast-path contexts cached by (options, snapshot fingerprint);
         # see fast_context() for the invalidation rule.
         self._fast_contexts: dict[tuple, object] = {}
+        # The snapshot digest a caller vouched for (fast_context /
+        # install_context with ``fingerprint=``); None: hash per call.
+        self._fingerprint: str | None = None
 
     @property
     def profile(self) -> ApplicationProfile:
@@ -181,20 +185,35 @@ class MappingEvaluator:
         return clone
 
     # -- fast path ------------------------------------------------------
-    def fast_context(self, options: EvaluationOptions | None = None):
+    def _digest(self, fingerprint: str | None) -> str:
+        """The snapshot digest: the one a caller holds, else a fresh hash."""
+        if fingerprint is not None:
+            self._fingerprint = fingerprint
+        if self._fingerprint is not None:
+            return self._fingerprint
+        return self._snapshot.fingerprint()
+
+    def fast_context(
+        self, options: EvaluationOptions | None = None, *, fingerprint: str | None = None
+    ):
         """The cached :class:`~repro.core.fast_eval.EvaluationContext`.
 
         Contexts are cached per (options, snapshot fingerprint): a
         snapshot whose content changed — even in place — produces a new
         fingerprint and therefore a fresh context, so stale precomputed
         ACPU/latency tables can never serve an evaluation.
+
+        A caller that already holds the digest of this evaluator's
+        (frozen) snapshot passes it as *fingerprint*: it is taken at its
+        word from then on and the snapshot is not hashed again.  Without
+        it every call hashes.
         """
         from repro.core.fast_eval import EvaluationContext
 
         from repro.telemetry import get_registry
 
         opts = options if options is not None else self._options
-        key = (opts, self._snapshot.fingerprint())
+        key = (opts, self._digest(fingerprint))
         context = self._fast_contexts.get(key)
         if context is None:
             get_registry().counter(
@@ -202,7 +221,8 @@ class MappingEvaluator:
                 "EvaluationContext cache misses (fast-path precompute rebuilds).",
             ).inc()
             context = EvaluationContext(
-                self._profile, self._latency, self._nodes, self._snapshot, opts
+                self._profile, self._latency, self._nodes, self._snapshot, opts,
+                fingerprint=key[1],
             )
             # Keep one snapshot generation at a time: drop contexts
             # built from snapshots with a different fingerprint.
@@ -212,7 +232,7 @@ class MappingEvaluator:
             self._fast_contexts[key] = context
         return context
 
-    def install_context(self, context) -> None:
+    def install_context(self, context, *, fingerprint: str | None = None) -> None:
         """Adopt a prebuilt :class:`~repro.core.fast_eval.EvaluationContext`.
 
         Long-running services keep contexts across requests (one per
@@ -221,14 +241,15 @@ class MappingEvaluator:
         is paid once per snapshot generation rather than once per job.
         The context must have been built for this evaluator's profile and
         current snapshot; a fingerprint mismatch means the monitoring
-        data moved on and the context is stale.
+        data moved on and the context is stale.  *fingerprint* as in
+        :meth:`fast_context`.
         """
         if context.profile is not self._profile:
             raise ValueError("context was built for a different application profile")
-        fingerprint = self._snapshot.fingerprint()
-        if context.snapshot_fingerprint != fingerprint:
+        digest = self._digest(fingerprint)
+        if context.snapshot_fingerprint != digest:
             raise ValueError("context was built from a different snapshot (stale fingerprint)")
-        self._fast_contexts[(context.options, fingerprint)] = context
+        self._fast_contexts[(context.options, digest)] = context
 
     def incremental(self, options: EvaluationOptions | None = None):
         """A fresh :class:`~repro.core.fast_eval.IncrementalEvaluator`.
@@ -273,20 +294,34 @@ class MappingEvaluator:
             acpu[node_id] = snapshot.acpu(node_id, nprocs_here) if opts.cpu_availability else 1.0
 
         def latency_fn(src: str, dst: str, size: float) -> float:
-            if not opts.load_adjusted_latency:
-                return self._latency.no_load(src, dst, size)
-            # Membership check, not `or`: a fully loaded co-mapped node
-            # can legitimately have acpu == 0.0 entries (falsy), which
-            # must not be replaced by the colocation-unaware snapshot
-            # value.
-            return self._latency.current(
-                src,
-                dst,
-                size,
-                acpu_src=acpu[src] if src in acpu else snapshot.acpu(src),
-                acpu_dst=acpu[dst] if dst in acpu else snapshot.acpu(dst),
-                nic_src=snapshot.nic_load(src),
-                nic_dst=snapshot.nic_load(dst),
+            # L_c of section 2, from the pair's components, in the one
+            # association the kernel shares (fast_eval._fill_terms): the
+            # endpoint terms, then the load-independent tail with the
+            # NIC stretch folded into the slope.  L_0 is the same
+            # expression read on an idle system (ACPU = 1, nic = 0).
+            pc = self._latency.components(src, dst)
+            acpu_src = acpu_dst = 1.0
+            nic = 0.0
+            if opts.load_adjusted_latency:
+                # Membership check, not `or`: a fully loaded co-mapped
+                # node can legitimately have acpu == 0.0 entries (falsy),
+                # which must not be replaced by the colocation-unaware
+                # snapshot value.
+                acpu_src = check_fraction(
+                    acpu[src] if src in acpu else snapshot.acpu(src), "acpu_src", closed_low=False
+                )
+                acpu_dst = check_fraction(
+                    acpu[dst] if dst in acpu else snapshot.acpu(dst), "acpu_dst", closed_low=False
+                )
+                nic_src = check_fraction(snapshot.nic_load(src), "nic_src")
+                nic_dst = check_fraction(snapshot.nic_load(dst), "nic_dst")
+                nic = min(max(nic_src, nic_dst), 0.95)
+            if size < 0:
+                raise ValueError("size_bytes must be >= 0")
+            return (
+                pc.alpha_src / acpu_src
+                + pc.alpha_dst / acpu_dst
+                + (pc.alpha_net + size * (pc.beta * (1.0 / (1.0 - nic))))
             )
 
         predictions = []
@@ -294,7 +329,8 @@ class MappingEvaluator:
             node = self._nodes[map_dict[proc.rank]]
             speed_j = node.speed_for(prof.arch_speed_ratios)
             speed_profile = prof.profile_speeds[proc.rank]
-            r_i = proc.compute_time * (speed_profile / speed_j) / acpu[node.node_id]
+            # Eq. 5, left to right: X_i * Speed_profile / Speed_j / ACPU_j.
+            r_i = proc.compute_time * speed_profile / speed_j / acpu[node.node_id]
             if opts.communication:
                 theta_m = theta(proc, map_dict, latency_fn)
                 c_i = theta_m * (proc.lam if opts.use_lambda else 1.0)

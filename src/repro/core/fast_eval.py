@@ -4,8 +4,11 @@ The schedulers of section 6 spend essentially all their time inside the
 mapping-evaluation formula ``S_M = max_i (R_i + C_i)`` (eqs. 4-8).  The
 paper oracle, :meth:`repro.core.evaluation.MappingEvaluator.predict`,
 rebuilds the ACPU table and re-walks every message group of every
-process on each call — right for one quote with its per-rank breakdown,
-wasteful inside a search loop where one move relocates one or two ranks.
+process on each call — right for a one-shot quote, wasteful inside a
+search loop where one move relocates one or two ranks, and wasteful in
+a daemon that prices quote after quote under one snapshot
+(:meth:`EvaluationContext.breakdown` is the same per-rank table off the
+frozen context).
 
 Everything that evaluates candidates in a loop — schedulers, pool
 workers, the remapper, the daemon — does it through this module:
@@ -65,11 +68,13 @@ workers, the remapper, the daemon — does it through this module:
     batched kernel to population schedulers while keeping the
     evaluation counter exact.
 
-The reference ``predict()`` stays authoritative: ``tests/test_fast_eval
-.py`` holds this module to 1e-9 agreement with it over randomized move
-sequences and the cached terms to ``==`` with a fresh evaluation after
-every commit and reject, ``tests/test_batch_eval.py`` holds the two
-batch backends to bit-identical agreement, and ``benchmarks/
+The reference ``predict()`` stays authoritative, and it writes eqs. 5-6
+in the association the kernels here use, so agreement is ``==``:
+``tests/test_fast_eval.py`` holds this module equal to it over
+randomized move sequences (and ``breakdown`` equal field for field) and
+the cached terms to ``==`` with a fresh evaluation after every commit
+and reject, ``tests/test_batch_eval.py`` holds the two batch backends
+to bit-identical agreement, and ``benchmarks/
 bench_batch_eval.py`` measures the population speedup (target: >= 10x
 on 64 nodes / 32 ranks / 256 mappings).  There is no second path to
 fall back to: inputs no context can serve (an empty node table here, an
@@ -92,7 +97,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 from repro.cluster.latency import LatencyModel
 from repro.cluster.node import Node
 from repro.core.errors import CbesError, InvalidMappingError
-from repro.core.evaluation import EvaluationOptions
+from repro.core.evaluation import EvaluationOptions, MappingPrediction, ProcessPrediction
 from repro.core.mapping import TaskMapping
 from repro.monitoring.snapshot import SystemSnapshot
 from repro.profiling.profile import ApplicationProfile
@@ -176,12 +181,18 @@ class EvaluationContext:
         nodes: MappingABC[str, Node],
         snapshot: SystemSnapshot,
         options: EvaluationOptions = EvaluationOptions(),
+        *,
+        fingerprint: str | None = None,
     ) -> None:
         if not nodes:
             raise ValueError("evaluation context requires at least one node")
         self.profile = profile
         self.options = options
-        self.snapshot_fingerprint = snapshot.fingerprint()
+        #: Digest of *snapshot*: the one the caller already holds
+        #: (*fingerprint*), else hashed here.
+        self.snapshot_fingerprint = (
+            fingerprint if fingerprint is not None else snapshot.fingerprint()
+        )
         self.node_ids: tuple[str, ...] = tuple(sorted(nodes))
         self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         n = len(self.node_ids)
@@ -373,6 +384,22 @@ class EvaluationContext:
         self._fill_terms(list(zip(terms, self.groups)), pos, acpu)
         lam = self.lam
         return r_arr, [left_fold(t) * lam[i] for i, t in enumerate(terms)], acpu, terms, counts
+
+    def breakdown(self, mapping: TaskMapping) -> MappingPrediction:
+        """The per-rank ``R_i`` / ``C_i`` / node table of one mapping.
+
+        What :meth:`MappingEvaluator.predict` returns, field for field
+        and bit for bit, read off this context's tables instead of the
+        snapshot and the latency model.
+        """
+        r_arr, c_arr, _, _, _ = self._evaluate_positions(self.positions(mapping))
+        return MappingPrediction(
+            mapping=mapping,
+            processes=tuple(
+                ProcessPrediction(rank, node_id, r_arr[rank], c_arr[rank])
+                for rank, node_id in enumerate(mapping.as_tuple())
+            ),
+        )
 
     def execution_time(self, mapping: TaskMapping) -> float:
         """``S_M`` of one mapping (stateless, scalar path)."""

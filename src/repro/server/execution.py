@@ -288,11 +288,12 @@ class JobRunner:
 
     def context_for(
         self, app: str, options: EvaluationOptions, fingerprint: str, evaluator
-    ) -> None:
-        """Install the cached fast-eval context (or cache a fresh one).
+    ) -> EvaluationContext:
+        """The cached fast-eval context of (app, options), installed in *evaluator*.
 
         *fingerprint* is the digest :attr:`serving` holds for
-        *evaluator*'s snapshot.
+        *evaluator*'s snapshot; it goes down with the snapshot, so
+        neither a hit nor a build hashes anything.
         Builds are serialized behind ``_ctx_build_lock`` with a
         double-check, so a batch of N jobs for one application arriving
         together performs one context build and N-1 cache hits instead
@@ -301,25 +302,27 @@ class JobRunner:
         key = (app, options)
         with self._ctx_lock:
             context = self._contexts.get(key)
-        if context is not None and context.snapshot_fingerprint == fingerprint:
-            self._m_ctx_cache.inc(event="hit")
-            evaluator.install_context(context)
-            return
-        with self._ctx_build_lock:
-            # Re-check: another worker may have built it while we waited.
-            with self._ctx_lock:
-                context = self._contexts.get(key)
-            if context is not None and context.snapshot_fingerprint == fingerprint:
-                self._m_ctx_cache.inc(event="hit")
-                evaluator.install_context(context)
-                return
-            self._m_ctx_cache.inc(event="miss")
-            context = evaluator.fast_context(options)
-            with self._ctx_lock:
-                self._contexts[key] = context
+        if context is None or context.snapshot_fingerprint != fingerprint:
+            with self._ctx_build_lock:
+                # Re-check: another worker may have built it while we waited.
+                with self._ctx_lock:
+                    context = self._contexts.get(key)
+                if context is None or context.snapshot_fingerprint != fingerprint:
+                    self._m_ctx_cache.inc(event="miss")
+                    context = evaluator.fast_context(options, fingerprint=fingerprint)
+                    with self._ctx_lock:
+                        self._contexts[key] = context
+                    return context
+        self._m_ctx_cache.inc(event="hit")
+        evaluator.install_context(context, fingerprint=fingerprint)
+        return context
 
     def execute(self, job: Job) -> dict:
-        """Run one job on a worker thread; returns the JSON result doc."""
+        """Run one job on a worker thread; returns the JSON result doc.
+
+        Every kind is priced by the kernel the search uses: a quote is
+        the cached context's per-rank breakdown of its mapping.
+        """
         payload = job.payload
         app = payload["app"]
         with self._tracer.trace(
@@ -328,8 +331,8 @@ class JobRunner:
             options = options_from_dict(payload.get("options"))
             snapshot, fingerprint = self.serving  # one atomic read: jobs see one generation
             evaluator = self._service.evaluator(app, options=options, snapshot=snapshot)
+            context = self.context_for(app, options, fingerprint, evaluator)
             if job.kind == "schedule":
-                self.context_for(app, options, fingerprint, evaluator)
                 scheduler = make_scheduler(
                     payload["scheduler"],
                     parallel=payload.get("workers", 1),
@@ -337,12 +340,15 @@ class JobRunner:
                 )
                 result = scheduler.schedule(evaluator, payload["pool"], seed=payload["seed"])
                 doc = schedule_result_to_dict(result)
-            elif job.kind == "predict":
-                doc = prediction_to_dict(evaluator.predict(TaskMapping(payload["nodes"])))
-            else:  # compare
-                ranked = evaluator.compare([TaskMapping(m) for m in payload["mappings"]])
-                doc = {"ranked": [prediction_to_dict(p) for p in ranked]}
-            if job.kind != "schedule":
+            else:
+                candidates = [payload["nodes"]] if job.kind == "predict" else payload["mappings"]
+                tables = [context.breakdown(TaskMapping(nodes)) for nodes in candidates]
+                evaluator.record_evaluations(len(tables))
+                if job.kind == "predict":
+                    doc = prediction_to_dict(tables[0])
+                else:  # compare: fastest first, ties in request order
+                    tables.sort(key=lambda table: table.execution_time)
+                    doc = {"ranked": [prediction_to_dict(table) for table in tables]}
                 # Schedule jobs are counted by Scheduler.schedule itself;
                 # counting here too would double the evaluations.
                 self._metrics.counter(

@@ -1,8 +1,8 @@
 """Properties of the batched evaluation kernel (``evaluate_many``).
 
 The contract under test: a batch is *exactly* a loop.  For any
-population of mappings, ``evaluate_many`` must agree element-wise with
-the reference ``predict()`` to 1e-9 and with the scalar fast path, the
+population of mappings, ``evaluate_many`` must equal (``==``)
+element-wise the reference ``predict()`` and the scalar fast path, the
 two backends (pure python and numpy) must produce bit-identical
 energies, and the evaluation counters must be invariant to how the
 population was submitted.
@@ -22,8 +22,6 @@ from repro.core.fast_eval import FastEvalUnavailable, active_backend
 from repro.schedulers.genetic import score_population
 from repro.workloads import CG, LU
 from tests.conftest import OPTION_COMBOS
-
-TOL = 1e-9
 
 BACKENDS = ["python", "numpy"]
 
@@ -70,7 +68,7 @@ class TestBatchEqualsLoop:
         assert len(energies) == len(population)
         for mapping, energy in zip(population, energies, strict=True):
             ref = evaluator.predict(mapping).execution_time
-            assert energy == pytest.approx(ref, abs=TOL)
+            assert energy == ref
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_incremental_evaluator_loop(self, service, backend):
@@ -82,7 +80,7 @@ class TestBatchEqualsLoop:
         with _backend_env(backend):
             batched = inc.many(population)
         for a, b in zip(batched, looped, strict=True):
-            assert a == pytest.approx(b, abs=TOL)
+            assert a == b
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_and_singleton_batches(self, service, backend):
@@ -93,7 +91,7 @@ class TestBatchEqualsLoop:
             assert context.evaluate_many([]) == []
             single = TaskMapping(pool[:6])
             [energy] = context.evaluate_many([single])
-        assert energy == pytest.approx(context.execution_time(single), abs=TOL)
+        assert energy == context.execution_time(single)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_heavy_colocation_batches(self, service, backend):
@@ -109,9 +107,7 @@ class TestBatchEqualsLoop:
         with _backend_env(backend):
             energies = evaluator.fast_context().evaluate_many(population)
         for mapping, energy in zip(population, energies, strict=True):
-            assert energy == pytest.approx(
-                evaluator.predict(mapping).execution_time, abs=TOL
-            )
+            assert energy == evaluator.predict(mapping).execution_time
 
 
 class TestBackendEquality:
@@ -181,9 +177,7 @@ class TestCountersAndWiring:
         energies = evaluator.execution_times(population)
         assert evaluator.evaluations == start + len(population)
         for mapping, energy in zip(population, energies, strict=True):
-            assert energy == pytest.approx(
-                evaluator.predict(mapping).execution_time, abs=TOL
-            )
+            assert energy == evaluator.predict(mapping).execution_time
         assert evaluator.execution_times([]) == []
 
     def test_score_population_uses_batch_protocol(self, service):
@@ -194,4 +188,4 @@ class TestCountersAndWiring:
         batched = score_population(inc, population)
         plain = score_population(evaluator.execution_time, population)
         for a, b in zip(batched, plain, strict=True):
-            assert a == pytest.approx(b, abs=TOL)
+            assert a == b

@@ -6,6 +6,7 @@ protocol round-trip an external scheduler client would make: submit,
 poll, backpressure, drain, and snapshot refresh.
 """
 
+import ast
 import signal
 import subprocess
 import sys
@@ -16,12 +17,17 @@ from unittest import mock
 
 import pytest
 
+import repro.server
 from repro.cluster import single_switch
 from repro.core import CBES, TaskMapping
+from repro.core.errors import InvalidMappingError
+from repro.core.fast_eval import EvaluationContext
 from repro.schedulers import CbesScheduler
 from repro.server import BackpressureError, DaemonThread, JobFailed, JobState, ServerError
+from repro.server.jobs import Job
+from repro.server.serialize import options_from_dict, prediction_to_dict
 from repro.workloads import SyntheticBenchmark
-from tests.http_conformance import JobLookupConformance, RoutingConformance
+from tests.http_conformance import JobLookupConformance, RoutingConformance, metric_value
 
 
 def make_service() -> tuple[CBES, str]:
@@ -131,7 +137,7 @@ class TestJobRoundTrip:
         direct = service.schedule(app_name, CbesScheduler(), pool, seed=5)
         remote = client.schedule(app_name, scheduler="cs", pool=pool, seed=5)
         assert remote["mapping"] == list(direct.mapping.as_tuple())
-        assert remote["predicted_time"] == pytest.approx(direct.predicted_time, abs=1e-12)
+        assert remote["predicted_time"] == direct.predicted_time
         assert remote["scheduler"] == "CS"
         assert remote["evaluations"] > 0
 
@@ -140,7 +146,7 @@ class TestJobRoundTrip:
         nodes = service.cluster.node_ids()[:3]
         direct = service.evaluator(app_name).predict(TaskMapping(nodes))
         remote = client.predict(app_name, nodes)
-        assert remote["execution_time"] == pytest.approx(direct.execution_time, abs=1e-12)
+        assert remote["execution_time"] == direct.execution_time
         assert remote["critical_rank"] == direct.critical_rank
         assert [p["node"] for p in remote["processes"]] == nodes
 
@@ -181,35 +187,173 @@ class TestJobRoundTrip:
         assert all(ctx.snapshot_fingerprint == fingerprint for ctx in contexts.values())
 
 
-    def test_serving_snapshot_is_hashed_once_per_generation(self, server, client, service_and_app):
+    def test_serving_snapshot_is_hashed_once_per_generation(self, service_and_app):
         """The runner keeps ``(snapshot, fingerprint)`` as one value: the
         digest every document reports, computed when the snapshot was
-        adopted and not again per job."""
+        adopted and not again per job — it goes down with the snapshot,
+        so no job kind, context-cache hit or miss, hashes the cluster."""
         service, app_name = service_and_app
-        runner = server.daemon.runner
-        snapshot, fingerprint = runner.serving
-        assert snapshot is runner.snapshot and fingerprint == snapshot.fingerprint()
-        assert client.healthz()["snapshot_fingerprint"] == fingerprint
-        callers = []
-        hashing = type(snapshot).fingerprint
+        with DaemonThread(service, workers=1, queue_limit=8) as srv:
+            client = srv.client()
+            runner = srv.daemon.runner
+            snapshot, fingerprint = runner.serving
+            assert snapshot is runner.snapshot and fingerprint == snapshot.fingerprint()
+            assert client.healthz()["snapshot_fingerprint"] == fingerprint
+            callers = []
+            hashing = type(snapshot).fingerprint
 
-        def counted(self):
-            callers.append(Path(sys._getframe(1).f_code.co_filename).name)
-            return hashing(self)
+            def counted(self):
+                callers.append(Path(sys._getframe(1).f_code.co_filename).name)
+                return hashing(self)
 
-        with mock.patch.object(type(snapshot), "fingerprint", counted):
-            nodes = service.cluster.node_ids()[:3]
-            job = client.wait(client.submit("predict", app=app_name, nodes=nodes)["id"])
-            assert job["result"]["snapshot_fingerprint"] == fingerprint
-            assert callers == []  # a quote never hashes the cluster
-            scheduled = client.schedule(app_name, scheduler="cs", seed=1)
-            assert scheduled["snapshot_fingerprint"] == fingerprint
-            # What is left is the evaluator keying its own context cache
-            # (and a context build stamping itself); the runner adds none.
-            assert set(callers) <= {"evaluation.py", "fast_eval.py"}
-            # Same content: not adopted, the pair is untouched.
-            assert runner.adopt_snapshot(service.snapshot().freeze()) is False
-            assert runner.serving[0] is snapshot and runner.serving[1] == fingerprint
+            with mock.patch.object(type(snapshot), "fingerprint", counted):
+                nodes = service.cluster.node_ids()[:3]
+                assert not runner._contexts  # the first quote is the cache miss
+                job = client.wait(client.submit("predict", app=app_name, nodes=nodes)["id"])
+                assert job["result"]["snapshot_fingerprint"] == fingerprint
+                assert len(runner._contexts) == 1
+                assert callers == []  # the build is stamped with the digest held
+                ranked = client.wait(
+                    client.submit("compare", app=app_name, mappings=[nodes, nodes[::-1]])["id"]
+                )
+                assert ranked["result"]["snapshot_fingerprint"] == fingerprint
+                assert callers == []
+                scheduled = client.schedule(app_name, scheduler="cs", seed=1)
+                assert scheduled["snapshot_fingerprint"] == fingerprint
+                assert callers == []  # nor does the search re-key its context
+                # Same content: not adopted, the pair is untouched.
+                assert runner.adopt_snapshot(service.snapshot().freeze()) is False
+                assert runner.serving[0] is snapshot and runner.serving[1] == fingerprint
+
+
+class TestQuotesReadTheKernel:
+    """``predict`` / ``compare`` jobs are priced off the cached
+    ``EvaluationContext`` and answer what ``evaluator.predict()`` answers."""
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        """Identical nodes under the exact latency model: disjoint
+        mappings tie to the last bit, so a ranking's tie order shows."""
+        service, app_name = make_service()
+        service.cluster.use_exact_latency_model()
+        return service, app_name
+
+    def test_result_documents_equal_the_reference(self, exact):
+        service, app_name = exact
+        ids = service.cluster.node_ids()
+        options = {"use_lambda": False}
+        with DaemonThread(service, workers=1, queue_limit=8) as srv:
+            client = srv.client()
+            fingerprint = srv.daemon.runner.serving[1]
+            evaluator = service.evaluator(app_name, options=options_from_dict(options))
+            quoted = client.predict(app_name, ids[:3], options=options)
+            assert quoted == {
+                **prediction_to_dict(evaluator.predict(TaskMapping(ids[:3]))),
+                "snapshot_fingerprint": fingerprint,
+            }
+            # ids[:3], ids[3:] and the repeat tie; the co-located one is slowest.
+            candidates = [[ids[0]] * 3, ids[3:], ids[:3], [ids[1], ids[0], ids[0]], ids[3:]]
+            reference = evaluator.compare([TaskMapping(m) for m in candidates])
+            times = [p.execution_time for p in reference]
+            assert times[0] == times[1] == times[2] < times[3] < times[4]
+            assert [list(p.mapping) for p in reference[:3]] == [ids[3:], ids[:3], ids[3:]]
+            done = client.wait(
+                client.submit("compare", app=app_name, mappings=candidates, options=options)["id"]
+            )
+            assert done["result"] == {
+                "ranked": [prediction_to_dict(p) for p in reference],
+                "snapshot_fingerprint": fingerprint,
+            }
+            assert metric_value(client, "cbes_evaluations_total") == 1 + len(candidates)
+
+    def test_one_context_serves_every_quote_of_a_generation(self, service_and_app):
+        service, app_name = service_and_app
+        ids = service.cluster.node_ids()
+        built = []
+        build = EvaluationContext.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            build(self, *args, **kwargs)
+
+        def events(client) -> dict[str, float]:
+            return {
+                event: metric_value(
+                    client, "cbes_context_cache_events_total", f'{{event="{event}"}}'
+                )
+                for event in ("hit", "miss", "evicted")
+            }
+
+        docs = [
+            {"kind": "predict", "app": app_name, "nodes": [ids[(i + k) % 6] for k in range(3)]}
+            for i in range(64)
+        ]
+        with (
+            mock.patch.object(EvaluationContext, "__init__", counted),
+            DaemonThread(service, workers=2, queue_limit=64) as srv,
+        ):
+            client = srv.client()
+            client.wait_many([job["id"] for job in client.submit_batch(docs)], timeout_s=60.0)
+            assert len(built) == 1
+            assert events(client) == {"hit": 63, "miss": 1, "evicted": 0}
+            # A refresh in between evicts, and the next quote rebuilds once.
+            runner = srv.daemon.runner
+            service.cluster.node(ids[0]).set_background_load(1.5)
+            try:
+                assert runner.adopt_snapshot(runner.poll_snapshot()) is True
+                assert not runner._contexts
+                client.wait_many([job["id"] for job in client.submit_batch(docs[:8])])
+            finally:
+                service.cluster.node(ids[0]).set_background_load(0.0)
+            assert len(built) == 2
+            old, new = (context.snapshot_fingerprint for context in built)
+            assert new == runner.serving[1] != old
+            assert events(client) == {"hit": 70, "miss": 2, "evicted": 1}
+
+    def test_invalid_mapping_fails_the_job_with_the_reference_error(self, service_and_app):
+        service, app_name = service_and_app
+        ids = service.cluster.node_ids()
+        evaluator = service.evaluator(app_name)
+        with DaemonThread(service, workers=1, queue_limit=8) as srv:
+            client = srv.client()
+            for kind, payload, bad in (
+                ("predict", {"nodes": ids[:2]}, ids[:2]),
+                ("compare", {"mappings": [ids[:3], ids[:4]]}, ids[:4]),
+            ):
+                with pytest.raises(InvalidMappingError) as want:
+                    evaluator.predict(TaskMapping(bad))
+                job = client.submit(kind, app=app_name, **payload)
+                with pytest.raises(JobFailed):
+                    client.wait(job["id"], timeout_s=30)
+                assert srv.daemon.store.get(job["id"]).error == (
+                    f"InvalidMappingError: {want.value}"
+                )
+            # An unknown node is refused at submit (400); should a payload
+            # reach the executor anyway, it raises what predict() raises.
+            stray = [*ids[:2], "mars-1"]
+            with pytest.raises(InvalidMappingError) as want:
+                evaluator.predict(TaskMapping(stray))
+            payload = {"app": app_name, "seed": 0, "options": None, "nodes": stray}
+            job = Job("stray", "predict", payload)
+            with pytest.raises(InvalidMappingError) as got:
+                srv.daemon.runner.execute(job)
+            assert str(got.value) == str(want.value) == "mapping uses unknown node 'mars-1'"
+
+    def test_no_reference_loop_under_server(self):
+        """One pricing path: nothing under ``src/repro/server/`` calls an
+        evaluator's ``predict`` / ``compare`` (the client's methods of the
+        same names submit jobs; they are called on clients, not here)."""
+        root = Path(repro.server.__file__).resolve().parent
+        calls = []
+        for path in sorted(root.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("predict", "compare")
+                ):
+                    calls.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+        assert calls == []
 
 
 class TestBatchWait:
