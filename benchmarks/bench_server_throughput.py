@@ -17,7 +17,15 @@ through the daemon's executor costs less than one reference loop:
 interleaved passes on the 16-node / 8-rank instance in both run modes
 (8 ranks is the quote ``benchmarks/e2e`` sends; a ratio, so no host
 constant: ~1.3 when the executor ran the reference loop itself, ~0.5
-off the cached context).
+off the cached context); and that a finished job's result is encoded
+once: ``compact_ratio`` is ``DurableJobStore.compact()`` of a store of
+finished 8-rank quotes (three predicts to one 8-way compare) over
+encoding those same results once with the C encoder — under 0.5 when
+the snapshot splices the bytes ``mark_done`` stored (~0.25), about 4
+when it re-encoded the whole store with ``json.dump``.
+``result_residency_ratio`` (reported, not gated) is what those results
+occupy as the store keeps them over what they occupy as the dict trees a
+client parses.
 
 Run modes
 ---------
@@ -35,16 +43,23 @@ Run modes
 from __future__ import annotations
 
 import argparse
+import gc
+import json
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 
 from _gate import GateReport
 
+from repro._util import encode_json
 from repro.cluster import single_switch
 from repro.core import CBES, TaskMapping
+from repro.persist import DurableJobStore
 from repro.server import BackpressureError, DaemonThread
 from repro.server.jobs import Job
+from repro.server.serialize import prediction_to_dict
 from repro.workloads import SyntheticBenchmark
 
 #: The store-size-independence gate: batch size, finished jobs held by
@@ -54,6 +69,9 @@ ROUND_JOBS, FULL_STORE_JOBS, ROUNDS, MAX_ROUND_RATIO = 32, 2000, 9, 1.5
 #: interleaved passes over them, and the most a predict job's
 #: ``execute`` may cost in reference loops.
 PROBE_SHAPE, PROBE_PASSES, MAX_PREDICT_JOB_RATIO = (16, 8, 24), 15, 1.0
+#: The encoded-once gate: the most a compaction of ``FULL_STORE_JOBS``
+#: finished jobs may cost in single encodings of the results it holds.
+MAX_COMPACT_RATIO = 0.5
 
 
 def build_service(nnodes: int, nprocs: int) -> tuple[CBES, str]:
@@ -181,6 +199,63 @@ def predict_job_probe() -> tuple[float, float, float]:
     )
 
 
+def compaction_probe() -> tuple[float, float, float]:
+    """``(compact_ms, encode_results_ms, result_residency_ratio)``.
+
+    A ``DurableJobStore`` of :data:`FULL_STORE_JOBS` finished jobs on the
+    :data:`PROBE_SHAPE` instance in both run modes: one ``compact()``
+    (snapshot write with its fsyncs) against one C-encoder pass over the
+    same result documents, best of five each.  The residency ratio is by
+    ``tracemalloc``: the results as the store retains them over the same
+    documents parsed into dict trees.
+    """
+    nnodes, nprocs, nmappings = PROBE_SHAPE
+    service, app_name = build_service(nnodes, nprocs)
+    evaluator = service.evaluator(app_name)
+    quotes = [
+        prediction_to_dict(evaluator.predict(TaskMapping(nodes)))
+        for nodes in pools(service, nprocs, nmappings)
+    ]
+    results = [
+        quotes[i % nmappings] if i % 4 else {"ranked": [quotes[(i + k) % nmappings] for k in range(8)]}
+        for i in range(FULL_STORE_JOBS)
+    ]
+
+    def best_ms(call) -> float:
+        samples = []
+        for _ in range(5):
+            start = time.perf_counter()
+            call()
+            samples.append(time.perf_counter() - start)
+        return min(samples) * 1e3
+
+    def held_bytes(build) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            keep = build()  # noqa: F841 - alive until the reading below
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    with tempfile.TemporaryDirectory(prefix="cbes-bench-store-") as data_dir:
+        store = DurableJobStore(data_dir, fsync="never", compact_bytes=1 << 40)
+        jobs = [store.create("predict", {"app": app_name, "seed": 0}) for _ in results]
+        for job in jobs:
+            store.mark_running(job.id)
+        stored = held_bytes(
+            lambda: [store.mark_done(job.id, doc).id for job, doc in zip(jobs, results)]
+        )
+        compact_ms = best_ms(store.compact)
+        store.close()
+    encode_ms = best_ms(lambda: [encode_json(doc) for doc in results])
+    encoded = [encode_json(doc) for doc in results]
+    trees = held_bytes(lambda: [json.loads(raw) for raw in encoded])
+    return compact_ms, encode_ms, stored / trees
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke mode (small instance)")
@@ -207,6 +282,11 @@ def main(argv: list[str] | None = None) -> int:
         job_us, reference_us, hit_ratio = predict_job_probe()
     job_ratio = job_us / reference_us
 
+    compact_ms, encode_ms, residency_ratio = compaction_probe()
+    if compact_ms > MAX_COMPACT_RATIO * encode_ms:
+        compact_ms, encode_ms, residency_ratio = compaction_probe()  # one re-measure, as above
+    compact_ratio = compact_ms / encode_ms
+
     # Kernel (daemon) against paper loop (direct): a zero-difference gate.
     disagreements = sum(1 for a, b in zip(direct_times, daemon_times, strict=True) if a != b)
     rate = njobs / daemon_s
@@ -227,6 +307,12 @@ def main(argv: list[str] | None = None) -> int:
         f"{hit_ratio:.3f}"
     )
 
+    print(
+        f"compaction of {FULL_STORE_JOBS} finished jobs: {compact_ms:.1f} ms, encoding their "
+        f"results once: {encode_ms:.1f} ms ({compact_ratio:.2f}x); results held at "
+        f"{residency_ratio:.2f}x their parsed dict trees"
+    )
+
     report = GateReport("server_throughput", mode="quick" if args.quick else "full")
     report.metric("nnodes", nnodes)
     report.metric("jobs", njobs)
@@ -240,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     report.metric("reference_predict_us", round(reference_us, 2))
     report.metric("predict_job_ratio", round(job_ratio, 3))
     report.metric("context_cache_hit_ratio", round(hit_ratio, 4))
+    report.metric("compact_ms", round(compact_ms, 2))
+    report.metric("encode_results_ms", round(encode_ms, 2))
+    report.metric("compact_ratio", round(compact_ratio, 3))
+    report.metric("result_residency_ratio", round(residency_ratio, 3))
     report.gate(
         "agreement",
         disagreements == 0,
@@ -256,6 +346,12 @@ def main(argv: list[str] | None = None) -> int:
         job_ratio <= MAX_PREDICT_JOB_RATIO,
         f"a predict job costs {job_ratio:.2f}x one reference predict() in the executor "
         f"(limit {MAX_PREDICT_JOB_RATIO}x)",
+    )
+    report.gate(
+        "result_encoded_once",
+        compact_ratio <= MAX_COMPACT_RATIO,
+        f"compacting {FULL_STORE_JOBS} finished jobs costs {compact_ratio:.2f}x encoding their "
+        f"results once (limit {MAX_COMPACT_RATIO}x)",
     )
     if not args.quick:
         report.gate(

@@ -9,6 +9,7 @@ the statistics helpers here are pure python.
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterable, Sequence
 
@@ -17,11 +18,23 @@ from repro._rng import Rng
 __all__ = [
     "check_fraction",
     "check_positive",
+    "encode_json",
     "mean_and_ci95",
     "percent_error",
     "spawn_rng",
     "stable_hash",
 ]
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode_json(doc: object) -> bytes:
+    """*doc* as compact UTF-8 JSON, by the C encoder (``json.dump`` is not).
+
+    The one encoder of the journal, the snapshot, a job's stored result
+    and every HTTP response, so bytes encoded once splice into the rest.
+    """
+    return _COMPACT.encode(doc).encode("utf-8")
 
 
 def check_positive(value: float, name: str) -> float:

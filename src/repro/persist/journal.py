@@ -44,6 +44,8 @@ import zlib
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
+from repro._util import encode_json
+
 __all__ = [
     "FSYNC_POLICIES",
     "HEADER_BYTES",
@@ -209,12 +211,16 @@ class Journal:
 
     # -- writing --------------------------------------------------------
     def append(self, record: dict) -> int:
-        """Append one JSON record; returns the bytes written.
+        """Append one JSON record; returns the bytes written."""
+        return self.append_payload(encode_json(record))
+
+    def append_payload(self, payload: bytes) -> int:
+        """Append one record already encoded as a JSON object (a caller
+        holding part of it as bytes); returns the bytes written.
 
         The record is flushed to the OS before returning; whether it is
         fsynced too depends on the policy (see the module docstring).
         """
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
         if len(payload) > MAX_RECORD_BYTES:
             raise JournalError(f"record of {len(payload)} bytes exceeds {MAX_RECORD_BYTES}")
         frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload

@@ -44,8 +44,8 @@ import time
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from repro.persist.journal import FSYNC_POLICIES, Journal, replay_journal
-from repro.server.jobs import Job, JobState, JobStore
+from repro.persist.journal import FSYNC_POLICIES, Journal, JournalCorruptError, replay_journal
+from repro.server.jobs import Job, JobState, JobStore, spliced
 
 __all__ = [
     "JOURNAL_APPENDS_TOTAL",
@@ -207,13 +207,14 @@ class DurableJobStore(JobStore):
             self._m_recovered = metrics.counter(*JOBS_RECOVERED_TOTAL)
         else:
             self._m_appends = self._m_bytes = self._m_compactions = self._m_recovered = None
+        snapshot_doc = self._read_snapshot()  # first: a refused boot leaves no open file
         self._journal = Journal(
             self.data_dir / self.JOURNAL_NAME,
             fsync=fsync,
             fsync_interval_s=fsync_interval_s,
             clock=clock,
         )
-        self._recover()
+        self._recover(snapshot_doc)
 
     # -- introspection --------------------------------------------------
     @property
@@ -240,12 +241,33 @@ class DurableJobStore(JobStore):
             return pending
 
     # -- recovery -------------------------------------------------------
-    def _recover(self) -> None:
-        snapshot_doc = None
+    def _read_snapshot(self) -> dict | None:
+        """The snapshot document, or ``None`` without a file.
+
+        The file is only ever replaced whole, so one :meth:`compact` did
+        not write is corruption: refused, as a corrupt journal is.
+        """
         try:
-            snapshot_doc = json.loads(self.snapshot_path.read_text("utf-8"))
+            doc = json.loads(self.snapshot_path.read_bytes())
         except FileNotFoundError:
-            pass
+            return None
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise JournalCorruptError(f"{self.snapshot_path}: not valid JSON: {exc}") from None
+        jobs = doc.get("jobs") if isinstance(doc, dict) else None
+        if not (
+            isinstance(jobs, list)
+            and isinstance(doc.get("next_seq", 1), int)
+            and all(
+                isinstance(job, dict)
+                and isinstance(job.get("payload"), dict)
+                and all(isinstance(job.get(key), str) for key in ("id", "kind", "state"))
+                for job in jobs
+            )
+        ):
+            raise JournalCorruptError(f"{self.snapshot_path}: not a job snapshot document")
+        return doc
+
+    def _recover(self, snapshot_doc: dict | None) -> None:
         records = list(replay_journal(self._journal.path))
         docs, next_seq = recover_state(snapshot_doc, records)
         now = self._clock()
@@ -297,8 +319,8 @@ class DurableJobStore(JobStore):
             self.compact()
 
     # -- journaling -----------------------------------------------------
-    def _append(self, record: dict) -> None:
-        written = self._journal.append(record)
+    def _append(self, record: dict, result_json: bytes | None = None) -> None:
+        written = self._journal.append_payload(b"".join(spliced(record, result_json)))
         if self._m_appends is not None:
             self._m_appends.inc()
             self._m_bytes.inc(written)
@@ -338,7 +360,7 @@ class DurableJobStore(JobStore):
     def mark_done(self, job_id: str, result: dict) -> Job:
         with self._mutex:
             job = super().mark_done(job_id, result)
-            self._append({"op": "done", "id": job_id, "result": result})
+            self._append({"op": "done", "id": job_id}, job.result_json)
             return job
 
     def mark_failed(self, job_id: str, error: str) -> Job:
@@ -356,38 +378,39 @@ class DurableJobStore(JobStore):
             self._user_on_evict(job, age_s)
 
     # -- compaction -----------------------------------------------------
-    def _doc_of(self, job: Job) -> dict:
-        doc = {
-            "id": job.id,
-            "kind": job.kind,
-            "payload": job.payload,
-            "state": job.state.value,
-            "request_id": job.request_id,
-        }
-        if job.state is JobState.DONE:
-            doc["result"] = job.result
-        elif job.state is JobState.FAILED:
-            doc["error"] = job.error or ""
-        return doc
-
     def compact(self) -> None:
         """Fold journal + memory into the snapshot file; reset the journal.
 
         The snapshot replaces atomically (write temp, fsync, rename), so
         a crash mid-compaction leaves either the old snapshot + full
         journal or the new snapshot + empty journal — both recoverable.
+        Only each job's small head is encoded here; its result goes to
+        the file as the bytes ``mark_done`` stored.
         """
         with self._mutex:
             with self._lock:
                 ordered = sorted(self._jobs.values(), key=lambda j: (j.created_at, j.id))
-                doc = {
-                    "version": 1,
-                    "next_seq": self._next_seq,
-                    "jobs": [self._doc_of(job) for job in ordered],
-                }
+                next_seq = self._next_seq
             tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
+            with open(tmp, "wb") as fh:
+                fh.write(b'{"version":1,"next_seq":%d,"jobs":[' % next_seq)
+                for i, job in enumerate(ordered):
+                    head = {
+                        "id": job.id,
+                        "kind": job.kind,
+                        "payload": job.payload,
+                        "state": job.state.value,
+                        "request_id": job.request_id,
+                    }
+                    result_json = None
+                    if job.state is JobState.DONE:
+                        result_json = job.result_json or b"null"
+                    elif job.state is JobState.FAILED:
+                        head["error"] = job.error or ""
+                    if i:
+                        fh.write(b",")
+                    fh.writelines(spliced(head, result_json))
+                fh.write(b"]}")
                 fh.flush()
                 self._snapshot_bytes = os.fstat(fh.fileno()).st_size
                 os.fsync(fh.fileno())
@@ -399,7 +422,7 @@ class DurableJobStore(JobStore):
                 self._m_compactions.inc()
             log.debug(
                 "compacted %d job(s) into %s (compaction #%d)",
-                len(doc["jobs"]),
+                len(ordered),
                 self.snapshot_path.name,
                 self._compactions,
             )

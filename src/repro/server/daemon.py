@@ -36,7 +36,7 @@ from repro.server.http import (
     query_int,
 )
 from repro.server.jobs import DuplicateJobError, Job, JobState, JobStore
-from repro.server.protocol import MAX_BODY_BYTES, ApiError, HttpRequest
+from repro.server.protocol import MAX_BODY_BYTES, ApiError, HttpRequest, RawResponse
 from repro.server.serialize import (
     snapshot_to_dict,
     validate_batch_payload,
@@ -339,7 +339,7 @@ class CbesDaemon(HttpService):
             raise ApiError(
                 404, "not-found", f"no job {job_id!r} (unknown, or expired past TTL)"
             ) from None
-        return 200, {"job": job.to_dict()}, {}
+        return 200, RawResponse(b'{"job":' + job.to_json() + b"}", "application/json"), {}
 
     async def _list_jobs(self, request: HttpRequest) -> Response:
         """``GET /v1/jobs``: listing with ``state``/``limit``/``after``, or lookup by ``ids``."""
@@ -353,7 +353,8 @@ class CbesDaemon(HttpService):
             raise ApiError(
                 400, "bad-request", f"unknown 'after' job id {after!r} (evicted or never existed)"
             ) from None
-        return 200, {"jobs": [job.to_dict() for job in jobs]}, {}
+        body = b'{"jobs":[' + b",".join(job.to_json() for job in jobs) + b"]}"
+        return 200, RawResponse(body, "application/json"), {}
 
     # -- remap watches --------------------------------------------------
     async def _create_watch(self, request: HttpRequest) -> Response:

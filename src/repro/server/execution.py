@@ -274,17 +274,22 @@ class JobRunner:
             self._m_jobs.inc(kind=job.kind, state="failed")
             raise
         except Exception as exc:  # noqa: BLE001 - job errors become job state
-            self._store.mark_failed(job.id, f"{type(exc).__name__}: {exc}")
-            self._m_jobs.inc(kind=job.kind, state="failed")
-            self._m_job_seconds.observe(time.perf_counter() - started, kind=job.kind)
-            log.warning("job %s failed: %s: %s", job.id, type(exc).__name__, exc)
+            error = f"{type(exc).__name__}: {exc}"
         else:
-            self._store.mark_done(job.id, result)
-            self._m_jobs.inc(kind=job.kind, state="done")
-            self._m_job_seconds.observe(time.perf_counter() - started, kind=job.kind)
-            log.info(
-                "job %s done in %.1f ms", job.id, (time.perf_counter() - started) * 1e3
-            )
+            try:
+                self._store.mark_done(job.id, result)
+                error = None
+            except (TypeError, ValueError) as exc:
+                # Encoded before the transition: the job is still running.
+                error = f"result is not JSON-serialisable: {exc}"
+        elapsed = time.perf_counter() - started
+        if error is None:
+            log.info("job %s done in %.1f ms", job.id, elapsed * 1e3)
+        else:
+            self._store.mark_failed(job.id, error)
+            log.warning("job %s failed: %s", job.id, error)
+        self._m_jobs.inc(kind=job.kind, state="done" if error is None else "failed")
+        self._m_job_seconds.observe(elapsed, kind=job.kind)
 
     def context_for(
         self, app: str, options: EvaluationOptions, fingerprint: str, evaluator

@@ -59,6 +59,10 @@ Handler = Callable[[HttpRequest], Awaitable[Response]]
 #: client cannot mint unbounded label cardinality.
 UNMATCHED = "(unmatched)"
 
+#: How often the service's loop checks its own lateness (seconds): a
+#: stall of *b* seconds is observed as a lag between *b* minus this and *b*.
+LAG_PROBE_S = 0.01
+
 #: Inbound ``X-Request-Id`` values we are willing to log and forward.
 _REQUEST_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
@@ -193,6 +197,11 @@ class HttpService:
             "Client connections currently open.",
             callback=lambda: len(self._conn_busy),
         )
+        self._m_loop_lag = m.histogram(
+            f"{p}_event_loop_lag_seconds",
+            "How late the serving loop ran a timer: what a blocking call cost every connection.",
+        )
+        self._lag_probe: asyncio.TimerHandle | None = None
 
     # -- what a subclass provides -----------------------------------------
     def routes(self) -> dict[tuple[str, str], Handler]:
@@ -239,6 +248,7 @@ class HttpService:
         self._started_at = time.monotonic()
         await self._on_start()
         self._server = await asyncio.start_server(self._serve_connection, self._host, self._port)
+        self._arm_lag_probe()
         log.info("%s listening on %s:%d", self.name, *self.address)
         return self.address
 
@@ -268,9 +278,19 @@ class HttpService:
             if not busy:
                 conn_writer.close()
         await self._server.wait_closed()
+        self._lag_probe.cancel()
         await self._on_stop(drain)
         self._server = None
         log.info("%s stopped (drained=%s)", self.name, drain)
+
+    def _arm_lag_probe(self) -> None:
+        due = self._loop.time() + LAG_PROBE_S
+        self._lag_probe = self._loop.call_at(due, self._probe_lag, due)
+
+    def _probe_lag(self, due: float) -> None:
+        """Observe how late the loop ran this timer, then re-arm it."""
+        self._m_loop_lag.observe(max(0.0, self._loop.time() - due))
+        self._arm_lag_probe()
 
     async def serve_forever(self) -> None:
         """Start, serve until SIGTERM/SIGINT (or request_shutdown), drain."""

@@ -13,6 +13,7 @@ worker threads drive the status transitions.
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
@@ -21,7 +22,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["DuplicateJobError", "JobState", "JobStateError", "Job", "JobStore"]
+from repro._util import encode_json
+
+__all__ = ["DuplicateJobError", "JobState", "JobStateError", "Job", "JobStore", "spliced"]
 
 log = logging.getLogger("repro.server.jobs")
 
@@ -57,6 +60,18 @@ class DuplicateJobError(ValueError):
     """A caller-supplied job id collides with a live job."""
 
 
+def spliced(head: dict, result_json: bytes | None) -> tuple[bytes, ...]:
+    """The pieces of *head* as compact JSON with ``"result"`` appended.
+
+    The stored bytes go in as they are.  ``b"".join`` the pieces for a
+    message; the snapshot writes them one by one and builds no copy.
+    """
+    encoded = encode_json(head)
+    if result_json is None:
+        return (encoded,)
+    return encoded[:-1], b',"result":', result_json, b"}"
+
+
 @dataclass
 class Job:
     """One asynchronous CBES request and its (eventual) outcome."""
@@ -68,16 +83,28 @@ class Job:
     created_at: float = 0.0
     started_at: float | None = None
     finished_at: float | None = None
-    #: JSON-ready result document (set on DONE).
-    result: dict | None = None
+    #: The result document as compact JSON (set on DONE): the bytes the
+    #: journal, the snapshot and the job's HTTP answers all carry.
+    result_json: bytes | None = None
     #: Human-readable failure reason (set on FAILED).
     error: str | None = None
     #: Request id of the submitting HTTP request (log correlation).
     request_id: str = ""
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        """The job document served by ``GET /v1/jobs/{id}``."""
+    @property
+    def result(self) -> dict | None:
+        """The result document, decoded from :attr:`result_json`."""
+        raw = self.result_json
+        return None if raw is None else json.loads(raw)
+
+    @result.setter
+    def result(self, result: dict | None) -> None:
+        self.result_json = None if result is None else encode_json(result)
+
+    def _head(self) -> dict:
+        """The job document without its result, which callers read after
+        this has read the state: never ``done`` without one (``_transition``)."""
         doc: dict = {
             "id": self.id,
             "kind": self.kind,
@@ -87,11 +114,21 @@ class Job:
             "finished_at": self.finished_at,
             "request_id": self.request_id,
         }
-        if self.result is not None:
-            doc["result"] = self.result
         if self.error is not None:
             doc["error"] = self.error
         return doc
+
+    def to_dict(self) -> dict:
+        """The job document served by ``GET /v1/jobs/{id}``."""
+        doc = self._head()
+        result = self.result
+        if result is not None:
+            doc["result"] = result
+        return doc
+
+    def to_json(self) -> bytes:
+        """:meth:`to_dict` as compact JSON, the stored result spliced in."""
+        return b"".join(spliced(self._head(), self.result_json))
 
 
 class JobStore:
@@ -264,7 +301,9 @@ class JobStore:
         return self._transition(job_id, JobState.RUNNING)
 
     def mark_done(self, job_id: str, result: dict) -> Job:
-        return self._transition(job_id, JobState.DONE, result=result)
+        """Finish a job with *result*, encoded once and before the transition:
+        one JSON cannot carry raises ``TypeError`` / ``ValueError``, job still running."""
+        return self._transition(job_id, JobState.DONE, result_json=encode_json(result))
 
     def mark_failed(self, job_id: str, error: str) -> Job:
         return self._transition(job_id, JobState.FAILED, error=error)

@@ -14,6 +14,8 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 
+from repro._util import encode_json
+
 __all__ = ["ApiError", "HttpRequest", "RawResponse", "read_request", "render_response"]
 
 #: Upper bounds keeping one misbehaving client from ballooning memory.
@@ -77,10 +79,10 @@ class ApiError(Exception):
 
 @dataclass(frozen=True)
 class RawResponse:
-    """A non-JSON response body with its own content type.
+    """A response body that goes out verbatim under its own content type.
 
-    Used by the metrics endpoint, whose Prometheus text exposition must
-    go out verbatim rather than JSON-encoded.
+    Used by the metrics endpoint (Prometheus text exposition) and by
+    the job documents, whose stored result is already JSON.
     """
 
     body: bytes
@@ -202,8 +204,9 @@ def render_response(
 ) -> bytes:
     """Serialize a response.
 
-    *payload* is normally a JSON-ready dict; a :class:`RawResponse`
-    ships its bytes verbatim under its own content type.  ``close``
+    *payload* is normally a JSON-ready dict (sent as compact JSON); a
+    :class:`RawResponse` ships its bytes verbatim under its own content
+    type.  ``close``
     picks the connection semantics: the default advertises
     ``Connection: close`` (one request per connection, the historical
     behavior); ``close=False`` advertises ``keep-alive`` so the daemon's
@@ -213,7 +216,7 @@ def render_response(
         body = payload.body
         content_type = payload.content_type
     else:
-        body = json.dumps(payload).encode("utf-8")
+        body = encode_json(payload)
         content_type = "application/json"
     reason = _REASONS.get(status, "Unknown")
     lines = [

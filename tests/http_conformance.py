@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import socket
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import NamedTuple
 
 import pytest
@@ -23,15 +23,18 @@ import pytest
 from repro.fleet import RouterThread
 from repro.server import DaemonThread, ServerError
 from repro.server.http import HttpService, ServiceThread
+from repro.server.jobs import JobStore
 from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS
 
 
 class Door(NamedTuple):
-    """A running front door: its harness, its service core, its metric prefix."""
+    """A running front door: its harness, its service core, its metric
+    prefix, and the job stores of the daemon(s) answering behind it."""
 
     thread: ServiceThread
     core: HttpService
     prefix: str
+    stores: tuple[JobStore, ...]
 
     @property
     def address(self) -> tuple[str, int]:
@@ -45,20 +48,27 @@ class Door(NamedTuple):
 def daemon_door(service, **http):
     """A daemon as the front door."""
     with DaemonThread(service, workers=1, queue_limit=4, **http) as srv:
-        yield Door(srv, srv.daemon, "cbes")
+        yield Door(srv, srv.daemon, "cbes", (srv.daemon.store,))
 
 
 @contextmanager
-def router_door(service, **http):
-    """A fleet router over one replica daemon as the front door."""
-    with DaemonThread(service, workers=1, queue_limit=4, replica_id="r0") as replica:
-        fleet = RouterThread([f"{replica.host}:{replica.port}"])
+def router_door(*services, **http):
+    """A fleet router as the front door, over one replica daemon per service."""
+    with ExitStack() as stack:
+        replicas = [
+            stack.enter_context(
+                DaemonThread(service, workers=1, queue_limit=4, replica_id=f"r{i}")
+            )
+            for i, service in enumerate(services)
+        ]
+        fleet = RouterThread([f"{replica.host}:{replica.port}" for replica in replicas])
         # The router has no constructor knobs for these; they are plain
         # attributes of the shared core.
         for name, value in http.items():
             setattr(fleet.router, name, value)
         with fleet:
-            yield Door(fleet, fleet.router, "cbes_fleet")
+            stores = tuple(replica.daemon.store for replica in replicas)
+            yield Door(fleet, fleet.router, "cbes_fleet", stores)
 
 
 def metric_value(client, name: str, labels: str = "") -> float:
@@ -250,6 +260,59 @@ class JobLookupConformance:
         for path in paths:
             assert len(path) < MAX_HEADER_BYTES
             assert path.count(",") < MAX_LOOKUP_IDS
+
+
+class JobDocumentConformance:
+    """What the wire says about a job parses equal to ``Job.to_dict()``.
+
+    A finished job keeps its result as JSON bytes and the daemon splices
+    them into its answers; needs a ``front_door`` over service(s) with
+    one profiled 3-rank application.
+    """
+
+    def test_every_job_answer_parses_equal_to_to_dict(self, front_door):
+        with front_door() as door:
+            client = door.client()
+            app = client.profiles()[0]
+            nodes = sorted(client.snapshot()["nodes"])[:3]
+            accepted = client.submit_batch(
+                [{"kind": "predict", "app": app, "nodes": nodes}] * 3
+                + [{"kind": "compare", "app": app, "mappings": [nodes, nodes[::-1]]}]
+            )
+            ids = [job["id"] for job in accepted]
+            client.wait_many(ids, timeout_s=60.0)
+            held = {job.id: job.to_dict() for store in door.stores for job in store.list()}
+            assert sorted(held) == sorted(ids)
+            assert all(doc["state"] == "done" and doc["result"] for doc in held.values())
+            assert {job["id"]: job for job in client.jobs()} == held
+            assert {job["id"]: job for job in client.jobs(ids=ids)} == held
+            assert {job_id: client.job(job_id) for job_id in ids} == held
+
+
+class LoopLagConformance:
+    """``<prefix>_event_loop_lag_seconds``: a stall of the serving loop is measured."""
+
+    @staticmethod
+    def _buckets(door) -> tuple[dict[float, int], int]:
+        """(cumulative count by bucket bound, observations) of the door's own loop."""
+        (sample,) = door.core.metrics.snapshot()[f"{door.prefix}_event_loop_lag_seconds"][
+            "samples"
+        ]
+        return dict(sample["buckets"]), sample["count"]
+
+    def test_a_blocking_call_is_observed_and_an_idle_loop_is_not(self, front_door):
+        with front_door() as door:
+            time.sleep(0.3)  # idle: the probe fires every LAG_PROBE_S
+            cumulative, count = self._buckets(door)
+            assert count >= 10
+            # Timers fire within the selector's 1 ms rounding on an idle loop.
+            assert cumulative[0.001] >= 0.8 * count
+            assert cumulative[0.025] == count
+            door.core._loop.call_soon_threadsafe(time.sleep, 0.05)
+            time.sleep(0.3)
+            cumulative, count = self._buckets(door)
+            assert count - cumulative[0.025] == 1  # one observation in a bucket >= 0.05
+            assert door.prefix + "_event_loop_lag_seconds_bucket" in door.client().metrics_text()
 
 
 class OversizedBodyConformance:

@@ -24,8 +24,10 @@ from repro.workloads import SyntheticBenchmark
 from tests.http_conformance import (
     HEALTHZ,
     ErrorContractConformance,
+    JobDocumentConformance,
     JobLookupConformance,
     KeepAliveConformance,
+    LoopLagConformance,
     OversizedBodyConformance,
     RoutingConformance,
     metric_value,
@@ -349,6 +351,7 @@ class TestRouterConformance(
     ErrorContractConformance,
     RoutingConformance,
     JobLookupConformance,
+    LoopLagConformance,
 ):
     """The daemon's HTTP contract (tests/http_conformance.py), through the router."""
 
@@ -371,6 +374,14 @@ class TestRouterConformance(
                 assert time.monotonic() - started < 5.0
                 sock.settimeout(5)
                 assert sock.recv(1) == b""  # the router closed it
+
+
+class TestTwoReplicaJobDocuments(JobDocumentConformance):
+    """The replicas' spliced job documents, relayed by a router over two of them."""
+
+    @pytest.fixture
+    def front_door(self, conformance_service):
+        return partial(router_door, conformance_service, make_service()[0])
 
 
 class TestFleetDegradation:

@@ -7,23 +7,45 @@ record), checksum mismatches are *refused*, and replaying
 state replaying the whole pre-compaction journal would.
 """
 
+import ast
+import io
 import json
+import random
+import re
 import struct
 import zlib
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.persist import (
     DurableJobStore,
     Journal,
     JournalCorruptError,
+    JournalError,
     recover_state,
     replay_journal,
 )
-from repro.persist.journal import HEADER_BYTES
+from repro.persist.journal import HEADER_BYTES, MAX_RECORD_BYTES
 from repro.server.jobs import DuplicateJobError, JobState
 from repro.telemetry import MetricsRegistry
+
+
+def frame(payload: bytes) -> bytes:
+    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+
+
+def parent_frame(record: dict) -> bytes:
+    """One journal frame, by the expression the journal had before results were kept as bytes."""
+    return frame(json.dumps(record, separators=(",", ":")).encode("utf-8"))
+
+
+def parent_snapshot(docs: list[dict], next_seq: int) -> bytes:
+    """The snapshot file, by the ``json.dump`` expression ``compact()`` used to be."""
+    out = io.StringIO()
+    json.dump({"version": 1, "next_seq": next_seq, "jobs": docs}, out, separators=(",", ":"))
+    return out.getvalue().encode("utf-8")
 
 
 class FakeClock:
@@ -392,3 +414,357 @@ class TestDurableJobStore:
         assert doc["jobs"][0]["id"] == job.id
         assert doc["jobs"][0]["state"] == "done"
         assert doc["jobs"][0]["result"] == {"t": 1.0}
+
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"version":1,"next_seq":2,"jobs":[{"id":"j000001","kind":"predict","pay',
+            b"",
+            b"[]",
+            b'{"version":1,"next_seq":2}',
+            b'{"version":1,"next_seq":2,"jobs":{}}',
+            b'{"version":1,"next_seq":2,"jobs":["j000001"]}',
+            b'{"version":1,"next_seq":2,"jobs":[{"kind":"predict","payload":{},"state":"done"}]}',
+            b'{"version":1,"next_seq":2,"jobs":[{"id":"j1","kind":"predict","state":"done"}]}',
+            b'{"version":1,"next_seq":"2","jobs":[]}',
+            b'{"version":1,"next_seq":2,"jobs":[]}\xff\xfe',
+        ],
+        ids=[
+            "truncated", "empty", "a-list", "no-jobs", "jobs-not-a-list", "job-not-an-object",
+            "job-without-id", "job-without-payload", "next_seq-not-an-int", "not-utf-8",
+        ],
+    )
+    def test_corrupt_snapshot_refused_at_boot_with_a_typed_error(self, tmp_path, content):
+        store = self._store(tmp_path)
+        store.create("predict", {})
+        store.close()
+        store.snapshot_path.write_bytes(content)
+        with pytest.raises(JournalCorruptError, match=DurableJobStore.SNAPSHOT_NAME):
+            self._store(tmp_path)
+        # Refused, not repaired: both files are as the operator will find them.
+        assert store.snapshot_path.read_bytes() == content
+        assert len(list(replay_journal(store.journal.path))) == 1
+
+    def test_unencodable_result_raises_before_the_transition(self, tmp_path):
+        store = self._store(tmp_path)
+        job = store.create("predict", {})
+        store.mark_running(job.id)
+        appended = store.journal.records
+        for hostile in ({"x": {1, 2}}, {"x": object()}):
+            with pytest.raises(TypeError):
+                store.mark_done(job.id, hostile)
+        loop = {}
+        loop["self"] = loop
+        with pytest.raises(ValueError):
+            store.mark_done(job.id, loop)
+        assert job.state is JobState.RUNNING and job.result is None
+        assert store.journal.records == appended  # memory and journal still agree
+        store.mark_failed(job.id, "result is not JSON-serialisable")
+        assert self._store(tmp_path).get(job.id).state is JobState.FAILED
+
+    def test_data_dir_written_by_the_parents_expressions_boots(self, tmp_path):
+        """On-disk compatibility, parent -> change: a snapshot and a journal
+        tail made with the expressions the parent used (``json.dump`` of the
+        whole document; ``json.dumps`` of every record) recover as they did.
+        The other direction is ``TestResultBytesIdentity``: the change
+        writes the parent's bytes.
+        """
+        data = tmp_path / "data"
+        data.mkdir()
+        result = {"execution_time": 3.5, "ranks": [{"r": 1e-320}, {"r": -0.0}], "app": "caf\u00e9"}
+        snapshot_docs = [
+            {"id": "j000001", "kind": "predict", "payload": {"app": "lu.A"}, "state": "done",
+             "request_id": "req-1", "result": result},
+            {"id": "j000002", "kind": "schedule", "payload": {"app": "cg.A"}, "state": "failed",
+             "request_id": "", "error": "boom"},
+            {"id": "j000003", "kind": "predict", "payload": {"app": "mg.A"}, "state": "running",
+             "request_id": ""},
+        ]
+        tail = [
+            {"op": "create", "id": "j000004", "kind": "compare", "payload": {"app": "x"},
+             "request_id": "req-4"},
+            {"op": "running", "id": "j000004"},
+            {"op": "done", "id": "j000004", "result": {"ranked": [result, result]}},
+            {"op": "evict", "id": "j000002"},
+        ]
+        (data / DurableJobStore.SNAPSHOT_NAME).write_bytes(parent_snapshot(snapshot_docs, 4))
+        (data / DurableJobStore.JOURNAL_NAME).write_bytes(b"".join(map(parent_frame, tail)))
+        store = self._store(tmp_path)
+        assert [(job.id, job.state.value) for job in store.list()] == [
+            ("j000001", "done"), ("j000003", "queued"), ("j000004", "done"),
+        ]
+        assert store.get("j000001").result == result
+        assert store.get("j000004").result == {"ranked": [result, result]}
+        assert [job.id for job in store.take_recovered()] == ["j000003"]
+        assert store.create("predict", {}).id == "j000005"
+        # ... and what recovery compacted is, again, the parent's file.
+        docs, next_seq = recover_state(
+            {"version": 1, "next_seq": 4, "jobs": snapshot_docs}, tail
+        )
+        for doc in docs:
+            doc["state"] = "queued" if doc["state"] == "running" else doc["state"]
+        store.discard("j000005")
+        store.compact()
+        assert store.snapshot_path.read_bytes() == parent_snapshot(docs, 6)
+
+
+def random_document(rng: random.Random, depth: int = 0):
+    """A JSON value with the shapes and scalars encoders get wrong."""
+    scalars = [
+        None, True, False, 0, -1, 2**70, -(2**63) - 1, 1e-320, -0.0, 0.1, 1e308, 3.5, 1 / 3,
+        "", "caf\u00e9", "\x00\x1f\t\n\"\\/", "\u2028\ud83d\ude00", "</script>", "k" * 40,
+    ]
+    roll = rng.random()
+    if depth >= 4 or roll < 0.45:
+        value = rng.choice(scalars)
+        return rng.uniform(-1e6, 1e6) if value == 3.5 else value
+    if roll < 0.7:
+        return [random_document(rng, depth + 1) for _ in range(rng.randrange(0, 5))]
+    keys = ["", "id", "result", "op", "a b", "caf\u00e9", "\x01", "nested", "0", "x" * 20]
+    return {
+        rng.choice(keys) + str(i): random_document(rng, depth + 1)
+        for i in range(rng.randrange(0, 5))
+    }
+
+
+class TestResultBytesIdentity:
+    """A result is encoded once and its bytes are spliced everywhere —
+    and every file is, byte for byte, what encoding the whole record /
+    the whole store with the stdlib would have written."""
+
+    DOCUMENTS = 600
+
+    def test_journal_snapshot_and_job_documents_over_random_results(self, tmp_path):
+        rng = random.Random(20050927)
+        store = DurableJobStore(tmp_path / "data", fsync="never", compact_bytes=1 << 40)
+        wal = Path(store.journal.path)
+        records: list[dict] = []
+        checked = 0
+        for i in range(self.DOCUMENTS):
+            payload = {"app": "cg.A", "arg": random_document(rng, 3)}
+            result = {"value": random_document(rng), "i": i}
+            job = store.create("predict", payload, request_id=rng.choice(["", f"req-{i}"]))
+            records.append({"op": "create", "id": job.id, "kind": "predict", "payload": payload,
+                            "request_id": job.request_id})
+            fate = rng.choice(["queued", "running", "done", "done", "done", "failed", "evict"])
+            if fate != "queued":
+                if fate != "failed" or rng.random() < 0.5:
+                    store.mark_running(job.id)
+                    records.append({"op": "running", "id": job.id})
+                if fate == "failed":
+                    store.mark_failed(job.id, f"boom \u2028 {i}")
+                    records.append({"op": "failed", "id": job.id, "error": f"boom \u2028 {i}"})
+                elif fate != "running":
+                    store.mark_done(job.id, result)
+                    records.append({"op": "done", "id": job.id, "result": result})
+                    assert job.result == json.loads(json.dumps(result))
+                if fate == "evict":
+                    store.discard(job.id)
+                    records.append({"op": "evict", "id": job.id})
+            assert json.loads(job.to_json()) == job.to_dict()
+            if i % 97 == 96 or i == self.DOCUMENTS - 1:
+                # Journal: the frames of the records since the last compaction.
+                assert wal.read_bytes() == b"".join(map(parent_frame, records[checked:]))
+                checked = len(records)
+                docs, next_seq = recover_state(None, records)
+                store.compact()
+                assert store.snapshot_path.read_bytes() == parent_snapshot(docs, next_seq)
+                assert wal.read_bytes() == b""
+        assert sum(1 for record in records if record["op"] == "done") >= 200
+        # Reopen -> recover -> compact: unfinished jobs rewind to queued,
+        # everything else is reproduced to the byte.
+        store.close()
+        before = json.loads(store.snapshot_path.read_bytes())
+        for doc in before["jobs"]:
+            doc["state"] = "queued" if doc["state"] == "running" else doc["state"]
+        reopened = DurableJobStore(tmp_path / "data", fsync="never")
+        assert reopened.snapshot_path.read_bytes() == parent_snapshot(
+            before["jobs"], before["next_seq"]
+        )
+        for job in reopened.list():
+            assert json.loads(job.to_json()) == job.to_dict()
+        reopened.close()
+
+    def test_one_encoder_no_dump_calls_no_dict_typed_result(self):
+        """`persist/journal.py`, `persist/store.py`, `server/jobs.py` and
+        `server/protocol.py` write JSON through `repro._util.encode_json`
+        alone, and a `Job` stores its result as bytes only."""
+        import dataclasses
+
+        from repro.server.jobs import Job
+
+        root = Path(repro.__file__).resolve().parent
+        encoders = {}
+        for where in ("persist/journal.py", "persist/store.py", "server/jobs.py",
+                      "server/protocol.py"):
+            tree = ast.parse((root / where).read_text(), where)
+            imported, called = set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    imported |= {(node.module, alias.name) for alias in node.names}
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if isinstance(node.func.value, ast.Name) and node.func.value.id == "json":
+                        called.add(node.func.attr)
+                elif isinstance(node, ast.Attribute) and node.attr == "JSONEncoder":
+                    called.add(node.attr)
+            assert called <= {"loads"}, f"{where} encodes JSON on its own: {sorted(called)}"
+            encoders[where] = imported & {
+                ("repro._util", "encode_json"), ("repro.server.jobs", "spliced")
+            }
+        assert all(encoders.values()), encoders
+        fields = {field.name: field.type for field in dataclasses.fields(Job)}
+        assert "result" not in fields and fields["result_json"] == "bytes | None"
+        assert isinstance(Job.result, property)
+
+
+class TestFuzzedFiles:
+    """Seeded mutations of a valid journal and a valid snapshot: a typed
+    refusal, or only what the mutated bytes really hold — never another
+    exception, never a record that is not a complete, checksum-valid frame."""
+
+    JOURNAL_MUTATIONS, SNAPSHOT_MUTATIONS = 1500, 700
+
+    @staticmethod
+    def _build(data: Path) -> tuple[bytes, bytes, list[dict]]:
+        """(journal bytes, snapshot bytes, the journal's records) of a small history."""
+        rng = random.Random(4)
+        store = DurableJobStore(data, fsync="never", compact_bytes=1 << 40)
+        for i in range(6):
+            job = store.create("predict", {"app": "cg.A", "arg": random_document(rng, 3)})
+            if i % 3:
+                store.mark_running(job.id)
+                store.mark_done(job.id, {"value": random_document(rng, 2), "i": i})
+        store.compact()
+        snapshot = store.snapshot_path.read_bytes()
+        for i in range(8):
+            job = store.create("compare", {"app": "lu.A", "i": i})
+            store.mark_running(job.id)
+            if i % 2:
+                store.mark_done(job.id, {"value": random_document(rng, 2)})
+            elif i % 4:
+                store.mark_failed(job.id, "boom")
+        journal = Path(store.journal.path).read_bytes()
+        store.close()
+        return journal, snapshot, list(replay_journal(store.journal.path))
+
+    @staticmethod
+    def _frames(data: bytes) -> tuple[list[bytes], bool]:
+        """Reference decoder: (payloads of the leading valid frames, whether
+        the frame after them is complete yet invalid)."""
+        payloads, offset = [], 0
+        while len(data) - offset >= HEADER_BYTES:
+            length, crc = struct.unpack_from(">II", data, offset)
+            if length > MAX_RECORD_BYTES:
+                return payloads, True
+            payload = data[offset + HEADER_BYTES : offset + HEADER_BYTES + length]
+            if len(payload) < length:
+                break
+            if zlib.crc32(payload) != crc:
+                return payloads, True
+            payloads.append(payload)
+            offset += HEADER_BYTES + length
+        return payloads, False
+
+    @staticmethod
+    def _mutate(rng: random.Random, data: bytes, starts: list[int]) -> tuple[str, bytes]:
+        """One mutation of *data*; *starts* are its record (or line-like) boundaries."""
+        kind = rng.choice(["truncate", "flip-header", "flip-payload", "splice", "duplicate",
+                           "garbage-tail", "drop-middle"])
+        begin = rng.choice(starts[:-1])
+        end = starts[starts.index(begin) + 1]
+        if kind == "truncate":
+            cut = rng.choice([begin, begin + rng.randrange(1, HEADER_BYTES), end - 1,
+                              rng.randrange(len(data) + 1), 0, len(data)])
+            return kind, data[: min(cut, len(data))]
+        if kind in ("flip-header", "flip-payload"):
+            span = (begin, begin + HEADER_BYTES) if kind == "flip-header" else (
+                begin + HEADER_BYTES, end)
+            at = rng.randrange(*span) if span[0] < span[1] else begin
+            flipped = bytearray(data)
+            flipped[at] ^= 1 << rng.randrange(8)
+            return kind, bytes(flipped)
+        if kind == "splice":
+            at = rng.choice([rng.choice(starts), rng.randrange(len(data) + 1)])
+            return kind, data[:at] + data[begin:end] + data[at:]
+        if kind == "duplicate":
+            return kind, data[:end] + data[begin:end] + data[end:]
+        if kind == "drop-middle":
+            return kind, data[:begin] + data[end:]
+        return kind, data + rng.randbytes(rng.choice([1, 7, 8, 9, 64]))
+
+    def test_mutated_journals_and_snapshots_fail_typed_or_read_true(self, tmp_path):
+        journal, snapshot, records = self._build(tmp_path / "seed")
+        starts, offset = [0], 0
+        for payload in self._frames(journal)[0]:
+            offset += HEADER_BYTES + len(payload)
+            starts.append(offset)
+        assert len(starts) == len(records) + 1 and starts[-1] == len(journal)
+        rng = random.Random(22)
+        data_dir = tmp_path / "fuzz"
+        data_dir.mkdir()
+        wal = data_dir / DurableJobStore.JOURNAL_NAME
+        seen: dict[str, int] = {}
+        for i in range(self.JOURNAL_MUTATIONS):
+            kind, mutated = self._mutate(rng, journal, starts)
+            wal.write_bytes(mutated)
+            valid, corrupt = self._frames(mutated)
+            expected = [json.loads(payload) for payload in valid]
+            try:
+                got = list(replay_journal(wal))
+            except JournalCorruptError:
+                outcome = "refused"
+                assert corrupt, (kind, i)
+            else:
+                outcome = "read"
+                assert not corrupt and got == expected, (kind, i)
+                if kind == "truncate":
+                    assert got == records[: len(got)] and len(got) == sum(
+                        1 for start in starts[1:] if start <= len(mutated)
+                    )
+            seen[f"{kind}:{outcome}"] = seen.get(f"{kind}:{outcome}", 0) + 1
+            # Opening for append agrees with replay, and drops only a torn tail.
+            if corrupt:
+                with pytest.raises(JournalCorruptError):
+                    Journal(wal, fsync="never")
+                assert wal.read_bytes() == mutated
+            else:
+                with Journal(wal, fsync="never") as opened:
+                    assert opened.records == len(valid)
+                assert wal.read_bytes() == b"".join(map(frame, valid))
+            if i % 5 == 0:  # a full boot fsyncs a snapshot: sampled, same verdict
+                wal.write_bytes(mutated)
+                try:
+                    store = DurableJobStore(data_dir, fsync="never")
+                except JournalCorruptError:
+                    assert corrupt, (kind, i)
+                else:
+                    assert not corrupt, (kind, i)
+                    docs, _ = recover_state(None, expected)
+                    assert [job.id for job in store.list()] == [doc["id"] for doc in docs]
+                    store.close()
+                    store.snapshot_path.unlink(missing_ok=True)
+        assert all(seen.get(f"{kind}:refused", 0) > 20 for kind in ("flip-header", "flip-payload"))
+        assert all(seen.get(f"{kind}:read", 0) > 20 for kind in ("truncate", "duplicate", "splice"))
+
+        # The snapshot has no checksum: any mutation either still parses to
+        # a well-shaped document or is refused with the typed error.
+        marks = [0, *(m.end() for m in re.finditer(rb"\},\{", snapshot)), len(snapshot)]
+        wal.write_bytes(b"")
+        refused = booted = 0
+        for i in range(self.SNAPSHOT_MUTATIONS):
+            kind, mutated = self._mutate(rng, snapshot, marks)
+            (data_dir / DurableJobStore.SNAPSHOT_NAME).write_bytes(mutated)
+            try:
+                store = DurableJobStore(data_dir, fsync="never")
+            except JournalCorruptError as exc:
+                refused += 1
+                assert DurableJobStore.SNAPSHOT_NAME in str(exc)
+            else:
+                booted += 1
+                parsed = json.loads(mutated)  # it booted, so it must be a document
+                assert {job.id for job in store.list()} == {doc["id"] for doc in parsed["jobs"]}
+                store.close()
+            wal.write_bytes(b"")
+        assert refused > 100 and booted > 20
+        assert isinstance(JournalCorruptError("x"), JournalError)

@@ -18,7 +18,9 @@ from repro.server import BackpressureError, DaemonThread, ServerError
 from repro.workloads import SyntheticBenchmark
 from tests.http_conformance import (
     ErrorContractConformance,
+    JobDocumentConformance,
     KeepAliveConformance,
+    LoopLagConformance,
     daemon_door,
     metric_value,
 )
@@ -49,6 +51,14 @@ class TestKeepAlive(KeepAliveConformance):
 
 class TestErrorContract(ErrorContractConformance):
     """The shared error / request-id contract, served by a ``DaemonThread``."""
+
+
+class TestJobDocuments(JobDocumentConformance):
+    """Spliced job documents parse equal to ``to_dict()``, from a ``DaemonThread``."""
+
+
+class TestLoopLag(LoopLagConformance):
+    """The daemon's loop measures its own stalls."""
 
 
 class TestBatchSubmission:

@@ -1,8 +1,16 @@
 """Unit tests for the daemon's job store (lifecycle + TTL eviction)."""
 
+import gc
+import json
+import random
+import tracemalloc
+
 import pytest
 
+from repro.core import CBES, TaskMapping
 from repro.server.jobs import JobState, JobStateError, JobStore
+from repro.server.serialize import prediction_to_dict
+from repro.workloads import CG
 
 
 class FakeClock:
@@ -219,6 +227,91 @@ class TestTerminalStatePublishedLast:
             store.mark_failed(job.id, "boom")
             assert seen == [(JobState.RUNNING, None, "boom")]
         assert job.state.value == outcome and job.finished_at == 1.0
+
+
+class TestResultStoredAsBytes:
+    def test_to_json_parses_equal_to_to_dict_in_every_state(self, store, clock):
+        job = store.create("predict", {"app": "lu.A"}, request_id="req-1")
+        other = store.create("predict", {})
+        documents = [(job.to_json(), job.to_dict())]
+        clock.advance(1.5)
+        store.mark_running(job.id)
+        documents.append((job.to_json(), job.to_dict()))
+        store.mark_done(job.id, {"t": 1e-320, "ranks": [{"r": -0.0}, {}], "app": "caf\u00e9\x00"})
+        documents.append((job.to_json(), job.to_dict()))
+        store.mark_failed(other.id, 'drained "before" start')
+        documents.append((other.to_json(), other.to_dict()))
+        for raw, doc in documents:
+            assert json.loads(raw) == doc
+        assert [doc["state"] for _, doc in documents] == ["queued", "running", "done", "failed"]
+        assert "result" in documents[2][1] and "error" in documents[3][1]
+        # The stored form is the compact encoding, and the only one.
+        assert job.result_json == json.dumps(job.result, separators=(",", ":")).encode()
+        assert job.result_json in job.to_json()
+
+    def test_result_setter_encodes_and_none_clears(self, store):
+        job = store.create("predict", {})
+        job.result = {"v": [1, 2.5]}
+        assert job.result_json == b'{"v":[1,2.5]}' and job.result == {"v": [1, 2.5]}
+        job.result = None
+        assert job.result_json is None and job.result is None
+
+    def test_unencodable_result_leaves_the_job_running(self, store):
+        job = store.create("predict", {})
+        store.mark_running(job.id)
+        with pytest.raises(TypeError):
+            store.mark_done(job.id, {"x": {1, 2}})
+        assert job.state is JobState.RUNNING and job.result_json is None
+        assert job.finished_at is None
+        store.mark_done(job.id, {"x": [1, 2]})
+        assert job.state is JobState.DONE
+
+    def test_finished_results_take_well_under_half_their_dict_trees(self, og_cluster):
+        """Residency as a ratio: 512 finished ``cg.A``/8 results (three
+        predict quotes to one 8-way compare, the ``sweep_batch`` mix) as the
+        store retains them, against the same documents as dict trees — both
+        the trees ``JobRunner.execute`` builds (keys are shared interned
+        literals: the smaller tree, measured 0.41) and the trees a recovery
+        parses (every document owns its keys: 0.28).
+        """
+        service = CBES(og_cluster)
+        service.profile_application(CG("A"), 8, seed=0)
+        context = service.evaluator("cg.A").fast_context()
+        nodes = og_cluster.node_ids()
+        rng = random.Random(7)
+
+        def quote() -> dict:
+            return prediction_to_dict(context.breakdown(TaskMapping(rng.sample(nodes, 8))))
+
+        def result(i: int) -> dict:
+            doc = quote() if i % 4 else {"ranked": [quote() for _ in range(8)]}
+            doc["snapshot_fingerprint"] = "f" * 32
+            return doc
+
+        def held_bytes(build) -> tuple[int, list]:
+            """(bytes still allocated by, the list built by) *build*."""
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                keep = build()
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before, keep
+            finally:
+                tracemalloc.stop()
+
+        count = 512
+        store = JobStore()
+        jobs = [store.create("predict", {}) for _ in range(count)]
+        for job in jobs:
+            store.mark_running(job.id)
+        built, docs = held_bytes(lambda: [result(i) for i in range(count)])
+        stored, _ = held_bytes(
+            lambda: [store.mark_done(job.id, doc).id for job, doc in zip(jobs, docs)]
+        )
+        parsed, _ = held_bytes(lambda: [job.result for job in jobs])
+        assert stored <= 0.5 * built, (stored / count, built / count)
+        assert stored <= 0.35 * parsed, (stored / count, parsed / count)
 
 
 class TestExpiryQueue:

@@ -20,10 +20,11 @@ import pytest
 
 from repro.cluster import single_switch
 from repro.core import CBES
-from repro.server import DaemonThread
+from repro.persist import DurableJobStore, replay_journal
+from repro.server import DaemonThread, JobFailed
 from repro.server.client import CbesClient, ServerError
 from repro.workloads import SyntheticBenchmark
-from tests.http_conformance import OversizedBodyConformance, daemon_door
+from tests.http_conformance import OversizedBodyConformance, daemon_door, metric_value
 
 
 def make_service() -> tuple[CBES, str]:
@@ -104,6 +105,31 @@ class TestDurableDaemon(OversizedBodyConformance):
             assert err.value.status == 400
             with pytest.raises(ServerError):
                 client.jobs(state="bogus")
+
+
+    def test_unencodable_result_fails_the_job_not_the_worker(self, service_and_app, tmp_path):
+        """A result JSON cannot carry: the job is ``failed`` in memory and in
+        the journal alike, and the one worker goes on to serve the next job."""
+        service, app = service_and_app
+        data_dir = tmp_path / "data"
+        with DaemonThread(service, workers=1, data_dir=data_dir, fsync="never") as srv:
+            runner = srv.daemon.runner
+            execute = runner.execute
+            runner.execute = lambda job: {"x": {1, 2}}
+            client = srv.client()
+            bad = client.submit("predict", app=app, nodes=NODES)["id"]
+            with pytest.raises(JobFailed, match="result is not JSON-serialisable"):
+                client.wait(bad, timeout_s=60)
+            runner.execute = execute
+            good = client.submit("predict", app=app, nodes=NODES)["id"]
+            assert client.wait(good, timeout_s=60)["state"] == "done"
+            assert metric_value(client, "cbes_jobs_total", '{kind="predict",state="failed"}') == 1
+            records = list(replay_journal(data_dir / DurableJobStore.JOURNAL_NAME))
+        assert [(r["op"], r["id"]) for r in records] == [
+            ("create", bad), ("running", bad), ("failed", bad),
+            ("create", good), ("running", good), ("done", good),
+        ]
+        assert "result is not JSON-serialisable" in records[2]["error"]
 
 
 class TestCrashRecoverySubprocess:
