@@ -11,9 +11,8 @@ Run:  python examples/load_aware_remapping.py
 """
 
 from repro import CBES, orange_grove
-from repro.core import RemapCostModel
 from repro.monitoring import LoadEvent, LoadGenerator
-from repro.remap import Remapper
+from repro.remap import RemapCostModel, Remapper
 from repro.schedulers import CbesScheduler
 from repro.workloads import Aztec
 

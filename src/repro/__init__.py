@@ -19,7 +19,9 @@ Package tour:
 * :mod:`repro.simulate` — the discrete-event execution engine standing
   in for the real clusters;
 * :mod:`repro.core` — mappings, the eq. 4–8 mapping evaluator, the CBES
-  service facade, remapping advice;
+  service facade;
+* :mod:`repro.remap` — online remapping of a running application (above
+  ``repro.core`` and the schedulers, which it searches with);
 * :mod:`repro.schedulers` — CS / NCS / RS of the paper, plus greedy and
   genetic-algorithm baselines;
 * :mod:`repro.workloads` — analytic models of NPB 2.4, HPL, and the

@@ -18,8 +18,9 @@ on (see docs/ANALYSIS.md for the catalog with full rationale):
 * RPR104 — float equality: evaluation/energy quantities compare with
   tolerance helpers, never bare ``==`` (exact sentinel comparisons
   against the literals 0.0 / 1.0 / -1.0 are allowed).
-* RPR105 — API hygiene: public functions in ``repro.core`` and
-  ``repro.schedulers`` carry docstrings and no mutable default args.
+* RPR105 — API hygiene: public functions in ``repro.core``,
+  ``repro.schedulers`` and ``repro.remap`` carry docstrings and no
+  mutable default args.
 * RPR106 — telemetry hygiene: metric names declared through
   ``repro.telemetry`` registries are snake_case with the conventional
   unit/kind suffixes (counters ``*_total``, histograms ``*_seconds`` /
@@ -359,7 +360,7 @@ class FloatEqualityChecker(Checker):
     rule = "RPR104"
     name = "float-equality"
     rationale = "energy/latency arithmetic differs in the last ulp across paths"
-    scopes = ("repro.core", "repro.schedulers", "repro.search")
+    scopes = ("repro.core", "repro.schedulers", "repro.search", "repro.remap")
 
     #: Exact comparisons against these literals are accepted sentinels
     #: (e.g. ``noise == 0.0`` meaning "feature disabled").
@@ -436,7 +437,7 @@ class ApiHygieneChecker(Checker):
     rule = "RPR105"
     name = "api-hygiene"
     rationale = "the core/scheduler surface is the paper-facing contract"
-    scopes = ("repro.core", "repro.schedulers")
+    scopes = ("repro.core", "repro.schedulers", "repro.remap")
 
     def visit(self, node: ast.AST, parents: list[ast.AST], ctx: CheckerContext) -> None:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

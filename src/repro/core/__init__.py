@@ -19,8 +19,6 @@ from repro.core.fast_eval import (
     IncrementalEvaluator,
 )
 from repro.core.mapping import TaskMapping
-from repro.remap import RemapCostModel
-from repro.core.runtime import RemapTrigger, RunningApplication, RuntimeScheduler
 from repro.core.segments import SegmentPlan, SegmentScheduler
 from repro.core.service import CBES, ApplicationModel
 
@@ -38,11 +36,7 @@ __all__ = [
     "MappingPrediction",
     "NotCalibratedError",
     "ProcessPrediction",
-    "RemapCostModel",
-    "RemapTrigger",
     "Reservation",
-    "RunningApplication",
-    "RuntimeScheduler",
     "SegmentPlan",
     "SegmentScheduler",
     "TaskMapping",

@@ -78,9 +78,14 @@ class MappingPrediction:
         return max(p.total for p in self.processes)
 
     @property
+    def critical(self) -> ProcessPrediction:
+        """The process that defines the execution time (ties: lowest rank)."""
+        return max(self.processes, key=lambda p: (p.total, -p.rank))
+
+    @property
     def critical_rank(self) -> int:
-        """``i_M``: the process that defines the execution time."""
-        return max(self.processes, key=lambda p: (p.total, -p.rank)).rank
+        """``i_M``: the rank of :attr:`critical`."""
+        return self.critical.rank
 
     def breakdown(self, rank: int) -> ProcessPrediction:
         """The per-process R_i/C_i split for one MPI rank."""
@@ -181,6 +186,12 @@ class MappingEvaluator:
     def with_options(self, options: EvaluationOptions) -> "MappingEvaluator":
         """A copy with different term toggles (counter carries over)."""
         clone = MappingEvaluator(self._profile, self._latency, self._nodes, self._snapshot, options)
+        clone._evaluations = self._evaluations
+        return clone
+
+    def with_profile(self, profile: ApplicationProfile) -> "MappingEvaluator":
+        """A copy predicting for *profile* — one segment's, say (counter carries over)."""
+        clone = MappingEvaluator(profile, self._latency, self._nodes, self._snapshot, self._options)
         clone._evaluations = self._evaluations
         return clone
 

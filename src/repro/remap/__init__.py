@@ -9,7 +9,8 @@ costs"* — as a first-class subsystem:
   checkpoint transfers over the actual source->destination links
   (:mod:`repro.remap.cost`); :class:`RemapCostModel` is the flat
   per-task baseline behind the same interface;
-* :class:`DriftWatcher` turns the monitoring stream into
+* :class:`DriftWatcher` turns the monitoring stream (the external
+  event) and the executing segment's behaviour (the internal one) into
   thrash-resistant drift events (:mod:`repro.remap.drift`);
 * :class:`Remapper` searches candidates warm-started from the current
   mapping (``propose``) and gives the one cost/benefit verdict

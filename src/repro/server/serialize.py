@@ -373,11 +373,11 @@ def schedule_result_to_dict(result: ScheduleResult) -> dict:
 
 
 def prediction_to_dict(prediction: MappingPrediction) -> dict:
-    critical = prediction.breakdown(prediction.critical_rank)
+    critical = prediction.critical  # one pass: S_M is its R_i + C_i
     return {
         "mapping": list(prediction.mapping.as_tuple()),
-        "execution_time": prediction.execution_time,
-        "critical_rank": prediction.critical_rank,
+        "execution_time": critical.total,
+        "critical_rank": critical.rank,
         "critical_breakdown": {
             "node": critical.node_id,
             "computation": critical.computation,

@@ -9,6 +9,7 @@ asserts the committed tree stays clean (the same gate CI applies).
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -48,6 +49,16 @@ def test_registry_contains_full_rule_pack():
     assert {"RPR100", "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106"} <= set(
         registered_checkers()
     )
+
+
+def test_documented_scopes_are_the_checkers_scopes():
+    """docs/ANALYSIS.md's scope column names exactly each checker's ``scopes``."""
+    rows = re.findall(
+        r"^\| (RPR\d+) \| [^|]+ \| ([^|]+) \|", (REPO / "docs/ANALYSIS.md").read_text(), re.M
+    )
+    documented = {rule: set(re.findall(r"`(repro\.\w+)`", cell)) for rule, cell in rows}
+    for rule, checker in registered_checkers().items():  # RPR000 is the engine's own
+        assert documented[rule] == set(checker.scopes or ()), rule
 
 
 def test_syntax_error_becomes_rpr000_finding():

@@ -1,4 +1,5 @@
-"""Tests for the flat cost model and the cost/benefit verdict it prices.
+"""Tests for the flat cost model (``repro.remap.cost.RemapCostModel``)
+and the cost/benefit verdict it prices.
 
 ``TestRemapAdvisor`` keeps its name (and test ids) from the class it
 used to cover: ``Remapper(cost_model=RemapCostModel(...),
@@ -8,9 +9,9 @@ safety_factor=1.0).decide(...)`` is that advisor.
 import pytest
 
 from repro.cluster import single_switch
-from repro.core import CBES, RemapCostModel, TaskMapping
+from repro.core import CBES, TaskMapping
 from repro.monitoring.load import LoadEvent, LoadGenerator
-from repro.remap import Remapper
+from repro.remap import RemapCostModel, Remapper
 from repro.workloads import SyntheticBenchmark
 
 

@@ -8,9 +8,9 @@ at reduced scale.
 import pytest
 
 from repro.cluster import orange_grove
-from repro.core import CBES, EvaluationOptions, RemapCostModel, TaskMapping
+from repro.core import CBES, EvaluationOptions, TaskMapping
 from repro.monitoring.load import LoadEvent, LoadGenerator
-from repro.remap import Remapper
+from repro.remap import RemapCostModel, Remapper
 from repro.schedulers import AnnealingSchedule, CbesScheduler, NoCommScheduler, RandomScheduler
 from repro.workloads import LU, Aztec, Towhee
 

@@ -17,7 +17,10 @@ HTTP level.
 
 import ast
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -475,9 +478,17 @@ class TestOnePath:
 
     def test_one_remap_tick_one_verdict(self):
         """Only ``remap/loop.py`` drives a drift watcher or asks a
-        remapper to propose; the flat advisor's names are gone."""
+        remapper to propose, only the remapper reaches its own verdict,
+        the flat advisor's and the second driver's names are gone, and
+        ``repro.core`` imports nothing that sits above it."""
         guarded = {"observe": "watcher", "rebase": "watcher", "propose": "remapper"}
+        gone = (
+            "RemapAdvisor", "RemapDecision",
+            "RemapTrigger", "RunningApplication", "RuntimeScheduler",
+        )
+        above_core = ("repro.remap", "repro.schedulers", "repro.server")
         tick_sites = set()
+        verdict_sites = set()
         offenders = []
         for where, tree in self._sources():
             for node in ast.walk(tree):
@@ -487,11 +498,39 @@ class TestOnePath:
                     kind = guarded.get(node.func.attr)
                     if kind is not None and kind in owner:
                         tick_sites.add(where)
+                    if node.func.attr == "decide":
+                        verdict_sites.add(where)
                 names = [
                     getattr(node, field, None) for field in ("id", "attr", "name", "asname")
                 ]
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names += [name for name in gone if name in node.value]  # docstrings
                 for name in names:
-                    if name in ("RemapAdvisor", "RemapDecision"):
+                    if name in gone:
                         offenders.append(f"{where}:{getattr(node, 'lineno', 0)} {name}")
+                if where.startswith("core/") and isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [alias.name for alias in node.names]
+                    if isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""] + [f"{node.module}.{m}" for m in modules]
+                    for module in modules:
+                        if module.startswith(above_core):
+                            offenders.append(f"{where}:{node.lineno} imports {module}")
         assert tick_sites == {"remap/loop.py"}
+        assert verdict_sites == {"remap/remapper.py"}
         assert offenders == []
+
+    def test_core_loads_nothing_above_it(self):
+        """A fresh ``import repro.core`` pulls in none of the layers above."""
+        above = ("remap", "schedulers", "search", "server", "telemetry")
+        code = "import sys, repro.core; print(sorted(m for m in sys.modules if m[:6] == 'repro.'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = ast.literal_eval(proc.stdout)
+        assert "repro.core.service" in loaded
+        assert [name for name in loaded if name.split(".")[1] in above] == []

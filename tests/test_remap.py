@@ -16,8 +16,10 @@ from repro.cluster import single_switch
 from repro.core import CBES, TaskMapping
 from repro.monitoring.load import LoadEvent, LoadGenerator
 from repro.remap import DriftWatcher, MigrationCostModel, RemapLoop, Remapper
+from repro.remap.drift import DRIFT_EVENTS_TOTAL
 from repro.simulate.closedloop import LoadPhase, run_closed_loop
-from repro.workloads import LU, SyntheticBenchmark
+from repro.telemetry import MetricsRegistry, use_registry
+from repro.workloads import LU, PhasedApplication, SyntheticBenchmark
 
 
 NNODES = 8
@@ -36,6 +38,16 @@ def make_service(duration_s: float = 120.0):
 @pytest.fixture(scope="module")
 def service_and_app():
     return make_service()
+
+
+@pytest.fixture(scope="module")
+def phased_service():
+    """The same cluster with a per-segment profile (three phases)."""
+    service = CBES(single_switch("rm", NNODES))
+    service.calibrate(seed=2)
+    app = PhasedApplication()
+    service.profile_application(app, NPROCS, seed=1, per_segment=True)
+    return service, app
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +197,31 @@ class TestDriftWatcher:
         assert watcher.observe(4.0, 200.0, 100.0) is None
         assert watcher.observe(8.0, 200.0, 100.0) is not None
 
+    def test_behaviour_is_a_second_source_under_the_same_guards(self):
+        """The internal signal alone fires, and is armed, re-armed and
+        cooled down exactly as the degradation is."""
+        with pytest.raises(ValueError):
+            DriftWatcher(behaviour_threshold=0.0)
+        watcher = DriftWatcher(hysteresis=0.5, cooldown_s=10.0, behaviour_threshold=0.5)
+        event = watcher.observe(1.0, 100.0, 100.0, 0.9)
+        assert (event.behaviour, event.degradation) == (0.9, 0.0)
+        # Still high, then receded but above the low-water mark (0.25):
+        # disarmed, and a degradation cannot fire through it either.
+        assert watcher.observe(12.0, 100.0, 100.0, 0.9) is None
+        assert watcher.observe(13.0, 100.0, 100.0, 0.3) is None
+        assert watcher.observe(14.0, 130.0, 100.0, 0.3) is None
+        assert not watcher.armed
+        # Below it: re-arm, and the next crossing fires.
+        assert watcher.observe(15.0, 100.0, 100.0, 0.2) is None
+        assert watcher.armed
+        assert watcher.observe(16.0, 100.0, 100.0, 0.9) is not None
+        # Re-armed again, but inside the cooldown of the firing at 16.
+        assert watcher.observe(17.0, 100.0, 100.0, 0.0) is None
+        assert watcher.observe(18.0, 100.0, 100.0, 0.9) is None
+        assert watcher.armed  # suppression does not consume the arm
+        assert watcher.observe(26.0, 100.0, 100.0, 0.9) is not None
+        assert watcher.events == 3
+
     def test_invalid_observations_rejected(self):
         watcher = DriftWatcher()
         with pytest.raises(ValueError):
@@ -320,6 +357,88 @@ class TestRemapLoop:
             ):
                 fired_at.append(loop.step(service.evaluator(app.name), 7.0) is not None)
         assert fired_at == [True, False]
+
+    #: (now_s, load the incumbent's nodes?, executing segment, source that
+    #: fires or None, loop.segment afterwards)
+    SEGMENT_SCRIPT = [
+        (0.0, False, None, None, None),  # whole-run behaviour, idle: nothing
+        (10.0, False, 1, "internal", 1),  # entering a deviating segment fires once
+        (11.0, False, 1, None, 1),  # same segment again: judged already
+        (30.0, True, 1, "external", 1),  # load: the first source, adopted at 30
+        (35.0, False, 2, None, 1),  # new segment inside that cooldown: not yet
+        (46.0, False, 2, "internal", 2),  # cooldown over: the entry was kept
+        (47.0, False, 9, None, 2),  # an unprofiled segment contributes nothing
+        (70.0, False, None, "internal", None),  # back to the whole run: an entry too
+        (90.0, False, 1, None, None),  # straight after an event: this tick re-arms,
+        (91.0, False, 1, "internal", 1),  # the next fires — late, not lost
+    ]
+
+    def test_step_table_second_source(self, phased_service):
+        """One search per segment entry, judged on that segment's profile."""
+        service, app = phased_service
+        profile = service.profile(app.name)
+        start = TaskMapping(service.cluster.node_ids()[:NPROCS])
+        loop = RemapLoop(
+            mapping=start,
+            baseline_s=service.evaluator(app.name).execution_time(start),
+            watcher=DriftWatcher(threshold=0.10, cooldown_s=15.0),
+            remapper=Remapper(restarts=2, seed_scan=4, safety_factor=1.0),
+            seed=3,
+        )
+        generator = LoadGenerator(service.cluster)
+        for now_s, load, segment, source, judged_for in self.SEGMENT_SCRIPT:
+            events = [LoadEvent(n, cpu_load=1.5) for n in loop.mapping.as_tuple()] if load else []
+            before = loop.to_dict()
+            with generator.loaded(events):
+                evaluator = service.evaluator(app.name)
+                fired = loop.step(evaluator, now_s, segment=segment)
+                assert loop.segment == judged_for, now_s
+                if source is None:
+                    assert fired is None, now_s
+                    assert loop.to_dict() == before
+                    continue
+                event, plan = fired
+                assert loop.proposals == before["proposals"] + 1
+                if source == "internal":
+                    assert event.behaviour > loop.watcher.behaviour_threshold
+                    assert event.degradation == pytest.approx(0.0, abs=1e-9)
+                else:
+                    assert event.behaviour == 0.0
+                    assert event.degradation > loop.watcher.threshold
+                judged_on = profile if segment is None else profile.segments[segment]
+                assert plan.current_remaining_s == evaluator.with_profile(
+                    judged_on
+                ).execution_time(loop.mapping)
+                assert plan.remap is load, now_s
+                if plan.remap:
+                    loop.adopt(plan, evaluator, now_s)
+        assert (loop.drift_events, loop.proposals, loop.remaps) == (5, 5, 1)
+
+    @pytest.mark.parametrize("fraction", [1.2, math.nan, 0.0, -0.1])
+    def test_rejected_fraction_spends_no_drift(self, service_and_app, fraction):
+        """A tick refused for its ``fraction_remaining`` changes nothing:
+        the next valid tick under the same load still fires."""
+        service, app = service_and_app
+        start = TaskMapping(service.cluster.node_ids()[:NPROCS])
+        loop = RemapLoop(
+            mapping=start,
+            baseline_s=service.evaluator(app.name).execution_time(start),
+            watcher=DriftWatcher(threshold=0.10),
+            remapper=Remapper(restarts=2, seed_scan=4),
+        )
+        before = loop.to_dict()
+        registry = MetricsRegistry()
+        with LoadGenerator(service.cluster).loaded(
+            [LoadEvent(n, cpu_load=1.5) for n in start.as_tuple()]
+        ), use_registry(registry):
+            evaluator = service.evaluator(app.name)
+            with pytest.raises(ValueError, match="fraction_remaining"):
+                loop.step(evaluator, 1.0, fraction)
+            assert loop.to_dict() == before
+            assert loop.watcher.armed
+            assert registry.counter(*DRIFT_EVENTS_TOTAL).samples() == []
+            assert loop.step(evaluator, 2.0, 0.5) is not None
+            assert registry.counter(*DRIFT_EVENTS_TOTAL).labels().value == 1
 
 
 class TestClosedLoop:

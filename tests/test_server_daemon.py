@@ -7,6 +7,7 @@ poll, backpressure, drain, and snapshot refresh.
 """
 
 import ast
+import random
 import signal
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 
 import repro.server
 from repro.cluster import single_switch
-from repro.core import CBES, TaskMapping
+from repro.core import CBES, MappingPrediction, ProcessPrediction, TaskMapping
 from repro.core.errors import InvalidMappingError
 from repro.core.fast_eval import EvaluationContext
 from repro.schedulers import CbesScheduler
@@ -265,6 +266,47 @@ class TestQuotesReadTheKernel:
                 "snapshot_fingerprint": fingerprint,
             }
             assert metric_value(client, "cbes_evaluations_total") == 1 + len(candidates)
+
+    def test_quote_document_finds_the_critical_process_once(self):
+        """One ``max`` pass writes what the three passes wrote, ties included."""
+
+        def three_passes(prediction: MappingPrediction) -> dict:
+            critical = prediction.breakdown(prediction.critical_rank)
+            return {
+                "mapping": list(prediction.mapping.as_tuple()),
+                "execution_time": prediction.execution_time,
+                "critical_rank": prediction.critical_rank,
+                "critical_breakdown": {
+                    "node": critical.node_id,
+                    "computation": critical.computation,
+                    "communication": critical.communication,
+                },
+                "processes": [
+                    {
+                        "rank": p.rank,
+                        "node": p.node_id,
+                        "computation": p.computation,
+                        "communication": p.communication,
+                    }
+                    for p in prediction.processes
+                ],
+            }
+
+        rng = random.Random(23)
+        for case in range(200):
+            nprocs = rng.randint(1, 9)
+            # Quarter-steps: sums are exact, so distinct (R, C) splits tie.
+            totals = [(rng.randint(0, 8) / 4, rng.randint(0, 8) / 4) for _ in range(nprocs)]
+            if case % 2:
+                totals = [(r + rng.random(), c) for r, c in totals]
+            nodes = [f"n{rank}" for rank in range(nprocs)]
+            prediction = MappingPrediction(
+                TaskMapping(nodes),
+                tuple(ProcessPrediction(i, nodes[i], r, c) for i, (r, c) in enumerate(totals)),
+            )
+            assert prediction_to_dict(prediction) == three_passes(prediction)
+            ties = [p.rank for p in prediction.processes if p.total == prediction.execution_time]
+            assert prediction.critical_rank == ties[0]
 
     def test_one_context_serves_every_quote_of_a_generation(self, service_and_app):
         service, app_name = service_and_app

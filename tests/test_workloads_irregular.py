@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import single_switch
-from repro.core import CBES, RemapTrigger, TaskMapping
+from repro.core import CBES, TaskMapping
+from repro.remap.drift import behaviour_drift
 from repro.simulate import Compute
 from repro.workloads import IrregularApplication
 
@@ -85,6 +86,8 @@ class TestExecution:
         profile = service.profile_application(
             app, 8, mapping=mapping, seed=0, per_segment=True
         )
-        trigger = RemapTrigger(behaviour_drift=0.25)
-        fired = [seg for seg in profile.segments if trigger.internal(profile, seg)]
+        fired = [
+            seg for seg, active in profile.segments.items()
+            if behaviour_drift(profile, active) > 0.25
+        ]
         assert fired  # at least one epoch deviates from the aggregate
