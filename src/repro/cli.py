@@ -46,8 +46,10 @@ from repro.server import (
     CbesClient,
     CbesDaemon,
     JobFailed,
+    JobState,
     ServerError,
 )
+from repro.server.serialize import JOB_FIELDS, JOB_KINDS, WATCH_FIELDS
 from repro.workloads import (
     BT,
     CG,
@@ -328,42 +330,31 @@ def _client(args) -> CbesClient:
     return CbesClient(args.host, args.port, timeout_s=args.timeout)
 
 
+def _node_ids(text: str) -> list[str]:
+    """A comma-separated node-id argument (``--nodes``, ``--pool``, a mapping)."""
+    return [n.strip() for n in text.split(",") if n.strip()]
+
+
+def _fields(args, table) -> dict:
+    """The parsed flags that are fields of the wire document *table* describes.
+
+    A flag that becomes a body field is named like the field, so the
+    tables of :mod:`repro.server.serialize` say what is sent; a flag
+    left at ``None`` is not sent and the server's default applies.
+    """
+    return {name: getattr(args, name) for name in table if hasattr(args, name)}
+
+
 def cmd_submit(args) -> int:
     client = _client(args)
-    payload: dict = {"app": args.app, "seed": args.seed}
-    nodes = [n.strip() for n in args.nodes.split(",")] if args.nodes else None
+    fields = _fields(args, JOB_FIELDS[args.kind])
     if args.kind == "schedule":
-        payload["scheduler"] = args.scheduler
-        if nodes:
-            payload["pool"] = nodes
-        elif args.arch:
-            payload["arch"] = args.arch
-        if args.workers is not None:
-            payload["workers"] = args.workers
-        if args.time_budget is not None:
-            payload["time_budget"] = args.time_budget
-    else:  # predict
-        if not nodes:
-            raise SystemExit("error: `submit --kind predict` requires --nodes")
-        payload["nodes"] = nodes
-    try:
-        job = client.submit(args.kind, **payload)
-    except BackpressureError as exc:
-        raise SystemExit(
-            f"error: daemon queue is full; retry in {exc.retry_after_s:.0f}s"
-        ) from None
-    except ServerError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    except OSError as exc:
-        raise SystemExit(f"error: cannot reach daemon at {args.host}:{args.port}: {exc}") from None
+        fields["pool"] = args.nodes  # --nodes: a schedule job's pool, a predict job's mapping
+    job = client.submit(**fields)
     print(f"job {job['id']} {job['state']}")
     if args.no_wait:
         return 0
-    try:
-        job = client.wait(job["id"], timeout_s=args.timeout)
-    except JobFailed as exc:
-        raise SystemExit(f"error: {exc}") from None
-    result = job["result"]
+    result = client.wait(job["id"], timeout_s=args.timeout)["result"]
     if args.kind == "schedule":
         print(
             f"scheduler: {result['scheduler']} ({result['evaluations']} evaluations, "
@@ -384,29 +375,24 @@ def cmd_submit(args) -> int:
 
 def cmd_jobs(args) -> int:
     client = _client(args)
-    try:
-        if args.job_id:
-            print(json.dumps(client.job(args.job_id), indent=2, sort_keys=True))
-            return 0
-        health = client.healthz()
-        print(
-            f"daemon {health['status']}: uptime {health['uptime_s']:.0f}s, "
-            f"queue {health['queue_depth']}/{health['queue_limit']}, jobs {health['jobs']}"
-        )
-        for job in client.jobs(state=args.state, limit=args.limit, after=args.after):
-            line = f"  {job['id']}  {job['kind']:<9} {job['state']:<8}"
-            if job["state"] == "done" and "result" in job:
-                time_key = "predicted_time" if "predicted_time" in job["result"] else "execution_time"
-                if time_key in job["result"]:
-                    line += f" {job['result'][time_key]:8.2f} s"
-            elif job["state"] == "failed":
-                line += f" {job.get('error', '')}"
-            print(line)
+    if args.job_id:
+        print(json.dumps(client.job(args.job_id), indent=2, sort_keys=True))
         return 0
-    except ServerError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    except OSError as exc:
-        raise SystemExit(f"error: cannot reach daemon at {args.host}:{args.port}: {exc}") from None
+    health = client.healthz()
+    print(
+        f"daemon {health['status']}: uptime {health['uptime_s']:.0f}s, "
+        f"queue {health['queue_depth']}/{health['queue_limit']}, jobs {health['jobs']}"
+    )
+    for job in client.jobs(state=args.state, limit=args.limit, after=args.after):
+        line = f"  {job['id']}  {job['kind']:<9} {job['state']:<8}"
+        if job["state"] == "done" and "result" in job:
+            time_key = "predicted_time" if "predicted_time" in job["result"] else "execution_time"
+            if time_key in job["result"]:
+                line += f" {job['result'][time_key]:8.2f} s"
+        elif job["state"] == "failed":
+            line += f" {job.get('error', '')}"
+        print(line)
+    return 0
 
 
 def _parse_load_spec(spec: str) -> list[dict]:
@@ -433,96 +419,65 @@ def _parse_load_spec(spec: str) -> list[dict]:
 
 def cmd_remap(args) -> int:
     client = _client(args)
-    try:
-        if args.remap_command == "inject":
-            result = client.inject_load(_parse_load_spec(args.load))
-            for event in result["applied"]:
-                print(
-                    f"{event['node']}: cpu_load={event['cpu_load']:g} "
-                    f"nic_load={event['nic_load']:g}"
-                )
-            print(f"snapshot {result['snapshot_fingerprint'][:12]} adopted")
-            return 0
-        if args.remap_command == "wait":
-            try:
-                decision = client.wait_decision(args.watch_id, timeout_s=args.timeout)
-            except TimeoutError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            print(json.dumps(decision, indent=2, sort_keys=True))
-            return 0
-        if args.remap_command == "decisions":
-            decisions = client.remap_decisions(args.limit)
-            if args.json:
-                print(json.dumps(decisions, indent=2, sort_keys=True))
-                return 0
-            if not decisions:
-                print("no remap decisions recorded")
-                return 0
-            for doc in decisions:
-                verdict = "remap" if doc["remap"] else "stay"
-                print(
-                    f"{doc['watch_id']} tick {doc['tick']:>3} ({doc['app']}): {verdict}  "
-                    f"drift {doc['drift'] * 100:+.1f}%  savings {doc['savings_s']:.2f}s  "
-                    f"cost {doc['migration_cost_s']:.2f}s  moves {len(doc['moves'])}"
-                )
-            return 0
-        # watch
-        mapping = [n.strip() for n in args.mapping.split(",") if n.strip()]
-        pool = [n.strip() for n in args.pool.split(",") if n.strip()] if args.pool else None
-        watch = client.remap_watch(
-            args.app,
-            mapping,
-            pool=pool,
-            interval_s=args.interval,
-            threshold=args.threshold,
-            cooldown_s=args.cooldown,
-            safety_factor=args.safety_factor,
-            seed=args.seed,
-            max_ticks=args.ticks,
-        )
-        print(
-            f"watch {watch['id']} on {watch['app']}: baseline "
-            f"{watch['baseline_s']:.2f}s, every {watch['interval_s']:g}s"
-        )
-        if not args.wait:
-            return 0
-        try:
-            decision = client.wait_decision(watch["id"], timeout_s=args.timeout)
-        except TimeoutError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        verdict = "remap" if decision["remap"] else "stay"
-        print(
-            f"decision at tick {decision['tick']}: {verdict} "
-            f"(drift {decision['drift'] * 100:+.1f}%, savings {decision['savings_s']:.2f}s, "
-            f"migration cost {decision['migration_cost_s']:.2f}s)"
-        )
-        if decision["remap"]:
-            for move in decision["moves"]:
-                print(
-                    f"  rank {move['rank']}: {move['source']} -> {move['destination']} "
-                    f"({move['seconds'] * 1e3:.1f} ms)"
-                )
+    if args.remap_command == "inject":
+        result = client.inject_load(_parse_load_spec(args.load))
+        for event in result["applied"]:
+            print(
+                f"{event['node']}: cpu_load={event['cpu_load']:g} "
+                f"nic_load={event['nic_load']:g}"
+            )
+        print(f"snapshot {result['snapshot_fingerprint'][:12]} adopted")
         return 0
-    except ServerError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    except OSError as exc:
-        raise SystemExit(f"error: cannot reach daemon at {args.host}:{args.port}: {exc}") from None
+    if args.remap_command == "wait":
+        decision = client.wait_decision(args.watch_id, timeout_s=args.timeout)
+        print(json.dumps(decision, indent=2, sort_keys=True))
+        return 0
+    if args.remap_command == "decisions":
+        decisions = client.remap_decisions(args.limit)
+        if args.json:
+            print(json.dumps(decisions, indent=2, sort_keys=True))
+            return 0
+        if not decisions:
+            print("no remap decisions recorded")
+            return 0
+        for doc in decisions:
+            verdict = "remap" if doc["remap"] else "stay"
+            print(
+                f"{doc['watch_id']} tick {doc['tick']:>3} ({doc['app']}): {verdict}  "
+                f"drift {doc['drift'] * 100:+.1f}%  savings {doc['savings_s']:.2f}s  "
+                f"cost {doc['migration_cost_s']:.2f}s  moves {len(doc['moves'])}"
+            )
+        return 0
+    # watch
+    watch = client.remap_watch(**_fields(args, WATCH_FIELDS))
+    print(
+        f"watch {watch['id']} on {watch['app']}: baseline "
+        f"{watch['baseline_s']:.2f}s, every {watch['interval_s']:g}s"
+    )
+    if not args.wait:
+        return 0
+    decision = client.wait_decision(watch["id"], timeout_s=args.timeout)
+    verdict = "remap" if decision["remap"] else "stay"
+    print(
+        f"decision at tick {decision['tick']}: {verdict} "
+        f"(drift {decision['drift'] * 100:+.1f}%, savings {decision['savings_s']:.2f}s, "
+        f"migration cost {decision['migration_cost_s']:.2f}s)"
+    )
+    if decision["remap"]:
+        for move in decision["moves"]:
+            print(
+                f"  rank {move['rank']}: {move['source']} -> {move['destination']} "
+                f"({move['seconds'] * 1e3:.1f} ms)"
+            )
+    return 0
 
 
 def cmd_metrics(args) -> int:
     client = _client(args)
-    try:
-        if args.raw:
-            print(client.metrics_text(), end="")
-            return 0
-        metrics = client.metrics()
-    except ServerError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    except OSError as exc:
-        raise SystemExit(f"error: cannot reach daemon at {args.host}:{args.port}: {exc}") from None
-    for name, family in metrics.items():
+    if args.raw:
+        print(client.metrics_text(), end="")
+        return 0
+    for name, family in client.metrics().items():
         print(f"{name} ({family['type']})")
         for sample in family["samples"]:
             labels = sample["labels"]
@@ -675,25 +630,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submit", help="submit a job to a running daemon")
     add_endpoint_args(p)
     p.add_argument("app", help="profiled application name, e.g. lu.A")
-    p.add_argument("--kind", default="schedule", choices=["schedule", "predict"])
-    p.add_argument("--scheduler", default="cs", choices=sorted(SCHEDULERS))
-    p.add_argument("--arch", default=None, help="restrict the pool to one architecture")
+    p.add_argument("--kind", default="schedule", choices=JOB_KINDS)
+    # A flag not given is not sent: the server states the defaults.
+    p.add_argument("--scheduler", choices=sorted(SCHEDULERS), help="search algorithm (schedule)")
+    p.add_argument("--arch", help="restrict the pool to one architecture")
     p.add_argument(
         "--nodes",
-        default=None,
+        type=_node_ids,
         help="comma-separated node ids (the pool for schedule, the mapping for predict)",
     )
+    p.add_argument("--workers", type=int, help="search worker processes for schedule jobs")
     p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="search worker processes for schedule jobs",
-    )
-    p.add_argument(
-        "--time-budget",
-        type=float,
-        default=None,
-        help="wall-clock budget in seconds for schedule jobs",
+        "--time-budget", type=float, help="wall-clock budget in seconds for schedule jobs"
     )
     p.add_argument("--no-wait", action="store_true", help="print the job id and return")
     p.set_defaults(func=cmd_submit)
@@ -711,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state",
         default=None,
-        choices=["queued", "running", "done", "failed"],
+        choices=[state.value for state in JobState],
         help="list only jobs in this state",
     )
     p.add_argument("--limit", type=int, default=None, help="page size")
@@ -724,18 +672,20 @@ def build_parser() -> argparse.ArgumentParser:
     rw = rsub.add_parser("watch", help="register a remap watch on a running application")
     add_endpoint_args(rw)
     rw.add_argument("app", help="profiled application name, e.g. lu.A")
-    rw.add_argument("mapping", help="comma-separated node ids, rank order (current mapping)")
-    rw.add_argument("--pool", default=None, help="comma-separated candidate node pool")
-    rw.add_argument("--interval", type=float, default=1.0, help="watch tick period (s)")
-    rw.add_argument("--threshold", type=float, default=0.10, help="relative drift that fires")
-    rw.add_argument("--cooldown", type=float, default=0.0, help="min seconds between firings")
     rw.add_argument(
-        "--safety-factor",
-        type=float,
-        default=1.5,
-        help="migration cost inflation in the remap rule",
+        "mapping", type=_node_ids, help="comma-separated node ids, rank order (current mapping)"
     )
-    rw.add_argument("--ticks", type=int, default=None, help="stop the watch after N ticks")
+    rw.add_argument("--pool", type=_node_ids, help="comma-separated candidate node pool")
+    # A flag not given is not sent: the server states the defaults.
+    rw.add_argument("--interval", dest="interval_s", type=float, help="watch tick period (s)")
+    rw.add_argument("--threshold", type=float, help="relative drift that fires")
+    rw.add_argument(
+        "--cooldown", dest="cooldown_s", type=float, help="min seconds between firings"
+    )
+    rw.add_argument(
+        "--safety-factor", type=float, help="migration cost inflation in the remap rule"
+    )
+    rw.add_argument("--ticks", dest="max_ticks", type=int, help="stop the watch after N ticks")
     rw.add_argument(
         "--wait",
         action="store_true",
@@ -764,9 +714,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The commands that talk to a running daemon or router.
+_CLIENT_COMMANDS = (cmd_submit, cmd_jobs, cmd_remap, cmd_metrics)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.func not in _CLIENT_COMMANDS:
+        return args.func(args)
+    try:
+        return args.func(args)
+    except BackpressureError as exc:
+        raise SystemExit(
+            f"error: daemon queue is full; retry in {exc.retry_after_s:.0f}s"
+        ) from None
+    except (ServerError, JobFailed, TimeoutError) as exc:  # TimeoutError: a wait's deadline
+        raise SystemExit(f"error: {exc}") from None
+    except OSError as exc:
+        raise SystemExit(f"error: cannot reach daemon at {args.host}:{args.port}: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover - module CLI

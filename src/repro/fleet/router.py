@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
 import uuid
 from urllib.parse import quote, urlencode
 
@@ -71,6 +72,7 @@ from repro.server.http import (
 )
 from repro.server.jobs import JobState
 from repro.server.protocol import ApiError, HttpRequest
+from repro.server.serialize import COMMON_JOB_FIELDS, batch_entries, check_field
 from repro.telemetry.export import merge_snapshots
 
 __all__ = ["FleetRouter", "RouterThread"]
@@ -321,18 +323,19 @@ class FleetRouter(HttpService):
         healthy = set(self._require_healthy())
         return [b for b in rendezvous_rank(job_id, self._order) if b in healthy]
 
+    @staticmethod
+    def _stamped(doc: dict) -> dict:
+        """*doc* with a job id: the caller's (held to the daemon's rule) or a minted one."""
+        if check_field(COMMON_JOB_FIELDS, doc, "id") is not None:
+            return doc
+        # The id is pure identity (never a scheduling decision), so OS
+        # entropy keeps it unique across routers and restarts.
+        return {**doc, "id": uuid.uuid4().hex}  # repro: disable=RPR101
+
     async def _submit(self, request: HttpRequest) -> Response:
-        doc = request.json()
-        job_id = doc.get("id")
-        if job_id is None:
-            # The id is pure identity (never a scheduling decision), so
-            # OS entropy keeps it unique across routers and restarts.
-            job_id = uuid.uuid4().hex  # repro: disable=RPR101
-            doc = {**doc, "id": job_id}
-        if not isinstance(job_id, str) or not job_id:
-            raise ApiError(400, "bad-request", "payload field 'id' must be a non-empty string")
+        doc = self._stamped(request.json())
         last_error: BackendError | None = None
-        for backend in self._routed_backends(job_id):
+        for backend in self._routed_backends(doc["id"]):
             try:
                 status, payload = await self._call(request, backend, "POST", "/v1/jobs", doc)
             except BackendError as exc:
@@ -345,20 +348,7 @@ class FleetRouter(HttpService):
         )
 
     async def _submit_batch(self, request: HttpRequest) -> Response:
-        doc = request.json()
-        entries = doc.get("jobs")
-        if not isinstance(entries, list) or not entries:
-            raise ApiError(
-                400, "bad-request", "payload field 'jobs' must be a non-empty list of job documents"
-            )
-        stamped = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise ApiError(400, "bad-request", "every batch entry must be a JSON object")
-            if entry.get("id") is None:
-                # Identity, not a decision (see _submit).
-                entry = {**entry, "id": uuid.uuid4().hex}  # repro: disable=RPR101
-            stamped.append(entry)
+        stamped = batch_entries(request.json(), self._stamped)
         groups: dict[str, list[int]] = {}
         for i, entry in enumerate(stamped):
             backend = self._routed_backends(entry["id"])[0]
@@ -599,15 +589,15 @@ class FleetRouter(HttpService):
         try:
             timeout_s = float(request.query.get("timeout_s", ["120"])[0])
         except ValueError:
-            raise ApiError(400, "bad-request", "timeout_s must be a number") from None
-        base_seed = doc.get("seed", 0)
-        if not isinstance(base_seed, int) or isinstance(base_seed, bool):
-            raise ApiError(400, "bad-request", "payload field 'seed' must be an integer")
+            timeout_s = math.nan
+        if not 0 < timeout_s < math.inf:  # NaN too: it would make the deadline unreachable
+            raise ApiError(400, "bad-request", "timeout_s must be a finite number > 0")
+        base_seed = check_field(COMMON_JOB_FIELDS, doc, "seed")
         backends = self._require_healthy()
         loop = asyncio.get_running_loop()
 
         async def _race(index: int, backend: str) -> dict:
-            # Identity, not a decision (see _submit).
+            # Identity, not a decision (see _stamped).
             job_id = uuid.uuid4().hex  # repro: disable=RPR101
             body = {**doc, "kind": "schedule", "seed": base_seed + index, "id": job_id}
             status, payload = await self._call(request, backend, "POST", "/v1/jobs", body)

@@ -21,6 +21,8 @@ __all__ = ["BackendError", "BackendPool", "read_response"]
 #: misconfigured backend must not balloon the router.
 MAX_RESPONSE_HEADER_BYTES = 64 * 1024
 MAX_RESPONSE_BODY_BYTES = 64 * 1024 * 1024
+#: Idle connections a pool keeps for reuse; extras are closed on release.
+MAX_IDLE = 4
 
 
 class BackendError(RuntimeError):
@@ -80,11 +82,9 @@ class BackendPool:
         ``host:port`` of the replica (also its identity in errors).
     timeout_s:
         Per-exchange deadline (connect, send, and read each response).
-    max_idle:
-        Idle connections kept for reuse; extras are closed on release.
     """
 
-    def __init__(self, backend: str, *, timeout_s: float = 30.0, max_idle: int = 4):
+    def __init__(self, backend: str, *, timeout_s: float = 30.0):
         host, _, port_text = backend.rpartition(":")
         if not host or not port_text.isdigit():
             raise ValueError(f"backend must be host:port, got {backend!r}")
@@ -92,7 +92,6 @@ class BackendPool:
         self.host = host
         self.port = int(port_text)
         self.timeout_s = timeout_s
-        self.max_idle = max_idle
         self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         self._closed = False
 
@@ -105,7 +104,7 @@ class BackendPool:
             raise BackendError(self.backend, f"connect failed: {exc}") from None
 
     def _release(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        if self._closed or len(self._idle) >= self.max_idle:
+        if self._closed or len(self._idle) >= MAX_IDLE:
             writer.close()
             return
         self._idle.append((reader, writer))

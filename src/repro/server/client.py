@@ -91,6 +91,16 @@ def _id_chunks(ids: list[str]) -> Iterator[str]:
         yield ",".join(chunk)
 
 
+def _body(**fields) -> dict:
+    """A request document: *fields* minus the ``None`` ones.
+
+    Every optional field of the wire contract
+    (:mod:`repro.server.serialize`) has its default on the server, so a
+    builder passes what it was given and restates none of them.
+    """
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 class CbesClient:
     """Talks to one scheduling daemon over a pooled keep-alive connection.
 
@@ -100,9 +110,6 @@ class CbesClient:
         The daemon's bind address.
     timeout_s:
         Socket timeout per request.
-    keep_alive:
-        Reuse one connection across calls (the default).  ``False``
-        restores the historical one-connection-per-request behavior.
 
     The client is also a context manager; leaving the ``with`` block
     (or calling :meth:`close`) drops the pooled connection.  Not
@@ -121,18 +128,10 @@ class CbesClient:
         ConnectionAbortedError,
     )
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        *,
-        timeout_s: float = 30.0,
-        keep_alive: bool = True,
-    ):
+    def __init__(self, host: str = "127.0.0.1", port: int = 8080, *, timeout_s: float = 30.0):
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self.keep_alive = keep_alive
         self._conn: http.client.HTTPConnection | None = None
 
     # -- connection lifecycle -------------------------------------------
@@ -179,7 +178,7 @@ class CbesClient:
             except Exception:
                 self.close()
                 raise
-            if response.will_close or not self.keep_alive:
+            if response.will_close:
                 self.close()
             return response.status, dict(response.headers.items()), raw
         raise ServerError(599, "unreachable", "retry loop exhausted")  # pragma: no cover
@@ -235,7 +234,7 @@ class CbesClient:
     # -- jobs -----------------------------------------------------------
     def submit(self, kind: str, **payload) -> dict:
         """Submit a job; returns the queued job document (with ``id``)."""
-        return self._request("POST", "/v1/jobs", {"kind": kind, **payload})["job"]
+        return self._request("POST", "/v1/jobs", _body(kind=kind, **payload))["job"]
 
     def submit_batch(self, jobs: list[dict]) -> list[dict]:
         """Submit N job documents in one request (``POST /v1/jobs:batch``).
@@ -271,13 +270,10 @@ class CbesClient:
         absent from the answer.  A long list is sent as several requests
         that each fit the service's header and id-count limits.
         """
-        params = []
-        if state is not None:
-            params.append(f"state={quote(state, safe='')}")
-        if limit is not None:
-            params.append(f"limit={limit}")
-        if after is not None:
-            params.append(f"after={quote(after, safe='')}")
+        params = [
+            f"{name}={quote(str(value), safe='')}"
+            for name, value in _body(state=state, limit=limit, after=after).items()
+        ]
         if ids is None:
             path = "/v1/jobs" + ("?" + "&".join(params) if params else "")
             return self._request("GET", path)["jobs"]
@@ -348,39 +344,18 @@ class CbesClient:
             )
 
     # -- remapping ------------------------------------------------------
-    def remap_watch(
-        self,
-        app: str,
-        mapping: list[str],
-        *,
-        pool: list[str] | None = None,
-        interval_s: float | None = None,
-        threshold: float | None = None,
-        hysteresis: float | None = None,
-        cooldown_s: float | None = None,
-        safety_factor: float | None = None,
-        seed: int | None = None,
-        max_ticks: int | None = None,
-    ) -> dict:
+    def remap_watch(self, app: str, mapping: list[str], **knobs) -> dict:
         """Register a remap watch; returns the watch document (with ``id``).
 
         The daemon then re-evaluates *mapping* under each fresh snapshot
         every ``interval_s`` and records a cost/benefit decision whenever
-        drift past ``threshold`` fires; omitted knobs use the server
-        defaults.
+        drift past ``threshold`` fires.  *knobs* are the other fields of
+        a watch document (``WATCH_FIELDS`` in
+        :mod:`repro.server.serialize`: ``pool``, ``interval_s``,
+        ``threshold``, ``hysteresis``, ``cooldown_s``, ``safety_factor``,
+        ``seed``, ``max_ticks``); one omitted uses the server default.
         """
-        body: dict = {"app": app, "mapping": mapping}
-        optional = {
-            "pool": pool,
-            "interval_s": interval_s,
-            "threshold": threshold,
-            "hysteresis": hysteresis,
-            "cooldown_s": cooldown_s,
-            "safety_factor": safety_factor,
-            "seed": seed,
-            "max_ticks": max_ticks,
-        }
-        body.update({key: value for key, value in optional.items() if value is not None})
+        body = _body(app=app, mapping=mapping, **knobs)
         return self._request("POST", "/v1/remap/watch", body)["watch"]
 
     def remap_watches(self) -> list[dict]:
@@ -433,62 +408,33 @@ class CbesClient:
                 time.sleep(poll_interval_s)
 
     # -- one-call conveniences ------------------------------------------
-    def schedule(
-        self,
-        app: str,
-        *,
-        scheduler: str = "cs",
-        pool: list[str] | None = None,
-        arch: str | None = None,
-        seed: int = 0,
-        options: dict | None = None,
-        workers: int | None = None,
-        time_budget: float | None = None,
-        timeout_s: float = 300.0,
-    ) -> dict:
-        """Submit a scheduling job and wait for its result document."""
-        payload: dict = {"app": app, "scheduler": scheduler, "seed": seed}
-        if pool is not None:
-            payload["pool"] = pool
-        if arch is not None:
-            payload["arch"] = arch
-        if options is not None:
-            payload["options"] = options
-        if workers is not None:
-            payload["workers"] = workers
-        if time_budget is not None:
-            payload["time_budget"] = time_budget
-        job = self.submit("schedule", **payload)
+    # Each takes the other fields of its job kind (``JOB_FIELDS`` in
+    # :mod:`repro.server.serialize`) as keywords and restates none of
+    # them: the server checks them and states their defaults.
+    def _run(self, kind: str, timeout_s: float, **fields) -> dict:
+        job = self.submit(kind, **fields)
         return self.wait(job["id"], timeout_s=timeout_s)["result"]
 
-    def predict(
-        self,
-        app: str,
-        nodes: list[str],
-        *,
-        seed: int = 0,
-        options: dict | None = None,
-        timeout_s: float = 60.0,
-    ) -> dict:
-        """Submit a prediction job for one explicit mapping and wait."""
-        payload: dict = {"app": app, "nodes": nodes, "seed": seed}
-        if options is not None:
-            payload["options"] = options
-        job = self.submit("predict", **payload)
-        return self.wait(job["id"], timeout_s=timeout_s)["result"]
+    def schedule(self, app: str, *, timeout_s: float = 300.0, **fields) -> dict:
+        """Submit a scheduling job and wait for its result document.
+
+        *fields*: ``scheduler``, ``pool`` or ``arch``, ``seed``,
+        ``options``, ``workers``, ``time_budget``.
+        """
+        return self._run("schedule", timeout_s, app=app, **fields)
+
+    def predict(self, app: str, nodes: list[str], *, timeout_s: float = 60.0, **fields) -> dict:
+        """Submit a prediction job for one explicit mapping and wait.
+
+        *fields*: ``seed``, ``options``.
+        """
+        return self._run("predict", timeout_s, app=app, nodes=nodes, **fields)
 
     def compare(
-        self,
-        app: str,
-        mappings: list[list[str]],
-        *,
-        seed: int = 0,
-        options: dict | None = None,
-        timeout_s: float = 120.0,
+        self, app: str, mappings: list[list[str]], *, timeout_s: float = 120.0, **fields
     ) -> list[dict]:
-        """Submit a comparison job; returns predictions fastest-first."""
-        payload: dict = {"app": app, "mappings": mappings, "seed": seed}
-        if options is not None:
-            payload["options"] = options
-        job = self.submit("compare", **payload)
-        return self.wait(job["id"], timeout_s=timeout_s)["result"]["ranked"]
+        """Submit a comparison job; returns predictions fastest-first.
+
+        *fields*: ``seed``, ``options``.
+        """
+        return self._run("compare", timeout_s, app=app, mappings=mappings, **fields)["ranked"]

@@ -327,7 +327,8 @@ class CbesDaemon(HttpService):
         if self._draining:
             raise ApiError(503, "shutting-down", "daemon is draining; submit elsewhere")
         doc = request.json()
-        jobs = self._accept(request, doc["jobs"], validate_batch_payload(self._service, doc))
+        validated = validate_batch_payload(self._service, doc)  # before doc["jobs"] is read
+        jobs = self._accept(request, doc["jobs"], validated)
         self._m_batches.inc()
         return 202, {"jobs": [job.to_dict() for job in jobs], "count": len(jobs)}, {}
 
@@ -378,17 +379,12 @@ class CbesDaemon(HttpService):
         adopts a fresh snapshot immediately so watches and jobs see the
         new conditions without waiting out the refresh interval.
         """
-        triples = validate_load_events(self._service, request.json())
-        events = [LoadEvent(node, cpu_load=cpu, nic_load=nic) for node, cpu, nic in triples]
-        LoadGenerator(self._service.cluster).apply(events)
+        events = validate_load_events(self._service, request.json())
+        LoadGenerator(self._service.cluster).apply(
+            [LoadEvent(e["node"], cpu_load=e["cpu_load"], nic_load=e["nic_load"]) for e in events]
+        )
         self.runner.adopt_snapshot(self.runner.poll_snapshot())
-        return 200, {
-            "applied": [
-                {"node": e.node_id, "cpu_load": e.cpu_load, "nic_load": e.nic_load}
-                for e in events
-            ],
-            "snapshot_fingerprint": self.runner.serving[1],
-        }, {}
+        return 200, {"applied": events, "snapshot_fingerprint": self.runner.serving[1]}, {}
 
     # -- reads ----------------------------------------------------------
     async def _get_snapshot(self, request: HttpRequest) -> Response:

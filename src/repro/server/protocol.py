@@ -114,7 +114,9 @@ class HttpRequest:
             raise ApiError(400, "bad-request", "request body must be a JSON object")
         try:
             doc = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad UTF-8, bad JSON, or an integer past the digit
+            # limit; RecursionError: nesting deeper than the parser's stack.
             raise ApiError(400, "bad-request", f"malformed JSON body: {exc}") from None
         if not isinstance(doc, dict):
             raise ApiError(400, "bad-request", "request body must be a JSON object")

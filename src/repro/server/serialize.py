@@ -9,6 +9,8 @@ HTTP 400 instead of surfacing later as failed jobs.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Callable, Collection
 from dataclasses import fields
 
 from repro.core.evaluation import EvaluationOptions, MappingPrediction
@@ -18,8 +20,14 @@ from repro.schedulers.base import ScheduleResult
 from repro.server.protocol import ApiError
 
 __all__ = [
+    "COMMON_JOB_FIELDS",
+    "JOB_FIELDS",
     "JOB_KINDS",
+    "LOAD_EVENT_FIELDS",
     "MAX_BATCH_JOBS",
+    "WATCH_FIELDS",
+    "batch_entries",
+    "check_field",
     "options_from_dict",
     "prediction_to_dict",
     "schedule_result_to_dict",
@@ -32,7 +40,250 @@ __all__ = [
 
 JOB_KINDS = ("schedule", "predict", "compare")
 
-_OPTION_FIELDS = {f.name for f in fields(EvaluationOptions)}
+#: Upper bound on jobs per ``POST /v1/jobs:batch`` request; a client
+#: wanting more splits into multiple batches (each is atomic on its own).
+MAX_BATCH_JOBS = 256
+
+
+def _bad(message: str) -> ApiError:
+    return ApiError(400, "bad-request", message)
+
+
+# -- checks -------------------------------------------------------------
+#: What a check receives for a field the document lacks.
+_ABSENT = object()
+
+#: ``check(value, name, ctx) -> normalized value``: returns what the
+#: worker will read or raises :class:`ApiError` (400).  A bare check
+#: fails on ``_ABSENT`` as on any wrong type, so its field is required;
+#: :func:`_default` and :func:`_optional` say what an absent one means.
+#: A check that looks nothing up in the service ignores *ctx*, and the
+#: fleet router calls it without one (:func:`check_field`).
+Check = Callable[[object, str, "_Context | None"], object]
+
+
+class _Context:
+    """What one document's checks share: the service, and the cluster's node-id
+    set built once however many fields, mappings or events are held against it."""
+
+    def __init__(self, service) -> None:
+        self.service = service
+        self.node_ids = set(service.cluster.node_ids())
+
+
+def _default(default: object, check: Check) -> Check:
+    """*check*, or *default* for an absent field."""
+    return lambda value, name, ctx=None: default if value is _ABSENT else check(value, name, ctx)
+
+
+def _optional(check: Check) -> Check:
+    """*check*, or ``None`` for an absent field (``null`` says absent too)."""
+    return lambda value, name, ctx=None: (
+        None if value is _ABSENT or value is None else check(value, name, ctx)
+    )
+
+
+def _number(
+    *,
+    integer: bool = False,
+    above: float | None = None,
+    minimum: float | None = None,
+    maximum: float | None = None,
+) -> Check:
+    """A finite JSON number in ``(above, maximum]`` / ``[minimum, maximum]``.
+
+    ``json.loads`` reads ``NaN`` and ``±Infinity``; they are refused
+    here, with any integer past the float range: one comparison against
+    the largest float says no to all of them (``NaN`` fails every
+    comparison; ``math.isfinite`` would overflow on the integer).
+    """
+    wanted = "an integer" if integer else "a finite number"
+    for sign, bound in ((">", above), (">=", minimum), ("<=", maximum)):
+        if bound is not None:
+            wanted += f" {sign} {bound:g}"
+
+    def check(value: object, name: str, ctx: _Context | None = None) -> float:
+        if (
+            not isinstance(value, int if integer else (int, float))
+            or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max
+            or (above is not None and value <= above)
+            or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)
+        ):
+            raise _bad(f"payload field {name!r} must be {wanted}")
+        return value if integer else float(value)
+
+    return check
+
+
+def _text(wanted: str, choices: Collection[str] | None = None, limit: int = sys.maxsize) -> Check:
+    """A non-empty string of at most *limit* characters, one of *choices* if given."""
+
+    def check(value: object, name: str, ctx: _Context | None = None) -> str:
+        if (
+            not isinstance(value, str)
+            or not 0 < len(value) <= limit
+            or (choices is not None and value not in choices)
+        ):
+            raise _bad(f"payload field {name!r} must be {wanted}")
+        return value
+
+    return check
+
+
+def _app(value: object, name: str, ctx: _Context) -> str:
+    """Case-insensitive profile lookup, mirroring the CLI's resolution."""
+    if not isinstance(value, str) or not value:
+        raise _bad(f"payload field {name!r} must be a profile name")
+    stored = {app.lower(): app for app in ctx.service.profiled_applications}
+    try:
+        return stored[value.lower()]
+    except KeyError:
+        raise ApiError(
+            400,
+            "unknown-application",
+            f"no stored profile for {value!r} (have: {', '.join(stored.values()) or 'none'})",
+        ) from None
+
+
+def _boolean(value: object, name: str, ctx: _Context | None = None) -> bool:
+    if not isinstance(value, bool):
+        raise _bad(f"option {name!r} must be a boolean")
+    return value
+
+
+def _options(value: object, name: str, ctx: _Context | None = None) -> dict:
+    options_from_dict(value)  # fail fast; the worker re-parses
+    return value
+
+
+def _scheduler(value: object, name: str, ctx: _Context | None = None) -> str:
+    if not isinstance(value, str) or value.lower() not in SCHEDULERS:
+        raise _bad(f"unknown scheduler {value!r}; valid: {', '.join(sorted(SCHEDULERS))}")
+    return value.lower()
+
+
+def _node_list(value: object, name: str, ctx: _Context) -> list[str]:
+    if (
+        not isinstance(value, list)
+        or not value
+        or not all(isinstance(n, str) and n for n in value)
+    ):
+        raise _bad(f"{name} must be a non-empty list of node ids")
+    if not ctx.node_ids.issuperset(value):
+        raise _bad(f"{name} uses unknown node(s) {sorted(set(value) - ctx.node_ids)[:5]}")
+    return list(value)
+
+
+def _mappings(value: object, name: str, ctx: _Context) -> list[list[str]]:
+    if not isinstance(value, list) or not value:
+        raise _bad(f"{name} must be a non-empty list of node-id lists")
+    return [_node_list(nodes, f"{name}[{i}]", ctx) for i, nodes in enumerate(value)]
+
+
+def _node(value: object, name: str, ctx: _Context) -> str:
+    if not isinstance(value, str) or value not in ctx.node_ids:
+        raise _bad(f"payload field {name!r} must name a node of the cluster")
+    return value
+
+
+# -- the wire contract --------------------------------------------------
+#: The fields every job kind takes.  ``id`` and ``seed`` need no
+#: service, which is what lets the fleet router hold them to the same
+#: rule before it picks a replica.
+COMMON_JOB_FIELDS: dict[str, Check] = {
+    # A caller may pick the job id (the fleet router mints unique ones and
+    # rendezvous-hashes them to replicas); a live duplicate is the daemon's 409.
+    "id": _optional(_text("a non-empty string of <= 128 chars", limit=128)),
+    "kind": _text(f"one of {', '.join(JOB_KINDS)}", JOB_KINDS),
+    "app": _app,
+    "seed": _default(0, _number(integer=True)),
+    "options": _optional(_options),
+}
+
+#: ``POST /v1/jobs``: kind -> field -> check.  A field of another kind
+#: is an unknown field.  The order is the normalized payload's key order
+#: (``id``, ``kind`` and ``arch`` do not reach the payload), which the
+#: journal's ``create`` records repeat byte for byte.
+JOB_FIELDS: dict[str, dict[str, Check]] = {
+    "schedule": {
+        **COMMON_JOB_FIELDS,
+        "scheduler": _default("cs", _scheduler),
+        "pool": _optional(_node_list),
+        "arch": _optional(_text("an architecture name")),
+        "workers": _default(1, _number(integer=True, minimum=1)),
+        "time_budget": _optional(_number(above=0.0)),
+    },
+    "predict": {**COMMON_JOB_FIELDS, "nodes": _node_list},
+    "compare": {**COMMON_JOB_FIELDS, "mappings": _mappings},
+}
+
+#: ``POST /v1/remap/watch``; the order is the watch configuration's.
+WATCH_FIELDS: dict[str, Check] = {
+    "app": _app,
+    "mapping": _node_list,
+    "pool": _optional(_node_list),
+    "interval_s": _default(5.0, _number(above=0.0)),
+    "threshold": _default(0.10, _number(above=0.0)),
+    "hysteresis": _default(0.5, _number(minimum=0.0, maximum=1.0)),
+    "cooldown_s": _default(0.0, _number(minimum=0.0)),
+    "safety_factor": _default(1.5, _number(above=0.0)),
+    "seed": _default(0, _number(integer=True)),
+    "max_ticks": _optional(_number(integer=True, minimum=1)),
+}
+
+#: A job's ``options``: the :class:`EvaluationOptions` term toggles.
+OPTION_FIELDS: dict[str, Check] = {
+    f.name: _default(f.default, _boolean) for f in fields(EvaluationOptions)
+}
+
+#: One entry of ``POST /v1/load``'s ``events``.
+LOAD_EVENT_FIELDS: dict[str, Check] = {
+    "node": _node,
+    "cpu_load": _default(0.0, _number(minimum=0.0)),
+    "nic_load": _default(0.0, _number(minimum=0.0, maximum=1.0)),
+}
+
+
+def check_field(table: dict[str, Check], doc: dict, name: str):
+    """Field *name* of *doc* through its check in *table* — one that needs no service."""
+    return table[name](doc.get(name, _ABSENT), name, None)
+
+
+def _apply(table: dict[str, Check], doc: object, ctx: _Context | None, what: str) -> dict:
+    """*doc* held to *table*: an object, no field the table lacks, every check in table order."""
+    if not isinstance(doc, dict):
+        raise _bad(f"{what} must be a JSON object")
+    unknown = doc.keys() - table.keys()
+    if unknown:
+        raise _bad(
+            f"unknown payload field(s) {sorted(unknown)} for {what}; valid: {', '.join(table)}"
+        )
+    return {name: check(doc.get(name, _ABSENT), name, ctx) for name, check in table.items()}
+
+
+def _entries(
+    doc: dict, key: str, validate: Callable[[dict], object], limit: int | None = None
+) -> list:
+    """``validate(entry)`` for every entry of the envelope ``{key: [object, ...]}``.
+
+    The envelope holds nothing else; an entry's error names it as ``key[i]``.
+    """
+    entries = doc.get(key)
+    if doc.keys() - {key} or not isinstance(entries, list) or not entries:
+        raise _bad(f"payload must be {{{key!r}: [...]}} with a non-empty list and no other field")
+    if limit is not None and len(entries) > limit:
+        raise _bad(f"{key}: {len(entries)} entries exceed the limit of {limit}")
+    validated = []
+    for i, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise _bad("must be a JSON object")
+            validated.append(validate(entry))
+        except ApiError as exc:
+            raise ApiError(exc.status, exc.code, f"{key}[{i}]: {exc.message}") from None
+    return validated
 
 
 # -- inbound ------------------------------------------------------------
@@ -40,45 +291,7 @@ def options_from_dict(doc: dict | None) -> EvaluationOptions:
     """Parse an evaluation-options document (term toggles)."""
     if doc is None:
         return EvaluationOptions()
-    if not isinstance(doc, dict):
-        raise ApiError(400, "bad-request", "options must be a JSON object")
-    unknown = set(doc) - _OPTION_FIELDS
-    if unknown:
-        raise ApiError(
-            400,
-            "bad-request",
-            f"unknown evaluation option(s) {sorted(unknown)}; valid: {sorted(_OPTION_FIELDS)}",
-        )
-    for name, value in doc.items():
-        if not isinstance(value, bool):
-            raise ApiError(400, "bad-request", f"option {name!r} must be a boolean")
-    return EvaluationOptions(**doc)
-
-
-def _node_list(value: object, what: str) -> list[str]:
-    if (
-        not isinstance(value, list)
-        or not value
-        or not all(isinstance(n, str) and n for n in value)
-    ):
-        raise ApiError(400, "bad-request", f"{what} must be a non-empty list of node ids")
-    return list(value)
-
-
-def _resolve_app(service, name: object) -> str:
-    """Case-insensitive profile lookup, mirroring the CLI's resolution."""
-    if not isinstance(name, str) or not name:
-        raise ApiError(400, "bad-request", "payload field 'app' must be a profile name")
-    stored = {app.lower(): app for app in service.profiled_applications}
-    try:
-        return stored[name.lower()]
-    except KeyError:
-        raise ApiError(
-            400,
-            "unknown-application",
-            f"no stored profile for {name!r} "
-            f"(have: {', '.join(service.profiled_applications) or 'none'})",
-        ) from None
+    return EvaluationOptions(**_apply(OPTION_FIELDS, doc, None, "evaluation options"))
 
 
 def validate_job_payload(service, doc: dict) -> tuple[str, dict]:
@@ -89,200 +302,45 @@ def validate_job_payload(service, doc: dict) -> tuple[str, dict]:
     payload is what the worker executes — app name canonicalized, node
     ids checked against the cluster, seed and options materialized.
     """
-    kind = doc.get("kind")
-    if kind not in JOB_KINDS:
-        raise ApiError(
-            400, "bad-request", f"payload field 'kind' must be one of {', '.join(JOB_KINDS)}"
-        )
-    # 'id' lets a caller pick the job id (the fleet router mints
-    # globally-unique ids and rendezvous-hashes them to replicas); the
-    # daemon answers 409 if it collides with a live job.
-    job_id = doc.get("id")
-    if job_id is not None and (
-        not isinstance(job_id, str) or not job_id or len(job_id) > 128
-    ):
-        raise ApiError(
-            400, "bad-request", "payload field 'id' must be a non-empty string of <= 128 chars"
-        )
-    known = {
-        "id",
-        "kind",
-        "app",
-        "seed",
-        "options",
-        "scheduler",
-        "pool",
-        "arch",
-        "nodes",
-        "mappings",
-        "workers",
-        "time_budget",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ApiError(400, "bad-request", f"unknown payload field(s) {sorted(unknown)}")
-
-    app = _resolve_app(service, doc.get("app"))
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ApiError(400, "bad-request", "payload field 'seed' must be an integer")
-    options_from_dict(doc.get("options"))  # fail fast; worker re-parses
-
-    cluster_nodes = set(service.cluster.node_ids())
-    payload: dict = {"app": app, "seed": seed, "options": doc.get("options")}
-
-    if kind != "schedule":
-        for field in ("workers", "time_budget"):
-            if field in doc:
-                raise ApiError(
-                    400, "bad-request", f"payload field {field!r} is only valid for schedule jobs"
-                )
-
+    kind = check_field(COMMON_JOB_FIELDS, doc, "kind")
+    payload = _apply(JOB_FIELDS[kind], doc, _Context(service), f"a {kind} job")
+    del payload["id"], payload["kind"]
     if kind == "schedule":
-        scheduler = doc.get("scheduler", "cs")
-        if not isinstance(scheduler, str) or scheduler.lower() not in SCHEDULERS:
-            raise ApiError(
-                400,
-                "bad-request",
-                f"unknown scheduler {scheduler!r}; valid: {', '.join(sorted(SCHEDULERS))}",
-            )
-        if "pool" in doc and "arch" in doc:
-            raise ApiError(400, "bad-request", "give either 'pool' or 'arch', not both")
-        if "pool" in doc:
-            pool = _node_list(doc["pool"], "pool")
-            unknown_nodes = sorted(set(pool) - cluster_nodes)
-            if unknown_nodes:
-                raise ApiError(
-                    400, "bad-request", f"pool contains unknown node(s) {unknown_nodes[:5]}"
-                )
-        elif "arch" in doc:
+        # The one cross-field rule: the pool is given, or an
+        # architecture's nodes, or the whole cluster.
+        pool, arch = payload["pool"], payload.pop("arch")
+        if pool is not None and arch is not None:
+            raise _bad("give either 'pool' or 'arch', not both")
+        if arch is not None:
             try:
-                pool = service.cluster.nodes_by_arch(doc["arch"])
-            except (KeyError, AttributeError):
-                raise ApiError(
-                    400, "bad-request", f"no nodes of architecture {doc['arch']!r}"
-                ) from None
-        else:
-            pool = service.cluster.node_ids()
-        workers = doc.get("workers", 1)
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ApiError(
-                400,
-                "bad-request",
-                f"payload field 'workers' must be an integer >= 1, got {workers!r}",
-            )
-        time_budget = doc.get("time_budget")
-        if time_budget is not None and (
-            not isinstance(time_budget, (int, float))
-            or isinstance(time_budget, bool)
-            or time_budget <= 0
-        ):
-            raise ApiError(
-                400,
-                "bad-request",
-                f"payload field 'time_budget' must be a number of seconds > 0, got {time_budget!r}",
-            )
-        payload.update(
-            scheduler=scheduler.lower(),
-            pool=pool,
-            workers=workers,
-            time_budget=time_budget,
-        )
-    elif kind == "predict":
-        nodes = _node_list(doc.get("nodes"), "nodes")
-        unknown_nodes = sorted(set(nodes) - cluster_nodes)
-        if unknown_nodes:
-            raise ApiError(
-                400, "bad-request", f"mapping uses unknown node(s) {unknown_nodes[:5]}"
-            )
-        payload.update(nodes=nodes)
-    else:  # compare
-        mappings = doc.get("mappings")
-        if not isinstance(mappings, list) or not mappings:
-            raise ApiError(400, "bad-request", "mappings must be a non-empty list of node-id lists")
-        checked = []
-        for i, candidate in enumerate(mappings):
-            nodes = _node_list(candidate, f"mappings[{i}]")
-            unknown_nodes = sorted(set(nodes) - cluster_nodes)
-            if unknown_nodes:
-                raise ApiError(
-                    400,
-                    "bad-request",
-                    f"mappings[{i}] uses unknown node(s) {unknown_nodes[:5]}",
-                )
-            checked.append(nodes)
-        payload.update(mappings=checked)
+                pool = service.cluster.nodes_by_arch(arch)
+            except KeyError:
+                raise _bad(f"no nodes of architecture {arch!r}") from None
+        payload["pool"] = pool or service.cluster.node_ids()
     return kind, payload
 
 
-#: Upper bound on jobs per ``POST /v1/jobs:batch`` request; a client
-#: wanting more splits into multiple batches (each is atomic on its own).
-MAX_BATCH_JOBS = 256
+def batch_entries(doc: dict, validate: Callable[[dict], object]) -> list:
+    """``validate(job)`` for each job of a ``POST /v1/jobs:batch`` body ``{"jobs": [job, ...]}``.
+
+    The envelope check needs no service: the fleet router stamps ids on
+    a batch through it before splitting it by replica.
+    """
+    return _entries(doc, "jobs", validate, MAX_BATCH_JOBS)
 
 
 def validate_batch_payload(service, doc: dict) -> list[tuple[str, dict]]:
-    """Validate a ``POST /v1/jobs:batch`` body: ``{"jobs": [job, ...]}``.
+    """Validate a ``POST /v1/jobs:batch`` body.
 
     All-or-nothing: every entry must validate (each is a full
     ``POST /v1/jobs`` document) or the whole batch is rejected with a
     400 whose message names the offending index as ``jobs[i]``.
     Returns the ``(kind, normalized payload)`` pairs in request order.
     """
-    unknown = set(doc) - {"jobs"}
-    if unknown:
-        raise ApiError(400, "bad-request", f"unknown payload field(s) {sorted(unknown)}")
-    entries = doc.get("jobs")
-    if not isinstance(entries, list) or not entries:
-        raise ApiError(
-            400, "bad-request", "payload field 'jobs' must be a non-empty list of job documents"
-        )
-    if len(entries) > MAX_BATCH_JOBS:
-        raise ApiError(
-            400,
-            "bad-request",
-            f"batch of {len(entries)} jobs exceeds the limit of {MAX_BATCH_JOBS}",
-        )
-    validated: list[tuple[str, dict]] = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ApiError(400, "bad-request", f"jobs[{i}]: must be a JSON object")
-        try:
-            validated.append(validate_job_payload(service, entry))
-        except ApiError as exc:
-            raise ApiError(exc.status, exc.code, f"jobs[{i}]: {exc.message}") from None
-    return validated
+    return batch_entries(doc, lambda job: validate_job_payload(service, job))
 
 
-def _number(
-    doc: dict,
-    name: str,
-    default: float,
-    *,
-    minimum: float | None = None,
-    maximum: float | None = None,
-    exclusive: bool = False,
-) -> float:
-    """Pull an optional numeric field with range validation."""
-    value = doc.get(name, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ApiError(400, "bad-request", f"payload field {name!r} must be a number")
-    if minimum is not None and (value <= minimum if exclusive else value < minimum):
-        bound = f"> {minimum}" if exclusive else f">= {minimum}"
-        raise ApiError(400, "bad-request", f"payload field {name!r} must be {bound}")
-    if maximum is not None and value > maximum:
-        raise ApiError(400, "bad-request", f"payload field {name!r} must be <= {maximum}")
-    return float(value)
-
-
-def _checked_nodes(service, value: object, what: str) -> list[str]:
-    nodes = _node_list(value, what)
-    unknown = sorted(set(nodes) - set(service.cluster.node_ids()))
-    if unknown:
-        raise ApiError(400, "bad-request", f"{what} uses unknown node(s) {unknown[:5]}")
-    return nodes
-
-
-def validate_remap_watch(service, doc: object) -> dict:
+def validate_remap_watch(service, doc: dict) -> dict:
     """Validate a ``POST /v1/remap/watch`` body.
 
     Returns the normalized watch configuration: app canonicalized,
@@ -290,75 +348,19 @@ def validate_remap_watch(service, doc: object) -> dict:
     (drift threshold, hysteresis, cooldown, safety factor) defaulted and
     range-checked.  Raises :class:`ApiError` (status 400) otherwise.
     """
-    if not isinstance(doc, dict):
-        raise ApiError(400, "bad-request", "watch payload must be a JSON object")
-    known = {
-        "app",
-        "mapping",
-        "pool",
-        "interval_s",
-        "threshold",
-        "hysteresis",
-        "cooldown_s",
-        "safety_factor",
-        "seed",
-        "max_ticks",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ApiError(400, "bad-request", f"unknown payload field(s) {sorted(unknown)}")
-    app = _resolve_app(service, doc.get("app"))
-    mapping = _checked_nodes(service, doc.get("mapping"), "mapping")
-    pool = None
-    if doc.get("pool") is not None:
-        pool = _checked_nodes(service, doc["pool"], "pool")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ApiError(400, "bad-request", "payload field 'seed' must be an integer")
-    max_ticks = doc.get("max_ticks")
-    if max_ticks is not None and (
-        not isinstance(max_ticks, int) or isinstance(max_ticks, bool) or max_ticks < 1
-    ):
-        raise ApiError(400, "bad-request", "payload field 'max_ticks' must be an integer >= 1")
-    return {
-        "app": app,
-        "mapping": mapping,
-        "pool": pool,
-        "interval_s": _number(doc, "interval_s", 5.0, minimum=0.0, exclusive=True),
-        "threshold": _number(doc, "threshold", 0.10, minimum=0.0, exclusive=True),
-        "hysteresis": _number(doc, "hysteresis", 0.5, minimum=0.0, maximum=1.0),
-        "cooldown_s": _number(doc, "cooldown_s", 0.0, minimum=0.0),
-        "safety_factor": _number(doc, "safety_factor", 1.5, minimum=0.0, exclusive=True),
-        "seed": seed,
-        "max_ticks": max_ticks,
-    }
+    return _apply(WATCH_FIELDS, doc, _Context(service), "a remap watch")
 
 
-def validate_load_events(service, doc: object) -> list[tuple[str, float, float]]:
+def validate_load_events(service, doc: dict) -> list[dict]:
     """Validate a ``POST /v1/load`` body.
 
     Expects ``{"events": [{"node": id, "cpu_load": x, "nic_load": y}]}``
-    and returns ``(node, cpu_load, nic_load)`` triples — the daemon
-    materializes the actual :class:`~repro.monitoring.load.LoadEvent`
+    and returns the events normalized (loads defaulted to 0.0) — the
+    daemon materializes the :class:`~repro.monitoring.load.LoadEvent`
     objects (this module stays import-light).
     """
-    if not isinstance(doc, dict) or not isinstance(doc.get("events"), list) or not doc["events"]:
-        raise ApiError(400, "bad-request", "payload must be {'events': [...]} with >= 1 event")
-    cluster_nodes = set(service.cluster.node_ids())
-    events = []
-    for i, entry in enumerate(doc["events"]):
-        if not isinstance(entry, dict):
-            raise ApiError(400, "bad-request", f"events[{i}] must be a JSON object")
-        node = entry.get("node")
-        if not isinstance(node, str) or node not in cluster_nodes:
-            raise ApiError(400, "bad-request", f"events[{i}] names unknown node {node!r}")
-        cpu = _number(entry, "cpu_load", 0.0, minimum=0.0)
-        nic = _number(entry, "nic_load", 0.0, minimum=0.0, maximum=1.0)
-        extra = set(entry) - {"node", "cpu_load", "nic_load"}
-        if extra:
-            raise ApiError(400, "bad-request", f"events[{i}] has unknown field(s) {sorted(extra)}")
-        events.append((node, cpu, nic))
-    return events
+    ctx = _Context(service)
+    return _entries(doc, "events", lambda e: _apply(LOAD_EVENT_FIELDS, e, ctx, "a load event"))
 
 
 # -- outbound -----------------------------------------------------------

@@ -158,14 +158,6 @@ class KeepAliveConformance:
             time.sleep(0.6)  # idle timeout reaps the server side
             assert client.healthz()["status"] == "ok"  # transparent retry
 
-    def test_client_keep_alive_off_uses_fresh_connections(self, front_door):
-        with front_door() as door:
-            client = door.client()
-            client.keep_alive = False
-            for _ in range(3):
-                assert client.healthz()["status"] == "ok"
-            assert metric_value(client, f"{door.prefix}_connections_total") >= 3.0
-
 
 class RoutingConformance:
     """404 / 405 derived from the route table; needs a ``client`` fixture."""
@@ -189,6 +181,16 @@ class RoutingConformance:
         with pytest.raises(ServerError) as excinfo:
             client._request("POST", "/v1/healthz", {"x": 1})
         assert excinfo.value.status == 405
+
+    @pytest.mark.parametrize(
+        "body",
+        [{}, {"jobs": []}, {"jobs": [7]}, {"jobs": {"kind": "predict"}}, {"job": []}],
+        ids=["no-jobs", "empty", "non-object-entry", "not-a-list", "misspelt"],
+    )
+    def test_misshapen_batch_400(self, client, body):
+        with pytest.raises(ServerError) as excinfo:
+            client._request("POST", "/v1/jobs:batch", body)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad-request")
 
 
 class JobLookupConformance:

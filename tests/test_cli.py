@@ -136,7 +136,7 @@ class TestServerParser:
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit", "lu.S"])
         assert args.kind == "schedule"
-        assert args.scheduler == "cs"
+        assert args.scheduler is None  # not sent: the server states the default
         assert args.no_wait is False
 
     def test_submit_predict_requires_known_kind(self):

@@ -298,7 +298,7 @@ class TestServiceWiring:
                     workers=2,
                 )
             assert excinfo.value.status == 400
-            assert "only valid for schedule jobs" in str(excinfo.value)
+            assert "unknown payload field(s) ['workers'] for a predict job" in str(excinfo.value)
 
     def test_daemon_parallel_job_matches_direct_run(self, service_and_app):
         """Acceptance: a workers=2 daemon job == a direct parallel run."""

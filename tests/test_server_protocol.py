@@ -81,6 +81,20 @@ class TestJsonBody:
         with pytest.raises(ApiError, match="malformed"):
             req.json()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\xff\xfe{}",  # not UTF-8
+            b'{"seed": ' + b"7" * 5000 + b"}",  # past the interpreter's integer digit limit
+            b"[" * 100_000,  # deeper than the parser's stack
+        ],
+        ids=["encoding", "huge-integer", "deep-nesting"],
+    )
+    def test_unparseable_body_is_a_400_not_a_500(self, body):
+        with pytest.raises(ApiError, match="malformed") as excinfo:
+            HttpRequest("POST", "/v1/jobs", body=body).json()
+        assert excinfo.value.status == 400
+
     def test_empty_body_rejected(self):
         with pytest.raises(ApiError):
             HttpRequest("POST", "/v1/jobs").json()
