@@ -20,8 +20,10 @@ Run modes
 
 ``python benchmarks/bench_fleet_scaleout.py --quick``
     CI smoke mode: two in-process replicas behind the router; gates on
-    correctness only (fleet == direct, unique ids, merged health) — no
-    throughput floor on shared CI runners.
+    correctness only (fleet == direct, unique ids, merged health, and the
+    router relaying a point GET's and an ``?ids=`` lookup's bytes exactly
+    as the owning replica answers them) — no throughput floor on shared
+    CI runners.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ import os
 import sys
 import tempfile
 import time
+import urllib.request
 
 from _gate import GateReport
 
 from repro.cluster import single_switch
 from repro.core import CBES
-from repro.fleet import RouterThread
+from repro.fleet import RouterThread, rendezvous_rank
 from repro.server import DaemonThread
 from repro.workloads import SyntheticBenchmark
 
@@ -47,6 +50,12 @@ def build_service(nnodes: int, nprocs: int) -> tuple[CBES, str]:
     app = SyntheticBenchmark(comm_fraction=0.2, duration_s=2.0, steps=4)
     service.profile_application(app, nprocs, seed=1)
     return service, app.name
+
+
+def get_bytes(address: str, path: str) -> bytes:
+    """The raw body of ``GET http://<address><path>``."""
+    with urllib.request.urlopen(f"http://{address}{path}", timeout=30) as response:
+        return response.read()
 
 
 def quick_mode(report: GateReport) -> None:
@@ -90,6 +99,20 @@ def quick_mode(report: GateReport) -> None:
                 "agreement",
                 disagreements == 0,
                 f"{disagreements} fleet results disagree with direct submission",
+            )
+            # The router relays job documents as bytes: a zero-difference gate.
+            owner = rendezvous_rank(ids[0], backends)[0]
+            owned = [i for i in ids if rendezvous_rank(i, backends)[0] == owner]
+            fleet_address = f"{router.host}:{router.port}"
+            mismatched = [
+                path
+                for path in (f"/v1/jobs/{ids[0]}", "/v1/jobs?ids=" + ",".join(owned))
+                if get_bytes(fleet_address, path) != get_bytes(owner, path)
+            ]
+            report.gate(
+                "relay_bytes_identical",
+                not mismatched,
+                f"router bodies differ from the owning replica's on {mismatched}",
             )
             print(
                 f"quick: 12 predict jobs through 2 in-process replicas in "

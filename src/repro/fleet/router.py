@@ -23,8 +23,8 @@ Request handling:
   configured replica order, apply ``state``/``after``/``limit``
   centrally;
 * ``GET /v1/jobs?ids=...`` — partition the ids by owner like a batch,
-  ask only the owning replicas, and walk an id its owner did not return
-  down its preference order like a point lookup;
+  ask only the owning replicas, and walk an id its owner reports
+  ``missing`` down its preference order like a point lookup;
 * ``GET /v1/metrics`` — scatter, then associatively merge the replica
   snapshots (counters/gauges sum, histograms merge bucket-wise — the
   same discipline :mod:`repro.telemetry` uses within one process) and
@@ -52,10 +52,11 @@ replica call), error mapping and shutdown are the daemon's — see
 from __future__ import annotations
 
 import asyncio
+import json
 import logging
 import math
 import uuid
-from urllib.parse import quote, urlencode
+from urllib.parse import urlencode
 
 from repro import telemetry
 from repro.fleet.hashing import rendezvous_rank
@@ -71,7 +72,7 @@ from repro.server.http import (
     query_int,
 )
 from repro.server.jobs import JobState
-from repro.server.protocol import ApiError, HttpRequest
+from repro.server.protocol import ApiError, HttpRequest, RawResponse, lookup_body, split_lookup
 from repro.server.serialize import COMMON_JOB_FIELDS, batch_entries, check_field
 from repro.telemetry.export import merge_snapshots
 
@@ -95,6 +96,22 @@ FLEET_RETRIES_TOTAL = (
     "cbes_fleet_retries_total",
     "Idempotent reads retried on a healthy peer.",
 )
+
+
+def _decode(backend: str, raw: bytes) -> dict:
+    """A replica's answer as a JSON object, else a :class:`BackendError`."""
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError
+        doc = None
+    if not isinstance(doc, dict):
+        raise BackendError(backend, "response body is not a JSON object")
+    return doc
+
+
+def _relayed_headers(headers: dict[str, str]) -> dict[str, str]:
+    """The replica response headers a client must see through the router."""
+    return {"Retry-After": headers["retry-after"]} if "retry-after" in headers else {}
 
 
 class _Replica:
@@ -246,22 +263,24 @@ class FleetRouter(HttpService):
 
     async def _call(
         self, request: HttpRequest, backend: str, method: str, path: str, body: dict | None = None
-    ) -> tuple[int, dict]:
-        """One replica exchange on behalf of *request*, with health accounting.
+    ) -> tuple[int, dict[str, str], bytes]:
+        """One replica exchange on behalf of *request*, with health accounting:
+        (status, headers, body bytes) — a handler that needs a dict calls
+        :func:`_decode`, a relay passes the bytes on.
 
         The inbound request id rides along, so one client request is one
         id in the router's and every replica's logs and job records.
         """
         replica = self._replicas[backend]
         try:
-            status, doc = await replica.pool.request_json(
+            answer = await replica.pool.request(
                 method, path, body, headers={"X-Request-Id": request.request_id}
             )
         except BackendError:
             self._note_failure(backend)
             raise
         self._note_success(backend)
-        return status, doc
+        return answer
 
     async def _scatter(
         self,
@@ -270,8 +289,8 @@ class FleetRouter(HttpService):
         method: str,
         path: str,
         body: dict | None = None,
-    ) -> list[tuple[str, int, dict]]:
-        """The same call to every backend at once: (backend, status, doc).
+    ) -> list[tuple[str, int, dict[str, str], bytes]]:
+        """The same call to every backend at once: (backend, status, headers, body).
 
         A replica that fails at the transport level is left out — a
         freshly-failed replica must not take the survivors' answer down
@@ -291,13 +310,14 @@ class FleetRouter(HttpService):
         return answered
 
     @staticmethod
-    def _relay_error(backend: str, status: int, payload: dict) -> ApiError:
+    def _relay_error(backend: str, status: int, raw: bytes, headers: dict[str, str]) -> ApiError:
         """A replica's error answer, re-raised to the client as ours."""
-        error = payload.get("error", {})
+        error = _decode(backend, raw).get("error", {})
         return ApiError(
             status,
             error.get("code", "replica-error"),
             f"replica {backend}: {error.get('message', 'rejected the request')}",
+            headers=_relayed_headers(headers),
         )
 
     async def _probe_loop(self) -> None:
@@ -309,7 +329,7 @@ class FleetRouter(HttpService):
                 if replica.healthy:
                     continue
                 try:
-                    status, _doc = await replica.pool.request_json("GET", "/v1/healthz")
+                    status, _headers, _raw = await replica.pool.request("GET", "/v1/healthz")
                 except BackendError:
                     continue
                 if status == 200:
@@ -337,12 +357,12 @@ class FleetRouter(HttpService):
         last_error: BackendError | None = None
         for backend in self._routed_backends(doc["id"]):
             try:
-                status, payload = await self._call(request, backend, "POST", "/v1/jobs", doc)
+                status, headers, raw = await self._call(request, backend, "POST", "/v1/jobs", doc)
             except BackendError as exc:
                 last_error = exc
                 continue
             if status < 500:
-                return status, payload, {}
+                return status, RawResponse(raw, "application/json"), _relayed_headers(headers)
         raise ApiError(
             503, "no-replicas", f"every routed replica failed (last: {last_error})"
         )
@@ -373,10 +393,10 @@ class FleetRouter(HttpService):
                 )
             if isinstance(outcome, BaseException):
                 raise outcome
-            status, payload = outcome
+            status, headers, raw = outcome
             if status >= 400:
-                raise self._relay_error(backend, status, payload)
-            for slot, job_doc in zip(indices, payload.get("jobs", [])):
+                raise self._relay_error(backend, status, raw, headers)
+            for slot, job_doc in zip(indices, _decode(backend, raw).get("jobs", [])):
                 merged[slot] = job_doc
         if any(job is None for job in merged):
             raise ApiError(502, "replica-error", "a replica returned fewer jobs than submitted")
@@ -389,35 +409,37 @@ class FleetRouter(HttpService):
         last_error: BackendError | None = None
         for rank, backend in enumerate(self._routed_backends(job_id)):
             try:
-                status, payload = await self._call(request, backend, "GET", f"/v1/jobs/{job_id}")
+                status, _, raw = await self._call(request, backend, "GET", f"/v1/jobs/{job_id}")
             except BackendError as exc:
                 last_error = exc
                 continue
             if rank > 0:
                 self._m_retries.inc()
             if status != 404:
-                return status, payload, {}
+                return status, RawResponse(raw, "application/json"), {}
         if last_error is not None:
             raise ApiError(503, "no-replicas", f"lookup failed on every replica ({last_error})")
         raise ApiError(404, "not-found", f"no job {job_id!r} on any replica")
 
-    async def _lookup_jobs(self, request: HttpRequest, ids: list[str]) -> list[dict]:
-        """The jobs named by *ids*, from the replicas that can hold them.
+    async def _lookup_jobs(self, request: HttpRequest, ids: list[str], state: str | None) -> bytes:
+        """The ``?ids=`` answer for *ids*, from the replicas that can hold them.
 
         Ids are grouped by their best healthy replica, exactly as
         :meth:`_submit_batch` places them, and the groups fetched
-        concurrently.  An id its replica did not return (or whose
-        replica failed mid-call) moves on to the next replica in its
-        preference order, as in :meth:`_get_job`, until it is found or
-        the order runs out — then it is absent, like an evicted job.
-        Found jobs come back in configured replica order.
+        concurrently, ``state`` forwarded.  An id its replica reports
+        ``missing`` (or whose replica failed mid-call) moves on to the
+        next replica in its preference order, as in :meth:`_get_job`,
+        until it is found or the order runs out.  The replicas' job
+        spans are spliced in configured replica order, never decoded.
         """
         healthy = set(self._require_healthy())
         remaining = {
             job_id: [b for b in rendezvous_rank(job_id, self._order) if b in healthy]
             for job_id in dict.fromkeys(ids)
         }
-        found: dict[str, list[dict]] = {backend: [] for backend in self._order}
+        filtered = {"state": state} if state is not None else {}
+        spans: dict[str, list[bytes]] = {backend: [] for backend in self._order}
+        held: set[str] = set()
         rank = 0
         while remaining:
             groups: dict[str, list[str]] = {}
@@ -431,26 +453,30 @@ class FleetRouter(HttpService):
                         request,
                         backend,
                         "GET",
-                        "/v1/jobs?ids=" + ",".join(quote(job_id, safe="") for job_id in group),
+                        f"/v1/jobs?{urlencode({**filtered, 'ids': ','.join(group)})}",
                     )
                     for backend, group in groups.items()
                 ),
                 return_exceptions=True,
             )
-            for backend, outcome in zip(groups, outcomes):
+            for (backend, group), outcome in zip(groups.items(), outcomes):
                 if isinstance(outcome, BackendError):
                     continue
                 if isinstance(outcome, BaseException):
                     raise outcome
-                status, payload = outcome
+                status, headers, raw = outcome
                 if status != 200:
-                    raise self._relay_error(backend, status, payload)
-                for job in payload.get("jobs", []):
-                    found[backend].append(job)
-                    remaining.pop(job.get("id"), None)
+                    raise self._relay_error(backend, status, raw, headers)
+                try:
+                    missing, span = split_lookup(raw)
+                except (ValueError, RecursionError) as exc:
+                    raise BackendError(backend, f"malformed ?ids= answer: {exc}") from None
+                held.update(set(group).difference(missing))
+                spans[backend].append(span)
             rank += 1
-            remaining = {j: bs for j, bs in remaining.items() if rank < len(bs)}
-        return [job for backend in self._order for job in found[backend]]
+            remaining = {j: bs for j, bs in remaining.items() if j not in held and rank < len(bs)}
+        missing = [job_id for job_id in dict.fromkeys(ids) if job_id not in held]
+        return lookup_body(missing, [s for backend in self._order for s in spans[backend] if s])
 
     async def _list_jobs(self, request: HttpRequest) -> Response:
         state = query_choice(request.query, "state", [s.value for s in JobState])
@@ -458,13 +484,8 @@ class FleetRouter(HttpService):
         after = request.query.get("after", [None])[0]
         ids = query_ids(request.query)
         if ids is not None:
-            # The state filter is applied here, not forwarded: a replica
-            # must return every named job it holds, or "still running on
-            # its owner" would read as "ask the next replica".
-            jobs = await self._lookup_jobs(request, ids)
-            if state is not None:
-                jobs = [job for job in jobs if job.get("state") == state]
-            return 200, {"jobs": jobs}, {}
+            body = await self._lookup_jobs(request, ids, state)
+            return 200, RawResponse(body, "application/json"), {}
         # `after` pages over the *merged* list, so the cursor must be
         # resolved here — replicas only get the state filter (plus the
         # limit when no cursor shifts the window).
@@ -475,12 +496,12 @@ class FleetRouter(HttpService):
             forwarded["limit"] = limit
         path = f"/v1/jobs?{urlencode(forwarded)}" if forwarded else "/v1/jobs"
         jobs: list[dict] = []
-        for backend, status, payload in await self._scatter(
+        for backend, status, headers, raw in await self._scatter(
             request, self._require_healthy(), "GET", path
         ):
             if status != 200:
-                raise self._relay_error(backend, status, payload)
-            jobs.extend(payload.get("jobs", []))
+                raise self._relay_error(backend, status, raw, headers)
+            jobs.extend(_decode(backend, raw).get("jobs", []))
         if after is not None:
             index = next((i for i, job in enumerate(jobs) if job.get("id") == after), None)
             if index is None:
@@ -494,12 +515,12 @@ class FleetRouter(HttpService):
     async def _healthz(self, request: HttpRequest) -> Response:
         async def _probe(backend: str) -> dict:
             try:
-                status, payload = await self._call(request, backend, "GET", "/v1/healthz")
+                status, _headers, raw = await self._call(request, backend, "GET", "/v1/healthz")
+                if status == 200:
+                    return {"backend": backend, "healthy": True, **_decode(backend, raw)}
             except BackendError as exc:
                 return {"backend": backend, "healthy": False, "error": str(exc)}
-            if status != 200:
-                return {"backend": backend, "healthy": False, "error": f"status {status}"}
-            return {"backend": backend, "healthy": True, **payload}
+            return {"backend": backend, "healthy": False, "error": f"status {status}"}
 
         reports = await asyncio.gather(*(_probe(b) for b in self._order))
         healthy = sum(1 for r in reports if r["healthy"])
@@ -527,11 +548,11 @@ class FleetRouter(HttpService):
 
     async def _merged_metrics(self, request: HttpRequest) -> Response:
         snapshots = [self._metrics.snapshot()]
-        for _backend, status, payload in await self._scatter(
+        for backend, status, _headers, raw in await self._scatter(
             request, self._healthy(), "GET", "/v1/metrics?format=json"
         ):
-            if status == 200 and isinstance(payload.get("metrics"), dict):
-                snapshots.append(payload["metrics"])
+            if status == 200 and isinstance(metrics := _decode(backend, raw).get("metrics"), dict):
+                snapshots.append(metrics)
         return metrics_response(merge_snapshots(snapshots), request.query)
 
     async def _forward_read(self, request: HttpRequest) -> Response:
@@ -539,13 +560,13 @@ class FleetRouter(HttpService):
         last_error: BackendError | None = None
         for i, backend in enumerate(self._require_healthy()):
             try:
-                status, payload = await self._call(request, backend, "GET", request.path)
+                status, _headers, raw = await self._call(request, backend, "GET", request.path)
             except BackendError as exc:
                 last_error = exc
                 continue
             if i > 0:
                 self._m_retries.inc()
-            return status, payload, {}
+            return status, RawResponse(raw, "application/json"), {}
         raise ApiError(503, "no-replicas", f"read failed on every replica ({last_error})")
 
     async def _remap_not_proxied(self, request: HttpRequest) -> Response:
@@ -565,12 +586,13 @@ class FleetRouter(HttpService):
         answers = await self._scatter(
             request, self._require_healthy(), "POST", "/v1/load", request.json()
         )
-        for backend, status, payload in answers:
+        for backend, status, headers, raw in answers:
             if status != 200:
-                raise self._relay_error(backend, status, payload)
+                raise self._relay_error(backend, status, raw, headers)
         if not answers:
             raise ApiError(503, "no-replicas", "load injection failed on every replica")
-        return 200, {**answers[0][2], "replicas_applied": len(answers)}, {}
+        backend, _status, _headers, raw = answers[0]
+        return 200, {**_decode(backend, raw), "replicas_applied": len(answers)}, {}
 
     # -- best-of race ---------------------------------------------------
     async def _schedule_best(self, request: HttpRequest) -> Response:
@@ -600,15 +622,15 @@ class FleetRouter(HttpService):
             # Identity, not a decision (see _stamped).
             job_id = uuid.uuid4().hex  # repro: disable=RPR101
             body = {**doc, "kind": "schedule", "seed": base_seed + index, "id": job_id}
-            status, payload = await self._call(request, backend, "POST", "/v1/jobs", body)
+            status, headers, raw = await self._call(request, backend, "POST", "/v1/jobs", body)
             if status >= 400:
-                raise self._relay_error(backend, status, payload)
+                raise self._relay_error(backend, status, raw, headers)
             deadline = loop.time() + timeout_s
             while True:
-                status, payload = await self._call(
+                _status, _headers, raw = await self._call(
                     request, backend, "GET", f"/v1/jobs/{job_id}"
                 )
-                job = payload.get("job", {})
+                job = _decode(backend, raw).get("job", {})
                 if job.get("state") == "done":
                     return {"backend": backend, "seed": base_seed + index, **job["result"]}
                 if job.get("state") == "failed":
@@ -626,7 +648,7 @@ class FleetRouter(HttpService):
         )
         results = []
         for backend, outcome in zip(backends, outcomes):
-            if isinstance(outcome, (BackendError, ApiError)):
+            if isinstance(outcome, ApiError):  # a BackendError too
                 log.warning("schedule:best leg on %s failed: %s", backend, outcome)
             elif isinstance(outcome, BaseException):
                 raise outcome

@@ -13,7 +13,9 @@ handlers (each request checks a connection out of the pool).
 from __future__ import annotations
 
 import asyncio
-import json
+
+from repro._util import encode_json
+from repro.server.protocol import ApiError
 
 __all__ = ["BackendError", "BackendPool", "read_response"]
 
@@ -25,11 +27,11 @@ MAX_RESPONSE_BODY_BYTES = 64 * 1024 * 1024
 MAX_IDLE = 4
 
 
-class BackendError(RuntimeError):
-    """A replica could not be reached or answered unparseable bytes."""
+class BackendError(ApiError):
+    """A replica could not be reached or answered unusable bytes (a 502, never a 500)."""
 
     def __init__(self, backend: str, message: str):
-        super().__init__(f"{backend}: {message}")
+        super().__init__(502, "replica-error", f"{backend}: {message}")
         self.backend = backend
 
 
@@ -125,7 +127,7 @@ class BackendPool:
         *headers* are extra request headers (the router's
         ``X-Request-Id``); the caller vouches for their framing.
         """
-        data = json.dumps(body).encode("utf-8") if body is not None else b""
+        data = encode_json(body) if body is not None else b""
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.backend}\r\n"
@@ -161,26 +163,6 @@ class BackendPool:
                 self._release(reader, writer)
             return status, headers, payload
         raise BackendError(self.backend, "retry loop exhausted")  # pragma: no cover
-
-    async def request_json(
-        self,
-        method: str,
-        path: str,
-        body: dict | None = None,
-        *,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict]:
-        """:meth:`request` with the body parsed as a JSON object."""
-        status, _headers, raw = await self.request(method, path, body, headers=headers)
-        if not raw:
-            return status, {}
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BackendError(self.backend, f"non-JSON response body: {exc}") from None
-        if not isinstance(doc, dict):
-            raise BackendError(self.backend, "response body is not a JSON object")
-        return status, doc
 
     def close(self) -> None:
         """Close every idle connection (in-flight ones close themselves)."""

@@ -36,7 +36,7 @@ from repro.server.http import (
     query_int,
 )
 from repro.server.jobs import DuplicateJobError, Job, JobState, JobStore
-from repro.server.protocol import MAX_BODY_BYTES, ApiError, HttpRequest, RawResponse
+from repro.server.protocol import MAX_BODY_BYTES, ApiError, HttpRequest, RawResponse, lookup_body
 from repro.server.serialize import (
     snapshot_to_dict,
     validate_batch_payload,
@@ -348,8 +348,13 @@ class CbesDaemon(HttpService):
         limit = query_int(request.query, "limit", minimum=0)
         after = request.query.get("after", [None])[0]
         ids = query_ids(request.query)
+        if ids is not None:  # leads with the named ids not held, whatever `state` keeps
+            held = {job.id: job for job in self._store.list(ids=ids)}
+            missing = [job_id for job_id in dict.fromkeys(ids) if job_id not in held]
+            jobs = [job.to_json() for job in held.values() if state in (None, job.state.value)]
+            return 200, RawResponse(lookup_body(missing, jobs), "application/json"), {}
         try:
-            jobs = self._store.list(state=state, limit=limit, after=after, ids=ids)
+            jobs = self._store.list(state=state, limit=limit, after=after)
         except KeyError:
             raise ApiError(
                 400, "bad-request", f"unknown 'after' job id {after!r} (evicted or never existed)"

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 
 from repro._util import encode_json
 
-__all__ = ["ApiError", "HttpRequest", "RawResponse", "read_request", "render_response"]
+__all__ = [
+    "ApiError",
+    "HttpRequest",
+    "RawResponse",
+    "lookup_body",
+    "read_request",
+    "render_response",
+    "split_lookup",
+]
 
 #: Upper bounds keeping one misbehaving client from ballooning memory.
 #: The body cap is the *default*; the daemon passes its configured limit
@@ -26,6 +34,8 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Most job ids one ``GET /v1/jobs?ids=...`` lookup may name; the client
 #: splits longer lists into several requests.
 MAX_LOOKUP_IDS = 512
+#: The literals that frame a lookup's answer, ``{"missing":[...],"jobs":[...]}``.
+LOOKUP_MISSING, LOOKUP_JOBS = b'{"missing":', b',"jobs":['
 
 #: When rejecting an oversized body we still *drain* it (in chunks of
 #: this size) so the connection stays framed for keep-alive reuse.
@@ -42,6 +52,7 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
     501: "Not Implemented",
+    502: "Bad Gateway",
     503: "Service Unavailable",
 }
 
@@ -230,3 +241,25 @@ def render_response(
     for name, value in (headers or {}).items():
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def lookup_body(missing: list[str], jobs: list[bytes]) -> bytes:
+    """A ``GET /v1/jobs?ids=...`` answer: the named ids not held, then
+    the encoded job documents, spliced in as they are."""
+    return LOOKUP_MISSING + encode_json(missing) + LOOKUP_JOBS + b",".join(jobs) + b"]}"
+
+
+def split_lookup(body: bytes) -> tuple[list[str], bytes]:
+    """(missing ids, comma-joined job documents) of a :func:`lookup_body`.
+
+    Only ``missing`` is decoded.  ``,"jobs":[`` cannot occur inside an
+    encoded JSON string (its quotes are escaped), so its first
+    occurrence ends the list.  Raises ``ValueError`` on any other shape.
+    """
+    cut = body.find(LOOKUP_JOBS)
+    if cut < 0 or not body.startswith(LOOKUP_MISSING) or not body.endswith(b"]}"):
+        raise ValueError('not {"missing":[...],"jobs":[...]}')
+    missing = json.loads(body[len(LOOKUP_MISSING) : cut])
+    if not isinstance(missing, list) or not all(isinstance(i, str) for i in missing):
+        raise ValueError("'missing' is not a list of job ids")
+    return missing, body[cut + len(LOOKUP_JOBS) : -2]

@@ -13,6 +13,7 @@ a context manager that yields a :class:`Door`.
 
 from __future__ import annotations
 
+import json
 import socket
 import time
 from contextlib import ExitStack, contextmanager
@@ -22,6 +23,7 @@ import pytest
 
 from repro.fleet import RouterThread
 from repro.server import DaemonThread, ServerError
+from repro.server.daemon import CbesDaemon
 from repro.server.http import HttpService, ServiceThread
 from repro.server.jobs import JobStore
 from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS
@@ -29,16 +31,20 @@ from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS
 
 class Door(NamedTuple):
     """A running front door: its harness, its service core, its metric
-    prefix, and the job stores of the daemon(s) answering behind it."""
+    prefix, and the daemon(s) answering behind it."""
 
     thread: ServiceThread
     core: HttpService
     prefix: str
-    stores: tuple[JobStore, ...]
+    daemons: tuple[CbesDaemon, ...]
 
     @property
     def address(self) -> tuple[str, int]:
         return self.thread.host, self.thread.port
+
+    @property
+    def stores(self) -> tuple[JobStore, ...]:
+        return tuple(daemon.store for daemon in self.daemons)
 
     def client(self, **kwargs):
         return self.thread.client(**kwargs)
@@ -48,7 +54,7 @@ class Door(NamedTuple):
 def daemon_door(service, **http):
     """A daemon as the front door."""
     with DaemonThread(service, workers=1, queue_limit=4, **http) as srv:
-        yield Door(srv, srv.daemon, "cbes", (srv.daemon.store,))
+        yield Door(srv, srv.daemon, "cbes", (srv.daemon,))
 
 
 @contextmanager
@@ -67,8 +73,8 @@ def router_door(*services, **http):
         for name, value in http.items():
             setattr(fleet.router, name, value)
         with fleet:
-            stores = tuple(replica.daemon.store for replica in replicas)
-            yield Door(fleet, fleet.router, "cbes_fleet", stores)
+            daemons = tuple(replica.daemon for replica in replicas)
+            yield Door(fleet, fleet.router, "cbes_fleet", daemons)
 
 
 def metric_value(client, name: str, labels: str = "") -> float:
@@ -333,6 +339,38 @@ class OversizedBodyConformance:
                 # The same socket must still serve the next request.
                 second = raw_exchange(sock, follow_up)
                 assert b"200" in second.split(b"\r\n", 1)[0]
+
+
+class BackpressureConformance:
+    """A full queue is a 429 with ``Retry-After``, on both submit routes.
+
+    Needs a ``front_door`` over service(s) with one profiled 3-rank
+    application.  The raw status line and headers are read, because the
+    client assumes ``Retry-After: 1`` when the header is absent.
+    """
+
+    def test_queue_full_429_carries_retry_after(self, front_door):
+        with front_door() as door:
+            client = door.client()
+            doc = {
+                "kind": "predict",
+                "app": client.profiles()[0],
+                "nodes": sorted(client.snapshot()["nodes"])[:3],
+            }
+            for daemon in door.daemons:
+                daemon.runner.queue_limit = 0  # every submission now overfills the queue
+            for path, body in (("/v1/jobs", doc), ("/v1/jobs:batch", {"jobs": [doc, doc]})):
+                data = json.dumps(body).encode()
+                request = (
+                    f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(data)}\r\n"
+                    "Content-Type: application/json\r\n\r\n"
+                ).encode() + data
+                with socket.create_connection(door.address, timeout=10) as sock:
+                    reply = raw_exchange(sock, request)
+                head, body_bytes = reply.split(b"\r\n\r\n", 1)
+                assert head.startswith(b"HTTP/1.1 429 "), (path, head)
+                assert b"\r\nRetry-After: 1" in head, (path, head)
+                assert json.loads(body_bytes)["error"]["code"] == "queue-full"
 
 
 class ErrorContractConformance:

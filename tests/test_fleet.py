@@ -7,8 +7,10 @@ correctness bar for transparent scale-out.
 """
 
 import http.client
+import http.server
 import json
 import socket
+import threading
 import time
 import urllib.request
 from functools import partial
@@ -18,11 +20,14 @@ import pytest
 from repro.cluster import single_switch
 from repro.core import CBES
 from repro.fleet import RouterThread, pick_backend, rendezvous_rank
+from repro.fleet import router as router_module
 from repro.server import DaemonThread
 from repro.server.client import ServerError
+from repro.server.protocol import lookup_body, split_lookup
 from repro.workloads import SyntheticBenchmark
 from tests.http_conformance import (
     HEALTHZ,
+    BackpressureConformance,
     ErrorContractConformance,
     JobDocumentConformance,
     JobLookupConformance,
@@ -238,6 +243,11 @@ class TestFleetRouter:
         direct = replicas[0].client()
         expected = direct.wait(direct.submit(**doc)["id"], timeout_s=120)["result"]
         assert [job["result"] for job in done] == [expected] * 3
+        # `state` is applied by the replicas, yet a job held off its first
+        # choice is still found: "missing" means not held, whatever the state.
+        asked = [routed[0], stray, routed[1]]
+        assert sorted(job["id"] for job in client.jobs(ids=asked, state="done")) == sorted(asked)
+        assert client.jobs(ids=asked, state="failed") == []
 
     def test_metrics_merge_replica_counters(self, fleet):
         router, _, _ = fleet
@@ -346,6 +356,7 @@ def conformance_service():
 
 
 class TestRouterConformance(
+    BackpressureConformance,
     KeepAliveConformance,
     OversizedBodyConformance,
     ErrorContractConformance,
@@ -430,3 +441,87 @@ class TestFleetDegradation:
         finally:
             if d1._thread.is_alive():
                 d1.shutdown()
+
+
+def _get_bytes(address: tuple[str, int], path: str) -> bytes:
+    host, port = address
+    with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=30) as response:
+        return response.read()
+
+
+class TestByteRelay:
+    """Job documents cross the router as the replica's bytes, never decoded."""
+
+    def test_point_and_id_lookups_relay_the_replica_bytes(self, conformance_service, monkeypatch):
+        decoded = []
+        real = router_module._decode
+        monkeypatch.setattr(
+            router_module, "_decode", lambda *args: decoded.append(args) or real(*args)
+        )
+        with router_door(conformance_service) as door:
+            (replica,) = door.daemons
+            client = door.client()
+            app = client.profiles()[0]
+            accepted = client.submit_batch(
+                [{"kind": "predict", "app": app, "nodes": NODES}] * 2
+            )
+            ids = [job["id"] for job in accepted]
+            client.wait_many(ids, timeout_s=60.0)
+            decoded.clear()
+            for path in (
+                f"/v1/jobs/{ids[0]}",
+                "/v1/jobs?ids=" + ",".join([*ids, "no-such-job"]),
+                f"/v1/jobs?state=done&ids={ids[1]}",
+            ):
+                assert _get_bytes(door.address, path) == _get_bytes(replica.address, path), path
+            assert decoded == []
+
+
+class TestLookupAnswerFraming:
+    """A replica's ``?ids=`` answer is read by its ``missing`` prefix alone."""
+
+    @pytest.mark.parametrize("weird", [',"jobs":[', '"', 'a\\"jobs', "ünï"])
+    def test_any_id_round_trips_through_missing(self, weird):
+        spans = [b'{"id":"x","result":{"jobs":[1]}}', b'{"id":"y"}']
+        body = lookup_body([weird, "plain"], spans)
+        assert json.loads(body) == {
+            "missing": [weird, "plain"],
+            "jobs": [{"id": "x", "result": {"jobs": [1]}}, {"id": "y"}],
+        }
+        assert split_lookup(body) == ([weird, "plain"], b",".join(spans))
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            b'{"jobs":[]}',
+            b'{"missing":[]}',
+            b'{"missing":["a"],"jobs":[',
+            b'{"missing":7,"jobs":[]}',
+            b'{"missing":[1],"jobs":[]}',
+            b'{"missing":[nope,"jobs":[]}',
+            b'{"missing":' + b"[" * 100_000 + b',"jobs":[]}',
+            b"",
+            b"\xff\xfe",
+        ],
+    )
+    def test_a_malformed_lookup_answer_is_a_502(self, answer):
+        class Stub(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 - the stdlib's spelling
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(answer)))
+                self.end_headers()
+                self.wfile.write(answer)
+
+            def log_message(self, *args):
+                pass
+
+        stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Stub)
+        threading.Thread(target=stub.serve_forever, daemon=True).start()
+        try:
+            with RouterThread([f"127.0.0.1:{stub.server_address[1]}"]) as router:
+                with pytest.raises(ServerError) as err:
+                    router.client().jobs(ids=["a", "b"])
+                assert (err.value.status, err.value.code) == (502, "replica-error")
+        finally:
+            stub.shutdown()
+            stub.server_close()

@@ -587,9 +587,10 @@ class TestResultBytesIdentity:
         reopened.close()
 
     def test_one_encoder_no_dump_calls_no_dict_typed_result(self):
-        """`persist/journal.py`, `persist/store.py`, `server/jobs.py` and
-        `server/protocol.py` write JSON through `repro._util.encode_json`
-        alone, and a `Job` stores its result as bytes only."""
+        """`persist/journal.py`, `persist/store.py`, `server/jobs.py`,
+        `server/protocol.py`, `fleet/transport.py` and `fleet/router.py`
+        write JSON through `repro._util.encode_json` alone, and a `Job`
+        stores its result as bytes only."""
         import dataclasses
 
         from repro.server.jobs import Job
@@ -597,7 +598,7 @@ class TestResultBytesIdentity:
         root = Path(repro.__file__).resolve().parent
         encoders = {}
         for where in ("persist/journal.py", "persist/store.py", "server/jobs.py",
-                      "server/protocol.py"):
+                      "server/protocol.py", "fleet/transport.py", "fleet/router.py"):
             tree = ast.parse((root / where).read_text(), where)
             imported, called = set(), set()
             for node in ast.walk(tree):
@@ -610,7 +611,9 @@ class TestResultBytesIdentity:
                     called.add(node.attr)
             assert called <= {"loads"}, f"{where} encodes JSON on its own: {sorted(called)}"
             encoders[where] = imported & {
-                ("repro._util", "encode_json"), ("repro.server.jobs", "spliced")
+                ("repro._util", "encode_json"),
+                ("repro.server.jobs", "spliced"),
+                ("repro.server.protocol", "lookup_body"),
             }
         assert all(encoders.values()), encoders
         fields = {field.name: field.type for field in dataclasses.fields(Job)}

@@ -17,6 +17,7 @@ from repro.core import CBES
 from repro.server import BackpressureError, DaemonThread, ServerError
 from repro.workloads import SyntheticBenchmark
 from tests.http_conformance import (
+    BackpressureConformance,
     ErrorContractConformance,
     JobDocumentConformance,
     KeepAliveConformance,
@@ -59,6 +60,10 @@ class TestJobDocuments(JobDocumentConformance):
 
 class TestLoopLag(LoopLagConformance):
     """The daemon's loop measures its own stalls."""
+
+
+class TestBackpressure(BackpressureConformance):
+    """A full queue's 429 carries ``Retry-After``, from a ``DaemonThread``."""
 
 
 class TestBatchSubmission:
