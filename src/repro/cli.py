@@ -49,6 +49,7 @@ from repro.server import (
     JobState,
     ServerError,
 )
+from repro.server.config import DAEMON_FIELDS, REPLICA_FIELDS, daemon_config
 from repro.server.serialize import JOB_FIELDS, JOB_KINDS, WATCH_FIELDS
 from repro.workloads import (
     BT,
@@ -269,15 +270,8 @@ def cmd_serve(args) -> int:
         service,
         host=args.host,
         port=args.port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        job_ttl_s=args.job_ttl,
-        refresh_interval_s=args.refresh_interval if args.refresh_interval > 0 else None,
         monitor_kwargs=monitor_kwargs,
-        data_dir=args.data_dir,
-        fsync=args.fsync,
-        replica_id=args.replica_id,
-        max_body_bytes=args.max_body_bytes,
+        **_fields(args, DAEMON_FIELDS),
     )
 
     async def _serve() -> int:
@@ -302,11 +296,9 @@ def cmd_fleet(args) -> int:
             db=args.db,
             cluster=args.cluster,
             seed=args.seed,
-            workers=args.workers,
-            queue_limit=args.queue_limit,
             data_root=args.data_root,
-            fsync=args.fsync,
             log_level=args.log_level,
+            **_fields(args, DAEMON_FIELDS),
         )
         backends = supervisor.start()
     else:
@@ -336,13 +328,38 @@ def _node_ids(text: str) -> list[str]:
 
 
 def _fields(args, table) -> dict:
-    """The parsed flags that are fields of the wire document *table* describes.
+    """The parsed flags that are fields of the document *table* describes.
 
-    A flag that becomes a body field is named like the field, so the
-    tables of :mod:`repro.server.serialize` say what is sent; a flag
-    left at ``None`` is not sent and the server's default applies.
+    A flag that becomes a field is named like it, so the tables say what
+    is sent or given; a wire field left at ``None`` is not sent and the
+    server's default applies.
     """
     return {name: getattr(args, name) for name in table if hasattr(args, name)}
+
+
+def _setting(name: str):
+    """The argparse ``type`` of daemon setting *name*: parse, then the row's check."""
+    default = DAEMON_FIELDS[name].default
+    parse = str if default is None else type(default)
+
+    def convert(text: str):
+        value = parse(text)  # a ValueError here is argparse's "invalid int value"
+        try:
+            return daemon_config(**{name: value})[name]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
+def _add_settings(p: argparse.ArgumentParser, names, per: str = "") -> None:
+    """Register the ``repro serve`` flags of the daemon settings *names*."""
+    for name in names:
+        row = DAEMON_FIELDS[name]
+        p.add_argument(
+            row.flag, dest=name, type=_setting(name), default=row.default, help=row.help + per
+        )
 
 
 def cmd_submit(args) -> int:
@@ -552,22 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="end-to-end walkthrough")
     p.set_defaults(func=cmd_demo)
 
-    def add_endpoint_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default="127.0.0.1", help="daemon address")
-        p.add_argument("--port", type=int, default=8080, help="daemon port")
-        p.add_argument("--timeout", type=float, default=300.0, help="request/wait timeout (s)")
+    def add_endpoint_args(p: argparse.ArgumentParser, what="daemon", timeout=True) -> None:
+        p.add_argument("--host", default="127.0.0.1", help=f"{what} address")
+        p.add_argument("--port", type=int, default=8080, help=f"{what} port")
+        if timeout:
+            p.add_argument("--timeout", type=float, default=300.0, help="request/wait timeout (s)")
 
     p = sub.add_parser("serve", help="run the scheduling daemon")
-    add_endpoint_args(p)
-    p.add_argument("--workers", type=int, default=2, help="job worker threads")
-    p.add_argument("--queue-limit", type=int, default=16, help="max queued jobs before 429")
-    p.add_argument("--job-ttl", type=float, default=600.0, help="finished-job retention (s)")
-    p.add_argument(
-        "--refresh-interval",
-        type=float,
-        default=10.0,
-        help="snapshot refresh period in seconds (0 disables refresh)",
-    )
+    add_endpoint_args(p, timeout=False)
+    _add_settings(p, [name for name, row in DAEMON_FIELDS.items() if row.flag is not None])
     p.add_argument(
         "--no-monitor",
         dest="monitor",
@@ -576,31 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--forecaster", default="last-value", help="monitor forecaster kind")
     p.add_argument("--log-level", default="info", help="repro.server log level")
-    p.add_argument(
-        "--data-dir",
-        default=None,
-        help="journal job state to this directory (crash-recoverable; default in-memory)",
-    )
-    p.add_argument(
-        "--fsync",
-        default="interval",
-        choices=["always", "interval", "never"],
-        help="journal fsync policy (with --data-dir)",
-    )
-    p.add_argument(
-        "--replica-id", default="", help="identity reported in /v1/healthz (fleet replicas)"
-    )
-    p.add_argument(
-        "--max-body-bytes",
-        type=int,
-        default=8 * 1024 * 1024,
-        help="largest accepted request body (413 beyond it)",
-    )
     p.set_defaults(func=cmd_serve, monitor=True)
 
     p = sub.add_parser("fleet", help="run a sharded multi-daemon router")
-    p.add_argument("--host", default="127.0.0.1", help="router bind address")
-    p.add_argument("--port", type=int, default=8080, help="router port")
+    add_endpoint_args(p, "router", timeout=False)
     p.add_argument(
         "--replicas", type=int, default=0, help="spawn N `repro serve` replica subprocesses"
     )
@@ -609,20 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="route to these already-running daemons (comma-separated host:port)",
     )
-    p.add_argument("--workers", type=int, default=2, help="job worker threads per replica")
-    p.add_argument(
-        "--queue-limit", type=int, default=16, help="max queued jobs per replica before 429"
-    )
+    _add_settings(p, REPLICA_FIELDS, " (each replica)")
     p.add_argument(
         "--data-root",
         default=None,
         help="per-replica journal directories under this root (crash-recoverable replicas)",
-    )
-    p.add_argument(
-        "--fsync",
-        default="interval",
-        choices=["always", "interval", "never"],
-        help="replica journal fsync policy (with --data-root)",
     )
     p.add_argument("--log-level", default="info", help="repro.fleet log level")
     p.set_defaults(func=cmd_fleet)

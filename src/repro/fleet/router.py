@@ -61,6 +61,7 @@ from urllib.parse import urlencode
 from repro import telemetry
 from repro.fleet.hashing import rendezvous_rank
 from repro.fleet.transport import BackendError, BackendPool
+from repro.server.config import DAEMON_FIELDS, HTTP_FIELDS
 from repro.server.http import (
     Handler,
     HttpService,
@@ -142,8 +143,6 @@ class FleetRouter(HttpService):
         replicas.
     timeout_s:
         Per-exchange deadline on replica calls.
-    keepalive_timeout_s:
-        Idle client connections are reaped after this long.
     metrics:
         Router-local registry (fresh one by default); merged into the
         fleet ``/v1/metrics`` reduction alongside the replicas'.
@@ -158,7 +157,6 @@ class FleetRouter(HttpService):
         unhealthy_after: int = 3,
         probe_interval_s: float = 0.5,
         timeout_s: float = 30.0,
-        keepalive_timeout_s: float | None = 30.0,
         metrics: telemetry.MetricsRegistry | None = None,
     ) -> None:
         if not backends:
@@ -175,7 +173,8 @@ class FleetRouter(HttpService):
             host=host,
             port=port,
             metrics=metrics if metrics is not None else telemetry.MetricsRegistry(),
-            keepalive_timeout_s=keepalive_timeout_s,
+            # A client meets the router's connection handling as a replica's.
+            **{name: DAEMON_FIELDS[name].default for name in HTTP_FIELDS},
         )
         self._unhealthy_after = unhealthy_after
         self._probe_interval = probe_interval_s
@@ -677,6 +676,6 @@ class RouterThread(ServiceThread):
             client = fleet.client()
     """
 
-    def __init__(self, backends: list[str], *, startup_timeout_s: float = 30.0, **router_kwargs):
+    def __init__(self, backends: list[str], **router_kwargs):
         self.router = FleetRouter(backends, **router_kwargs)
-        super().__init__(self.router, startup_timeout_s=startup_timeout_s)
+        super().__init__(self.router)

@@ -7,8 +7,8 @@ GIL, own job store, own simulated cluster), discovered by parsing the
 With ``data_root`` set, replica *i* journals under
 ``data_root/r{i}``, so a restarted fleet recovers every replica's jobs.
 
-The supervisor is deliberately synchronous (it runs before the router's
-event loop starts) and stdlib-only.
+It holds the replicas' configuration as one document, and is deliberately
+synchronous: it runs before the router's event loop starts.
 """
 
 from __future__ import annotations
@@ -21,22 +21,28 @@ import subprocess
 import sys
 import time
 
+from repro.server.config import DAEMON_FIELDS, REPLICA_FIELDS, daemon_config
+
 __all__ = ["FleetSupervisor"]
 
 log = logging.getLogger("repro.fleet.supervisor")
 
 _BANNER = re.compile(r"serving on http://([0-9.]+):(\d+)")
 
+#: How long a replica may take to print its banner.
+STARTUP_TIMEOUT_S = 60.0
+
 
 class FleetSupervisor:
     """Owns the lifecycle of N `repro serve` replica subprocesses.
 
-    Parameters mirror the ``repro serve`` flags each replica receives.
-    Every replica gets the *same* seed: transparent scale-out means a
-    job must produce the identical result no matter which replica it
-    hashes to, so the replicas' simulated clusters and monitors must be
-    indistinguishable.  (The ``schedule:best`` race varies *job* seeds,
-    which is a different knob.)
+    The *settings* keywords are the ``REPLICA_FIELDS`` rows of
+    :data:`~repro.server.config.DAEMON_FIELDS`, checked before anything
+    spawns.  Every replica gets the *same* seed: transparent scale-out
+    means a job must produce the identical result no matter which
+    replica it hashes to, so the replicas' simulated clusters and
+    monitors must be indistinguishable.  (The ``schedule:best`` race
+    varies *job* seeds, which is a different knob.)
     """
 
     def __init__(
@@ -46,60 +52,42 @@ class FleetSupervisor:
         db: str = ".cbes-db",
         cluster: str = "orange-grove",
         seed: int = 0,
-        workers: int = 2,
-        queue_limit: int = 16,
         data_root: str | None = None,
-        fsync: str = "interval",
         log_level: str = "info",
-        startup_timeout_s: float = 60.0,
+        **settings,
     ) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if settings.keys() - set(REPLICA_FIELDS):
+            raise TypeError(f"replica settings are {', '.join(REPLICA_FIELDS)}")
+        #: The replicas' configuration document (every row of DAEMON_FIELDS).
+        self.config = daemon_config(**settings)
         self._replicas = replicas
         self._db = db
         self._cluster = cluster
         self._seed = seed
-        self._workers = workers
-        self._queue_limit = queue_limit
         self._data_root = data_root
-        self._fsync = fsync
         self._log_level = log_level
-        self._startup_timeout = startup_timeout_s
         self._procs: list[subprocess.Popen] = []
         self.backends: list[str] = []
 
+    def replica_config(self, index: int) -> dict:
+        """:attr:`config` as replica *index* runs it: named ``r{index}``, and
+        journaling under ``data_root/r{index}`` if there is a data root."""
+        data_dir = None if self._data_root is None else os.path.join(self._data_root, f"r{index}")
+        return {**self.config, "replica_id": f"r{index}", "data_dir": data_dir}
+
     def _command(self, index: int) -> list[str]:
+        """``repro serve`` with ``--flag value`` for each setting off its default."""
         cmd = [
-            sys.executable,
-            "-m",
-            "repro",
-            "--db",
-            self._db,
-            "--cluster",
-            self._cluster,
-            "--seed",
-            str(self._seed),
-            "serve",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            "0",
-            "--workers",
-            str(self._workers),
-            "--queue-limit",
-            str(self._queue_limit),
-            "--replica-id",
-            f"r{index}",
-            "--log-level",
-            self._log_level,
+            sys.executable, "-m", "repro",
+            "--db", self._db, "--cluster", self._cluster, "--seed", str(self._seed),
+            "serve", "--host", "127.0.0.1", "--port", "0", "--log-level", self._log_level,
         ]
-        if self._data_root is not None:
-            cmd += [
-                "--data-dir",
-                os.path.join(self._data_root, f"r{index}"),
-                "--fsync",
-                self._fsync,
-            ]
+        for name, value in self.replica_config(index).items():
+            row = DAEMON_FIELDS[name]
+            if value != row.default:
+                cmd += [row.flag, str(value)]
         return cmd
 
     def start(self) -> list[str]:
@@ -135,7 +123,7 @@ class FleetSupervisor:
 
     def _await_banner(self, proc: subprocess.Popen, index: int) -> str:
         assert proc.stdout is not None
-        deadline = time.monotonic() + self._startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT_S
         while True:
             if time.monotonic() > deadline:
                 raise RuntimeError(f"replica r{index} did not start within the startup timeout")

@@ -30,7 +30,7 @@ Durability is a policy knob (``fsync=``):
 * ``never``    — flush to the OS only (survives process crashes, not
   power loss; fastest).
 
-Stdlib only, thread-safe (one lock around the file).
+Thread-safe (one lock around the file).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from repro._util import encode_json
+from repro.server.config import DAEMON_FIELDS, FSYNC_POLICIES
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -54,9 +55,6 @@ __all__ = [
     "JournalError",
     "replay_journal",
 ]
-
-#: Valid values of the ``fsync=`` policy knob.
-FSYNC_POLICIES = ("always", "interval", "never")
 
 _HEADER = struct.Struct(">II")  # (payload length, crc32)
 HEADER_BYTES = _HEADER.size
@@ -153,7 +151,7 @@ class Journal:
         self,
         path: str | Path,
         *,
-        fsync: str = "interval",
+        fsync: str = DAEMON_FIELDS["fsync"].default,
         fsync_interval_s: float = 0.1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:

@@ -44,7 +44,8 @@ import time
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from repro.persist.journal import FSYNC_POLICIES, Journal, JournalCorruptError, replay_journal
+from repro.persist.journal import Journal, JournalCorruptError, replay_journal
+from repro.server.config import DAEMON_FIELDS
 from repro.server.jobs import Job, JobState, JobStore, spliced
 
 __all__ = [
@@ -154,7 +155,7 @@ class DurableJobStore(JobStore):
         Directory holding ``journal.wal`` and ``jobs.snapshot.json``
         (created if missing).  One store per directory — two daemons
         sharing a data dir would interleave journals incoherently.
-    fsync, fsync_interval_s:
+    fsync:
         Journal durability policy (see :class:`Journal`).
     compact_bytes:
         Journal size beyond which the next append triggers compaction —
@@ -174,16 +175,13 @@ class DurableJobStore(JobStore):
         self,
         data_dir: str | Path,
         *,
-        ttl_s: float = 600.0,
+        ttl_s: float = DAEMON_FIELDS["job_ttl_s"].default,
         clock: Callable[[], float] = time.monotonic,
         on_evict: Callable[[Job, float], None] | None = None,
-        fsync: str = "interval",
-        fsync_interval_s: float = 0.1,
+        fsync: str = DAEMON_FIELDS["fsync"].default,
         compact_bytes: int = 4 * 1024 * 1024,
         metrics=None,
     ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}")
         if compact_bytes < 1:
             raise ValueError("compact_bytes must be >= 1")
         self._user_on_evict = on_evict
@@ -208,12 +206,7 @@ class DurableJobStore(JobStore):
         else:
             self._m_appends = self._m_bytes = self._m_compactions = self._m_recovered = None
         snapshot_doc = self._read_snapshot()  # first: a refused boot leaves no open file
-        self._journal = Journal(
-            self.data_dir / self.JOURNAL_NAME,
-            fsync=fsync,
-            fsync_interval_s=fsync_interval_s,
-            clock=clock,
-        )
+        self._journal = Journal(self.data_dir / self.JOURNAL_NAME, fsync=fsync, clock=clock)
         self._recover(snapshot_doc)
 
     # -- introspection --------------------------------------------------

@@ -24,6 +24,7 @@ import logging
 from repro import telemetry
 from repro.core.service import CBES
 from repro.monitoring.load import LoadEvent, LoadGenerator
+from repro.server.config import HTTP_FIELDS, daemon_config
 from repro.server.execution import JobRunner
 from repro.server.http import (
     Handler,
@@ -36,7 +37,7 @@ from repro.server.http import (
     query_int,
 )
 from repro.server.jobs import DuplicateJobError, Job, JobState, JobStore
-from repro.server.protocol import MAX_BODY_BYTES, ApiError, HttpRequest, RawResponse, lookup_body
+from repro.server.protocol import ApiError, HttpRequest, RawResponse, lookup_body
 from repro.server.serialize import (
     snapshot_to_dict,
     validate_batch_payload,
@@ -63,25 +64,6 @@ class CbesDaemon(HttpService):
     host, port:
         Bind address; port 0 picks an ephemeral port (see
         :attr:`address` after :meth:`start`).
-    workers:
-        Size of the job worker pool (threads).
-    queue_limit:
-        Bound on jobs *waiting* for a worker; beyond it submissions get
-        HTTP 429.
-    job_ttl_s:
-        How long finished job results stay pollable.
-    refresh_interval_s:
-        Period of the snapshot-refresh task; ``None`` disables refresh
-        (the start-time snapshot serves forever — fine for oracle
-        snapshots of a static cluster).
-    drain_timeout_s:
-        How long shutdown waits for queued + in-flight jobs.
-    keepalive_max_requests:
-        Requests served per connection before the daemon closes it
-        (bounds how long one client can monopolize a handler).
-    keepalive_timeout_s:
-        Idle seconds the daemon waits for the next request on a
-        keep-alive connection before closing it; ``None`` waits forever.
     monitor_kwargs:
         When given, the daemon owns the service's monitor lifecycle: a
         failed snapshot refresh stops and restarts monitoring with these
@@ -92,24 +74,11 @@ class CbesDaemon(HttpService):
         ambient telemetry so scheduler/search instrumentation running on
         worker threads lands in the same registry; they are surfaced at
         ``GET /v1/metrics`` and ``GET /v1/traces``.
-    max_traces:
-        Ring-buffer size of the default tracer (ignored when *tracer*
-        is given).
-    data_dir:
-        When given, job state is **durable**: every transition is
-        journaled to this directory (see :mod:`repro.persist`), startup
-        replays the journal, and jobs that were queued/running at crash
-        time are re-enqueued.  Without it (the default) the original
-        in-memory store serves exactly as before.
-    fsync:
-        Journal durability policy (``always`` / ``interval`` /
-        ``never``); only meaningful with *data_dir*.
-    replica_id:
-        Identity this daemon reports in ``GET /v1/healthz`` (the fleet
-        router sets it per replica); empty means standalone.
-    max_body_bytes:
-        Largest accepted request body; larger bodies are drained and
-        answered 413 without dropping the keep-alive connection.
+    settings:
+        One keyword per row of :data:`~repro.server.config.DAEMON_FIELDS`
+        (default, check and meaning are there).  With ``data_dir`` every
+        job transition is journaled (:mod:`repro.persist`), and a restart
+        replays it and re-enqueues jobs that were queued or running.
     """
 
     def __init__(
@@ -118,41 +87,23 @@ class CbesDaemon(HttpService):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 2,
-        queue_limit: int = 16,
-        job_ttl_s: float = 600.0,
-        refresh_interval_s: float | None = None,
-        drain_timeout_s: float = 30.0,
-        keepalive_max_requests: int = 100,
-        keepalive_timeout_s: float | None = 30.0,
         monitor_kwargs: dict | None = None,
         metrics: telemetry.MetricsRegistry | None = None,
         tracer: telemetry.Tracer | None = None,
-        max_traces: int = 64,
-        data_dir: str | None = None,
-        fsync: str = "interval",
-        replica_id: str = "",
-        max_body_bytes: int = MAX_BODY_BYTES,
+        **settings,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if refresh_interval_s is not None and refresh_interval_s <= 0:
-            raise ValueError("refresh_interval_s must be > 0")
+        config = daemon_config(**settings)
         super().__init__(
             name="daemon",
             metric_prefix="cbes",
             host=host,
             port=port,
             metrics=metrics if metrics is not None else telemetry.MetricsRegistry(),
-            keepalive_max_requests=keepalive_max_requests,
-            keepalive_timeout_s=keepalive_timeout_s,
-            max_body_bytes=max_body_bytes,
+            **{name: config[name] for name in HTTP_FIELDS},
         )
         self._service = service
-        self._replica_id = replica_id
-        self._tracer = tracer if tracer is not None else telemetry.Tracer(max_traces=max_traces)
+        self._replica_id = config["replica_id"]
+        self._tracer = tracer if tracer is not None else telemetry.Tracer()
         m = self._metrics
         self._m_evicted = m.counter(
             "cbes_jobs_evicted_total", "Terminal jobs dropped by TTL eviction."
@@ -165,28 +116,27 @@ class CbesDaemon(HttpService):
             "Seconds since the daemon started.",
             callback=lambda: self.uptime_s,
         )
-        self._durable = data_dir is not None
-        if data_dir is not None:
+        self._durable = config["data_dir"] is not None
+        if self._durable:
             # Imported here, not at module top: repro.persist builds on
             # repro.server.jobs, so a top-level import would be circular.
             from repro.persist.store import DurableJobStore
 
             self._store: JobStore = DurableJobStore(
-                data_dir,
-                ttl_s=job_ttl_s,
+                config["data_dir"],
+                ttl_s=config["job_ttl_s"],
                 on_evict=self._on_job_evicted,
-                fsync=fsync,
+                fsync=config["fsync"],
                 metrics=m,
             )
         else:
-            self._store = JobStore(ttl_s=job_ttl_s, on_evict=self._on_job_evicted)
+            self._store = JobStore(ttl_s=config["job_ttl_s"], on_evict=self._on_job_evicted)
         self.runner = JobRunner(
             service,
             self._store,
-            workers=workers,
-            queue_limit=queue_limit,
-            refresh_interval_s=refresh_interval_s,
-            drain_timeout_s=drain_timeout_s,
+            workers=config["workers"],
+            queue_limit=config["queue_limit"],
+            refresh_interval_s=config["refresh_interval_s"],
             monitor_kwargs=monitor_kwargs,
             metrics=m,
             tracer=self._tracer,
@@ -445,6 +395,6 @@ class DaemonThread(ServiceThread):
     (draining in-flight jobs, like SIGTERM would).
     """
 
-    def __init__(self, service: CBES, *, startup_timeout_s: float = 30.0, **daemon_kwargs):
+    def __init__(self, service: CBES, **daemon_kwargs):
         self.daemon = CbesDaemon(service, **daemon_kwargs)
-        super().__init__(self.daemon, startup_timeout_s=startup_timeout_s)
+        super().__init__(self.daemon)

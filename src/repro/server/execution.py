@@ -42,13 +42,16 @@ __all__ = ["JobRunner"]
 
 log = logging.getLogger("repro.server.execution")
 
+#: How long a draining stop waits for queued and running jobs.
+DRAIN_TIMEOUT_S = 30.0
+
 
 class JobRunner:
     """Runs queued jobs on worker threads against the serving snapshot.
 
-    Parameters mirror the :class:`~repro.server.daemon.CbesDaemon`
-    arguments of the same names; *store* is the daemon's job store and
-    *metrics* / *tracer* its telemetry sinks.
+    Parameters are the daemon settings of the same names
+    (:data:`~repro.server.config.DAEMON_FIELDS`); *store* is the
+    daemon's job store and *metrics* / *tracer* its telemetry sinks.
     """
 
     def __init__(
@@ -58,8 +61,7 @@ class JobRunner:
         *,
         workers: int,
         queue_limit: int,
-        refresh_interval_s: float | None,
-        drain_timeout_s: float,
+        refresh_interval_s: float,
         monitor_kwargs: dict | None,
         metrics: telemetry.MetricsRegistry,
         tracer: telemetry.Tracer,
@@ -69,7 +71,6 @@ class JobRunner:
         self.workers = workers
         self.queue_limit = queue_limit
         self._refresh_interval = refresh_interval_s
-        self._drain_timeout = drain_timeout_s
         self._monitor_kwargs = dict(monitor_kwargs) if monitor_kwargs else None
         self._metrics = metrics
         self._tracer = tracer
@@ -173,7 +174,7 @@ class JobRunner:
             self._loop.create_task(self._worker(), name=f"cbes-worker-{i}")
             for i in range(self.workers)
         ]
-        if self._refresh_interval is not None:
+        if self._refresh_interval > 0:
             self._tasks.append(
                 self._loop.create_task(self._refresh_loop(), name="cbes-snapshot-refresh")
             )
@@ -183,11 +184,11 @@ class JobRunner:
         assert self._queue is not None and self._executor is not None
         if drain:
             try:
-                await asyncio.wait_for(self._queue.join(), timeout=self._drain_timeout)
+                await asyncio.wait_for(self._queue.join(), timeout=DRAIN_TIMEOUT_S)
             except asyncio.TimeoutError:
                 log.warning(
                     "drain timeout after %.1fs; abandoning %d queued job(s)",
-                    self._drain_timeout,
+                    DRAIN_TIMEOUT_S,
                     self._queue.qsize(),
                 )
                 while not self._queue.empty():
@@ -233,7 +234,7 @@ class JobRunner:
         return True
 
     async def _refresh_loop(self) -> None:
-        assert self._loop is not None and self._refresh_interval is not None
+        assert self._loop is not None
         while True:
             await asyncio.sleep(self._refresh_interval)
             try:

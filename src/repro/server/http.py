@@ -27,7 +27,6 @@ from urllib.parse import parse_qs
 from repro import telemetry
 from repro.server.client import CbesClient
 from repro.server.protocol import (
-    MAX_BODY_BYTES,
     MAX_LOOKUP_IDS,
     ApiError,
     HttpRequest,
@@ -130,8 +129,8 @@ class HttpService:
     :meth:`_on_start` / :meth:`_on_stop` hooks.  *name* is used in logs
     and errors; *metric_prefix* names the HTTP metric families
     (``<prefix>_requests_total`` and friends) declared in *metrics*;
-    the keep-alive and body-size parameters are documented on
-    :class:`~repro.server.daemon.CbesDaemon`.
+    the keep-alive and body-size parameters are the checked daemon
+    settings of the same names (:data:`~repro.server.config.DAEMON_FIELDS`).
     """
 
     def __init__(
@@ -142,23 +141,17 @@ class HttpService:
         host: str,
         port: int,
         metrics: telemetry.MetricsRegistry,
-        keepalive_max_requests: int = 100,
-        keepalive_timeout_s: float | None = 30.0,
-        max_body_bytes: int = MAX_BODY_BYTES,
+        keepalive_max_requests: int,
+        keepalive_timeout_s: float,
+        max_body_bytes: int,
     ) -> None:
-        if keepalive_max_requests < 1:
-            raise ValueError("keepalive_max_requests must be >= 1")
-        if keepalive_timeout_s is not None and keepalive_timeout_s <= 0:
-            raise ValueError("keepalive_timeout_s must be > 0")
-        if max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
         self.name = name
         self._host = host
         self._port = port
         self._metrics = metrics
         self.keepalive_max_requests = keepalive_max_requests
         self.keepalive_timeout_s = keepalive_timeout_s
-        self.max_body_bytes = int(max_body_bytes)
+        self.max_body_bytes = max_body_bytes
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown_requested: asyncio.Event | None = None

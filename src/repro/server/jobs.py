@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 import time
 from collections import deque
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro._util import encode_json
+from repro.server.config import DAEMON_FIELDS
 
 __all__ = ["DuplicateJobError", "JobState", "JobStateError", "Job", "JobStore", "spliced"]
 
@@ -150,12 +152,13 @@ class JobStore:
     def __init__(
         self,
         *,
-        ttl_s: float = 600.0,
+        ttl_s: float = DAEMON_FIELDS["job_ttl_s"].default,
         clock: Callable[[], float] = time.monotonic,
         on_evict: Callable[["Job", float], None] | None = None,
     ):
-        if ttl_s <= 0:
-            raise ValueError("ttl_s must be > 0")
+        # NaN or inf would compare false in evict_expired and keep every job.
+        if not 0 < ttl_s <= sys.float_info.max:
+            raise ValueError("ttl_s must be a finite number > 0")
         self._ttl = float(ttl_s)
         self._clock = clock
         self._on_evict = on_evict

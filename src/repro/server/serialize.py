@@ -49,6 +49,14 @@ def _bad(message: str) -> ApiError:
     return ApiError(400, "bad-request", message)
 
 
+class FieldError(ApiError):
+    """A value a field's check refuses; :attr:`wanted` says what passes."""
+
+    def __init__(self, name: str, wanted: str) -> None:
+        super().__init__(400, "bad-request", f"payload field {name!r} must be {wanted}")
+        self.wanted = wanted
+
+
 # -- checks -------------------------------------------------------------
 #: What a check receives for a field the document lacks.
 _ABSENT = object()
@@ -111,7 +119,7 @@ def _number(
             or (minimum is not None and value < minimum)
             or (maximum is not None and value > maximum)
         ):
-            raise _bad(f"payload field {name!r} must be {wanted}")
+            raise FieldError(name, wanted)
         return value if integer else float(value)
 
     return check
@@ -126,7 +134,7 @@ def _text(wanted: str, choices: Collection[str] | None = None, limit: int = sys.
             or not 0 < len(value) <= limit
             or (choices is not None and value not in choices)
         ):
-            raise _bad(f"payload field {name!r} must be {wanted}")
+            raise FieldError(name, wanted)
         return value
 
     return check

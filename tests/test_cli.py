@@ -123,8 +123,8 @@ class TestServerParser:
         assert args.port == 8080
         assert args.workers == 2
         assert args.queue_limit == 16
-        assert args.job_ttl == 600.0
-        assert args.refresh_interval == 10.0
+        assert args.job_ttl_s == 600.0
+        assert args.refresh_interval_s == 10.0
         assert args.monitor is True
         assert args.log_level == "info"
 
@@ -154,3 +154,50 @@ class TestServerParser:
     def test_bad_log_level_rejected(self):
         with pytest.raises(SystemExit):
             main(["serve", "--log-level", "shouty"])
+
+
+class TestSettingsAreUsageErrors:
+    """A refused daemon setting exits 2 at parse time, naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--workers", "0"],
+            ["serve", "--queue-limit", "0"],
+            ["serve", "--job-ttl", "-1"],
+            ["serve", "--job-ttl", "nan"],
+            ["serve", "--job-ttl", "inf"],
+            ["serve", "--refresh-interval", "-3"],
+            ["serve", "--max-body-bytes", "0"],
+            ["serve", "--fsync", "sometimes"],
+            ["serve", "--data-dir", ""],
+            ["fleet", "--replicas", "2", "--workers", "0"],
+            ["fleet", "--replicas", "2", "--queue-limit", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_2_without_a_traceback(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: argument {argv[-2]}: " in err
+        assert "Traceback" not in err
+
+    def test_fleet_refuses_before_spawning_a_replica(self, monkeypatch, capsys):
+        import repro.fleet.supervisor
+
+        spawned = []
+        monkeypatch.setattr(
+            repro.fleet.supervisor.subprocess, "Popen", lambda *a, **k: spawned.append(a)
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "--replicas", "2", "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert spawned == []
+
+    def test_serve_has_no_timeout(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--timeout", "5"])
+        assert exit_info.value.code == 2
+        assert build_parser().parse_args(["submit", "lu.S", "--timeout", "5"]).timeout == 5.0

@@ -573,6 +573,13 @@ class TestSnapshotRefresh:
         finally:
             service.cluster.node(loaded_node).set_background_load(0.0)
 
+    def test_refresh_is_on_by_default_and_zero_turns_it_off(self, service_and_app):
+        service, _ = service_and_app
+        for settings, refreshes in (({}, True), ({"refresh_interval_s": 0}, False)):
+            with DaemonThread(service, workers=1, **settings) as srv:
+                tasks = {task.get_name() for task in srv.daemon.runner._tasks}
+            assert ("cbes-snapshot-refresh" in tasks) is refreshes
+
     def test_monitor_restarted_after_refresh_failure(self):
         service, _ = make_service()
         monitor_kwargs = {"forecaster": "last-value", "sensor_noise": 0.0, "seed": 0}

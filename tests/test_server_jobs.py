@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import random
 import tracemalloc
 
@@ -141,6 +142,12 @@ class TestTtlEviction:
     def test_invalid_ttl_rejected(self):
         with pytest.raises(ValueError):
             JobStore(ttl_s=0.0)
+
+    @pytest.mark.parametrize("ttl_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ttl_rejected(self, ttl_s):
+        """NaN or inf would compare false in eviction and keep every job forever."""
+        with pytest.raises(ValueError):
+            JobStore(ttl_s=ttl_s)
 
     def test_eviction_reports_each_job_through_on_evict(self, clock):
         """Satellite fix: evictions are observable, not silent."""
