@@ -11,7 +11,7 @@ single well-placed mapping.
 
 from __future__ import annotations
 
-from statistics import correlation, fmean
+from statistics import StatisticsError, correlation, fmean
 
 from repro._util import percent_error, spawn_rng
 from repro.core import TaskMapping
@@ -19,6 +19,15 @@ from repro.experiments.harness import Artefact
 from repro.workloads import LU
 
 MAPPINGS = 30
+
+
+def pearson(xs, ys) -> float:
+    """Linear correlation; 0.0 when one side is constant (a model that
+    predicts every placement alike tracks none of them)."""
+    try:
+        return correlation(xs, ys)
+    except StatisticsError:
+        return 0.0
 
 
 def ranks(values) -> list[int]:
@@ -51,7 +60,7 @@ def run(ctx):
         "measured": measured,
         "err_mean": fmean(errors),
         "err_max": max(errors),
-        "pearson": correlation(predicted, measured),
+        "pearson": pearson(predicted, measured),
         "rank": correlation(ranks(predicted), ranks(measured)),
     }
 

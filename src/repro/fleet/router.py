@@ -25,10 +25,11 @@ Request handling:
 * ``GET /v1/jobs?ids=...`` — partition the ids by owner like a batch,
   ask only the owning replicas, and walk an id its owner reports
   ``missing`` down its preference order like a point lookup;
-* ``GET /v1/metrics`` — scatter, then associatively merge the replica
-  snapshots (counters/gauges sum, histograms merge bucket-wise — the
-  same discipline :mod:`repro.telemetry` uses within one process) and
-  render them exactly like a single daemon would;
+* ``GET /v1/metrics`` — scatter, then absorb the router's own snapshot
+  and every replica's into one fresh registry
+  (:meth:`~repro.telemetry.MetricsRegistry.absorb`: counters and gauges
+  sum, histograms add bucket-wise — the rule search workers' snapshots
+  use too) and render it exactly like a single daemon would;
 * ``GET /v1/healthz`` — fleet health: per-replica documents plus an
   aggregate ``ok`` / ``degraded`` verdict;
 * ``POST /v1/schedule:best`` — race one schedule request across every
@@ -75,7 +76,6 @@ from repro.server.http import (
 from repro.server.jobs import JobState
 from repro.server.protocol import ApiError, HttpRequest, RawResponse, lookup_body, split_lookup
 from repro.server.serialize import COMMON_JOB_FIELDS, batch_entries, check_field
-from repro.telemetry.export import merge_snapshots
 
 __all__ = ["FleetRouter", "RouterThread"]
 
@@ -546,13 +546,20 @@ class FleetRouter(HttpService):
         }, {}
 
     async def _merged_metrics(self, request: HttpRequest) -> Response:
-        snapshots = [self._metrics.snapshot()]
+        merged = telemetry.MetricsRegistry()
+        merged.absorb(self._metrics.snapshot())
         for backend, status, _headers, raw in await self._scatter(
             request, self._healthy(), "GET", "/v1/metrics?format=json"
         ):
-            if status == 200 and isinstance(metrics := _decode(backend, raw).get("metrics"), dict):
-                snapshots.append(metrics)
-        return metrics_response(merge_snapshots(snapshots), request.query)
+            # A replica whose answer does not absorb is left out, like
+            # one _scatter lost in transport: the scrape answers from the rest.
+            try:
+                if status != 200:
+                    raise BackendError(backend, f"metrics answered {status}")
+                merged.absorb(_decode(backend, raw).get("metrics"))
+            except (BackendError, telemetry.MetricError) as exc:
+                log.warning("fleet scrape leaves out replica %s: %s", backend, exc)
+        return metrics_response(merged.snapshot(), request.query)
 
     async def _forward_read(self, request: HttpRequest) -> Response:
         """Forward an idempotent read, retrying on a healthy peer."""

@@ -18,8 +18,11 @@ pair that crosses the process boundary.  The pool:
   the key yet answers with a ``missing_spec`` reply and the master
   resends that task with the spec attached (an executor cannot target a
   specific worker, so the "ship once" protocol needs a retry path);
-* cache hit/miss/eviction counts ride back on every reply and are folded
-  into the ambient :mod:`repro.telemetry` registry by the master;
+* with telemetry on, each task — inline or pooled — records into a
+  private registry, its worker's cache hit/miss/eviction included; the
+  registry's :meth:`~repro.telemetry.MetricsRegistry.snapshot` rides
+  back on the reply and :func:`run_tasks` absorbs the snapshots into the
+  ambient :mod:`repro.telemetry` registry in task order;
 * a worker that dies (OOM kill, ``SIGKILL``) breaks its executor;
   :meth:`WorkerPool.run` discards the broken executor and re-runs the
   batch once on a fresh one, so the pool heals under steady traffic.
@@ -43,15 +46,16 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro import telemetry
 from repro.core.evaluation import MappingEvaluator
 from repro.search.spec import SearchSpec
-from repro.search.worker import GaEpochTask, SaTask, TaskRunner
-from repro.telemetry import MetricsDelta
+from repro.search.worker import GaEpochTask, IslandState, SaOutcome, SaTask, TaskRunner
 
 __all__ = [
     "DEFAULT_CACHE_CAPACITY",
@@ -130,17 +134,30 @@ class PoolTask:
 
 @dataclass(frozen=True)
 class PoolReply:
-    """One task's outcome, the telemetry it recorded (``None`` when
-    disabled) and the worker-side cache events it caused."""
+    """One task's outcome and its private registry's snapshot (``None``
+    when telemetry is off) — or, instead, a request for the spec."""
 
     outcome: object = None
-    metrics: MetricsDelta | None = None
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
+    metrics: dict | None = None
     #: The worker had no runner for ``key`` and no spec to build one;
     #: the master must resend the task with the spec attached.
     missing_spec: bool = False
+
+
+def _recorded(run: Callable[[], object], enabled: bool) -> tuple[object, dict | None]:
+    """Run one task; its outcome and, when *enabled*, the snapshot of the
+    private registry it recorded into (else ``None``).
+
+    The one place a task's registry opens: the inline branch of
+    :func:`run_tasks` and a pool worker's :func:`_run_pool_task` both
+    come through here.
+    """
+    if not enabled:
+        return run(), None
+    local = telemetry.MetricsRegistry()
+    with telemetry.use_registry(local):
+        outcome = run()
+    return outcome, local.snapshot()
 
 
 # -- worker-process side -------------------------------------------------
@@ -156,24 +173,27 @@ def _initialize_pool_worker() -> None:
 
 def _run_pool_task(pt: PoolTask) -> PoolReply:
     """Execute one envelope against this worker's cached runners."""
-    hits = misses = evictions = 0
+    outcome, metrics = _recorded(partial(_run_cached, pt), pt.telemetry_enabled)
+    return PoolReply(missing_spec=True) if outcome is None else PoolReply(outcome, metrics)
+
+
+def _run_cached(pt: PoolTask) -> SaOutcome | IslandState | None:
+    """The envelope's outcome on this worker's runner for its key, with
+    the cache event counted; ``None`` when there is no runner and no spec."""
+    events = telemetry.get_registry().counter(*WORKER_CACHE_EVENTS_TOTAL)
     runner = _CACHE.get(pt.key)
     if runner is not None:
         _CACHE.move_to_end(pt.key)
-        hits = 1
+        events.inc(event="hit")
+    elif pt.spec is None:
+        return None
     else:
-        if pt.spec is None:
-            return PoolReply(missing_spec=True)
-        runner = TaskRunner(pt.spec)
-        misses = 1
-        _CACHE[pt.key] = runner
+        runner = _CACHE[pt.key] = TaskRunner(pt.spec)
+        events.inc(event="miss")
         while len(_CACHE) > _cache_capacity():
             _CACHE.popitem(last=False)
-            evictions += 1
-    outcome, metrics = runner.run(pt.task, telemetry_enabled=pt.telemetry_enabled)
-    return PoolReply(
-        outcome=outcome, metrics=metrics, hits=hits, misses=misses, evictions=evictions
-    )
+            events.inc(event="evicted")
+    return runner.run(pt.task)
 
 
 # -- master side ---------------------------------------------------------
@@ -220,7 +240,7 @@ class WorkerPool:
 
     def run(self, spec: SearchSpec, tasks: list, *, workers: int) -> list[tuple]:
         """Execute *tasks* for *spec* on warm workers (:func:`run_tasks`
-        is the caller); ``(outcome, telemetry delta)`` pairs in order.
+        is the caller); ``(outcome, metrics snapshot)`` pairs in order.
 
         At most *workers* tasks are in flight at once even when the
         resident executor is larger (a previous caller may have grown
@@ -269,7 +289,6 @@ class WorkerPool:
         except BrokenProcessPool:
             self._discard(executor)
             raise
-        self._record_cache_events(replies)
         return [(reply.outcome, reply.metrics) for reply in replies]
 
     def shutdown(self, *, wait: bool = True) -> None:
@@ -340,20 +359,6 @@ class WorkerPool:
             for future in done:
                 replies[pending.pop(future)] = future.result()
         return replies  # type: ignore[return-value]
-
-    @staticmethod
-    def _record_cache_events(replies: list[PoolReply]) -> None:
-        registry = telemetry.get_registry()
-        counter = registry.counter(*WORKER_CACHE_EVENTS_TOTAL)
-        hits = sum(reply.hits for reply in replies)
-        misses = sum(reply.misses for reply in replies)
-        evictions = sum(reply.evictions for reply in replies)
-        if hits:
-            counter.inc(hits, event="hit")
-        if misses:
-            counter.inc(misses, event="miss")
-        if evictions:
-            counter.inc(evictions, event="evicted")
 
     def _touch(self) -> None:
         """Mark activity and (re)arm the idle reaper."""
@@ -428,21 +433,22 @@ def run_tasks(
     :class:`~repro.search.worker.TaskRunner` — over the cached context
     of *evaluator* (the one *spec* was taken from) when given, else over
     one it builds from the spec; anything wider runs on the warm pool,
-    whose workers build their own.  Either way each task's telemetry is
-    folded into the ambient registry in task order before returning, so
-    aggregates do not depend on worker count or finish order.
+    whose workers build their own.  Either way each task's snapshot is
+    absorbed into the ambient registry in task order before returning,
+    so aggregates do not depend on worker count or finish order.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
         context = evaluator.fast_context(spec.options) if evaluator is not None else None
         runner = TaskRunner(spec, context=context)
-        pairs = [runner.run(task) for task in tasks]
+        enabled = telemetry.enabled()
+        pairs = [_recorded(partial(runner.run, task), enabled) for task in tasks]
     else:
         pairs = get_pool(mp_context).run(spec, tasks, workers=workers)
     registry = telemetry.get_registry()
     for _, metrics in pairs:
         if metrics is not None:
-            registry.apply_delta(metrics)
+            registry.absorb(metrics)
     return [outcome for outcome, _ in pairs]
 
 

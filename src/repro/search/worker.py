@@ -25,7 +25,6 @@ from repro.schedulers.base import draw_initial_mapping
 from repro.schedulers.genetic import GeneticParams, ga_generation
 from repro.schedulers.moves import MoveGenerator
 from repro.search.spec import SearchSpec, greedy_mapping
-from repro.telemetry import MetricsDelta, MetricsRegistry
 
 __all__ = ["SaTask", "SaOutcome", "IslandState", "GaEpochTask", "TaskRunner"]
 
@@ -118,35 +117,27 @@ class TaskRunner:
         spec = self.spec
         return draw_initial_mapping(spec.pool, spec.profile.nprocs, rng, spec.constraint)
 
-    def run(
-        self, task: SaTask | GaEpochTask, *, telemetry_enabled: bool | None = None
-    ) -> tuple[SaOutcome | IslandState, MetricsDelta | None]:
-        """Run one task; the outcome and the telemetry it recorded.
+    def run(self, task: SaTask | GaEpochTask) -> SaOutcome | IslandState:
+        """Run one task; its outcome.
 
-        The delta is ``None`` when telemetry is off.  Pool workers pass
-        the master's setting with every task (the ambient registry does
-        not cross process boundaries); inline it is the ambient one.
+        The task counts into the ambient registry, which
+        :func:`repro.search.pool.run_tasks` makes a private one per task.
         """
         if isinstance(task, SaTask):
             body, kind = self._run_sa, "sa-restart"
         else:
             body, kind = self._run_ga_epoch, "ga-epoch"
-        if telemetry_enabled is None:
-            telemetry_enabled = telemetry.enabled()
-        if not telemetry_enabled:
-            return body(task), None
-        local = MetricsRegistry()
         started = time.perf_counter()
-        with telemetry.use_registry(local):
-            outcome = body(task)
-            seconds = time.perf_counter() - started
-            local.counter(
-                "cbes_search_tasks_total", "Search tasks executed by runners.", ("kind",)
-            ).inc(kind=kind)
-            local.histogram(
-                "cbes_search_task_seconds", "Wall time of one search task.", ("kind",)
-            ).observe(seconds, kind=kind)
-        return outcome, local.collect_delta()
+        outcome = body(task)
+        seconds = time.perf_counter() - started
+        registry = telemetry.get_registry()
+        registry.counter(
+            "cbes_search_tasks_total", "Search tasks executed by runners.", ("kind",)
+        ).inc(kind=kind)
+        registry.histogram(
+            "cbes_search_task_seconds", "Wall time of one search task.", ("kind",)
+        ).observe(seconds, kind=kind)
+        return outcome
 
     # -- SA restarts ----------------------------------------------------
     def _run_sa(self, task: SaTask) -> SaOutcome:

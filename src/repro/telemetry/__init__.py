@@ -4,13 +4,16 @@ The package answers "what is the estimator doing right now?" with three
 pieces:
 
 * :mod:`~repro.telemetry.registry` — `Counter`/`Gauge`/`Histogram`
-  primitives behind a thread-safe :class:`MetricsRegistry`, plus the
-  picklable :class:`MetricsDelta` that carries worker-process samples
-  back to the master.
+  primitives behind a thread-safe :class:`MetricsRegistry`.  Metrics
+  leave a registry as one document, :meth:`MetricsRegistry.snapshot`,
+  and enter one by one rule, :meth:`MetricsRegistry.absorb`: that pair
+  carries search-worker samples to the master and replica scrapes to
+  the fleet router.
 * :mod:`~repro.telemetry.spans` — a `trace()` context manager producing
   nested timed :class:`Span` trees, with a bounded ring buffer of
   completed traces.
-* :mod:`~repro.telemetry.export` — Prometheus text exposition and JSON.
+* :mod:`~repro.telemetry.export` — Prometheus text exposition of a
+  snapshot (the JSON form is the snapshot itself).
 
 Instrumented code never holds a registry reference of its own; it asks
 for the *ambient* one via :func:`get_registry` / :func:`get_tracer`.
@@ -30,14 +33,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from repro.telemetry.export import to_json, to_prometheus
+from repro.telemetry.export import snapshot_to_prometheus
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricError,
-    MetricsDelta,
     MetricsRegistry,
     NullRegistry,
 )
@@ -49,7 +51,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricError",
-    "MetricsDelta",
     "MetricsRegistry",
     "NullRegistry",
     "NullTracer",
@@ -60,8 +61,7 @@ __all__ = [
     "get_tracer",
     "set_registry",
     "set_tracer",
-    "to_json",
-    "to_prometheus",
+    "snapshot_to_prometheus",
     "use_registry",
     "use_tracer",
 ]

@@ -1,21 +1,17 @@
-"""Exporters: Prometheus text exposition and structured JSON.
+"""Exporter: Prometheus text exposition of a registry snapshot.
 
-Both render from :meth:`MetricsRegistry.snapshot`, so output order is
-deterministic (metrics by name, samples by label values) and the two
-formats always agree on the values they expose.
+Renders from a :meth:`MetricsRegistry.snapshot` document, so output
+order is deterministic (metrics by name, samples by label values) and
+agrees with the JSON form — which is the snapshot document itself.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
-    "merge_snapshots",
     "snapshot_to_prometheus",
-    "to_prometheus",
-    "to_json",
 ]
 
 #: Content type mandated by the Prometheus text exposition format.
@@ -49,12 +45,8 @@ def _labelstr(labels: dict[str, str], extra: tuple[tuple[str, str], ...] = ()) -
 
 
 def snapshot_to_prometheus(snapshot: dict) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` document as Prometheus text.
-
-    Split out from :func:`to_prometheus` so a document that never lived
-    in a local registry — e.g. the fleet router's merge of several
-    replicas' snapshots — renders identically to a local scrape.
-    """
+    """Render a :meth:`MetricsRegistry.snapshot` document as Prometheus
+    text exposition (version 0.0.4)."""
     lines: list[str] = []
     for name, family in snapshot.items():
         kind = family["type"]
@@ -74,82 +66,3 @@ def snapshot_to_prometheus(snapshot: dict) -> str:
             else:
                 lines.append(f"{name}{_labelstr(labels)} {_fmt(sample['value'])}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def to_prometheus(registry) -> str:
-    """Render a registry as Prometheus text exposition (version 0.0.4)."""
-    return snapshot_to_prometheus(registry.snapshot())
-
-
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Associatively merge several registry snapshot documents into one.
-
-    The fleet reduction: counters and gauges sum, histograms sum their
-    ``count`` / ``sum`` and per-bound bucket counts, samples with the
-    same labels combine.  Gauges summing is a deliberate choice — fleet
-    gauges (queue depths, open connections) are extensive quantities
-    where the fleet-wide total is the meaningful reading.  Families are
-    merged by name; a type/help mismatch between replicas keeps the
-    first seen (replicas run the same build, so this is theoretical).
-    Output ordering is deterministic: families by name, samples by label
-    values — the same discipline as ``MetricsRegistry.snapshot``.
-    """
-    merged: dict[str, dict] = {}
-    for snapshot in snapshots:
-        for name, family in snapshot.items():
-            target = merged.setdefault(
-                name, {"type": family["type"], "help": family["help"], "_samples": {}}
-            )
-            if target["type"] != family["type"]:
-                continue  # mismatched family: keep the first seen
-            for sample in family["samples"]:
-                key = tuple(sorted(sample["labels"].items()))
-                held = target["_samples"].get(key)
-                if held is None:
-                    held = target["_samples"][key] = {
-                        "labels": dict(sample["labels"]),
-                    }
-                    if family["type"] == "histogram":
-                        held["count"] = 0
-                        held["sum"] = 0.0
-                        held["buckets"] = {}
-                    else:
-                        held["value"] = 0.0
-                if family["type"] == "histogram":
-                    held["count"] += sample["count"]
-                    held["sum"] += sample["sum"]
-                    for bound, cumulative in sample["buckets"]:
-                        held["buckets"][float(bound)] = (
-                            held["buckets"].get(float(bound), 0) + cumulative
-                        )
-                else:
-                    held["value"] += sample["value"]
-    out: dict[str, dict] = {}
-    for name in sorted(merged):
-        family = merged[name]
-        samples = []
-        for key in sorted(family["_samples"]):
-            held = family["_samples"][key]
-            if family["type"] == "histogram":
-                samples.append(
-                    {
-                        "labels": held["labels"],
-                        "count": held["count"],
-                        "sum": held["sum"],
-                        "buckets": [
-                            [bound, held["buckets"][bound]] for bound in sorted(held["buckets"])
-                        ],
-                    }
-                )
-            else:
-                samples.append({"labels": held["labels"], "value": held["value"]})
-        out[name] = {"type": family["type"], "help": family["help"], "samples": samples}
-    return out
-
-
-def to_json(registry, tracer=None, *, indent: int | None = None) -> str:
-    """Render a registry (and optionally recent traces) as a JSON document."""
-    doc: dict[str, object] = {"metrics": registry.snapshot()}
-    if tracer is not None:
-        doc["traces"] = tracer.traces()
-    return json.dumps(doc, indent=indent, sort_keys=True)

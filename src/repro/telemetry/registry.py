@@ -10,12 +10,15 @@ Design constraints (why this is not just a dict of floats):
 * **Deterministic output.**  :meth:`MetricsRegistry.snapshot` sorts
   metrics by name and samples by label values, so exports (and the tests
   that diff parallel-vs-serial aggregates) are byte-stable.
-* **Cross-process aggregation.**  Search worker processes cannot share
-  the master's registry; they record into a private registry and ship a
-  picklable :class:`MetricsDelta` back with each task result.  Deltas
-  carry counters and histograms only (gauges are instantaneous readings
-  and do not sum), and merging them is associative, so the aggregate is
-  independent of the worker count.
+* **Cross-process aggregation.**  Metrics leave a registry in one form,
+  the :meth:`MetricsRegistry.snapshot` document, and enter another by
+  one rule, :meth:`MetricsRegistry.absorb`: values add, histogram
+  buckets add per bound.  Search workers ship their private registry's
+  snapshot home with each task; the fleet router absorbs its replicas'
+  scrapes.  Adding is associative, so the aggregate is independent of
+  the worker count and of how the fleet is partitioned.  Every
+  histogram uses :data:`DEFAULT_BUCKETS`, so two documents always agree
+  on the bucket layout.
 * **Zero cost when disabled.**  :class:`NullRegistry` mirrors the whole
   API with shared no-op children; instrumented code never branches on
   "is telemetry on" — it just records into whatever registry is ambient.
@@ -29,7 +32,6 @@ import re
 import threading
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -37,7 +39,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsDelta",
     "MetricsRegistry",
     "NullRegistry",
 ]
@@ -47,8 +48,8 @@ class MetricError(ValueError):
     """A metric was declared or used inconsistently."""
 
 
-#: Default histogram bucket upper bounds (seconds): spans sub-millisecond
-#: evaluation work through minute-long scheduling searches.
+#: The bucket upper bounds (seconds) of every histogram: spans
+#: sub-millisecond evaluation work through minute-long scheduling searches.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
@@ -63,6 +64,20 @@ def _validate_name(name: str) -> None:
         raise MetricError(
             f"metric/label name {name!r} must be snake_case ([a-z][a-z0-9_]*)"
         )
+
+
+def _number(name: str, value: object) -> float:
+    """A sample value of a snapshot document (NaN and infinities included)."""
+    if isinstance(value, bool) or not isinstance(value, int | float):
+        raise MetricError(f"{name}: {value!r} is not a sample value")
+    return float(value)
+
+
+def _tally(name: str, value: object) -> int:
+    """A histogram count of a snapshot document."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise MetricError(f"{name}: {value!r} is not a bucket count")
+    return value
 
 
 class _Family:
@@ -94,7 +109,9 @@ class _Family:
 
     def labels(self, **labels: object):
         """The child metric for one concrete label-value assignment."""
-        values = self._labelvalues(labels)
+        return self._child(self._labelvalues(labels))
+
+    def _child(self, values: tuple[str, ...]):
         child = self._children.get(values)
         if child is None:
             with self._family_lock:
@@ -108,6 +125,11 @@ class _Family:
     def _make_child(self, lock: threading.Lock):
         raise NotImplementedError
 
+    @staticmethod
+    def _increment(name: str, sample: dict):
+        """What one sample of a snapshot document adds to its child, checked."""
+        raise NotImplementedError
+
     def _sorted_children(self) -> list[tuple[tuple[str, ...], object]]:
         with self._family_lock:
             return sorted(self._children.items())
@@ -116,12 +138,26 @@ class _Family:
         return dict(zip(self.labelnames, values, strict=True))
 
 
-class _CounterChild:
+class _ValueChild:
+    """One labelled value of a counter or a gauge."""
+
     __slots__ = ("_lock", "_value")
 
     def __init__(self, lock: threading.Lock):
         self._lock = lock
         self._value = 0.0
+
+    def _add(self, amount: float) -> None:
+        with self._lock:
+            self._value += amount
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+
+class _CounterChild(_ValueChild):
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add *amount* (must be >= 0) to the counter."""
@@ -129,10 +165,6 @@ class _CounterChild:
             raise MetricError("counters can only increase")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
 
 
 class Counter(_Family):
@@ -154,31 +186,21 @@ class Counter(_Family):
             for values, child in self._sorted_children()
         ]
 
+    @staticmethod
+    def _increment(name: str, sample: dict) -> float:
+        value = _number(name, sample.get("value"))
+        if not value >= 0:
+            raise MetricError(f"{name}: counters can only increase")
+        return value
 
-class _GaugeChild:
-    __slots__ = ("_lock", "_value")
 
-    def __init__(self, lock: threading.Lock):
-        self._lock = lock
-        self._value = 0.0
+class _GaugeChild(_ValueChild):
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         """Replace the gauge reading."""
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Move the gauge up by *amount* (may be negative)."""
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Move the gauge down by *amount*."""
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        return self._value
 
 
 class Gauge(_Family):
@@ -204,14 +226,6 @@ class Gauge(_Family):
         """Set the child selected by **labels** to *value*."""
         self.labels(**labels).set(value)
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        """Increment the child selected by **labels**."""
-        self.labels(**labels).inc(amount)
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        """Decrement the child selected by **labels**."""
-        self.labels(**labels).dec(amount)
-
     def samples(self) -> list[dict]:
         """JSON-ready samples (evaluating the callback if there is one)."""
         if self.callback is not None:
@@ -225,47 +239,50 @@ class Gauge(_Family):
             for values, child in self._sorted_children()
         ]
 
+    @staticmethod
+    def _increment(name: str, sample: dict) -> float:
+        return _number(name, sample.get("value"))
+
 
 class _HistogramChild:
-    __slots__ = ("_lock", "_bounds", "counts", "sum", "count")
+    __slots__ = ("_lock", "counts", "sum", "count")
 
-    def __init__(self, lock: threading.Lock, bounds: tuple[float, ...]):
+    def __init__(self, lock: threading.Lock):
         self._lock = lock
-        self._bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # +1: the +Inf bucket
+        self.counts = [0] * (len(DEFAULT_BUCKETS) + 1)  # +1: the +Inf bucket
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
         """Record one observation into its (non-cumulative) bucket."""
-        i = bisect_left(self._bounds, value)
+        i = bisect_left(DEFAULT_BUCKETS, value)
         with self._lock:
             self.counts[i] += 1
             self.sum += value
             self.count += 1
 
+    def _add(self, increment: tuple[list[int], float, int]) -> None:
+        counts, total, n = increment
+        with self._lock:
+            for i, c in enumerate(counts):
+                self.counts[i] += c
+            self.sum += total
+            self.count += n
+
 
 class Histogram(_Family):
     """Fixed-bucket distribution (name convention: a unit suffix).
 
-    Buckets are upper bounds, ascending; observations land in the first
-    bucket whose bound is >= the value (an implicit ``+Inf`` bucket
-    catches the rest).  Exposition is cumulative, Prometheus-style.
+    The buckets are :data:`DEFAULT_BUCKETS`, upper bounds, ascending;
+    observations land in the first bucket whose bound is >= the value
+    (an implicit ``+Inf`` bucket catches the rest).  Exposition is
+    cumulative, Prometheus-style.
     """
 
     kind = "histogram"
 
-    def __init__(self, registry, name, help, labelnames, buckets=DEFAULT_BUCKETS):
-        super().__init__(registry, name, help, labelnames)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise MetricError(f"{name}: histogram needs at least one bucket")
-        if list(bounds) != sorted(set(bounds)):
-            raise MetricError(f"{name}: buckets must be strictly ascending")
-        self.buckets = bounds
-
     def _make_child(self, lock: threading.Lock) -> _HistogramChild:
-        return _HistogramChild(lock, self.buckets)
+        return _HistogramChild(lock)
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation into the child selected by **labels**."""
@@ -280,7 +297,7 @@ class Histogram(_Family):
                 total, running = child.sum, child.count
             cumulative: list[list[float]] = []
             acc = 0
-            for bound, n in zip(self.buckets, counts, strict=False):
+            for bound, n in zip(DEFAULT_BUCKETS, counts, strict=False):
                 acc += n
                 cumulative.append([bound, acc])
             out.append(
@@ -293,53 +310,62 @@ class Histogram(_Family):
             )
         return out
 
+    @staticmethod
+    def _increment(name: str, sample: dict) -> tuple[list[int], float, int]:
+        """The sample's own (un-cumulated) bucket counts, ``sum`` and ``count``."""
+        buckets = sample.get("buckets")
+        if not isinstance(buckets, list) or [
+            pair[0] if isinstance(pair, list) and len(pair) == 2 else None for pair in buckets
+        ] != list(DEFAULT_BUCKETS):
+            raise MetricError(f"{name}: the buckets are not DEFAULT_BUCKETS")
+        cumulative = [_tally(name, n) for _, n in buckets] + [_tally(name, sample.get("count"))]
+        counts = [b - a for a, b in zip([0, *cumulative], cumulative, strict=False)]
+        if min(counts) < 0:
+            raise MetricError(f"{name}: the bucket counts are not cumulative")
+        return counts, _number(name, sample.get("sum")), cumulative[-1]
 
-@dataclass
-class MetricsDelta:
-    """A picklable additive summary of one registry's counters/histograms.
 
-    Produced by :meth:`MetricsRegistry.collect_delta` in a worker
-    process, merged into the master registry by
-    :meth:`MetricsRegistry.apply_delta`.  Merging is associative and
-    label-keyed, so the final aggregate does not depend on how tasks
-    were distributed over workers.  Gauges are deliberately absent: an
-    instantaneous reading from a finished worker has no meaningful sum.
-    """
+#: A snapshot family's ``type`` -> the family class that absorbs it.
+_KINDS: dict[str, type[_Family]] = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
-    #: (name, labelnames) -> {labelvalues: value}
-    counters: dict[tuple[str, tuple[str, ...]], dict[tuple[str, ...], float]] = field(
-        default_factory=dict
-    )
-    #: (name, labelnames, bounds) -> {labelvalues: [counts..., sum, count]}
-    histograms: dict[
-        tuple[str, tuple[str, ...], tuple[float, ...]],
-        dict[tuple[str, ...], tuple[tuple[int, ...], float, int]],
-    ] = field(default_factory=dict)
-    #: name -> help string (so a merge can declare missing metrics).
-    helps: dict[str, str] = field(default_factory=dict)
 
-    def merge(self, other: "MetricsDelta") -> "MetricsDelta":
-        """Fold *other* into this delta in place; returns ``self``."""
-        for key, children in other.counters.items():
-            mine = self.counters.setdefault(key, {})
-            for values, amount in children.items():
-                mine[values] = mine.get(values, 0.0) + amount
-        for key, children in other.histograms.items():
-            mine_h = self.histograms.setdefault(key, {})
-            for values, (counts, total, n) in children.items():
-                if values in mine_h:
-                    old_counts, old_total, old_n = mine_h[values]
-                    counts = tuple(a + b for a, b in zip(old_counts, counts, strict=True))
-                    total += old_total
-                    n += old_n
-                mine_h[values] = (counts, total, n)
-        self.helps.update(other.helps)
-        return self
+def _same_declaration(family: _Family, cls: type, labelnames: tuple[str, ...]) -> None:
+    """Refuse to see *family* as another kind or with other labels."""
+    if type(family) is not cls:
+        raise MetricError(
+            f"{family.name} is already declared as a {family.kind}, not a {cls.kind}"
+        )
+    if family.labelnames != labelnames:
+        raise MetricError(f"{family.name} is already declared with labels {family.labelnames}")
 
-    @property
-    def empty(self) -> bool:
-        """Whether this delta carries no samples at all."""
-        return not self.counters and not self.histograms
+
+def _parse_family(name: object, doc: object) -> tuple:
+    """One family of a :meth:`MetricsRegistry.snapshot` document, checked:
+    ``(class, name, help, labelnames, [(labelvalues, increment), ...])``."""
+    if not (
+        isinstance(name, str)
+        and isinstance(doc, dict)
+        and doc.get("type") in _KINDS
+        and isinstance(doc.get("help"), str)
+        and isinstance(doc.get("labelnames"), list)
+        and all(isinstance(ln, str) for ln in doc["labelnames"])
+        and isinstance(doc.get("samples"), list)
+    ):
+        raise MetricError(f"{name!r} is not a snapshot family {{type, help, labelnames, samples}}")
+    cls, labelnames = _KINDS[doc["type"]], tuple(doc["labelnames"])
+    for each in (name, *labelnames):
+        _validate_name(each)
+    rows = []
+    for sample in doc["samples"]:
+        labels = sample.get("labels") if isinstance(sample, dict) else None
+        if not (
+            isinstance(labels, dict)
+            and set(labels) == set(labelnames)
+            and all(isinstance(v, str) for v in labels.values())
+        ):
+            raise MetricError(f"{name}: a sample's labels are not {labelnames}")
+        rows.append((tuple(labels[ln] for ln in labelnames), cls._increment(name, sample)))
+    return cls, name, doc["help"], labelnames, rows
 
 
 class MetricsRegistry:
@@ -367,14 +393,7 @@ class MetricsRegistry:
         with self._meta_lock:
             family = self._metrics.get(name)
             if family is not None:
-                if not isinstance(family, cls) or type(family) is not cls:
-                    raise MetricError(
-                        f"{name} is already declared as a {family.kind}, not a {cls.kind}"
-                    )
-                if family.labelnames != labelnames:
-                    raise MetricError(
-                        f"{name} is already declared with labels {family.labelnames}"
-                    )
+                _same_declaration(family, cls, labelnames)
                 return family
             family = cls(self, name, help, labelnames, **extra)
             self._metrics[name] = family
@@ -394,71 +413,49 @@ class MetricsRegistry:
         """Declare (or fetch) a gauge family, optionally callback-backed."""
         return self._declare(Gauge, name, help, labelnames, callback=callback)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Iterable[str] = (),
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        """Declare (or fetch) a fixed-bucket histogram family."""
-        return self._declare(Histogram, name, help, labelnames, buckets=tuple(buckets))
+    def histogram(self, name: str, help: str = "", labelnames: Iterable[str] = ()) -> Histogram:
+        """Declare (or fetch) a histogram family over :data:`DEFAULT_BUCKETS`."""
+        return self._declare(Histogram, name, help, labelnames)
 
-    # -- output ---------------------------------------------------------
+    # -- the one way out and the one way in -----------------------------
     def snapshot(self) -> dict[str, dict]:
-        """Deterministic JSON-ready dump: ``{name: {type, help, samples}}``."""
+        """Deterministic JSON-ready dump: ``{name: {type, help, labelnames, samples}}``."""
         with self._meta_lock:
             families = sorted(self._metrics.items())
         return {
             name: {
                 "type": family.kind,
                 "help": family.help,
+                "labelnames": list(family.labelnames),
                 "samples": family.samples(),
             }
             for name, family in families
         }
 
-    # -- cross-process aggregation --------------------------------------
-    def collect_delta(self) -> MetricsDelta:
-        """This registry's counters and histograms as an additive delta."""
-        delta = MetricsDelta()
-        with self._meta_lock:
-            families = sorted(self._metrics.items())
-        for name, family in families:
-            if isinstance(family, Counter):
-                children = {
-                    values: child.value for values, child in family._sorted_children()
-                }
-                if children:
-                    delta.counters[(name, family.labelnames)] = children
-                    delta.helps[name] = family.help
-            elif isinstance(family, Histogram):
-                children = {}
-                for values, child in family._sorted_children():
-                    with child._lock:
-                        children[values] = (tuple(child.counts), child.sum, child.count)
-                if children:
-                    delta.histograms[(name, family.labelnames, family.buckets)] = children
-                    delta.helps[name] = family.help
-        return delta
+    def absorb(self, snapshot: dict) -> None:
+        """Add a :meth:`snapshot` document, from any registry, into this one.
 
-    def apply_delta(self, delta: MetricsDelta) -> None:
-        """Add a worker's :class:`MetricsDelta` into this registry."""
-        for (name, labelnames), children in sorted(delta.counters.items()):
-            family = self.counter(name, delta.helps.get(name, ""), labelnames)
-            for values, amount in sorted(children.items()):
-                child = family.labels(**dict(zip(labelnames, values, strict=True)))
-                with child._lock:
-                    child._value += amount
-        for (name, labelnames, bounds), children in sorted(delta.histograms.items()):
-            family = self.histogram(name, delta.helps.get(name, ""), labelnames, bounds)
-            for values, (counts, total, n) in sorted(children.items()):
-                child = family.labels(**dict(zip(labelnames, values, strict=True)))
-                with child._lock:
-                    for i, c in enumerate(counts):
-                        child.counts[i] += c
-                    child.sum += total
-                    child.count += n
+        Counters and gauges add ``value``; histograms add ``sum``,
+        ``count`` and each bucket's own count.  A family this registry
+        lacks is declared from the document's ``type``, ``help`` and
+        ``labelnames``.  The whole document is checked first: one that is
+        not what :meth:`snapshot` writes, or that contradicts a family
+        declared here, raises :class:`MetricError` and changes nothing.
+        """
+        if not isinstance(snapshot, dict):
+            raise MetricError("a metrics snapshot is an object of families")
+        families = [_parse_family(name, doc) for name, doc in snapshot.items()]
+        with self._meta_lock:
+            for cls, name, _, labelnames, _ in families:
+                held = self._metrics.get(name)
+                if held is not None:
+                    _same_declaration(held, cls, labelnames)
+                    if getattr(held, "callback", None) is not None:
+                        raise MetricError(f"{name} is a callback gauge; it reads its own value")
+        for cls, name, help, labelnames, rows in families:
+            family = self._declare(cls, name, help, labelnames)
+            for values, increment in rows:
+                family._child(values)._add(increment)
 
 
 # -- the disabled path ---------------------------------------------------
@@ -468,9 +465,6 @@ class _NullChild:
     __slots__ = ()
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        """No-op."""
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
         """No-op."""
 
     def set(self, value: float, **labels: object) -> None:
@@ -509,23 +503,10 @@ class NullRegistry:
         """No-op gauge."""
         return _NULL_CHILD
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Iterable[str] = (),
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> _NullChild:
+    def histogram(self, name: str, help: str = "", labelnames: Iterable[str] = ()) -> _NullChild:
         """No-op histogram."""
         return _NULL_CHILD
 
     def snapshot(self) -> dict[str, dict]:
         """Always empty."""
         return {}
-
-    def collect_delta(self) -> MetricsDelta:
-        """Always empty."""
-        return MetricsDelta()
-
-    def apply_delta(self, delta: MetricsDelta) -> None:
-        """Dropped."""

@@ -112,11 +112,6 @@ class Tracer:
             roots = roots[: max(0, limit)]
         return [root.to_dict() for root in roots]
 
-    def clear(self) -> None:
-        """Drop all completed traces."""
-        with self._lock:
-            self._traces.clear()
-
 
 class _NullSpan:
     """Shared inert span for the disabled path."""
@@ -145,6 +140,3 @@ class NullTracer:
     def traces(self, limit: int | None = None) -> list[dict]:
         """Always empty."""
         return []
-
-    def clear(self) -> None:
-        """No-op."""

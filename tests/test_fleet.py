@@ -9,10 +9,12 @@ correctness bar for transparent scale-out.
 import http.client
 import http.server
 import json
+import logging
 import socket
 import threading
 import time
 import urllib.request
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
@@ -443,6 +445,29 @@ class TestFleetDegradation:
                 d1.shutdown()
 
 
+@contextmanager
+def stub_replica(answer: bytes):
+    """A 'replica' answering every GET with 200 and *answer*; yields its ``host:port``."""
+
+    class Stub(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802 - the stdlib's spelling
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(answer)))
+            self.end_headers()
+            self.wfile.write(answer)
+
+        def log_message(self, *args):
+            pass
+
+    stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Stub)
+    threading.Thread(target=stub.serve_forever, daemon=True).start()
+    try:
+        yield f"127.0.0.1:{stub.server_address[1]}"
+    finally:
+        stub.shutdown()
+        stub.server_close()
+
+
 def _get_bytes(address: tuple[str, int], path: str) -> bytes:
     host, port = address
     with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=30) as response:
@@ -505,23 +530,35 @@ class TestLookupAnswerFraming:
         ],
     )
     def test_a_malformed_lookup_answer_is_a_502(self, answer):
-        class Stub(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 - the stdlib's spelling
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(answer)))
-                self.end_headers()
-                self.wfile.write(answer)
+        with stub_replica(answer) as backend, RouterThread([backend]) as router:
+            with pytest.raises(ServerError) as err:
+                router.client().jobs(ids=["a", "b"])
+            assert (err.value.status, err.value.code) == (502, "replica-error")
 
-            def log_message(self, *args):
-                pass
 
-        stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Stub)
-        threading.Thread(target=stub.serve_forever, daemon=True).start()
-        try:
-            with RouterThread([f"127.0.0.1:{stub.server_address[1]}"]) as router:
-                with pytest.raises(ServerError) as err:
-                    router.client().jobs(ids=["a", "b"])
-                assert (err.value.status, err.value.code) == (502, "replica-error")
-        finally:
-            stub.shutdown()
-            stub.server_close()
+class TestFleetScrape:
+    """One rule for a replica's ``/v1/metrics`` answer: it absorbs, or it is left out."""
+
+    @pytest.mark.parametrize(
+        ("answer", "absorbs"),
+        [
+            (b"not json", False),
+            (b'{"metrics": 1}', False),
+            (b'{"metrics": {"cbes_x_total": {"type": "counter"}}}', False),
+            (
+                b'{"metrics": {"cbes_x_total": {"type": "counter", "help": "",'
+                b' "labelnames": [], "samples": [{"labels": {}, "value": 2}]}}}',
+                True,
+            ),
+        ],
+    )
+    def test_a_replica_scrape_that_does_not_absorb_is_left_out(self, answer, absorbs, caplog):
+        with stub_replica(answer) as backend, RouterThread([backend]) as router:
+            with caplog.at_level(logging.WARNING, logger="repro.fleet.router"):
+                metrics = router.client().metrics()  # a 200, whatever the replica said
+        assert "cbes_fleet_requests_total" in metrics
+        assert ("cbes_x_total" in metrics) is absorbs
+        left_out = [r for r in caplog.records if "leaves out replica" in r.getMessage()]
+        assert len(left_out) == (0 if absorbs else 1)
+        if absorbs:
+            assert metrics["cbes_x_total"]["samples"] == [{"labels": {}, "value": 2.0}]

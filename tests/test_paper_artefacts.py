@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import EvaluationOptions
+from repro.core import CBES, EvaluationOptions
 
 REPO = Path(__file__).resolve().parent.parent
 DRIVER = REPO / "tools" / "reproduce_all.py"
@@ -77,6 +77,20 @@ def test_lambda_gate_fails_when_lambda_is_forced_to_one(driver, tmp_path, monkey
     )
     assert driver.reproduce([record], tmp_path) == ["ablation_lambda"]
     assert "==== ablation_lambda [CHECK FAILED] ====" in (tmp_path / "REPORT.txt").read_text()
+
+
+def test_fidelity_gate_fails_when_communication_is_dropped(driver, tmp_path, monkeypatch):
+    [record] = [r for r in driver.discover() if r.name == "fidelity"]
+    evaluator = CBES.evaluator
+    monkeypatch.setattr(
+        CBES,
+        "evaluator",
+        lambda self, app_name: evaluator(
+            self, app_name, options=EvaluationOptions(communication=False)
+        ),
+    )
+    assert driver.reproduce([record], tmp_path) == ["fidelity"]
+    assert "==== fidelity [CHECK FAILED] ====" in (tmp_path / "REPORT.txt").read_text()
 
 
 def test_driver_holds_no_experiment_parameter():

@@ -320,8 +320,8 @@ class TestInlineFastPathParity:
         evaluator, pool = fresh_evaluator
         spec = SearchSpec.from_evaluator(evaluator, pool)
         task = SaTask(index=0, seed=13, rng_parts=("parity",))
-        with_cache, _ = TaskRunner(spec, context=evaluator.fast_context()).run(task)
-        self_built, _ = TaskRunner(spec).run(task)
+        with_cache = TaskRunner(spec, context=evaluator.fast_context()).run(task)
+        self_built = TaskRunner(spec).run(task)
         assert with_cache.mapping == self_built.mapping
         assert with_cache.energy == self_built.energy
         assert with_cache.evaluations == self_built.evaluations
@@ -434,7 +434,7 @@ class TestOnePath:
         assert offenders == []
         assert sites["get_pool"] == ["search/pool.py:run_tasks"]
         assert sorted(sites["TaskRunner"]) == [
-            "search/pool.py:_run_pool_task",
+            "search/pool.py:_run_cached",
             "search/pool.py:run_tasks",
         ]
 

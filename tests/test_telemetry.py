@@ -5,11 +5,12 @@ Four layers are covered:
 * **Primitives** — registry declaration rules, thread-safe exact counting,
   histogram bucket boundaries, callback gauges, and the Null no-ops.
 * **Exporters** — Prometheus text exposition (escaping, cumulative
-  buckets) and the JSON dump agree with ``snapshot()``.
-* **Aggregation** — ``MetricsDelta`` pickles, merges associatively, and
-  keeps search-side counters identical between ``parallel=1`` and
-  ``parallel=N`` runs (the PR 3 determinism contract, extended to
-  telemetry).
+  buckets) of ``snapshot()``.
+* **Aggregation** — ``absorb`` folds ``snapshot()`` documents: pickled
+  or not, in any partition, refusing a malformed one whole; it renders a
+  fleet merge byte-for-byte as before, and keeps search-side counters
+  identical between ``parallel=1`` and ``parallel=N`` runs (the PR 3
+  determinism contract, extended to telemetry).
 * **Surface** — the daemon's ``/v1/metrics`` + ``/v1/traces`` endpoints,
   the access-log/metrics guarantee on error responses, and the
   ``repro metrics`` CLI.
@@ -30,14 +31,13 @@ from repro.core import CBES
 from repro.schedulers import make_scheduler
 from repro.server import DaemonThread, ServerError
 from repro.telemetry import (
+    DEFAULT_BUCKETS,
     MetricError,
-    MetricsDelta,
     MetricsRegistry,
     NullRegistry,
     NullTracer,
     Tracer,
-    to_json,
-    to_prometheus,
+    snapshot_to_prometheus,
     use_registry,
 )
 from repro.workloads import SyntheticBenchmark
@@ -85,14 +85,6 @@ class TestRegistry:
         with pytest.raises(MetricError, match="only increase"):
             registry.counter("cbes_things_total").labels().inc(-1)
 
-    def test_gauge_set_inc_dec(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("cbes_depth")
-        gauge.set(5)
-        gauge.inc(2)
-        gauge.dec(4)
-        assert registry.snapshot()["cbes_depth"]["samples"][0]["value"] == 3.0
-
     def test_callback_gauge_reads_live_and_survives_breakage(self):
         registry = MetricsRegistry()
         box = {"value": 1.0}
@@ -114,7 +106,7 @@ class TestRegistry:
         """Acceptance: lock-striped updates lose nothing under contention."""
         registry = MetricsRegistry()
         counter = registry.counter("cbes_hits_total", labelnames=("worker",))
-        histogram = registry.histogram("cbes_lat_seconds", buckets=(0.5, 1.0))
+        histogram = registry.histogram("cbes_lat_seconds")
         threads, per_thread = 8, 2000
 
         def hammer(worker_id: int) -> None:
@@ -133,29 +125,24 @@ class TestRegistry:
         assert totals == [threads // 2 * per_thread, threads // 2 * per_thread]
         hist = snap["cbes_lat_seconds"]["samples"][0]
         assert hist["count"] == threads * per_thread
-        assert hist["buckets"] == [
-            [0.5, threads * per_thread // 2],
-            [1.0, threads * per_thread],
-        ]
+        buckets = dict(hist["buckets"])
+        assert buckets[0.1] == 0
+        assert buckets[0.25] == threads * per_thread // 2
+        assert buckets[1.0] == threads * per_thread
 
     def test_histogram_bucket_boundaries_are_le_inclusive(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("cbes_lat_seconds", buckets=(0.1, 1.0))
+        histogram = registry.histogram("cbes_lat_seconds")
         child = histogram.labels()
         child.observe(0.1)  # exactly on a bound -> that bucket
         child.observe(0.1000001)  # just over -> next bucket
-        child.observe(50.0)  # beyond the last bound -> +Inf only
+        child.observe(100.0)  # beyond the last bound -> +Inf only
         sample = registry.snapshot()["cbes_lat_seconds"]["samples"][0]
-        assert sample["buckets"] == [[0.1, 1], [1.0, 2]]  # cumulative
+        assert [bound for bound, _ in sample["buckets"]] == list(DEFAULT_BUCKETS)
+        buckets = dict(sample["buckets"])  # cumulative
+        assert (buckets[0.05], buckets[0.1], buckets[0.25], buckets[60.0]) == (0, 1, 2, 2)
         assert sample["count"] == 3
-        assert sample["sum"] == pytest.approx(50.2000001)
-
-    def test_histogram_rejects_bad_buckets(self):
-        registry = MetricsRegistry()
-        with pytest.raises(MetricError, match="at least one"):
-            registry.histogram("cbes_a_seconds", buckets=())
-        with pytest.raises(MetricError, match="ascending"):
-            registry.histogram("cbes_b_seconds", buckets=(1.0, 0.5))
+        assert sample["sum"] == pytest.approx(100.2000001)
 
     def test_snapshot_is_sorted_and_deterministic(self):
         registry = MetricsRegistry()
@@ -178,8 +165,6 @@ class TestNullImplementations:
         registry.gauge("cbes_depth").set(4)
         registry.histogram("cbes_lat_seconds").observe(0.5)
         assert registry.snapshot() == {}
-        assert registry.collect_delta().empty
-        registry.apply_delta(MetricsDelta())  # dropped, no error
 
     def test_null_tracer_is_api_compatible_noop(self):
         tracer = NullTracer()
@@ -223,12 +208,12 @@ class TestExporters:
             "cbes_requests_total", help='requests "served"\nby route', labelnames=("route",)
         )
         counter.inc(route='/v1/"x"\\y\nz')
-        registry.histogram("cbes_lat_seconds", buckets=(0.1, 1.0)).observe(0.05)
+        registry.histogram("cbes_lat_seconds").observe(0.05)
         registry.gauge("cbes_depth", help="queue depth").set(3)
         return registry
 
     def test_prometheus_text_structure(self):
-        text = to_prometheus(self.make_registry())
+        text = snapshot_to_prometheus(self.make_registry().snapshot())
         assert text.endswith("\n")
         lines = text.splitlines()
         assert "# TYPE cbes_requests_total counter" in lines
@@ -243,26 +228,15 @@ class TestExporters:
         assert "cbes_lat_seconds_count 1" in lines
 
     def test_prometheus_escaping(self):
-        text = to_prometheus(self.make_registry())
+        text = snapshot_to_prometheus(self.make_registry().snapshot())
         # Label values escape backslash, quote, and newline.
         assert '{route="/v1/\\"x\\"\\\\y\\nz"}' in text
         # Help text escapes backslash and newline but NOT quotes.
         assert '# HELP cbes_requests_total requests "served"\\nby route' in text
 
     def test_prometheus_empty_registry_renders_empty(self):
-        assert to_prometheus(MetricsRegistry()) == ""
-        assert to_prometheus(NullRegistry()) == ""
-
-    def test_json_agrees_with_snapshot(self):
-        import json
-
-        registry = self.make_registry()
-        tracer = Tracer()
-        with tracer.trace("root"):
-            pass
-        doc = json.loads(to_json(registry, tracer))
-        assert doc["metrics"] == registry.snapshot()
-        assert [t["name"] for t in doc["traces"]] == ["root"]
+        assert snapshot_to_prometheus(MetricsRegistry().snapshot()) == ""
+        assert snapshot_to_prometheus(NullRegistry().snapshot()) == ""
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +284,6 @@ class TestSpans:
                 pass
         assert [t["name"] for t in tracer.traces()] == ["t4", "t3", "t2"]
         assert [t["name"] for t in tracer.traces(limit=1)] == ["t4"]
-        tracer.clear()
-        assert tracer.traces() == []
 
     def test_threads_do_not_interleave(self):
         tracer = Tracer()
@@ -340,56 +312,178 @@ class TestSpans:
 
 def observe_workload(registry: MetricsRegistry, items: range) -> None:
     counter = registry.counter("cbes_work_total", help="work", labelnames=("kind",))
-    histogram = registry.histogram("cbes_work_seconds", buckets=(0.1, 1.0))
+    histogram = registry.histogram("cbes_work_seconds")
     for i in items:
         counter.inc(kind="even" if i % 2 == 0 else "odd")
         histogram.observe((i % 20) / 10.0)
 
 
-class TestMetricsDelta:
-    def test_collect_apply_round_trip(self):
+def replica_documents() -> list[dict]:
+    """Two replicas' scrapes as the router collects them: overlapping and
+    disjoint samples, a family one replica declared but never touched, a
+    broken callback gauge, and histograms off both ends of the buckets."""
+    first, second = MetricsRegistry(), MetricsRegistry()
+    for registry in (first, second):
+        registry.counter("cbes_worker_cache_events_total", "Cache events.", ("event",))
+    jobs = first.counter("cbes_jobs_total", "Job state transitions.", ("kind", "state"))
+    jobs.inc(3, kind="schedule", state="done")
+    jobs.inc(2, kind="predict", state="done")
+    latency = first.histogram("cbes_request_seconds", "HTTP latency.", ("route",))
+    latency.observe(0.004, route="/v1/jobs")
+    latency.observe(0.2, route="/v1/jobs")
+    first.gauge("cbes_queue_depth", "Jobs waiting.").set(2)
+    first.gauge("cbes_snapshot_age_seconds", "Snapshot age.", callback=lambda: 1 / 0)
+    first.counter("cbes_escaped_total", 'a "quoted"\\ help\nover two lines').inc(1.5)
+    jobs = second.counter("cbes_jobs_total", "Job state transitions.", ("kind", "state"))
+    jobs.inc(4, kind="schedule", state="done")
+    jobs.inc(kind="compare", state="failed")
+    events = second.counter("cbes_worker_cache_events_total", "Cache events.", ("event",))
+    events.inc(7, event="hit")
+    events.inc(event="miss")
+    latency = second.histogram("cbes_request_seconds", "HTTP latency.", ("route",))
+    latency.observe(75.0, route="/v1/jobs")
+    latency.observe(0.004, route="/v1/jobs")
+    second.gauge("cbes_queue_depth", "Jobs waiting.").set(1)
+    second.gauge("cbes_snapshot_age_seconds", "Snapshot age.", callback=lambda: 12.5)
+    return [first.snapshot(), second.snapshot()]
+
+
+#: What the fleet merge that ``absorb`` replaced rendered for
+#: :func:`replica_documents`, captured from it verbatim.
+MERGED_REPLICA_TEXT = """\
+# HELP cbes_escaped_total a "quoted"\\\\ help\\nover two lines
+# TYPE cbes_escaped_total counter
+cbes_escaped_total 1.5
+# HELP cbes_jobs_total Job state transitions.
+# TYPE cbes_jobs_total counter
+cbes_jobs_total{kind="compare",state="failed"} 1
+cbes_jobs_total{kind="predict",state="done"} 2
+cbes_jobs_total{kind="schedule",state="done"} 7
+# HELP cbes_queue_depth Jobs waiting.
+# TYPE cbes_queue_depth gauge
+cbes_queue_depth 3
+# HELP cbes_request_seconds HTTP latency.
+# TYPE cbes_request_seconds histogram
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.001"} 0
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.0025"} 0
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.005"} 2
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.01"} 2
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.025"} 2
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.05"} 2
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.1"} 2
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.25"} 3
+cbes_request_seconds_bucket{route="/v1/jobs",le="0.5"} 3
+cbes_request_seconds_bucket{route="/v1/jobs",le="1"} 3
+cbes_request_seconds_bucket{route="/v1/jobs",le="2.5"} 3
+cbes_request_seconds_bucket{route="/v1/jobs",le="5"} 3
+cbes_request_seconds_bucket{route="/v1/jobs",le="10"} 3
+cbes_request_seconds_bucket{route="/v1/jobs",le="30"} 3
+cbes_request_seconds_bucket{route="/v1/jobs",le="60"} 3
+cbes_request_seconds_bucket{route="/v1/jobs",le="+Inf"} 4
+cbes_request_seconds_sum{route="/v1/jobs"} 75.208
+cbes_request_seconds_count{route="/v1/jobs"} 4
+# HELP cbes_snapshot_age_seconds Snapshot age.
+# TYPE cbes_snapshot_age_seconds gauge
+cbes_snapshot_age_seconds NaN
+# HELP cbes_worker_cache_events_total Cache events.
+# TYPE cbes_worker_cache_events_total counter
+cbes_worker_cache_events_total{event="hit"} 7
+cbes_worker_cache_events_total{event="miss"} 1
+"""
+
+
+def absorbed(*documents: dict) -> MetricsRegistry:
+    registry = MetricsRegistry()
+    for document in documents:
+        registry.absorb(document)
+    return registry
+
+
+class TestAbsorb:
+    """``snapshot()`` is the one way out of a registry, ``absorb`` the one way in."""
+
+    def test_snapshot_absorb_round_trip(self):
         source = MetricsRegistry()
         observe_workload(source, range(50))
-        source.gauge("cbes_depth").set(9)  # gauges never travel
+        source.gauge("cbes_depth").set(9)
+        assert absorbed(source.snapshot()).snapshot() == source.snapshot()
 
-        target = MetricsRegistry()
-        target.apply_delta(source.collect_delta())
-        expected = {k: v for k, v in source.snapshot().items() if k != "cbes_depth"}
-        assert target.snapshot() == expected
-
-    def test_delta_pickles(self):
+    def test_pickled_snapshot_absorbs_identically(self):
         source = MetricsRegistry()
         observe_workload(source, range(10))
-        delta = pickle.loads(pickle.dumps(source.collect_delta()))
-        target = MetricsRegistry()
-        target.apply_delta(delta)
-        assert target.snapshot() == source.snapshot()
+        shipped = pickle.loads(pickle.dumps(source.snapshot()))
+        assert absorbed(shipped).snapshot() == absorbed(source.snapshot()).snapshot()
+        assert absorbed(shipped).snapshot() == source.snapshot()
 
     def test_merge_is_independent_of_partitioning(self):
         """The aggregate must not depend on how work landed on workers."""
 
         def partitioned(cuts: list[int]) -> dict:
             bounds = [0, *cuts, 100]
-            merged = MetricsDelta()
+            documents = []
             for lo, hi in zip(bounds, bounds[1:], strict=False):
                 worker = MetricsRegistry()
                 observe_workload(worker, range(lo, hi))
-                merged.merge(worker.collect_delta())
-            target = MetricsRegistry()
-            target.apply_delta(merged)
-            return target.snapshot()
+                documents.append(worker.snapshot())
+            return absorbed(*documents).snapshot()
 
         serial = partitioned([])
         assert partitioned([50]) == serial
         assert partitioned([13, 50, 51, 90]) == serial
 
-    def test_empty_property(self):
-        assert MetricsDelta().empty
-        registry = MetricsRegistry()
-        registry.gauge("cbes_depth").set(1)
-        assert registry.collect_delta().empty  # gauges alone -> still empty
-        registry.counter("cbes_x_total").labels().inc()
-        assert not registry.collect_delta().empty
+    def test_zero_sample_family_then_sampled_one(self):
+        """A declared-but-untouched labelled family carries its labelnames,
+        so a later sampled document of the same family still fits."""
+        declared, sampled = MetricsRegistry(), MetricsRegistry()
+        declared.counter("cbes_x_total", "x", ("event",))
+        sampled.counter("cbes_x_total", "x", ("event",)).inc(event="hit")
+        assert declared.snapshot()["cbes_x_total"]["labelnames"] == ["event"]
+        merged = absorbed(declared.snapshot(), sampled.snapshot()).snapshot()
+        assert merged == sampled.snapshot()
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {"cbes_x_total": {"type": "counter"}},
+            {"cbes_x_total": {"type": "summary", "help": "", "labelnames": [], "samples": []}},
+            {"Bad-Name": {"type": "counter", "help": "", "labelnames": [], "samples": []}},
+            {"cbes_x_total": {"type": "counter", "help": "", "labelnames": [],
+                              "samples": [{"labels": {"kind": "a"}, "value": 1}]}},
+            {"cbes_x_total": {"type": "counter", "help": "", "labelnames": [],
+                              "samples": [{"labels": {}, "value": -1}]}},
+            {"cbes_x_total": {"type": "counter", "help": "", "labelnames": [],
+                              "samples": [{"labels": {}, "value": "1"}]}},
+            {"cbes_x_seconds": {"type": "histogram", "help": "", "labelnames": [],
+                                "samples": [{"labels": {}, "buckets": [[1.0, 1]],
+                                             "sum": 1.0, "count": 1}]}},
+            {"cbes_x_seconds": {"type": "histogram", "help": "", "labelnames": [],
+                                "samples": [{"labels": {}, "count": 1, "sum": 1.0,
+                                             "buckets": [[b, 1] for b in DEFAULT_BUCKETS[:-1]]
+                                             + [[DEFAULT_BUCKETS[-1], 0]]}]}},
+            # Contradicts what the target already declares.
+            {"cbes_held_total": {"type": "gauge", "help": "", "labelnames": [], "samples": []}},
+            {"cbes_held_total": {"type": "counter", "help": "", "labelnames": ["kind"],
+                                 "samples": []}},
+            {"cbes_live": {"type": "gauge", "help": "", "labelnames": [],
+                           "samples": [{"labels": {}, "value": 1.0}]}},
+        ],
+    )
+    def test_refused_document_changes_nothing(self, document):
+        target = MetricsRegistry()
+        target.counter("cbes_held_total").labels().inc(2)
+        target.gauge("cbes_live", callback=lambda: 4.0)
+        before = target.snapshot()
+        # A valid family ahead of the bad one must not be absorbed either.
+        if isinstance(document, dict):
+            document = {"cbes_a_total": before["cbes_held_total"], **document}
+        with pytest.raises(MetricError):
+            target.absorb(document)
+        assert target.snapshot() == before
+
+    def test_fleet_text_matches_the_merge_it_replaced(self):
+        registry = absorbed(*replica_documents())
+        assert snapshot_to_prometheus(registry.snapshot()) == MERGED_REPLICA_TEXT
 
 
 class TestSearchDeterminism:

@@ -63,6 +63,19 @@ def counter_samples(registry: MetricsRegistry, name: str) -> dict:
     return {tuple(sorted(s["labels"].items())): s["value"] for s in family["samples"]}
 
 
+def cache_events(reply) -> dict:
+    """The worker-cache events one reply's snapshot carries home."""
+    family = reply.metrics["cbes_worker_cache_events_total"]
+    return {s["labels"]["event"]: s["value"] for s in family["samples"]}
+
+
+def run_recorded(wp: WorkerPool, registry: MetricsRegistry, spec) -> None:
+    """One pooled task, its snapshot absorbed as ``run_tasks`` would."""
+    with use_registry(registry):
+        for _, metrics in wp.run(spec, [sa_task()], workers=1):
+            registry.absorb(metrics)
+
+
 class TestFingerprint:
     def test_stable_and_memoized(self, spec):
         assert spec.fingerprint() == spec.fingerprint()
@@ -115,16 +128,21 @@ class TestWorkerCacheLru:
 
     def envelope(self, spec, *, with_spec=True):
         return PoolTask(
-            key=spec.fingerprint(), task=sa_task(), spec=spec if with_spec else None
+            key=spec.fingerprint(),
+            task=sa_task(),
+            spec=spec if with_spec else None,
+            telemetry_enabled=True,
         )
 
     def test_miss_then_hit(self, spec):
         first = pool_mod._run_pool_task(self.envelope(spec))
-        assert (first.misses, first.hits) == (1, 0)
+        assert cache_events(first) == {"miss": 1}
         assert first.outcome is not None
         second = pool_mod._run_pool_task(self.envelope(spec, with_spec=False))
-        assert (second.misses, second.hits) == (0, 1)
+        assert cache_events(second) == {"hit": 1}
         assert second.outcome == first.outcome
+        # The task's own counters travel in the same snapshot.
+        assert "cbes_search_tasks_total" in second.metrics
 
     def test_key_only_without_cached_runner_asks_for_spec(self, spec):
         reply = pool_mod._run_pool_task(self.envelope(spec, with_spec=False))
@@ -138,13 +156,16 @@ class TestWorkerCacheLru:
         ]
         assert len({s.fingerprint() for s in specs}) == 3
         replies = [pool_mod._run_pool_task(self.envelope(s)) for s in specs]
-        assert [r.misses for r in replies] == [1, 1, 1]
         # Capacity 2: inserting the third evicted the least-recent (first).
-        assert [r.evictions for r in replies] == [0, 0, 1]
+        assert [cache_events(r) for r in replies] == [
+            {"miss": 1},
+            {"miss": 1},
+            {"miss": 1, "evicted": 1},
+        ]
         evicted = pool_mod._run_pool_task(self.envelope(specs[0], with_spec=False))
         assert evicted.missing_spec
         kept = pool_mod._run_pool_task(self.envelope(specs[2], with_spec=False))
-        assert kept.hits == 1
+        assert cache_events(kept) == {"hit": 1}
 
 
 class TestPoolLifecycle:
@@ -156,7 +177,7 @@ class TestPoolLifecycle:
             second = wp.run(spec, [sa_task()], workers=1)
             assert wp.spawns == 1  # same executor served both runs
             assert wp.workers == 1
-            assert first == second  # (outcome, telemetry delta) pairs
+            assert first == second  # (outcome, metrics snapshot) pairs
         finally:
             wp.shutdown()
 
@@ -196,9 +217,8 @@ class TestPoolLifecycle:
         registry = MetricsRegistry()
         wp = WorkerPool(idle_timeout_s=None)
         try:
-            with use_registry(registry):
-                wp.run(spec, [sa_task()], workers=1)
-                wp.run(spec, [sa_task()], workers=1)
+            run_recorded(wp, registry, spec)
+            run_recorded(wp, registry, spec)
             events = counter_samples(registry, "cbes_worker_cache_events_total")
             assert events[(("event", "miss"),)] == 1
             assert events[(("event", "hit"),)] == 1
@@ -217,9 +237,8 @@ class TestPoolLifecycle:
         registry = MetricsRegistry()
         wp = WorkerPool(idle_timeout_s=None)
         try:
-            with use_registry(registry):
-                wp.run(spec_a, [sa_task()], workers=1)
-                wp.run(spec_b, [sa_task()], workers=1)
+            run_recorded(wp, registry, spec_a)
+            run_recorded(wp, registry, spec_b)
             events = counter_samples(registry, "cbes_worker_cache_events_total")
             # Two distinct fingerprints: the refresh cannot hit the stale
             # cached context.
