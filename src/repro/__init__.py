@@ -45,17 +45,9 @@ Quickstart::
     print(result.mapping, result.predicted_time)
 """
 
-from repro.cluster import Cluster, centurion, orange_grove
-from repro.core import (
-    CBES,
-    EvaluationOptions,
-    MappingEvaluator,
-    MappingPrediction,
-    TaskMapping,
-)
-from repro.monitoring import SystemMonitor, SystemSnapshot
-from repro.profiling import ApplicationProfile
-from repro.simulate import ClusterSimulator, SimulationConfig
+from typing import Any
+
+from repro._util import LazyExports
 
 __version__ = "1.0.0"
 
@@ -75,3 +67,28 @@ __all__ = [
     "centurion",
     "orange_grove",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "cluster": ("Cluster", "centurion", "orange_grove"),
+        "core": (
+            "CBES",
+            "EvaluationOptions",
+            "MappingEvaluator",
+            "MappingPrediction",
+            "TaskMapping",
+        ),
+        "monitoring": ("SystemMonitor", "SystemSnapshot"),
+        "profiling": ("ApplicationProfile",),
+        "simulate": ("ClusterSimulator", "SimulationConfig"),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

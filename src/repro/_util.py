@@ -9,13 +9,19 @@ the statistics helpers here are pure python.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
-from collections.abc import Iterable, Sequence
+import os
+import sys
+from collections.abc import Iterable, Mapping, Sequence
+from pathlib import Path
+from typing import Any
 
 from repro._rng import Rng
 
 __all__ = [
+    "LazyExports",
     "check_fraction",
     "check_positive",
     "encode_json",
@@ -23,9 +29,42 @@ __all__ = [
     "percent_error",
     "spawn_rng",
     "stable_hash",
+    "write_atomic",
 ]
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+class LazyExports:
+    """A package's public names, each imported from its submodule on first use.
+
+    *table* maps a submodule (relative to *package*) to the names it
+    exports.  The package's module ``__getattr__`` and ``__dir__``
+    (PEP 562) delegate to :meth:`resolve` and :meth:`names`, so
+    ``import repro.fleet.router`` loads the router and what it imports,
+    not every sibling the package ``__init__`` would otherwise name.  A
+    resolved name is cached in the package's globals; an unknown name
+    raises ``AttributeError``, which lets ``from package import
+    submodule`` fall through to the submodule import.
+    """
+
+    def __init__(self, package: str, table: Mapping[str, Sequence[str]]) -> None:
+        self._package = package
+        self._where = {name: f"{package}.{sub}" for sub, names in table.items() for name in names}
+
+    def resolve(self, name: str) -> Any:
+        """The package attribute *name*, importing its submodule if needed."""
+        try:
+            module = self._where[name]
+        except KeyError:
+            raise AttributeError(f"module {self._package!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[self._package], name, value)
+        return value
+
+    def names(self) -> list[str]:
+        """What ``dir(package)`` lists: its globals plus every export."""
+        return sorted({*vars(sys.modules[self._package]), *self._where})
 
 
 def encode_json(doc: object) -> bytes:
@@ -35,6 +74,21 @@ def encode_json(doc: object) -> bytes:
     and every HTTP response, so bytes encoded once splice into the rest.
     """
     return _COMPACT.encode(doc).encode("utf-8")
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace *path* with *text* through a temp file and ``os.replace``.
+
+    A reader, or a writer that dies midway, sees the old file or the new
+    one, never a torn one.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def check_positive(value: float, name: str) -> float:

@@ -20,17 +20,9 @@ See docs/ANALYSIS.md for the rule catalog and workflow.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.engine import (
-    Checker,
-    CheckerContext,
-    analyze_paths,
-    analyze_source,
-    module_name_for,
-    register,
-    registered_checkers,
-)
-from repro.analysis.findings import AnalysisReport, Finding
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "AnalysisReport",
@@ -46,3 +38,28 @@ __all__ = [
     "registered_checkers",
     "write_baseline",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "baseline": ("apply_baseline", "load_baseline", "write_baseline"),
+        "engine": (
+            "Checker",
+            "CheckerContext",
+            "analyze_paths",
+            "analyze_source",
+            "module_name_for",
+            "register",
+            "registered_checkers",
+        ),
+        "findings": ("AnalysisReport", "Finding"),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -114,7 +114,10 @@ def open_service(args) -> tuple[CBES, ProfileDatabase]:
     cluster = build_cluster(args.cluster)
     service = CBES(cluster)
     db = ProfileDatabase(args.db)
-    db.attach(service)
+    try:
+        db.attach(service)
+    except ValueError as exc:  # a torn or foreign-cluster database file
+        raise SystemExit(f"error: {exc}") from None
     if not cluster.is_calibrated:
         raise SystemExit(
             f"error: cluster {cluster.name!r} is not calibrated in {args.db!r}; "
@@ -220,7 +223,10 @@ def cmd_inspect(args) -> int:
         nodes = cluster.nodes_by_arch(arch_name)
         print(f"  {arch_name}: {len(nodes)} nodes ({nodes[0]}..{nodes[-1]})")
     print(f"system profile stored: {db.has_system_profile(cluster.name)}")
-    apps = db.applications()
+    try:
+        apps = db.applications()
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     print(f"stored application profiles: {', '.join(apps) if apps else '(none)'}")
     return 0
 

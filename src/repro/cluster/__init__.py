@@ -1,18 +1,8 @@
 """Cluster hardware model: nodes, network fabric, latency calibration."""
 
-from repro.cluster.calibration import CalibrationReport, Calibrator, schedule_cliques
-from repro.cluster.cluster import Cluster
-from repro.cluster.latency import LatencyModel, PathComponents
-from repro.cluster.network import LinkSpec, NetworkFabric, SwitchSpec
-from repro.cluster.node import (
-    ALPHA_533,
-    INTEL_PII_400,
-    SPARC_500,
-    Architecture,
-    NICSpec,
-    Node,
-)
-from repro.cluster.topology import centurion, fat_star, federated, orange_grove, single_switch
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "ALPHA_533",
@@ -36,3 +26,23 @@ __all__ = [
     "schedule_cliques",
     "single_switch",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "calibration": ("CalibrationReport", "Calibrator", "schedule_cliques"),
+        "cluster": ("Cluster",),
+        "latency": ("LatencyModel", "PathComponents"),
+        "network": ("LinkSpec", "NetworkFabric", "SwitchSpec"),
+        "node": ("ALPHA_533", "INTEL_PII_400", "SPARC_500", "Architecture", "NICSpec", "Node"),
+        "topology": ("centurion", "fat_star", "federated", "orange_grove", "single_switch"),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -112,9 +112,9 @@ class Calibrator:
         self._repetitions = int(repetitions)
         self._seed = int(seed)
 
-    def _measure(self, src: str, dst: str, size: int, rng: Rng) -> float:
+    def _measure(self, truth_components: PathComponents, size: int, rng: Rng) -> float:
         """One simulated ping-pong sample: truth plus measurement noise."""
-        truth = LatencyModel.analytic_components(self._fabric, self._nodes, src, dst).no_load(size)
+        truth = truth_components.no_load(size)
         if self._noise == 0.0:
             return truth
         samples = [truth * x for x in rng.normal(1.0, self._noise, size=self._repetitions)]
@@ -128,8 +128,9 @@ class Calibrator:
         would swamp the small-message alpha (tens of microseconds).
         """
         rng = spawn_rng(self._seed, "calibrate", src, dst)
+        truth = LatencyModel.analytic_components(self._fabric, self._nodes, src, dst)
         xs = [float(s) for s in sizes]
-        ys = [self._measure(src, dst, int(s), rng) for s in sizes]
+        ys = [self._measure(truth, int(s), rng) for s in sizes]
         # Normal equations of min ||(alpha + beta*x - y) / y||^2: each row
         # of the design is scaled by w = 1/y, giving a 2x2 system solved
         # by Cramer's rule (the sweep spans ~4 decades of size, which

@@ -21,7 +21,9 @@ directly from the wiring.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import pickle
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -29,7 +31,13 @@ from repro._util import check_fraction, check_positive
 from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
 
-__all__ = ["PathComponents", "LatencyModel", "LOCAL_ALPHA_S", "LOCAL_BETA_S_PER_BYTE"]
+__all__ = [
+    "PathComponents",
+    "LatencyModel",
+    "LOCAL",
+    "LOCAL_ALPHA_S",
+    "LOCAL_BETA_S_PER_BYTE",
+]
 
 #: Latency components for two processes on the *same* node (shared memory).
 LOCAL_ALPHA_S = 1.5e-6
@@ -91,6 +99,10 @@ class PathComponents:
         )
 
 
+#: The components of every same-node pair.
+LOCAL = PathComponents(LOCAL_ALPHA_S, LOCAL_ALPHA_S, 0.0, LOCAL_BETA_S_PER_BYTE)
+
+
 class LatencyModel:
     """Pairwise latency model over a set of hosts.
 
@@ -108,6 +120,7 @@ class LatencyModel:
             hosts.add(src)
             hosts.add(dst)
         self._hosts = frozenset(hosts)
+        self._digest: str | None = None
 
     # -- pickling ------------------------------------------------------
     def __getstate__(self) -> dict:
@@ -115,9 +128,9 @@ class LatencyModel:
 
         ``_hosts`` is a frozenset and ``_components`` a dict; both
         iterate in insertion/hash order, which survives neither a pickle
-        round-trip nor hash randomization.  ``SearchSpec.fingerprint``
-        hashes this object's pickle bytes to key worker-side caches, so
-        the serialized form must depend only on *content*.
+        round-trip nor hash randomization.  :meth:`digest` hashes this
+        state, so it must depend only on *content*; the digest memo
+        itself is left out.
         """
         return {
             "_components": dict(sorted(self._components.items())),
@@ -127,6 +140,18 @@ class LatencyModel:
     def __setstate__(self, state: dict) -> None:
         self._components = state["_components"]
         self._hosts = frozenset(state["_hosts"])
+        self._digest = None
+
+    def digest(self) -> str:
+        """Content digest of the model (blake2b-16 hex), computed once.
+
+        The model is immutable, so ``SearchSpec.fingerprint`` keys worker
+        caches by this memo instead of pickling every pair per job.
+        """
+        if self._digest is None:
+            state = pickle.dumps(self.__getstate__(), protocol=pickle.HIGHEST_PROTOCOL)
+            self._digest = hashlib.blake2b(state, digest_size=16).hexdigest()
+        return self._digest
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -172,7 +197,7 @@ class LatencyModel:
     def components(self, src: str, dst: str) -> PathComponents:
         """Latency components of the ordered pair ``(src, dst)``."""
         if src == dst:
-            return PathComponents(LOCAL_ALPHA_S, LOCAL_ALPHA_S, 0.0, LOCAL_BETA_S_PER_BYTE)
+            return LOCAL
         try:
             return self._components[(src, dst)]
         except KeyError:
@@ -218,11 +243,10 @@ class LatencyModel:
         a_dst = [nan] * (m * m)
         a_net = [nan] * (m * m)
         beta = [nan] * (m * m)
-        local = PathComponents(LOCAL_ALPHA_S, LOCAL_ALPHA_S, 0.0, LOCAL_BETA_S_PER_BYTE)
         for i, src in enumerate(hosts):
             base = i * m
             for j, dst in enumerate(hosts):
-                pc = local if i == j else self._components.get((src, dst))
+                pc = LOCAL if i == j else self._components.get((src, dst))
                 if pc is None:
                     continue
                 a_src[base + j] = pc.alpha_src

@@ -110,18 +110,18 @@ def federated(
     nodes: list[Node] = []
     tops: list[str] = []
     for side in sides:
-        side_graph = side.fabric.graph
-        switch_ids = [v for v, d in side_graph.nodes(data=True) if d["kind"] == "switch"]
+        side_fabric = side.fabric
+        switches = side_fabric.switches
         # The side's "top" is its highest-degree switch.
-        top = max(switch_ids, key=lambda s: (side_graph.degree(s), s))
+        top = max(switches, key=lambda s: (side_fabric.ports_used(s), s))
         tops.append(top)
-        for sid in switch_ids:
-            fabric.add_switch(side.fabric.switches[sid])
+        for spec in switches.values():
+            fabric.add_switch(spec)
         for node in side.nodes.values():
             fabric.add_host(node.node_id)
             nodes.append(node)
-        for a, b, data in side_graph.edges(data=True):
-            fabric.connect(a, b, data["link"])
+        for a, b, link in side_fabric.links():
+            fabric.connect(a, b, link)
     for a, b in zip(tops, tops[1:], strict=False):
         fabric.connect(a, b, bottleneck)
     return Cluster(name, nodes, fabric)

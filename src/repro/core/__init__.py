@@ -1,26 +1,8 @@
 """CBES core: mappings, the evaluation operation, and the service facade."""
 
-from repro.core.colocation import ClusterReservations, Reservation
-from repro.core.errors import (
-    CbesError,
-    InvalidMappingError,
-    NotCalibratedError,
-    UnknownProfileError,
-)
-from repro.core.evaluation import (
-    EvaluationOptions,
-    MappingEvaluator,
-    MappingPrediction,
-    ProcessPrediction,
-)
-from repro.core.fast_eval import (
-    EvaluationContext,
-    FastEvalUnavailable,
-    IncrementalEvaluator,
-)
-from repro.core.mapping import TaskMapping
-from repro.core.segments import SegmentPlan, SegmentScheduler
-from repro.core.service import CBES, ApplicationModel
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "CBES",
@@ -42,3 +24,29 @@ __all__ = [
     "TaskMapping",
     "UnknownProfileError",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "colocation": ("ClusterReservations", "Reservation"),
+        "errors": ("CbesError", "InvalidMappingError", "NotCalibratedError", "UnknownProfileError"),
+        "evaluation": (
+            "EvaluationOptions",
+            "MappingEvaluator",
+            "MappingPrediction",
+            "ProcessPrediction",
+        ),
+        "fast_eval": ("EvaluationContext", "FastEvalUnavailable", "IncrementalEvaluator"),
+        "mapping": ("TaskMapping",),
+        "segments": ("SegmentPlan", "SegmentScheduler"),
+        "service": ("CBES", "ApplicationModel"),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -88,11 +88,7 @@ import itertools
 import os
 from collections.abc import Mapping as MappingABC
 from collections.abc import Sequence
-
-try:  # numpy is the optional [speed] extra; the python backend is complete.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
+from typing import Any
 
 from repro.cluster.latency import LatencyModel
 from repro.cluster.node import Node
@@ -109,6 +105,27 @@ __all__ = [
     "IncrementalEvaluator",
     "active_backend",
 ]
+
+_UNPROBED = object()
+
+#: numpy (the optional [speed] extra; the python backend is complete),
+#: imported by the first :func:`active_backend` that could use it, so a
+#: process that never batches never loads it.  None when it is not
+#: installed; tests patch it to None to hide an installed numpy.
+np: Any = _UNPROBED
+
+
+def _numpy() -> Any:
+    """The numpy module, or None when it is not installed (probed once)."""
+    global np
+    if np is _UNPROBED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
+            np = None
+        else:
+            np = numpy
+    return np
 
 
 class FastEvalUnavailable(CbesError):
@@ -133,7 +150,7 @@ def active_backend() -> str:
         raise ValueError(f"REPRO_EVAL_BACKEND must be auto, numpy, or python, got {choice!r}")
     if choice == "python":
         return "python"
-    if np is None:
+    if _numpy() is None:
         if choice == "numpy":
             raise FastEvalUnavailable(
                 "REPRO_EVAL_BACKEND=numpy but numpy is not installed "

@@ -1,35 +1,8 @@
 """Experiment harness and the paper's validation/scheduling studies."""
 
-from repro.experiments.harness import (
-    ExperimentContext,
-    Measurement,
-    full_scale,
-    repetitions,
-)
-from repro.experiments.mapping_space import (
-    MappingSignature,
-    group_by_signature,
-    representative_sample,
-    signature,
-)
-from repro.experiments.report import ascii_table, range_plot, text_histogram
-from repro.experiments.scheduling import (
-    AverageCaseResult,
-    WorstBestResult,
-    Zone,
-    average_case,
-    lu_zones,
-    sample_mapping_times,
-    worst_vs_best,
-)
-from repro.experiments.validation import (
-    LoadSensitivityPoint,
-    Phase1Config,
-    PredictionCase,
-    load_sensitivity,
-    phase1_sweep,
-    prediction_error_case,
-)
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "AverageCaseResult",
@@ -57,3 +30,42 @@ __all__ = [
     "text_histogram",
     "worst_vs_best",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "harness": ("ExperimentContext", "Measurement", "full_scale", "repetitions"),
+        "mapping_space": (
+            "MappingSignature",
+            "group_by_signature",
+            "representative_sample",
+            "signature",
+        ),
+        "report": ("ascii_table", "range_plot", "text_histogram"),
+        "scheduling": (
+            "AverageCaseResult",
+            "WorstBestResult",
+            "Zone",
+            "average_case",
+            "lu_zones",
+            "sample_mapping_times",
+            "worst_vs_best",
+        ),
+        "validation": (
+            "LoadSensitivityPoint",
+            "Phase1Config",
+            "PredictionCase",
+            "load_sensitivity",
+            "phase1_sweep",
+            "prediction_error_case",
+        ),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -8,9 +8,9 @@ replicas as subprocesses for ``repro fleet --replicas N``.  See
 ``docs/FLEET.md`` for the architecture and failure semantics.
 """
 
-from repro.fleet.hashing import pick_backend, rendezvous_rank, score
-from repro.fleet.router import FleetRouter, RouterThread
-from repro.fleet.supervisor import FleetSupervisor
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "FleetRouter",
@@ -20,3 +20,20 @@ __all__ = [
     "rendezvous_rank",
     "score",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "hashing": ("pick_backend", "rendezvous_rank", "score"),
+        "router": ("FleetRouter", "RouterThread"),
+        "supervisor": ("FleetSupervisor",),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -1,20 +1,8 @@
 """System monitoring: sensors, forecasting, snapshots, load injection."""
 
-from repro.monitoring.forecasting import (
-    AR1,
-    AdaptiveForecaster,
-    Ewma,
-    Forecaster,
-    LastValue,
-    SlidingMean,
-    SlidingMedian,
-    make_forecaster,
-)
-from repro.monitoring.load import LoadEvent, LoadGenerator
-from repro.monitoring.monitor import SystemMonitor
-from repro.monitoring.network import LatencySensor, NetworkMonitor
-from repro.monitoring.sensors import CpuSensor, NicSensor
-from repro.monitoring.snapshot import NodeState, SystemSnapshot
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "AR1",
@@ -35,3 +23,32 @@ __all__ = [
     "SystemSnapshot",
     "make_forecaster",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "forecasting": (
+            "AR1",
+            "AdaptiveForecaster",
+            "Ewma",
+            "Forecaster",
+            "LastValue",
+            "SlidingMean",
+            "SlidingMedian",
+            "make_forecaster",
+        ),
+        "load": ("LoadEvent", "LoadGenerator"),
+        "monitor": ("SystemMonitor",),
+        "network": ("LatencySensor", "NetworkMonitor"),
+        "sensors": ("CpuSensor", "NicSensor"),
+        "snapshot": ("NodeState", "SystemSnapshot"),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

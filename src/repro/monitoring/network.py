@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro._util import check_positive, spawn_rng
 from repro.cluster.calibration import schedule_cliques
 from repro.cluster.cluster import Cluster
-from repro.cluster.latency import LatencyModel
+from repro.cluster.latency import LOCAL, LatencyModel
 from repro.monitoring.forecasting import Forecaster, make_forecaster
 
 __all__ = ["LatencySensor", "NetworkMonitor"]
@@ -36,7 +36,11 @@ class LatencySensor:
         if noise < 0:
             raise ValueError("noise must be >= 0")
         self._cluster = cluster
-        self._exact = LatencyModel.from_fabric(cluster.fabric, cluster.nodes)
+        self._exact = (
+            LOCAL
+            if src == dst
+            else LatencyModel.analytic_components(cluster.fabric, cluster.nodes, src, dst)
+        )
         self.src = src
         self.dst = dst
         self._noise = noise
@@ -47,9 +51,7 @@ class LatencySensor:
         check_positive(size_bytes, "size_bytes")
         src_node = self._cluster.node(self.src)
         dst_node = self._cluster.node(self.dst)
-        truth = self._exact.current(
-            self.src,
-            self.dst,
+        truth = self._exact.adjusted(
             size_bytes,
             acpu_src=src_node.cpu_availability,
             acpu_dst=dst_node.cpu_availability,

@@ -18,14 +18,9 @@ without the flag the daemon keeps the original in-memory TTL store.
 See ``docs/FLEET.md`` for the journal format and recovery semantics.
 """
 
-from repro.persist.journal import (
-    FSYNC_POLICIES,
-    Journal,
-    JournalCorruptError,
-    JournalError,
-    replay_journal,
-)
-from repro.persist.store import DurableJobStore, recover_state
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -36,3 +31,25 @@ __all__ = [
     "recover_state",
     "replay_journal",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "journal": (
+            "FSYNC_POLICIES",
+            "Journal",
+            "JournalCorruptError",
+            "JournalError",
+            "replay_journal",
+        ),
+        "store": ("DurableJobStore", "recover_state"),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

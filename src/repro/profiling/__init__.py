@@ -1,24 +1,8 @@
 """Application profiling: traces, profiles, trace analysis, speed ratios."""
 
-from repro.profiling.analyzer import TraceAnalyzer
-from repro.profiling.database import ProfileDatabase
-from repro.profiling.export import (
-    gantt,
-    load_trace,
-    save_trace,
-    trace_from_dict,
-    trace_to_dict,
-    utilization,
-)
-from repro.profiling.events import MarkerRecord, MessageRecord, TimeCategory, TimeRecord
-from repro.profiling.profile import (
-    ApplicationProfile,
-    MessageGroup,
-    ProcessProfile,
-    theta,
-)
-from repro.profiling.speeds import measure_speed_ratios
-from repro.profiling.trace import ExecutionTrace
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "ApplicationProfile",
@@ -40,3 +24,31 @@ __all__ = [
     "trace_to_dict",
     "utilization",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "analyzer": ("TraceAnalyzer",),
+        "database": ("ProfileDatabase",),
+        "export": (
+            "gantt",
+            "load_trace",
+            "save_trace",
+            "trace_from_dict",
+            "trace_to_dict",
+            "utilization",
+        ),
+        "events": ("MarkerRecord", "MessageRecord", "TimeCategory", "TimeRecord"),
+        "profile": ("ApplicationProfile", "MessageGroup", "ProcessProfile", "theta"),
+        "speeds": ("measure_speed_ratios",),
+        "trace": ("ExecutionTrace",),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
+from repro._util import write_atomic
 from repro.cluster.latency import LatencyModel
 from repro.profiling.profile import ApplicationProfile
 
@@ -38,6 +41,22 @@ def _slug(name: str) -> str:
     if not name:
         raise ValueError("name must be nonempty")
     return _SAFE.sub("_", name)
+
+
+@contextmanager
+def _reading(path: Path) -> Iterator[None]:
+    """Turn a stored file that does not parse or build into a ``ValueError``.
+
+    The error names *path*: a torn file (a copy cut short, a disk that
+    filled) must stop the command, not be mistaken for a foreign file.
+    """
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"unreadable database file {path} ({type(exc).__name__}: {exc}); "
+            "re-run the command that wrote it"
+        ) from None
 
 
 class ProfileDatabase:
@@ -59,14 +78,15 @@ class ProfileDatabase:
     def save_latency_model(self, cluster_name: str, model: LatencyModel) -> Path:
         """Persist a cluster's calibrated latency model."""
         path = self._system_path(cluster_name)
-        path.write_text(json.dumps(model.to_dict()))
+        write_atomic(path, json.dumps(model.to_dict()))
         return path
 
     def load_latency_model(self, cluster_name: str) -> LatencyModel:
         path = self._system_path(cluster_name)
         if not path.exists():
             raise KeyError(f"no system profile stored for cluster {cluster_name!r}")
-        return LatencyModel.from_dict(json.loads(path.read_text()))
+        with _reading(path):
+            return LatencyModel.from_dict(json.loads(path.read_text()))
 
     def has_system_profile(self, cluster_name: str) -> bool:
         return self._system_path(cluster_name).exists()
@@ -84,7 +104,8 @@ class ProfileDatabase:
         path = self._app_path(app_name)
         if not path.exists():
             raise KeyError(f"no profile stored for application {app_name!r}")
-        return ApplicationProfile.load(path)
+        with _reading(path):
+            return ApplicationProfile.load(path)
 
     def delete_profile(self, app_name: str) -> bool:
         """Remove a stored profile; returns whether it existed."""
@@ -94,15 +115,28 @@ class ProfileDatabase:
             return True
         return False
 
+    def _stored_profiles(self) -> list[tuple[Path, dict]]:
+        """Every stored profile document, parsed once, in file-name order.
+
+        A file that never mentions ``"app_name"`` is foreign and skipped,
+        as is JSON without a top-level ``app_name``.  One that mentions
+        it but does not parse is a torn profile: a ``ValueError`` naming
+        it.
+        """
+        found = []
+        for path in sorted((self._root / "applications").glob("*.json")):
+            raw = path.read_bytes()
+            if b'"app_name"' not in raw:
+                continue
+            with _reading(path):
+                doc = json.loads(raw)
+            if isinstance(doc, dict) and "app_name" in doc:
+                found.append((path, doc))
+        return found
+
     def applications(self) -> list[str]:
         """Names of all stored application profiles (by file content)."""
-        names = []
-        for path in sorted((self._root / "applications").glob("*.json")):
-            try:
-                names.append(str(json.loads(path.read_text())["app_name"]))
-            except (json.JSONDecodeError, KeyError):
-                continue  # ignore foreign files
-        return names
+        return [str(doc["app_name"]) for _, doc in self._stored_profiles()]
 
     # -- service integration ----------------------------------------------------
     def attach(self, service) -> int:
@@ -122,11 +156,12 @@ class ProfileDatabase:
                     f"stored system profile for {cluster.name!r} lacks nodes {sorted(missing)[:5]}"
                 )
             cluster._latency = model  # noqa: SLF001 - deliberate install
-        count = 0
-        for name in self.applications():
-            service.register_profile(self.load_profile(name))
-            count += 1
-        return count
+        stored = self._stored_profiles()
+        for path, doc in stored:
+            with _reading(path):
+                profile = ApplicationProfile.from_dict(doc)
+            service.register_profile(profile)
+        return len(stored)
 
     def snapshot_service(self, service) -> int:
         """Persist a service's calibration and all registered profiles."""

@@ -21,6 +21,8 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro._util import write_atomic
+
 __all__ = ["MessageGroup", "ProcessProfile", "ApplicationProfile", "theta"]
 
 #: Latency callable signature: (src_rank_node, dst_rank_node, size) -> seconds.
@@ -209,8 +211,8 @@ class ApplicationProfile:
         )
 
     def save(self, path: str | Path) -> None:
-        """Write the profile database entry as JSON."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        """Write the profile database entry as JSON (atomically replaced)."""
+        write_atomic(Path(path), json.dumps(self.to_dict(), indent=2))
 
     @classmethod
     def load(cls, path: str | Path) -> "ApplicationProfile":

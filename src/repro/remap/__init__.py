@@ -23,11 +23,9 @@ costs"* — as a first-class subsystem:
   the closed-loop simulation (:mod:`repro.simulate.closedloop`).
 """
 
-from repro.remap.cost import MigrationCostModel, RemapCostModel
-from repro.remap.drift import DriftEvent, DriftWatcher
-from repro.remap.loop import RemapLoop
-from repro.remap.plan import RankMove, RemapPlan
-from repro.remap.remapper import Remapper
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "DriftEvent",
@@ -39,3 +37,22 @@ __all__ = [
     "RemapPlan",
     "Remapper",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "cost": ("MigrationCostModel", "RemapCostModel"),
+        "drift": ("DriftEvent", "DriftWatcher"),
+        "loop": ("RemapLoop",),
+        "plan": ("RankMove", "RemapPlan"),
+        "remapper": ("Remapper",),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -11,11 +11,9 @@ with ring migration, one batch per epoch.  ``parallel=1`` and
 ``parallel=N`` produce byte-identical mappings for the same master seed.
 """
 
-from repro.search.islands import IslandResult, run_island_ga
-from repro.search.pool import WorkerPool, get_pool, run_tasks, shutdown_pool
-from repro.search.portfolio import ParallelPortfolio, PortfolioResult
-from repro.search.spec import SearchSpec, greedy_mapping
-from repro.search.worker import GaEpochTask, IslandState, SaOutcome, SaTask, TaskRunner
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "SearchSpec",
@@ -34,3 +32,22 @@ __all__ = [
     "IslandResult",
     "run_island_ga",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "islands": ("IslandResult", "run_island_ga"),
+        "pool": ("WorkerPool", "get_pool", "run_tasks", "shutdown_pool"),
+        "portfolio": ("ParallelPortfolio", "PortfolioResult"),
+        "spec": ("SearchSpec", "greedy_mapping"),
+        "worker": ("GaEpochTask", "IslandState", "SaOutcome", "SaTask", "TaskRunner"),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -246,7 +246,6 @@ class WorkerPool:
         resident executor is larger (a previous caller may have grown
         it), so a run's parallelism matches what its caller asked for.
         """
-        spec.ensure_picklable()
         with self._lock:
             self._active += 1
         try:

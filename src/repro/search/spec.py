@@ -19,6 +19,7 @@ import hashlib
 import pickle
 from dataclasses import dataclass, field
 
+from repro.cluster.latency import LatencyModel
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator
 from repro.core.mapping import TaskMapping
 from repro.monitoring.snapshot import SystemSnapshot
@@ -37,7 +38,7 @@ class SearchSpec:
     """
 
     profile: ApplicationProfile
-    latency_model: object  # repro.cluster.latency.LatencyModel
+    latency_model: LatencyModel
     nodes: dict  # node id -> repro.cluster.node.Node
     snapshot: SystemSnapshot
     pool: tuple[str, ...]
@@ -82,27 +83,33 @@ class SearchSpec:
         enters through its own :meth:`SystemSnapshot.fingerprint` rather
         than its pickle bytes, so a refreshed-but-identical cluster state
         still keys the same cache entry while any availability change
-        produces a new one.  Memoized (the dataclass is frozen, so the
-        inputs cannot drift after the first call).
+        produces a new one, and the latency model through its memoized
+        :meth:`LatencyModel.digest`, so a job does not re-pickle every
+        pair.  Memoized (the dataclass is frozen, so the inputs cannot
+        drift after the first call).
+
+        Called before a pool ever spawns, so an unpicklable constraint
+        fails fast here, with a pointed ``ValueError``.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
             return cached
         digest = hashlib.blake2b(digest_size=16)
         digest.update(self.snapshot.fingerprint().encode("ascii"))
-        digest.update(
-            pickle.dumps(
-                (
-                    self.profile,
-                    self.latency_model,
-                    self.nodes,
-                    self.pool,
-                    self.options,
-                    self.constraint,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
+        digest.update(self.latency_model.digest().encode("ascii"))
+        try:
+            digest.update(
+                pickle.dumps(
+                    (self.profile, self.nodes, self.pool, self.options, self.constraint),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
             )
-        )
+        except Exception as exc:
+            raise ValueError(
+                "search spec cannot be pickled for worker processes "
+                f"({type(exc).__name__}: {exc}); constraints must be module-level "
+                "functions, not lambdas or closures, when parallel > 1"
+            ) from exc
         value = digest.hexdigest()
         object.__setattr__(self, "_fingerprint", value)
         return value
@@ -115,17 +122,6 @@ class SearchSpec:
 
     def feasible(self, mapping: TaskMapping) -> bool:
         return self.constraint is None or self.constraint(mapping)
-
-    def ensure_picklable(self) -> None:
-        """Fail fast, with a pointed message, before a pool ever spawns."""
-        try:
-            pickle.dumps(self)
-        except Exception as exc:
-            raise ValueError(
-                "search spec cannot be pickled for worker processes "
-                f"({type(exc).__name__}: {exc}); constraints must be module-level "
-                "functions, not lambdas or closures, when parallel > 1"
-            ) from exc
 
 
 def greedy_mapping(spec: SearchSpec) -> TaskMapping | None:

@@ -24,10 +24,9 @@ See ``docs/SERVICE.md`` for the API reference and
 ``examples/service_daemon.py`` for an end-to-end walkthrough.
 """
 
-from repro.server.client import BackpressureError, CbesClient, JobFailed, ServerError
-from repro.server.daemon import CbesDaemon, DaemonThread
-from repro.server.jobs import Job, JobState, JobStateError, JobStore
-from repro.server.protocol import ApiError
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "ApiError",
@@ -42,3 +41,21 @@ __all__ = [
     "JobStore",
     "ServerError",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "client": ("BackpressureError", "CbesClient", "JobFailed", "ServerError"),
+        "daemon": ("CbesDaemon", "DaemonThread"),
+        "jobs": ("Job", "JobState", "JobStateError", "JobStore"),
+        "protocol": ("ApiError",),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -1,23 +1,8 @@
 """Ground-truth execution simulation of MPI-like programs on clusters."""
 
-from repro.simulate.contention import LinkContentionTracker, cpu_share
-from repro.simulate.timeline import LoadTimeline
-from repro.simulate.engine import (
-    ClusterSimulator,
-    SimulationConfig,
-    SimulationDeadlock,
-    SimulationResult,
-)
-from repro.simulate.program import (
-    Compute,
-    Exchange,
-    Marker,
-    Op,
-    Program,
-    Recv,
-    Send,
-    SendRecv,
-)
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "ClusterSimulator",
@@ -36,3 +21,26 @@ __all__ = [
     "SimulationResult",
     "cpu_share",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "contention": ("LinkContentionTracker", "cpu_share"),
+        "timeline": ("LoadTimeline",),
+        "engine": (
+            "ClusterSimulator",
+            "SimulationConfig",
+            "SimulationDeadlock",
+            "SimulationResult",
+        ),
+        "program": ("Compute", "Exchange", "Marker", "Op", "Program", "Recv", "Send", "SendRecv"),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from repro._util import spawn_rng
 from repro.cluster.cluster import Cluster
-from repro.cluster.latency import LatencyModel
+from repro.cluster.latency import LOCAL, LatencyModel, PathComponents
 from repro.profiling.events import TimeCategory
 from repro.profiling.trace import ExecutionTrace
 from repro.simulate.contention import LinkContentionTracker, cpu_share
@@ -148,16 +148,30 @@ class ClusterSimulator:
     def __init__(self, cluster: Cluster, config: SimulationConfig | None = None):
         self._cluster = cluster
         self._config = config or SimulationConfig()
-        # Ground truth uses the exact analytic latency model, not the
-        # calibrated one the predictor sees.
-        self._exact = LatencyModel.from_fabric(cluster.fabric, cluster.nodes)
+        self._nodes = cluster.nodes
+        # Ground truth uses the exact analytic latency decomposition, not
+        # the calibrated model the predictor sees: each pair is derived
+        # from the wiring the first time a run sends over it.
+        self._exact: dict[tuple[str, str], PathComponents] = {}
         # First-hop (host uplink) bandwidth per node: bounds how long an
         # eager sender is busy injecting a message.
-        graph = cluster.fabric.graph
+        fabric = cluster.fabric
         self._uplink_bps = {
-            nid: graph.edges[nid, cluster.fabric.switch_of(nid)]["link"].bandwidth_bps
-            for nid in cluster.fabric.hosts
+            nid: fabric.link(nid, fabric.switch_of(nid)).bandwidth_bps for nid in fabric.hosts
         }
+
+    def _exact_components(self, src: str, dst: str) -> PathComponents:
+        """The exact latency components of ``(src, dst)``, derived once."""
+        comps = self._exact.get((src, dst))
+        if comps is None:
+            if src == dst:
+                comps = LOCAL
+            else:
+                comps = LatencyModel.analytic_components(
+                    self._cluster.fabric, self._nodes, src, dst
+                )
+            self._exact[(src, dst)] = comps
+        return comps
 
     @property
     def config(self) -> SimulationConfig:
@@ -253,7 +267,7 @@ class ClusterSimulator:
 
         def transfer_latency(src_rank: int, dst_rank: int, size: float, start: float) -> float:
             src, dst = mapping[src_rank], mapping[dst_rank]
-            comps = self._exact.components(src, dst)
+            comps = self._exact_components(src, dst)
             # Endpoint processing timeshares with everything on the node;
             # cpu_share already folds in co-mapped processes and
             # background load (instantaneous share when a load schedule

@@ -1,13 +1,8 @@
 """Workload models: NPB, HPL, ASCI Purple selection, synthetic benchmark."""
 
-from repro.workloads.asci import SAMRAI, SMG2000, Aztec, Sweep3D, Towhee
-from repro.workloads.base import WorkloadModel
-from repro.workloads.hpl import HPL, WORK_PER_FLOP
-from repro.workloads.irregular import IrregularApplication
-from repro.workloads.npb import BT, CG, EP, FT, IS, LU, MG, NPB_CLASSES, SP, NpbClassParams
-from repro.workloads.patterns import ProgramBuilder, grid_dims
-from repro.workloads.phased import PhasedApplication
-from repro.workloads.synthetic import SyntheticBenchmark
+from typing import Any
+
+from repro._util import LazyExports
 
 __all__ = [
     "BT",
@@ -33,3 +28,25 @@ __all__ = [
     "WorkloadModel",
     "grid_dims",
 ]
+
+_EXPORTS = LazyExports(
+    __name__,
+    {
+        "asci": ("SAMRAI", "SMG2000", "Aztec", "Sweep3D", "Towhee"),
+        "base": ("WorkloadModel",),
+        "hpl": ("HPL", "WORK_PER_FLOP"),
+        "irregular": ("IrregularApplication",),
+        "npb": ("BT", "CG", "EP", "FT", "IS", "LU", "MG", "NPB_CLASSES", "SP", "NpbClassParams"),
+        "patterns": ("ProgramBuilder", "grid_dims"),
+        "phased": ("PhasedApplication",),
+        "synthetic": ("SyntheticBenchmark",),
+    },
+)
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.names()

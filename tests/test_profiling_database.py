@@ -1,9 +1,18 @@
 """Tests for the profile database and trace export tooling."""
 
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.cluster import single_switch
 from repro.core import CBES, TaskMapping
 from repro.profiling import (
@@ -105,6 +114,91 @@ class TestProfileDatabase:
         path = db.save_profile(weird)
         assert path.parent == tmp_path / "applications"
         assert "/" not in path.name.replace(".json", "")
+
+
+def truncate(path, fraction=0.5):
+    data = path.read_bytes()
+    path.write_bytes(data[: int(len(data) * fraction)])
+
+
+class TestTornFiles:
+    """A stored file that does not parse stops its reader with the file's
+    path; a save that fails leaves the previous file whole."""
+
+    def test_torn_system_profile_names_its_path(self, tmp_path, service):
+        db = ProfileDatabase(tmp_path)
+        path = db.save_latency_model("mini", service.cluster.latency_model)
+        truncate(path)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            db.load_latency_model("mini")
+        with pytest.raises(ValueError, match="unreadable database file"):
+            db.attach(CBES(single_switch("mini", 6)))
+
+    def test_torn_profile_is_not_a_foreign_file(self, tmp_path, service, app):
+        db = ProfileDatabase(tmp_path)
+        path = db.save_profile(service.profile_application(app, 3, seed=1))
+        truncate(path)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            db.applications()
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            db.load_profile(app.name)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            db.attach(service)
+
+    def test_attach_parses_each_profile_once(self, tmp_path, service, app):
+        db = ProfileDatabase(tmp_path)
+        db.save_profile(service.profile_application(app, 3, seed=1))
+        fresh = CBES(single_switch("mini", 6))
+        with mock.patch("repro.profiling.database.json.loads", wraps=json.loads) as loads:
+            assert db.attach(fresh) == 1
+        assert loads.call_count == 1
+        assert fresh.profile(app.name).to_dict() == service.profile(app.name).to_dict()
+
+    def test_a_failed_save_keeps_the_previous_file(self, tmp_path, service, app):
+        db = ProfileDatabase(tmp_path)
+        system = db.save_latency_model("mini", service.cluster.latency_model)
+        profile = service.profile_application(app, 3, seed=1)
+        stored = db.save_profile(profile)
+        before = {path: path.read_bytes() for path in (system, stored)}
+        other = CBES(single_switch("mini", 6))
+        other.calibrate(seed=9)
+        with mock.patch("os.replace", side_effect=OSError("disk full")):
+            with pytest.raises(OSError, match="disk full"):
+                db.save_latency_model("mini", other.cluster.latency_model)
+            with pytest.raises(OSError, match="disk full"):
+                db.save_profile(service.profile_application(app, 2, seed=1))
+        assert {path: path.read_bytes() for path in before} == before
+        leftovers = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+        assert leftovers == sorted(path.name for path in before)
+
+    @pytest.fixture(scope="class")
+    def pristine_db(self, tmp_path_factory):
+        """Orange Grove calibrated and lu.A profiled on 4 ranks, via the CLI."""
+        db = str(tmp_path_factory.mktemp("pristine-db"))
+        assert main(["--db", db, "calibrate"]) == 0
+        assert main(["--db", db, "profile", "lu.A", "--nprocs", "4"]) == 0
+        return Path(db)
+
+    @pytest.mark.parametrize("command", [["profile", "lu.A", "--nprocs", "4"], ["serve"]])
+    @pytest.mark.parametrize("torn", ["system/orange-grove.json", "applications/lu.A.json"])
+    def test_the_cli_reports_one_error_line(self, tmp_path, pristine_db, command, torn):
+        db = tmp_path / "db"
+        shutil.copytree(pristine_db, db)
+        truncate(db / torn)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--db", str(db), *command],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: unreadable database file ")
+        assert proc.stderr.count("\n") == 1
+        assert str(db / torn) in proc.stderr
 
 
 class TestTraceExport:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.latency import LatencyModel
 from repro.schedulers import make_scheduler
 from repro.schedulers.annealing import AnnealingSchedule
 from repro.search import SaTask, SearchSpec, get_pool, shutdown_pool
@@ -294,6 +295,27 @@ class TestWarmColdIdentity:
         )
         assert parallel == serial
         assert get_pool().spawns == baseline + 1  # parallel=1 never touches the pool
+
+    def test_a_warm_job_pickles_no_latency_model(self, evaluator_and_pool, monkeypatch):
+        """Every job builds a fresh spec, but its fingerprint reads the
+        model's memoized digest and the spec ships once per fingerprint:
+        after the first parallel=2 job, the next one pickles no latency
+        model in the master — bar a spec resent to a worker the first
+        job's tasks never reached."""
+        first = self.run(evaluator_and_pool, parallel=2, restarts=3)
+        pickled = []
+        getstate = LatencyModel.__getstate__
+
+        def counting(model):
+            pickled.append(model)
+            return getstate(model)
+
+        monkeypatch.setattr(LatencyModel, "__getstate__", counting)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert self.run(evaluator_and_pool, parallel=2, restarts=3) == first
+        resends = sum(counter_samples(registry, "cbes_pool_spec_resends_total").values())
+        assert len(pickled) == resends
 
     def test_dead_worker_heals_the_pool(self, evaluator_and_pool):
         """A SIGKILLed worker breaks the executor; the next run replaces
