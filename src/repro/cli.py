@@ -37,6 +37,7 @@ import logging
 import sys
 from collections.abc import Sequence
 
+from repro._util import check_positive
 from repro.cluster import Cluster, centurion, orange_grove
 from repro.core import CBES, InvalidMappingError, TaskMapping
 from repro.profiling import ProfileDatabase
@@ -359,6 +360,14 @@ def _setting(name: str):
     return convert
 
 
+def _seconds(text: str) -> float:
+    """The argparse ``type`` of ``--timeout``: a finite number of seconds > 0."""
+    try:
+        return check_positive(float(text), "timeout")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_settings(p: argparse.ArgumentParser, names, per: str = "") -> None:
     """Register the ``repro serve`` flags of the daemon settings *names*."""
     for name in names:
@@ -579,7 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--host", default="127.0.0.1", help=f"{what} address")
         p.add_argument("--port", type=int, default=8080, help=f"{what} port")
         if timeout:
-            p.add_argument("--timeout", type=float, default=300.0, help="request/wait timeout (s)")
+            p.add_argument(
+                "--timeout", type=_seconds, default=300.0, help="request/wait timeout (s)"
+            )
 
     p = sub.add_parser("serve", help="run the scheduling daemon")
     add_endpoint_args(p, timeout=False)

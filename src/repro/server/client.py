@@ -21,6 +21,7 @@ import time
 from collections.abc import Iterator
 from urllib.parse import quote
 
+from repro._util import check_positive
 from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS
 
 __all__ = ["ServerError", "BackpressureError", "JobFailed", "CbesClient"]
@@ -109,7 +110,8 @@ class CbesClient:
     host, port:
         The daemon's bind address.
     timeout_s:
-        Socket timeout per request.
+        Socket timeout per request.  This and every wait's ``timeout_s``
+        and ``poll_interval_s`` must be finite and > 0 (``ValueError``).
 
     The client is also a context manager; leaving the ``with`` block
     (or calling :meth:`close`) drops the pooled connection.  Not
@@ -131,7 +133,7 @@ class CbesClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 8080, *, timeout_s: float = 30.0):
         self.host = host
         self.port = port
-        self.timeout_s = timeout_s
+        self.timeout_s = check_positive(timeout_s, "timeout_s")
         self._conn: http.client.HTTPConnection | None = None
 
     # -- connection lifecycle -------------------------------------------
@@ -291,8 +293,8 @@ class CbesClient:
         interval.  Raises :class:`JobFailed` if the job failed and
         ``TimeoutError`` if it is still pending at the deadline.
         """
-        deadline = time.monotonic() + timeout_s
-        delays = _poll_delays(poll_interval_s)
+        deadline = time.monotonic() + check_positive(timeout_s, "timeout_s")
+        delays = _poll_delays(check_positive(poll_interval_s, "poll_interval_s"))
         while True:
             job = self.job(job_id)
             state = job["state"]
@@ -318,8 +320,8 @@ class CbesClient:
         :class:`JobFailed` on the first job observed ``failed`` and
         ``TimeoutError`` when any job is still pending at the deadline.
         """
-        deadline = time.monotonic() + timeout_s
-        delays = _poll_delays(poll_interval_s)
+        deadline = time.monotonic() + check_positive(timeout_s, "timeout_s")
+        delays = _poll_delays(check_positive(poll_interval_s, "poll_interval_s"))
         done: dict[str, dict] = {}
         pending = list(dict.fromkeys(job_ids))
         while True:
@@ -389,7 +391,8 @@ class CbesClient:
         watch may since have left the daemon's listing) — or the
         deadline passed — without one.
         """
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + check_positive(timeout_s, "timeout_s")
+        interval = check_positive(poll_interval_s, "poll_interval_s")
         give_up = False
         while True:
             for decision in self.remap_decisions():
@@ -405,7 +408,7 @@ class CbesClient:
                 w["id"] == watch_id and not w["done"] for w in self.remap_watches()
             )
             if not give_up:
-                time.sleep(poll_interval_s)
+                time.sleep(interval)
 
     # -- one-call conveniences ------------------------------------------
     # Each takes the other fields of its job kind (``JOB_FIELDS`` in

@@ -3,7 +3,12 @@
 :class:`JobRunner` is everything between "the HTTP layer accepted a job"
 and "the job store holds its result".  Accepted jobs wait in a queue;
 a small ``ThreadPoolExecutor`` runs them off the event loop (scheduling
-is CPU-bound), reusing cached
+is CPU-bound).  A worker hands its thread a *run*: the job at the head
+of the queue and, unless that is a ``schedule`` job, every ``predict`` /
+``compare`` job queued behind it up to the next ``schedule`` job.  The
+thread does each job's transitions as well as the job itself, so a run
+of quotes costs one hop onto a thread and one back, not two per job.
+Jobs reuse cached
 :class:`~repro.core.fast_eval.EvaluationContext` precomputation, one per
 (application, options) pair and snapshot generation; a background task
 refreshes the :class:`SystemSnapshot` on a configurable interval, and a
@@ -17,6 +22,7 @@ import asyncio
 import logging
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import telemetry
@@ -44,6 +50,9 @@ log = logging.getLogger("repro.server.execution")
 
 #: How long a draining stop waits for queued and running jobs.
 DRAIN_TIMEOUT_S = 30.0
+
+#: Why a job accepted but never started ends ``failed``.
+NOT_STARTED = "daemon shut down before the job ran"
 
 
 class JobRunner:
@@ -75,8 +84,22 @@ class JobRunner:
         self._metrics = metrics
         self._tracer = tracer
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._queue: asyncio.Queue[Job] | None = None
+        #: Accepted jobs no worker has taken yet, oldest at the left.
+        #: Unbounded: the submit handlers check :attr:`free_slots`, and
+        #: recovery may re-enqueue more than ``queue_limit`` jobs, which
+        #: must never be dropped.
+        self._waiting: deque[Job] = deque()
+        self._wake = asyncio.Event()
+        #: Jobs still ``queued``: waiting, or taken into a run that has
+        #: not reached them.  Worker threads count down as jobs start.
+        self._queued = 0
+        self._queued_lock = threading.Lock()
+        #: Loop side: workers return once nothing is waiting.
+        self._closing = False
+        #: Thread side: a run fails the jobs it has not started.
+        self._stopping = threading.Event()
         self._executor: ThreadPoolExecutor | None = None
+        self._workers: list[asyncio.Task] = []
         self._tasks: list[asyncio.Task] = []
         #: ``(snapshot, fingerprint)`` — the frozen SystemSnapshot jobs and
         #: watches are served against and its digest, swapped as one
@@ -114,7 +137,9 @@ class JobRunner:
         m.counter(*WORKER_CACHE_EVENTS_TOTAL)
         m.counter(*POOL_SPAWNS_TOTAL)
         m.counter(*SPEC_RESENDS_TOTAL)
-        m.gauge("cbes_queue_depth", "Jobs waiting for a worker.", callback=lambda: self.queue_depth)
+        m.gauge(
+            "cbes_queue_depth", "Jobs queued, not yet started.", callback=lambda: self.queue_depth
+        )
         m.gauge(
             "cbes_queue_limit",
             "Bound of the job queue (429 beyond it).",
@@ -138,8 +163,8 @@ class JobRunner:
     # -- queue ----------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Jobs waiting for a worker."""
-        return self._queue.qsize() if self._queue is not None else 0
+        """Jobs in the ``queued`` state: accepted and not yet started."""
+        return self._queued
 
     @property
     def free_slots(self) -> int:
@@ -148,8 +173,23 @@ class JobRunner:
 
     def enqueue(self, job: Job) -> None:
         """Queue an accepted job; the caller has checked :attr:`free_slots`."""
-        assert self._queue is not None, "job runner is not started"
-        self._queue.put_nowait(job)
+        with self._queued_lock:
+            self._queued += 1
+        self._waiting.append(job)
+        self._wake.set()
+
+    def _take_run(self) -> list[Job]:
+        """The head job and, behind a quote, the quotes queued after it.
+
+        A ``schedule`` job runs alone: a search costs 10^2-10^3 quotes,
+        and a quote queued behind it in one run would wait for all of it
+        while another worker idles.
+        """
+        run = [self._waiting.popleft()]
+        if run[0].kind != "schedule":
+            while self._waiting and self._waiting[0].kind != "schedule":
+                run.append(self._waiting.popleft())
+        return run
 
     def run_in_executor(self, fn, *args) -> asyncio.Future:
         """Run CPU-bound *fn* on the job worker threads."""
@@ -163,38 +203,40 @@ class JobRunner:
         snapshot = self._service.snapshot().freeze()
         self.serving = (snapshot, snapshot.fingerprint())
         self._snapshot_adopted_at = time.monotonic()
-        # Unbounded queue, bounded by the explicit capacity checks in the
-        # submit handlers: recovery may legitimately re-enqueue more jobs
-        # than queue_limit, and those must never be dropped.
-        self._queue = asyncio.Queue()
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="cbes-job"
         )
-        self._tasks = [
+        self._workers = [
             self._loop.create_task(self._worker(), name=f"cbes-worker-{i}")
             for i in range(self.workers)
         ]
+        self._tasks = list(self._workers)
         if self._refresh_interval > 0:
             self._tasks.append(
                 self._loop.create_task(self._refresh_loop(), name="cbes-snapshot-refresh")
             )
 
     async def stop(self, *, drain: bool) -> None:
-        """Stop the workers; with *drain*, finish queued + running jobs first."""
-        assert self._queue is not None and self._executor is not None
+        """Stop the workers; with *drain*, finish every queued job first.
+
+        Without *drain*, or at the drain timeout, a thread finishes the
+        job it is in and fails the rest of its run; jobs no worker took
+        fail here.  Afterwards no job is ``queued`` or ``running``.
+        """
+        assert self._executor is not None, "job runner is not started"
+        self._closing = True
+        self._wake.set()
         if drain:
-            try:
-                await asyncio.wait_for(self._queue.join(), timeout=DRAIN_TIMEOUT_S)
-            except asyncio.TimeoutError:
+            _, busy = await asyncio.wait(self._workers, timeout=DRAIN_TIMEOUT_S)
+            if busy:
                 log.warning(
                     "drain timeout after %.1fs; abandoning %d queued job(s)",
                     DRAIN_TIMEOUT_S,
-                    self._queue.qsize(),
+                    self.queue_depth,
                 )
-                while not self._queue.empty():
-                    job = self._queue.get_nowait()
-                    self._store.mark_failed(job.id, "daemon shut down before the job ran")
-                    self._queue.task_done()
+        self._stopping.set()
+        while self._waiting:
+            self._fail_unstarted(self._waiting.popleft())
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -253,27 +295,40 @@ class JobRunner:
 
     # -- job execution --------------------------------------------------
     async def _worker(self) -> None:
-        assert self._queue is not None
         while True:
-            job = await self._queue.get()
-            try:
-                await self._run_job(job)
-            finally:
-                self._queue.task_done()
+            if not self._waiting:
+                if self._closing:
+                    return
+                self._wake.clear()
+                await self._wake.wait()
+                continue
+            await self.run_in_executor(self._run, self._take_run())
 
-    async def _run_job(self, job: Job) -> None:
+    def _run(self, run: list[Job]) -> None:
+        """Run *run* on this worker thread, job after job, transitions included."""
+        for job in run:
+            if self._stopping.is_set():
+                self._fail_unstarted(job)
+            else:
+                self._run_job(job)
+
+    def _fail_unstarted(self, job: Job) -> None:
+        self._store.mark_failed(job.id, NOT_STARTED)
+        with self._queued_lock:
+            self._queued -= 1
+        self._m_jobs.inc(kind=job.kind, state="failed")
+
+    def _run_job(self, job: Job) -> None:
+        started = time.perf_counter()
         self._store.mark_running(job.id)
+        with self._queued_lock:
+            self._queued -= 1
         self._m_jobs.inc(kind=job.kind, state="running")
         queued_for = (job.started_at or 0.0) - job.created_at
         log.info("job %s (%s, req=%s) started after %.1f ms queued",
                  job.id, job.kind, job.request_id, queued_for * 1e3)
-        started = time.perf_counter()
         try:
-            result = await self.run_in_executor(self.execute, job)
-        except asyncio.CancelledError:
-            self._store.mark_failed(job.id, "daemon shut down while the job ran")
-            self._m_jobs.inc(kind=job.kind, state="failed")
-            raise
+            result = self.execute(job)
         except Exception as exc:  # noqa: BLE001 - job errors become job state
             error = f"{type(exc).__name__}: {exc}"
         else:
@@ -283,11 +338,12 @@ class JobRunner:
             except (TypeError, ValueError) as exc:
                 # Encoded before the transition: the job is still running.
                 error = f"result is not JSON-serialisable: {exc}"
+        if error is not None:
+            self._store.mark_failed(job.id, error)
         elapsed = time.perf_counter() - started
         if error is None:
             log.info("job %s done in %.1f ms", job.id, elapsed * 1e3)
         else:
-            self._store.mark_failed(job.id, error)
             log.warning("job %s failed: %s", job.id, error)
         self._m_jobs.inc(kind=job.kind, state="done" if error is None else "failed")
         self._m_job_seconds.observe(elapsed, kind=job.kind)

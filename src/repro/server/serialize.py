@@ -71,12 +71,16 @@ Check = Callable[[object, str, "_Context | None"], object]
 
 
 class _Context:
-    """What one document's checks share: the service, and the cluster's node-id
-    set built once however many fields, mappings or events are held against it."""
+    """What one document's checks share: the service, and the cluster's node ids
+    built once however many fields, mappings or events are held against it.
+
+    ``node_ids`` maps each id to itself: a checked id is replaced by the
+    cluster's own string, so a stored payload holds no copy of its own.
+    """
 
     def __init__(self, service) -> None:
         self.service = service
-        self.node_ids = set(service.cluster.node_ids())
+        self.node_ids = {nid: nid for nid in service.cluster.node_ids()}
 
 
 def _default(default: object, check: Check) -> Check:
@@ -179,9 +183,11 @@ def _node_list(value: object, name: str, ctx: _Context) -> list[str]:
         or not all(isinstance(n, str) and n for n in value)
     ):
         raise _bad(f"{name} must be a non-empty list of node ids")
-    if not ctx.node_ids.issuperset(value):
-        raise _bad(f"{name} uses unknown node(s) {sorted(set(value) - ctx.node_ids)[:5]}")
-    return list(value)
+    try:
+        return [ctx.node_ids[n] for n in value]
+    except KeyError:
+        unknown = sorted(set(value) - ctx.node_ids.keys())[:5]
+        raise _bad(f"{name} uses unknown node(s) {unknown}") from None
 
 
 def _mappings(value: object, name: str, ctx: _Context) -> list[list[str]]:
@@ -193,7 +199,7 @@ def _mappings(value: object, name: str, ctx: _Context) -> list[list[str]]:
 def _node(value: object, name: str, ctx: _Context) -> str:
     if not isinstance(value, str) or value not in ctx.node_ids:
         raise _bad(f"payload field {name!r} must name a node of the cluster")
-    return value
+    return ctx.node_ids[value]
 
 
 # -- the wire contract --------------------------------------------------

@@ -201,3 +201,45 @@ class TestSettingsAreUsageErrors:
             build_parser().parse_args(["serve", "--timeout", "5"])
         assert exit_info.value.code == 2
         assert build_parser().parse_args(["submit", "lu.S", "--timeout", "5"]).timeout == 5.0
+
+
+class TestTimeoutFlag:
+    """``--timeout`` is a finite number of seconds > 0, checked at parse time."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "soon"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["submit", "lu.S"], ["jobs"], ["metrics"], ["remap", "wait", "w1"],
+         ["remap", "decisions"], ["remap", "inject", "og-a00=1"]],
+        ids=" ".join,
+    )
+    def test_exit_2_without_a_traceback(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--port", "1", "--timeout", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --timeout: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_subprocess_prints_one_error_line(self, value, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        repo_root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "submit", "lu.S", "--port", "1", "--timeout", value],
+            cwd=tmp_path,
+            env={"PYTHONPATH": str(repo_root / "src"), "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert errors == [
+            f"repro submit: error: argument --timeout: "
+            f"timeout must be a finite positive number, got {float(value)!r}"
+        ]
+        assert "Traceback" not in proc.stderr

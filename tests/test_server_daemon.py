@@ -481,6 +481,41 @@ class TestPollRamp:
         assert time.monotonic() - started < 1.0
 
 
+class TestWaitArguments:
+    """A timeout or poll interval that is not a finite number > 0 is refused
+    before any request: a NaN deadline would never pass."""
+
+    BAD = [0, -1.0, float("nan"), float("inf")]
+
+    @staticmethod
+    def offline_client():
+        from repro.server.client import CbesClient
+
+        client = CbesClient()
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("a refused argument must not reach the daemon")
+
+        client._request = no_request
+        return client
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_client_timeout(self, bad):
+        from repro.server.client import CbesClient
+
+        with pytest.raises(ValueError, match="timeout_s"):
+            CbesClient(timeout_s=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("argument", ["timeout_s", "poll_interval_s"])
+    @pytest.mark.parametrize(
+        "method, target", [("wait", "j1"), ("wait_many", ["j1"]), ("wait_decision", "w1")]
+    )
+    def test_waits(self, method, target, argument, bad):
+        with pytest.raises(ValueError, match=argument):
+            getattr(self.offline_client(), method)(target, **{argument: bad})
+
+
 class TestBackpressure:
     def test_full_queue_gets_429_with_retry_after(self):
         service, app_name = make_service()
@@ -537,6 +572,184 @@ class TestGracefulShutdown:
             assert store.get(second["id"]).state is JobState.DONE
             with pytest.raises(OSError):
                 client.healthz()  # listener is gone
+
+
+def blocking_execute():
+    """An ``execute`` that blocks until *release* is set, and its two events."""
+    running, release = threading.Event(), threading.Event()
+
+    def execute(job):
+        running.set()
+        if not release.wait(timeout=30):
+            raise RuntimeError("test never released the worker")
+        return {"ok": True}
+
+    return execute, running, release
+
+
+def record_runs(runner) -> list[list[str]]:
+    """Patch *runner* so every hand-off to a worker thread records its run's job ids."""
+    runs: list[list[str]] = []
+    hand_off = runner.run_in_executor
+
+    def recording(fn, run):
+        runs.append([job.id for job in run])
+        return hand_off(fn, run)
+
+    runner.run_in_executor = recording
+    return runs
+
+
+class TestRuns:
+    """A worker hands its thread the quotes queued together, one run per hop."""
+
+    def test_a_batch_costs_one_hand_off_not_one_per_job(self, service_and_app):
+        service, app_name = service_and_app
+        ids = service.cluster.node_ids()
+        entries = [{"kind": "predict", "app": app_name, "nodes": ids[:3]}] * 24 + [
+            {"kind": "compare", "app": app_name, "mappings": [ids[:3], ids[3:6]]}
+        ] * 8
+        with DaemonThread(service, workers=2, queue_limit=32) as srv, srv.client() as client:
+            runs = record_runs(srv.daemon.runner)
+            accepted = [job["id"] for job in client.submit_batch(entries)]
+            done = client.wait_many(accepted, timeout_s=60.0)
+        assert [job["state"] for job in done] == ["done"] * 32
+        assert len(runs) <= 2
+        assert sorted(job_id for run in runs for job_id in run) == sorted(accepted)
+
+    def test_a_schedule_job_runs_alone(self, service_and_app):
+        """Quotes queued behind a search are a run of their own on the other worker."""
+        service, app_name = service_and_app
+        nodes = service.cluster.node_ids()[:3]
+        release = threading.Event()
+
+        def execute(job):
+            if job.kind == "schedule" and not release.wait(timeout=30):
+                raise RuntimeError("test never released the search")
+            return {"kind": job.kind}
+
+        quote = {"kind": "predict", "app": app_name, "nodes": nodes}
+        entries = [quote] * 4 + [{"kind": "schedule", "app": app_name}] + [quote] * 4
+        srv = DaemonThread(service, workers=2, queue_limit=16)
+        srv.daemon.runner.execute = execute
+        try:
+            with srv, srv.client() as client:
+                runs = record_runs(srv.daemon.runner)
+                accepted = [job["id"] for job in client.submit_batch(entries)]
+                search = accepted[4]
+                quotes = client.wait_many(accepted[:4] + accepted[5:], timeout_s=10.0)
+                assert client.job(search)["state"] == "running"
+                release.set()
+                finished = client.wait(search, timeout_s=30.0)["finished_at"]
+        finally:
+            release.set()
+        assert [search] in runs
+        assert all(search not in run for run in runs if len(run) > 1)
+        assert accepted[:4] in runs and accepted[5:] in runs
+        assert all(job["finished_at"] <= finished for job in quotes)
+
+    def test_jobs_taken_into_a_run_still_count_as_queued(self, service_and_app):
+        service, app_name = service_and_app
+        nodes = service.cluster.node_ids()[:3]
+        quote = {"kind": "predict", "app": app_name, "nodes": nodes}
+        srv = DaemonThread(service, workers=1, queue_limit=4)
+        srv.daemon.runner.execute, running, release = blocking_execute()
+        try:
+            with srv, srv.client() as client:
+                runs = record_runs(srv.daemon.runner)
+                first = [job["id"] for job in client.submit_batch([quote] * 4)]
+                assert running.wait(timeout=10), "worker never picked up the run"
+                assert runs == [first]
+                assert [client.job(i)["state"] for i in first] == ["running"] + ["queued"] * 3
+                assert srv.daemon.runner.queue_depth == 3
+                assert client.healthz()["queue_depth"] == 3
+                assert metric_value(client, "cbes_queue_depth") == 3
+                with pytest.raises(BackpressureError) as excinfo:
+                    client.submit_batch([quote] * 2)
+                assert excinfo.value.status == 429
+                last = client.submit_batch([quote])[0]["id"]
+                release.set()
+                done = client.wait_many([*first, last], timeout_s=30.0)
+                assert [job["result"] for job in done] == [{"ok": True}] * 5
+                assert client.healthz()["queue_depth"] == 0
+        finally:
+            release.set()
+
+    @staticmethod
+    def bare_runner(service, workers: int):
+        """A job runner and its fresh in-memory store, without the HTTP layer."""
+        from repro import telemetry
+        from repro.server.execution import JobRunner
+        from repro.server.jobs import JobStore
+
+        store = JobStore()
+        runner = JobRunner(
+            service, store, workers=workers, queue_limit=8, refresh_interval_s=0,
+            monitor_kwargs=None, metrics=telemetry.MetricsRegistry(), tracer=telemetry.Tracer(),
+        )
+        return runner, store
+
+    def test_concurrent_runs_lose_no_count(self, service_and_app):
+        """More worker threads than cores, switching often: every job still
+        leaves the queued count exactly once."""
+        import asyncio
+
+        service, app_name = service_and_app
+        runner, store = self.bare_runner(service, workers=4)
+        runner.execute = lambda job: {}
+        kinds = (["predict"] * 5 + ["compare"] * 2 + ["schedule"]) * 50
+        jobs = [store.create(kind, {"app": app_name}) for kind in kinds]
+
+        async def scenario():
+            await runner.start()
+            for i, job in enumerate(jobs):
+                runner.enqueue(job)
+                if i % 7 == 0:
+                    await asyncio.sleep(0)
+            await runner.stop(drain=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.counts()["done"] == len(jobs)
+        assert runner.queue_depth == 0
+
+    @pytest.mark.parametrize("drain", [False, True], ids=["no-drain", "drain-timeout"])
+    def test_stop_fails_every_job_not_started(self, service_and_app, monkeypatch, drain):
+        """The thread stops between jobs; nothing is left queued or running."""
+        import asyncio
+
+        from repro.server import execution
+
+        monkeypatch.setattr(execution, "DRAIN_TIMEOUT_S", 0.1)
+        service, app_name = service_and_app
+        runner, store = self.bare_runner(service, workers=1)
+        runner.execute, running, release = blocking_execute()
+        kinds = ["predict"] * 3 + ["schedule", "predict"]
+        jobs = [store.create(kind, {"app": app_name}) for kind in kinds]
+
+        async def scenario():
+            await runner.start()
+            for job in jobs:
+                runner.enqueue(job)
+            await asyncio.get_running_loop().run_in_executor(None, running.wait, 10)
+            # Released once stop() has told the thread to stop between jobs.
+            threading.Timer(0.3 if drain else 0.2, release.set).start()
+            await runner.stop(drain=drain)
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            release.set()
+        assert running.is_set()
+        assert [job.state for job in jobs] == [JobState.DONE] + [JobState.FAILED] * 4
+        assert {job.error for job in jobs[1:]} == {"daemon shut down before the job ran"}
+        counts = store.counts()
+        assert counts["queued"] == counts["running"] == 0
+        assert runner.queue_depth == 0
 
 
 class TestSnapshotRefresh:

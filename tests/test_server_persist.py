@@ -132,6 +132,27 @@ class TestDurableDaemon(OversizedBodyConformance):
         assert "result is not JSON-serialisable" in records[2]["error"]
 
 
+    def test_a_run_journals_every_transition_of_every_job(self, service_and_app, tmp_path):
+        """Jobs run back to back on one thread still append create, running, done each."""
+        service, app = service_and_app
+        data_dir = tmp_path / "data"
+        entries = [{"kind": "predict", "app": app, "nodes": NODES}] * 12 + [
+            {"kind": "compare", "app": app, "mappings": [NODES, NODES[::-1]]}
+        ] * 4
+        with (
+            DaemonThread(service, workers=2, data_dir=data_dir, fsync="never") as srv,
+            srv.client() as client,
+        ):
+            ids = [job["id"] for job in client.submit_batch(entries)]
+            client.wait_many(ids, timeout_s=60)
+            records = list(replay_journal(data_dir / DurableJobStore.JOURNAL_NAME))
+        assert [r["id"] for r in records if r["op"] == "create"] == ids
+        ops: dict[str, list[str]] = {}
+        for record in records:
+            ops.setdefault(record["id"], []).append(record["op"])
+        assert ops == {job_id: ["create", "running", "done"] for job_id in ids}
+
+
 class TestCrashRecoverySubprocess:
     """SIGKILL a durable daemon mid-queue; the restart must finish its jobs."""
 

@@ -84,6 +84,33 @@ class TestPinnedPayloads:
         assert json.dumps(normalized, separators=(",", ":")) == pinned
 
 
+class TestNodeIds:
+    """A checked node id is the cluster's own string: stored payloads share it."""
+
+    def test_payloads_naming_a_node_hold_one_object(self):
+        service = stub_service()
+        own = {nid: nid for nid in service.cluster.node_ids()}["mini-n01"]
+        docs = [
+            '{"kind": "predict", "app": "cg.A", "nodes": ["mini-n00", "mini-n01"]}',
+            '{"kind": "compare", "app": "cg.A", "mappings": [["mini-n01", "mini-n02"]]}',
+        ]
+        (_, first), (_, second) = (validate_job_payload(service, json.loads(d)) for d in docs)
+        assert first["nodes"][1] is second["mappings"][0][0] is own
+        watch = validate_remap_watch(
+            service, json.loads('{"app": "cg.A", "mapping": ["mini-n01"]}')
+        )
+        events = validate_load_events(service, json.loads('{"events": [{"node": "mini-n01"}]}'))
+        assert watch["mapping"][0] is events[0]["node"] is own
+
+    def test_unknown_node_message(self):
+        nodes = ["mini-n00", "mars-2", "mars-1", "mars-2"]
+        doc = {"kind": "predict", "app": "cg.A", "nodes": nodes}
+        with pytest.raises(ApiError) as excinfo:
+            validate_job_payload(stub_service(), doc)
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == "nodes uses unknown node(s) ['mars-1', 'mars-2']"
+
+
 SCHEDULE = {"kind": "schedule", "app": "cg.A"}
 WATCH = {"app": "cg.A", "mapping": ["mini-n00", "mini-n01"]}
 WATCH_NUMBERS = ("interval_s", "threshold", "hysteresis", "cooldown_s", "safety_factor", "seed",
