@@ -25,6 +25,7 @@ __all__ = [
     "check_fraction",
     "check_positive",
     "encode_json",
+    "left_fold",
     "mean_and_ci95",
     "percent_error",
     "spawn_rng",
@@ -33,6 +34,19 @@ __all__ = [
 ]
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def left_fold(terms: Iterable[float]) -> float:
+    """``((0.0 + t0) + t1) + ...``: a float sum in one association.
+
+    Never builtin ``sum`` for floats whose bits matter: CPython >= 3.12
+    compensates float sums, which would change results (stored
+    profiles, energies, remap decisions) with the interpreter version.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 class LazyExports:

@@ -26,6 +26,11 @@ The daemon logs through the ``repro.server`` logger hierarchy; pass
 ``--log-level debug|info|warning`` to ``serve`` to control verbosity
 (per-request access lines with request ids live in
 ``repro.server.access``).
+
+Building the parser imports only what the flags name; a command imports
+its implementation when it runs, so ``fleet`` and the client commands
+never load the daemon, the journal, the workload models or the
+simulator.
 """
 
 from __future__ import annotations
@@ -36,46 +41,45 @@ import json
 import logging
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro._util import check_positive
-from repro.cluster import Cluster, centurion, orange_grove
-from repro.core import CBES, InvalidMappingError, TaskMapping
-from repro.profiling import ProfileDatabase
 from repro.schedulers import SCHEDULERS
-from repro.server import (
-    BackpressureError,
-    CbesClient,
-    CbesDaemon,
-    JobFailed,
-    JobState,
-    ServerError,
-)
+from repro.server.client import BackpressureError, CbesClient, JobFailed, ServerError
 from repro.server.config import DAEMON_FIELDS, REPLICA_FIELDS, daemon_config
+from repro.server.jobs import JobState
 from repro.server.serialize import JOB_FIELDS, JOB_KINDS, WATCH_FIELDS
-from repro.workloads import (
-    BT,
-    CG,
-    EP,
-    HPL,
-    IS,
-    LU,
-    MG,
-    SAMRAI,
-    SMG2000,
-    SP,
-    Aztec,
-    Sweep3D,
-    SyntheticBenchmark,
-    Towhee,
-)
+
+if TYPE_CHECKING:
+    from repro.cluster import Cluster
+    from repro.core import CBES
+    from repro.profiling import ProfileDatabase
 
 __all__ = ["main", "build_parser"]
 
-CLUSTERS = {"orange-grove": orange_grove, "centurion": centurion}
+#: ``--cluster`` names -> the :mod:`repro.cluster` factory of each testbed.
+CLUSTERS = {"orange-grove": "orange_grove", "centurion": "centurion"}
 
 
 def make_app(spec: str):
     """Build a workload model from a CLI spec like ``lu.A`` or ``hpl.5000``."""
+    from repro.workloads import (
+        BT,
+        CG,
+        EP,
+        HPL,
+        IS,
+        LU,
+        MG,
+        SAMRAI,
+        SMG2000,
+        SP,
+        Aztec,
+        Sweep3D,
+        SyntheticBenchmark,
+        Towhee,
+    )
+
     name, _, arg = spec.partition(".")
     name = name.lower()
     try:
@@ -102,16 +106,22 @@ def make_app(spec: str):
 
 
 def build_cluster(name: str) -> Cluster:
+    import repro.cluster
+
     try:
-        return CLUSTERS[name]()
+        factory = getattr(repro.cluster, CLUSTERS[name])
     except KeyError:
         raise SystemExit(
             f"error: unknown cluster {name!r}; valid: {', '.join(sorted(CLUSTERS))}"
         ) from None
+    return factory()
 
 
 def open_service(args) -> tuple[CBES, ProfileDatabase]:
     """Service wired to the persistent database (calibrating if needed)."""
+    from repro.core import CBES
+    from repro.profiling import ProfileDatabase
+
     cluster = build_cluster(args.cluster)
     service = CBES(cluster)
     db = ProfileDatabase(args.db)
@@ -129,6 +139,9 @@ def open_service(args) -> tuple[CBES, ProfileDatabase]:
 
 # -- commands -----------------------------------------------------------
 def cmd_calibrate(args) -> int:
+    from repro.core import CBES
+    from repro.profiling import ProfileDatabase
+
     cluster = build_cluster(args.cluster)
     service = CBES(cluster)
     report = service.calibrate(seed=args.seed, noise=args.noise)
@@ -201,6 +214,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from repro.core import InvalidMappingError, TaskMapping
+
     service, _ = open_service(args)
     evaluator = service.evaluator(resolve_app_name(service, args.app))
     try:
@@ -217,6 +232,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from repro.profiling import ProfileDatabase
+
     cluster = build_cluster(args.cluster)
     db = ProfileDatabase(args.db)
     print(f"cluster: {cluster}")
@@ -233,6 +250,10 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from repro.cluster import orange_grove
+    from repro.core import CBES
+    from repro.workloads import LU
+
     print("== CBES demo: LU on Orange Grove ==")
     cluster = orange_grove()
     service = CBES(cluster)
@@ -267,6 +288,8 @@ def configure_logging(level_name: str) -> None:
 
 
 def cmd_serve(args) -> int:
+    from repro.server.daemon import CbesDaemon
+
     configure_logging(args.log_level)
     service, _ = open_service(args)
     monitor_kwargs = None

@@ -117,8 +117,10 @@ class Calibrator:
         truth = truth_components.no_load(size)
         if self._noise == 0.0:
             return truth
-        samples = [truth * x for x in rng.normal(1.0, self._noise, size=self._repetitions)]
-        return sum(abs(s) for s in samples) / len(samples)
+        total = 0.0  # folded left to right: never builtin sum (see _util.left_fold)
+        for x in rng.normal(1.0, self._noise, size=self._repetitions):
+            total += abs(truth * x)
+        return total / self._repetitions
 
     def _fit_pair(self, src: str, dst: str, sizes: Sequence[int]) -> tuple[PathComponents, float]:
         """Weighted least-squares fit of ``alpha + beta * size`` for one pair.
@@ -135,12 +137,17 @@ class Calibrator:
         # of the design is scaled by w = 1/y, giving a 2x2 system solved
         # by Cramer's rule (the sweep spans ~4 decades of size, which
         # float64 handles with digits to spare at this problem size).
-        ws = [1.0 / y for y in ys]
-        s11 = sum(w * w for w in ws)
-        s12 = sum(w * w * x for w, x in zip(ws, xs))
-        s22 = sum(w * w * x * x for w, x in zip(ws, xs))
-        b1 = sum(ws)
-        b2 = sum(w * x for w, x in zip(ws, xs))
+        # The five sums fold left to right in one pass: never builtin
+        # sum, which CPython >= 3.12 compensates (see _util.left_fold).
+        s11 = s12 = s22 = b1 = b2 = 0.0
+        for x, y in zip(xs, ys):
+            w = 1.0 / y
+            ww = w * w
+            s11 += ww
+            s12 += ww * x
+            s22 += ww * x * x
+            b1 += w
+            b2 += w * x
         det = s11 * s22 - s12 * s12
         alpha = (b1 * s22 - b2 * s12) / det
         beta = (s11 * b2 - s12 * b1) / det

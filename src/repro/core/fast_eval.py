@@ -90,6 +90,7 @@ from collections.abc import Mapping as MappingABC
 from collections.abc import Sequence
 from typing import Any
 
+from repro._util import left_fold
 from repro.cluster.latency import LatencyModel
 from repro.cluster.node import Node
 from repro.core.errors import CbesError, InvalidMappingError
@@ -162,18 +163,6 @@ def active_backend() -> str:
 
 #: One message group of a rank: ``(g, src, dst, count, size)``.
 _Record = tuple[int, int, int, float, float]
-
-
-def left_fold(terms: list[float]) -> float:
-    """``((0.0 + t0) + t1) + ...`` — the scalar association of every ``Θ_i``.
-
-    Never builtin ``sum``: CPython >= 3.12 compensates float sums, which
-    would change energies with the interpreter version.
-    """
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
 
 
 class EvaluationContext:

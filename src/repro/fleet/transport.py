@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 
 from repro._util import encode_json
-from repro.server.protocol import ApiError
+from repro.server.protocol import ApiError, parse_headers
 
 __all__ = ["BackendError", "BackendPool", "read_response"]
 
@@ -45,21 +45,18 @@ async def read_response(
         raise BackendError(backend, f"truncated response head: {exc}") from None
     if len(head) > MAX_RESPONSE_HEADER_BYTES:
         raise BackendError(backend, "response header section too large")
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split(None, 2)
+    start, _, block = head.decode("latin-1").partition("\r\n")
+    parts = start.split(None, 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise BackendError(backend, f"malformed status line {lines[0]!r}")
+        raise BackendError(backend, f"malformed status line {start!r}")
     try:
         status = int(parts[1])
     except ValueError:
-        raise BackendError(backend, f"malformed status line {lines[0]!r}") from None
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
+        raise BackendError(backend, f"malformed status line {start!r}") from None
+    try:
+        headers = parse_headers(block)
+    except ValueError as exc:
+        raise BackendError(backend, str(exc)) from None
     body = b""
     if "content-length" in headers:
         try:
@@ -98,11 +95,17 @@ class BackendPool:
         self._closed = False
 
     async def _dial(self) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        connect = asyncio.ensure_future(asyncio.open_connection(self.host, self.port))
         try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port), self.timeout_s
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
+            done, _ = await asyncio.wait((connect,), timeout=self.timeout_s)
+        finally:
+            if not connect.done():
+                connect.cancel()
+        if not done:
+            raise BackendError(self.backend, f"connect failed: no answer in {self.timeout_s:g}s")
+        try:
+            return connect.result()
+        except OSError as exc:
             raise BackendError(self.backend, f"connect failed: {exc}") from None
 
     def _release(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
@@ -138,25 +141,33 @@ class BackendPool:
         for name, value in (headers or {}).items():
             head += f"{name}: {value}\r\n"
         frame = (head + "\r\n").encode("latin-1") + data
+        loop = asyncio.get_running_loop()
         for _attempt in (0, 1):
             reused = bool(self._idle)
             if reused:
                 reader, writer = self._idle.pop()
             else:
                 reader, writer = await self._dial()
+            # One timer bounds the send plus the read: at expiry it
+            # aborts the socket, and the read ends short.
+            deadline = loop.call_later(self.timeout_s, writer.transport.abort)
             try:
                 writer.write(frame)
-                await asyncio.wait_for(writer.drain(), self.timeout_s)
-                status, headers, payload = await asyncio.wait_for(
-                    read_response(reader, self.backend), self.timeout_s
-                )
-            except (BackendError, OSError, asyncio.TimeoutError) as exc:
+                await writer.drain()
+                status, headers, payload = await read_response(reader, self.backend)
+            except (BackendError, OSError) as exc:
                 writer.close()
                 if reused:
                     continue  # stale keep-alive socket: retry once, fresh
+                if loop.time() >= deadline.when():
+                    raise BackendError(
+                        self.backend, f"no response in {self.timeout_s:g}s"
+                    ) from None
                 if isinstance(exc, BackendError):
                     raise
                 raise BackendError(self.backend, f"request failed: {exc}") from None
+            finally:
+                deadline.cancel()
             if headers.get("connection", "").lower() == "close":
                 writer.close()
             else:

@@ -292,7 +292,7 @@ class DurableJobStore(JobStore):
                     job.finished_at = now
                     self._expiry.append(job)
                     self.recovered_terminal += 1
-                self._jobs[job.id] = job
+                self._add(job)
         if self._m_recovered is not None and docs:
             requeued = len(self._recovered_pending)
             if requeued:

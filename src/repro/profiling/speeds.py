@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from repro._util import check_positive, spawn_rng
+from repro._util import check_positive, left_fold, spawn_rng
 from repro.cluster.node import Architecture
 
 __all__ = ["measure_speed_ratios"]
@@ -55,5 +55,5 @@ def measure_speed_ratios(
         rng = spawn_rng(seed, "speed-ratio", app_name, arch.name)
         # Time a fixed kernel `repetitions` times; speed = work / mean time.
         times = [(1.0 / true_speed) * x for x in rng.normal(1.0, noise, size=repetitions)]
-        ratios[arch.name] = len(times) / sum(abs(t) for t in times)
+        ratios[arch.name] = len(times) / left_fold(abs(t) for t in times)
     return ratios

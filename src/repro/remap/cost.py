@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._util import left_fold
 from repro.cluster.latency import LatencyModel
 from repro.core.fast_eval import EvaluationContext
 from repro.core.mapping import TaskMapping
@@ -224,4 +225,4 @@ class MigrationCostModel:
         """Plan-wide migration cost; exactly 0.0 when nothing moves."""
         if not moves:
             return 0.0
-        return self.fixed_s + sum(m.seconds for m in moves)
+        return self.fixed_s + left_fold(m.seconds for m in moves)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._util import left_fold
 from repro.monitoring.forecasting import make_forecaster
 from repro.profiling.profile import ApplicationProfile
 from repro.telemetry import get_registry
@@ -69,10 +70,10 @@ def behaviour_drift(fitted: ApplicationProfile, active: ApplicationProfile) -> f
     share = abs(active_comm - base) / base
     fitted_x = [p.compute_time for p in fitted.processes]
     active_x = [p.compute_time for p in active.processes]
-    fitted_total, active_total = sum(fitted_x), sum(active_x)
+    fitted_total, active_total = left_fold(fitted_x), left_fold(active_x)
     if fitted_total <= 0 or active_total <= 0:
         return share
-    shape = sum(
+    shape = left_fold(
         abs(f / fitted_total - a / active_total)
         for f, a in zip(fitted_x, active_x, strict=False)
     )

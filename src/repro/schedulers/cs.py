@@ -6,9 +6,6 @@ from __future__ import annotations
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator
 from repro.schedulers.annealing import AnnealingSchedule
 from repro.schedulers.base import MappingConstraint, Scheduler
-from repro.search.portfolio import ParallelPortfolio
-from repro.search.spec import SearchSpec
-from repro.search.worker import SaTask
 
 __all__ = ["CbesScheduler"]
 
@@ -64,6 +61,12 @@ class CbesScheduler(Scheduler):
     use_greedy_start: bool = True
 
     def _run(self, evaluator: MappingEvaluator, pool: list[str], seed: int):
+        # Imported lazily: repro.search.worker imports the annealer from
+        # this package, so a top-level import here would be circular.
+        from repro.search.portfolio import ParallelPortfolio
+        from repro.search.spec import SearchSpec
+        from repro.search.worker import SaTask
+
         options = (
             self.energy_options if self.energy_options is not None else evaluator.options
         )

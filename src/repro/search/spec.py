@@ -18,13 +18,16 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.cluster.latency import LatencyModel
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator
 from repro.core.mapping import TaskMapping
 from repro.monitoring.snapshot import SystemSnapshot
 from repro.profiling.profile import ApplicationProfile
-from repro.schedulers.base import MappingConstraint
+
+if TYPE_CHECKING:  # importing repro.schedulers here would close a cycle through repro.search
+    from repro.schedulers.base import MappingConstraint
 
 __all__ = ["SearchSpec", "greedy_mapping"]
 

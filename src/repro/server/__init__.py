@@ -10,7 +10,7 @@ daemon owning a calibrated :class:`~repro.core.service.CBES` instance:
   SIGTERM/SIGINT drain) shared with the fleet router;
 * :mod:`repro.server.daemon` — the daemon's routes over that core: the
   bounded job queue contract, ``/v1/healthz``;
-* :mod:`repro.server.execution` — the thread worker pool, cached
+* :mod:`repro.server.execution` — the job queue and its threads, cached
   evaluation contexts and periodic snapshot refresh;
 * :mod:`repro.server.watches` — the ``/v1/remap/*`` background loops;
 * :mod:`repro.server.jobs` — the job lifecycle state machine and the

@@ -6,23 +6,28 @@ tests, and the throughput benchmark.  Stdlib only.
 
 The client keeps **one pooled connection** alive across calls (the
 daemon speaks HTTP/1.1 keep-alive), so polling loops like :meth:`wait`
-stop churning sockets.  A reused socket the daemon has since closed
-surfaces as a send-time error or an empty response before any response
-bytes — such a request never reached a handler, so the client retries
-it once, transparently, on a fresh connection.  Fresh-connection
-failures (daemon down, port wrong) are raised immediately.
+stop churning sockets.  It speaks the service's own framing on a plain
+socket: each request goes out in one ``sendall``; the answer's head is
+read up to its blank line and parsed by the parser the daemon and the
+router use (:func:`~repro.server.protocol.parse_headers`), then exactly
+``Content-Length`` body bytes.  A reused socket the daemon has since
+closed surfaces as a send-time error or an end-of-file before any
+response bytes — such a request never reached a handler, so the client
+retries it once, transparently, on a fresh connection.  Fresh-connection
+failures (daemon down, port wrong) are raised immediately, and an answer
+cut short is a :class:`ServerError`.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import time
 from collections.abc import Iterator
 from urllib.parse import quote
 
 from repro._util import check_positive
-from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS
+from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS, parse_headers
 
 __all__ = ["ServerError", "BackpressureError", "JobFailed", "CbesClient"]
 
@@ -122,29 +127,25 @@ class CbesClient:
     #: bytes arrived (daemon restarted, keep-alive bound or idle timeout
     #: hit between our calls); the request never reached a handler, so
     #: one retry on a fresh connection is safe — even for POSTs.
-    _STALE_ERRORS = (
-        http.client.RemoteDisconnected,
-        http.client.CannotSendRequest,
-        BrokenPipeError,
-        ConnectionResetError,
-        ConnectionAbortedError,
-    )
+    _STALE_ERRORS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8080, *, timeout_s: float = 30.0):
         self.host = host
         self.port = port
         self.timeout_s = check_positive(timeout_s, "timeout_s")
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._rfile = None
 
     # -- connection lifecycle -------------------------------------------
     def close(self) -> None:
         """Drop the pooled connection (the next request reconnects)."""
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        sock, rfile, self._sock, self._rfile = self._sock, self._rfile, None, None
+        for part in (rfile, sock):
+            if part is not None:
+                try:
+                    part.close()
+                except OSError:
+                    pass
 
     def __enter__(self) -> "CbesClient":
         return self
@@ -153,37 +154,89 @@ class CbesClient:
         self.close()
 
     # -- transport ------------------------------------------------------
+    def _connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._rfile = sock, sock.makefile("rb")
+
     def _roundtrip(
         self, method: str, path: str, data: bytes | None, headers: dict[str, str]
     ) -> tuple[int, dict, bytes]:
-        """One HTTP exchange; returns (status, response headers, body).
+        """One HTTP exchange; returns (status, lower-cased response headers, body).
 
         Reuses the pooled connection, reconnecting transparently when a
         reused socket turns out stale (see :attr:`_STALE_ERRORS`).
         """
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+        if data is not None:
+            head += f"Content-Length: {len(data)}\r\n"
+        for name, value in headers.items():
+            head += f"{name}: {value}\r\n"
+        frame = (head + "\r\n").encode("latin-1") + (data or b"")
         for _attempt in (0, 1):
-            reused = self._conn is not None
-            if self._conn is None:
-                self._conn = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout_s
-                )
-            conn = self._conn
+            reused = self._sock is not None
+            if not reused:
+                self._connect()
             try:
-                conn.request(method, path, body=data, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
+                self._sock.sendall(frame)
+                status_line = self._rfile.readline(MAX_HEADER_BYTES)
             except self._STALE_ERRORS:
-                self.close()
-                if not reused:
-                    raise
-                continue  # retry once on a fresh connection
-            except Exception:
+                status_line = b""
+            except BaseException:
                 self.close()
                 raise
-            if response.will_close:
+            if not status_line:
                 self.close()
-            return response.status, dict(response.headers.items()), raw
+                if reused:
+                    continue  # retry once on a fresh connection
+                raise ConnectionResetError(
+                    f"{self.host}:{self.port} closed the connection without answering"
+                )
+            try:
+                status, response_headers, body = self._read_response(status_line)
+            except BaseException:
+                self.close()
+                raise
+            if response_headers.get("connection", "").lower() == "close":
+                self.close()
+            return status, response_headers, body
         raise ServerError(599, "unreachable", "retry loop exhausted")  # pragma: no cover
+
+    def _read_response(self, status_line: bytes) -> tuple[int, dict, bytes]:
+        """The rest of an answer whose first line is *status_line*.
+
+        An answer that is malformed, or whose connection ends, fails or
+        falls silent for ``timeout_s`` before it is whole, raises
+        :class:`ServerError`.
+        """
+        head = [status_line]
+        size = len(status_line)
+        try:
+            while head[-1] not in (b"\r\n", b"\n"):
+                if not head[-1].endswith(b"\n") or size > MAX_HEADER_BYTES:
+                    raise ValueError("response head cut short or too large")
+                head.append(self._rfile.readline(MAX_HEADER_BYTES))
+                size += len(head[-1])
+            start, _, block = b"".join(head).decode("latin-1").partition("\r\n")
+            parts = start.split(None, 2)
+            if len(parts) < 2 or not parts[0].startswith("HTTP/1.") or not parts[1].isdigit():
+                raise ValueError(f"malformed status line {start!r}")
+            headers = parse_headers(block)
+            length = headers.get("content-length")
+            if length is None:
+                body = self._rfile.read()  # the answer ends with the connection
+                headers["connection"] = "close"
+            elif not length.isdigit():
+                raise ValueError(f"malformed Content-Length {length!r}")
+            else:
+                body = self._rfile.read(int(length))
+                if len(body) != int(length):
+                    raise ValueError(f"response body cut short at {len(body)} of {length} bytes")
+        except ValueError as exc:
+            raise ServerError(502, "bad-response", str(exc)) from None
+        except OSError as exc:  # reset, or silent past timeout_s
+            raise ServerError(502, "bad-response", f"response cut short: {exc}") from None
+        return int(parts[1]), headers, body
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         data = json.dumps(body).encode("utf-8") if body is not None else None
@@ -198,7 +251,7 @@ class CbesClient:
             code = error.get("code", "unknown")
             message = error.get("message", "")
             if status == 429:
-                retry_after = float(response_headers.get("Retry-After", "1"))
+                retry_after = float(response_headers.get("retry-after", "1"))
                 raise BackpressureError(status, code, message, retry_after)
             raise ServerError(status, code, message)
         return payload

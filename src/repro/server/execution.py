@@ -1,14 +1,15 @@
 """Job execution for the scheduling daemon: queue, workers, snapshot.
 
 :class:`JobRunner` is everything between "the HTTP layer accepted a job"
-and "the job store holds its result".  Accepted jobs wait in a queue;
-a small ``ThreadPoolExecutor`` runs them off the event loop (scheduling
-is CPU-bound).  A worker hands its thread a *run*: the job at the head
-of the queue and, unless that is a ``schedule`` job, every ``predict`` /
-``compare`` job queued behind it up to the next ``schedule`` job.  The
-thread does each job's transitions as well as the job itself, so a run
-of quotes costs one hop onto a thread and one back, not two per job.
-Jobs reuse cached
+and "the job store holds its result".  Accepted jobs wait in one queue
+that ``workers`` plain threads take *runs* from (scheduling is
+CPU-bound, so it runs off the event loop): the job at the head of the
+queue and, behind a ``predict`` / ``compare`` job, every quote queued
+after it up to the next job of another kind.  The thread does each
+job's transitions as well as the job itself, so the only hand-off
+between accepting a job and starting it is one condition-variable
+wake-up.  A watch tick rides the same queue as a run of one
+(:meth:`JobRunner.call`).  Jobs reuse cached
 :class:`~repro.core.fast_eval.EvaluationContext` precomputation, one per
 (application, options) pair and snapshot generation; a background task
 refreshes the :class:`SystemSnapshot` on a configurable interval, and a
@@ -23,7 +24,8 @@ import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro import telemetry
 from repro.core.evaluation import EvaluationOptions
@@ -53,6 +55,37 @@ DRAIN_TIMEOUT_S = 30.0
 
 #: Why a job accepted but never started ends ``failed``.
 NOT_STARTED = "daemon shut down before the job ran"
+
+#: The job kinds a run gathers behind one another.
+QUOTES = ("predict", "compare")
+
+
+def _settle(future: asyncio.Future, result, error: BaseException | None) -> None:
+    """Resolve *future* on its loop, unless its awaiter gave up on it."""
+    if future.done():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
+
+
+@dataclass(slots=True)
+class _Call:
+    """A function call that rides the job queue as a run of its own."""
+
+    fn: Callable
+    args: tuple
+    future: asyncio.Future
+    kind = "call"
+
+    def run(self) -> None:
+        """Call it on this thread; one ``call_soon_threadsafe`` hands back the outcome."""
+        try:
+            result, error = self.fn(*self.args), None
+        except Exception as exc:  # noqa: BLE001 - re-raised by the awaiter
+            result, error = None, exc
+        self.future.get_loop().call_soon_threadsafe(_settle, self.future, result, error)
 
 
 class JobRunner:
@@ -84,22 +117,23 @@ class JobRunner:
         self._metrics = metrics
         self._tracer = tracer
         self._loop: asyncio.AbstractEventLoop | None = None
-        #: Accepted jobs no worker has taken yet, oldest at the left.
-        #: Unbounded: the submit handlers check :attr:`free_slots`, and
-        #: recovery may re-enqueue more than ``queue_limit`` jobs, which
-        #: must never be dropped.
-        self._waiting: deque[Job] = deque()
-        self._wake = asyncio.Event()
+        #: Accepted jobs (and calls) no worker has taken yet, oldest at
+        #: the left.  Unbounded: the submit handlers check
+        #: :attr:`free_slots`, and recovery may re-enqueue more than
+        #: ``queue_limit`` jobs, which must never be dropped.
+        self._waiting: deque[Job | _Call] = deque()
+        #: Guards the queue, :attr:`_queued` and the two stop flags;
+        #: idle workers wait on it.
+        self._cond = threading.Condition()
         #: Jobs still ``queued``: waiting, or taken into a run that has
         #: not reached them.  Worker threads count down as jobs start.
         self._queued = 0
-        self._queued_lock = threading.Lock()
-        #: Loop side: workers return once nothing is waiting.
+        #: Workers return once nothing is waiting.
         self._closing = False
-        #: Thread side: a run fails the jobs it has not started.
-        self._stopping = threading.Event()
-        self._executor: ThreadPoolExecutor | None = None
-        self._workers: list[asyncio.Task] = []
+        #: A run fails the jobs it has not started.
+        self._stopping = False
+        #: One future per worker thread, resolved on the loop as it exits.
+        self._exited: list[asyncio.Future] = []
         self._tasks: list[asyncio.Task] = []
         #: ``(snapshot, fingerprint)`` — the frozen SystemSnapshot jobs and
         #: watches are served against and its digest, swapped as one
@@ -173,44 +207,50 @@ class JobRunner:
 
     def enqueue(self, job: Job) -> None:
         """Queue an accepted job; the caller has checked :attr:`free_slots`."""
-        with self._queued_lock:
+        with self._cond:
             self._queued += 1
-        self._waiting.append(job)
-        self._wake.set()
+            self._waiting.append(job)
+            self._cond.notify()
 
-    def _take_run(self) -> list[Job]:
-        """The head job and, behind a quote, the quotes queued after it.
+    def call(self, fn: Callable, *args) -> asyncio.Future:
+        """Run CPU-bound ``fn(*args)`` on a job thread, as a run of its own.
+
+        Awaiting the returned future gives its result (or raises its
+        exception).  A call still waiting when the runner stops is
+        cancelled; it does not count against ``queue_limit``.
+        """
+        assert self._loop is not None, "job runner is not started"
+        future = self._loop.create_future()
+        with self._cond:
+            self._waiting.append(_Call(fn, args, future))
+            self._cond.notify()
+        return future
+
+    def _take_run(self) -> list:
+        """The head entry and, behind a quote, the quotes queued after it.
 
         A ``schedule`` job runs alone: a search costs 10^2-10^3 quotes,
         and a quote queued behind it in one run would wait for all of it
-        while another worker idles.
+        while another worker idles.  So does a :meth:`call`.
         """
         run = [self._waiting.popleft()]
-        if run[0].kind != "schedule":
-            while self._waiting and self._waiting[0].kind != "schedule":
+        if run[0].kind in QUOTES:
+            while self._waiting and self._waiting[0].kind in QUOTES:
                 run.append(self._waiting.popleft())
         return run
 
-    def run_in_executor(self, fn, *args) -> asyncio.Future:
-        """Run CPU-bound *fn* on the job worker threads."""
-        assert self._loop is not None, "job runner is not started"
-        return self._loop.run_in_executor(self._executor, fn, *args)
-
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
-        """Take the first snapshot and start workers + the refresh task."""
+        """Take the first snapshot and start the worker threads + the refresh task."""
         self._loop = asyncio.get_running_loop()
         snapshot = self._service.snapshot().freeze()
         self.serving = (snapshot, snapshot.fingerprint())
         self._snapshot_adopted_at = time.monotonic()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="cbes-job"
-        )
-        self._workers = [
-            self._loop.create_task(self._worker(), name=f"cbes-worker-{i}")
-            for i in range(self.workers)
-        ]
-        self._tasks = list(self._workers)
+        self._exited = [self._loop.create_future() for _ in range(self.workers)]
+        for i, exited in enumerate(self._exited):
+            threading.Thread(
+                target=self._work, args=(exited,), name=f"cbes-job-{i}", daemon=True
+            ).start()
         if self._refresh_interval > 0:
             self._tasks.append(
                 self._loop.create_task(self._refresh_loop(), name="cbes-snapshot-refresh")
@@ -223,24 +263,30 @@ class JobRunner:
         job it is in and fails the rest of its run; jobs no worker took
         fail here.  Afterwards no job is ``queued`` or ``running``.
         """
-        assert self._executor is not None, "job runner is not started"
-        self._closing = True
-        self._wake.set()
+        assert self._loop is not None, "job runner is not started"
+        with self._cond:
+            self._closing = True
+            self._cond.notify_all()
         if drain:
-            _, busy = await asyncio.wait(self._workers, timeout=DRAIN_TIMEOUT_S)
+            _, busy = await asyncio.wait(self._exited, timeout=DRAIN_TIMEOUT_S)
             if busy:
                 log.warning(
                     "drain timeout after %.1fs; abandoning %d queued job(s)",
                     DRAIN_TIMEOUT_S,
                     self.queue_depth,
                 )
-        self._stopping.set()
-        while self._waiting:
-            self._fail_unstarted(self._waiting.popleft())
+        with self._cond:
+            self._stopping = True
+            unstarted = list(self._waiting)
+            self._waiting.clear()
+        for entry in unstarted:
+            if isinstance(entry, _Call):
+                entry.future.cancel()
+            else:
+                self._fail_unstarted(entry)
         for task in self._tasks:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._executor.shutdown(wait=True)
+        await asyncio.gather(*self._tasks, *self._exited, return_exceptions=True)
 
     # -- snapshot refresh -----------------------------------------------
     def poll_snapshot(self):
@@ -294,34 +340,44 @@ class JobRunner:
             self._store.evict_expired()
 
     # -- job execution --------------------------------------------------
-    async def _worker(self) -> None:
-        while True:
-            if not self._waiting:
-                if self._closing:
-                    return
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            await self.run_in_executor(self._run, self._take_run())
+    def _work(self, exited: asyncio.Future) -> None:
+        """A worker thread: take a run, run it, until closing empties the queue."""
+        try:
+            while True:
+                with self._cond:
+                    while not self._waiting:
+                        if self._closing:
+                            return
+                        self._cond.wait()
+                    run = self._take_run()
+                if isinstance(run[0], _Call):
+                    run[0].run()
+                else:
+                    self._run(run)
+        finally:
+            try:
+                exited.get_loop().call_soon_threadsafe(_settle, exited, None, None)
+            except RuntimeError:  # the loop is closed: nobody waits for us
+                pass
 
     def _run(self, run: list[Job]) -> None:
         """Run *run* on this worker thread, job after job, transitions included."""
         for job in run:
-            if self._stopping.is_set():
+            if self._stopping:
                 self._fail_unstarted(job)
             else:
                 self._run_job(job)
 
     def _fail_unstarted(self, job: Job) -> None:
         self._store.mark_failed(job.id, NOT_STARTED)
-        with self._queued_lock:
+        with self._cond:
             self._queued -= 1
         self._m_jobs.inc(kind=job.kind, state="failed")
 
     def _run_job(self, job: Job) -> None:
         started = time.perf_counter()
         self._store.mark_running(job.id)
-        with self._queued_lock:
+        with self._cond:
             self._queued -= 1
         self._m_jobs.inc(kind=job.kind, state="running")
         queued_for = (job.started_at or 0.0) - job.created_at

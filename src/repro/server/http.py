@@ -325,17 +325,17 @@ class HttpService:
         try:
             while True:
                 incoming: HttpRequest | ApiError | None
+                # One timer bounds the idle wait plus the read: at expiry
+                # it aborts the socket, and the read ends at end-of-file.
+                reap = self._loop.call_later(self.keepalive_timeout_s, writer.transport.abort)
                 try:
-                    incoming = await asyncio.wait_for(
-                        read_request(reader, max_body_bytes=self.max_body_bytes),
-                        self.keepalive_timeout_s,
-                    )
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection: reap it
+                    incoming = await read_request(reader, max_body_bytes=self.max_body_bytes)
                 except ApiError as exc:
                     incoming = exc  # parse-level failure: still answered
-                if incoming is None:
-                    break  # clean EOF between requests
+                finally:
+                    reap.cancel()
+                if incoming is None or writer.transport.is_closing():
+                    break  # clean EOF between requests, or reaped idle / on stop
                 served += 1
                 if served > 1:
                     self._m_keepalive_reqs.inc()

@@ -20,7 +20,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro._util import encode_json
@@ -74,9 +74,13 @@ def spliced(head: dict, result_json: bytes | None) -> tuple[bytes, ...]:
     return encoded[:-1], b',"result":', result_json, b"}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
-    """One asynchronous CBES request and its (eventual) outcome."""
+    """One asynchronous CBES request and its (eventual) outcome.
+
+    Its fields change only through :class:`JobStore` transitions, which
+    hold the store's lock.
+    """
 
     id: str
     kind: str
@@ -92,7 +96,6 @@ class Job:
     error: str | None = None
     #: Request id of the submitting HTTP request (log correlation).
     request_id: str = ""
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def result(self) -> dict | None:
@@ -163,6 +166,10 @@ class JobStore:
         self._clock = clock
         self._on_evict = on_evict
         self._jobs: dict[str, Job] = {}
+        #: How many of :attr:`_jobs` are in each state, kept up to date
+        #: by every insert, transition and removal: the health endpoint
+        #: reads it without walking the store.
+        self._counts: dict[JobState, int] = dict.fromkeys(JobState, 0)
         #: Terminal jobs in ``finished_at`` order, oldest at the left, so
         #: :meth:`evict_expired` touches only the jobs it drops.
         self._expiry: deque[Job] = deque()
@@ -204,13 +211,25 @@ class JobStore:
                 created_at=self._clock(),
                 request_id=request_id,
             )
-            self._jobs[job.id] = job
+            self._add(job)
             return job
+
+    def _add(self, job: Job) -> None:
+        """Hold *job* (caller holds the lock)."""
+        self._jobs[job.id] = job
+        self._counts[job.state] += 1
+
+    def _remove(self, job: Job) -> None:
+        """Stop holding *job* (caller holds the lock)."""
+        del self._jobs[job.id]
+        self._counts[job.state] -= 1
 
     def discard(self, job_id: str) -> None:
         """Forget a job entirely (submission was rejected after create)."""
         with self._lock:
-            self._jobs.pop(job_id, None)
+            job = self._jobs.get(job_id)
+            if job is not None:
+                self._remove(job)
 
     def get(self, job_id: str) -> Job:
         """The job with *job_id*; raises ``KeyError`` if unknown/evicted."""
@@ -267,36 +286,35 @@ class JobStore:
             return ordered
 
     def counts(self) -> dict[str, int]:
-        """Number of live jobs per state (health endpoint)."""
-        out = {state.value: 0 for state in JobState}
+        """Number of live jobs per state (health endpoint); no scan."""
         with self._lock:
-            for job in self._jobs.values():
-                out[job.state.value] += 1
-        return out
+            return {state.value: count for state, count in self._counts.items()}
 
     # -- transitions ----------------------------------------------------
     def _transition(self, job_id: str, new: JobState, **outcome) -> Job:
-        """Move a job to *new*, publishing the state **last**.
+        """Move a job to *new* under the store lock, publishing the state **last**.
 
         Everything the new state promises — the *outcome* fields, the
         timestamp, a place in the expiry queue — is in place before the
-        state flips, so a reader on another thread never sees ``done``
-        without its result.
+        state flips, so a reader on another thread that takes no lock
+        never sees ``done`` without its result.  Stamping and enqueueing
+        under the one lock keeps the expiry queue in ``finished_at``
+        order whichever thread finishes a job.
         """
-        job = self.get(job_id)
-        with job._lock:
-            if new not in _TRANSITIONS[job.state]:
-                raise JobStateError(f"job {job.id}: illegal transition {job.state.value} -> {new.value}")
+        with self._lock:
+            job = self._jobs[job_id]
+            old = job.state
+            if new not in _TRANSITIONS[old]:
+                raise JobStateError(f"job {job.id}: illegal transition {old.value} -> {new.value}")
             for name, value in outcome.items():
                 setattr(job, name, value)
             if new.is_terminal:
-                # Stamped and enqueued under one lock: the queue stays in
-                # finished_at order whichever thread finishes a job.
-                with self._lock:
-                    job.finished_at = self._clock()
-                    self._expiry.append(job)
+                job.finished_at = self._clock()
+                self._expiry.append(job)
             else:
                 job.started_at = self._clock()
+            self._counts[old] -= 1
+            self._counts[new] += 1
             job.state = new
         return job
 
@@ -329,7 +347,7 @@ class JobStore:
                 job = self._expiry.popleft()
                 # A job discarded after it finished is already gone.
                 if self._jobs.get(job.id) is job:
-                    del self._jobs[job.id]
+                    self._remove(job)
                     expired.append(job)
         # Logging and callbacks run outside the lock: neither may block
         # create()/get() on the event loop.

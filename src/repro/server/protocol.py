@@ -21,6 +21,7 @@ __all__ = [
     "HttpRequest",
     "RawResponse",
     "lookup_body",
+    "parse_headers",
     "read_request",
     "render_response",
     "split_lookup",
@@ -134,6 +135,25 @@ class HttpRequest:
         return doc
 
 
+def parse_headers(block: str) -> dict[str, str]:
+    """The header lines of a message head, names lower-cased.
+
+    *block* is the head after its start line.  The one parser of the
+    service's HTTP: requests (:func:`read_request`), the router's
+    backend responses and :class:`~repro.server.client.CbesClient`
+    answers.  Raises ``ValueError`` on a line without a colon.
+    """
+    headers: dict[str, str] = {}
+    for line in block.split("\r\n"):
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise ValueError(f"malformed header line: {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    return headers
+
+
 async def read_request(
     reader: asyncio.StreamReader, *, max_body_bytes: int = MAX_BODY_BYTES
 ) -> HttpRequest | None:
@@ -156,20 +176,15 @@ async def read_request(
     if len(head) > MAX_HEADER_BYTES:
         raise ApiError(413, "payload-too-large", "request header section too large")
 
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split()
+    start, _, block = head.decode("latin-1").partition("\r\n")
+    parts = start.split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise ApiError(400, "bad-request", f"malformed request line: {lines[0]!r}")
+        raise ApiError(400, "bad-request", f"malformed request line: {start!r}")
     method, path, _version = parts
-
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise ApiError(400, "bad-request", f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+    try:
+        headers = parse_headers(block)
+    except ValueError as exc:
+        raise ApiError(400, "bad-request", str(exc)) from None
 
     body = b""
     if "content-length" in headers:

@@ -77,7 +77,8 @@ class RemapWatches:
     """The daemon's remap watches and the decisions they produced.
 
     Ticks borrow the *runner*'s serving snapshot (polled and adopted
-    before each one), evaluation-context cache and worker threads.
+    before each one) and evaluation-context cache, and ride its job
+    queue: each tick is a run of its own on a job thread.
     """
 
     def __init__(
@@ -183,7 +184,7 @@ class RemapWatches:
             try:
                 snapshot = await loop.run_in_executor(None, self._runner.poll_snapshot)
                 self._runner.adopt_snapshot(snapshot)
-                await self._runner.run_in_executor(self._tick, watch)
+                await self._runner.call(self._tick, watch)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 - keep the watch alive
@@ -200,7 +201,7 @@ class RemapWatches:
             del self._watches[watch_id]
 
     def _tick(self, watch: RemapWatch) -> None:
-        """One monitoring tick, on a worker thread (CPU-bound search)."""
+        """One monitoring tick, on a job thread (CPU-bound search)."""
         snapshot, fingerprint = self._runner.serving  # one atomic read per tick
         evaluator = self._service.evaluator(watch.app, snapshot=snapshot)
         self._runner.context_for(watch.app, evaluator.options, fingerprint, evaluator)

@@ -156,6 +156,17 @@ class KeepAliveConformance:
             for _ in range(5):
                 assert client.healthz()["status"] == "ok"
 
+    def test_a_request_cut_short_is_reaped_unanswered(self, front_door):
+        """The idle deadline also bounds a request that stops arriving."""
+        with front_door(keepalive_timeout_s=0.2) as door:
+            with socket.create_connection(door.address, timeout=10) as sock:
+                assert b"200 OK" in raw_exchange(sock, HEALTHZ)
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n")  # no blank line
+                started = time.monotonic()
+                sock.settimeout(5)
+                assert sock.recv(1) == b""
+                assert time.monotonic() - started < 2.0
+
     def test_client_reconnects_after_idle_drop(self, front_door):
         """Satellite: stale pooled sockets retry once, transparently."""
         with front_door(keepalive_timeout_s=0.2) as door:

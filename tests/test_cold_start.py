@@ -9,14 +9,18 @@
   latency once, and the ground-truth simulator derives a pair the first
   time a run sends over it, never at construction.
 * **Bytes** — none of that moves an answer: ``repro calibrate`` and
-  ``repro profile`` write files whose digests are pinned below.
+  ``repro profile`` write files whose digests are pinned below, and
+  they stay the same under a compensated builtin ``sum`` (CPython
+  >= 3.12 compensates float sums).
 """
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -86,10 +90,43 @@ def fresh_python(code: str) -> str:
     return proc.stdout.strip()
 
 
+#: Every module of the package, dotted, but ``repro.__main__``.
+MODULES = sorted(
+    ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+    for path in Path(SRC, "repro").rglob("*.py")
+    if path.name != "__main__.py"
+)
+
+
 class TestImports:
     @pytest.mark.parametrize("module", ["repro.fleet.router", "repro.server.daemon", "repro.cli"])
     def test_service_entry_points_load_no_numpy_or_networkx(self, module):
         code = f"import sys, {module}; print(sorted({{'numpy', 'networkx'}} & set(sys.modules)))"
+        assert fresh_python(code) == "[]"
+
+    def test_the_client_daemon_and_router_load_no_http_client(self):
+        """The client speaks the service's own framing (``protocol.parse_headers``)."""
+        code = (
+            "import sys, repro.server.client, repro.server.daemon, repro.fleet.router; "
+            "print('http.client' in sys.modules)"
+        )
+        assert fresh_python(code) == "False"
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_every_module_imports_alone(self, module):
+        """No import cycle hides behind the order a package imports its modules in."""
+        assert fresh_python(f"import {module}; print('ok')") == "ok"
+
+    def test_the_fleet_command_loads_no_daemon_journal_workload_or_simulator(self):
+        code = """
+import sys
+from repro.cli import build_parser
+args = build_parser().parse_args(["fleet", "--backends", "127.0.0.1:1"])
+from repro.fleet import FleetRouter, FleetSupervisor
+FleetRouter(["127.0.0.1:1"])
+heavy = ("repro.server.daemon", "repro.persist", "repro.workloads", "repro.simulate.engine")
+print(sorted(m for m in sys.modules if m.startswith(heavy)))
+"""
         assert fresh_python(code) == "[]"
 
     @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
@@ -197,3 +234,25 @@ class TestBytes:
         db, _ = cli_runs
         relpath, digest = DIGESTS[argv]
         assert hashlib.sha256((db / relpath).read_bytes()).hexdigest() == digest
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum``, compensated for floats as CPython >= 3.12 does it."""
+    items = list(iterable)
+    if any(type(x) is float for x in items) and all(type(x) in (int, float) for x in items):
+        return start + math.fsum(items)
+    return BUILTIN_SUM(items, start)
+
+
+BUILTIN_SUM = builtins.sum
+
+
+class TestBytesAcrossPythons:
+    def test_a_compensated_builtin_sum_moves_no_byte(self, tmp_path):
+        """The files do not depend on how the interpreter sums floats."""
+        with mock.patch("builtins.sum", compensated_sum):
+            assert sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # a left fold says 0.0
+            for argv in DIGESTS:
+                assert main(["--db", str(tmp_path), "--cluster", *argv]) == 0
+        for relpath, digest in DIGESTS.values():
+            assert hashlib.sha256((tmp_path / relpath).read_bytes()).hexdigest() == digest

@@ -6,6 +6,7 @@ must produce byte-identical results to direct submission — the
 correctness bar for transparent scale-out.
 """
 
+import asyncio
 import http.client
 import http.server
 import json
@@ -23,6 +24,7 @@ from repro.cluster import single_switch
 from repro.core import CBES
 from repro.fleet import RouterThread, pick_backend, rendezvous_rank
 from repro.fleet import router as router_module
+from repro.fleet.transport import BackendError, BackendPool
 from repro.server import DaemonThread
 from repro.server.client import ServerError
 from repro.server.protocol import lookup_body, split_lookup
@@ -443,6 +445,74 @@ class TestFleetDegradation:
         finally:
             if d1._thread.is_alive():
                 d1.shutdown()
+
+
+@contextmanager
+def silent_replica(answers: int = 0):
+    """A 'replica' that answers its first *answers* requests and then
+    never again; yields its ``host:port`` and the sockets it accepted."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted: list[socket.socket] = []
+    served = [0]
+
+    def serve(conn: socket.socket) -> None:
+        while served[0] < answers and conn.recv(65536):
+            served[0] += 1
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+
+    def accept() -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            accepted.append(conn)
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    threading.Thread(target=accept, daemon=True).start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}", accepted
+    finally:
+        listener.close()
+        for conn in accepted:
+            conn.close()
+
+
+class TestBackendDeadline:
+    """One timer bounds a replica exchange; past it the answer is a 502."""
+
+    @staticmethod
+    def exchanges(backend: str, count: int) -> tuple[float, list]:
+        async def run():
+            pool = BackendPool(backend, timeout_s=0.3)
+            outcomes = []
+            started = time.monotonic()
+            for _ in range(count):
+                try:
+                    outcomes.append(await pool.request("GET", "/v1/healthz"))
+                except BackendError as exc:
+                    outcomes.append(exc)
+            pool.close()
+            return time.monotonic() - started, outcomes
+
+        return asyncio.run(run())
+
+    def test_a_fresh_exchange_past_its_deadline_is_a_502_not_retried(self):
+        with silent_replica() as (backend, accepted):
+            elapsed, (error,) = self.exchanges(backend, 1)
+        assert isinstance(error, BackendError)
+        assert (error.status, error.code) == (502, "replica-error")
+        assert "no response in 0.3s" in error.message
+        assert 0.25 <= elapsed < 2.0
+        assert len(accepted) == 1
+
+    def test_a_reused_exchange_past_its_deadline_is_retried_once_fresh(self):
+        with silent_replica(answers=1) as (backend, accepted):
+            elapsed, (first, second) = self.exchanges(backend, 2)
+        assert first == (200, {"content-length": "2"}, b"{}")
+        assert isinstance(second, BackendError) and second.status == 502
+        assert 0.5 <= elapsed < 3.0  # two deadlines: the stale socket's and the retry's
+        assert len(accepted) == 2
 
 
 @contextmanager

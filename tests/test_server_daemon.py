@@ -588,20 +588,20 @@ def blocking_execute():
 
 
 def record_runs(runner) -> list[list[str]]:
-    """Patch *runner* so every hand-off to a worker thread records its run's job ids."""
+    """Patch *runner* so every run a worker thread takes records its job ids."""
     runs: list[list[str]] = []
-    hand_off = runner.run_in_executor
+    run_on_thread = runner._run
 
-    def recording(fn, run):
+    def recording(run):
         runs.append([job.id for job in run])
-        return hand_off(fn, run)
+        return run_on_thread(run)
 
-    runner.run_in_executor = recording
+    runner._run = recording
     return runs
 
 
 class TestRuns:
-    """A worker hands its thread the quotes queued together, one run per hop."""
+    """A worker thread takes the quotes queued together as one run."""
 
     def test_a_batch_costs_one_hand_off_not_one_per_job(self, service_and_app):
         service, app_name = service_and_app
@@ -675,6 +675,13 @@ class TestRuns:
         finally:
             release.set()
 
+    def test_jobs_run_on_plain_threads_with_no_loop_task_each(self, service_and_app):
+        service, _ = service_and_app
+        with DaemonThread(service, workers=3, refresh_interval_s=0) as srv:
+            names = {thread.name for thread in threading.enumerate()}
+            assert {"cbes-job-0", "cbes-job-1", "cbes-job-2"} <= names
+            assert srv.daemon.runner._tasks == []
+
     @staticmethod
     def bare_runner(service, workers: int):
         """A job runner and its fresh in-memory store, without the HTTP layer."""
@@ -699,13 +706,16 @@ class TestRuns:
         runner.execute = lambda job: {}
         kinds = (["predict"] * 5 + ["compare"] * 2 + ["schedule"]) * 50
         jobs = [store.create(kind, {"app": app_name}) for kind in kinds]
+        calls = []
 
         async def scenario():
             await runner.start()
             for i, job in enumerate(jobs):
                 runner.enqueue(job)
                 if i % 7 == 0:
+                    calls.append(runner.call(pow, i, 2))  # a watch tick's way in
                     await asyncio.sleep(0)
+            assert await asyncio.gather(*calls) == [i * i for i in range(0, len(jobs), 7)]
             await runner.stop(drain=True)
 
         interval = sys.getswitchinterval()

@@ -366,3 +366,59 @@ class TestExpiryQueue:
         clock.advance(11.0)
         assert store.evict_expired() == 0
         assert evicted == [] and store.get("mine") is again
+
+
+def scanned(store: JobStore) -> dict[str, int]:
+    """Per-state counts by walking every held job."""
+    out = {state.value: 0 for state in JobState}
+    for job in store.list():
+        out[job.state.value] += 1
+    return out
+
+
+class TestCounts:
+    """``counts()`` is kept up to date, never scanned: it must equal a scan."""
+
+    def churn(self, store: JobStore, clock: FakeClock, rng: random.Random, steps: int) -> None:
+        for step in range(steps):
+            held = store.list()
+            op = rng.choice(["create", "create", "advance", "discard", "evict"])
+            if op == "create" or not held:
+                store.create("predict", {"i": step})
+            elif op == "advance":
+                job = rng.choice(held)
+                if job.state is JobState.QUEUED:
+                    rng.choice([store.mark_running, lambda i: store.mark_failed(i, "x")])(job.id)
+                elif job.state is JobState.RUNNING:
+                    rng.choice([lambda i: store.mark_done(i, {}), lambda i: store.mark_failed(i, "y")])(job.id)
+                else:
+                    with pytest.raises(JobStateError):
+                        store.mark_running(job.id)
+            elif op == "discard":
+                store.discard(rng.choice(held).id)
+            else:
+                clock.advance(rng.uniform(0.0, 4.0))
+                store.evict_expired()
+            assert store.counts() == scanned(store), (step, op)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counts_equal_a_scan_after_any_mix(self, clock, seed):
+        store = JobStore(ttl_s=10.0, clock=clock)
+        self.churn(store, clock, random.Random(seed), 400)
+
+    def test_a_durable_store_counts_its_recovered_jobs(self, clock, tmp_path):
+        from repro.persist.store import DurableJobStore
+
+        store = DurableJobStore(tmp_path, ttl_s=10.0, clock=clock, fsync="never")
+        self.churn(store, clock, random.Random(7), 300)
+        store.close()
+        recovered = DurableJobStore(tmp_path, ttl_s=10.0, clock=clock, fsync="never")
+        assert recovered.counts() == scanned(recovered)
+        assert sum(recovered.counts().values()) > 0
+        self.churn(recovered, clock, random.Random(8), 100)
+        recovered.close()
+
+    def test_a_job_holds_no_lock_and_no_instance_dict(self, store):
+        job = store.create("predict", {})
+        assert not hasattr(job, "__dict__")
+        assert not any("lock" in name for name in type(job).__slots__)
