@@ -41,6 +41,7 @@ Deployment settings: the start method (``mp_context``),
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing as mp
 import os
 import threading
@@ -98,21 +99,35 @@ def default_start_method() -> str:
 
 
 def _cache_capacity() -> int:
-    try:
-        value = int(os.environ.get("REPRO_WORKER_CACHE", DEFAULT_CACHE_CAPACITY))
-    except ValueError:
+    """``REPRO_WORKER_CACHE``: an integer, at least 1 (unset: the default)."""
+    raw = os.environ.get("REPRO_WORKER_CACHE", "").strip()
+    if not raw:
         return DEFAULT_CACHE_CAPACITY
-    return max(1, value)
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"REPRO_WORKER_CACHE must be an integer, got {raw!r}") from None
 
 
 def _idle_timeout() -> float | None:
+    """``REPRO_POOL_IDLE_S``: seconds, or ``None`` (never reap) when <= 0.
+
+    A value the reaper's timer cannot wait for (not a finite number, or
+    beyond ``threading.TIMEOUT_MAX``) is refused rather than left to kill
+    the timer thread, which would leave the pool unreaped.
+    """
     raw = os.environ.get("REPRO_POOL_IDLE_S", "").strip()
     if not raw:
         return DEFAULT_IDLE_TIMEOUT_S
     try:
         value = float(raw)
     except ValueError:
-        return DEFAULT_IDLE_TIMEOUT_S
+        value = math.nan  # refused below with every other unusable value
+    if not math.isfinite(value) or value > threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"REPRO_POOL_IDLE_S must be a finite number of seconds "
+            f"(at most {threading.TIMEOUT_MAX:g}), got {raw!r}"
+        )
     return value if value > 0 else None
 
 
@@ -163,11 +178,15 @@ def _recorded(run: Callable[[], object], enabled: bool) -> tuple[object, dict | 
 # -- worker-process side -------------------------------------------------
 #: This process's fingerprint -> TaskRunner LRU (most recent last).
 _CACHE: "OrderedDict[str, TaskRunner]" = OrderedDict()
+#: Runners this process keeps, read once by :func:`_initialize_pool_worker`.
+_CAPACITY = DEFAULT_CACHE_CAPACITY
 
 
 def _initialize_pool_worker() -> None:
-    """Executor initializer: start every worker with an empty cache."""
-    global _CACHE
+    """Executor initializer: start every worker with an empty cache whose
+    capacity is ``REPRO_WORKER_CACHE``, read here once for the process."""
+    global _CACHE, _CAPACITY
+    _CAPACITY = _cache_capacity()
     _CACHE = OrderedDict()
 
 
@@ -190,7 +209,7 @@ def _run_cached(pt: PoolTask) -> SaOutcome | IslandState | None:
     else:
         runner = _CACHE[pt.key] = TaskRunner(pt.spec)
         events.inc(event="miss")
-        while len(_CACHE) > _cache_capacity():
+        while len(_CACHE) > _CAPACITY:
             _CACHE.popitem(last=False)
             events.inc(event="evicted")
     return runner.run(pt.task)

@@ -1,9 +1,9 @@
-"""Tests for the repro.analysis invariant checker suite.
+"""Tests for the tools.analysis invariant checker suite.
 
-Each rule gets positive (trips), negative (clean), suppressed, and
-baselined fixtures; the engine, baseline store, and CLI are exercised
-directly; and an end-to-end run over the repository's own sources
-asserts the committed tree stays clean (the same gate CI applies).
+Each rule gets positive (trips), negative (clean) and suppressed
+fixtures; the engine and CLI are exercised directly; and an end-to-end
+run over the repository's own sources asserts the committed tree stays
+clean (the same gate CI applies).
 """
 
 from __future__ import annotations
@@ -17,17 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    analyze_paths,
-    analyze_source,
-    apply_baseline,
-    load_baseline,
-    module_name_for,
-    registered_checkers,
-    write_baseline,
-)
-from repro.analysis.cli import run as cli_run
+from tools.analysis.checkers import RULES, Finding
+from tools.analysis.cli import run as cli_run
+from tools.analysis.engine import analyze_paths, analyze_source, module_name_for
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -46,9 +38,9 @@ def rule_ids(findings: list[Finding]) -> set[str]:
 
 
 def test_registry_contains_full_rule_pack():
-    assert {"RPR100", "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106"} <= set(
-        registered_checkers()
-    )
+    assert [cls.rule for cls in RULES] == [
+        "RPR100", "RPR101", "RPR102", "RPR103", "RPR105", "RPR106"
+    ]
 
 
 def test_documented_scopes_are_the_checkers_scopes():
@@ -57,8 +49,8 @@ def test_documented_scopes_are_the_checkers_scopes():
         r"^\| (RPR\d+) \| [^|]+ \| ([^|]+) \|", (REPO / "docs/ANALYSIS.md").read_text(), re.M
     )
     documented = {rule: set(re.findall(r"`(repro\.\w+)`", cell)) for rule, cell in rows}
-    for rule, checker in registered_checkers().items():  # RPR000 is the engine's own
-        assert documented[rule] == set(checker.scopes or ()), rule
+    for checker in RULES:  # RPR000 is the engine's own
+        assert documented[checker.rule] == set(checker.scopes or ()), checker.rule
 
 
 def test_syntax_error_becomes_rpr000_finding():
@@ -273,37 +265,6 @@ def test_rpr103_only_applies_to_server_package():
 
 
 # ---------------------------------------------------------------------------
-# RPR104 float equality
-
-
-def test_rpr104_flags_energy_equality():
-    source = "def f(a, b):\n    return a.energy == b.energy\n"
-    assert "RPR104" in rule_ids(check(source, module="repro.core.custom"))
-
-
-def test_rpr104_flags_float_literal_comparison():
-    source = "def f(predicted_time):\n    return predicted_time == 3.25\n"
-    assert "RPR104" in rule_ids(check(source, module="repro.schedulers.custom"))
-
-
-def test_rpr104_allows_exact_sentinels_and_isclose():
-    source = """\
-        import math
-
-        def f(noise, delta, cost):
-            if noise == 0.0:
-                return True
-            return math.isclose(delta, cost)
-        """
-    assert "RPR104" not in rule_ids(check(source, module="repro.core.custom"))
-
-
-def test_rpr104_ignores_non_float_comparisons():
-    source = "def f(name, count):\n    return name == 'lu.S' and count == 3\n"
-    assert "RPR104" not in rule_ids(check(source, module="repro.core.custom"))
-
-
-# ---------------------------------------------------------------------------
 # RPR105 API hygiene
 
 
@@ -405,77 +366,17 @@ def test_rpr106_inline_suppression():
 
 
 # ---------------------------------------------------------------------------
-# baseline workflow
-
-
-def _finding(rule="RPR105", path="src/repro/core/x.py", line=3, msg="m") -> Finding:
-    return Finding(path=path, line=line, col=1, rule=rule, message=msg)
-
-
-def test_baseline_roundtrip_and_matching(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    grandfathered = [_finding(msg="old finding"), _finding(msg="old finding", line=9)]
-    write_baseline(grandfathered, baseline_path)
-    counts = load_baseline(baseline_path)
-    assert counts[grandfathered[0].fingerprint()] == 2
-
-    # Same fingerprints at shifted lines still match; a new finding does not.
-    now = [_finding(msg="old finding", line=30), _finding(msg="brand new")]
-    report = apply_baseline(now, counts, checked_files=1)
-    assert [f.message for f in report.findings] == ["brand new"]
-    assert len(report.baselined) == 1
-    # Only one of the two allowed counts matched: the leftover is
-    # reported stale so the committed count gets shrunk to 1.
-    assert report.stale_baseline == [grandfathered[0].fingerprint()]
-    assert report.exit_code == 1
-
-
-def test_baseline_reports_fully_stale_entries(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline([_finding(msg="fixed long ago")], baseline_path)
-    report = apply_baseline([], load_baseline(baseline_path))
-    assert report.stale_baseline == [_finding(msg="fixed long ago").fingerprint()]
-    assert report.exit_code == 0
-
-
-def test_missing_baseline_is_empty():
-    assert load_baseline(None) == {}
-    assert load_baseline(Path("/nonexistent/baseline.json")) == {}
-
-
-def test_baselined_fixture_passes_then_new_violation_fails(tmp_path):
-    """The CI contract: baselined findings pass, new determinism ones fail."""
-    pkg = tmp_path / "src" / "repro" / "schedulers"
-    pkg.mkdir(parents=True)
-    bad = pkg / "legacy.py"
-    bad.write_text("import time\n\n\ndef jitter():\n    \"\"\"Doc.\"\"\"\n    return time.time()\n")
-    findings, checked = analyze_paths([bad], root=tmp_path)
-    assert checked == 1 and rule_ids(findings) == {"RPR101"}
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(findings, baseline_path)
-    clean = apply_baseline(findings, load_baseline(baseline_path))
-    assert clean.exit_code == 0
-
-    bad.write_text(bad.read_text() + "\n\ndef more():\n    \"\"\"Doc.\"\"\"\n    return time.time()\n")
-    findings2, _ = analyze_paths([bad], root=tmp_path)
-    dirty = apply_baseline(findings2, load_baseline(baseline_path))
-    assert dirty.exit_code == 1
-    assert len(dirty.findings) == 1
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
 def test_cli_text_and_json_formats(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text("import os\n")
-    assert cli_run([str(target), "--no-baseline"]) == 1
+    assert cli_run([str(target)]) == 1
     text_out = capsys.readouterr().out
     assert "RPR100" in text_out
 
-    assert cli_run([str(target), "--no-baseline", "--format", "json"]) == 1
+    assert cli_run([str(target), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["findings"] == 1
     assert payload["findings"][0]["rule"] == "RPR100"
@@ -484,52 +385,40 @@ def test_cli_text_and_json_formats(tmp_path, capsys):
 def test_cli_exit_codes(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text('"""Doc."""\n')
-    assert cli_run([str(clean), "--no-baseline"]) == 0
+    assert cli_run([str(clean)]) == 0
     capsys.readouterr()
     assert cli_run([str(tmp_path / "missing.py")]) == 2
     assert cli_run([str(clean), "--rules", "RPR9999"]) == 2
 
 
-def test_cli_fix_baseline_then_clean(tmp_path, capsys):
-    target = tmp_path / "mod.py"
-    target.write_text("import os\n")
-    baseline = tmp_path / "baseline.json"
-    assert cli_run([str(target), "--baseline", str(baseline), "--fix-baseline"]) == 0
-    capsys.readouterr()
-    assert cli_run([str(target), "--baseline", str(baseline)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-
 def test_cli_list_rules(capsys):
     assert cli_run(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("RPR100", "RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106"):
-        assert rule in out
+    for checker in RULES:
+        assert checker.rule in out
+    assert "RPR104" not in out
 
 
 # ---------------------------------------------------------------------------
 # end-to-end over the repository itself
 
 
-def test_repo_sources_are_clean_with_committed_baseline():
+def test_repo_sources_are_clean():
     """The committed tree passes the suite — the exact gate CI runs."""
     roots = [REPO / r for r in ("src", "tests", "benchmarks", "tools", "examples")]
     findings, checked = analyze_paths([r for r in roots if r.is_dir()], root=REPO)
-    baseline = load_baseline(REPO / "tools" / "analysis_baseline.json")
-    report = apply_baseline(findings, baseline, checked_files=checked)
     assert checked > 100
-    assert report.findings == [], "\n".join(f.format_text() for f in report.findings)
-    assert report.stale_baseline == []
+    assert findings == [], "\n".join(f.format_text() for f in findings)
 
 
 def test_module_entry_point_runs_clean():
-    """``python -m repro.analysis`` from the repo root exits 0."""
+    """``python -m tools.analysis`` from the repo root exits 0."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "--format", "json", "src"],
+        [sys.executable, "-m", "tools.analysis", "--format", "json", "src"],
         cwd=REPO,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env={"PATH": "/usr/bin:/bin"},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

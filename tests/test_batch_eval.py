@@ -124,7 +124,7 @@ class TestBackendEquality:
             vec = context.evaluate_many(population)
         # Bit-identical, not approximately equal: the numpy kernel
         # replays the scalar operation order exactly.
-        assert py == vec  # repro: disable=RPR104
+        assert py == vec
 
     def test_auto_backend_resolves(self):
         with mock.patch.dict(os.environ, {"REPRO_EVAL_BACKEND": "auto"}):
@@ -154,7 +154,7 @@ class TestBackendEquality:
         with mock.patch.dict(os.environ, {"REPRO_EVAL_BACKEND": "auto"}):
             with mock.patch("repro.core.fast_eval.np", None):
                 assert active_backend() == "python"
-                assert context.evaluate_many(population) == expected  # repro: disable=RPR104
+                assert context.evaluate_many(population) == expected
 
 
 class TestCountersAndWiring:

@@ -39,7 +39,6 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 PACKAGES = (
     "repro",
-    "repro.analysis",
     "repro.cluster",
     "repro.core",
     "repro.experiments",
@@ -165,10 +164,10 @@ class TestExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             repro.no_such_name  # noqa: B018
         from repro import telemetry
-        from repro.analysis import checkers
+        from repro.core import fast_eval
 
         assert telemetry.__name__ == "repro.telemetry"
-        assert checkers.__name__ == "repro.analysis.checkers"
+        assert fast_eval.__name__ == "repro.core.fast_eval"
 
     def test_a_resolved_name_is_cached_in_the_package(self):
         from repro.core.mapping import TaskMapping

@@ -100,7 +100,7 @@ class TestPicklability:
         assert clone._np_cache is None
         assert clone.snapshot_fingerprint == context.snapshot_fingerprint
         assert clone.execution_time(m) == pytest.approx(context.execution_time(m), abs=1e-12)
-        assert clone.evaluate_many([m, m]) == served  # repro: disable=RPR104
+        assert clone.evaluate_many([m, m]) == served
 
     def test_spec_round_trip_evaluates_identically(self, fresh_evaluator):
         evaluator, pool = fresh_evaluator

@@ -125,6 +125,7 @@ class TestWorkerCacheLru:
         monkeypatch.setenv("REPRO_WORKER_CACHE", "2")
         pool_mod._initialize_pool_worker()
         yield
+        monkeypatch.delenv("REPRO_WORKER_CACHE")
         pool_mod._initialize_pool_worker()
 
     def envelope(self, spec, *, with_spec=True):
@@ -167,6 +168,54 @@ class TestWorkerCacheLru:
         assert evicted.missing_spec
         kept = pool_mod._run_pool_task(self.envelope(specs[2], with_spec=False))
         assert cache_events(kept) == {"hit": 1}
+
+
+class TestDeploymentVariables:
+    """``REPRO_POOL_IDLE_S`` is read when a pool is built, ``REPRO_WORKER_CACHE``
+    when a worker starts; a value neither can use is refused, by name."""
+
+    @pytest.fixture(autouse=True)
+    def restore_worker_cache(self, monkeypatch):
+        yield
+        monkeypatch.delenv("REPRO_WORKER_CACHE", raising=False)
+        pool_mod._initialize_pool_worker()
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e300", "soon"])
+    def test_an_unusable_idle_timeout_is_refused_when_the_pool_is_built(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_POOL_IDLE_S", raw)
+        with pytest.raises(ValueError, match="REPRO_POOL_IDLE_S"):
+            WorkerPool()
+
+    @pytest.mark.parametrize(
+        ("raw", "expected"),
+        [("", pool_mod.DEFAULT_IDLE_TIMEOUT_S), ("2.5", 2.5), ("0", None), ("-1", None)],
+    )
+    def test_every_usable_idle_timeout_keeps_its_meaning(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_POOL_IDLE_S", raw)
+        assert WorkerPool()._idle_timeout == expected
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "inf", "nan"])
+    def test_an_unusable_cache_capacity_is_refused_when_a_worker_starts(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_WORKER_CACHE", raw)
+        with pytest.raises(ValueError, match="REPRO_WORKER_CACHE"):
+            pool_mod._initialize_pool_worker()
+
+    @pytest.mark.parametrize(
+        ("raw", "expected"),
+        [("", pool_mod.DEFAULT_CACHE_CAPACITY), ("5", 5), ("0", 1), ("-3", 1)],
+    )
+    def test_every_usable_cache_capacity_keeps_its_meaning(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_WORKER_CACHE", raw)
+        pool_mod._initialize_pool_worker()
+        assert pool_mod._CAPACITY == expected
+
+    def test_a_worker_reads_its_cache_capacity_once(self, monkeypatch, spec):
+        monkeypatch.setenv("REPRO_WORKER_CACHE", "2")
+        pool_mod._initialize_pool_worker()
+        monkeypatch.setenv("REPRO_WORKER_CACHE", "abc")
+        reply = pool_mod._run_pool_task(PoolTask(key=spec.fingerprint(), task=sa_task(), spec=spec))
+        assert reply.outcome is not None
+        assert pool_mod._CAPACITY == 2
 
 
 class TestPoolLifecycle:

@@ -1,10 +1,10 @@
-"""``python -m repro.analysis`` entry point."""
+"""``python -m tools.analysis`` entry point."""
 
 from __future__ import annotations
 
 import sys
 
-from repro.analysis.cli import main
+from tools.analysis.cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,49 +1,101 @@
-"""The project rule pack: RPR100-RPR106.
+"""The rule contract and the project rule pack: RPR100-RPR103, RPR105, RPR106.
 
-Each rule enforces an invariant the reproduction's headline claims rest
-on (see docs/ANALYSIS.md for the catalog with full rationale):
-
-* RPR100 — unused imports (the lint.py F401 detector, folded in and
-  fixed: string constants only count as uses inside ``__all__`` or when
-  they are parseable string annotations).
-* RPR101 — determinism: scheduler/search/core code must draw randomness
-  from the seeded ``spawn_rng`` substreams and must not consult wall
-  clocks or entropy sources inside the search; ``min``/``max`` over a
-  set breaks tie-making reproducibility.
-* RPR102 — picklability: nothing unpicklable (lambdas, nested
-  functions, ``self``-bound methods) may cross the process boundary via
-  ``ProcessPoolExecutor.submit`` or ``SearchSpec`` fields.
-* RPR103 — async-safety: ``async def`` bodies in the daemon must never
-  call blocking primitives (``time.sleep``, ``subprocess.run``, ...).
-* RPR104 — float equality: evaluation/energy quantities compare with
-  tolerance helpers, never bare ``==`` (exact sentinel comparisons
-  against the literals 0.0 / 1.0 / -1.0 are allowed).
-* RPR105 — API hygiene: public functions in ``repro.core``,
-  ``repro.schedulers`` and ``repro.remap`` carry docstrings and no
-  mutable default args.
-* RPR106 — telemetry hygiene: metric names declared through
-  ``repro.telemetry`` registries are snake_case with the conventional
-  unit/kind suffixes (counters ``*_total``, histograms ``*_seconds`` /
-  ``*_bytes``), and label values never interpolate runtime data
-  (f-strings), which would mint unbounded label cardinality.
+A :class:`Checker` subclass declares a ``rule`` id and the dotted-module
+``scopes`` it applies to, and sees every node of the engine's one walk
+per file; :data:`RULES` is the pack, in rule-id order.  Each rule
+enforces an invariant the reproduction's headline claims rest on:
+determinism of the search (RPR101), picklability of what crosses into
+pool workers (RPR102), a non-blocking event loop (RPR103), the
+paper-facing API surface (RPR105), metric naming and label cardinality
+(RPR106), and no dead imports (RPR100).  docs/ANALYSIS.md holds the
+catalog with full rationale; ``--list-rules`` prints it from here.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from dataclasses import dataclass, field
 
-from repro.analysis.engine import Checker, CheckerContext, register
 
-__all__ = [
-    "UnusedImportChecker",
-    "DeterminismChecker",
-    "PicklabilityChecker",
-    "AsyncSafetyChecker",
-    "FloatEqualityChecker",
-    "ApiHygieneChecker",
-    "TelemetryHygieneChecker",
-]
+@dataclass(frozen=True, order=True)
+class Finding:
+    """One rule violation at one source location."""
+
+    #: Path of the offending file, repo-relative POSIX style when possible.
+    path: str
+    line: int
+    col: int
+    #: Rule identifier, e.g. ``"RPR101"``.
+    rule: str
+    message: str
+
+    def format_text(self) -> str:
+        """The one-line ``path:line:col: RULE message`` rendering."""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+
+
+@dataclass
+class CheckerContext:
+    """Per-file state shared by every checker during one walk."""
+
+    #: Display path for findings (repo-relative POSIX when possible).
+    path: str
+    #: Dotted module name (``repro.schedulers.base``) or None for files
+    #: outside the ``src`` tree (tests, tools, benchmarks).
+    module: str | None
+    source: str
+    tree: ast.Module
+    findings: list[Finding] = field(default_factory=list)
+
+    def report(self, node: ast.AST, rule: str, message: str) -> None:
+        """Record one finding anchored at *node*."""
+        self.findings.append(
+            Finding(
+                path=self.path,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0) + 1,
+                rule=rule,
+                message=message,
+            )
+        )
+
+
+class Checker:
+    """Base class for one analysis rule.
+
+    Subclasses set ``rule``/``name``/``rationale`` and implement
+    :meth:`visit`; :meth:`start_module` and :meth:`finish_module` bracket
+    the walk for rules that need whole-file state (e.g. import usage).
+    """
+
+    #: Rule identifier, e.g. ``"RPR101"``.
+    rule: str = "RPR999"
+    #: Short kebab-case name used in listings.
+    name: str = "unnamed"
+    #: One-line rationale shown by ``--list-rules``.
+    rationale: str = ""
+    #: Dotted module prefixes this rule applies to, or None for all files.
+    scopes: tuple[str, ...] | None = None
+
+    def applies_to(self, ctx: CheckerContext) -> bool:
+        """Whether this rule is active for the file being walked."""
+        if self.scopes is None:
+            return True
+        if ctx.module is None:
+            return False
+        return any(
+            ctx.module == scope or ctx.module.startswith(scope + ".") for scope in self.scopes
+        )
+
+    def start_module(self, ctx: CheckerContext) -> None:
+        """Hook called before the walk of one file begins."""
+
+    def visit(self, node: ast.AST, parents: list[ast.AST], ctx: CheckerContext) -> None:
+        """Hook called for every node of the single shared walk."""
+
+    def finish_module(self, ctx: CheckerContext) -> None:
+        """Hook called after the walk of one file completes."""
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -75,7 +127,6 @@ def _has_docstring(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     )
 
 
-@register
 class UnusedImportChecker(Checker):
     """RPR100: imports that no code in the module actually uses."""
 
@@ -161,7 +212,6 @@ class UnusedImportChecker(Checker):
                 ctx.report(node, self.rule, f"unused import {original!r}")
 
 
-@register
 class DeterminismChecker(Checker):
     """RPR101: unseeded entropy or unordered tie-breaking in the search."""
 
@@ -214,7 +264,6 @@ class DeterminismChecker(Checker):
                 )
 
 
-@register
 class PicklabilityChecker(Checker):
     """RPR102: unpicklable callables shipped to worker processes."""
 
@@ -306,7 +355,6 @@ class PicklabilityChecker(Checker):
                     )
 
 
-@register
 class AsyncSafetyChecker(Checker):
     """RPR103: blocking calls inside ``async def`` bodies."""
 
@@ -353,84 +401,6 @@ class AsyncSafetyChecker(Checker):
             )
 
 
-@register
-class FloatEqualityChecker(Checker):
-    """RPR104: bare ``==`` between float-valued evaluation quantities."""
-
-    rule = "RPR104"
-    name = "float-equality"
-    rationale = "energy/latency arithmetic differs in the last ulp across paths"
-    scopes = ("repro.core", "repro.schedulers", "repro.search", "repro.remap")
-
-    #: Exact comparisons against these literals are accepted sentinels
-    #: (e.g. ``noise == 0.0`` meaning "feature disabled").
-    SENTINELS = (0.0, 1.0, -1.0)
-
-    #: Identifier endings that mark a float evaluation quantity.
-    FLOATY_SUFFIXES = ("energy", "cost", "delta", "_time", "_s", "latency")
-    FLOATY_NAMES = {
-        "energy",
-        "cost",
-        "delta",
-        "predicted",
-        "predicted_time",
-        "execution_time",
-        "best_energy",
-        "wall_time_s",
-    }
-    FLOATY_CALLS = {"predict", "evaluate", "energy", "cost"}
-
-    def _is_sentinel(self, node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, float)
-            and node.value in self.SENTINELS
-        )
-
-    def _is_floaty(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Constant):
-            return isinstance(node.value, float)
-        ident: str | None = None
-        if isinstance(node, ast.Name):
-            ident = node.id
-        elif isinstance(node, ast.Attribute):
-            ident = node.attr
-        if ident is not None:
-            lowered = ident.lower()
-            return lowered in self.FLOATY_NAMES or lowered.endswith(self.FLOATY_SUFFIXES)
-        if isinstance(node, ast.Call):
-            dotted = dotted_name(node.func) or ""
-            return dotted.rsplit(".", 1)[-1] in self.FLOATY_CALLS
-        if isinstance(node, ast.BinOp):
-            return self._is_floaty(node.left) or self._is_floaty(node.right)
-        return False
-
-    def visit(self, node: ast.AST, parents: list[ast.AST], ctx: CheckerContext) -> None:
-        if not isinstance(node, ast.Compare):
-            return
-        sides = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, sides, sides[1:], strict=False):
-            if not isinstance(op, (ast.Eq, ast.NotEq)):
-                continue
-            pair = (left, right)
-            if any(self._is_sentinel(side) for side in pair):
-                continue
-            floaty = sum(1 for side in pair if self._is_floaty(side))
-            nonsentinel_literal = any(
-                isinstance(side, ast.Constant) and isinstance(side.value, float)
-                for side in pair
-            )
-            if floaty >= 2 or (floaty == 1 and nonsentinel_literal):
-                ctx.report(
-                    node,
-                    self.rule,
-                    "bare == between float evaluation quantities; use "
-                    "math.isclose / a tolerance helper (exact 0.0/1.0 "
-                    "sentinel checks are exempt)",
-                )
-
-
-@register
 class ApiHygieneChecker(Checker):
     """RPR105: public API functions need docstrings and safe defaults."""
 
@@ -468,7 +438,6 @@ class ApiHygieneChecker(Checker):
             ctx.report(node, self.rule, f"public function {where}() is missing a docstring")
 
 
-@register
 class TelemetryHygieneChecker(Checker):
     """RPR106: metric naming conventions and bounded label cardinality."""
 
@@ -554,3 +523,15 @@ class TelemetryHygieneChecker(Checker):
                     "interpolating runtime data into label values mints unbounded "
                     "cardinality — use a fixed label set (e.g. a route template)",
                 )
+
+
+#: The rule pack, in rule-id order: what the engine runs and
+#: ``--list-rules`` prints.
+RULES: tuple[type[Checker], ...] = (
+    UnusedImportChecker,
+    DeterminismChecker,
+    PicklabilityChecker,
+    AsyncSafetyChecker,
+    ApiHygieneChecker,
+    TelemetryHygieneChecker,
+)

@@ -1,19 +1,20 @@
-"""Command-line driver: ``python -m repro.analysis``.
+"""Command-line interface: ``python -m tools.analysis`` from the repo root.
 
 Exit codes are stable and documented (CI and tools/lint.py rely on
-them): 0 = clean (after baseline), 1 = at least one non-baselined
-finding, 2 = usage or internal error.
+them): 0 = clean, 1 = at least one finding, 2 = usage or internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.engine import analyze_paths, registered_checkers
+from tools.analysis.checkers import RULES
+from tools.analysis.engine import analyze_paths
 
 __all__ = ["main", "run"]
 
@@ -21,17 +22,12 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
-DEFAULT_BASELINE = Path("tools") / "analysis_baseline.json"
-
 
 def _build_parser() -> argparse.ArgumentParser:
+    rules = ", ".join(f"{cls.name} ({cls.rule})" for cls in RULES)
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description=(
-            "AST invariant checkers for the CBES reproduction: determinism "
-            "(RPR101), picklability (RPR102), async-safety (RPR103), float "
-            "equality (RPR104), API hygiene (RPR105), unused imports (RPR100)."
-        ),
+        prog="python -m tools.analysis",
+        description=f"AST invariant checkers for the CBES reproduction: {rules}.",
     )
     parser.add_argument(
         "paths",
@@ -46,25 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline JSON path (default: {DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--fix-baseline",
-        action="store_true",
-        help="rewrite the baseline file to cover all current findings, then exit 0",
-    )
-    parser.add_argument(
         "--rules",
         default=None,
-        help="comma-separated rule ids to run (default: all registered)",
+        help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
         "--list-rules",
@@ -76,9 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _list_rules() -> str:
     lines = []
-    for rule, cls in registered_checkers().items():
+    for cls in RULES:
         scope = ", ".join(cls.scopes) if cls.scopes else "all files"
-        lines.append(f"{rule}  {cls.name:<16} [{scope}]  {cls.rationale}")
+        lines.append(f"{cls.rule}  {cls.name:<16} [{scope}]  {cls.rationale}")
     return "\n".join(lines)
 
 
@@ -99,7 +79,7 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
     rules: set[str] | None = None
     if args.rules:
         rules = {part.strip().upper() for part in args.rules.split(",") if part.strip()}
-        unknown = rules - set(registered_checkers())
+        unknown = rules - {cls.rule for cls in RULES}
         if unknown:
             print(f"unknown rule id(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return EXIT_ERROR
@@ -110,43 +90,32 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
         print(f"no such path(s): {', '.join(map(str, missing))}", file=sys.stderr)
         return EXIT_ERROR
 
-    baseline_path = args.baseline
-    if baseline_path is None and DEFAULT_BASELINE.is_file():
-        baseline_path = DEFAULT_BASELINE
-
     try:
         findings, checked = analyze_paths(paths, rules=rules)
     except (OSError, RecursionError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.fix_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        target.parent.mkdir(parents=True, exist_ok=True)
-        write_baseline(findings, target)
-        print(f"baseline rewritten: {target} ({len(findings)} finding(s))", file=out)
-        return EXIT_CLEAN
-
-    baseline = load_baseline(None if args.no_baseline else baseline_path)
-    report = apply_baseline(findings, baseline, checked_files=checked)
-
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2), file=out)
+        report = {
+            "version": 1,
+            "findings": [dataclasses.asdict(f) for f in findings],
+            "summary": {
+                "checked_files": checked,
+                "findings": len(findings),
+                "rules": dict(sorted(Counter(f.rule for f in findings).items())),
+            },
+        }
+        print(json.dumps(report, indent=2), file=out)
     else:
-        for finding in report.findings:
+        for finding in findings:
             print(finding.format_text(), file=out)
-        for fingerprint in report.stale_baseline:
-            print(f"stale baseline entry (safe to remove): {fingerprint}", file=out)
-        print(
-            f"repro.analysis: {checked} file(s), {len(report.findings)} finding(s), "
-            f"{len(report.baselined)} baselined",
-            file=out,
-        )
-    return report.exit_code
+        print(f"tools.analysis: {checked} file(s), {len(findings)} finding(s)", file=out)
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point used by ``python -m repro.analysis`` and tools/lint.py."""
+    """Entry point used by ``python -m tools.analysis`` and tools/lint.py."""
     try:
         return run(argv)
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,123 +1,32 @@
 """Single-parse, multi-checker analysis engine.
 
-Each file is parsed exactly once and walked exactly once; every
-registered checker sees every node of that one walk, together with the
-ancestor stack, so N rules cost one traversal instead of N.  Inline
-``# repro: disable=RPR101[,RPR104]`` comments suppress findings reported
-on that physical line (``disable=all`` silences every rule).
-
-Checkers subclass :class:`Checker`, declare a ``rule`` id and optional
-``scopes`` (dotted module prefixes they apply to), and are registered
-with the :func:`register` decorator.  The registry is the single source
-of truth for the CLI, :mod:`tools.lint`, and the docs rule catalog.
+Each file is parsed exactly once and walked exactly once; every checker
+of :data:`~tools.analysis.checkers.RULES` sees every node of that one
+walk, together with the ancestor stack, so N rules cost one traversal
+instead of N.  Inline ``# repro: disable=RPR101[,RPR105]`` comments
+suppress findings reported on that physical line (``disable=all``
+silences every rule).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.findings import Finding
+from tools.analysis.checkers import RULES, Checker, CheckerContext, Finding
 
 __all__ = [
-    "Checker",
-    "CheckerContext",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",
     "module_name_for",
-    "register",
-    "registered_checkers",
 ]
 
 #: Rule id used for files that fail to parse at all.
 SYNTAX_ERROR_RULE = "RPR000"
 
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*disable=([A-Za-z0-9_,\s]+)")
-
-
-@dataclass
-class CheckerContext:
-    """Per-file state shared by every checker during one walk."""
-
-    #: Display path for findings (repo-relative POSIX when possible).
-    path: str
-    #: Dotted module name (``repro.schedulers.base``) or None for files
-    #: outside the ``src`` tree (tests, tools, benchmarks).
-    module: str | None
-    source: str
-    tree: ast.Module
-    findings: list[Finding] = field(default_factory=list)
-
-    def report(self, node: ast.AST, rule: str, message: str) -> None:
-        """Record one finding anchored at *node*."""
-        self.findings.append(
-            Finding(
-                path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                rule=rule,
-                message=message,
-            )
-        )
-
-
-class Checker:
-    """Base class for one analysis rule.
-
-    Subclasses set ``rule``/``name``/``rationale`` and implement
-    :meth:`visit`; :meth:`start_module` and :meth:`finish_module` bracket
-    the walk for rules that need whole-file state (e.g. import usage).
-    """
-
-    #: Rule identifier, e.g. ``"RPR101"``.
-    rule: str = "RPR999"
-    #: Short kebab-case name used in listings.
-    name: str = "unnamed"
-    #: One-line rationale shown by ``--list-rules``.
-    rationale: str = ""
-    #: Dotted module prefixes this rule applies to, or None for all files.
-    scopes: tuple[str, ...] | None = None
-
-    def applies_to(self, ctx: CheckerContext) -> bool:
-        """Whether this rule is active for the file being walked."""
-        if self.scopes is None:
-            return True
-        if ctx.module is None:
-            return False
-        return any(
-            ctx.module == scope or ctx.module.startswith(scope + ".") for scope in self.scopes
-        )
-
-    def start_module(self, ctx: CheckerContext) -> None:
-        """Hook called before the walk of one file begins."""
-
-    def visit(self, node: ast.AST, parents: list[ast.AST], ctx: CheckerContext) -> None:
-        """Hook called for every node of the single shared walk."""
-
-    def finish_module(self, ctx: CheckerContext) -> None:
-        """Hook called after the walk of one file completes."""
-
-
-_REGISTRY: dict[str, type[Checker]] = {}
-
-
-def register(cls: type[Checker]) -> type[Checker]:
-    """Class decorator adding a checker to the global registry."""
-    if cls.rule in _REGISTRY:
-        raise ValueError(f"duplicate checker rule id {cls.rule}")
-    _REGISTRY[cls.rule] = cls
-    return cls
-
-
-def registered_checkers() -> dict[str, type[Checker]]:
-    """The registry, keyed by rule id, in sorted order."""
-    # Import for side effect: the rule pack registers itself on import.
-    from repro.analysis import checkers as _checkers  # repro: disable=RPR100
-
-    return dict(sorted(_REGISTRY.items()))
 
 
 def suppressed_rules(source: str) -> dict[int, set[str]]:
@@ -154,7 +63,7 @@ def analyze_source(
     module: str | None = None,
     rules: set[str] | None = None,
 ) -> list[Finding]:
-    """Run every registered (or *rules*-selected) checker over *source*.
+    """Run every checker of :data:`RULES` (or the *rules*-selected ones) over *source*.
 
     Returns the sorted, suppression-filtered findings for one file.  A
     syntax error yields a single ``RPR000`` finding instead of raising.
@@ -173,11 +82,7 @@ def analyze_source(
         ]
 
     ctx = CheckerContext(path=path, module=module, source=source, tree=tree)
-    instances = [
-        cls()
-        for rule, cls in registered_checkers().items()
-        if rules is None or rule in rules
-    ]
+    instances = [cls() for cls in RULES if rules is None or cls.rule in rules]
     active = [checker for checker in instances if checker.applies_to(ctx)]
     for checker in active:
         checker.start_module(ctx)

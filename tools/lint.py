@@ -6,11 +6,10 @@ Two gates run in sequence and the worst exit status wins:
 1. **Style** — ``ruff check .`` when ruff is on PATH (the same command
    CI's lint job runs, with the rule selection from pyproject.toml);
    skipped, with a note, in hermetic environments without ruff.
-2. **Invariants** — the :mod:`repro.analysis` checker suite (RPR000
-   syntax, RPR100 unused imports, RPR101-RPR106: determinism,
-   picklability, async-safety, float equality, API and telemetry
-   hygiene) over every source root, honoring the committed baseline at
-   tools/analysis_baseline.json.
+2. **Invariants** — the :mod:`tools.analysis` checker suite (RPR000
+   syntax, RPR100 unused imports, RPR101-RPR103, RPR105, RPR106:
+   determinism, picklability, async-safety, API and telemetry hygiene)
+   over every source root.
 
 Unused imports are checked once: by RPR100, which runs with or without
 ruff.  pyproject.toml ignores ruff's ``F401`` for that reason.
@@ -33,19 +32,17 @@ def run_ruff() -> int:
     """The style gate: ruff when present, otherwise a no-op."""
     ruff = shutil.which("ruff")
     if ruff is None:
-        print("lint: ruff not found; style gate skipped, repro.analysis still runs")
+        print("lint: ruff not found; style gate skipped, tools.analysis still runs")
         return 0
     return subprocess.call([ruff, "check", str(REPO)])
 
 
 def run_analysis() -> int:
-    """The invariant gate: the repro.analysis suite over all roots."""
-    sys.path.insert(0, str(REPO / "src"))
-    from repro.analysis.cli import main
+    """The invariant gate: the tools.analysis suite over all roots."""
+    sys.path.insert(0, str(REPO))
+    from tools.analysis.cli import main
 
-    roots = [str(REPO / root) for root in ROOTS if (REPO / root).is_dir()]
-    baseline = REPO / "tools" / "analysis_baseline.json"
-    return main([*roots, "--baseline", str(baseline)])
+    return main([str(REPO / root) for root in ROOTS if (REPO / root).is_dir()])
 
 
 def main() -> int:
