@@ -174,8 +174,9 @@ class EvaluationContext:
 
     Storage is plain python lists: per-node columns (``speed``,
     ``acpu_curve``), flat row-major pair tables (``_a_src`` ..
-    ``_beta``, ``_binv``) and per-rank message-group records
-    (``groups``, indexed by peer in ``peer_groups``).  Numpy mirrors,
+    ``_beta``, ``_binv``), per-rank message-group records
+    (``groups``, indexed by peer in ``peer_groups``) and the distinct
+    messages they name (``_messages``).  Numpy mirrors,
     the groups as CSR columns among them, are built lazily
     (:meth:`_np_cols`) the first time the vectorized batch kernel runs.
     """
@@ -297,6 +298,25 @@ class EvaluationContext:
             tuple((r, tuple(records)) for r, records in by_rank.items())
             for by_rank in reach
         ]
+        #: _messages — every distinct message group once, as the record
+        #: ``(m, src, dst, count, size)`` with m its index there; and
+        #: _group_messages[r][g] — the m of ``groups[r][g]``.  A message
+        #: is a group of its sender and of its receiver (and one rank may
+        #: hold two equal groups), so a full evaluation prices each
+        #: message once and reads each rank's terms back by index.
+        #: Equal ``(src, dst, count, size)`` keys are equal operands, so
+        #: a shared term is bit for bit the term each group would get.
+        self._messages: list[_Record] = []
+        self._group_messages: list[list[int]] = []
+        distinct: dict[tuple[int, int, float, float], int] = {}
+        for records in self.groups:
+            refs = []
+            for _, src, dst, count, size in records:
+                m = distinct.setdefault((src, dst, count, size), len(distinct))
+                if m == len(self._messages):
+                    self._messages.append((m, src, dst, count, size))
+                refs.append(m)
+            self._group_messages.append(refs)
         #: Whether any rank has a message group at all.  The list kernels
         #: exit on it as the ndarray kernel does on an empty ``grank``:
         #: with nothing to fold, an NCS move costs its ``R_i`` only.
@@ -377,17 +397,26 @@ class EvaluationContext:
     def _evaluate_positions(
         self, pos: list[int]
     ) -> tuple[list[float], list[float], list[float], list[list[float]], list[int]]:
-        """(R, C, acpu-by-node, message-group terms per rank, procs per node) at *pos*."""
+        """(R, C, acpu-by-node, message-group terms per rank, procs per node) at *pos*.
+
+        ACPU is read off the curves at the mapped nodes only; every
+        other node keeps 1.0, what :meth:`acpu_by_node` gives it.  Each
+        distinct message is priced once (:attr:`_messages`).
+        """
         counts = [0] * self.nnodes
         for j in pos:
             counts[j] += 1
-        acpu = self.acpu_by_node(counts)
+        curve = self.acpu_curve
+        acpu = [1.0] * self.nnodes
+        for j in pos:
+            acpu[j] = curve[j][counts[j]]
         work, speed = self.work, self.speed
         r_arr = [work[i] / speed[pos[i]] / acpu[pos[i]] for i in range(self.nprocs)]
         if not self._has_groups:  # no message group anywhere: every Θ_i is 0.0
             return r_arr, [0.0] * self.nprocs, acpu, [[] for _ in self.groups], counts
-        terms = [[0.0] * len(records) for records in self.groups]
-        self._fill_terms(list(zip(terms, self.groups)), pos, acpu)
+        priced = [0.0] * len(self._messages)
+        self._fill_terms(((priced, self._messages),), pos, acpu)
+        terms = [[priced[m] for m in refs] for refs in self._group_messages]
         lam = self.lam
         return r_arr, [left_fold(t) * lam[i] for i, t in enumerate(terms)], acpu, terms, counts
 
@@ -557,8 +586,9 @@ class EvaluationContext:
         The list form of eq. 6's message-group term, written here and
         nowhere else.  A job is ``(terms, records)``: *records* are
         group records of one rank (all of ``groups[r]``, or the part of
-        them facing one peer) and *terms* that rank's term list,
-        written at each record's own index.
+        them facing one peer) and *terms* that rank's term list — or
+        the distinct messages and their one term each — written at each
+        record's own index.
         """
         n = self.nnodes
         if self._missing_pairs:

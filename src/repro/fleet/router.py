@@ -18,13 +18,15 @@ Request handling:
   ``docs/FLEET.md``);
 * ``GET /v1/jobs/{id}`` — walk the id's preference order until a
   replica answers 200 (a job submitted while its first choice was
-  unhealthy lives on the second);
+  unhealthy lives on the second); a ``wait_s`` goes along, clamped to
+  half the replica timeout so a hold never turns into a 502;
 * ``GET /v1/jobs`` — scatter to healthy replicas, concatenate in
   configured replica order, apply ``state``/``after``/``limit``
   centrally;
 * ``GET /v1/jobs?ids=...`` — partition the ids by owner like a batch,
-  ask only the owning replicas, and walk an id its owner reports
-  ``missing`` down its preference order like a point lookup;
+  ask only the owning replicas (``wait_s`` forwarded, clamped the same
+  way), and walk an id its owner reports ``missing`` down its
+  preference order like a point lookup;
 * ``GET /v1/metrics`` — scatter, then absorb the router's own snapshot
   and every replica's into one fresh registry
   (:meth:`~repro.telemetry.MetricsRegistry.absorb`: counters and gauges
@@ -55,7 +57,6 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import math
 import uuid
 from urllib.parse import urlencode
 
@@ -64,6 +65,7 @@ from repro.fleet.hashing import rendezvous_rank
 from repro.fleet.transport import BackendError, BackendPool
 from repro.server.config import DAEMON_FIELDS, HTTP_FIELDS
 from repro.server.http import (
+    MAX_WAIT_S,
     Handler,
     HttpService,
     Response,
@@ -72,6 +74,7 @@ from repro.server.http import (
     query_choice,
     query_ids,
     query_int,
+    query_seconds,
 )
 from repro.server.jobs import JobState
 from repro.server.protocol import ApiError, HttpRequest, RawResponse, lookup_body, split_lookup
@@ -142,7 +145,8 @@ class FleetRouter(HttpService):
         Period of the background probe that resurrects unhealthy
         replicas.
     timeout_s:
-        Per-exchange deadline on replica calls.
+        Per-exchange deadline on replica calls; a held lookup is
+        forwarded with at most half of it (and :data:`MAX_WAIT_S`).
     metrics:
         Router-local registry (fresh one by default); merged into the
         fleet ``/v1/metrics`` reduction alongside the replicas'.
@@ -180,6 +184,8 @@ class FleetRouter(HttpService):
         self._probe_interval = probe_interval_s
         self._replicas = {b: _Replica(b, timeout_s=timeout_s) for b in backends}
         self._order = list(backends)
+        #: The longest hold asked of a replica: it answers within its timeout.
+        self._max_hold_s = min(MAX_WAIT_S, timeout_s / 2)
         self._probe_task: asyncio.Task | None = None
         m = self._metrics
         self._m_backend = m.counter(*FLEET_BACKEND_REQUESTS_TOTAL)
@@ -402,13 +408,24 @@ class FleetRouter(HttpService):
         return 202, {"jobs": merged, "count": len(merged)}, {}
 
     # -- lookup / listing -----------------------------------------------
+    def _wait_query(self, request: HttpRequest) -> str:
+        """The ``wait_s`` query to forward (``""`` without one), clamped to :attr:`_max_hold_s`."""
+        wait_s = query_seconds(request.query, "wait_s")
+        return "" if wait_s is None else f"wait_s={min(wait_s, self._max_hold_s)}"
+
     async def _get_job(self, request: HttpRequest) -> Response:
-        """Walk the id's preference order until someone owns it."""
+        """Walk the id's preference order until someone owns it.
+
+        Only the owner holds a ``wait_s``: a replica without the job
+        answers 404 at once.
+        """
         job_id = request.params["id"]
+        wait = self._wait_query(request)
+        path = f"/v1/jobs/{job_id}?{wait}" if wait else f"/v1/jobs/{job_id}"
         last_error: BackendError | None = None
         for rank, backend in enumerate(self._routed_backends(job_id)):
             try:
-                status, _, raw = await self._call(request, backend, "GET", f"/v1/jobs/{job_id}")
+                status, _, raw = await self._call(request, backend, "GET", path)
             except BackendError as exc:
                 last_error = exc
                 continue
@@ -420,12 +437,16 @@ class FleetRouter(HttpService):
             raise ApiError(503, "no-replicas", f"lookup failed on every replica ({last_error})")
         raise ApiError(404, "not-found", f"no job {job_id!r} on any replica")
 
-    async def _lookup_jobs(self, request: HttpRequest, ids: list[str], state: str | None) -> bytes:
+    async def _lookup_jobs(
+        self, request: HttpRequest, ids: list[str], state: str | None, wait: str
+    ) -> bytes:
         """The ``?ids=`` answer for *ids*, from the replicas that can hold them.
 
         Ids are grouped by their best healthy replica, exactly as
         :meth:`_submit_batch` places them, and the groups fetched
-        concurrently, ``state`` forwarded.  An id its replica reports
+        concurrently, ``state`` and the *wait* query forwarded (to
+        these first calls only, so the walk below never adds a second
+        hold to the first).  An id its replica reports
         ``missing`` (or whose replica failed mid-call) moves on to the
         next replica in its preference order, as in :meth:`_get_job`,
         until it is found or the order runs out.  The replicas' job
@@ -437,6 +458,7 @@ class FleetRouter(HttpService):
             for job_id in dict.fromkeys(ids)
         }
         filtered = {"state": state} if state is not None else {}
+        wait = "&" + wait if wait else ""
         spans: dict[str, list[bytes]] = {backend: [] for backend in self._order}
         held: set[str] = set()
         rank = 0
@@ -452,7 +474,8 @@ class FleetRouter(HttpService):
                         request,
                         backend,
                         "GET",
-                        f"/v1/jobs?{urlencode({**filtered, 'ids': ','.join(group)})}",
+                        f"/v1/jobs?{urlencode({**filtered, 'ids': ','.join(group)})}"
+                        + (wait if rank == 0 else ""),
                     )
                     for backend, group in groups.items()
                 ),
@@ -482,9 +505,12 @@ class FleetRouter(HttpService):
         limit = query_int(request.query, "limit", minimum=0)
         after = request.query.get("after", [None])[0]
         ids = query_ids(request.query)
+        wait = self._wait_query(request)
         if ids is not None:
-            body = await self._lookup_jobs(request, ids, state)
+            body = await self._lookup_jobs(request, ids, state, wait)
             return 200, RawResponse(body, "application/json"), {}
+        if wait:
+            raise ApiError(400, "bad-request", "wait_s holds an ids= lookup only")
         # `after` pages over the *merged* list, so the cursor must be
         # resolved here — replicas only get the state filter (plus the
         # limit when no cursor shifts the window).
@@ -614,12 +640,7 @@ class FleetRouter(HttpService):
         doc = request.json()
         if doc.get("kind", "schedule") != "schedule":
             raise ApiError(400, "bad-request", "schedule:best accepts schedule jobs only")
-        try:
-            timeout_s = float(request.query.get("timeout_s", ["120"])[0])
-        except ValueError:
-            timeout_s = math.nan
-        if not 0 < timeout_s < math.inf:  # NaN too: it would make the deadline unreachable
-            raise ApiError(400, "bad-request", "timeout_s must be a finite number > 0")
+        timeout_s = query_seconds(request.query, "timeout_s", positive=True) or 120.0
         base_seed = check_field(COMMON_JOB_FIELDS, doc, "seed")
         backends = self._require_healthy()
         loop = asyncio.get_running_loop()
@@ -633,8 +654,11 @@ class FleetRouter(HttpService):
                 raise self._relay_error(backend, status, raw, headers)
             deadline = loop.time() + timeout_s
             while True:
+                # Held by the replica until the job is final, so no poll
+                # interval stands between its end and this answer.
+                hold = min(self._max_hold_s, max(0.0, deadline - loop.time()))
                 _status, _headers, raw = await self._call(
-                    request, backend, "GET", f"/v1/jobs/{job_id}"
+                    request, backend, "GET", f"/v1/jobs/{job_id}?wait_s={hold}"
                 )
                 job = _decode(backend, raw).get("job", {})
                 if job.get("state") == "done":
@@ -647,7 +671,6 @@ class FleetRouter(HttpService):
                     raise ApiError(
                         503, "timeout", f"replica {backend} still running after {timeout_s:.0f}s"
                     )
-                await asyncio.sleep(0.02)
 
         outcomes = await asyncio.gather(
             *(_race(i, b) for i, b in enumerate(backends)), return_exceptions=True

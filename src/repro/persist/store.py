@@ -2,10 +2,12 @@
 
 :class:`DurableJobStore` extends the in-memory
 :class:`~repro.server.jobs.JobStore` state machine with a write-ahead
-journal (see :mod:`repro.persist.journal`): every transition —
-``create`` / ``running`` / ``done`` / ``failed`` / ``evict`` — is
-appended as one JSON record *after* the in-memory mutation succeeds, so
-the journal never records an illegal transition.
+journal (see :mod:`repro.persist.journal`): a job's creation, its end
+(``done`` / ``failed``) and its removal (``evict``) are each appended as
+one JSON record *after* the in-memory mutation succeeds, so the journal
+never records an illegal transition.  Starting a job is not journaled:
+recovery rewinds a ``running`` job to ``queued`` exactly as it keeps a
+``queued`` one, so the record would never be read.
 
 **Recovery** replays ``snapshot + journal`` on startup:
 
@@ -92,9 +94,11 @@ def recover_state(
     Pure function (the unit of the compaction-equivalence tests).
     Returns ``(job docs in creation order, next id sequence)``.  Each
     doc has ``id`` / ``kind`` / ``payload`` / ``state`` / ``request_id``
-    and, when terminal, ``result`` or ``error``.  Unknown ops, records
-    for unknown jobs, and re-creations of known ids are skipped —
-    see the module docstring for why replay is lenient.
+    and, when terminal, ``result`` or ``error``.  Unknown ops (among
+    them the ``running`` records older journals hold: a started job is
+    recovered as a queued one), records for unknown jobs, and
+    re-creations of known ids are skipped — see the module docstring
+    for why replay is lenient.
     """
     jobs: dict[str, dict] = {}
     order: list[str] = []
@@ -126,10 +130,6 @@ def recover_state(
             seq = _seq_of(job_id)
             if seq is not None:
                 next_seq = max(next_seq, seq + 1)
-        elif op == "running":
-            doc = jobs.get(job_id)
-            if doc is not None and doc["state"] == "queued":
-                doc["state"] = "running"
         elif op == "done":
             doc = jobs.get(job_id)
             if doc is not None and doc["state"] not in _TERMINAL:
@@ -343,12 +343,6 @@ class DurableJobStore(JobStore):
             super().discard(job_id)
             if existed:
                 self._append({"op": "evict", "id": job_id})
-
-    def mark_running(self, job_id: str) -> Job:
-        with self._mutex:
-            job = super().mark_running(job_id)
-            self._append({"op": "running", "id": job_id})
-            return job
 
     def mark_done(self, job_id: str, result: dict) -> Job:
         with self._mutex:

@@ -58,26 +58,6 @@ class JobFailed(RuntimeError):
         self.job = job
 
 
-#: First sleep of a polling loop; it doubles up to the caller's interval.
-_FIRST_POLL_S = 0.002
-
-
-def _poll_delays(poll_interval_s: float) -> Iterator[float]:
-    """Sleeps between polls: from 2 ms, doubling, capped at *poll_interval_s*."""
-    delay = min(poll_interval_s, _FIRST_POLL_S)
-    while True:
-        yield delay
-        delay = min(delay * 2, poll_interval_s)
-
-
-def _pause(delays: Iterator[float], deadline: float, still_pending: str) -> None:
-    """Sleep the next poll delay, never past *deadline*; ``TimeoutError`` once there."""
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise TimeoutError(still_pending)
-    time.sleep(min(next(delays), remaining))
-
-
 def _id_chunks(ids: list[str]) -> Iterator[str]:
     """*ids* as ``ids=`` values that each fit one request.
 
@@ -303,8 +283,11 @@ class CbesClient:
         """
         return self._request("POST", "/v1/jobs:batch", {"jobs": jobs})["jobs"]
 
-    def job(self, job_id: str) -> dict:
-        return self._request("GET", f"/v1/jobs/{job_id}")["job"]
+    def job(self, job_id: str, *, wait_s: float | None = None) -> dict:
+        """The job document; with *wait_s*, the service holds the answer
+        until the job is done or failed, or *wait_s* has passed."""
+        path = f"/v1/jobs/{job_id}" if wait_s is None else f"/v1/jobs/{job_id}?wait_s={wait_s}"
+        return self._request("GET", path)["job"]
 
     def jobs(
         self,
@@ -313,6 +296,7 @@ class CbesClient:
         limit: int | None = None,
         after: str | None = None,
         ids: list[str] | None = None,
+        wait_s: float | None = None,
     ) -> list[dict]:
         """List jobs, optionally filtered by *state* and paged.
 
@@ -323,39 +307,64 @@ class CbesClient:
         *ids* looks up just those jobs instead of listing the store; ids
         the service does not hold (unknown, or evicted past the TTL) are
         absent from the answer.  A long list is sent as several requests
-        that each fit the service's header and id-count limits.
+        that each fit the service's header and id-count limits.  With
+        *wait_s* the service holds a lookup until every job it names is
+        done or one failed, or *wait_s* has passed; the requests of one
+        call share the *wait_s* between them.
         """
         params = [
             f"{name}={quote(str(value), safe='')}"
             for name, value in _body(state=state, limit=limit, after=after).items()
         ]
         if ids is None:
+            if wait_s is not None:
+                params.append(f"wait_s={wait_s}")
             path = "/v1/jobs" + ("?" + "&".join(params) if params else "")
             return self._request("GET", path)["jobs"]
         found: list[dict] = []
+        until = None if wait_s is None else time.monotonic() + wait_s
         for chunk in _id_chunks(ids):
-            path = "/v1/jobs?" + "&".join([*params, "ids=" + chunk])
+            held = [] if until is None else [f"wait_s={max(0.0, until - time.monotonic())}"]
+            path = "/v1/jobs?" + "&".join([*params, "ids=" + chunk, *held])
             found.extend(self._request("GET", path)["jobs"])
         return found
 
-    def wait(self, job_id: str, *, timeout_s: float = 120.0, poll_interval_s: float = 0.05) -> dict:
-        """Poll until the job finishes; returns the ``done`` job document.
+    def _hold(self, interval: float, deadline: float) -> float:
+        """The ``wait_s`` of the next ask: one poll interval, never past the
+        deadline, and short enough that the answer beats the socket timeout."""
+        return max(0.0, min(interval, deadline - time.monotonic(), self.timeout_s / 2))
 
-        The sleep between polls ramps from 2 ms up to *poll_interval_s*,
-        so a job that takes milliseconds is not held for a whole
-        interval.  Raises :class:`JobFailed` if the job failed and
-        ``TimeoutError`` if it is still pending at the deadline.
+    @staticmethod
+    def _pace(asked: float, interval: float, deadline: float, still_pending: str) -> None:
+        """Sleep until *interval* after the ask at *asked*, never past *deadline*;
+        ``TimeoutError`` once there."""
+        now = time.monotonic()
+        if now >= deadline:
+            raise TimeoutError(still_pending)
+        time.sleep(max(0.0, min(asked + interval, deadline) - now))
+
+    def wait(self, job_id: str, *, timeout_s: float = 120.0, poll_interval_s: float = 0.05) -> dict:
+        """Wait until the job finishes; returns the ``done`` job document.
+
+        Each ask is held by the service for up to *poll_interval_s*
+        (``wait_s``), so the answer comes as the job finishes, not at the
+        next poll.  A pending job is never asked about again sooner than
+        *poll_interval_s* after the last ask.  Raises :class:`JobFailed`
+        if the job failed and ``TimeoutError`` if it is still pending at
+        the deadline.
         """
         deadline = time.monotonic() + check_positive(timeout_s, "timeout_s")
-        delays = _poll_delays(check_positive(poll_interval_s, "poll_interval_s"))
+        interval = check_positive(poll_interval_s, "poll_interval_s")
         while True:
-            job = self.job(job_id)
+            asked = time.monotonic()
+            job = self.job(job_id, wait_s=self._hold(interval, deadline))
             state = job["state"]
             if state == "done":
                 return job
             if state == "failed":
                 raise JobFailed(job)
-            _pause(delays, deadline, f"job {job_id} still {state} after {timeout_s:.0f}s")
+            pending = f"job {job_id} still {state} after {timeout_s:.0f}s"
+            self._pace(asked, interval, deadline, pending)
 
     def wait_many(
         self,
@@ -364,21 +373,26 @@ class CbesClient:
         timeout_s: float = 300.0,
         poll_interval_s: float = 0.05,
     ) -> list[dict]:
-        """Poll until every job in *job_ids* finishes; docs in input order.
+        """Wait until every job in *job_ids* finishes; docs in input order.
 
-        One ``GET /v1/jobs?ids=...`` lookup per sweep, naming only the
-        jobs still pending: a sweep costs what the batch costs, however
-        many finished jobs the service holds, and every result document
-        crosses the wire once.  Sleeps ramp as in :meth:`wait`.  Raises
-        :class:`JobFailed` on the first job observed ``failed`` and
-        ``TimeoutError`` when any job is still pending at the deadline.
+        One held ``GET /v1/jobs?ids=...`` lookup per sweep, naming only
+        the jobs still pending: a sweep costs what the batch costs,
+        however many finished jobs the service holds, and every result
+        document crosses the wire once.  Holds and pacing are as in
+        :meth:`wait`.  Raises :class:`JobFailed` on the first job
+        observed ``failed`` and ``TimeoutError`` when any job is still
+        pending at the deadline.
         """
         deadline = time.monotonic() + check_positive(timeout_s, "timeout_s")
-        delays = _poll_delays(check_positive(poll_interval_s, "poll_interval_s"))
+        interval = check_positive(poll_interval_s, "poll_interval_s")
         done: dict[str, dict] = {}
         pending = list(dict.fromkeys(job_ids))
         while True:
-            found = {job["id"]: job for job in self.jobs(ids=pending)}
+            asked = time.monotonic()
+            found = {
+                job["id"]: job
+                for job in self.jobs(ids=pending, wait_s=self._hold(interval, deadline))
+            }
             for job_id in pending:
                 # Fall back to a point GET when the lookup misses the
                 # job: a 404 there says it was evicted mid-wait.
@@ -391,8 +405,9 @@ class CbesClient:
             pending = [job_id for job_id in pending if job_id not in done]
             if not pending:
                 return [done[job_id] for job_id in job_ids]
-            _pause(
-                delays,
+            self._pace(
+                asked,
+                interval,
                 deadline,
                 f"{len(pending)} of {len(done) + len(pending)} jobs still pending after "
                 f"{timeout_s:.0f}s (first: {pending[0]})",

@@ -27,6 +27,7 @@ from repro.monitoring.load import LoadEvent, LoadGenerator
 from repro.server.config import HTTP_FIELDS, daemon_config
 from repro.server.execution import JobRunner
 from repro.server.http import (
+    MAX_WAIT_S,
     Handler,
     HttpService,
     Response,
@@ -35,6 +36,7 @@ from repro.server.http import (
     query_choice,
     query_ids,
     query_int,
+    query_seconds,
 )
 from repro.server.jobs import DuplicateJobError, Job, JobState, JobStore
 from repro.server.protocol import ApiError, HttpRequest, RawResponse, lookup_body
@@ -50,6 +52,13 @@ from repro.server.watches import RemapWatches
 __all__ = ["CbesDaemon", "DaemonThread"]
 
 log = logging.getLogger("repro.server.daemon")
+
+
+def _final(jobs: list[Job]) -> bool:
+    """Whether a held lookup of *jobs* can answer: all are final, or one failed."""
+    return all(job.state.is_terminal for job in jobs) or any(
+        job.state is JobState.FAILED for job in jobs
+    )
 
 
 class CbesDaemon(HttpService):
@@ -201,6 +210,11 @@ class CbesDaemon(HttpService):
                     " ".join(job.id for job in recovered),
                 )
 
+    async def stop(self, *, drain: bool = True) -> None:
+        """Answer every held lookup as it stands, then stop as the core does."""
+        self.runner.holds.release_all()
+        await super().stop(drain=drain)
+
     async def _on_stop(self, drain: bool) -> None:
         """With *drain*, finish accepted jobs; then release everything."""
         await self.watches.stop()
@@ -250,12 +264,13 @@ class CbesDaemon(HttpService):
         for job in jobs:
             self.runner.enqueue(job)
         self._store.evict_expired()
-        log.info(
-            "req=%s queued %d job(s): %s",
-            request.request_id,
-            len(jobs),
-            " ".join(f"{job.id}({job.kind} app={job.payload['app']})" for job in jobs),
-        )
+        if log.isEnabledFor(logging.INFO):  # the job list costs more than the log call
+            log.info(
+                "req=%s queued %d job(s): %s",
+                request.request_id,
+                len(jobs),
+                " ".join(f"{job.id}({job.kind} app={job.payload['app']})" for job in jobs),
+            )
         return jobs
 
     async def _submit(self, request: HttpRequest) -> Response:
@@ -282,23 +297,45 @@ class CbesDaemon(HttpService):
         self._m_batches.inc()
         return 202, {"jobs": [job.to_dict() for job in jobs], "count": len(jobs)}, {}
 
-    async def _get_job(self, request: HttpRequest) -> Response:
-        job_id = request.params["id"]
+    def _job(self, job_id: str) -> Job:
         try:
-            job = self._store.get(job_id)
+            return self._store.get(job_id)
         except KeyError:
             raise ApiError(
                 404, "not-found", f"no job {job_id!r} (unknown, or expired past TTL)"
             ) from None
+
+    async def _get_job(self, request: HttpRequest) -> Response:
+        """``GET /v1/jobs/{id}``; with ``wait_s``, held until the job is final.
+
+        A hold ends early, or at ``wait_s`` (at most :data:`MAX_WAIT_S`),
+        and then answers what the same request without it would get.
+        """
+        job_id = request.params["id"]
+        wait_s = query_seconds(request.query, "wait_s")
+        job = self._job(job_id)
+        if wait_s:
+            await self.runner.holds.hold(lambda: job.state.is_terminal, min(wait_s, MAX_WAIT_S))
+            job = self._job(job_id)
         return 200, RawResponse(b'{"job":' + job.to_json() + b"}", "application/json"), {}
 
     async def _list_jobs(self, request: HttpRequest) -> Response:
-        """``GET /v1/jobs``: listing with ``state``/``limit``/``after``, or lookup by ``ids``."""
+        """``GET /v1/jobs``: listing with ``state``/``limit``/``after``, or lookup by ``ids``.
+
+        A lookup with ``wait_s`` is held until every named job held here
+        is final or one of them failed, as :meth:`_get_job` holds.
+        """
         state = query_choice(request.query, "state", [s.value for s in JobState])
         limit = query_int(request.query, "limit", minimum=0)
         after = request.query.get("after", [None])[0]
         ids = query_ids(request.query)
+        wait_s = query_seconds(request.query, "wait_s")
+        if wait_s is not None and ids is None:
+            raise ApiError(400, "bad-request", "wait_s holds an ids= lookup only")
         if ids is not None:  # leads with the named ids not held, whatever `state` keeps
+            if wait_s:
+                named = self._store.list(ids=ids)
+                await self.runner.holds.hold(lambda: _final(named), min(wait_s, MAX_WAIT_S))
             held = {job.id: job for job in self._store.list(ids=ids)}
             missing = [job_id for job_id in dict.fromkeys(ids) if job_id not in held]
             jobs = [job.to_json() for job in held.values() if state in (None, job.state.value)]

@@ -46,7 +46,7 @@ from repro.server.serialize import (
     schedule_result_to_dict,
 )
 
-__all__ = ["JobRunner"]
+__all__ = ["Holds", "JobRunner"]
 
 log = logging.getLogger("repro.server.execution")
 
@@ -86,6 +86,61 @@ class _Call:
         except Exception as exc:  # noqa: BLE001 - re-raised by the awaiter
             result, error = None, exc
         self.future.get_loop().call_soon_threadsafe(_settle, self.future, result, error)
+
+
+class Holds:
+    """Lookups held on the event loop until the jobs they name are final.
+
+    A held request awaits one future, which resolves when its *ready*
+    test passes after a job finished, when its ``call_later`` timer
+    fires, or when :meth:`release_all` runs on stop.  A job thread that
+    finishes a job calls :meth:`finished`, which costs one plain read of
+    the held count unless something is held, and one
+    ``call_soon_threadsafe`` when something is.  A hold is counted
+    before it first tests *ready*, so a job that ends in between is
+    seen by one or the other.
+    """
+
+    def __init__(self) -> None:
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: Held futures -> their ready tests; changed on the loop only,
+        #: its size read by the job threads without a lock.
+        self._waiting: dict[asyncio.Future, Callable[[], bool]] = {}
+        self._closed = False
+
+    def __len__(self) -> int:
+        return len(self._waiting)
+
+    async def hold(self, ready: Callable[[], bool], wait_s: float) -> None:
+        """Return once ``ready()`` is true, *wait_s* has passed, or holds are released."""
+        if self._closed:
+            return
+        loop = self._loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._waiting[future] = ready
+        timer = loop.call_later(wait_s, _settle, future, None, None)
+        try:
+            if not ready():
+                await future
+        finally:
+            timer.cancel()
+            del self._waiting[future]
+
+    def finished(self) -> None:
+        """A job became terminal (any thread): re-test the holds, if there are any."""
+        if self._waiting:
+            self._loop.call_soon_threadsafe(self._release_ready)
+
+    def _release_ready(self) -> None:
+        for future, ready in self._waiting.items():
+            if not future.done() and ready():
+                future.set_result(None)
+
+    def release_all(self) -> None:
+        """Answer every held request now, and hold no new one (on stop)."""
+        self._closed = True
+        for future in self._waiting:
+            _settle(future, None, None)
 
 
 class JobRunner:
@@ -148,6 +203,8 @@ class JobRunner:
         #: Serializes context *builds* so N batch jobs arriving together
         #: share one build per (app, options) instead of racing N.
         self._ctx_build_lock = threading.Lock()
+        #: Lookups waiting for jobs to finish (``wait_s``).
+        self.holds = Holds()
         self._instrument()
 
     def _instrument(self) -> None:
@@ -373,6 +430,7 @@ class JobRunner:
         with self._cond:
             self._queued -= 1
         self._m_jobs.inc(kind=job.kind, state="failed")
+        self.holds.finished()
 
     def _run_job(self, job: Job) -> None:
         started = time.perf_counter()
@@ -403,6 +461,8 @@ class JobRunner:
             log.warning("job %s failed: %s", job.id, error)
         self._m_jobs.inc(kind=job.kind, state="done" if error is None else "failed")
         self._m_job_seconds.observe(elapsed, kind=job.kind)
+        # Last: a lookup released here finds the job's metrics counted too.
+        self.holds.finished()
 
     def context_for(
         self, app: str, options: EvaluationOptions, fingerprint: str, evaluator

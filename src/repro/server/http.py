@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
 import re
 import signal
 import threading
@@ -37,6 +38,7 @@ from repro.server.protocol import (
 from repro.telemetry.export import PROMETHEUS_CONTENT_TYPE, snapshot_to_prometheus
 
 __all__ = [
+    "MAX_WAIT_S",
     "Handler",
     "HttpService",
     "Response",
@@ -45,6 +47,7 @@ __all__ = [
     "query_choice",
     "query_ids",
     "query_int",
+    "query_seconds",
 ]
 
 log = logging.getLogger("repro.server.http")
@@ -62,6 +65,10 @@ UNMATCHED = "(unmatched)"
 #: stall of *b* seconds is observed as a lag between *b* minus this and *b*.
 LAG_PROBE_S = 0.01
 
+#: Longest a job lookup is held for its ``wait_s`` (seconds); a longer
+#: ``wait_s`` is held this long.
+MAX_WAIT_S = 10.0
+
 #: Inbound ``X-Request-Id`` values we are willing to log and forward.
 _REQUEST_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
@@ -78,6 +85,26 @@ def query_int(
         raise ApiError(400, "bad-request", f"{name} must be an integer") from None
     if minimum is not None and value < minimum:
         raise ApiError(400, "bad-request", f"{name} must be >= {minimum}")
+    return value
+
+
+def query_seconds(
+    query: Mapping[str, list[str]], name: str, *, positive: bool = False
+) -> float | None:
+    """An optional duration query parameter in seconds.
+
+    400 unless a finite number >= 0, or > 0 with *positive*: NaN would
+    make a deadline unreachable and ``inf`` one that never comes.
+    """
+    if name not in query:
+        return None
+    try:
+        value = float(query[name][0])
+    except ValueError:
+        value = math.nan
+    if not (0 < value if positive else 0 <= value) or value == math.inf:  # NaN fails both
+        bound = "> 0" if positive else ">= 0"
+        raise ApiError(400, "bad-request", f"{name} must be a finite number {bound}")
     return value
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
 from contextlib import ExitStack, contextmanager
 from typing import NamedTuple
@@ -431,3 +432,137 @@ class ErrorContractConformance:
                     sock, b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nX-Request-Id: a b<c>\r\n\r\n"
                 )
                 assert request_id(replaced) not in ("a b<c>", minted)
+
+
+@contextmanager
+def slow_jobs(daemons, seconds: float):
+    """Every job of *daemons* takes *seconds* before it runs, or until the
+    yielded event is set; the event is set on the way out, so a drain ends."""
+    release = threading.Event()
+    for daemon in daemons:
+        run = daemon.runner.execute
+
+        def execute(job, run=run):
+            release.wait(seconds)
+            return run(job)
+
+        daemon.runner.execute = execute
+    try:
+        yield release
+    finally:
+        release.set()
+
+
+class HoldConformance:
+    """``wait_s`` on ``GET /v1/jobs/{id}`` and ``GET /v1/jobs?ids=...``: the
+    answer is held until the job is final, and is then what the same request
+    without ``wait_s`` would get.  Needs a ``front_door`` over service(s)
+    with one profiled 3-rank application."""
+
+    @staticmethod
+    def _doc(client) -> dict:
+        return {
+            "kind": "predict",
+            "app": client.profiles()[0],
+            "nodes": sorted(client.snapshot()["nodes"])[:3],
+        }
+
+    @staticmethod
+    def _raw(client, path: str) -> tuple[int, bytes]:
+        status, _headers, body = client._roundtrip("GET", path, None, {})
+        return status, body
+
+    def test_held_lookups_answer_as_the_last_job_finishes(self, front_door):
+        with front_door() as door, slow_jobs(door.daemons, 0.25), door.client() as client:
+            (job_id,) = [job["id"] for job in client.submit_batch([self._doc(client)])]
+            job = client.job(job_id, wait_s=5.0)
+            answered = time.monotonic()
+            assert job["state"] == "done"
+            assert job["finished_at"] - job["started_at"] >= 0.25
+            assert 0 <= answered - job["finished_at"] < 0.05
+            ids = [job["id"] for job in client.submit_batch([self._doc(client)] * 2)]
+            jobs = client.jobs(ids=ids, wait_s=5.0)
+            answered = time.monotonic()
+            assert sorted(job["id"] for job in jobs) == sorted(ids)
+            assert all(job["state"] == "done" for job in jobs)
+            assert 0 <= answered - max(job["finished_at"] for job in jobs) < 0.05
+
+    def test_an_expired_hold_answers_what_an_immediate_get_would(self, front_door):
+        with (
+            front_door() as door,
+            slow_jobs(door.daemons, 30.0) as release,
+            door.client() as client,
+        ):
+            (job_id,) = [job["id"] for job in client.submit_batch([self._doc(client)])]
+            for path in (f"/v1/jobs/{job_id}", f"/v1/jobs?ids={job_id},never-submitted"):
+                joiner = "&" if "?" in path else "?"
+                started = time.monotonic()
+                held = self._raw(client, f"{path}{joiner}wait_s=0.2")
+                assert time.monotonic() - started >= 0.2
+                assert held == self._raw(client, path)
+                assert held[0] == 200 and b'"state":"done"' not in held[1]
+            release.set()
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf", "x"])
+    def test_bad_wait_s_is_400(self, front_door, bad):
+        with front_door() as door, door.client() as client:
+            for path in (f"/v1/jobs/j1?wait_s={bad}", f"/v1/jobs?ids=j1&wait_s={bad}"):
+                with pytest.raises(ServerError) as excinfo:
+                    client._request("GET", path)
+                assert (excinfo.value.status, excinfo.value.code) == (400, "bad-request")
+
+    def test_wait_s_on_a_plain_listing_is_400(self, front_door):
+        with front_door() as door, door.client() as client:
+            with pytest.raises(ServerError) as excinfo:
+                client._request("GET", "/v1/jobs?wait_s=1")
+            assert (excinfo.value.status, excinfo.value.code) == (400, "bad-request")
+            assert client.jobs() == []
+
+    def test_stopping_the_daemon_releases_every_hold(self, front_door):
+        with (
+            front_door() as door,
+            slow_jobs(door.daemons, 30.0) as release,
+            door.client() as client,
+        ):
+            (job_id,) = [job["id"] for job in client.submit_batch([self._doc(client)])]
+            answers: list = []
+
+            def ask(path: str) -> None:
+                with door.client() as asker:
+                    answers.append(self._raw(asker, path))
+
+            askers = [
+                threading.Thread(target=ask, args=(path,))
+                for path in (f"/v1/jobs/{job_id}?wait_s=9", f"/v1/jobs?ids={job_id}&wait_s=9")
+            ]
+            for asker in askers:
+                asker.start()
+            (daemon,) = door.daemons
+            deadline = time.monotonic() + 5.0
+            while len(daemon.runner.holds) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(daemon.runner.holds) == 2
+            started = time.monotonic()
+            daemon.request_shutdown()
+            for asker in askers:
+                asker.join(5.0)
+            assert time.monotonic() - started < 2.0
+            assert [status for status, _ in answers] == [200, 200]
+            assert not any(b'"state":"done"' in body for _, body in answers)
+            release.set()
+
+    def test_a_wait_s_past_the_cap_is_held_for_the_cap(self, front_door, monkeypatch):
+        monkeypatch.setattr("repro.server.daemon.MAX_WAIT_S", 0.3)
+        monkeypatch.setattr("repro.fleet.router.MAX_WAIT_S", 0.3)
+        with (
+            front_door() as door,
+            slow_jobs(door.daemons, 30.0) as release,
+            door.client() as client,
+        ):
+            (job_id,) = [job["id"] for job in client.submit_batch([self._doc(client)])]
+            for path in (f"/v1/jobs/{job_id}?wait_s=5", f"/v1/jobs?ids={job_id}&wait_s=5"):
+                started = time.monotonic()
+                status, body = self._raw(client, path)
+                assert 0.3 <= time.monotonic() - started < 1.5
+                assert status == 200 and b'"state":"done"' not in body
+            release.set()

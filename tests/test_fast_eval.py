@@ -33,7 +33,7 @@ from repro.profiling.profile import ApplicationProfile, MessageGroup, ProcessPro
 from repro.schedulers.annealing import AnnealingSchedule, anneal, supports_incremental
 from repro.schedulers.cs import CbesScheduler
 from repro.schedulers.moves import Move, MoveGenerator
-from repro.workloads import LU
+from repro.workloads import CG, LU
 from tests.conftest import OPTION_COMBOS
 
 
@@ -444,6 +444,62 @@ class TestBreakdown:
         with pytest.raises(InvalidMappingError) as got:
             evaluator.fast_context().breakdown(TaskMapping(nodes))
         assert str(got.value) == str(want.value)
+
+
+#: TERM_GROUPS with rank 0 sending rank 1 the same group twice, and rank 1
+#: receiving it twice: four records of one message.
+TWIN_GROUPS = {
+    **TERM_GROUPS,
+    0: (TERM_GROUPS[0][0] + [(1, 8192.0, 50)], TERM_GROUPS[0][1]),
+    1: (TERM_GROUPS[1][0], TERM_GROUPS[1][1] + [(0, 8192.0, 50)]),
+}
+
+
+class TestEachMessagePricedOnce:
+    """A message is a group of its sender and of its receiver; the full
+    evaluation prices it once and hands both ranks the one term."""
+
+    @pytest.mark.parametrize(
+        "app, nprocs, messages", [(CG("A"), 8, 32), (LU("A"), 32, 288)], ids=["cg.A", "lu.A"]
+    )
+    def test_records_handed_to_the_term_kernel(self, app, nprocs, messages):
+        service = CBES(single_switch("priced-once", 32))
+        service.calibrate(seed=2)
+        service.profile_application(app, nprocs, seed=0)
+        evaluator = service.evaluator(app.name)
+        context = evaluator.fast_context()
+        assert sum(map(len, context.groups)) == 2 * messages
+        handed: list[int] = []
+        fill = EvaluationContext._fill_terms
+
+        def counting(self, jobs, pos, acpu):
+            handed.append(sum(len(records) for _, records in jobs))
+            return fill(self, jobs, pos, acpu)
+
+        mapping = TaskMapping(service.cluster.node_ids()[:nprocs])
+        with mock.patch.object(EvaluationContext, "_fill_terms", counting):
+            table = context.breakdown(mapping)
+        assert handed == [messages]
+        assert table == evaluator.predict(mapping)
+
+    @pytest.mark.parametrize("options", OPTION_COMBOS)
+    def test_a_rank_holding_two_equal_groups(self, options):
+        evaluator = term_evaluator(options, groups=TWIN_GROUPS)
+        context = evaluator.fast_context()
+        keys = {record[1:] for records in context.groups for record in records}
+        assert sorted(record[1:] for record in context._messages) == sorted(keys)
+        if options.communication:  # all four records of the twin name one message
+            (twin,) = [m for m, *key in context._messages if key == [0, 1, 50.0, 8192.0]]
+            assert sum(refs.count(twin) for refs in context._group_messages) == 4
+        rng = spawn_rng(9, "twin-groups")
+        for _ in range(32):
+            mapping = TaskMapping([TERM_NODES[rng.integers(10)] for _ in range(TERM_RANKS)])
+            want = evaluator.predict(mapping)
+            assert context.breakdown(mapping) == want
+            assert context.evaluate(mapping)[:2] == (
+                [p.computation for p in want.processes],
+                [p.communication for p in want.processes],
+            )
 
 
 class TestLeftFold:

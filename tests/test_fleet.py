@@ -33,6 +33,7 @@ from tests.http_conformance import (
     HEALTHZ,
     BackpressureConformance,
     ErrorContractConformance,
+    HoldConformance,
     JobDocumentConformance,
     JobLookupConformance,
     KeepAliveConformance,
@@ -42,6 +43,7 @@ from tests.http_conformance import (
     metric_value,
     raw_exchange,
     router_door,
+    slow_jobs,
 )
 
 
@@ -296,6 +298,22 @@ class TestFleetRouter:
             r["predicted_time"] for r in doc["results"]
         )
 
+    def test_a_schedule_best_leg_waits_on_one_held_lookup(self, fleet):
+        """Each leg asks its replica once, with ``wait_s``: the replica holds
+        the answer until the search is done, so no leg polls."""
+        router, daemons, app = fleet
+        asks = '{method="GET",route="/v1/jobs/{id}",status="200"}'
+
+        def asked() -> list[float]:
+            return [metric_value(d.client(), "cbes_requests_total", asks) for d in daemons]
+
+        before = asked()
+        doc = router.client()._request(
+            "POST", "/v1/schedule:best", {"kind": "schedule", "app": app, "scheduler": "cs"}
+        )
+        assert doc["replicas_raced"] == 2
+        assert [after - first for first, after in zip(before, asked())] == [1.0, 1.0]
+
     def test_router_restart_keeps_finding_jobs(self, fleet):
         """Routing is a pure function: a fresh router resolves old ids."""
         router, (d1, d2), app = fleet
@@ -367,6 +385,7 @@ class TestRouterConformance(
     RoutingConformance,
     JobLookupConformance,
     LoopLagConformance,
+    HoldConformance,
 ):
     """The daemon's HTTP contract (tests/http_conformance.py), through the router."""
 
@@ -389,6 +408,25 @@ class TestRouterConformance(
                 assert time.monotonic() - started < 5.0
                 sock.settimeout(5)
                 assert sock.recv(1) == b""  # the router closed it
+
+
+class TestHeldLookupClamp:
+    def test_a_hold_is_clamped_to_half_the_replica_timeout(self, conformance_service):
+        """A ``wait_s`` past the router's replica timeout is forwarded as half
+        of it, so the replica answers in time: a 200, never a 502."""
+        with DaemonThread(conformance_service, workers=1) as replica:
+            with RouterThread([f"{replica.host}:{replica.port}"], timeout_s=0.6) as fleet:
+                with slow_jobs([replica.daemon], 30.0), fleet.client() as client:
+                    nodes = sorted(client.snapshot()["nodes"])[:3]
+                    job_id = client.submit("predict", app=client.profiles()[0], nodes=nodes)["id"]
+                    asks = (
+                        lambda: client.job(job_id, wait_s=5.0),
+                        lambda: client.jobs(ids=[job_id], wait_s=5.0)[0],
+                    )
+                    for ask in asks:
+                        started = time.monotonic()
+                        assert ask()["state"] in ("queued", "running")
+                        assert 0.3 <= time.monotonic() - started < 0.6
 
 
 class TestTwoReplicaJobDocuments(JobDocumentConformance):

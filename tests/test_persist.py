@@ -159,17 +159,18 @@ class TestRecoverState:
         records = [
             {"op": "create", "id": "j000001", "kind": "predict", "payload": {"x": 1}},
             {"op": "create", "id": "j000002", "kind": "schedule", "payload": {}},
-            {"op": "running", "id": "j000001"},
             {"op": "done", "id": "j000001", "result": {"t": 2.5}},
-            {"op": "running", "id": "j000002"},
         ]
         docs, next_seq = recover_state(None, records)
         assert next_seq == 3
         assert [d["id"] for d in docs] == ["j000001", "j000002"]
         assert docs[0]["state"] == "done" and docs[0]["result"] == {"t": 2.5}
-        # Running at crash time: recovered as running (the store rewinds
-        # it to queued when materializing the Job).
-        assert docs[1]["state"] == "running"
+        # Not finished at crash time, started or not: recovered as queued.
+        assert docs[1]["state"] == "queued"
+        # An older journal's `running` records are unknown ops: the same fold.
+        older = records[:2] + [{"op": "running", "id": "j000001"}, records[2]]
+        older.append({"op": "running", "id": "j000002"})
+        assert recover_state(None, older) == (docs, next_seq)
 
     def test_evict_drops_the_job(self):
         records = [
@@ -379,7 +380,7 @@ class TestDurableJobStore:
         store.mark_done(job.id, {})
         snapshot = registry.snapshot()
         appends = snapshot["cbes_journal_appends_total"]["samples"][0]["value"]
-        assert appends == 3
+        assert appends == 2  # create and done: starting a job is not journaled
         assert snapshot["cbes_journal_bytes_total"]["samples"][0]["value"] > 0
         registry2 = MetricsRegistry()
         reopened = self._store(tmp_path, metrics=registry2)
@@ -509,6 +510,61 @@ class TestDurableJobStore:
         assert store.snapshot_path.read_bytes() == parent_snapshot(docs, 6)
 
 
+    def test_a_parent_journal_with_running_records_boots_the_same(self, tmp_path):
+        """The parent journaled a ``running`` record as each job started.  A
+        data dir holding them, one job's last record a ``running``, boots to
+        the documents, re-enqueued ids and recovery counts of the same
+        history without them, and those are the parent's: finished jobs
+        kept, a started job rewound to ``queued`` and re-enqueued."""
+        parent = [
+            {"op": "create", "id": "j000001", "kind": "predict", "payload": {"app": "lu.A"},
+             "request_id": "req-1"},
+            {"op": "running", "id": "j000001"},
+            {"op": "done", "id": "j000001", "result": {"execution_time": 2.5}},
+            {"op": "create", "id": "j000002", "kind": "compare", "payload": {"app": "cg.A"},
+             "request_id": ""},
+            {"op": "create", "id": "j000003", "kind": "predict", "payload": {"app": "mg.A"},
+             "request_id": "req-3"},
+            {"op": "running", "id": "j000002"},
+            {"op": "failed", "id": "j000002", "error": "boom"},
+            {"op": "create", "id": "j000004", "kind": "predict", "payload": {"app": "ft.A"},
+             "request_id": ""},
+            {"op": "running", "id": "j000003"},
+        ]
+
+        def boot(name: str, records: list[dict]) -> tuple[list[dict], list[str], dict]:
+            data = tmp_path / name
+            data.mkdir()
+            (data / DurableJobStore.JOURNAL_NAME).write_bytes(b"".join(map(parent_frame, records)))
+            registry = MetricsRegistry()
+            store = DurableJobStore(data, fsync="never", metrics=registry)
+            docs = [
+                {key: value for key, value in job.to_dict().items() if not key.endswith("_at")}
+                for job in store.list()
+            ]
+            requeued = [job.id for job in store.take_recovered()]
+            counts = {
+                sample["labels"]["disposition"]: sample["value"]
+                for sample in registry.snapshot()["cbes_jobs_recovered_total"]["samples"]
+            }
+            store.close()
+            return docs, requeued, counts
+
+        booted = boot("parent", parent)
+        assert booted == boot("change", [r for r in parent if r["op"] != "running"])
+        docs, requeued, counts = booted
+        assert docs == [
+            {"id": "j000001", "kind": "predict", "state": "done", "request_id": "req-1",
+             "result": {"execution_time": 2.5}},
+            {"id": "j000002", "kind": "compare", "state": "failed", "request_id": "",
+             "error": "boom"},
+            {"id": "j000003", "kind": "predict", "state": "queued", "request_id": "req-3"},
+            {"id": "j000004", "kind": "predict", "state": "queued", "request_id": ""},
+        ]
+        assert requeued == ["j000003", "j000004"]
+        assert counts == {"requeued": 2, "retained": 2}
+
+
 def random_document(rng: random.Random, depth: int = 0):
     """A JSON value with the shapes and scalars encoders get wrong."""
     scalars = [
@@ -540,6 +596,8 @@ class TestResultBytesIdentity:
         store = DurableJobStore(tmp_path / "data", fsync="never", compact_bytes=1 << 40)
         wal = Path(store.journal.path)
         records: list[dict] = []
+        #: Jobs left running: the snapshot says so, the journal cannot.
+        running: set[str] = set()
         checked = 0
         for i in range(self.DOCUMENTS):
             payload = {"app": "cg.A", "arg": random_document(rng, 3)}
@@ -550,9 +608,10 @@ class TestResultBytesIdentity:
             fate = rng.choice(["queued", "running", "done", "done", "done", "failed", "evict"])
             if fate != "queued":
                 if fate != "failed" or rng.random() < 0.5:
-                    store.mark_running(job.id)
-                    records.append({"op": "running", "id": job.id})
-                if fate == "failed":
+                    store.mark_running(job.id)  # journals nothing
+                if fate == "running":
+                    running.add(job.id)
+                elif fate == "failed":
                     store.mark_failed(job.id, f"boom \u2028 {i}")
                     records.append({"op": "failed", "id": job.id, "error": f"boom \u2028 {i}"})
                 elif fate != "running":
@@ -568,6 +627,8 @@ class TestResultBytesIdentity:
                 assert wal.read_bytes() == b"".join(map(parent_frame, records[checked:]))
                 checked = len(records)
                 docs, next_seq = recover_state(None, records)
+                for doc in docs:
+                    doc["state"] = "running" if doc["id"] in running else doc["state"]
                 store.compact()
                 assert store.snapshot_path.read_bytes() == parent_snapshot(docs, next_seq)
                 assert wal.read_bytes() == b""

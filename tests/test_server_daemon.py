@@ -398,6 +398,31 @@ class TestQuotesReadTheKernel:
         assert calls == []
 
 
+class TestHeldLookupStress:
+    def test_no_hold_misses_the_end_of_its_job(self, service_and_app):
+        """Four job threads on fewer cores, a thread switch every microsecond:
+        a held lookup whose job ends between its first test and its wait
+        would sit out its whole ``wait_s``.  None may."""
+        service, app_name = service_and_app
+        nodes = service.cluster.node_ids()[:3]
+        doc = {"kind": "predict", "app": app_name, "nodes": nodes}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DaemonThread(service, workers=4, queue_limit=64) as srv, srv.client() as client:
+                for _ in range(15):
+                    ids = [job["id"] for job in client.submit_batch([doc] * 4)]
+                    started = time.monotonic()
+                    point = client.job(ids[0], wait_s=8.0)
+                    lookup = client.jobs(ids=ids, wait_s=8.0)
+                    assert time.monotonic() - started < 4.0
+                    assert point["state"] == "done"
+                    assert [job["state"] for job in lookup] == ["done"] * 4
+                assert len(srv.daemon.runner.holds) == 0
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestBatchWait:
     def test_sweeps_cost_the_batch_not_the_store(self, service_and_app):
         """Each sweep asks for the pending ids only; a done document crosses once."""
@@ -417,8 +442,9 @@ class TestBatchWait:
             sweeps: list[tuple[list[str], list[dict]]] = []
             lookup = client.jobs
 
-            def recording(*, ids):
-                found = lookup(ids=ids)
+            def recording(*, ids, wait_s):
+                assert 0 <= wait_s <= 0.002
+                found = lookup(ids=ids, wait_s=wait_s)
                 sweeps.append((list(ids), found))
                 return found
 
@@ -445,36 +471,93 @@ class TestBatchWait:
         assert client.wait_many([], timeout_s=1.0) == []
 
 
-class TestPollRamp:
-    def test_sleeps_double_from_2ms_up_to_the_interval(self, monkeypatch):
+class FakeTime:
+    """A clock for the client's waits: ``sleep`` and answered asks advance it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.slept: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.slept.append(seconds)
+        self.now += seconds
+
+
+class TestPolling:
+    """``wait`` / ``wait_many`` ask with ``wait_s`` instead of sleeping between polls."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
         from repro.server import client as client_module
 
-        slept: list[float] = []
-        monkeypatch.setattr(client_module.time, "sleep", slept.append)
-        polls = iter(["queued"] * 7 + ["done"])
-        waiter = client_module.CbesClient()
-        waiter.job = lambda job_id: {"id": job_id, "state": next(polls)}
-        assert waiter.wait("j1", poll_interval_s=0.05)["state"] == "done"
-        assert slept == [0.002, 0.004, 0.008, 0.016, 0.032, 0.05, 0.05]
+        clock = FakeTime()
+        monkeypatch.setattr(client_module, "time", clock)
+        return clock
 
-    @pytest.mark.parametrize("interval", [0.002, 0.001])
-    def test_short_intervals_stay_flat(self, monkeypatch, interval):
-        from repro.server import client as client_module
+    @staticmethod
+    def waiter(clock, states, *, answer_after=None, **kwargs):
+        """A client whose ``job`` / ``jobs`` answer *states* in turn, each after
+        *answer_after* seconds (default: the whole ``wait_s``), logging every ask."""
+        from repro.server.client import CbesClient
 
-        slept: list[float] = []
-        monkeypatch.setattr(client_module.time, "sleep", slept.append)
-        sweeps = iter([[]] * 4 + [[{"id": "j1", "state": "done"}]])
-        waiter = client_module.CbesClient()
-        waiter.jobs = lambda *, ids: next(sweeps)
-        waiter.job = lambda job_id: {"id": job_id, "state": "queued"}
-        assert len(waiter.wait_many(["j1"], poll_interval_s=interval)) == 1
-        assert slept == [interval] * 4
+        client = CbesClient(**kwargs)
+        client.asks = []
+        answers = iter(states)
+
+        def job(job_id, *, wait_s=None):
+            client.asks.append((clock.now, wait_s))
+            clock.now += wait_s if answer_after is None else answer_after
+            return {"id": job_id, "state": next(answers)}
+
+        def jobs(*, ids, wait_s=None):
+            return [job(job_id, wait_s=wait_s) for job_id in ids]
+
+        client.job, client.jobs = job, jobs
+        return client
+
+    @pytest.mark.parametrize("method", ["wait", "wait_many"])
+    def test_wait_s_goes_through_job_and_jobs(self, clock, method):
+        client = self.waiter(clock, ["queued", "running", "done"], timeout_s=0.08)
+        target = "j1" if method == "wait" else ["j1"]
+        getattr(client, method)(target, timeout_s=60.0, poll_interval_s=0.05)
+        # min(poll interval, time left, half the socket timeout): 0.08 / 2
+        assert [wait_s for _, wait_s in client.asks] == [0.04] * 3
+        client = self.waiter(clock, ["queued", "done"])
+        getattr(client, method)(target, timeout_s=60.0, poll_interval_s=0.05)
+        assert [wait_s for _, wait_s in client.asks] == [0.05] * 2
+
+    @pytest.mark.parametrize("method", ["wait", "wait_many"])
+    @pytest.mark.parametrize("answer_after", [0.0, 0.003, None])
+    def test_a_pending_job_is_asked_again_no_sooner_than_the_interval(
+        self, clock, method, answer_after
+    ):
+        client = self.waiter(clock, ["queued"] * 6 + ["done"], answer_after=answer_after)
+        target = "j1" if method == "wait" else ["j1"]
+        getattr(client, method)(target, timeout_s=60.0, poll_interval_s=0.01)
+        times = [asked for asked, _ in client.asks]
+        assert len(times) == 7
+        assert all(b - a >= 0.01 - 1e-12 for a, b in zip(times, times[1:]))
+        if answer_after is None:  # a hold that runs out is the whole interval: no sleep
+            assert clock.slept == [0.0] * 6
+
+    @pytest.mark.parametrize("method", ["wait", "wait_many"])
+    @pytest.mark.parametrize("answer_after", [0.0, None])
+    def test_never_waits_past_its_deadline(self, clock, method, answer_after):
+        client = self.waiter(clock, ["queued"] * 100, answer_after=answer_after)
+        target = "j1" if method == "wait" else ["j1"]
+        with pytest.raises(TimeoutError):
+            getattr(client, method)(target, timeout_s=0.25, poll_interval_s=0.1)
+        assert clock.now == pytest.approx(0.25)
+        assert all(asked + wait_s <= 0.25 + 1e-12 for asked, wait_s in client.asks)
 
     def test_never_sleeps_past_the_deadline(self):
         from repro.server.client import CbesClient
 
         waiter = CbesClient()
-        waiter.job = lambda job_id: {"id": job_id, "state": "queued"}
+        waiter.job = lambda job_id, wait_s=None: {"id": job_id, "state": "queued"}
         started = time.monotonic()
         with pytest.raises(TimeoutError):
             waiter.wait("j1", timeout_s=0.05, poll_interval_s=30.0)

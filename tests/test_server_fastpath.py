@@ -19,6 +19,7 @@ from repro.workloads import SyntheticBenchmark
 from tests.http_conformance import (
     BackpressureConformance,
     ErrorContractConformance,
+    HoldConformance,
     JobDocumentConformance,
     KeepAliveConformance,
     LoopLagConformance,
@@ -64,6 +65,10 @@ class TestLoopLag(LoopLagConformance):
 
 class TestBackpressure(BackpressureConformance):
     """A full queue's 429 carries ``Retry-After``, from a ``DaemonThread``."""
+
+
+class TestHolds(HoldConformance):
+    """Job lookups held with ``wait_s``, by a ``DaemonThread``."""
 
 
 class TestBatchSubmission:
