@@ -694,8 +694,8 @@ class IncrementalEvaluator:
     * ``evaluator(mapping) -> S_M`` — stateless full evaluation, via
       ``__call__``;
     * ``evaluator.many(mappings) -> [S_M, ...]`` — a whole population in
-      one batched sweep (used by population schedulers via
-      :func:`repro.schedulers.genetic.score_population`).
+      one batched sweep (used by SA seed scans and every GA generation,
+      :func:`repro.schedulers.genetic.ga_generation`).
 
     ``on_evaluate`` is called once per served evaluation — including
     once per mapping in a ``many`` batch — so the owning

@@ -112,19 +112,6 @@ class CBES:
         """Detach the monitoring daemons; a no-op when none are attached."""
         self._monitor = None
 
-    @staticmethod
-    def shutdown_workers(*, wait: bool = True) -> None:
-        """Tear down the process-wide warm search worker pool.
-
-        Parallel ``schedule()`` calls keep a persistent worker pool warm
-        between requests (:mod:`repro.search.pool`); this releases those
-        processes now instead of waiting for the idle reaper or
-        interpreter exit.  The next parallel schedule call starts cold.
-        """
-        from repro.search.pool import shutdown_pool
-
-        shutdown_pool(wait=wait)
-
     @property
     def is_monitoring(self) -> bool:
         """Whether a monitor is currently attached."""

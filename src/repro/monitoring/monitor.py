@@ -58,7 +58,6 @@ class SystemMonitor:
             raise ValueError("period_s must be > 0")
         self._cluster = cluster
         self._period = float(period_s)
-        self._kind = forecaster
         self._now = 0.0
         self._polls = 0
         self._channels: dict[str, _NodeChannels] = {}
@@ -73,10 +72,6 @@ class SystemMonitor:
     @property
     def polls(self) -> int:
         return self._polls
-
-    @property
-    def forecaster_kind(self) -> str:
-        return self._kind
 
     def poll(self, rounds: int = 1) -> None:
         """Run *rounds* monitoring periods: sense every node once each."""

@@ -166,7 +166,6 @@ class Journal:
         self._clock = clock
         self._lock = threading.Lock()
         self._records = 0
-        self._appended_bytes = 0
         self._syncs = 0
         existing = b""
         if self.path.exists():
@@ -194,12 +193,6 @@ class Journal:
         """Complete records currently in the file."""
         with self._lock:
             return self._records
-
-    @property
-    def appended_bytes(self) -> int:
-        """Total bytes appended over this object's lifetime (metrics)."""
-        with self._lock:
-            return self._appended_bytes
 
     @property
     def syncs(self) -> int:
@@ -233,7 +226,6 @@ class Journal:
                     self._do_sync()
             self._size += len(frame)
             self._records += 1
-            self._appended_bytes += len(frame)
         return len(frame)
 
     def _do_sync(self) -> None:

@@ -17,7 +17,7 @@ segment structure.  Profiles serialize to/from plain JSON.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,16 +218,3 @@ class ApplicationProfile:
     def load(cls, path: str | Path) -> "ApplicationProfile":
         """Read a profile database entry from JSON."""
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def merge_message_groups(
-    raw: Sequence[tuple[int, float]],
-) -> tuple[MessageGroup, ...]:
-    """Collapse (peer, size) message observations into message groups."""
-    counts: dict[tuple[int, float], int] = {}
-    for peer, size in raw:
-        counts[(peer, size)] = counts.get((peer, size), 0) + 1
-    return tuple(
-        MessageGroup(peer, size, count)
-        for (peer, size), count in sorted(counts.items())
-    )

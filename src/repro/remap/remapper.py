@@ -4,10 +4,11 @@
 runs on a drift event.  Given an evaluator bound to the *fresh*
 snapshot and the application's current mapping, it
 
-1. searches for a candidate mapping with a :mod:`repro.search`
-   portfolio whose first restart is *warm-started from the current
-   mapping* (the remaining restarts seed from greedy / batched random
-   scans, so the search can both polish the incumbent and escape it),
+1. searches for a candidate mapping with a batch of SA restarts
+   (:func:`repro.search.run_tasks`) whose first restart is
+   *warm-started from the current mapping* (the remaining restarts
+   seed from greedy / batched random scans, so the search can both
+   polish the incumbent and escape it),
 2. scores current-vs-candidate with one batched
    :meth:`~repro.core.fast_eval.EvaluationContext.evaluate_many` sweep,
 3. prices the mapping diff with its cost model (by default the
@@ -35,7 +36,8 @@ from repro.core.mapping import TaskMapping
 from repro.remap.cost import MigrationCostModel, RemapCostModel
 from repro.remap.plan import RemapPlan
 from repro.schedulers.annealing import AnnealingSchedule
-from repro.search.portfolio import ParallelPortfolio
+from repro.search.pool import run_tasks
+from repro.search.portfolio import reduce_outcomes
 from repro.search.spec import SearchSpec
 from repro.search.worker import SaTask
 from repro.telemetry import get_registry, get_tracer
@@ -85,8 +87,8 @@ class Remapper:
             raise ValueError("restarts must be >= 1")
         if seed_scan < 0:
             raise ValueError("seed_scan must be >= 0")
-        if parallel < 1:
-            raise ValueError("parallel must be >= 1")
+        if not isinstance(parallel, int) or isinstance(parallel, bool) or parallel < 1:
+            raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
         self.cost_model = cost_model or MigrationCostModel()
         self.safety_factor = safety_factor
         self._schedule = schedule or AnnealingSchedule(
@@ -188,7 +190,7 @@ class Remapper:
         spec = SearchSpec.from_evaluator(evaluator, list(pool))
         # Restart 0 warm-starts from the incumbent mapping; restart 1
         # from the fastest-nodes greedy construction; the rest from
-        # batched random seed scans — polish vs escape in one portfolio.
+        # batched random seed scans — polish vs escape in one batch.
         tasks = [
             SaTask(
                 index=attempt,
@@ -202,7 +204,9 @@ class Remapper:
             )
             for attempt in range(self._restarts)
         ]
-        portfolio = ParallelPortfolio(self._parallel, mp_context=self._mp_context)
-        result = portfolio.run_sa(spec, tasks, evaluator=evaluator)
+        outcomes = run_tasks(
+            spec, tasks, workers=self._parallel, evaluator=evaluator, mp_context=self._mp_context
+        )
+        result = reduce_outcomes(outcomes, "minimize")
         evaluator.record_evaluations(result.evaluations)
         return result.mapping, result.evaluations

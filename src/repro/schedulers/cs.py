@@ -20,10 +20,11 @@ class CbesScheduler(Scheduler):
     ``direction="maximize"`` turns it into the worst-case finder used by
     the worst-vs-best scenario tests.
 
-    Restarts run as a portfolio (:mod:`repro.search`): each restart owns
-    a seed substream, so results are independent of the restart count of
-    the *other* restarts and of the ``parallel`` degree — ``parallel=1``
-    and ``parallel=N`` return byte-identical mappings for one seed.
+    Restarts run as one :func:`repro.search.run_tasks` batch: each
+    restart owns a seed substream, so results are independent of the
+    restart count of the *other* restarts and of the ``parallel`` degree
+    — ``parallel=1`` and ``parallel=N`` return byte-identical mappings
+    for one seed.
     """
 
     name = "CS"
@@ -63,7 +64,8 @@ class CbesScheduler(Scheduler):
     def _run(self, evaluator: MappingEvaluator, pool: list[str], seed: int):
         # Imported lazily: repro.search.worker imports the annealer from
         # this package, so a top-level import here would be circular.
-        from repro.search.portfolio import ParallelPortfolio
+        from repro.search.pool import run_tasks
+        from repro.search.portfolio import reduce_outcomes
         from repro.search.spec import SearchSpec
         from repro.search.worker import SaTask
 
@@ -106,8 +108,10 @@ class CbesScheduler(Scheduler):
             )
             for attempt in range(self._restarts)
         ]
-        portfolio = ParallelPortfolio(self.parallel, mp_context=self._mp_context)
-        result = portfolio.run_sa(spec, tasks, direction=self._direction, evaluator=evaluator)
+        outcomes = run_tasks(
+            spec, tasks, workers=self.parallel, evaluator=evaluator, mp_context=self._mp_context
+        )
+        result = reduce_outcomes(outcomes, self._direction)
         evaluator.record_evaluations(result.evaluations)
         # Report the *full* predicted time for the chosen mapping even if
         # the search annealed on a reduced energy (NCS).

@@ -7,42 +7,25 @@ CS with a steady-state GA: tournament selection, uniform crossover with
 duplicate repair (mappings must stay one-process-per-node), and the SA
 move set as the mutation operator.
 
-With ``islands > 1`` the GA runs as an island model instead: several
-independent populations evolve in parallel worker processes and exchange
-their elites along a ring every ``migration_interval`` generations (see
-:mod:`repro.search.islands`).  The serial single-population path is
-untouched when ``islands == 1``.
+Every run goes through :func:`repro.search.islands.run_island_ga`.  The
+default ``islands == 1`` is the plain GA: one population, one epoch of
+every generation, with the patience early-stop.  With ``islands > 1``
+several independent populations evolve in parallel worker processes and
+exchange their elites along a ring every ``migration_interval``
+generations.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro._rng import Rng
-from repro._util import spawn_rng
 from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
-from repro.schedulers.base import MappingConstraint, Scheduler, draw_initial_mapping
+from repro.schedulers.base import MappingConstraint, Scheduler
 from repro.schedulers.moves import MoveGenerator
-from repro.telemetry import get_registry
 
-__all__ = ["GeneticParams", "GeneticScheduler", "ga_generation", "score_population"]
-
-
-def score_population(fit, mappings: list[TaskMapping]) -> list[float]:
-    """Score a whole population with one batched sweep when possible.
-
-    Fitness objects advertising a ``many(mappings)`` method (the
-    incremental evaluator backed by ``EvaluationContext.evaluate_many``)
-    get the population as a single submission — one kernel dispatch
-    instead of ``len(mappings)`` python loops.  Plain callables fall back
-    to the element-wise loop; both paths return identical energies.
-    """
-    many = getattr(fit, "many", None)
-    if many is not None:
-        return many(mappings)
-    return [fit(m) for m in mappings]
+__all__ = ["GeneticParams", "GeneticScheduler", "ga_generation"]
 
 
 @dataclass(frozen=True)
@@ -121,11 +104,11 @@ def ga_generation(
 ) -> tuple[list[TaskMapping], list[float]]:
     """One steady-state GA generation: selection, variation, evaluation.
 
-    Shared by the serial scheduler and the island-model workers so the
-    two paths cannot drift; the RNG draw order here *is* the GA's
-    deterministic contract.  The offspring are scored as one batched
-    sweep (:func:`score_population`), so a whole generation costs one
-    ``evaluate_many`` dispatch on the fast path.
+    Run by :class:`~repro.search.worker.TaskRunner` for every GA epoch; the
+    RNG draw order here *is* the GA's deterministic contract.  *fit* is
+    the runner's :class:`~repro.core.fast_eval.IncrementalEvaluator`, and
+    the offspring are scored with its ``many``, so a whole generation
+    costs one ``evaluate_many`` dispatch.
     """
     order = sorted(range(len(fitness)), key=lambda i: (fitness[i], i))
     next_pop = [population[i] for i in order[: params.elite]]
@@ -142,8 +125,7 @@ def ga_generation(
             next_pop.append(child)
         else:
             next_pop.append(parent_a)
-    new_fitness = score_population(fit, next_pop)
-    return next_pop, new_fitness
+    return next_pop, fit.many(next_pop)
 
 
 class GeneticScheduler(Scheduler):
@@ -166,7 +148,7 @@ class GeneticScheduler(Scheduler):
             raise ValueError("islands must be >= 1")
         if migration_interval < 1:
             raise ValueError("migration_interval must be >= 1")
-        if not 0 < migrants < params.population:
+        if islands > 1 and not 0 < migrants < params.population:
             raise ValueError("migrants must be in (0, population)")
         self._params = params
         self._islands = islands
@@ -174,54 +156,6 @@ class GeneticScheduler(Scheduler):
         self._migrants = migrants
 
     def _run(self, evaluator: MappingEvaluator, pool: list[str], seed: int):
-        if self._islands > 1:
-            return self._run_islands(evaluator, pool, seed)
-        p = self._params
-        rng = spawn_rng(seed, self.name, tuple(pool), evaluator.profile.app_name)
-        moves = MoveGenerator(pool)
-
-        # Population fitness is the batched full evaluation (GA children
-        # have no single base mapping to delta against).
-        fit = evaluator.incremental()
-
-        deadline = self._deadline()
-        nprocs = evaluator.profile.nprocs
-        population = [
-            draw_initial_mapping(pool, nprocs, rng, self._constraint) for _ in range(p.population)
-        ]
-        fitness = score_population(fit, population)
-        history = [min(fitness)]
-        stale = 0
-        generations_done = 0
-        gen_started = time.perf_counter()
-        for _ in range(p.generations):
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            population, fitness = ga_generation(
-                population, fitness, fit, p, moves, pool, rng, self.feasible
-            )
-            generations_done += 1
-            best_now = min(fitness)
-            if best_now < history[-1] - 1e-12:
-                stale = 0
-            else:
-                stale += 1
-            history.append(min(best_now, history[-1]))
-            if stale >= p.patience:
-                break
-        # Batched: one registry touch per run, not per generation.
-        registry = get_registry()
-        registry.counter(
-            "cbes_ga_generations_total", "GA generations evolved across all islands."
-        ).inc(generations_done)
-        if generations_done:
-            registry.histogram(
-                "cbes_ga_generation_seconds", "Mean wall time per serial GA generation."
-            ).observe((time.perf_counter() - gen_started) / generations_done)
-        best_idx = min(range(len(fitness)), key=lambda i: (fitness[i], i))
-        return population[best_idx], fitness[best_idx], history
-
-    def _run_islands(self, evaluator: MappingEvaluator, pool: list[str], seed: int):
         # Imported lazily: repro.search.worker imports ga_generation from
         # this module, so a top-level import here would be circular.
         from repro.search.islands import run_island_ga

@@ -3,12 +3,13 @@
 A :class:`~repro.search.spec.SearchSpec` describes one search problem
 and :func:`~repro.search.pool.run_tasks` is the one entry that runs
 tasks against it — inline or on the warm worker pool
-(:mod:`repro.search.pool`), its choice alone.
-:class:`~repro.search.portfolio.ParallelPortfolio` fans SA restarts out
-through it with a deterministic best-of reduction, and
-:func:`~repro.search.islands.run_island_ga` runs the island-model GA
-with ring migration, one batch per epoch.  ``parallel=1`` and
-``parallel=N`` produce byte-identical mappings for the same master seed.
+(:mod:`repro.search.pool`), its choice alone.  SA restarts are one
+batch reduced by :func:`~repro.search.portfolio.reduce_outcomes`, a
+deterministic best-of; :func:`~repro.search.islands.run_island_ga` runs
+every GA, one batch per epoch, with ring migration between two or more
+islands.  Both reduce to one :class:`~repro.search.portfolio.SearchResult`.
+``parallel=1`` and ``parallel=N`` produce byte-identical mappings for
+the same master seed.
 """
 
 from typing import Any
@@ -19,8 +20,8 @@ __all__ = [
     "SearchSpec",
     "greedy_mapping",
     "run_tasks",
-    "ParallelPortfolio",
-    "PortfolioResult",
+    "SearchResult",
+    "reduce_outcomes",
     "WorkerPool",
     "get_pool",
     "shutdown_pool",
@@ -29,16 +30,15 @@ __all__ = [
     "TaskRunner",
     "GaEpochTask",
     "IslandState",
-    "IslandResult",
     "run_island_ga",
 ]
 
 _EXPORTS = LazyExports(
     __name__,
     {
-        "islands": ("IslandResult", "run_island_ga"),
+        "islands": ("run_island_ga",),
         "pool": ("WorkerPool", "get_pool", "run_tasks", "shutdown_pool"),
-        "portfolio": ("ParallelPortfolio", "PortfolioResult"),
+        "portfolio": ("SearchResult", "reduce_outcomes"),
         "spec": ("SearchSpec", "greedy_mapping"),
         "worker": ("GaEpochTask", "IslandState", "SaOutcome", "SaTask", "TaskRunner"),
     },

@@ -14,39 +14,30 @@ RNG state and the migrants it receives, and migration is a pure function
 of the epoch outputs — so the final result is identical whether epochs
 run inline (``workers=1``) or across any number of processes.
 
-The epoch barrier is the price of migration; unlike the SA portfolio
-there *is* a synchronisation point per epoch.  The per-island patience
-early-stop of the serial GA is intentionally absent here: islands must
-stay in lockstep for migration to be deterministic.
+The epoch barrier is the price of migration; unlike SA restarts there
+*is* a synchronisation point per epoch.  The patience early-stop is
+absent with two or more islands: they must stay in lockstep for
+migration to be deterministic.  One island is the plain GA: it draws
+from the GA's own stream, runs every generation as one epoch with no
+migration, and stops after ``params.patience`` generations without
+improvement.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 from repro._util import spawn_rng
 from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
 from repro.schedulers.genetic import GeneticParams
 from repro.search.pool import run_tasks
+from repro.search.portfolio import SearchResult
 from repro.search.spec import SearchSpec
 from repro.search.worker import GaEpochTask, IslandState
 
-__all__ = ["IslandResult", "run_island_ga"]
-
-
-@dataclass(frozen=True)
-class IslandResult:
-    """Reduced outcome of one island-GA run."""
-
-    mapping: TaskMapping
-    energy: float
-    #: Per-island best-so-far trajectories concatenated in island order.
-    history: list[float]
-    evaluations: int
-    islands: tuple[IslandState, ...]
+__all__ = ["run_island_ga"]
 
 
 def run_island_ga(
@@ -62,25 +53,32 @@ def run_island_ga(
     evaluator: MappingEvaluator | None = None,
     mp_context: str | None = None,
     deadline: float | None = None,
-) -> IslandResult:
+) -> SearchResult:
     """Evolve *islands* populations with ring migration; reduce to best.
 
-    Every epoch is one :func:`~repro.search.pool.run_tasks` batch of
+    One island is one epoch of every generation, no migration, and the
+    ``params.patience`` early stop; ``migrants`` is then unused.  Every
+    epoch is one :func:`~repro.search.pool.run_tasks` batch of
     *islands* tasks; *workers*, *evaluator* (the one *spec* was taken
     from, if any) and *mp_context* are handed to it as they are.
     """
-    if islands < 2:
-        raise ValueError("island GA needs at least 2 islands")
+    if islands < 1:
+        raise ValueError("islands must be >= 1")
     if migration_interval < 1:
         raise ValueError("migration_interval must be >= 1")
-    if not 0 < migrants < params.population:
+    if islands > 1 and not 0 < migrants < params.population:
         raise ValueError("migrants must be in (0, population)")
 
-    states = [
-        IslandState(index=i, rng=spawn_rng(seed, *rng_parts, "island", i))
-        for i in range(islands)
-    ]
     generations = params.generations
+    if islands == 1:
+        states = [IslandState(index=0, rng=spawn_rng(seed, *rng_parts))]
+        migration_interval, patience = generations, params.patience
+    else:
+        states = [
+            IslandState(index=i, rng=spawn_rng(seed, *rng_parts, "island", i))
+            for i in range(islands)
+        ]
+        patience = None
     done = 0
     while done < generations:
         if deadline is not None and time.monotonic() >= deadline and done > 0:
@@ -88,7 +86,7 @@ def run_island_ga(
         span = min(migration_interval, generations - done)
         # The first epoch also initialises each population inside the
         # runner, so it uses each island's own RNG.
-        tasks = [GaEpochTask(state, params, span, deadline) for state in states]
+        tasks = [GaEpochTask(state, params, span, deadline, patience) for state in states]
         states = run_tasks(
             spec, tasks, workers=workers, evaluator=evaluator, mp_context=mp_context
         )
@@ -122,7 +120,7 @@ def _ring_migrate(states: list[IslandState], migrants: int) -> None:
             state.fitness[slot] = fitness
 
 
-def _reduce(states: list[IslandState]) -> IslandResult:
+def _reduce(states: list[IslandState]) -> SearchResult:
     """Best individual over all islands; ties by (island, member) index."""
     best_key = (math.inf, -1, -1)
     best_mapping: TaskMapping | None = None
@@ -136,10 +134,10 @@ def _reduce(states: list[IslandState]) -> IslandResult:
     history: list[float] = []
     for state in states:
         history.extend(state.history)
-    return IslandResult(
+    return SearchResult(
         mapping=best_mapping,
         energy=best_key[0],
         history=history,
         evaluations=sum(s.evaluations for s in states),
-        islands=tuple(states),
+        outcomes=tuple(states),
     )

@@ -1,13 +1,14 @@
-"""Per-process task execution for the parallel search portfolio.
+"""Per-process task execution: SA restarts and GA epochs.
 
 A :class:`TaskRunner` is the unit of worker-side state: it builds its
 own :class:`~repro.core.fast_eval.EvaluationContext` from the pickled
 :class:`~repro.search.spec.SearchSpec` and executes search tasks
 against it.  The master process runs the *same* runner inline when
 ``parallel == 1`` — identical code path, identical arithmetic, which is
-what lets the portfolio promise byte-identical results across parallel
+what lets every search promise byte-identical results across parallel
 degrees.  Either way the entry is :func:`repro.search.pool.run_tasks`
-and the body is the one :meth:`TaskRunner.run`.
+and the body is the one :meth:`TaskRunner.run`; its GA epoch is the
+only GA generation loop, one-island GA included.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ class GaEpochTask:
     params: GeneticParams
     generations: int
     deadline: float | None = None
+    #: Stop after this many generations without improvement.  Only a
+    #: one-island run sets it: islands must stay in lockstep.
+    patience: int | None = None
 
 
 class TaskRunner:
@@ -197,14 +201,19 @@ class TaskRunner:
             population = list(state.population)
             fitness = list(state.fitness)
         generations_done = 0
+        stale = 0
         for _ in range(task.generations):
             if task.deadline is not None and time.monotonic() >= task.deadline:
                 break
             population, fitness = ga_generation(
                 population, fitness, self._energy, p, moves, pool, rng, self.spec.feasible
             )
-            history.append(min(min(fitness), history[-1]))
+            best_now = min(fitness)
+            stale = 0 if best_now < history[-1] - 1e-12 else stale + 1
+            history.append(min(best_now, history[-1]))
             generations_done += 1
+            if task.patience is not None and stale >= task.patience:
+                break
         telemetry.get_registry().counter(
             "cbes_ga_generations_total", "GA generations evolved across all islands."
         ).inc(generations_done)

@@ -19,7 +19,6 @@ from repro._util import spawn_rng
 from repro.cluster import single_switch
 from repro.core import CBES, TaskMapping
 from repro.core.fast_eval import FastEvalUnavailable, active_backend
-from repro.schedulers.genetic import score_population
 from repro.workloads import CG, LU
 from tests.conftest import OPTION_COMBOS
 
@@ -184,8 +183,7 @@ class TestCountersAndWiring:
         evaluator = service.evaluator(LU("A").name)
         pool = service.cluster.node_ids()
         population = random_population(pool, 6, 8, seed=29)
-        inc = evaluator.incremental()
-        batched = score_population(inc, population)
-        plain = score_population(evaluator.execution_time, population)
+        batched = evaluator.incremental().many(population)
+        plain = [evaluator.execution_time(m) for m in population]
         for a, b in zip(batched, plain, strict=True):
             assert a == b

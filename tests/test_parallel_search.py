@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import telemetry
 from repro.cluster import single_switch
 from repro.core import CBES, EvaluationOptions, TaskMapping
 from repro.core.fast_eval import EvaluationContext, active_backend
@@ -33,11 +34,12 @@ from repro.schedulers import make_scheduler
 from repro.schedulers.annealing import AnnealingSchedule
 from repro.schedulers.genetic import GeneticParams
 from repro.search import (
-    ParallelPortfolio,
     SaTask,
     SearchSpec,
     TaskRunner,
+    reduce_outcomes,
     run_island_ga,
+    run_tasks,
 )
 from repro.server import DaemonThread, ServerError
 from repro.workloads import SyntheticBenchmark
@@ -155,9 +157,8 @@ class TestSaDeterminism:
                 SaTask(index=i, seed=5, rng_parts=("t", "restart", i)) for i in range(n)
             ]
 
-        portfolio = ParallelPortfolio(1)
-        two = portfolio.run_sa(spec, tasks(2)).outcomes
-        four = portfolio.run_sa(spec, tasks(4)).outcomes
+        two = run_tasks(spec, tasks(2), workers=1)
+        four = run_tasks(spec, tasks(4), workers=1)
         for a, b in zip(two, four, strict=False):
             assert a.mapping == b.mapping
             assert a.energy == b.energy
@@ -169,7 +170,7 @@ class TestSaDeterminism:
         # Identical rng_parts => identical outcomes => the reduction must
         # pick index 0 deterministically.
         tasks = [SaTask(index=i, seed=9, rng_parts=("same",)) for i in range(3)]
-        result = ParallelPortfolio(1).run_sa(spec, tasks)
+        result = reduce_outcomes(run_tasks(spec, tasks, workers=1), "minimize")
         best = min(result.outcomes, key=lambda o: (o.energy, o.index))
         assert best.index == 0
         assert result.mapping == best.mapping
@@ -200,13 +201,13 @@ class TestGaIslands:
             seed=4,
             rng_parts=("mig",),
         )
-        assert len(result.islands) == 3
+        assert len(result.outcomes) == 3
         # The best initial individual (history[0]) migrates ring-wide, so
         # no island can end worse than the worst initial best.
-        worst_initial = max(island.history[0] for island in result.islands)
-        for island in result.islands:
+        worst_initial = max(island.history[0] for island in result.outcomes)
+        for island in result.outcomes:
             assert min(island.fitness) <= worst_initial
-        assert result.energy == min(min(i.fitness) for i in result.islands)
+        assert result.energy == min(min(i.fitness) for i in result.outcomes)
 
     def test_islands_param_validation(self):
         with pytest.raises(ValueError):
@@ -215,6 +216,38 @@ class TestGaIslands:
             make_scheduler("ga", islands=2, migrants=0)
         with pytest.raises(ValueError):
             make_scheduler("ga", islands=2, migration_interval=0)
+
+    def test_one_island_ignores_migration_settings(self, fresh_evaluator):
+        """``migrants`` only matters between islands: a population of two
+        cannot send two migrants, but one island sends none."""
+        evaluator, pool = fresh_evaluator
+        params = GeneticParams(population=2, tournament=2, elite=1)
+        result = make_scheduler("ga", params=params).schedule(evaluator, pool, seed=2)
+        assert result.mapping.nprocs == evaluator.profile.nprocs
+        with pytest.raises(ValueError, match="migrants"):
+            make_scheduler("ga", params=params, islands=2)
+        spec = SearchSpec.from_evaluator(evaluator, pool)
+        with pytest.raises(ValueError, match="migrants"):
+            run_island_ga(
+                spec, params, islands=2, migration_interval=1, migrants=2,
+                seed=2, rng_parts=("mig",),
+            )
+
+    def test_a_serial_run_is_one_epoch_task(self, fresh_evaluator):
+        """The one-island GA is one ``ga-epoch`` task through
+        ``run_tasks``, and counts one generation per history step."""
+        evaluator, pool = fresh_evaluator
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            result = make_scheduler("ga").schedule(evaluator, pool, seed=21)
+        tasks = registry.counter(
+            "cbes_search_tasks_total", "Search tasks executed by runners.", ("kind",)
+        )
+        assert tasks.samples() == [{"labels": {"kind": "ga-epoch"}, "value": 1.0}]
+        generations = registry.counter(
+            "cbes_ga_generations_total", "GA generations evolved across all islands."
+        )
+        assert generations.labels().value == len(result.history) - 1
 
 
 class TestCancellation:
@@ -408,9 +441,14 @@ class TestOnePath:
     def test_one_door_into_the_search_runtime(self):
         """``run_tasks`` alone picks inline or pool: the only caller of
         ``get_pool`` and, with the pool worker, the only builder of a
-        ``TaskRunner``; the scan kind and the unused clamp stay gone."""
-        gone = {"run_scan", "ScanTask", "ScanOutcome", "ScanResult", "effective_workers"}
-        sites = {"get_pool": [], "TaskRunner": []}
+        ``TaskRunner``; only a runner's GA epoch evolves a generation;
+        the scan kind, the unused clamp, the portfolio wrapper and the
+        serial GA's scorer stay gone."""
+        gone = {
+            "run_scan", "ScanTask", "ScanOutcome", "ScanResult", "effective_workers",
+            "ParallelPortfolio", "score_population",
+        }
+        sites = {"get_pool": [], "TaskRunner": [], "ga_generation": []}
         offenders = []
 
         def visit(where, node, scope):
@@ -432,6 +470,7 @@ class TestOnePath:
             visit(where, tree, "<module>")
         assert offenders == []
         assert sites["get_pool"] == ["search/pool.py:run_tasks"]
+        assert sites["ga_generation"] == ["search/worker.py:_run_ga_epoch"]
         assert sorted(sites["TaskRunner"]) == [
             "search/pool.py:_run_cached",
             "search/pool.py:run_tasks",

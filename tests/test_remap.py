@@ -277,6 +277,11 @@ class TestRemapper:
         with pytest.raises(ValueError):
             Remapper(safety_factor=0.0)
 
+    @pytest.mark.parametrize("parallel", [0, 2.5, True])
+    def test_bad_parallel_refused_at_construction(self, parallel):
+        with pytest.raises(ValueError, match="parallel must be an integer >= 1"):
+            Remapper(parallel=parallel)
+
 
 class TestRemapLoop:
     """``RemapLoop.step`` over a scripted load sequence, one row a tick."""
