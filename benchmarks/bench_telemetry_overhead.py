@@ -4,7 +4,8 @@ The contract (docs/OBSERVABILITY.md): instrumentation is batched — search
 loops count into local integers and touch the ambient registry once per
 run — so running a full SA schedule with a *live* ``MetricsRegistry``
 must stay within 5% of the disabled (``NullRegistry``) throughput, and
-disabling telemetry must cost essentially nothing.
+disabling telemetry must cost essentially nothing.  Every trial runs
+inside a trace, so both modes record the schedule's spans.
 
 Trials are interleaved (disabled, enabled, disabled, enabled, ...) and
 the best wall time per mode is kept, so a one-off scheduler hiccup or
@@ -33,7 +34,7 @@ from bench_incremental_eval import build_workload
 
 from repro.schedulers import make_scheduler
 from repro.schedulers.annealing import AnnealingSchedule
-from repro.telemetry import MetricsRegistry, NullRegistry, Tracer, use_registry, use_tracer
+from repro.telemetry import MetricsRegistry, NullRegistry, Tracer, use_registry
 
 OVERHEAD_GATE = 0.95  # enabled throughput must stay >= 95% of disabled
 
@@ -60,7 +61,7 @@ def interleaved_best(evaluator, pool, schedule, restarts: int, trials: int):
         if trial % 2:
             modes.reverse()
         for mode, registry in modes:
-            with use_registry(registry), use_tracer(Tracer()):
+            with use_registry(registry), Tracer().trace("bench"):
                 elapsed = one_schedule(evaluator, pool, schedule, restarts, seed=trial)
             best[mode] = min(best[mode], elapsed)
     return best["disabled"], best["enabled"]

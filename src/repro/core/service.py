@@ -241,9 +241,9 @@ class CBES:
         seed: int = 0,
     ):
         """Run an external scheduler against this service's evaluator."""
-        from repro.telemetry import get_tracer
+        from repro.telemetry import stage
 
-        with get_tracer().trace(
+        with stage(
             "cbes.schedule",
             app=app_name,
             scheduler=getattr(scheduler, "name", type(scheduler).__name__),

@@ -44,6 +44,7 @@ import re
 import threading
 import time
 from collections.abc import Callable, Iterable
+from functools import partial
 from pathlib import Path
 
 from repro.persist.journal import Journal, JournalCorruptError, replay_journal
@@ -312,16 +313,19 @@ class DurableJobStore(JobStore):
             self.compact()
 
     # -- journaling -----------------------------------------------------
-    def _append(self, record: dict, result_json: bytes | None = None) -> None:
+    def _append(self, record: dict, result_json: bytes | None = None, publish=None):
+        """Journal *record*; *publish*'s result, called before a compaction."""
         written = self._journal.append_payload(b"".join(spliced(record, result_json)))
         if self._m_appends is not None:
             self._m_appends.inc()
             self._m_bytes.inc(written)
+        published = publish() if publish is not None else None
         # A snapshot costs its own size to write, so the journal must
         # outgrow the last one before the next: compaction work stays
         # linear in bytes appended however large the store gets.
         if self._journal.size_bytes > max(self._compact_bytes, self._snapshot_bytes):
             self.compact()
+        return published
 
     def create(self, kind: str, payload: dict, *, request_id: str = "", job_id: str | None = None) -> Job:
         with self._mutex:
@@ -344,17 +348,21 @@ class DurableJobStore(JobStore):
             if existed:
                 self._append({"op": "evict", "id": job_id})
 
-    def mark_done(self, job_id: str, result: dict) -> Job:
+    def _transition(self, job_id: str, new: JobState, **outcome) -> Job:
+        """Journal a terminal transition, then publish it: a reader never
+        sees an outcome that a crash could take back.  Only the journal
+        mutex is held across the append, so lookups never wait on an
+        fsync.  ``running`` is not journaled."""
+        if not new.is_terminal:
+            return super()._transition(job_id, new, **outcome)
+        record = {"op": new.value, "id": job_id}
+        if new is JobState.FAILED:
+            record["error"] = outcome["error"]
         with self._mutex:
-            job = super().mark_done(job_id, result)
-            self._append({"op": "done", "id": job_id}, job.result_json)
-            return job
-
-    def mark_failed(self, job_id: str, error: str) -> Job:
-        with self._mutex:
-            job = super().mark_failed(job_id, error)
-            self._append({"op": "failed", "id": job_id, "error": error})
-            return job
+            with self._lock:
+                self._legal(job_id, new)
+            publish = partial(super()._transition, job_id, new, **outcome)
+            return self._append(record, outcome.get("result_json"), publish)
 
     def _journal_evict(self, job: Job, age_s: float) -> None:
         # Called by JobStore.evict_expired outside its lock, after the

@@ -40,7 +40,7 @@ from repro.search.pool import run_tasks
 from repro.search.portfolio import reduce_outcomes
 from repro.search.spec import SearchSpec
 from repro.search.worker import SaTask
-from repro.telemetry import get_registry, get_tracer
+from repro.telemetry import get_registry, stage
 
 __all__ = ["Remapper"]
 
@@ -121,7 +121,7 @@ class Remapper:
         node_pool = tuple(pool) if pool is not None else tuple(sorted(evaluator.nodes))
         if not node_pool:
             raise ValueError("pool must contain at least one node")
-        with get_tracer().trace(
+        with stage(
             "remap.propose",
             app=evaluator.profile.app_name,
             pool=len(node_pool),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro._rng import Rng
 from repro.core.evaluation import MappingEvaluator
 from repro.core.mapping import TaskMapping
-from repro.telemetry import get_registry, get_tracer
+from repro.telemetry import get_registry, stage
 
 __all__ = [
     "ScheduleResult",
@@ -112,28 +112,26 @@ class Scheduler(ABC):
                 f"pool of {len(pool)} nodes cannot host {nprocs} processes one-per-node"
             )
         start_evals = evaluator.evaluations
-        started = time.perf_counter()
-        with get_tracer().trace(
-            "scheduler.run", scheduler=self.name, pool=len(pool), seed=seed
-        ) as span:
+        registry = get_registry()
+        seconds = registry.histogram(
+            "cbes_schedule_seconds", "Wall time of one schedule() call.", ("scheduler",)
+        )
+        with stage("scheduler.run", seconds, scheduler=self.name, pool=len(pool), seed=seed) as span:
             mapping, predicted, history = self._run(evaluator, pool, seed)
+            evaluations = evaluator.evaluations - start_evals
+            span.set_attribute("evaluations", evaluations)
+            span.set_attribute("predicted_time", predicted)
         result = ScheduleResult(
             mapping=mapping,
             predicted_time=predicted,
-            evaluations=evaluator.evaluations - start_evals,
-            wall_time_s=time.perf_counter() - started,
+            evaluations=evaluations,
+            wall_time_s=span.duration_s,
             scheduler=self.name,
             history=history,
         )
-        span.set_attribute("evaluations", result.evaluations)
-        span.set_attribute("predicted_time", result.predicted_time)
-        registry = get_registry()
         registry.counter(
             "cbes_evaluations_total", "Mapping evaluations consumed by scheduling."
         ).inc(result.evaluations)
-        registry.histogram(
-            "cbes_schedule_seconds", "Wall time of one schedule() call.", ("scheduler",)
-        ).observe(result.wall_time_s, scheduler=self.name)
         registry.gauge(
             "cbes_search_best_energy",
             "Best predicted execution time found by the last run.",

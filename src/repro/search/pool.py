@@ -22,7 +22,8 @@ pair that crosses the process boundary.  The pool:
   private registry, its worker's cache hit/miss/eviction included; the
   registry's :meth:`~repro.telemetry.MetricsRegistry.snapshot` rides
   back on the reply and :func:`run_tasks` absorbs the snapshots into the
-  ambient :mod:`repro.telemetry` registry in task order;
+  ambient :mod:`repro.telemetry` registry in task order; inside a
+  trace, the task's spans ride beside it and are adopted the same way;
 * a worker that dies (OOM kill, ``SIGKILL``) breaks its executor;
   :meth:`WorkerPool.run` discards the broken executor and re-runs the
   batch once on a fresh one, so the pool heals under steady traffic.
@@ -41,6 +42,7 @@ Deployment settings: the start method (``mp_context``),
 from __future__ import annotations
 
 import atexit
+import contextvars
 import math
 import multiprocessing as mp
 import os
@@ -50,6 +52,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -145,34 +148,36 @@ class PoolTask:
     task: SaTask | GaEpochTask
     spec: SearchSpec | None = None
     telemetry_enabled: bool = False
+    #: A span is open in the master, so the task's spans come home.
+    traced: bool = False
 
 
 @dataclass(frozen=True)
 class PoolReply:
-    """One task's outcome and its private registry's snapshot (``None``
-    when telemetry is off) — or, instead, a request for the spec."""
+    """One task's outcome, its private registry's snapshot and its spans
+    (``None`` when off) — or, instead, a request for the spec."""
 
     outcome: object = None
     metrics: dict | None = None
+    spans: list[telemetry.Span] | None = None
     #: The worker had no runner for ``key`` and no spec to build one;
     #: the master must resend the task with the spec attached.
     missing_spec: bool = False
 
 
-def _recorded(run: Callable[[], object], enabled: bool) -> tuple[object, dict | None]:
-    """Run one task; its outcome and, when *enabled*, the snapshot of the
-    private registry it recorded into (else ``None``).
-
-    The one place a task's registry opens: the inline branch of
-    :func:`run_tasks` and a pool worker's :func:`_run_pool_task` both
-    come through here.
-    """
-    if not enabled:
-        return run(), None
-    local = telemetry.MetricsRegistry()
-    with telemetry.use_registry(local):
+def _recorded(
+    run: Callable[[], object], enabled: bool, traced: bool
+) -> tuple[object, dict | None, list[telemetry.Span] | None]:
+    """Run one task; its outcome, its private registry's snapshot when
+    *enabled* and its spans when *traced* (else ``None``).  The one place
+    both open, for the inline branch of :func:`run_tasks` and for a pool
+    worker's :func:`_run_pool_task` alike."""
+    local = telemetry.MetricsRegistry() if enabled else None
+    ambient = telemetry.use_registry(local) if enabled else nullcontext()
+    gathered = telemetry.collect() if traced else nullcontext()
+    with ambient, gathered as spans:
         outcome = run()
-    return outcome, local.snapshot()
+    return outcome, None if local is None else local.snapshot(), spans
 
 
 # -- worker-process side -------------------------------------------------
@@ -191,9 +196,12 @@ def _initialize_pool_worker() -> None:
 
 
 def _run_pool_task(pt: PoolTask) -> PoolReply:
-    """Execute one envelope against this worker's cached runners."""
-    outcome, metrics = _recorded(partial(_run_cached, pt), pt.telemetry_enabled)
-    return PoolReply(missing_spec=True) if outcome is None else PoolReply(outcome, metrics)
+    """Execute one envelope against this worker's cached runners, in an
+    empty context: a forked worker inherits its spawner's open span."""
+    outcome, metrics, spans = contextvars.Context().run(
+        _recorded, partial(_run_cached, pt), pt.telemetry_enabled, pt.traced
+    )
+    return PoolReply(missing_spec=True) if outcome is None else PoolReply(outcome, metrics, spans)
 
 
 def _run_cached(pt: PoolTask) -> SaOutcome | IslandState | None:
@@ -259,7 +267,7 @@ class WorkerPool:
 
     def run(self, spec: SearchSpec, tasks: list, *, workers: int) -> list[tuple]:
         """Execute *tasks* for *spec* on warm workers (:func:`run_tasks`
-        is the caller); ``(outcome, metrics snapshot)`` pairs in order.
+        is the caller); ``(outcome, metrics snapshot, spans)`` triples in order.
 
         At most *workers* tasks are in flight at once even when the
         resident executor is larger (a previous caller may have grown
@@ -284,13 +292,14 @@ class WorkerPool:
         with self._lock:
             first_time = key not in self._shipped
             self._shipped.add(key)
-        enabled = telemetry.enabled()
+        enabled, traced = telemetry.enabled(), telemetry.tracing()
         envelopes = [
             PoolTask(
                 key=key,
                 task=task,
                 spec=spec if first_time else None,
                 telemetry_enabled=enabled,
+                traced=traced,
             )
             for task in tasks
         ]
@@ -307,7 +316,7 @@ class WorkerPool:
         except BrokenProcessPool:
             self._discard(executor)
             raise
-        return [(reply.outcome, reply.metrics) for reply in replies]
+        return [(reply.outcome, reply.metrics, reply.spans) for reply in replies]
 
     def shutdown(self, *, wait: bool = True) -> None:
         """Tear the executor down now; the next run starts cold."""
@@ -452,22 +461,25 @@ def run_tasks(
     of *evaluator* (the one *spec* was taken from) when given, else over
     one it builds from the spec; anything wider runs on the warm pool,
     whose workers build their own.  Either way each task's snapshot is
-    absorbed into the ambient registry in task order before returning,
-    so aggregates do not depend on worker count or finish order.
+    absorbed into the ambient registry, and its spans adopted under the
+    open span, in task order before returning, so aggregates and trace
+    trees do not depend on worker count or finish order.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
         context = evaluator.fast_context(spec.options) if evaluator is not None else None
         runner = TaskRunner(spec, context=context)
-        enabled = telemetry.enabled()
-        pairs = [_recorded(partial(runner.run, task), enabled) for task in tasks]
+        enabled, traced = telemetry.enabled(), telemetry.tracing()
+        records = [_recorded(partial(runner.run, task), enabled, traced) for task in tasks]
     else:
-        pairs = get_pool(mp_context).run(spec, tasks, workers=workers)
+        records = get_pool(mp_context).run(spec, tasks, workers=workers)
     registry = telemetry.get_registry()
-    for _, metrics in pairs:
+    for _, metrics, spans in records:
         if metrics is not None:
             registry.absorb(metrics)
-    return [outcome for outcome, _ in pairs]
+        if spans is not None:
+            telemetry.adopt(spans)
+    return [outcome for outcome, _, _ in records]
 
 
 atexit.register(shutdown_pool)

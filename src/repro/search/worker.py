@@ -13,6 +13,7 @@ only GA generation loop, one-island GA included.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -124,23 +125,23 @@ class TaskRunner:
     def run(self, task: SaTask | GaEpochTask) -> SaOutcome | IslandState:
         """Run one task; its outcome.
 
-        The task counts into the ambient registry, which
-        :func:`repro.search.pool.run_tasks` makes a private one per task.
+        The task counts into the ambient registry and records its
+        ``search.task`` span under the open one, which
+        :func:`repro.search.pool.run_tasks` makes private per task.
         """
         if isinstance(task, SaTask):
             body, kind = self._run_sa, "sa-restart"
         else:
             body, kind = self._run_ga_epoch, "ga-epoch"
-        started = time.perf_counter()
-        outcome = body(task)
-        seconds = time.perf_counter() - started
         registry = telemetry.get_registry()
+        seconds = registry.histogram(
+            "cbes_search_task_seconds", "Wall time of one search task.", ("kind",)
+        )
+        with telemetry.stage("search.task", seconds, kind=kind, pid=os.getpid()):
+            outcome = body(task)
         registry.counter(
             "cbes_search_tasks_total", "Search tasks executed by runners.", ("kind",)
         ).inc(kind=kind)
-        registry.histogram(
-            "cbes_search_task_seconds", "Wall time of one search task.", ("kind",)
-        ).observe(seconds, kind=kind)
         return outcome
 
     # -- SA restarts ----------------------------------------------------

@@ -79,9 +79,10 @@ class CbesDaemon(HttpService):
         ``CBES.start_monitoring`` keyword arguments.
     metrics, tracer:
         The telemetry sinks this daemon records into (defaults: fresh
-        instances).  :meth:`start` installs them as the process-global
-        ambient telemetry so scheduler/search instrumentation running on
-        worker threads lands in the same registry; they are surfaced at
+        instances).  :meth:`start` installs the registry as the
+        process-global ambient one so scheduler/search instrumentation
+        running on worker threads lands in it; every job is a
+        ``cbes.job`` trace on the tracer.  They are surfaced at
         ``GET /v1/metrics`` and ``GET /v1/traces``.
     settings:
         One keyword per row of :data:`~repro.server.config.DAEMON_FIELDS`
@@ -197,7 +198,6 @@ class CbesDaemon(HttpService):
         # Worker threads (and any in-process scheduler) record into this
         # daemon's registry through the ambient global fallback.
         telemetry.set_registry(self._metrics)
-        telemetry.set_tracer(self._tracer)
         await self.runner.start()
         if self._durable:
             recovered = self._store.take_recovered()
@@ -221,8 +221,6 @@ class CbesDaemon(HttpService):
         await self.runner.stop(drain=drain)
         if telemetry.get_registry() is self._metrics:
             telemetry.set_registry(None)
-        if telemetry.get_tracer() is self._tracer:
-            telemetry.set_tracer(None)
         if self._durable:
             self._store.close()
         log.info("daemon jobs at stop: %s", self._store.counts())
@@ -361,7 +359,7 @@ class CbesDaemon(HttpService):
         return 200, {"watches": self.watches.to_dicts()}, {}
 
     async def _list_decisions(self, request: HttpRequest) -> Response:
-        return 200, {"decisions": self.watches.decisions(query_int(request.query, "limit"))}, {}
+        return 200, {"decisions": self.watches.decisions(query_int(request.query, "limit", minimum=0))}, {}
 
     async def _inject_load(self, request: HttpRequest) -> Response:
         """``POST /v1/load``: set background/NIC load on cluster nodes.
@@ -389,7 +387,7 @@ class CbesDaemon(HttpService):
         return metrics_response(self._metrics.snapshot(), request.query)
 
     async def _get_traces(self, request: HttpRequest) -> Response:
-        return 200, {"traces": self._tracer.traces(query_int(request.query, "limit"))}, {}
+        return 200, {"traces": self._tracer.traces(query_int(request.query, "limit", minimum=0))}, {}
 
     async def _healthz(self, request: HttpRequest) -> Response:
         runner = self.runner

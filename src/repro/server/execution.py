@@ -433,34 +433,34 @@ class JobRunner:
         self.holds.finished()
 
     def _run_job(self, job: Job) -> None:
-        started = time.perf_counter()
-        self._store.mark_running(job.id)
-        with self._cond:
-            self._queued -= 1
-        self._m_jobs.inc(kind=job.kind, state="running")
-        queued_for = (job.started_at or 0.0) - job.created_at
-        log.info("job %s (%s, req=%s) started after %.1f ms queued",
-                 job.id, job.kind, job.request_id, queued_for * 1e3)
-        try:
-            result = self.execute(job)
-        except Exception as exc:  # noqa: BLE001 - job errors become job state
-            error = f"{type(exc).__name__}: {exc}"
-        else:
+        with self._tracer.trace("cbes.job", self._m_job_seconds, job_id=job.id, kind=job.kind,
+                                app=job.payload["app"], request_id=job.request_id) as span:
+            self._store.mark_running(job.id)
+            with self._cond:
+                self._queued -= 1
+            self._m_jobs.inc(kind=job.kind, state="running")
+            queued_for = (job.started_at or 0.0) - job.created_at
+            log.info("job %s (%s, req=%s) started after %.1f ms queued",
+                     job.id, job.kind, job.request_id, queued_for * 1e3)
             try:
-                self._store.mark_done(job.id, result)
-                error = None
-            except (TypeError, ValueError) as exc:
-                # Encoded before the transition: the job is still running.
-                error = f"result is not JSON-serialisable: {exc}"
-        if error is not None:
-            self._store.mark_failed(job.id, error)
-        elapsed = time.perf_counter() - started
+                result = self.execute(job)
+            except Exception as exc:  # noqa: BLE001 - job errors become job state
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                try:
+                    self._store.mark_done(job.id, result)
+                    error = None
+                except (TypeError, ValueError) as exc:
+                    # Encoded before the transition: the job is still running.
+                    error = f"result is not JSON-serialisable: {exc}"
+            if error is not None:
+                span.status = "error"
+                self._store.mark_failed(job.id, error)
         if error is None:
-            log.info("job %s done in %.1f ms", job.id, elapsed * 1e3)
+            log.info("job %s done in %.1f ms", job.id, span.duration_s * 1e3)
         else:
             log.warning("job %s failed: %s", job.id, error)
         self._m_jobs.inc(kind=job.kind, state="done" if error is None else "failed")
-        self._m_job_seconds.observe(elapsed, kind=job.kind)
         # Last: a lookup released here finds the job's metrics counted too.
         self.holds.finished()
 
@@ -503,35 +503,32 @@ class JobRunner:
         """
         payload = job.payload
         app = payload["app"]
-        with self._tracer.trace(
-            "cbes.job", job_id=job.id, kind=job.kind, app=app, request_id=job.request_id
-        ) as span:
-            options = options_from_dict(payload.get("options"))
-            snapshot, fingerprint = self.serving  # one atomic read: jobs see one generation
-            evaluator = self._service.evaluator(app, options=options, snapshot=snapshot)
-            context = self.context_for(app, options, fingerprint, evaluator)
-            if job.kind == "schedule":
-                scheduler = make_scheduler(
-                    payload["scheduler"],
-                    parallel=payload.get("workers", 1),
-                    time_budget=payload.get("time_budget"),
-                )
-                result = scheduler.schedule(evaluator, payload["pool"], seed=payload["seed"])
-                doc = schedule_result_to_dict(result)
-            else:
-                candidates = [payload["nodes"]] if job.kind == "predict" else payload["mappings"]
-                tables = [context.breakdown(TaskMapping(nodes)) for nodes in candidates]
-                evaluator.record_evaluations(len(tables))
-                if job.kind == "predict":
-                    doc = prediction_to_dict(tables[0])
-                else:  # compare: fastest first, ties in request order
-                    tables.sort(key=lambda table: table.execution_time)
-                    doc = {"ranked": [prediction_to_dict(table) for table in tables]}
-                # Schedule jobs are counted by Scheduler.schedule itself;
-                # counting here too would double the evaluations.
-                self._metrics.counter(
-                    "cbes_evaluations_total", "Mapping evaluations consumed by scheduling."
-                ).inc(evaluator.evaluations)
-            span.set_attribute("evaluations", evaluator.evaluations)
+        options = options_from_dict(payload.get("options"))
+        snapshot, fingerprint = self.serving  # one atomic read: jobs see one generation
+        evaluator = self._service.evaluator(app, options=options, snapshot=snapshot)
+        context = self.context_for(app, options, fingerprint, evaluator)
+        if job.kind == "schedule":
+            scheduler = make_scheduler(
+                payload["scheduler"],
+                parallel=payload.get("workers", 1),
+                time_budget=payload.get("time_budget"),
+            )
+            result = scheduler.schedule(evaluator, payload["pool"], seed=payload["seed"])
+            doc = schedule_result_to_dict(result)
+        else:
+            candidates = [payload["nodes"]] if job.kind == "predict" else payload["mappings"]
+            tables = [context.breakdown(TaskMapping(nodes)) for nodes in candidates]
+            evaluator.record_evaluations(len(tables))
+            if job.kind == "predict":
+                doc = prediction_to_dict(tables[0])
+            else:  # compare: fastest first, ties in request order
+                tables.sort(key=lambda table: table.execution_time)
+                doc = {"ranked": [prediction_to_dict(table) for table in tables]}
+            # Schedule jobs are counted by Scheduler.schedule itself;
+            # counting here too would double the evaluations.
+            self._metrics.counter(
+                "cbes_evaluations_total", "Mapping evaluations consumed by scheduling."
+            ).inc(evaluator.evaluations)
+        telemetry.annotate(evaluations=evaluator.evaluations)
         doc["snapshot_fingerprint"] = fingerprint
         return doc

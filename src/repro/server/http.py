@@ -387,7 +387,6 @@ class HttpService:
         self, incoming: HttpRequest | ApiError, writer: asyncio.StreamWriter, served: int
     ) -> bool:
         """Answer one request (or parse failure); True keeps the connection."""
-        started = time.perf_counter()
         method, path, route = "-", "-", UNMATCHED
         request_id = ""
         if isinstance(incoming, HttpRequest):
@@ -397,53 +396,56 @@ class HttpService:
             request_id = uuid.uuid4().hex[:8]
         status: int | None = None
         try:
-            if isinstance(incoming, ApiError):
-                # Parse-level failure.  Recoverable ones (413 with the
-                # oversized body drained) leave the stream correctly
-                # framed, so keep-alive can survive them; anything else
-                # may be desynchronized — answer and close.
-                error, reusable = incoming, incoming.recoverable
-            else:
-                error = None
-                reusable = incoming.headers.get("connection", "").lower() != "close"
-                incoming.request_id = request_id
-                try:
-                    route, where = self._match(incoming)
-                    handler = self._table.get(route, {}).get(method)
-                    if route is UNMATCHED:
-                        raise ApiError(404, "not-found", f"no route for {where}")
-                    if handler is None:
-                        raise ApiError(
-                            405, "method-not-allowed", f"{method} not allowed on {where}"
-                        )
-                    status, payload, headers = await handler(incoming)
-                except ApiError as exc:
-                    error = exc
-                except Exception:  # noqa: BLE001 - never leak a traceback
-                    log.exception("unhandled error serving %s %s", method, path)
-                    error = ApiError(500, "internal", "internal server error")
-            if error is not None:
-                status, payload, headers = error.status, error.to_payload(), error.headers
-            keep_alive = (
-                reusable
-                and status < 500
-                and served < self.keepalive_max_requests
-                and not self._draining
-            )
-            headers["X-Request-Id"] = request_id
-            writer.write(render_response(status, payload, headers=headers, close=not keep_alive))
-            await writer.drain()
+            with telemetry.stage("server.request") as span:
+                if isinstance(incoming, ApiError):
+                    # Parse-level failure.  Recoverable ones (413 with the
+                    # oversized body drained) leave the stream correctly
+                    # framed, so keep-alive can survive them; anything else
+                    # may be desynchronized — answer and close.
+                    error, reusable = incoming, incoming.recoverable
+                else:
+                    error = None
+                    reusable = incoming.headers.get("connection", "").lower() != "close"
+                    incoming.request_id = request_id
+                    try:
+                        route, where = self._match(incoming)
+                        handler = self._table.get(route, {}).get(method)
+                        if route is UNMATCHED:
+                            raise ApiError(404, "not-found", f"no route for {where}")
+                        if handler is None:
+                            raise ApiError(
+                                405, "method-not-allowed", f"{method} not allowed on {where}"
+                            )
+                        status, payload, headers = await handler(incoming)
+                    except ApiError as exc:
+                        error = exc
+                    except Exception:  # noqa: BLE001 - never leak a traceback
+                        log.exception("unhandled error serving %s %s", method, path)
+                        error = ApiError(500, "internal", "internal server error")
+                if error is not None:
+                    status, payload, headers = error.status, error.to_payload(), error.headers
+                keep_alive = (
+                    reusable
+                    and status < 500
+                    and served < self.keepalive_max_requests
+                    and not self._draining
+                )
+                headers["X-Request-Id"] = request_id
+                writer.write(
+                    render_response(status, payload, headers=headers, close=not keep_alive)
+                )
+                await writer.drain()
             return keep_alive
         finally:
             # Accounting runs on EVERY served response — 429
             # backpressure, errors, clients that reset mid-write — so
             # latency and the per-route counters never undercount.
             if status is not None:
-                elapsed = time.perf_counter() - started
                 self._m_requests.inc(method=method, route=route, status=status)
-                self._m_request_seconds.observe(elapsed, route=route)
+                self._m_request_seconds.observe(span.duration_s, route=route)
                 access_log.info(
-                    "req=%s %s %s -> %d (%.1f ms)", request_id, method, path, status, elapsed * 1e3
+                    "req=%s %s %s -> %d (%.1f ms)",
+                    request_id, method, path, status, span.duration_s * 1e3,
                 )
 
     def _match(self, request: HttpRequest) -> tuple[str, str]:

@@ -302,10 +302,8 @@ class JobStore:
         order whichever thread finishes a job.
         """
         with self._lock:
-            job = self._jobs[job_id]
+            job = self._legal(job_id, new)
             old = job.state
-            if new not in _TRANSITIONS[old]:
-                raise JobStateError(f"job {job.id}: illegal transition {old.value} -> {new.value}")
             for name, value in outcome.items():
                 setattr(job, name, value)
             if new.is_terminal:
@@ -316,6 +314,13 @@ class JobStore:
             self._counts[old] -= 1
             self._counts[new] += 1
             job.state = new
+        return job
+
+    def _legal(self, job_id: str, new: JobState) -> Job:
+        """The job *job_id*, if it may move to *new* (lock held)."""
+        job = self._jobs[job_id]
+        if new not in _TRANSITIONS[job.state]:
+            raise JobStateError(f"job {job_id}: illegal transition {job.state.value} -> {new.value}")
         return job
 
     def mark_running(self, job_id: str) -> Job:

@@ -1,31 +1,19 @@
 """repro.telemetry — stdlib-only metrics and tracing for the CBES stack.
 
-The package answers "what is the estimator doing right now?" with three
-pieces:
-
 * :mod:`~repro.telemetry.registry` — `Counter`/`Gauge`/`Histogram`
-  primitives behind a thread-safe :class:`MetricsRegistry`.  Metrics
-  leave a registry as one document, :meth:`MetricsRegistry.snapshot`,
-  and enter one by one rule, :meth:`MetricsRegistry.absorb`: that pair
-  carries search-worker samples to the master and replica scrapes to
-  the fleet router.
-* :mod:`~repro.telemetry.spans` — a `trace()` context manager producing
-  nested timed :class:`Span` trees, with a bounded ring buffer of
-  completed traces.
-* :mod:`~repro.telemetry.export` — Prometheus text exposition of a
-  snapshot (the JSON form is the snapshot itself).
+  families behind a thread-safe :class:`MetricsRegistry`, which metrics
+  leave as one :meth:`~MetricsRegistry.snapshot` document and enter by
+  :meth:`~MetricsRegistry.absorb`.
+* :mod:`~repro.telemetry.spans` — :func:`stage`, the one clock, and the
+  :class:`Tracer` on which a trace of stages opens.
+* :mod:`~repro.telemetry.export` — Prometheus text exposition.
 
-Instrumented code never holds a registry reference of its own; it asks
-for the *ambient* one via :func:`get_registry` / :func:`get_tracer`.
-By default that is a no-op (:class:`NullRegistry` / :class:`NullTracer`)
-so the hot path pays near-zero cost; the daemon (or a test, via
-:func:`use_registry`) installs a live registry to turn collection on.
-
-Resolution order: the context-local value (set by :func:`use_registry`
-/ :func:`use_tracer`, scoped to the current thread or asyncio task)
-wins; otherwise the process-global default (set by :func:`set_registry`
-/ :func:`set_tracer`, which is what the daemon uses so its worker
-threads all feed one registry); otherwise the null implementation.
+Instrumented code asks for the *ambient* registry via
+:func:`get_registry`: the context-local one (:func:`use_registry`, per
+thread or asyncio task), else the process-global one
+(:func:`set_registry`, what the daemon installs for its worker
+threads), else a no-op :class:`NullRegistry`, so the hot path pays
+near-zero cost while telemetry is off.
 """
 
 from __future__ import annotations
@@ -43,7 +31,7 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.telemetry.spans import NullTracer, Span, Tracer
+from repro.telemetry.spans import Span, Tracer, adopt, annotate, collect, stage, tracing
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -53,30 +41,24 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "NullRegistry",
-    "NullTracer",
     "Span",
     "Tracer",
+    "adopt",
+    "annotate",
+    "collect",
     "enabled",
     "get_registry",
-    "get_tracer",
     "set_registry",
-    "set_tracer",
     "snapshot_to_prometheus",
+    "stage",
+    "tracing",
     "use_registry",
-    "use_tracer",
 ]
 
 _NULL_REGISTRY = NullRegistry()
-_NULL_TRACER = NullTracer()
-
 _global_registry: MetricsRegistry | NullRegistry = _NULL_REGISTRY
-_global_tracer: Tracer | NullTracer = _NULL_TRACER
-
 _ctx_registry: ContextVar[MetricsRegistry | NullRegistry | None] = ContextVar(
     "repro_telemetry_registry", default=None
-)
-_ctx_tracer: ContextVar[Tracer | NullTracer | None] = ContextVar(
-    "repro_telemetry_tracer", default=None
 )
 
 
@@ -102,30 +84,6 @@ def use_registry(registry: MetricsRegistry | NullRegistry):
         yield registry
     finally:
         _ctx_registry.reset(token)
-
-
-def get_tracer() -> Tracer | NullTracer:
-    """The ambient tracer (context-local, else global, else null)."""
-    ctx = _ctx_tracer.get()
-    if ctx is not None:
-        return ctx
-    return _global_tracer
-
-
-def set_tracer(tracer: Tracer | NullTracer | None) -> None:
-    """Install *tracer* as the process-global default (None resets to null)."""
-    global _global_tracer
-    _global_tracer = tracer if tracer is not None else _NULL_TRACER
-
-
-@contextmanager
-def use_tracer(tracer: Tracer | NullTracer):
-    """Make *tracer* ambient for the current context (thread/task)."""
-    token = _ctx_tracer.set(tracer)
-    try:
-        yield tracer
-    finally:
-        _ctx_tracer.reset(token)
 
 
 def enabled() -> bool:

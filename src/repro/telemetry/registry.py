@@ -463,6 +463,7 @@ class _NullChild:
     """Answers the whole child API with no-ops; shared singleton."""
 
     __slots__ = ()
+    labelnames: tuple[str, ...] = ()
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """No-op."""

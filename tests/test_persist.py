@@ -14,6 +14,7 @@ import random
 import re
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,30 @@ class TestDurableJobStore:
     def _store(self, tmp_path, **kwargs) -> DurableJobStore:
         kwargs.setdefault("fsync", "never")
         return DurableJobStore(tmp_path / "data", **kwargs)
+
+    def test_a_terminal_state_is_journaled_before_anyone_reads_it(self, tmp_path, monkeypatch):
+        """During the ``done`` and ``failed`` appends the job still reads
+        ``running`` — a crash there cannot un-finish an acknowledged job —
+        and a lookup from another thread does not wait on the append."""
+        store = self._store(tmp_path)
+        done, failed = (store.create("predict", {"app": "lu.A"}) for _ in range(2))
+        for job in (done, failed):
+            store.mark_running(job.id)
+        seen = []
+        append = store.journal.append_payload
+
+        def appending(payload: bytes) -> int:
+            with ThreadPoolExecutor(1) as reader:
+                states = reader.submit(lambda: [store.get(j.id).state for j in (done, failed)])
+                seen.append(states.result(timeout=10))
+            return append(payload)
+
+        monkeypatch.setattr(store.journal, "append_payload", appending)
+        store.mark_done(done.id, {"execution_time": 1.0})
+        store.mark_failed(failed.id, "boom")
+        running = JobState.RUNNING
+        assert seen == [[running, running], [JobState.DONE, running]]
+        assert [store.get(j.id).state for j in (done, failed)] == [JobState.DONE, JobState.FAILED]
 
     def test_crash_reopen_recovers_everything(self, tmp_path):
         store = self._store(tmp_path)

@@ -207,3 +207,6 @@ class TestWatchLoop:
 
     def test_decisions_limit_query(self, client):
         assert client.remap_decisions(limit=3) == []
+        with pytest.raises(ServerError) as excinfo:
+            client.remap_decisions(limit=-1)
+        assert excinfo.value.status == 400

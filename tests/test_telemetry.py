@@ -11,12 +11,17 @@ Four layers are covered:
   fleet merge byte-for-byte as before, and keeps search-side counters
   identical between ``parallel=1`` and ``parallel=N`` runs (the PR 3
   determinism contract, extended to telemetry).
+* **Traces** — stages nest into one trace per tracer-held root, and a
+  search's task spans come home from pool workers, so ``parallel=1``
+  and ``parallel=N`` record the same tree.
 * **Surface** — the daemon's ``/v1/metrics`` + ``/v1/traces`` endpoints,
   the access-log/metrics guarantee on error responses, and the
   ``repro metrics`` CLI.
 """
 
+import ast
 import math
+import os
 import pickle
 import sys
 import threading
@@ -35,7 +40,6 @@ from repro.telemetry import (
     MetricError,
     MetricsRegistry,
     NullRegistry,
-    NullTracer,
     Tracer,
     snapshot_to_prometheus,
     use_registry,
@@ -166,13 +170,6 @@ class TestNullImplementations:
         registry.histogram("cbes_lat_seconds").observe(0.5)
         assert registry.snapshot() == {}
 
-    def test_null_tracer_is_api_compatible_noop(self):
-        tracer = NullTracer()
-        with tracer.trace("anything", key="value") as span:
-            span.set_attribute("more", 1)
-        assert tracer.traces() == []
-        assert tracer.current_span() is None
-
     def test_ambient_defaults_to_disabled(self):
         assert not telemetry.enabled()
         assert isinstance(telemetry.get_registry(), NullRegistry)
@@ -246,13 +243,12 @@ class TestExporters:
 class TestSpans:
     def test_nested_spans_form_a_tree(self):
         tracer = Tracer()
-        with tracer.trace("root", app="lu.A") as root:
-            assert tracer.current_span() is root
-            with tracer.trace("child") as child:
+        with tracer.trace("root", app="lu.A"):
+            with telemetry.stage("child") as child:
                 child.set_attribute("n", 3)
             with tracer.trace("sibling"):
-                pass
-        assert tracer.current_span() is None
+                assert telemetry.tracing()
+        assert not telemetry.tracing()
 
         traces = tracer.traces()
         assert len(traces) == 1
@@ -304,6 +300,41 @@ class TestSpans:
         assert set(roots) == {"root-a", "root-b"}
         for tag in ("a", "b"):
             assert [c["name"] for c in roots[f"root-{tag}"]["children"]] == [f"child-{tag}"]
+
+    def test_a_stage_outside_a_trace_times_and_observes_but_records_nothing(self):
+        registry, tracer = MetricsRegistry(), Tracer()
+        seconds = registry.histogram("cbes_x_seconds", "x", ("kind",))
+        with telemetry.stage("x", seconds, kind="a", other=1) as span:
+            assert not telemetry.tracing()
+            with tracer.trace("inner"):  # a root of its own trace, not a child
+                pass
+        assert span.duration_s > 0 and span.children == []
+        assert [t["name"] for t in tracer.traces()] == ["inner"]
+        [sample] = registry.snapshot()["cbes_x_seconds"]["samples"]
+        assert sample["labels"] == {"kind": "a"} and sample["sum"] == span.duration_s
+
+    def test_a_raising_stage_observes_nothing(self):
+        registry = MetricsRegistry()
+        seconds = registry.histogram("cbes_x_seconds", "x")
+        with pytest.raises(RuntimeError):
+            with telemetry.stage("x", seconds):
+                raise RuntimeError("boom")
+        assert registry.snapshot()["cbes_x_seconds"]["samples"] == []
+
+    def test_perf_counter_is_read_only_by_the_stage_clock(self):
+        """One clock: every timed section of the package is a stage."""
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        readers = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if any(
+                (isinstance(node, ast.Attribute) and node.attr == "perf_counter")
+                or (isinstance(node, ast.Name) and node.id == "perf_counter")
+                or (isinstance(node, ast.alias) and node.name == "perf_counter")
+                for node in ast.walk(ast.parse(path.read_text()))
+            )
+        )
+        assert readers == ["telemetry/spans.py"]
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +571,44 @@ class TestSearchDeterminism:
         _, counters = one
         assert counters["cbes_ga_generations_total"][0][1] > 0
 
+    @staticmethod
+    def traced(evaluator, pool, parallel: int) -> dict:
+        tracer = Tracer()
+        ev = evaluator.with_snapshot(evaluator.snapshot)
+        with tracer.trace("caller"):
+            make_scheduler("cs", parallel=parallel, restarts=3).schedule(ev, pool, seed=13)
+        [trace] = tracer.traces()
+        return trace
+
+    def test_trace_tree_agrees_across_degrees(self, evaluator_and_pool):
+        """Task spans come home from the workers: the same tree at
+        parallel=1 and parallel=2, bar durations, clocks, ids and pids."""
+        evaluator, pool = evaluator_and_pool
+
+        def shape(span: dict) -> tuple:
+            attributes = {k: v for k, v in span["attributes"].items() if k != "pid"}
+            return (span["name"], span["status"], sorted(attributes.items()),
+                    [shape(child) for child in span["children"]])
+
+        def walk(span: dict):
+            yield span
+            for child in span["children"]:
+                yield from walk(child)
+
+        one = self.traced(evaluator, pool, 1)
+        two = self.traced(evaluator, pool, 2)
+        assert shape(one) == shape(two)
+        [run] = two["children"]
+        assert run["name"] == "scheduler.run"
+        tasks = [span for span in run["children"] if span["name"] == "search.task"]
+        assert len(tasks) == 3
+        assert all(task["attributes"]["pid"] != os.getpid() for task in tasks)
+        assert all(task["attributes"]["pid"] == os.getpid() for task in walk(one)
+                   if task["name"] == "search.task")
+        spans = list(walk(two))
+        assert len({span["span_id"] for span in spans}) == len(spans)
+        assert {span["trace_id"] for span in spans} == {two["trace_id"]}
+
 
 # ---------------------------------------------------------------------------
 # the daemon surface
@@ -584,6 +653,9 @@ REQUIRED_METRICS = (
     "cbes_snapshot_age_seconds",
     "cbes_evaluations_total",
     "cbes_jobs_total",
+    "cbes_job_seconds",
+    "cbes_schedule_seconds",
+    "cbes_search_task_seconds",
     "cbes_uptime_seconds",
 )
 
@@ -660,25 +732,27 @@ class TestDaemonSurface:
         assert runs and runs[0]["attributes"]["evaluations"] > 0
         assert runs[0]["trace_id"] == job["trace_id"]
 
-    def test_cbes_schedule_emits_root_span(self, service_and_app):
-        """CBES.schedule is the service-level trace root for library users."""
+    def test_cbes_schedule_spans_under_the_callers_trace(self, service_and_app):
+        """A library caller holds the tracer: CBES.schedule is a span of
+        the trace the caller opened."""
         from repro.schedulers import CbesScheduler
-        from repro.telemetry import use_tracer
 
         service, app_name = service_and_app
         tracer = Tracer()
-        with use_tracer(tracer):
+        with tracer.trace("caller"):
             service.schedule(app_name, CbesScheduler(), list(service.cluster.node_ids()), seed=3)
-        roots = [t for t in tracer.traces() if t["name"] == "cbes.schedule"]
-        assert roots
-        assert roots[0]["attributes"]["app"] == app_name
-        assert [c["name"] for c in roots[0]["children"]] == ["scheduler.run"]
+        [root] = tracer.traces()
+        [schedule] = root["children"]
+        assert schedule["name"] == "cbes.schedule"
+        assert schedule["attributes"]["app"] == app_name
+        assert [c["name"] for c in schedule["children"]] == ["scheduler.run"]
 
     def test_traces_limit_validation(self, client):
         assert client.traces(limit=1) == client.traces()[:1]
-        with pytest.raises(ServerError) as excinfo:
-            client._request("GET", "/v1/traces?limit=nope")
-        assert excinfo.value.status == 400
+        for limit in ("nope", "-1"):
+            with pytest.raises(ServerError) as excinfo:
+                client._request("GET", f"/v1/traces?limit={limit}")
+            assert excinfo.value.status == 400
 
     def test_metrics_cli_renders_table_and_raw(self, server, scheduled, capsys):
         from repro.cli import main
