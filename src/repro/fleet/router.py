@@ -55,7 +55,6 @@ replica call), error mapping and shutdown are the daemon's — see
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import uuid
 from urllib.parse import urlencode
@@ -77,7 +76,14 @@ from repro.server.http import (
     query_seconds,
 )
 from repro.server.jobs import JobState
-from repro.server.protocol import ApiError, HttpRequest, RawResponse, lookup_body, split_lookup
+from repro.server.protocol import (
+    ApiError,
+    HttpRequest,
+    RawResponse,
+    decode_object,
+    lookup_body,
+    split_lookup,
+)
 from repro.server.serialize import COMMON_JOB_FIELDS, batch_entries, check_field
 
 __all__ = ["FleetRouter", "RouterThread"]
@@ -105,12 +111,9 @@ FLEET_RETRIES_TOTAL = (
 def _decode(backend: str, raw: bytes) -> dict:
     """A replica's answer as a JSON object, else a :class:`BackendError`."""
     try:
-        doc = json.loads(raw)
-    except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError
-        doc = None
-    if not isinstance(doc, dict):
-        raise BackendError(backend, "response body is not a JSON object")
-    return doc
+        return decode_object(raw)
+    except ValueError as exc:
+        raise BackendError(backend, f"response {exc}") from None
 
 
 def _relayed_headers(headers: dict[str, str]) -> dict[str, str]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import os
 import re
-import signal
+import selectors
 import subprocess
 import sys
 import time
@@ -27,7 +27,7 @@ __all__ = ["FleetSupervisor"]
 
 log = logging.getLogger("repro.fleet.supervisor")
 
-_BANNER = re.compile(r"serving on http://([0-9.]+):(\d+)")
+_BANNER = re.compile(rb"serving on http://([0-9.]+):(\d+)\r?\n")
 
 #: How long a replica may take to print its banner.
 STARTUP_TIMEOUT_S = 60.0
@@ -110,7 +110,6 @@ class FleetSupervisor:
                     self._command(index),
                     stdout=subprocess.PIPE,
                     stderr=subprocess.DEVNULL,
-                    text=True,
                     env=env,
                 )
                 self._procs.append(proc)
@@ -122,27 +121,23 @@ class FleetSupervisor:
         return list(self.backends)
 
     def _await_banner(self, proc: subprocess.Popen, index: int) -> str:
-        assert proc.stdout is not None
+        """Replica *index*'s ``host:port``, waiting only for the startup time left."""
         deadline = time.monotonic() + STARTUP_TIMEOUT_S
-        while True:
-            if time.monotonic() > deadline:
-                raise RuntimeError(f"replica r{index} did not start within the startup timeout")
-            line = proc.stdout.readline()
-            if not line:
-                raise RuntimeError(
-                    f"replica r{index} exited before serving (code {proc.poll()})"
-                )
-            match = _BANNER.search(line)
-            if match:
-                return f"{match.group(1)}:{match.group(2)}"
+        out = b""
+        with selectors.DefaultSelector() as selector:
+            selector.register(proc.stdout, selectors.EVENT_READ)
+            while (match := _BANNER.search(out)) is None:
+                if not selector.select(deadline - time.monotonic()):
+                    raise RuntimeError(f"replica r{index} did not start in {STARTUP_TIMEOUT_S:g}s")
+                chunk = os.read(proc.stdout.fileno(), 4096)
+                if not chunk:
+                    raise RuntimeError(f"replica r{index} quit before serving (code {proc.poll()})")
+                out += chunk
+        return b":".join(match.groups()).decode()
 
     def poll(self) -> list[int | None]:
         """Exit codes of the replicas (``None`` while still running)."""
         return [proc.poll() for proc in self._procs]
-
-    def kill_replica(self, index: int, *, sig: int = signal.SIGKILL) -> None:
-        """Send *sig* to replica *index* (test/chaos hook)."""
-        self._procs[index].send_signal(sig)
 
     def stop(self, *, timeout_s: float = 10.0) -> None:
         """Terminate every replica (SIGTERM, then SIGKILL past the grace)."""

@@ -1,4 +1,4 @@
-"""Asyncio HTTP/1.1 client transport for the fleet router.
+"""Asyncio client transport for the fleet router.
 
 One :class:`BackendPool` per replica: it dials ``asyncio``
 stream connections on demand, keeps idle ones for reuse (the daemon
@@ -7,7 +7,8 @@ stale-socket discipline — a *reused* connection that dies before any
 response bytes arrive never reached a handler, so the request is retried
 once on a fresh connection; fresh-connection failures surface
 immediately.  Stdlib only, usable from any number of concurrent router
-handlers (each request checks a connection out of the pool).
+handlers (each request checks a connection out of the pool).  Messages
+are :mod:`repro.server.protocol`'s; this module does only their I/O.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from __future__ import annotations
 import asyncio
 
 from repro._util import encode_json
-from repro.server.protocol import ApiError, parse_headers
+from repro.server.protocol import (
+    MAX_RESPONSE_BODY_BYTES,
+    ApiError,
+    frame_request,
+    parse_head,
+    response_status,
+)
 
 __all__ = ["BackendError", "BackendPool", "read_response"]
 
-#: Hard caps on response framing — the replicas are trusted, but a
-#: misconfigured backend must not balloon the router.
-MAX_RESPONSE_HEADER_BYTES = 64 * 1024
-MAX_RESPONSE_BODY_BYTES = 64 * 1024 * 1024
 #: Idle connections a pool keeps for reuse; extras are closed on release.
 MAX_IDLE = 4
 
@@ -38,38 +41,30 @@ class BackendError(ApiError):
 async def read_response(
     reader: asyncio.StreamReader, backend: str
 ) -> tuple[int, dict[str, str], bytes]:
-    """Parse one HTTP response; returns (status, headers, body)."""
+    """(status, headers, body) of one answer, read by :mod:`repro.server.protocol`'s
+    rules; anything else is a :class:`BackendError`."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except (asyncio.IncompleteReadError, asyncio.LimitOverrunError) as exc:
         raise BackendError(backend, f"truncated response head: {exc}") from None
-    if len(head) > MAX_RESPONSE_HEADER_BYTES:
-        raise BackendError(backend, "response header section too large")
-    start, _, block = head.decode("latin-1").partition("\r\n")
-    parts = start.split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise BackendError(backend, f"malformed status line {start!r}")
     try:
-        status = int(parts[1])
-    except ValueError:
-        raise BackendError(backend, f"malformed status line {start!r}") from None
-    try:
-        headers = parse_headers(block)
+        words, headers, length = parse_head(head)
+        status = response_status(words)
     except ValueError as exc:
         raise BackendError(backend, str(exc)) from None
-    body = b""
-    if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise BackendError(backend, "malformed Content-Length in response") from None
-        if not 0 <= length <= MAX_RESPONSE_BODY_BYTES:
-            raise BackendError(backend, f"implausible response length {length}")
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise BackendError(backend, "response body shorter than Content-Length") from None
-    return status, headers, body
+    if length is None:
+        headers["connection"] = "close"
+        try:  # the end of the connection ends the body, within the cap
+            await reader.readexactly(MAX_RESPONSE_BODY_BYTES + 1)
+        except asyncio.IncompleteReadError as exc:
+            return status, headers, exc.partial
+        raise BackendError(backend, "response body too large")
+    if length > MAX_RESPONSE_BODY_BYTES:
+        raise BackendError(backend, f"implausible response length {length}")
+    try:
+        return status, headers, await reader.readexactly(length)
+    except asyncio.IncompleteReadError:
+        raise BackendError(backend, f"response body cut short of {length} bytes") from None
 
 
 class BackendPool:
@@ -130,17 +125,9 @@ class BackendPool:
         *headers* are extra request headers (the router's
         ``X-Request-Id``); the caller vouches for their framing.
         """
-        data = encode_json(body) if body is not None else b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.backend}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-        )
-        if data:
-            head += "Content-Type: application/json\r\n"
-        for name, value in (headers or {}).items():
-            head += f"{name}: {value}\r\n"
-        frame = (head + "\r\n").encode("latin-1") + data
+        data = encode_json(body) if body is not None else None
+        extra = {"Content-Type": "application/json"} if data else {}
+        frame = frame_request(method, path, self.backend, data, {**extra, **(headers or {})})
         loop = asyncio.get_running_loop()
         for _attempt in (0, 1):
             reused = bool(self._idle)
@@ -155,6 +142,8 @@ class BackendPool:
                 writer.write(frame)
                 await writer.drain()
                 status, headers, payload = await read_response(reader, self.backend)
+                if loop.time() >= deadline.when():  # the timer may have ended a body read to EOF
+                    raise BackendError(self.backend, "answer cut short at the deadline")
             except (BackendError, OSError) as exc:
                 writer.close()
                 if reused:

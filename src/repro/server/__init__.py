@@ -15,7 +15,7 @@ daemon owning a calibrated :class:`~repro.core.service.CBES` instance:
 * :mod:`repro.server.watches` — the ``/v1/remap/*`` background loops;
 * :mod:`repro.server.jobs` — the job lifecycle state machine and the
   TTL-evicting job store;
-* :mod:`repro.server.protocol` — minimal HTTP/1.1 framing;
+* :mod:`repro.server.protocol` — the stack's one HTTP/1.1 + JSON codec;
 * :mod:`repro.server.serialize` — JSON codecs + submit-time validation;
 * :mod:`repro.server.client` — the blocking client used by the CLI,
   tests and benchmarks.

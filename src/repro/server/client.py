@@ -5,17 +5,16 @@ API — used by the ``repro submit`` / ``repro jobs`` CLI commands, the
 tests, and the throughput benchmark.  Stdlib only.
 
 The client keeps **one pooled connection** alive across calls (the
-daemon speaks HTTP/1.1 keep-alive), so polling loops like :meth:`wait`
-stop churning sockets.  It speaks the service's own framing on a plain
-socket: each request goes out in one ``sendall``; the answer's head is
-read up to its blank line and parsed by the parser the daemon and the
-router use (:func:`~repro.server.protocol.parse_headers`), then exactly
-``Content-Length`` body bytes.  A reused socket the daemon has since
-closed surfaces as a send-time error or an end-of-file before any
-response bytes — such a request never reached a handler, so the client
-retries it once, transparently, on a fresh connection.  Fresh-connection
-failures (daemon down, port wrong) are raised immediately, and an answer
-cut short is a :class:`ServerError`.
+daemon speaks keep-alive), so polling loops like :meth:`wait` stop
+churning sockets.  It speaks the codec the daemon and the router use
+(:mod:`repro.server.protocol`) on a plain socket, each request in one
+``sendall``; an answer the codec refuses, or one cut short, is a
+:class:`ServerError` (``bad-response``).  A reused socket the daemon
+has since closed surfaces as a send-time error or an end-of-file before
+any response bytes — such a request never reached a handler, so the
+client retries it once, transparently, on a fresh connection.
+Fresh-connection failures (daemon down, port wrong) are raised
+immediately.
 """
 
 from __future__ import annotations
@@ -27,9 +26,17 @@ from collections.abc import Iterator
 from urllib.parse import quote
 
 from repro._util import check_positive
-from repro.server.protocol import MAX_HEADER_BYTES, MAX_LOOKUP_IDS, parse_headers
+from repro.server.protocol import (
+    MAX_HEADER_BYTES,
+    MAX_LOOKUP_IDS,
+    MAX_RESPONSE_BODY_BYTES,
+    decode_object,
+    frame_request,
+    parse_head,
+    response_status,
+)
 
-__all__ = ["ServerError", "BackpressureError", "JobFailed", "CbesClient"]
+__all__ = ["ServerError", "BackpressureError", "JobFailed", "CbesClient", "read_response"]
 
 
 class ServerError(RuntimeError):
@@ -56,6 +63,36 @@ class JobFailed(RuntimeError):
     def __init__(self, job: dict):
         super().__init__(f"job {job.get('id')} failed: {job.get('error')}")
         self.job = job
+
+
+def read_response(rfile) -> tuple[int, dict, bytes]:
+    """(status, headers, body) of one answer off the binary file *rfile*, read
+    by :mod:`repro.server.protocol`'s rules; one that is malformed, or that
+    ends, fails or falls silent before it is whole, is a :class:`ServerError`.
+    """
+    head = b""
+    try:
+        while not head.endswith(b"\r\n\r\n") and len(head) <= MAX_HEADER_BYTES:
+            line = rfile.readline(MAX_HEADER_BYTES + 1 - len(head))
+            if not line:
+                raise ValueError("response head cut short")
+            head += line
+        words, headers, length = parse_head(head)
+        status = response_status(words)
+        if length is None:  # the answer ends with its connection
+            headers["connection"] = "close"
+        elif length > MAX_RESPONSE_BODY_BYTES:
+            raise ValueError(f"implausible response length {length}")
+        body = rfile.read(MAX_RESPONSE_BODY_BYTES + 1 if length is None else length)
+        if len(body) > MAX_RESPONSE_BODY_BYTES:
+            raise ValueError("response body too large")
+        if length is not None and len(body) < length:
+            raise ValueError(f"response body cut short at {len(body)} of {length} bytes")
+    except ValueError as exc:
+        raise ServerError(502, "bad-response", str(exc)) from None
+    except OSError as exc:  # reset, or silent past the timeout
+        raise ServerError(502, "bad-response", f"response cut short: {exc}") from None
+    return status, headers, body
 
 
 def _id_chunks(ids: list[str]) -> Iterator[str]:
@@ -147,25 +184,20 @@ class CbesClient:
         Reuses the pooled connection, reconnecting transparently when a
         reused socket turns out stale (see :attr:`_STALE_ERRORS`).
         """
-        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
-        if data is not None:
-            head += f"Content-Length: {len(data)}\r\n"
-        for name, value in headers.items():
-            head += f"{name}: {value}\r\n"
-        frame = (head + "\r\n").encode("latin-1") + (data or b"")
+        frame = frame_request(method, path, f"{self.host}:{self.port}", data, headers)
         for _attempt in (0, 1):
             reused = self._sock is not None
             if not reused:
                 self._connect()
             try:
                 self._sock.sendall(frame)
-                status_line = self._rfile.readline(MAX_HEADER_BYTES)
+                answered = bool(self._rfile.peek(1))
             except self._STALE_ERRORS:
-                status_line = b""
+                answered = False
             except BaseException:
                 self.close()
                 raise
-            if not status_line:
+            if not answered:
                 self.close()
                 if reused:
                     continue  # retry once on a fresh connection
@@ -173,7 +205,7 @@ class CbesClient:
                     f"{self.host}:{self.port} closed the connection without answering"
                 )
             try:
-                status, response_headers, body = self._read_response(status_line)
+                status, response_headers, body = read_response(self._rfile)
             except BaseException:
                 self.close()
                 raise
@@ -182,50 +214,14 @@ class CbesClient:
             return status, response_headers, body
         raise ServerError(599, "unreachable", "retry loop exhausted")  # pragma: no cover
 
-    def _read_response(self, status_line: bytes) -> tuple[int, dict, bytes]:
-        """The rest of an answer whose first line is *status_line*.
-
-        An answer that is malformed, or whose connection ends, fails or
-        falls silent for ``timeout_s`` before it is whole, raises
-        :class:`ServerError`.
-        """
-        head = [status_line]
-        size = len(status_line)
-        try:
-            while head[-1] not in (b"\r\n", b"\n"):
-                if not head[-1].endswith(b"\n") or size > MAX_HEADER_BYTES:
-                    raise ValueError("response head cut short or too large")
-                head.append(self._rfile.readline(MAX_HEADER_BYTES))
-                size += len(head[-1])
-            start, _, block = b"".join(head).decode("latin-1").partition("\r\n")
-            parts = start.split(None, 2)
-            if len(parts) < 2 or not parts[0].startswith("HTTP/1.") or not parts[1].isdigit():
-                raise ValueError(f"malformed status line {start!r}")
-            headers = parse_headers(block)
-            length = headers.get("content-length")
-            if length is None:
-                body = self._rfile.read()  # the answer ends with the connection
-                headers["connection"] = "close"
-            elif not length.isdigit():
-                raise ValueError(f"malformed Content-Length {length!r}")
-            else:
-                body = self._rfile.read(int(length))
-                if len(body) != int(length):
-                    raise ValueError(f"response body cut short at {len(body)} of {length} bytes")
-        except ValueError as exc:
-            raise ServerError(502, "bad-response", str(exc)) from None
-        except OSError as exc:  # reset, or silent past timeout_s
-            raise ServerError(502, "bad-response", f"response cut short: {exc}") from None
-        return int(parts[1]), headers, body
-
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         data = json.dumps(body).encode("utf-8") if body is not None else None
         headers = {"Content-Type": "application/json"} if data else {}
         status, response_headers, raw = self._roundtrip(method, path, data, headers)
         try:
-            payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError:
-            raise ServerError(status, "bad-response", raw[:200].decode("latin-1")) from None
+            payload = decode_object(raw) if raw else {}
+        except ValueError as exc:
+            raise ServerError(502, "bad-response", str(exc)) from None
         if status >= 400:
             error = payload.get("error", {})
             code = error.get("code", "unknown")

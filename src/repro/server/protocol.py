@@ -1,17 +1,19 @@
-"""Minimal JSON-over-HTTP/1.1 framing for the CBES service.
+"""The service's one JSON-over-HTTP/1.1 codec.
 
 The service speaks just enough HTTP for its fixed API surface:
 ``GET``/``POST`` with JSON bodies both ways, and HTTP/1.1 keep-alive
 (the connection loop in :mod:`repro.server.http` serves multiple
 requests per connection; ``render_response(close=True)`` opts any
-response out).  Kept stdlib-only and asyncio-stream based so the service
-has no dependencies beyond what the library already requires.
+response out).  It is the one codec of the daemon, the router's replica
+pool and :class:`~repro.server.client.CbesClient`, which each do only
+their own I/O; a body is framed by ``Content-Length`` alone.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 
 from repro._util import encode_json
@@ -20,10 +22,13 @@ __all__ = [
     "ApiError",
     "HttpRequest",
     "RawResponse",
+    "decode_object",
+    "frame_request",
     "lookup_body",
-    "parse_headers",
+    "parse_head",
     "read_request",
     "render_response",
+    "response_status",
     "split_lookup",
 ]
 
@@ -32,6 +37,8 @@ __all__ = [
 #: (``--max-body-bytes``) into :func:`read_request` per call.
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: The largest answer body the router or a client reads.
+MAX_RESPONSE_BODY_BYTES = 64 * 1024 * 1024
 #: Most job ids one ``GET /v1/jobs?ids=...`` lookup may name; the client
 #: splits longer lists into several requests.
 MAX_LOOKUP_IDS = 512
@@ -41,6 +48,9 @@ LOOKUP_MISSING, LOOKUP_JOBS = b'{"missing":', b',"jobs":['
 #: When rejecting an oversized body we still *drain* it (in chunks of
 #: this size) so the connection stays framed for keep-alive reuse.
 _DRAIN_CHUNK = 64 * 1024
+#: The protocol versions a start line may name, and a status code.
+_VERSION = re.compile(r"HTTP/1\.[0-9]")
+_STATUS = re.compile(r"[0-9]{3}")
 
 _REASONS = {
     200: "OK",
@@ -122,36 +132,64 @@ class HttpRequest:
 
     def json(self) -> dict:
         """The body parsed as a JSON object; raises :class:`ApiError` (400)."""
-        if not self.body:
-            raise ApiError(400, "bad-request", "request body must be a JSON object")
         try:
-            doc = json.loads(self.body.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # ValueError: bad UTF-8, bad JSON, or an integer past the digit
-            # limit; RecursionError: nesting deeper than the parser's stack.
-            raise ApiError(400, "bad-request", f"malformed JSON body: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ApiError(400, "bad-request", "request body must be a JSON object")
-        return doc
+            return decode_object(self.body)
+        except ValueError as exc:
+            raise ApiError(400, "bad-request", f"request {exc}") from None
 
 
-def parse_headers(block: str) -> dict[str, str]:
-    """The header lines of a message head, names lower-cased.
+def decode_object(raw: bytes) -> dict:
+    """*raw* as a UTF-8 JSON object; ``ValueError`` on anything else."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested past the stack
+        raise ValueError(f"body is malformed JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("body must be a JSON object")
+    return doc
 
-    *block* is the head after its start line.  The one parser of the
-    service's HTTP: requests (:func:`read_request`), the router's
-    backend responses and :class:`~repro.server.client.CbesClient`
-    answers.  Raises ``ValueError`` on a line without a colon.
-    """
+
+def frame_request(method: str, path: str, host: str, body: bytes | None, headers: dict) -> bytes:
+    """A request's bytes: ``Content-Length`` only with a *body*, then *headers* as given."""
+    lines = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
+    if body is not None:
+        lines.append(f"Content-Length: {len(body)}")
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body or b"")
+
+
+def parse_head(head: bytes) -> tuple[list[str], dict[str, str], int | None]:
+    """(start-line words, headers by lower-cased name, ``Content-Length`` or
+    ``None``) of a head through its blank line.  ``ValueError`` past
+    :data:`MAX_HEADER_BYTES`, on a line without a colon, a repeated length
+    or one not all ASCII digits, and on any ``Transfer-Encoding``."""
+    if len(head) > MAX_HEADER_BYTES:
+        raise ValueError("header section too large")
+    start, *lines = head.decode("latin-1").split("\r\n")
     headers: dict[str, str] = {}
-    for line in block.split("\r\n"):
+    for line in lines:
         if not line:
             continue
         name, sep, value = line.partition(":")
         if not sep:
             raise ValueError(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    return headers
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            raise ValueError("repeated Content-Length header")
+        headers[name] = value.strip()
+    if "transfer-encoding" in headers:
+        raise ValueError("Transfer-Encoding is not supported; send Content-Length")
+    length = headers.get("content-length")
+    if length is not None and not (length.isascii() and length.isdigit()):
+        raise ValueError(f"malformed Content-Length {length!r}")
+    return start.split(" ", 2), headers, None if length is None else int(length)
+
+
+def response_status(words: list[str]) -> int:
+    """An answer's status code; ``ValueError`` unless ``HTTP/1.x`` and three ASCII digits."""
+    if len(words) < 2 or not _VERSION.fullmatch(words[0]) or not _STATUS.fullmatch(words[1]):
+        raise ValueError(f"malformed status line {' '.join(words)!r}")
+    return int(words[1])
 
 
 async def read_request(
@@ -175,25 +213,16 @@ async def read_request(
         raise ApiError(413, "payload-too-large", "request header section too large") from None
     if len(head) > MAX_HEADER_BYTES:
         raise ApiError(413, "payload-too-large", "request header section too large")
-
-    start, _, block = head.decode("latin-1").partition("\r\n")
-    parts = start.split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise ApiError(400, "bad-request", f"malformed request line: {start!r}")
-    method, path, _version = parts
     try:
-        headers = parse_headers(block)
+        words, headers, length = parse_head(head)
     except ValueError as exc:
         raise ApiError(400, "bad-request", str(exc)) from None
+    if len(words) != 3 or not _VERSION.fullmatch(words[2]):
+        raise ApiError(400, "bad-request", f"malformed request line: {' '.join(words)!r}")
+    method, path, _version = words
 
     body = b""
-    if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise ApiError(400, "bad-request", "malformed Content-Length header") from None
-        if length < 0:
-            raise ApiError(400, "bad-request", "malformed Content-Length header")
+    if length:
         if length > max_body_bytes:
             # Consume the declared body before erroring: the next bytes
             # on the socket are then a fresh request, so the daemon can
@@ -218,8 +247,6 @@ async def read_request(
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
             raise ApiError(400, "bad-request", "request body shorter than Content-Length") from None
-    elif headers.get("transfer-encoding"):
-        raise ApiError(400, "bad-request", "chunked request bodies are not supported")
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
 
 

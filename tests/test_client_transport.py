@@ -4,20 +4,29 @@ The stub reads each request with the daemon's parser
 (:func:`repro.server.protocol.read_request`, fed from a plain socket)
 and answers with bytes a test scripts: split into 1-byte segments,
 headers spelled in any case, ``Connection: close``, a body cut short,
-or no answer at all.
+a body that is not a JSON object, or no answer at all.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.server.client import BackpressureError, CbesClient, ServerError
-from repro.server.protocol import HttpRequest, parse_headers, read_request, render_response
+from repro.server.protocol import (
+    HttpRequest,
+    RawResponse,
+    parse_head,
+    read_request,
+    render_response,
+)
 
 OK = render_response(200, {"status": "ok"}, close=False)
 
@@ -41,8 +50,7 @@ def receive(conn: socket.socket) -> HttpRequest | None:
             return None
         raw += chunk
     head, _, body = raw.partition(b"\r\n\r\n")
-    block = head.decode("latin-1").partition("\r\n")[2]
-    length = int(parse_headers(block).get("content-length", 0))
+    length = parse_head(head + b"\r\n\r\n")[2] or 0
     while len(body) < length:
         body += conn.recv(65536)
     return parse(head + b"\r\n\r\n" + body)
@@ -236,3 +244,37 @@ class TestStaleSockets:
             with pytest.raises(ConnectionError):
                 client.healthz()
         assert server.connections == 2  # one retry, not two
+
+
+#: Answer bodies that are not a JSON object: bad UTF-8, nesting past the
+#: parser's stack, and a JSON list.
+NOT_AN_OBJECT = [b"\xff\xfe\x00", b"[" * 100_000, b"[1]"]
+
+
+def answering(status: int, body: bytes):
+    answer = render_response(status, RawResponse(body, "application/json"), close=False)
+    return lambda conn, request, n: conn.sendall(answer)
+
+
+class TestBodiesThatAreNotObjects:
+    @pytest.mark.parametrize("status", [200, 400])
+    @pytest.mark.parametrize("body", NOT_AN_OBJECT, ids=["utf8", "deep", "list"])
+    def test_each_is_a_bad_response(self, stub, body, status):
+        with stub(answering(status, body)).client(timeout_s=10) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.jobs()
+        assert excinfo.value.code == "bad-response"
+
+    @pytest.mark.parametrize("body", NOT_AN_OBJECT, ids=["utf8", "deep", "list"])
+    def test_the_cli_prints_one_error_line(self, stub, body, tmp_path):
+        server = stub(answering(200, body))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "jobs", "--port", str(server.port)],
+            cwd=tmp_path,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        (line,) = proc.stderr.splitlines()
+        assert proc.returncode == 1 and line.startswith("error: [502 bad-response] ")

@@ -104,7 +104,7 @@ class TestImports:
         assert fresh_python(code) == "[]"
 
     def test_the_client_daemon_and_router_load_no_http_client(self):
-        """The client speaks the service's own framing (``protocol.parse_headers``)."""
+        """The client speaks the service's own codec (``repro.server.protocol``)."""
         code = (
             "import sys, repro.server.client, repro.server.daemon, repro.fleet.router; "
             "print('http.client' in sys.modules)"

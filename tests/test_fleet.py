@@ -12,6 +12,7 @@ import http.server
 import json
 import logging
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -22,8 +23,9 @@ import pytest
 
 from repro.cluster import single_switch
 from repro.core import CBES
-from repro.fleet import RouterThread, pick_backend, rendezvous_rank
+from repro.fleet import FleetSupervisor, RouterThread, pick_backend, rendezvous_rank
 from repro.fleet import router as router_module
+from repro.fleet import supervisor as supervisor_module
 from repro.fleet.transport import BackendError, BackendPool
 from repro.server import DaemonThread
 from repro.server.client import ServerError
@@ -483,6 +485,26 @@ class TestFleetDegradation:
         finally:
             if d1._thread.is_alive():
                 d1.shutdown()
+
+
+class TestSupervisorStartup:
+    def test_a_silent_replica_fails_the_start_within_the_timeout(self, monkeypatch):
+        """The startup deadline holds while a replica neither prints nor exits."""
+        sleeper = [sys.executable, "-c", "import time; time.sleep(60)"]
+        spawned = []
+        await_banner = FleetSupervisor._await_banner
+        monkeypatch.setattr(supervisor_module, "STARTUP_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(FleetSupervisor, "_command", lambda self, index: sleeper)
+        monkeypatch.setattr(
+            FleetSupervisor,
+            "_await_banner",
+            lambda self, proc, index: spawned.append(proc) or await_banner(self, proc, index),
+        )
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="did not start"):
+            FleetSupervisor(replicas=2).start()
+        assert time.monotonic() - started < 5.0
+        assert len(spawned) == 1 and spawned[0].poll() is not None
 
 
 @contextmanager

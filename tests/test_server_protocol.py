@@ -1,7 +1,9 @@
 """Unit tests for the daemon's HTTP framing."""
 
+import ast
 import asyncio
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +117,29 @@ class TestRenderResponse:
         err = ApiError(429, "queue-full", "try later", headers={"Retry-After": "1"})
         assert err.to_payload() == {"error": {"code": "queue-full", "message": "try later"}}
         assert err.headers == {"Retry-After": "1"}
+
+
+class TestOneCodec:
+    def test_framing_literals_live_only_in_the_codec(self):
+        """Every status-line, Content-Length and Transfer-Encoding decision is protocol.py's."""
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        owners = []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            docstrings = {
+                id(node.body[0].value)
+                for node in ast.walk(tree)
+                if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+            }
+            literals = [
+                node.value.decode("latin-1") if isinstance(node.value, bytes) else node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, (str, bytes))
+                and id(node) not in docstrings
+            ]
+            words = ("http/1.", "content-length", "transfer-encoding")
+            if any(word in text.lower() for text in literals for word in words):
+                owners.append(str(path.relative_to(src)))
+        assert owners == ["server/protocol.py"]

@@ -5,11 +5,12 @@ declaration of the three request documents; this file holds everything
 else to them: the normalized payloads the journal records (pinned), the
 non-finite rule, the surfaces that must not drift from the tables
 (client builders, CLI flags, docs), and two seeded fuzzers — request
-bodies through both front doors and HTTP framing through both parsers.
+bodies through both front doors and HTTP framing through all three readers.
 """
 
 import asyncio
 import inspect
+import io
 import json
 import math
 from pathlib import Path
@@ -24,6 +25,7 @@ from repro.core import CBES
 from repro.fleet import RouterThread
 from repro.fleet.transport import BackendError, read_response
 from repro.server import CbesClient, DaemonThread
+from repro.server.client import ServerError, read_response as read_answer
 from repro.server.protocol import ApiError, HttpRequest, read_request
 from repro.server.serialize import (
     JOB_FIELDS,
@@ -350,6 +352,7 @@ HOSTILE_HEADERS = [
     b"Content-Length: 100000000000", b"Content-Length: 0x10", b"Content-Length:",
     b"Transfer-Encoding: chunked", b"Transfer-Encoding: identity", b"no-colon-here",
     b": empty-name", b"X-Long: " + b"a" * 70_000,
+    b"Content-Length: +10", b"Content-Length: 10",
 ]
 
 
@@ -418,20 +421,76 @@ class TestFramingFuzz:
         assert outcomes["request"] > 500 and outcomes["error"] > 500  # the menu reaches both
 
     def test_read_response(self):
+        """The router's reader and the client's give every frame one verdict."""
+
         async def run():
             rng = Rng(20050927, 2)
             parsed = 0
             for _ in range(self.CASES):
                 frame = mutate(rng, RESPONSE)
                 try:
-                    status, headers, body = await self.parse(
-                        lambda reader: read_response(reader, "replica"), frame
-                    )
+                    routed = await self.parse(lambda r: read_response(r, "replica"), frame)
                 except BackendError:
+                    routed = None
+                try:
+                    answered = read_answer(io.BytesIO(frame))
+                except ServerError as exc:
+                    assert exc.code == "bad-response", frame
+                    answered = None
+                assert routed == answered, frame
+                if routed is None:
                     continue
+                status, headers, body = routed
                 assert isinstance(status, int) and isinstance(headers, dict)
                 assert isinstance(body, bytes)
                 parsed += 1
             return parsed
 
         assert 500 < asyncio.run(run()) < self.CASES
+
+
+# -- hostile framing, refused at every end ---------------------------------
+#: Header lines that frame a body ambiguously; every reader refuses them.
+HOSTILE_FRAMING = [
+    [b"Content-Length: 1_0"],
+    [b"Content-Length: +10"],
+    [b"Content-Length: 0x10"],
+    [b"Content-Length: 3", b"Content-Length: 10"],
+    [b"Content-Length: 10", b"Transfer-Encoding: chunked"],
+]
+#: Status codes the two answer readers refuse.
+HOSTILE_STATUS = [b"2_00", b"+200", b"20", b"2000"]
+#: Each end's typed error: (class, status, code).
+TYPED = {
+    "daemon": (ApiError, 400, "bad-request"),
+    "router": (BackendError, 502, "replica-error"),
+    "client": (ServerError, 502, "bad-response"),
+}
+
+
+def refused(end: str, start: bytes, headers: list[bytes]) -> None:
+    """The message *start* + *headers* + a 10-byte body, read at *end*, is its typed error."""
+    frame = b"\r\n".join([start, *headers]) + b"\r\n\r\n" + b"0123456789"
+    error, status, code = TYPED[end]
+    with pytest.raises(error) as excinfo:
+        if end == "client":
+            read_answer(io.BytesIO(frame))
+        else:
+            parser = read_request if end == "daemon" else lambda r: read_response(r, "replica")
+            asyncio.run(TestFramingFuzz.parse(parser, frame))
+    assert (excinfo.value.status, excinfo.value.code) == (status, code)
+
+
+class TestHostileFraming:
+    """Lax framing fails closed at all three ends, each with its own typed error."""
+
+    @pytest.mark.parametrize("end", TYPED)
+    @pytest.mark.parametrize("headers", HOSTILE_FRAMING, ids=lambda h: b" + ".join(h).decode())
+    def test_headers(self, end, headers):
+        start = b"POST /v1/jobs HTTP/1.1" if end == "daemon" else b"HTTP/1.1 200 OK"
+        refused(end, start, headers)
+
+    @pytest.mark.parametrize("end", ["router", "client"])
+    @pytest.mark.parametrize("code", HOSTILE_STATUS, ids=bytes.decode)
+    def test_status_codes(self, end, code):
+        refused(end, b"HTTP/1.1 " + code + b" OK", [b"Content-Length: 10"])
