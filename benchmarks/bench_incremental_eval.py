@@ -26,7 +26,10 @@ group of every peer of a moved rank sat at 3.2 (44 us over 14 us); one
 that recomputes only the terms facing the moved ranks sits at 2.1 (27
 us over 13 us).  ``group_terms_per_move`` is the exact count behind
 it, replayed from the context's peer index: 53.6 terms a move against
-the 177.2 of re-walking every group of every peer.
+the 177.2 of re-walking every group of every peer.  A kernel that
+prices each message once, the facing terms of a peer read back from
+the moved ranks' own messages, prices ``messages_priced_per_move`` of
+them, again an exact replay.
 
 Run modes
 ---------
@@ -272,20 +275,24 @@ def sa_loop_us(evaluator, dense_evaluator, sa_chain) -> list[float]:
     return [seconds / SA_MOVES * 1e6 for seconds in best]
 
 
-def group_terms_per_move(context, sa_chain) -> tuple[float, float]:
-    """``(every group of every peer, only the groups touched)`` per move, exactly.
+def terms_per_move(context, sa_chain) -> tuple[float, float, float]:
+    """``(every group of every peer, only the groups touched, messages priced)`` per move.
 
-    Message-group terms evaluated per move of the SA chain, replayed
-    from the context's peer index rather than timed: every group of the
-    moved ranks either way, plus for each rank that has one as a peer
-    all of its groups (the kernel that re-walks peers) or only the
-    groups facing the moved ranks (the one that patches them).  The
-    chain is one process per node, so no rank but the moved ones sees
-    its ACPU change.
+    Exact counts over the moves of the SA chain, replayed from the
+    context's tables rather than timed.  The first two count the
+    message-group terms a kernel that prices group by group evaluates:
+    every group of the moved ranks either way, plus for each rank that
+    has one as a peer all of its groups (the kernel that re-walks
+    peers) or only the groups facing the moved ranks (the one that
+    patches them).  The third is what the kernel prices: each message
+    with a moved rank at an end once, a peer's facing terms read back
+    from those.  The chain is one process per node, so no rank but the
+    moved ones sees its ACPU change.
     """
     start, _, chain = sa_chain
-    groups, peer_groups = context.groups, context.peer_groups
-    every = touched = 0
+    groups, peer_patches = context.groups, context._peer_patches
+    rank_messages = context._rank_messages
+    every = touched = priced = 0
     before = start.as_tuple()
     for _, mapping in chain:
         after = mapping.as_tuple()
@@ -294,12 +301,13 @@ def group_terms_per_move(context, sa_chain) -> tuple[float, float]:
         own = sum(len(groups[r]) for r in moved)
         facing = {}
         for p in moved:
-            for r, records in peer_groups[p]:
+            for r, pairs in peer_patches[p]:
                 if r not in moved:
-                    facing[r] = facing.get(r, 0) + len(records)
+                    facing[r] = facing.get(r, 0) + len(pairs)
         every += own + sum(len(groups[r]) for r in facing)
         touched += own + sum(facing.values())
-    return every / len(chain), touched / len(chain)
+        priced += sum(len(rank_messages[r]) for r in moved)
+    return every / len(chain), touched / len(chain), priced / len(chain)
 
 
 def pool_loop_us() -> dict[int, float]:
@@ -357,7 +365,7 @@ def main(argv=None) -> int:
         )
     overhead = loop_us / propose_us
     dense_ratio = dense_us / propose_move_us
-    terms_every, terms_touched = group_terms_per_move(sa_dense.fast_context(), sa_chain)
+    terms_every, terms_touched, priced = terms_per_move(sa_dense.fast_context(), sa_chain)
     by_pool = pool_loop_us()
     if by_pool[POOL_SIZES[1]] > MAX_POOL_RATIO * by_pool[POOL_SIZES[0]]:
         by_pool = pool_loop_us()
@@ -383,6 +391,10 @@ def main(argv=None) -> int:
         f"{terms_every / terms_touched:.2f}x)"
     )
     print(
+        f"dense messages priced:   {priced:10.2f}     "
+        f"({terms_touched / priced:.2f}x fewer than group terms touched)"
+    )
+    print(
         f"{POOL_RANKS} ranks, pool {POOL_SIZES[0]} -> {POOL_SIZES[1]}: "
         f"{small:.1f} -> {large:.1f} us per move ({large / small:.2f}x, limit {MAX_POOL_RATIO}x)"
     )
@@ -403,6 +415,7 @@ def main(argv=None) -> int:
     report.metric("dense_move_ratio", round(dense_ratio, 3))
     report.metric("group_terms_per_move", terms_touched)
     report.metric("group_terms_per_move_all_peer_groups", terms_every)
+    report.metric("messages_priced_per_move", priced)
     for n in POOL_SIZES:
         report.metric(f"sa_loop_us_per_move_pool{n}", round(by_pool[n], 2))
     report.gate(

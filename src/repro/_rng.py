@@ -44,10 +44,6 @@ def _splitmix64(state: int):
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Rng:
     """xoshiro256** generator with the draw API the repo's callers use.
 
@@ -80,15 +76,16 @@ class Rng:
     def _next(self) -> int:
         """The next raw 64-bit word of the stream."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+        x = (s1 * 5) & _MASK64
+        result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64  # rotl(x, 7) * 9
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        self._s0, self._s1, self._s2 = s0, s1, s2
+        self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64  # rotl(s3, 45)
         return result
 
     # -- uniform draws --------------------------------------------------
@@ -135,6 +132,10 @@ class Rng:
             return [self._randbelow(n) for _ in range(size)]
         if size > n:
             raise ValueError(f"cannot draw {size} distinct values from range({n})")
+        if size == 2:  # the SA swap's pair: the two steps below, without the pool
+            j = self._randbelow(n)
+            k = 1 + self._randbelow(n - 1)
+            return [j, 0 if k == j else k]
         pool = list(range(n))
         for i in range(size):
             j = i + self._randbelow(n - i)

@@ -57,9 +57,11 @@ workers, the remapper, the daemon — does it through this module:
     term list of every rank (:meth:`EvaluationContext.comm_terms`), and
     a move recomputes every term of the ranks whose own node or ACPU
     changed, and of a rank that merely has one of those as a peer only
-    the terms facing it (:meth:`EvaluationContext.moved_terms`).  What
-    is re-folded is ``C_i``: ``λ_i`` times the left fold of the rank's
-    whole list, in group order.  A term is recomputed *from scratch* or
+    the terms facing it.  Each such term is a message with a changed
+    rank at an end, and each such message is priced once: both kinds
+    of term are read back from its one price.  What is re-folded is
+    ``C_i``: ``λ_i`` times the left fold of the rank's whole list, in
+    group order.  A term is recomputed *from scratch* or
     left alone, never adjusted (no ``+= delta`` anywhere), and the fold
     keeps the scalar association, so the incremental state equals a
     fresh full evaluation exactly, however long the move sequence
@@ -175,8 +177,9 @@ class EvaluationContext:
     Storage is plain python lists: per-node columns (``speed``,
     ``acpu_curve``), flat row-major pair tables (``_a_src`` ..
     ``_beta``, ``_binv``), per-rank message-group records
-    (``groups``, indexed by peer in ``peer_groups``) and the distinct
-    messages they name (``_messages``).  Numpy mirrors,
+    (``groups``), the distinct messages they name (``_messages``) and
+    the delta kernel's indexes over them (``_rank_messages``,
+    ``_peer_patches``), all picklable.  Numpy mirrors,
     the groups as CSR columns among them, are built lazily
     (:meth:`_np_cols`) the first time the vectorized batch kernel runs.
     """
@@ -279,7 +282,6 @@ class EvaluationContext:
         #: Empty for every rank with communication off: ``Θ_i`` folds
         #: to 0.0.
         self.groups: list[list[_Record]] = []
-        reach: list[dict[int, list[_Record]]] = [{} for _ in range(nprocs)]
         for p in profile.processes:
             records: list[_Record] = []
             if options.communication:
@@ -287,36 +289,49 @@ class EvaluationContext:
                 ends += [(p.rank, m.peer, m) for m in p.sends]
                 for g, (src, dst, m) in enumerate(ends):
                     records.append((g, src, dst, float(m.count), m.size_bytes))
-                    if m.peer != p.rank:
-                        reach[m.peer].setdefault(p.rank, []).append(records[g])
             self.groups.append(records)
-        #: peer_groups[p] — the message-group terms a change at rank p
-        #: reaches, and only those: one ``(r, records)`` per other rank r
-        #: that has p as a peer (ascending r), *records* the records of
-        #: ``groups[r]`` whose peer is p.
-        self.peer_groups: list[tuple[tuple[int, tuple[_Record, ...]], ...]] = [
-            tuple((r, tuple(records)) for r, records in by_rank.items())
-            for by_rank in reach
-        ]
         #: _messages — every distinct message group once, as the record
         #: ``(m, src, dst, count, size)`` with m its index there; and
         #: _group_messages[r][g] — the m of ``groups[r][g]``.  A message
         #: is a group of its sender and of its receiver (and one rank may
-        #: hold two equal groups), so a full evaluation prices each
-        #: message once and reads each rank's terms back by index.
-        #: Equal ``(src, dst, count, size)`` keys are equal operands, so
-        #: a shared term is bit for bit the term each group would get.
+        #: hold two equal groups), so an evaluation prices each message
+        #: once and reads each rank's terms back by index.  Equal
+        #: ``(src, dst, count, size)`` keys are equal operands, so a
+        #: shared term is bit for bit the term each group would get.
         self._messages: list[_Record] = []
         self._group_messages: list[list[int]] = []
         distinct: dict[tuple[int, int, float, float], int] = {}
-        for records in self.groups:
+        #: rank_messages[r] — the distinct messages with rank r at an end.
+        rank_messages: list[list[_Record]] = [[] for _ in range(nprocs)]
+        #: reach[p][r] — the (g, m) of the groups of rank r facing rank p.
+        reach: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(nprocs)]
+        for r, records in enumerate(self.groups):
             refs = []
-            for _, src, dst, count, size in records:
+            for g, src, dst, count, size in records:
                 m = distinct.setdefault((src, dst, count, size), len(distinct))
                 if m == len(self._messages):
-                    self._messages.append((m, src, dst, count, size))
+                    message = (m, src, dst, count, size)
+                    self._messages.append(message)
+                    rank_messages[src].append(message)
+                    if dst != src:
+                        rank_messages[dst].append(message)
                 refs.append(m)
+                peer = dst if src == r else src
+                if peer != r:
+                    reach[peer].setdefault(r, []).append((g, m))
             self._group_messages.append(refs)
+        #: _rank_messages[r] — the distinct messages with rank r at an
+        #: end (ascending m): every term a change at r can reach, as a
+        #: group of r or of the peer at the other end.
+        self._rank_messages: list[tuple[_Record, ...]] = [tuple(ms) for ms in rank_messages]
+        #: _peer_patches[p] — the entries of other ranks' term lists a
+        #: change at rank p reaches: one ``(r, ((g, m), ...))`` per other
+        #: rank r that has p as a peer (ascending r), g the group of r
+        #: facing p and m its message.
+        self._peer_patches: list[tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = [
+            tuple((r, tuple(pairs)) for r, pairs in by_rank.items())
+            for by_rank in reach
+        ]
         #: Whether any rank has a message group at all.  The list kernels
         #: exit on it as the ndarray kernel does on an empty ``grank``:
         #: with nothing to fold, an NCS move costs its ``R_i`` only.
@@ -584,11 +599,12 @@ class EvaluationContext:
         """``terms[g] = count * L(src, dst, size)`` for every record of every job.
 
         The list form of eq. 6's message-group term, written here and
-        nowhere else.  A job is ``(terms, records)``: *records* are
-        group records of one rank (all of ``groups[r]``, or the part of
-        them facing one peer) and *terms* that rank's term list — or
-        the distinct messages and their one term each — written at each
-        record's own index.
+        nowhere else.  A job is ``(terms, records)``, each term written
+        at its record's own index: *records* are the group records of
+        one rank and *terms* its term list (:meth:`comm_terms`), or
+        *records* are distinct messages (all of :attr:`_messages`, or
+        those of one rank in :attr:`_rank_messages`) and *terms* a list
+        indexed by message.
         """
         n = self.nnodes
         if self._missing_pairs:
@@ -622,53 +638,6 @@ class EvaluationContext:
         terms = [0.0] * len(records)
         self._fill_terms(((terms, records),), pos, acpu)
         return terms
-
-    def moved_terms(
-        self,
-        src: Sequence[int],
-        committed: list[list[float]],
-        pos: list[int],
-        acpu: list[float],
-    ) -> list[tuple[int, list[float], float]]:
-        """``(rank, terms, C_i)`` of every rank a change at the ranks *src* reaches.
-
-        *src* are the ranks whose own node or own ACPU differs between
-        the state the term lists *committed* were computed in and (pos,
-        acpu): every term of theirs may have a changed operand, so each
-        gets a fresh list.  A rank that merely has one of them as a
-        peer keeps a copy of its committed list in which only the
-        entries of those peers (:attr:`peer_groups`) are recomputed —
-        by the same :meth:`_fill_terms` on the same operands, so a
-        patched list ``==`` a fresh one — and is re-folded in group
-        order.  Nothing in *committed* is written.
-        """
-        # Plain loops, here and for the fold below: a comprehension's
-        # frame and a call per rank are 1.5 us of a 14 us cg.A move.
-        groups, peer_groups = self.groups, self.peer_groups
-        fresh: dict[int, list[float]] = {}
-        jobs = []
-        for r in src:
-            terms = fresh[r] = [0.0] * len(groups[r])
-            jobs.append((terms, groups[r]))
-        patched: dict[int, list[float]] = {}
-        for p in src:
-            for r, records in peer_groups[p]:
-                if r in fresh:
-                    continue
-                terms = patched.get(r)
-                if terms is None:
-                    terms = patched[r] = committed[r].copy()
-                jobs.append((terms, records))
-        self._fill_terms(jobs, pos, acpu)
-        lam = self.lam
-        out = []
-        for part in (fresh, patched):
-            for r, terms in part.items():
-                total = 0.0  # left_fold, inlined
-                for term in terms:
-                    total += term
-                out.append((r, terms, total * lam[r]))
-        return out
 
     def comm_time(self, rank: int, pos: list[int], acpu: list[float]) -> float:
         """``C_i`` of one rank under (pos, acpu): ``λ_i`` times the fold of its terms."""
@@ -722,6 +691,10 @@ class IncrementalEvaluator:
         #: The message-group terms each ``_c[r]`` is the fold of.
         self._terms: list[list[float]] = [[] for _ in range(context.nprocs)]
         self._totals: list[float] = [0.0] * context.nprocs
+        #: Scratch of the delta kernel, indexed by message: the term of
+        #: every message a proposal re-prices.  It lives here, not on
+        #: the context, which evaluators on other threads may share.
+        self._priced: list[float] = [0.0] * len(context._messages)
         self._best = float("nan")
         self._arg = -1
         if mapping is not None:
@@ -760,8 +733,10 @@ class IncrementalEvaluator:
         r_arr, c_arr, acpu, terms, counts = ctx._evaluate_positions(pos)
         totals = [r_i + c_i for r_i, c_i in zip(r_arr, c_arr)]
         best = max(totals)
-        changed = dict(enumerate(zip(r_arr, c_arr, totals, terms)))
-        self._pending = (pos, counts, acpu, changed, best, totals.index(best))
+        ranks = range(ctx.nprocs)
+        self._pending = (
+            pos, counts, acpu, ranks, r_arr, c_arr, totals, terms, best, totals.index(best)
+        )
         self._note()
         return best
 
@@ -832,7 +807,9 @@ class IncrementalEvaluator:
         """
         self._note()
         if not moved:
-            self._pending = (new_pos, self._counts, self._acpu, {}, self._best, self._arg)
+            self._pending = (
+                new_pos, self._counts, self._acpu, (), (), (), (), (), self._best, self._arg
+            )
             return self._best
         ctx = self._ctx
         pos = self._pos
@@ -861,56 +838,109 @@ class IncrementalEvaluator:
 
         # Affected ranks.  ``base``: moved ranks plus every rank hosted
         # on an ACPU-changed node — their R_i changes (eq. 5), and so
-        # does the endpoint stretching of their latencies.
+        # does the endpoint stretching of their latencies.  Plain loops
+        # here and below: a comprehension builds a frame per call.
         base = list(moved)
-        if acpu_changed and sum(counts[n] for n in acpu_changed) > sum(
-            new_pos[r] in acpu_changed for r in moved
-        ):
-            base += [
-                r for r in range(ctx.nprocs) if new_pos[r] in acpu_changed and r not in moved
-            ]
-        # A message-group term is recomputed where an operand of it
-        # may have changed and nowhere else: every term of the ranks in
-        # ``base``, and of their peers the terms facing them.
-        changed: dict[int, tuple[float, float, float, list[float]]] = {}
+        if acpu_changed:
+            bystanders = 0  # ranks on an ACPU-changed node that did not move
+            for node in acpu_changed:
+                bystanders += counts[node]
+            for r in moved:
+                if new_pos[r] in acpu_changed:
+                    bystanders -= 1
+            if bystanders:
+                for r in range(ctx.nprocs):
+                    if new_pos[r] in acpu_changed and r not in moved:
+                        base.append(r)
+
+        # The proposal, as parallel lists: rank, R_i, C_i, R_i + C_i and
+        # the terms C_i folds — base ranks first, then patched peers.
         r_list, c_list, t_list = self._r, self._c, self._terms
+        comp_time = ctx.comp_time
+        ranks = base.copy()
+        rs: list[float] = []
+        cs: list[float] = []
+        totals: list[float] = []
+        lists: list[list[float]] = []
         if ctx._has_groups:
-            for r, terms, c_i in ctx.moved_terms(base, t_list, new_pos, acpu):
-                r_i = ctx.comp_time(r, new_pos[r], acpu) if r in base else r_list[r]
-                changed[r] = (r_i, c_i, r_i + c_i, terms)
-        else:  # no message group anywhere (NCS): a move reaches R_i only
+            # Every term with an operand that may have changed is a
+            # message with a base rank at an end: price each such
+            # message once, into the scratch.
+            priced = self._priced
+            rank_messages = ctx._rank_messages
+            jobs = []
             for r in base:
-                r_i = ctx.comp_time(r, new_pos[r], acpu)
-                changed[r] = (r_i, c_list[r], r_i + c_list[r], t_list[r])
+                jobs.append((priced, rank_messages[r]))
+            ctx._fill_terms(jobs, new_pos, acpu)
+            # A base rank's list is read out of the scratch; a peer's
+            # is a copy of its committed list with the entries facing
+            # base ranks read from it too.
+            read = priced.__getitem__
+            group_messages = ctx._group_messages
+            for r in base:
+                lists.append(list(map(read, group_messages[r])))
+                rs.append(comp_time(r, new_pos[r], acpu))
+            touched = dict.fromkeys(base)
+            peer_patches = ctx._peer_patches
+            for p in base:
+                for r, pairs in peer_patches[p]:
+                    if r in touched:
+                        terms = touched[r]
+                        if terms is None:  # a base rank: its list is fresh
+                            continue
+                    else:
+                        terms = touched[r] = t_list[r].copy()
+                        ranks.append(r)
+                        lists.append(terms)
+                        rs.append(r_list[r])
+                    for g, m in pairs:
+                        terms[g] = priced[m]
+            lam = ctx.lam
+            for r, terms, r_i in zip(ranks, lists, rs):
+                total = 0.0  # left_fold, inlined
+                for term in terms:
+                    total += term
+                c_i = total * lam[r]
+                cs.append(c_i)
+                totals.append(r_i + c_i)
+        else:  # no message group anywhere (NCS): a move reaches R_i only
+            touched = base
+            for r in base:
+                r_i = comp_time(r, new_pos[r], acpu)
+                rs.append(r_i)
+                cs.append(c_list[r])
+                totals.append(r_i + c_list[r])
+                lists.append(t_list[r])
 
         # Running max: the old argmax stands unless it was recomputed.
-        if self._arg in changed:
-            totals = self._totals.copy()
-            for r, (_, _, total, _) in changed.items():
-                totals[r] = total
-            best = max(totals)
-            arg = totals.index(best)
+        if self._arg in touched:
+            everyone = self._totals.copy()
+            for r, total in zip(ranks, totals):
+                everyone[r] = total
+            best = max(everyone)
+            arg = everyone.index(best)
         else:
             best, arg = self._best, self._arg
-            for r, (_, _, total, _) in changed.items():
+            for r, total in zip(ranks, totals):
                 if total > best:
                     best, arg = total, r
-        self._pending = (new_pos, counts, acpu, changed, best, arg)
+        self._pending = (new_pos, counts, acpu, ranks, rs, cs, totals, lists, best, arg)
         return best
 
     def commit(self) -> None:
         """Accept the outstanding proposal."""
         if self._pending is None:
             raise RuntimeError("commit() without a pending propose()")
-        new_pos, counts, acpu, changed, best, arg = self._pending
+        new_pos, counts, acpu, ranks, rs, cs, totals, lists, best, arg = self._pending
         self._pos = new_pos
         self._counts = counts
         self._acpu = acpu
-        for r, (r_i, c_i, total, terms) in changed.items():
-            self._r[r] = r_i
-            self._c[r] = c_i
-            self._totals[r] = total
-            self._terms[r] = terms
+        r_list, c_list, total_list, term_lists = self._r, self._c, self._totals, self._terms
+        for r, r_i, c_i, total, terms in zip(ranks, rs, cs, totals, lists):
+            r_list[r] = r_i
+            c_list[r] = c_i
+            total_list[r] = total
+            term_lists[r] = terms
         self._best = best
         self._arg = arg
         self._pending = None

@@ -20,9 +20,11 @@ immediately.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import time
 from collections.abc import Iterator
+from typing import Any
 from urllib.parse import quote
 
 from repro._util import check_positive
@@ -89,10 +91,28 @@ def read_response(rfile) -> tuple[int, dict, bytes]:
         if length is not None and len(body) < length:
             raise ValueError(f"response body cut short at {len(body)} of {length} bytes")
     except ValueError as exc:
-        raise ServerError(502, "bad-response", str(exc)) from None
+        raise _bad_response(str(exc)) from None
     except OSError as exc:  # reset, or silent past the timeout
-        raise ServerError(502, "bad-response", f"response cut short: {exc}") from None
+        raise _bad_response(f"response cut short: {exc}") from None
     return status, headers, body
+
+
+def _bad_response(message: str) -> ServerError:
+    """The error of an answer this client cannot read."""
+    return ServerError(502, "bad-response", message)
+
+
+#: The wait a 429 asks for when its ``Retry-After`` names none it can use.
+_DEFAULT_RETRY_AFTER_S = 1.0
+
+
+def _retry_after(value: str | None) -> float:
+    """A 429's ``Retry-After`` seconds: a finite number >= 0, else the default."""
+    try:
+        seconds = float(value) if value is not None else _DEFAULT_RETRY_AFTER_S
+    except ValueError:
+        return _DEFAULT_RETRY_AFTER_S
+    return seconds if math.isfinite(seconds) and seconds >= 0 else _DEFAULT_RETRY_AFTER_S
 
 
 def _id_chunks(ids: list[str]) -> Iterator[str]:
@@ -215,29 +235,49 @@ class CbesClient:
         raise ServerError(599, "unreachable", "retry loop exhausted")  # pragma: no cover
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
+        """The answer's JSON object.
+
+        An answer of the wrong shape — not a JSON object, or an error
+        document whose ``error`` is not ``{"code": str, "message": str}``
+        — is ``ServerError(502, "bad-response")``.
+        """
         data = json.dumps(body).encode("utf-8") if body is not None else None
         headers = {"Content-Type": "application/json"} if data else {}
         status, response_headers, raw = self._roundtrip(method, path, data, headers)
         try:
             payload = decode_object(raw) if raw else {}
         except ValueError as exc:
-            raise ServerError(502, "bad-response", str(exc)) from None
+            raise _bad_response(str(exc)) from None
         if status >= 400:
             error = payload.get("error", {})
-            code = error.get("code", "unknown")
-            message = error.get("message", "")
+            code = error.get("code", "unknown") if isinstance(error, dict) else None
+            message = error.get("message", "") if isinstance(error, dict) else None
+            if not (isinstance(code, str) and isinstance(message, str)):
+                raise _bad_response(f"{status} error document of the wrong shape: {error!r:.200}")
             if status == 429:
-                retry_after = float(response_headers.get("retry-after", "1"))
-                raise BackpressureError(status, code, message, retry_after)
+                raise BackpressureError(
+                    status, code, message, _retry_after(response_headers.get("retry-after"))
+                )
             raise ServerError(status, code, message)
         return payload
+
+    def _member(self, method: str, path: str, key: str, body: dict | None = None) -> Any:
+        """Member *key* of the answer; an answer without it is a bad response."""
+        payload = self._request(method, path, body)
+        try:
+            return payload[key]
+        except KeyError:
+            raise _bad_response(f"answer lacks {key!r}") from None
 
     def _request_text(self, method: str, path: str) -> str:
         """Fetch a non-JSON (plain text) endpoint body."""
         status, _headers, raw = self._roundtrip(method, path, None, {})
         if status >= 400:
             raise ServerError(status, "error", raw[:200].decode("latin-1"))
-        return raw.decode("utf-8")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _bad_response(f"body is not UTF-8: {exc}") from None
 
     # -- plain endpoints ------------------------------------------------
     def healthz(self) -> dict:
@@ -245,7 +285,7 @@ class CbesClient:
 
     def metrics(self) -> dict:
         """The daemon's metric registry as a structured JSON dump."""
-        return self._request("GET", "/v1/metrics?format=json")["metrics"]
+        return self._member("GET", "/v1/metrics?format=json", "metrics")
 
     def metrics_text(self) -> str:
         """The daemon's metrics in Prometheus text exposition format."""
@@ -254,18 +294,18 @@ class CbesClient:
     def traces(self, limit: int | None = None) -> list[dict]:
         """Recently completed traces, newest first."""
         path = "/v1/traces" if limit is None else f"/v1/traces?limit={limit}"
-        return self._request("GET", path)["traces"]
+        return self._member("GET", path, "traces")
 
     def snapshot(self) -> dict:
-        return self._request("GET", "/v1/snapshot")["snapshot"]
+        return self._member("GET", "/v1/snapshot", "snapshot")
 
     def profiles(self) -> list[str]:
-        return self._request("GET", "/v1/profiles")["applications"]
+        return self._member("GET", "/v1/profiles", "applications")
 
     # -- jobs -----------------------------------------------------------
     def submit(self, kind: str, **payload) -> dict:
         """Submit a job; returns the queued job document (with ``id``)."""
-        return self._request("POST", "/v1/jobs", _body(kind=kind, **payload))["job"]
+        return self._member("POST", "/v1/jobs", "job", _body(kind=kind, **payload))
 
     def submit_batch(self, jobs: list[dict]) -> list[dict]:
         """Submit N job documents in one request (``POST /v1/jobs:batch``).
@@ -277,13 +317,13 @@ class CbesClient:
         (:class:`BackpressureError`) when the queue lacks room for the
         whole batch.
         """
-        return self._request("POST", "/v1/jobs:batch", {"jobs": jobs})["jobs"]
+        return self._member("POST", "/v1/jobs:batch", "jobs", {"jobs": jobs})
 
     def job(self, job_id: str, *, wait_s: float | None = None) -> dict:
         """The job document; with *wait_s*, the service holds the answer
         until the job is done or failed, or *wait_s* has passed."""
         path = f"/v1/jobs/{job_id}" if wait_s is None else f"/v1/jobs/{job_id}?wait_s={wait_s}"
-        return self._request("GET", path)["job"]
+        return self._member("GET", path, "job")
 
     def jobs(
         self,
@@ -316,13 +356,13 @@ class CbesClient:
             if wait_s is not None:
                 params.append(f"wait_s={wait_s}")
             path = "/v1/jobs" + ("?" + "&".join(params) if params else "")
-            return self._request("GET", path)["jobs"]
+            return self._member("GET", path, "jobs")
         found: list[dict] = []
         until = None if wait_s is None else time.monotonic() + wait_s
         for chunk in _id_chunks(ids):
             held = [] if until is None else [f"wait_s={max(0.0, until - time.monotonic())}"]
             path = "/v1/jobs?" + "&".join([*params, "ids=" + chunk, *held])
-            found.extend(self._request("GET", path)["jobs"])
+            found.extend(self._member("GET", path, "jobs"))
         return found
 
     def _hold(self, interval: float, deadline: float) -> float:
@@ -422,16 +462,16 @@ class CbesClient:
         ``seed``, ``max_ticks``); one omitted uses the server default.
         """
         body = _body(app=app, mapping=mapping, **knobs)
-        return self._request("POST", "/v1/remap/watch", body)["watch"]
+        return self._member("POST", "/v1/remap/watch", "watch", body)
 
     def remap_watches(self) -> list[dict]:
         """Every registered watch's current state."""
-        return self._request("GET", "/v1/remap/watch")["watches"]
+        return self._member("GET", "/v1/remap/watch", "watches")
 
     def remap_decisions(self, limit: int | None = None) -> list[dict]:
         """Recorded remap decisions, oldest first."""
         path = "/v1/remap/decisions" if limit is None else f"/v1/remap/decisions?limit={limit}"
-        return self._request("GET", path)["decisions"]
+        return self._member("GET", path, "decisions")
 
     def inject_load(self, events: list[dict]) -> dict:
         """Set background/NIC load on daemon cluster nodes.

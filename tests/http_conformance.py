@@ -321,13 +321,15 @@ class LoopLagConformance:
         return dict(sample["buckets"]), sample["count"]
 
     def test_a_blocking_call_is_observed_and_an_idle_loop_is_not(self, front_door):
+        """Live: the probe runs, and one 50 ms block is the one observation
+        of 25 ms or more.  How late an idle loop's timers fire is the host's
+        timer precision, so the probe's own arithmetic (on time is 0.0)
+        is held on a stub clock instead (``tests/test_server_fastpath.py::
+        TestLagProbe``)."""
         with front_door() as door:
             time.sleep(0.3)  # idle: the probe fires every LAG_PROBE_S
-            cumulative, count = self._buckets(door)
+            _, count = self._buckets(door)
             assert count >= 10
-            # Timers fire within the selector's 1 ms rounding on an idle loop.
-            assert cumulative[0.001] >= 0.8 * count
-            assert cumulative[0.025] == count
             door.core._loop.call_soon_threadsafe(time.sleep, 0.05)
             time.sleep(0.3)
             cumulative, count = self._buckets(door)

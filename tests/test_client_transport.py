@@ -249,32 +249,106 @@ class TestStaleSockets:
 #: Answer bodies that are not a JSON object: bad UTF-8, nesting past the
 #: parser's stack, and a JSON list.
 NOT_AN_OBJECT = [b"\xff\xfe\x00", b"[" * 100_000, b"[1]"]
+NAMES = ["utf8", "deep", "list"]
+
+#: Answers of the wrong shape, as ``(status, body, the client call that reads it)``.
+WRONG_SHAPES = [
+    *[
+        pytest.param(status, body, "jobs", id=f"{name}-{status}")
+        for name, body in zip(NAMES, NOT_AN_OBJECT)
+        for status in (200, 400)
+    ],
+    pytest.param(400, b'{"error": 5}', "jobs", id="error-not-an-object-400"),
+    pytest.param(400, b'{"error": {"code": 5}}', "jobs", id="code-not-a-string-400"),
+    pytest.param(200, b'{"nope": 1}', "jobs", id="no-key-200"),
+    pytest.param(200, b"# \xff\xfe\n", "metrics_text", id="text-not-utf8-200"),
+]
+
+HEALTHY = render_response(
+    200,
+    {"status": "ok", "uptime_s": 1.0, "queue_depth": 0, "queue_limit": 8, "jobs": 0},
+    close=False,
+)
 
 
-def answering(status: int, body: bytes):
-    answer = render_response(status, RawResponse(body, "application/json"), close=False)
+def answering(status: int, body: bytes, headers: dict | None = None):
+    answer = render_response(
+        status, RawResponse(body, "application/json"), headers=headers, close=False
+    )
     return lambda conn, request, n: conn.sendall(answer)
 
 
+def answering_after_health(status: int, body: bytes):
+    """A healthy ``/v1/healthz``, then *body* at *status* for everything else."""
+    other = answering(status, body)
+
+    def script(conn, request, n):
+        if request.path == "/v1/healthz":
+            return conn.sendall(HEALTHY)
+        return other(conn, request, n)
+
+    return script
+
+
+FULL = b'{"error": {"code": "queue-full", "message": "job queue is full"}}'
+
+
 class TestBodiesThatAreNotObjects:
-    @pytest.mark.parametrize("status", [200, 400])
-    @pytest.mark.parametrize("body", NOT_AN_OBJECT, ids=["utf8", "deep", "list"])
-    def test_each_is_a_bad_response(self, stub, body, status):
+    @pytest.mark.parametrize("status, body, call", WRONG_SHAPES)
+    def test_each_is_a_bad_response(self, stub, body, status, call):
         with stub(answering(status, body)).client(timeout_s=10) as client:
             with pytest.raises(ServerError) as excinfo:
-                client.jobs()
-        assert excinfo.value.code == "bad-response"
+                getattr(client, call)()
+        assert type(excinfo.value) is ServerError
+        assert (excinfo.value.status, excinfo.value.code) == (502, "bad-response")
 
-    @pytest.mark.parametrize("body", NOT_AN_OBJECT, ids=["utf8", "deep", "list"])
-    def test_the_cli_prints_one_error_line(self, stub, body, tmp_path):
-        server = stub(answering(200, body))
+    @pytest.mark.parametrize(
+        "value, seconds",
+        [("2.5", 2.5), ("0", 0.0), ("soon", 1.0), ("", 1.0), ("nan", 1.0), ("inf", 1.0),
+         ("-1", 1.0)],
+        ids=["2.5", "0", "soon", "empty", "nan", "inf", "negative"],
+    )
+    def test_an_unusable_retry_after_is_the_default(self, stub, value, seconds):
+        with stub(answering(429, FULL, {"Retry-After": value})).client(timeout_s=10) as client:
+            with pytest.raises(BackpressureError) as excinfo:
+                client.jobs()
+        assert excinfo.value.code == "queue-full"
+        assert excinfo.value.retry_after_s == seconds
+
+    @pytest.mark.parametrize(
+        "argv, script, line",
+        [
+            *[
+                pytest.param(["jobs"], answering(200, body), "error: [502 bad-response] ", id=name)
+                for name, body in zip(NAMES, NOT_AN_OBJECT)
+            ],
+            pytest.param(
+                ["jobs"], answering(400, b'{"error": 5}'), "error: [502 bad-response] ",
+                id="error-not-an-object",
+            ),
+            pytest.param(
+                ["jobs"], answering_after_health(200, b'{"nope": 1}'),
+                "error: [502 bad-response] ", id="no-key",
+            ),
+            pytest.param(
+                ["metrics", "--raw"], answering(200, b"# \xff\xfe\n"),
+                "error: [502 bad-response] ", id="text-not-utf8",
+            ),
+            pytest.param(
+                ["jobs"], answering(429, FULL, {"Retry-After": "soon"}),
+                "error: daemon queue is full; retry in 1s", id="retry-after-not-a-number",
+            ),
+        ],
+    )
+    def test_the_cli_prints_one_error_line(self, stub, argv, script, line, tmp_path):
+        server = stub(script)
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "jobs", "--port", str(server.port)],
+            [sys.executable, "-m", "repro", *argv, "--port", str(server.port)],
             cwd=tmp_path,
             env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
             capture_output=True,
             text=True,
             timeout=60,
         )
-        (line,) = proc.stderr.splitlines()
-        assert proc.returncode == 1 and line.startswith("error: [502 bad-response] ")
+        (only,) = proc.stderr.splitlines()
+        assert proc.returncode == 1 and only.startswith(line)

@@ -15,6 +15,8 @@ import dataclasses
 import itertools
 import math
 import os
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -27,7 +29,7 @@ from repro.cluster.node import Architecture, Node
 from repro.core import CBES, EvaluationOptions, TaskMapping
 from repro.core.errors import InvalidMappingError
 from repro.core.evaluation import MappingEvaluator
-from repro.core.fast_eval import EvaluationContext, left_fold
+from repro.core.fast_eval import EvaluationContext, IncrementalEvaluator, left_fold
 from repro.monitoring.snapshot import NodeState, SystemSnapshot
 from repro.profiling.profile import ApplicationProfile, MessageGroup, ProcessProfile
 from repro.schedulers.annealing import AnnealingSchedule, anneal, supports_incremental
@@ -265,15 +267,18 @@ class TestCachedTerms:
 
     def test_zero_group_rank_and_self_messages_are_served(self):
         ctx = term_evaluator().fast_context()
-        assert ctx.groups[5] == [] and ctx.peer_groups[5]  # messaged, never messaging
-        assert all(r != p for p in range(TERM_RANKS) for r, _ in ctx.peer_groups[p])
+        assert ctx.groups[5] == [] and ctx._peer_patches[5]  # messaged, never messaging
+        assert ctx._rank_messages[5]  # so a move of 5 re-prices what its peers hold
+        assert all(r != p for p in range(TERM_RANKS) for r, _ in ctx._peer_patches[p])
         pos = list(range(TERM_RANKS))
         acpu = ctx.acpu_by_node([1] * TERM_RANKS + [0] * 4)
         assert ctx.comm_terms(5, pos, acpu) == [] and ctx.comm_time(5, pos, acpu) == 0.0
-        # Every group is indexed under its peer exactly once, self-messages excepted.
+        # Every group is indexed under its peer exactly once, self-messages
+        # excepted, with its own message, which has that peer at an end.
         indexed = sorted(
-            (r, g) for p in range(TERM_RANKS) for r, records in ctx.peer_groups[p]
-            for g, *_ in records
+            (r, g) for p in range(TERM_RANKS) for r, pairs in ctx._peer_patches[p]
+            for g, m in pairs
+            if m == ctx._group_messages[r][g] and ctx._messages[m] in ctx._rank_messages[p]
         )
         assert indexed == [
             (r, g) for r in range(TERM_RANKS)
@@ -335,7 +340,7 @@ class TestTogglesAreTables:
         evaluator = term_evaluator(EvaluationOptions(communication=False))
         ctx = evaluator.fast_context()
         assert ctx.groups == [[] for _ in range(TERM_RANKS)]
-        assert not any(ctx.peer_groups)
+        assert not any(ctx._peer_patches) and not any(ctx._rank_messages)
         inc = evaluator.incremental()
         inc.reset(self.MAPPINGS[0])
         for mapping, move in zip(
@@ -375,10 +380,15 @@ class TestTogglesAreTables:
         evaluator = term_evaluator(**kwargs)
         ctx = evaluator.fast_context()
         inc = evaluator.incremental()
+        assert inc.context is ctx
         off = mock.Mock(side_effect=AssertionError("term routine entered"))
+        table = mock.MagicMock()
+        table.__getitem__.side_effect = AssertionError("term table read")
         with (
             mock.patch.object(EvaluationContext, "_fill_terms", off),
-            mock.patch.object(EvaluationContext, "moved_terms", off),
+            mock.patch.multiple(
+                ctx, _rank_messages=table, _peer_patches=table, _group_messages=table
+            ),
             mock.patch.dict(os.environ, {"REPRO_EVAL_BACKEND": "python"}),
         ):
             inc.reset(self.MAPPINGS[1])
@@ -500,6 +510,149 @@ class TestEachMessagePricedOnce:
                 [p.computation for p in want.processes],
                 [p.communication for p in want.processes],
             )
+
+
+class TestEachMovePricesItsMessagesOnce:
+    """The delta twin of :class:`TestEachMessagePricedOnce`: a move prices
+    every message with a re-placed rank at an end once, and a peer's
+    facing terms are read back from those prices, not priced again."""
+
+    @pytest.mark.parametrize("app, nprocs", [(CG("A"), 8), (LU("A"), 32)], ids=["cg.A", "lu.A"])
+    def test_records_handed_to_the_term_kernel(self, app, nprocs):
+        service = CBES(single_switch("priced-once", nprocs + 8))
+        service.calibrate(seed=2)
+        service.profile_application(app, nprocs, seed=0)
+        evaluator = service.evaluator(app.name)
+        context = evaluator.fast_context()
+        nodes = service.cluster.node_ids()
+        touching = [
+            {record[1:] for records in context.groups for record in records if r in record[1:3]}
+            for r in range(nprocs)
+        ]
+        handed: list[int] = []
+        fill = EvaluationContext._fill_terms
+
+        def counting(self, jobs, pos, acpu):
+            handed.append(sum(len(records) for _, records in jobs))
+            return fill(self, jobs, pos, acpu)
+
+        inc = evaluator.incremental()
+        current = TaskMapping(nodes[:nprocs])  # one rank a node, 8 nodes free
+        inc.reset(current)
+        rng = spawn_rng(4, "priced-once", app.name)
+        swaps = replaces = 0
+        for step in range(96):
+            rank = rng.integers(nprocs)
+            assert context._peer_patches[rank]  # a move of it reaches peers' lists
+            handed.clear()
+            if step % 2:
+                free = sorted(set(nodes) - set(current.as_tuple()))
+                move = Move.replace(rank, free[rng.integers(len(free))])
+                with mock.patch.object(EvaluationContext, "_fill_terms", counting):
+                    got = inc.propose_move(move)
+                assert handed == [len(touching[rank])], step  # exactly its messages
+                replaces += 1
+            else:
+                other = (rank + 1 + rng.integers(nprocs - 1)) % nprocs
+                move = Move.swap(rank, other)
+                with mock.patch.object(EvaluationContext, "_fill_terms", counting):
+                    got = inc.propose_move(move)
+                (count,) = handed  # at most the two ranks' messages
+                assert len(touching[rank] | touching[other]) <= count, step
+                assert count <= len(touching[rank]) + len(touching[other]), step
+                swaps += 1
+            assert got == context.execution_time(move.apply(current))
+            inc.commit()
+            current = move.apply(current)
+            assert_state_is_fresh(inc, current, (step, move))
+        assert swaps == replaces == 48
+
+
+class TestSharedContext:
+    """Evaluators on the daemon's job threads share one cached context;
+    one evaluator's proposals never reach another's state."""
+
+    @staticmethod
+    def walk(seed: int, steps: int) -> list[tuple[Move, bool]]:
+        rng = spawn_rng(seed, "shared-context")
+        chain = []
+        for _ in range(steps):
+            rank = rng.integers(TERM_RANKS)
+            if rng.random() < 0.5:
+                move = Move.swap(rank, rng.integers(TERM_RANKS))
+            else:  # any node, occupied ones included: co-locates and separates
+                move = Move.replace(rank, TERM_NODES[rng.integers(10)])
+            chain.append((move, rng.random() < 0.5))
+        return chain
+
+    def test_interleaved_evaluators_each_end_as_their_solo_run(self):
+        context = term_evaluator().fast_context()
+        starts = [TaskMapping(TERM_NODES[:TERM_RANKS]), TaskMapping(TERM_NODES[4:])]
+        chains = [self.walk(1, 400), self.walk(2, 400)]
+
+        solo = []
+        for start, chain in zip(starts, chains):
+            inc = IncrementalEvaluator(context, start)
+            energies = []
+            for move, accept in chain:
+                energies.append(inc.propose_move(move))
+                inc.commit() if accept else inc.reject()
+            solo.append((energies, inc))
+
+        pair = [IncrementalEvaluator(context, start) for start in starts]
+        current = list(starts)
+        energies: list[list[float]] = [[], []]
+        for step, steps in enumerate(zip(*chains)):
+            for i, (move, _) in enumerate(steps):  # both propose before either resolves
+                energies[i].append(pair[i].propose_move(move))
+            for i, (move, accept) in enumerate(steps):
+                if accept:
+                    pair[i].commit()
+                    current[i] = move.apply(current[i])
+                else:
+                    pair[i].reject()
+                assert_state_is_fresh(pair[i], current[i], (step, i, accept))
+        for i, (want, alone) in enumerate(solo):
+            assert energies[i] == want
+            inc = pair[i]
+            assert (inc._pos, inc._r, inc._c, inc._terms, inc.execution_time) == (
+                alone._pos, alone._r, alone._c, alone._terms, alone.execution_time
+            ), i
+
+
+    def test_threads_on_one_context_each_end_as_their_solo_run(self):
+        """Four job threads, switching every microsecond, over one context."""
+        context = term_evaluator().fast_context()
+        start = TaskMapping(TERM_NODES[:TERM_RANKS])
+        chains = [self.walk(seed, 300) for seed in range(4)]
+
+        def run(chain, out=None):
+            inc = IncrementalEvaluator(context, start)
+            energies = []
+            for move, accept in chain:
+                energies.append(inc.propose_move(move))
+                inc.commit() if accept else inc.reject()
+            result = (energies, inc._pos, inc._terms, inc.execution_time)
+            if out is not None:
+                out.append(result)
+            return result
+
+        solo = [run(chain) for chain in chains]
+        outs: list[list] = [[] for _ in chains]
+        threads = [
+            threading.Thread(target=run, args=(chain, out)) for chain, out in zip(chains, outs)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [out[0] for out in outs] == solo
 
 
 class TestLeftFold:

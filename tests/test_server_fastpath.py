@@ -15,6 +15,8 @@ import pytest
 from repro.cluster import single_switch
 from repro.core import CBES
 from repro.server import BackpressureError, DaemonThread, ServerError
+from repro.server.http import LAG_PROBE_S, HttpService
+from repro.telemetry import MetricsRegistry
 from repro.workloads import SyntheticBenchmark
 from tests.http_conformance import (
     BackpressureConformance,
@@ -61,6 +63,63 @@ class TestJobDocuments(JobDocumentConformance):
 
 class TestLoopLag(LoopLagConformance):
     """The daemon's loop measures its own stalls."""
+
+
+class TestLagProbe:
+    """``HttpService._probe_lag`` on a stub loop clock: no host timers."""
+
+    class StubLoop:
+        def __init__(self, now: float) -> None:
+            self.now = now
+            self.armed: list[tuple[float, object, tuple]] = []
+
+        def time(self) -> float:
+            return self.now
+
+        def call_at(self, when: float, callback, *args):
+            self.armed.append((when, callback, args))
+
+    class Bare(HttpService):
+        def routes(self):
+            return {}
+
+    def probe(self):
+        registry = MetricsRegistry()
+        service = self.Bare(
+            name="probe", metric_prefix="probe", host="127.0.0.1", port=0, metrics=registry,
+            keepalive_max_requests=1, keepalive_timeout_s=1.0, max_body_bytes=1,
+        )
+        service._loop = loop = self.StubLoop(100.0)
+        service._arm_lag_probe()
+        return service, loop, registry
+
+    @staticmethod
+    def observed(registry) -> tuple[int, float]:
+        (sample,) = registry.snapshot()["probe_event_loop_lag_seconds"]["samples"]
+        return sample["count"], sample["sum"]
+
+    def test_an_on_time_firing_observes_zero_and_a_late_one_its_lateness(self):
+        service, loop, registry = self.probe()
+        ((due, callback, args),) = loop.armed
+        assert due == 100.0 + LAG_PROBE_S and args == (due,)
+        loop.now = due  # on time
+        callback(*args)
+        assert self.observed(registry) == (1, 0.0)
+        (_, (due, callback, args)) = loop.armed
+        assert due == loop.now + LAG_PROBE_S  # re-armed one period on
+        loop.now = due + 0.05  # 50 ms late
+        callback(*args)
+        count, total = self.observed(registry)
+        assert count == 2 and total == pytest.approx(0.05)
+        (_, _, (due, _, args)) = loop.armed
+        assert due == loop.now + LAG_PROBE_S and args == (due,)  # from the late firing
+
+    def test_a_firing_before_its_due_time_observes_zero(self):
+        service, loop, registry = self.probe()
+        ((due, callback, args),) = loop.armed
+        loop.now = due - 0.0005  # a selector that woke early
+        callback(*args)
+        assert self.observed(registry) == (1, 0.0)
 
 
 class TestBackpressure(BackpressureConformance):

@@ -88,6 +88,30 @@ class TestSpawnRng:
         assert a != b
 
 
+class TestRngChoice:
+    @staticmethod
+    def shuffled_prefix(rng, n: int, size: int) -> list[int]:
+        """The partial Fisher-Yates shuffle ``choice`` documents, spelled out."""
+        pool = list(range(n))
+        for i in range(size):
+            j = i + rng._randbelow(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:size]
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 128])
+    def test_a_pair_is_the_shuffle_s_first_two_steps(self, n):
+        """The pair an SA swap draws takes no pool, but the same words
+        and the same values, and leaves the stream where the shuffle does."""
+        for seed in range(200):
+            fast, slow = spawn_rng(seed, "pair"), spawn_rng(seed, "pair")
+            assert fast.choice(n, 2, replace=False) == self.shuffled_prefix(slow, n, 2)
+            assert fast.random() == slow.random()
+
+    def test_a_pair_from_fewer_than_two_is_refused(self):
+        with pytest.raises(ValueError, match="cannot draw 2 distinct values"):
+            spawn_rng(1, "pair").choice(1, 2, replace=False)
+
+
 class TestMeanAndCi95:
     def test_single_sample_zero_ci(self):
         mean, ci = mean_and_ci95([3.0])
