@@ -434,19 +434,23 @@ def cmd_jobs(args) -> int:
         print(json.dumps(client.job(args.job_id), indent=2, sort_keys=True))
         return 0
     health = client.healthz()
-    print(
-        f"daemon {health['status']}: uptime {health['uptime_s']:.0f}s, "
-        f"queue {health['queue_depth']}/{health['queue_limit']}, jobs {health['jobs']}"
-    )
-    for job in client.jobs(state=args.state, limit=args.limit, after=args.after):
-        line = f"  {job['id']}  {job['kind']:<9} {job['state']:<8}"
-        if job["state"] == "done" and "result" in job:
-            time_key = "predicted_time" if "predicted_time" in job["result"] else "execution_time"
-            if time_key in job["result"]:
-                line += f" {job['result'][time_key]:8.2f} s"
-        elif job["state"] == "failed":
-            line += f" {job.get('error', '')}"
-        print(line)
+    try:
+        print(
+            f"daemon {health['status']}: uptime {health['uptime_s']:.0f}s, "
+            f"queue {health['queue_depth']}/{health['queue_limit']}, jobs {health['jobs']}"
+        )
+        for job in client.jobs(state=args.state, limit=args.limit, after=args.after):
+            line = f"  {job['id']}  {job['kind']:<9} {job['state']:<8}"
+            if job["state"] == "done" and "result" in job:
+                result = job["result"]
+                time_key = "predicted_time" if "predicted_time" in result else "execution_time"
+                if time_key in result:
+                    line += f" {result[time_key]:8.2f} s"
+            elif job["state"] == "failed":
+                line += f" {job.get('error', '')}"
+            print(line)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServerError(502, "bad-response", f"answer of the wrong shape: {exc!r:.200}") from None
     return 0
 
 

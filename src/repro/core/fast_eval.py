@@ -170,9 +170,9 @@ _Record = tuple[int, int, int, float, float]
 class EvaluationContext:
     """Mapping-independent precomputation for one evaluator configuration.
 
-    The context is valid only for the snapshot it was built from; use
-    :meth:`is_valid_for` (fingerprint comparison) before reusing a
-    cached instance after a monitoring refresh.
+    The context is valid only for the snapshot it was built from
+    (:attr:`snapshot_fingerprint`); its holder drops it when the
+    snapshot moves on.
 
     Storage is plain python lists: per-node columns (``speed``,
     ``acpu_curve``), flat row-major pair tables (``_a_src`` ..
@@ -355,10 +355,6 @@ class EvaluationContext:
         return state
 
     # -- queries --------------------------------------------------------
-    def is_valid_for(self, snapshot: SystemSnapshot) -> bool:
-        """Whether this context may serve evaluations under *snapshot*."""
-        return snapshot.fingerprint() == self.snapshot_fingerprint
-
     def positions(self, mapping: TaskMapping) -> list[int]:
         """Node indices per rank; raises like the reference on bad input."""
         if mapping.nprocs != self.nprocs:

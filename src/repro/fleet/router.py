@@ -116,6 +116,16 @@ def _decode(backend: str, raw: bytes) -> dict:
         raise BackendError(backend, f"response {exc}") from None
 
 
+def _health(backend: str, raw: bytes) -> dict:
+    """A replica's ``/v1/healthz`` answer, its summed counts checked to be ints."""
+    doc = _decode(backend, raw)
+    jobs = doc.get("jobs", {})
+    counts = [doc.get(name, 0) for name in ("queue_depth", "queue_limit", "workers")]
+    if not (isinstance(jobs, dict) and all(isinstance(n, int) for n in [*jobs.values(), *counts])):
+        raise BackendError(backend, "healthz answer of the wrong shape")
+    return doc
+
+
 def _relayed_headers(headers: dict[str, str]) -> dict[str, str]:
     """The replica response headers a client must see through the router."""
     return {"Retry-After": headers["retry-after"]} if "retry-after" in headers else {}
@@ -529,7 +539,10 @@ class FleetRouter(HttpService):
         ):
             if status != 200:
                 raise self._relay_error(backend, status, raw, headers)
-            jobs.extend(_decode(backend, raw).get("jobs", []))
+            listed = _decode(backend, raw).get("jobs", [])
+            if not (isinstance(listed, list) and all(isinstance(job, dict) for job in listed)):
+                raise BackendError(backend, f"job listing of the wrong shape: {listed!r:.200}")
+            jobs.extend(listed)
         if after is not None:
             index = next((i for i, job in enumerate(jobs) if job.get("id") == after), None)
             if index is None:
@@ -545,7 +558,7 @@ class FleetRouter(HttpService):
             try:
                 status, _headers, raw = await self._call(request, backend, "GET", "/v1/healthz")
                 if status == 200:
-                    return {"backend": backend, "healthy": True, **_decode(backend, raw)}
+                    return {**_health(backend, raw), "backend": backend, "healthy": True}
             except BackendError as exc:
                 return {"backend": backend, "healthy": False, "error": str(exc)}
             return {"backend": backend, "healthy": False, "error": f"status {status}"}

@@ -195,9 +195,6 @@ class CbesDaemon(HttpService):
     # -- lifecycle hooks ------------------------------------------------
     async def _on_start(self) -> None:
         """Start workers + the refresh task; re-enqueue recovered jobs."""
-        # Worker threads (and any in-process scheduler) record into this
-        # daemon's registry through the ambient global fallback.
-        telemetry.set_registry(self._metrics)
         await self.runner.start()
         if self._durable:
             recovered = self._store.take_recovered()
@@ -219,8 +216,6 @@ class CbesDaemon(HttpService):
         """With *drain*, finish accepted jobs; then release everything."""
         await self.watches.stop()
         await self.runner.stop(drain=drain)
-        if telemetry.get_registry() is self._metrics:
-            telemetry.set_registry(None)
         if self._durable:
             self._store.close()
         log.info("daemon jobs at stop: %s", self._store.counts())
@@ -374,7 +369,7 @@ class CbesDaemon(HttpService):
             [LoadEvent(e["node"], cpu_load=e["cpu_load"], nic_load=e["nic_load"]) for e in events]
         )
         self.runner.adopt_snapshot(self.runner.poll_snapshot())
-        return 200, {"applied": events, "snapshot_fingerprint": self.runner.serving[1]}, {}
+        return 200, {"applied": events, "snapshot_fingerprint": self.runner.serving.fingerprint}, {}
 
     # -- reads ----------------------------------------------------------
     async def _get_snapshot(self, request: HttpRequest) -> Response:
@@ -398,7 +393,7 @@ class CbesDaemon(HttpService):
             "queue_depth": runner.queue_depth,
             "queue_limit": runner.queue_limit,
             "jobs": self._store.counts(),
-            "snapshot_fingerprint": runner.serving[1],
+            "snapshot_fingerprint": runner.serving.fingerprint,
             "snapshot_refreshes": runner.snapshot_refreshes,
             "monitoring": self._service.is_monitoring,
             "remap_watches": len(self.watches),

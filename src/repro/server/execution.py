@@ -9,12 +9,13 @@ after it up to the next job of another kind.  The thread does each
 job's transitions as well as the job itself, so the only hand-off
 between accepting a job and starting it is one condition-variable
 wake-up.  A watch tick rides the same queue as a run of one
-(:meth:`JobRunner.call`).  Jobs reuse cached
-:class:`~repro.core.fast_eval.EvaluationContext` precomputation, one per
-(application, options) pair and snapshot generation; a background task
-refreshes the :class:`SystemSnapshot` on a configurable interval, and a
-changed snapshot ``fingerprint()`` swaps the serving snapshot and
-invalidates every cached context.
+(:meth:`JobRunner.call`); each job thread records into its daemon's
+registry.  Jobs are served against one :class:`Generation`: a frozen
+:class:`SystemSnapshot`, its fingerprint and the
+:class:`~repro.core.fast_eval.EvaluationContext` built from it per
+(application, options) pair.  A background task refreshes the snapshot
+on a configurable interval; a changed ``fingerprint()`` swaps in a new
+generation, and the old one's contexts go with it.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.core.evaluation import EvaluationOptions
+from repro.core.evaluation import EvaluationOptions, MappingEvaluator
 from repro.core.fast_eval import EvaluationContext
 from repro.core.mapping import TaskMapping
 from repro.core.service import CBES
@@ -46,7 +47,7 @@ from repro.server.serialize import (
     schedule_result_to_dict,
 )
 
-__all__ = ["Holds", "JobRunner"]
+__all__ = ["Generation", "Holds", "JobRunner"]
 
 log = logging.getLogger("repro.server.execution")
 
@@ -68,6 +69,22 @@ def _settle(future: asyncio.Future, result, error: BaseException | None) -> None
         future.set_result(result)
     else:
         future.set_exception(error)
+
+
+@dataclass(frozen=True, slots=True)
+class Generation:
+    """One adopted snapshot and what is built from it, swapped as one value:
+    a reader of :attr:`JobRunner.serving` sees one generation throughout."""
+
+    snapshot: SystemSnapshot
+    #: The digest every document reports, hashed once at adoption.
+    fingerprint: str
+    #: (app name, EvaluationOptions) -> EvaluationContext built from *snapshot*;
+    #: added to under the runner's build lock, read without one.
+    contexts: dict[tuple[str, EvaluationOptions], EvaluationContext] = field(
+        default_factory=dict
+    )
+    adopted_at: float = field(default_factory=time.monotonic)
 
 
 @dataclass(slots=True)
@@ -190,16 +207,9 @@ class JobRunner:
         #: One future per worker thread, resolved on the loop as it exits.
         self._exited: list[asyncio.Future] = []
         self._tasks: list[asyncio.Task] = []
-        #: ``(snapshot, fingerprint)`` — the frozen SystemSnapshot jobs and
-        #: watches are served against and its digest, swapped as one
-        #: value so a reader sees one generation and nobody re-hashes it.
-        self.serving: tuple[SystemSnapshot, str] | None = None
+        #: What jobs and watches are served against (``None`` before :meth:`start`).
+        self.serving: Generation | None = None
         self.snapshot_refreshes = 0
-        self._snapshot_adopted_at: float | None = None
-        #: (app name, EvaluationOptions) -> EvaluationContext, all built
-        #: from the *current* snapshot generation.
-        self._contexts: dict[tuple[str, EvaluationOptions], EvaluationContext] = {}
-        self._ctx_lock = threading.Lock()
         #: Serializes context *builds* so N batch jobs arriving together
         #: share one build per (app, options) instead of racing N.
         self._ctx_build_lock = threading.Lock()
@@ -240,16 +250,14 @@ class JobRunner:
             "cbes_snapshot_age_seconds",
             "Seconds since the serving snapshot was adopted.",
             callback=lambda: (
-                time.monotonic() - self._snapshot_adopted_at
-                if self._snapshot_adopted_at is not None
-                else 0.0
+                time.monotonic() - self.serving.adopted_at if self.serving is not None else 0.0
             ),
         )
 
     @property
     def snapshot(self) -> SystemSnapshot | None:
         """The serving snapshot (``None`` before :meth:`start`)."""
-        return self.serving[0] if self.serving is not None else None
+        return self.serving.snapshot if self.serving is not None else None
 
     # -- queue ----------------------------------------------------------
     @property
@@ -301,8 +309,7 @@ class JobRunner:
         """Take the first snapshot and start the worker threads + the refresh task."""
         self._loop = asyncio.get_running_loop()
         snapshot = self._service.snapshot().freeze()
-        self.serving = (snapshot, snapshot.fingerprint())
-        self._snapshot_adopted_at = time.monotonic()
+        self.serving = Generation(snapshot, snapshot.fingerprint())
         self._exited = [self._loop.create_future() for _ in range(self.workers)]
         for i, exited in enumerate(self._exited):
             threading.Thread(
@@ -353,28 +360,22 @@ class JobRunner:
         return self._service.snapshot().freeze()
 
     def adopt_snapshot(self, snapshot) -> bool:
-        """Swap in *snapshot* if its fingerprint differs; invalidate caches."""
+        """Serve a new generation of *snapshot* if its fingerprint differs
+        (once started); the old generation's contexts count ``evicted``."""
         fingerprint = snapshot.fingerprint()
-        if self.serving is not None and fingerprint == self.serving[1]:
+        old = self.serving
+        if fingerprint == old.fingerprint:
             return False
-        self.serving = (snapshot, fingerprint)
-        with self._ctx_lock:
-            stale = [
-                key
-                for key, ctx in self._contexts.items()
-                if ctx.snapshot_fingerprint != fingerprint
-            ]
-            for key in stale:
-                del self._contexts[key]
+        self.serving = Generation(snapshot, fingerprint)
+        stale = len(old.contexts)
         if stale:
-            self._m_ctx_cache.inc(len(stale), event="evicted")
-        self._snapshot_adopted_at = time.monotonic()
+            self._m_ctx_cache.inc(stale, event="evicted")
         self.snapshot_refreshes += 1
         self._m_refreshes.inc()
         log.info(
             "snapshot refreshed (fingerprint %s, %d stale context(s) dropped)",
             fingerprint[:12],
-            len(stale),
+            stale,
         )
         return True
 
@@ -398,19 +399,21 @@ class JobRunner:
 
     # -- job execution --------------------------------------------------
     def _work(self, exited: asyncio.Future) -> None:
-        """A worker thread: take a run, run it, until closing empties the queue."""
+        """A worker thread, recording into the daemon's registry: take a run,
+        run it, until closing empties the queue."""
         try:
-            while True:
-                with self._cond:
-                    while not self._waiting:
-                        if self._closing:
-                            return
-                        self._cond.wait()
-                    run = self._take_run()
-                if isinstance(run[0], _Call):
-                    run[0].run()
-                else:
-                    self._run(run)
+            with telemetry.use_registry(self._metrics):
+                while True:
+                    with self._cond:
+                        while not self._waiting:
+                            if self._closing:
+                                return
+                            self._cond.wait()
+                        run = self._take_run()
+                    if isinstance(run[0], _Call):
+                        run[0].run()
+                    else:
+                        self._run(run)
         finally:
             try:
                 exited.get_loop().call_soon_threadsafe(_settle, exited, None, None)
@@ -465,35 +468,34 @@ class JobRunner:
         self.holds.finished()
 
     def context_for(
-        self, app: str, options: EvaluationOptions, fingerprint: str, evaluator
-    ) -> EvaluationContext:
-        """The cached fast-eval context of (app, options), installed in *evaluator*.
+        self, app: str, options: EvaluationOptions = EvaluationOptions()
+    ) -> tuple[MappingEvaluator, EvaluationContext, str]:
+        """An evaluator of *app* on the serving snapshot, the generation's
+        cached context of (app, options) installed in it, and its digest.
 
-        *fingerprint* is the digest :attr:`serving` holds for
-        *evaluator*'s snapshot; it goes down with the snapshot, so
-        neither a hit nor a build hashes anything.
-        Builds are serialized behind ``_ctx_build_lock`` with a
-        double-check, so a batch of N jobs for one application arriving
-        together performs one context build and N-1 cache hits instead
-        of N racing builds.
+        :attr:`serving` is read once, so the three are of one generation;
+        the digest goes down with the snapshot, so neither a hit nor a
+        build hashes anything.  Builds are serialized behind
+        ``_ctx_build_lock`` with a double-check, so a batch of N jobs for
+        one application arriving together performs one context build and
+        N-1 cache hits instead of N racing builds.
         """
+        serving = self.serving
+        evaluator = self._service.evaluator(app, options=options, snapshot=serving.snapshot)
         key = (app, options)
-        with self._ctx_lock:
-            context = self._contexts.get(key)
-        if context is None or context.snapshot_fingerprint != fingerprint:
+        context = serving.contexts.get(key)
+        if context is None:
             with self._ctx_build_lock:
                 # Re-check: another worker may have built it while we waited.
-                with self._ctx_lock:
-                    context = self._contexts.get(key)
-                if context is None or context.snapshot_fingerprint != fingerprint:
+                context = serving.contexts.get(key)
+                if context is None:
                     self._m_ctx_cache.inc(event="miss")
-                    context = evaluator.fast_context(options, fingerprint=fingerprint)
-                    with self._ctx_lock:
-                        self._contexts[key] = context
-                    return context
+                    context = evaluator.fast_context(options, fingerprint=serving.fingerprint)
+                    serving.contexts[key] = context
+                    return evaluator, context, serving.fingerprint
         self._m_ctx_cache.inc(event="hit")
-        evaluator.install_context(context, fingerprint=fingerprint)
-        return context
+        evaluator.install_context(context, fingerprint=serving.fingerprint)
+        return evaluator, context, serving.fingerprint
 
     def execute(self, job: Job) -> dict:
         """Run one job on a worker thread; returns the JSON result doc.
@@ -502,11 +504,9 @@ class JobRunner:
         the cached context's per-rank breakdown of its mapping.
         """
         payload = job.payload
-        app = payload["app"]
-        options = options_from_dict(payload.get("options"))
-        snapshot, fingerprint = self.serving  # one atomic read: jobs see one generation
-        evaluator = self._service.evaluator(app, options=options, snapshot=snapshot)
-        context = self.context_for(app, options, fingerprint, evaluator)
+        evaluator, context, fingerprint = self.context_for(
+            payload["app"], options_from_dict(payload.get("options"))
+        )
         if job.kind == "schedule":
             scheduler = make_scheduler(
                 payload["scheduler"],

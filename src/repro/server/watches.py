@@ -202,9 +202,7 @@ class RemapWatches:
 
     def _tick(self, watch: RemapWatch) -> None:
         """One monitoring tick, on a job thread (CPU-bound search)."""
-        snapshot, fingerprint = self._runner.serving  # one atomic read per tick
-        evaluator = self._service.evaluator(watch.app, snapshot=snapshot)
-        self._runner.context_for(watch.app, evaluator.options, fingerprint, evaluator)
+        evaluator, _, fingerprint = self._runner.context_for(watch.app)
         now_s = watch.ticks * watch.interval_s  # logical clock: deterministic
         fired = watch.loop.step(evaluator, now_s)
         if fired is None:

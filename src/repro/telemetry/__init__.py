@@ -9,11 +9,12 @@
 * :mod:`~repro.telemetry.export` — Prometheus text exposition.
 
 Instrumented code asks for the *ambient* registry via
-:func:`get_registry`: the context-local one (:func:`use_registry`, per
-thread or asyncio task), else the process-global one
-(:func:`set_registry`, what the daemon installs for its worker
-threads), else a no-op :class:`NullRegistry`, so the hot path pays
-near-zero cost while telemetry is off.
+:func:`get_registry`: the one the current context (thread or asyncio
+task) entered with :func:`use_registry`, else a no-op
+:class:`NullRegistry`, so the hot path pays near-zero cost while
+telemetry is off.  There is no process-global registry: a daemon's job
+threads each enter their daemon's own, so two daemons in one process
+never record into each other's.
 """
 
 from __future__ import annotations
@@ -48,32 +49,20 @@ __all__ = [
     "collect",
     "enabled",
     "get_registry",
-    "set_registry",
     "snapshot_to_prometheus",
     "stage",
     "tracing",
     "use_registry",
 ]
 
-_NULL_REGISTRY = NullRegistry()
-_global_registry: MetricsRegistry | NullRegistry = _NULL_REGISTRY
-_ctx_registry: ContextVar[MetricsRegistry | NullRegistry | None] = ContextVar(
-    "repro_telemetry_registry", default=None
+_ctx_registry: ContextVar[MetricsRegistry | NullRegistry] = ContextVar(
+    "repro_telemetry_registry", default=NullRegistry()
 )
 
 
 def get_registry() -> MetricsRegistry | NullRegistry:
-    """The ambient metrics registry (context-local, else global, else null)."""
-    ctx = _ctx_registry.get()
-    if ctx is not None:
-        return ctx
-    return _global_registry
-
-
-def set_registry(registry: MetricsRegistry | NullRegistry | None) -> None:
-    """Install *registry* as the process-global default (None resets to null)."""
-    global _global_registry
-    _global_registry = registry if registry is not None else _NULL_REGISTRY
+    """The ambient metrics registry (context-local, else the null one)."""
+    return _ctx_registry.get()
 
 
 @contextmanager

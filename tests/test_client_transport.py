@@ -331,6 +331,14 @@ class TestBodiesThatAreNotObjects:
                 "error: [502 bad-response] ", id="no-key",
             ),
             pytest.param(
+                ["jobs"], answering(200, b'{"nope": 1}'),
+                "error: [502 bad-response] ", id="healthz-no-key",
+            ),
+            pytest.param(
+                ["jobs"], answering_after_health(200, b'{"jobs": [{}]}'),
+                "error: [502 bad-response] ", id="job-no-key",
+            ),
+            pytest.param(
                 ["metrics", "--raw"], answering(200, b"# \xff\xfe\n"),
                 "error: [502 bad-response] ", id="text-not-utf8",
             ),

@@ -829,8 +829,9 @@ class TestContextCache:
         evaluator = service.evaluator(app_name)
         context = evaluator.fast_context()
         snap = service.snapshot()
-        assert context.is_valid_for(snap)
-        assert not context.is_valid_for(snap.with_load(service.cluster.node_ids()[0], 2.5))
+        assert context.snapshot_fingerprint == snap.fingerprint()
+        loaded = snap.with_load(service.cluster.node_ids()[0], 2.5)
+        assert context.snapshot_fingerprint != loaded.fingerprint()
 
 
 class TestFalsyZeroAcpuRegression:

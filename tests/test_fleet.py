@@ -666,6 +666,37 @@ class TestLookupAnswerFraming:
             assert (err.value.status, err.value.code) == (502, "replica-error")
 
 
+class TestReplicaDocumentShapes:
+    """A replica document of the wrong shape is the replica's fault, never a 500."""
+
+    @pytest.mark.parametrize(
+        ("answer", "query"),
+        [(b'{"jobs": 5}', {}), (b'{"jobs": [5]}', {"after": "a"})],
+    )
+    def test_a_malformed_listing_is_a_502(self, answer, query):
+        with stub_replica(answer) as backend, RouterThread([backend]) as router:
+            with pytest.raises(ServerError) as err:
+                router.client().jobs(**query)
+            assert (err.value.status, err.value.code) == (502, "replica-error")
+
+    @pytest.mark.parametrize(
+        "answer", [b'{"queue_depth": "x"}', b'{"jobs": 5}', b'{"jobs": {"done": "x"}}']
+    )
+    def test_a_malformed_healthz_is_an_unhealthy_replica(self, answer):
+        with stub_replica(answer) as backend, RouterThread([backend]) as router:
+            health = router.client().healthz()
+        assert health["status"] == "degraded" and health["replicas_healthy"] == 0
+        (report,) = health["replicas"]
+        assert report["healthy"] is False and "wrong shape" in report["error"]
+
+    def test_a_replica_cannot_rename_itself_in_healthz(self):
+        answer = b'{"backend": "elsewhere:1", "healthy": false, "workers": 1}'
+        with stub_replica(answer) as backend, RouterThread([backend]) as router:
+            health = router.client().healthz()
+        assert health["status"] == "ok" and health["workers"] == 1
+        assert health["replicas"] == [{"backend": backend, "healthy": True, "workers": 1}]
+
+
 class TestFleetScrape:
     """One rule for a replica's ``/v1/metrics`` answer: it absorbs, or it is left out."""
 

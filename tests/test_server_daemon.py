@@ -180,24 +180,23 @@ class TestJobRoundTrip:
     def test_schedule_context_is_cached_and_reused(self, server, client, service_and_app):
         service, app_name = service_and_app
         client.schedule(app_name, scheduler="cs", seed=1)
-        runner = server.daemon.runner
-        with runner._ctx_lock:
-            contexts = dict(runner._contexts)
+        contexts = server.daemon.runner.serving.contexts
         assert contexts, "schedule job should cache an EvaluationContext"
         fingerprint = service.snapshot().fingerprint()
         assert all(ctx.snapshot_fingerprint == fingerprint for ctx in contexts.values())
 
 
     def test_serving_snapshot_is_hashed_once_per_generation(self, service_and_app):
-        """The runner keeps ``(snapshot, fingerprint)`` as one value: the
-        digest every document reports, computed when the snapshot was
-        adopted and not again per job — it goes down with the snapshot,
-        so no job kind, context-cache hit or miss, hashes the cluster."""
+        """The runner's serving generation holds the snapshot and its
+        fingerprint: the digest every document reports, computed when the
+        snapshot was adopted and not again per job — it goes down with the
+        snapshot, so no job kind, context-cache hit or miss, hashes the
+        cluster."""
         service, app_name = service_and_app
         with DaemonThread(service, workers=1, queue_limit=8) as srv:
             client = srv.client()
             runner = srv.daemon.runner
-            snapshot, fingerprint = runner.serving
+            snapshot, fingerprint = runner.serving.snapshot, runner.serving.fingerprint
             assert snapshot is runner.snapshot and fingerprint == snapshot.fingerprint()
             assert client.healthz()["snapshot_fingerprint"] == fingerprint
             callers = []
@@ -209,10 +208,10 @@ class TestJobRoundTrip:
 
             with mock.patch.object(type(snapshot), "fingerprint", counted):
                 nodes = service.cluster.node_ids()[:3]
-                assert not runner._contexts  # the first quote is the cache miss
+                assert not runner.serving.contexts  # the first quote is the cache miss
                 job = client.wait(client.submit("predict", app=app_name, nodes=nodes)["id"])
                 assert job["result"]["snapshot_fingerprint"] == fingerprint
-                assert len(runner._contexts) == 1
+                assert len(runner.serving.contexts) == 1
                 assert callers == []  # the build is stamped with the digest held
                 ranked = client.wait(
                     client.submit("compare", app=app_name, mappings=[nodes, nodes[::-1]])["id"]
@@ -222,9 +221,10 @@ class TestJobRoundTrip:
                 scheduled = client.schedule(app_name, scheduler="cs", seed=1)
                 assert scheduled["snapshot_fingerprint"] == fingerprint
                 assert callers == []  # nor does the search re-key its context
-                # Same content: not adopted, the pair is untouched.
+                # Same content: not adopted, the generation is untouched.
                 assert runner.adopt_snapshot(service.snapshot().freeze()) is False
-                assert runner.serving[0] is snapshot and runner.serving[1] == fingerprint
+                assert runner.serving.snapshot is snapshot
+                assert runner.serving.fingerprint == fingerprint
 
 
 class TestQuotesReadTheKernel:
@@ -245,7 +245,7 @@ class TestQuotesReadTheKernel:
         options = {"use_lambda": False}
         with DaemonThread(service, workers=1, queue_limit=8) as srv:
             client = srv.client()
-            fingerprint = srv.daemon.runner.serving[1]
+            fingerprint = srv.daemon.runner.serving.fingerprint
             evaluator = service.evaluator(app_name, options=options_from_dict(options))
             quoted = client.predict(app_name, ids[:3], options=options)
             assert quoted == {
@@ -343,13 +343,13 @@ class TestQuotesReadTheKernel:
             service.cluster.node(ids[0]).set_background_load(1.5)
             try:
                 assert runner.adopt_snapshot(runner.poll_snapshot()) is True
-                assert not runner._contexts
+                assert not runner.serving.contexts
                 client.wait_many([job["id"] for job in client.submit_batch(docs[:8])])
             finally:
                 service.cluster.node(ids[0]).set_background_load(0.0)
             assert len(built) == 2
             old, new = (context.snapshot_fingerprint for context in built)
-            assert new == runner.serving[1] != old
+            assert new == runner.serving.fingerprint != old
             assert events(client) == {"hit": 70, "miss": 2, "evicted": 1}
 
     def test_invalid_mapping_fails_the_job_with_the_reference_error(self, service_and_app):
@@ -865,13 +865,11 @@ class TestSnapshotRefresh:
                     pytest.fail("refresh loop never picked up the injected load")
                 assert client.healthz()["snapshot_refreshes"] >= 1
                 # Contexts built against the pre-load snapshot are gone.
-                runner = srv.daemon.runner
-                with runner._ctx_lock:
-                    stale = [
-                        ctx
-                        for ctx in runner._contexts.values()
-                        if ctx.snapshot_fingerprint == first["snapshot_fingerprint"]
-                    ]
+                stale = [
+                    ctx
+                    for ctx in srv.daemon.runner.serving.contexts.values()
+                    if ctx.snapshot_fingerprint == first["snapshot_fingerprint"]
+                ]
                 assert not stale
                 # New work is served against the fresher snapshot.
                 second = client.schedule(app_name, scheduler="cs", seed=3)

@@ -181,17 +181,23 @@ class TestNullImplementations:
             assert telemetry.get_registry() is registry
         assert not telemetry.enabled()
 
-    def test_set_registry_global_fallback_and_context_override(self):
-        global_registry, local_registry = MetricsRegistry(), MetricsRegistry()
-        telemetry.set_registry(global_registry)
-        try:
-            assert telemetry.get_registry() is global_registry
-            with use_registry(local_registry):
-                assert telemetry.get_registry() is local_registry
-            assert telemetry.get_registry() is global_registry
-        finally:
-            telemetry.set_registry(None)
-        assert not telemetry.enabled()
+    def test_a_registry_is_ambient_only_where_a_job_thread_or_task_enters_it(self):
+        """No process-global registry: in the package, only a daemon's job
+        threads and a search task's private registry enter one."""
+        assert not hasattr(telemetry, "set_registry")
+        assert "set_registry" not in telemetry.__all__
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        enterers = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if any(
+                (isinstance(node, ast.Attribute) and node.attr == "use_registry")
+                or (isinstance(node, ast.Name) and node.id == "use_registry")
+                or (isinstance(node, ast.alias) and node.name == "use_registry")
+                for node in ast.walk(ast.parse(path.read_text()))
+            )
+        )
+        assert enterers == ["search/pool.py", "server/execution.py"]
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +752,34 @@ class TestDaemonSurface:
         assert schedule["name"] == "cbes.schedule"
         assert schedule["attributes"]["app"] == app_name
         assert [c["name"] for c in schedule["children"]] == ["scheduler.run"]
+
+    def test_two_daemons_in_one_process_record_apart(self):
+        """A daemon's job threads record into its own registry: a search on
+        d1 is on d1's ``/v1/metrics`` and on none of d2's, d1 still records
+        after d2 stops, and the test thread records into neither."""
+        searched = ("cbes_schedule_seconds", "cbes_search_task_seconds", "cbes_sa_moves_total")
+
+        def recorded(client) -> dict[str, float]:
+            metrics = client.metrics()
+            return {
+                name: sum(s.get("count", s.get("value")) for s in metrics[name]["samples"])
+                for name in searched
+                if metrics.get(name, {}).get("samples")
+            }
+
+        (s1, app), (s2, _) = make_service(), make_service()
+        with DaemonThread(s1, workers=1) as d1:
+            c1 = d1.client()
+            with DaemonThread(s2, workers=1) as d2:
+                assert not telemetry.enabled()
+                c1.schedule(app, scheduler="cs", seed=7)
+                first = recorded(c1)
+                assert set(first) == set(searched)
+                assert recorded(d2.client()) == {}
+            assert not telemetry.enabled()
+            c1.schedule(app, scheduler="cs", seed=8)
+            second = recorded(c1)
+            assert all(second[name] > first[name] for name in searched)
 
     def test_traces_limit_validation(self, client):
         assert client.traces(limit=1) == client.traces()[:1]
