@@ -1,12 +1,15 @@
 """Fidelity — cross-mapping prediction fidelity for LU on Orange Grove.
 
 Over 30 random placements of LU-A's 8 ranks on the Alpha group, the
-predicted time must track the measured one: on the *federated* Orange
-Grove the per-pair formula cannot see self-contention on the federation
-link, so the claim (EXPERIMENTS.md) is the cross-mapping band — mean
-absolute error under 10 %, no mapping beyond ~15 % — and a clearly
-positive linear and rank correlation, not the few-percent error of a
-single well-placed mapping.
+predicted time must track the measured one.  The claim (EXPERIMENTS.md)
+is the cross-mapping band — mean absolute error under 10 %, no mapping
+beyond ~15 % — and a clearly positive linear and rank correlation, not
+the few-percent error of a single well-placed mapping.  The error is
+not self-contention on the federation link: it is the same with the
+simulator's link contention off in both the profile and the measured
+runs (EXPERIMENTS.md, Fidelity, has the command).  It is eq. 8 charging
+every added second of ``Θ`` at slope ``λ_i`` where the program hides
+most of it.
 """
 
 from __future__ import annotations

@@ -4,28 +4,35 @@ The contract (docs/OBSERVABILITY.md): instrumentation is batched — search
 loops count into local integers and touch the ambient registry once per
 run — so running a full SA schedule with a *live* ``MetricsRegistry``
 must stay within 5% of the disabled (``NullRegistry``) throughput, and
-disabling telemetry must cost essentially nothing.  Every trial runs
+disabling telemetry must cost essentially nothing.  Every schedule runs
 inside a trace, so both modes record the schedule's spans.
 
-Trials are interleaved (disabled, enabled, disabled, enabled, ...) and
-the best wall time per mode is kept, so a one-off scheduler hiccup or
-turbo-frequency drift cannot bias one mode.  A microbenchmark of the
-primitive operations (``counter.inc`` live vs null) is printed for
-context but not gated — single-call costs are nanoseconds and noisy.
+The gate judges the median of *paired* ratios: each pair runs the same
+seeded schedule once per mode, back to back, the order swapped every
+other pair, and gives disabled time / enabled time.  A pair shares its
+host minute, so host noise (which moves a whole best-of-4 pass by
+-32..+11 % between runs on a shared 2-CPU host) mostly cancels in it.
+Pairs are drawn in batches until the median's distribution-free ~95 %
+interval (order statistics ``k`` and ``n - 1 - k``, ``k = floor((n -
+1.96 sqrt(n)) / 2)``) lies on one side of the bound, or the pair budget
+is spent; then the median is judged.  A microbenchmark of the primitive
+operations (``counter.inc`` live vs null) is printed for context but not
+gated — single-call costs are nanoseconds and noisy.
 
 Run modes
 ---------
 ``python benchmarks/bench_telemetry_overhead.py``
-    Full benchmark: 32 nodes / 16 ranks, 5 interleaved trials; fails
-    (exit 1) if enabled throughput drops below 95% of disabled.
+    Full benchmark: 32 nodes / 16 ranks, 10..40 pairs; fails (exit 1)
+    if the median enabled throughput is below 95% of disabled.
 
 ``python benchmarks/bench_telemetry_overhead.py --quick``
-    CI smoke mode: 12 nodes / 6 ranks, 3 trials, same 95% gate.
+    CI smoke mode: 12 nodes / 6 ranks, 20..80 pairs, same 95% gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -48,23 +55,41 @@ def one_schedule(evaluator, pool, schedule, restarts: int, seed: int) -> float:
     return time.perf_counter() - started
 
 
-def interleaved_best(evaluator, pool, schedule, restarts: int, trials: int):
-    """Best wall time per mode over interleaved trials.
-
-    The two modes alternate within each trial and swap their order every
-    other trial, so slow frequency drift hits both equally; keeping the
-    best time per mode discards one-off scheduler hiccups.
-    """
-    best = {"disabled": float("inf"), "enabled": float("inf")}
-    for trial in range(trials):
+def paired_ratios(evaluator, pool, schedule, restarts: int, first: int, pairs: int):
+    """``(disabled time / enabled time, disabled s, enabled s)`` of pairs
+    ``first .. first + pairs - 1``; pair k runs seed k, odd pairs enabled first."""
+    out = []
+    for pair in range(first, first + pairs):
         modes = [("disabled", NullRegistry()), ("enabled", MetricsRegistry())]
-        if trial % 2:
+        if pair % 2:
             modes.reverse()
+        elapsed = {}
         for mode, registry in modes:
             with use_registry(registry), Tracer().trace("bench"):
-                elapsed = one_schedule(evaluator, pool, schedule, restarts, seed=trial)
-            best[mode] = min(best[mode], elapsed)
-    return best["disabled"], best["enabled"]
+                elapsed[mode] = one_schedule(evaluator, pool, schedule, restarts, seed=pair)
+        disabled, enabled = elapsed["disabled"], elapsed["enabled"]
+        out.append((disabled / enabled, disabled, enabled))
+    return out
+
+
+def median_interval(values: list[float]) -> tuple[float, float]:
+    """A distribution-free ~95 % confidence interval of the median of *values*."""
+    ordered = sorted(values)
+    n = len(ordered)
+    k = max(0, int((n - 1.96 * n**0.5) / 2))
+    return ordered[k], ordered[n - 1 - k]
+
+
+def resolved_pairs(evaluator, pool, schedule, restarts: int, batch: int, budget: int):
+    """Pairs drawn *batch* at a time until the median's interval clears
+    :data:`OVERHEAD_GATE` on one side, or *budget* pairs are drawn."""
+    pairs: list[tuple[float, float, float]] = []
+    while len(pairs) < budget:
+        pairs += paired_ratios(evaluator, pool, schedule, restarts, len(pairs), batch)
+        low, high = median_interval([ratio for ratio, _, _ in pairs])
+        if len(pairs) >= 2 * batch and (low >= OVERHEAD_GATE or high < OVERHEAD_GATE):
+            break
+    return pairs
 
 
 def primitive_costs(iterations: int) -> tuple[float, float]:
@@ -85,39 +110,44 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: small instance, fewer trials, same 95%% gate",
+        help="CI smoke mode: small instance, more pairs, same 95%% gate",
     )
     args = parser.parse_args(argv)
 
     if args.quick:
-        nnodes, nprocs, restarts, trials = 12, 6, 2, 4
+        nnodes, nprocs, restarts, batch, budget = 12, 6, 2, 10, 80
         schedule = AnnealingSchedule(moves_per_temperature=80, steps=20, patience=8)
     else:
-        nnodes, nprocs, restarts, trials = 32, 16, 3, 5
+        nnodes, nprocs, restarts, batch, budget = 32, 16, 3, 5, 40
         schedule = AnnealingSchedule(moves_per_temperature=80, steps=25, patience=6)
 
     evaluator, pool = build_workload(nnodes, nprocs)
-    disabled, enabled = interleaved_best(evaluator, pool, schedule, restarts, trials)
-    ratio = disabled / enabled  # >1 means enabled was (noise) faster
-    if ratio < OVERHEAD_GATE:
-        # One re-measure before failing: a CI neighbour's burst can sink
-        # a whole interleaved pass, but not two in a row.
-        disabled, enabled = interleaved_best(evaluator, pool, schedule, restarts, trials)
-        ratio = disabled / enabled
+    pairs = resolved_pairs(evaluator, pool, schedule, restarts, batch, budget)
+    ratios = [ratio for ratio, _, _ in pairs]
+    ratio = statistics.median(ratios)  # >1 means enabled was (noise) faster
+    low, high = median_interval(ratios)
+    disabled = statistics.median(d for _, d, _ in pairs)
+    enabled = statistics.median(e for _, _, e in pairs)
     live_ns, null_ns = primitive_costs(200_000)
 
-    print(f"workload: {nnodes} nodes / {nprocs} ranks, {restarts} SA restarts")
-    print(f"telemetry disabled (NullRegistry): {disabled * 1e3:9.1f} ms/schedule")
-    print(f"telemetry enabled  (MetricsRegistry): {enabled * 1e3:6.1f} ms/schedule")
-    print(f"enabled/disabled throughput ratio: {ratio:9.3f}   (gate >= {OVERHEAD_GATE})")
+    print(f"workload: {nnodes} nodes / {nprocs} ranks, {restarts} SA restarts, {len(pairs)} pairs")
+    print(f"telemetry disabled (NullRegistry): {disabled * 1e3:9.1f} ms/schedule (median)")
+    print(f"telemetry enabled  (MetricsRegistry): {enabled * 1e3:6.1f} ms/schedule (median)")
+    print(
+        f"median paired throughput ratio: {ratio:6.3f}   ~95% interval [{low:.3f}, {high:.3f}]"
+        f"   (gate >= {OVERHEAD_GATE})"
+    )
     print(f"counter.inc(live): {live_ns:7.0f} ns/op    counter.inc(null): {null_ns:5.0f} ns/op")
 
     report = GateReport("telemetry_overhead", mode="quick" if args.quick else "full")
     report.metric("nnodes", nnodes)
     report.metric("nprocs", nprocs)
+    report.metric("pairs", len(pairs))
     report.metric("disabled_ms", round(disabled * 1e3, 2))
     report.metric("enabled_ms", round(enabled * 1e3, 2))
     report.metric("throughput_ratio", round(ratio, 4))
+    report.metric("throughput_ratio_low", round(low, 4))
+    report.metric("throughput_ratio_high", round(high, 4))
     report.metric("counter_inc_live_ns", round(live_ns, 1))
     report.metric("counter_inc_null_ns", round(null_ns, 1))
     report.gate(

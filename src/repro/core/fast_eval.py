@@ -7,8 +7,8 @@ rebuilds the ACPU table and re-walks every message group of every
 process on each call — right for a one-shot quote, wasteful inside a
 search loop where one move relocates one or two ranks, and wasteful in
 a daemon that prices quote after quote under one snapshot
-(:meth:`EvaluationContext.breakdown` is the same per-rank table off the
-frozen context).
+(:meth:`EvaluationContext.rows` is the same per-rank ``R_i`` / ``C_i``
+off the frozen context).
 
 Everything that evaluates candidates in a loop — schedulers, pool
 workers, the remapper, the daemon — does it through this module:
@@ -355,15 +355,15 @@ class EvaluationContext:
         return state
 
     # -- queries --------------------------------------------------------
-    def positions(self, mapping: TaskMapping) -> list[int]:
-        """Node indices per rank; raises like the reference on bad input."""
-        if mapping.nprocs != self.nprocs:
+    def positions(self, mapping: TaskMapping | Sequence[str]) -> list[int]:
+        """Node indices per rank of a mapping or its node ids; raises like the reference."""
+        if len(mapping) != self.nprocs:
             raise InvalidMappingError(
-                f"mapping places {mapping.nprocs} processes but profile has {self.nprocs}"
+                f"mapping places {len(mapping)} processes but profile has {self.nprocs}"
             )
         index = self.index
         try:
-            return [index[nid] for nid in mapping.as_tuple()]
+            return [index[nid] for nid in mapping]
         except KeyError as exc:
             raise InvalidMappingError(f"mapping uses unknown node {exc.args[0]!r}") from None
 
@@ -431,6 +431,11 @@ class EvaluationContext:
         lam = self.lam
         return r_arr, [left_fold(t) * lam[i] for i, t in enumerate(terms)], acpu, terms, counts
 
+    def rows(self, nodes: TaskMapping | Sequence[str]) -> tuple[list[float], list[float]]:
+        """``(R, C)`` per rank of a mapping or its node ids (no :class:`TaskMapping` needed)."""
+        r_arr, c_arr, _, _, _ = self._evaluate_positions(self.positions(nodes))
+        return r_arr, c_arr
+
     def breakdown(self, mapping: TaskMapping) -> MappingPrediction:
         """The per-rank ``R_i`` / ``C_i`` / node table of one mapping.
 
@@ -438,7 +443,7 @@ class EvaluationContext:
         and bit for bit, read off this context's tables instead of the
         snapshot and the latency model.
         """
-        r_arr, c_arr, _, _, _ = self._evaluate_positions(self.positions(mapping))
+        r_arr, c_arr = self.rows(mapping)
         return MappingPrediction(
             mapping=mapping,
             processes=tuple(

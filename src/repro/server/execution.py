@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from repro import telemetry
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator
 from repro.core.fast_eval import EvaluationContext
-from repro.core.mapping import TaskMapping
 from repro.core.service import CBES
 from repro.monitoring.snapshot import SystemSnapshot
 from repro.schedulers import make_scheduler
@@ -43,7 +42,7 @@ from repro.search.pool import (
 from repro.server.jobs import Job, JobStore
 from repro.server.serialize import (
     options_from_dict,
-    prediction_to_dict,
+    prediction_doc,
     schedule_result_to_dict,
 )
 
@@ -500,14 +499,14 @@ class JobRunner:
     def execute(self, job: Job) -> dict:
         """Run one job on a worker thread; returns the JSON result doc.
 
-        Every kind is priced by the kernel the search uses: a quote is
-        the cached context's per-rank breakdown of its mapping.
+        Every kind is priced by the kernel the search uses.  A quote
+        builds no evaluator: the cached context's ``(R, C)`` rows of each
+        mapping go straight into its document.
         """
         payload = job.payload
-        evaluator, context, fingerprint = self.context_for(
-            payload["app"], options_from_dict(payload.get("options"))
-        )
+        app, options = payload["app"], options_from_dict(payload.get("options"))
         if job.kind == "schedule":
+            evaluator, _, fingerprint = self.context_for(app, options)
             scheduler = make_scheduler(
                 payload["scheduler"],
                 parallel=payload.get("workers", 1),
@@ -515,20 +514,27 @@ class JobRunner:
             )
             result = scheduler.schedule(evaluator, payload["pool"], seed=payload["seed"])
             doc = schedule_result_to_dict(result)
+            telemetry.annotate(evaluations=evaluator.evaluations)
         else:
+            serving = self.serving
+            context = serving.contexts.get((app, options))
+            if context is None:  # context_for builds it, or finds it built, and counts which
+                _, context, fingerprint = self.context_for(app, options)
+            else:
+                self._m_ctx_cache.inc(event="hit")
+                fingerprint = serving.fingerprint
             candidates = [payload["nodes"]] if job.kind == "predict" else payload["mappings"]
-            tables = [context.breakdown(TaskMapping(nodes)) for nodes in candidates]
-            evaluator.record_evaluations(len(tables))
+            docs = [prediction_doc(nodes, *context.rows(nodes)) for nodes in candidates]
             if job.kind == "predict":
-                doc = prediction_to_dict(tables[0])
+                doc = docs[0]
             else:  # compare: fastest first, ties in request order
-                tables.sort(key=lambda table: table.execution_time)
-                doc = {"ranked": [prediction_to_dict(table) for table in tables]}
+                docs.sort(key=lambda doc: doc["execution_time"])
+                doc = {"ranked": docs}
             # Schedule jobs are counted by Scheduler.schedule itself;
             # counting here too would double the evaluations.
             self._metrics.counter(
                 "cbes_evaluations_total", "Mapping evaluations consumed by scheduling."
-            ).inc(evaluator.evaluations)
-        telemetry.annotate(evaluations=evaluator.evaluations)
+            ).inc(len(candidates))
+            telemetry.annotate(evaluations=len(candidates))
         doc["snapshot_fingerprint"] = fingerprint
         return doc

@@ -10,7 +10,7 @@ HTTP 400 instead of surfacing later as failed jobs.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import fields
 
 from repro.core.evaluation import EvaluationOptions, MappingPrediction
@@ -29,6 +29,7 @@ __all__ = [
     "batch_entries",
     "check_field",
     "options_from_dict",
+    "prediction_doc",
     "prediction_to_dict",
     "schedule_result_to_dict",
     "snapshot_to_dict",
@@ -308,16 +309,17 @@ def options_from_dict(doc: dict | None) -> EvaluationOptions:
     return EvaluationOptions(**_apply(OPTION_FIELDS, doc, None, "evaluation options"))
 
 
-def validate_job_payload(service, doc: dict) -> tuple[str, dict]:
+def validate_job_payload(service, doc: dict, ctx: _Context | None = None) -> tuple[str, dict]:
     """Validate a ``POST /v1/jobs`` body against the service's state.
 
     Returns ``(kind, normalized payload)``; raises :class:`ApiError`
     (status 400) describing the first problem found.  The normalized
     payload is what the worker executes — app name canonicalized, node
     ids checked against the cluster, seed and options materialized.
+    *ctx* is a :class:`_Context` of *service* shared with other documents.
     """
     kind = check_field(COMMON_JOB_FIELDS, doc, "kind")
-    payload = _apply(JOB_FIELDS[kind], doc, _Context(service), f"a {kind} job")
+    payload = _apply(JOB_FIELDS[kind], doc, ctx or _Context(service), f"a {kind} job")
     del payload["id"], payload["kind"]
     if kind == "schedule":
         # The one cross-field rule: the pool is given, or an
@@ -351,7 +353,8 @@ def validate_batch_payload(service, doc: dict) -> list[tuple[str, dict]]:
     400 whose message names the offending index as ``jobs[i]``.
     Returns the ``(kind, normalized payload)`` pairs in request order.
     """
-    return batch_entries(doc, lambda job: validate_job_payload(service, job))
+    ctx = _Context(service)
+    return batch_entries(doc, lambda job: validate_job_payload(service, job, ctx))
 
 
 def validate_remap_watch(service, doc: dict) -> dict:
@@ -388,27 +391,32 @@ def schedule_result_to_dict(result: ScheduleResult) -> dict:
     }
 
 
-def prediction_to_dict(prediction: MappingPrediction) -> dict:
-    critical = prediction.critical  # one pass: S_M is its R_i + C_i
+def prediction_doc(nodes: Sequence[str], r_arr: Sequence[float], c_arr: Sequence[float]) -> dict:
+    """The quote document of the mapping *nodes* (node ids by rank) with its
+    ``R_i`` / ``C_i`` rows: the critical rank is the first with the
+    largest ``R_i + C_i`` (:attr:`MappingPrediction.critical`)."""
+    totals = [r + c for r, c in zip(r_arr, c_arr, strict=True)]
+    execution_time = max(totals)
+    critical = totals.index(execution_time)
     return {
-        "mapping": list(prediction.mapping.as_tuple()),
-        "execution_time": critical.total,
-        "critical_rank": critical.rank,
+        "mapping": list(nodes),
+        "execution_time": execution_time,
+        "critical_rank": critical,
         "critical_breakdown": {
-            "node": critical.node_id,
-            "computation": critical.computation,
-            "communication": critical.communication,
+            "node": nodes[critical],
+            "computation": r_arr[critical],
+            "communication": c_arr[critical],
         },
         "processes": [
-            {
-                "rank": p.rank,
-                "node": p.node_id,
-                "computation": p.computation,
-                "communication": p.communication,
-            }
-            for p in prediction.processes
+            {"rank": rank, "node": node, "computation": r, "communication": c}
+            for rank, (node, r, c) in enumerate(zip(nodes, r_arr, c_arr))
         ],
     }
+
+
+def prediction_to_dict(prediction: MappingPrediction) -> dict:
+    r_arr, c_arr = zip(*((p.computation, p.communication) for p in prediction.processes))
+    return prediction_doc(prediction.mapping.as_tuple(), r_arr, c_arr)
 
 
 def snapshot_to_dict(snapshot: SystemSnapshot) -> dict:

@@ -97,19 +97,30 @@ class _Family:
         self.help = help
         self.labelnames = labelnames
         self._children: dict[tuple[str, ...], object] = {}
+        self._resolved: dict[tuple[tuple[str, str], ...], object] = {}
         self._family_lock = threading.Lock()
 
     # -- label resolution ----------------------------------------------
-    def _labelvalues(self, labels: dict[str, object]) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise MetricError(
-                f"{self.name}: expected labels {self.labelnames}, got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[ln]) for ln in self.labelnames)
-
     def labels(self, **labels: object):
         """The child metric for one concrete label-value assignment."""
-        return self._child(self._labelvalues(labels))
+        return self._resolve(labels)
+
+    def _resolve(self, labels: dict[str, object]):
+        """The child of *labels*: one lookup in :attr:`_resolved`, by
+        ``tuple(labels.items())``, for an all-``str`` label set seen before
+        (``1``, ``1.0`` and ``True`` are one key, not one value)."""
+        key = tuple(labels.items())
+        try:
+            return self._resolved[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable label value
+            if set(labels) != set(self.labelnames):
+                raise MetricError(
+                    f"{self.name}: expected labels {self.labelnames}, got {tuple(sorted(labels))}"
+                ) from None
+        child = self._child(tuple(str(labels[ln]) for ln in self.labelnames))
+        if all(type(value) is str for value in labels.values()):
+            self._resolved[key] = child
+        return child
 
     def _child(self, values: tuple[str, ...]):
         child = self._children.get(values)
@@ -177,7 +188,7 @@ class Counter(_Family):
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Increment the child selected by **labels** by *amount*."""
-        self.labels(**labels).inc(amount)
+        self._resolve(labels).inc(amount)
 
     def samples(self) -> list[dict]:
         """JSON-ready samples, sorted by label values."""
@@ -224,7 +235,7 @@ class Gauge(_Family):
 
     def set(self, value: float, **labels: object) -> None:
         """Set the child selected by **labels** to *value*."""
-        self.labels(**labels).set(value)
+        self._resolve(labels).set(value)
 
     def samples(self) -> list[dict]:
         """JSON-ready samples (evaluating the callback if there is one)."""
@@ -286,7 +297,7 @@ class Histogram(_Family):
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation into the child selected by **labels**."""
-        self.labels(**labels).observe(value)
+        self._resolve(labels).observe(value)
 
     def samples(self) -> list[dict]:
         """JSON-ready samples with *cumulative* bucket counts."""

@@ -150,6 +150,33 @@ print(before, scalar, "numpy" in sys.modules)
 """
         assert fresh_python(code) == "False False True"
 
+    @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+    def test_a_daemon_serving_quotes_loads_no_numpy(self):
+        """Quotes are priced by the scalar kernel: the batch kernel's numpy
+        would cost a quote-only replica ~15 MB of resident memory."""
+        code = """
+import sys
+from repro.cluster import single_switch
+from repro.core import CBES
+from repro.server import DaemonThread
+from repro.workloads import SyntheticBenchmark
+
+service = CBES(single_switch("mini", 6))
+service.calibrate(seed=2)
+app = SyntheticBenchmark(comm_fraction=0.3, duration_s=2.0, steps=4)
+service.profile_application(app, 3, seed=1)
+ids = service.cluster.node_ids()
+with DaemonThread(service, workers=2, queue_limit=16) as srv:
+    client = srv.client()
+    client.predict(app.name, ids[:3])
+    client.wait(client.submit("compare", app=app.name, mappings=[ids[:3], ids[3:]])["id"])
+    batch = [{"kind": "predict", "app": app.name, "nodes": ids[i:i + 3]} for i in range(4)]
+    batch.append({"kind": "compare", "app": app.name, "mappings": [ids[:3], [ids[0]] * 3]})
+    done = client.wait_many([job["id"] for job in client.submit_batch(batch)])
+print(len(done), "numpy" in sys.modules)
+"""
+        assert fresh_python(code) == "5 False"
+
 
 class TestExports:
     @pytest.mark.parametrize("package", PACKAGES)
