@@ -144,7 +144,10 @@ def cmd_calibrate(args) -> int:
 
     cluster = build_cluster(args.cluster)
     service = CBES(cluster)
-    report = service.calibrate(seed=args.seed, noise=args.noise)
+    try:
+        report = service.calibrate(seed=args.seed, noise=args.noise)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     db = ProfileDatabase(args.db)
     db.save_latency_model(cluster.name, cluster.latency_model)
     low, high, spread = cluster.latency_model.spread(1024)
@@ -160,7 +163,10 @@ def cmd_calibrate(args) -> int:
 def cmd_profile(args) -> int:
     service, db = open_service(args)
     app = make_app(args.app)
-    profile = service.profile_application(app, args.nprocs, seed=args.seed)
+    try:
+        profile = service.profile_application(app, args.nprocs, seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     db.save_profile(profile)
     comp, comm = profile.comp_comm_ratio
     print(
@@ -173,7 +179,13 @@ def cmd_profile(args) -> int:
 
 def _pool(service: CBES, args) -> list[str]:
     if args.arch:
-        return service.cluster.nodes_by_arch(args.arch)
+        try:
+            return service.cluster.nodes_by_arch(args.arch)
+        except KeyError:
+            raise SystemExit(
+                f"error: no nodes of architecture {args.arch!r}; valid: "
+                f"{', '.join(sorted(service.cluster.architectures()))}"
+            ) from None
     return service.cluster.node_ids()
 
 
@@ -194,7 +206,7 @@ def cmd_schedule(args) -> int:
     service, _ = open_service(args)
     app_name = resolve_app_name(service, args.app)
     kwargs: dict = {}
-    if args.islands > 1:
+    if args.islands != 1:
         if args.scheduler != "ga":
             raise SystemExit("error: --islands requires --scheduler ga")
         kwargs["islands"] = args.islands

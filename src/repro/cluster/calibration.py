@@ -102,8 +102,8 @@ class Calibrator:
         seed: int = 0,
     ) -> None:
         fabric.validate()
-        if noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= noise < float("inf"):  # NaN too: it would calibrate NaN latencies
+            raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         self._fabric = fabric

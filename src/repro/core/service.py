@@ -176,7 +176,13 @@ class CBES:
             raise NotCalibratedError("calibrate the system before profiling applications")
         program = app.program(nprocs)
         if mapping is None:
-            mapping = TaskMapping(self._cluster.node_ids()[:nprocs])
+            nodes = self._cluster.node_ids()
+            if nprocs > len(nodes):
+                raise ValueError(
+                    f"cannot place {nprocs} processes one per node on the "
+                    f"{len(nodes)} nodes of {self._cluster.name!r}"
+                )
+            mapping = TaskMapping(nodes[:nprocs])
         mapping.require_nodes(self._cluster.node_ids())
         result = self._simulator.run(
             program, mapping.as_dict(), seed=seed, arch_affinity=app.arch_affinity

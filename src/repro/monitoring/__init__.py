@@ -12,9 +12,7 @@ __all__ = [
     "Forecaster",
     "LastValue",
     "LoadEvent",
-    "LatencySensor",
     "LoadGenerator",
-    "NetworkMonitor",
     "NicSensor",
     "NodeState",
     "SlidingMean",
@@ -39,7 +37,6 @@ _EXPORTS = LazyExports(
         ),
         "load": ("LoadEvent", "LoadGenerator"),
         "monitor": ("SystemMonitor",),
-        "network": ("LatencySensor", "NetworkMonitor"),
         "sensors": ("CpuSensor", "NicSensor"),
         "snapshot": ("NodeState", "SystemSnapshot"),
     },

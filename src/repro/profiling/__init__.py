@@ -15,14 +15,8 @@ __all__ = [
     "TimeCategory",
     "TimeRecord",
     "TraceAnalyzer",
-    "gantt",
-    "load_trace",
     "measure_speed_ratios",
-    "save_trace",
     "theta",
-    "trace_from_dict",
-    "trace_to_dict",
-    "utilization",
 ]
 
 _EXPORTS = LazyExports(
@@ -30,14 +24,6 @@ _EXPORTS = LazyExports(
     {
         "analyzer": ("TraceAnalyzer",),
         "database": ("ProfileDatabase",),
-        "export": (
-            "gantt",
-            "load_trace",
-            "save_trace",
-            "trace_from_dict",
-            "trace_to_dict",
-            "utilization",
-        ),
         "events": ("MarkerRecord", "MessageRecord", "TimeCategory", "TimeRecord"),
         "profile": ("ApplicationProfile", "MessageGroup", "ProcessProfile", "theta"),
         "speeds": ("measure_speed_ratios",),

@@ -73,7 +73,7 @@ class Scheduler(ABC):
         if time_budget is not None:
             if not isinstance(time_budget, (int, float)) or isinstance(time_budget, bool):
                 raise ValueError(f"time_budget must be a number of seconds, got {time_budget!r}")
-            if time_budget <= 0:
+            if not time_budget > 0:  # NaN too: a NaN deadline never expires
                 raise ValueError(f"time_budget must be > 0 seconds, got {time_budget!r}")
             time_budget = float(time_budget)
         self._constraint = constraint

@@ -280,7 +280,7 @@ class CbesDaemon(HttpService):
         400 naming the bad index, nothing queued) and :meth:`_accept`
         must take the *whole* batch.  Jobs for one application then
         share one evaluation-context build (see
-        :meth:`~repro.server.execution.JobRunner.context_for`).
+        :meth:`~repro.server.execution.JobRunner._lookup`).
         """
         if self._draining:
             raise ApiError(503, "shutting-down", "daemon is draining; submit elsewhere")

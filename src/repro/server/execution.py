@@ -466,21 +466,20 @@ class JobRunner:
         # Last: a lookup released here finds the job's metrics counted too.
         self.holds.finished()
 
-    def context_for(
-        self, app: str, options: EvaluationOptions = EvaluationOptions()
-    ) -> tuple[MappingEvaluator, EvaluationContext, str]:
-        """An evaluator of *app* on the serving snapshot, the generation's
-        cached context of (app, options) installed in it, and its digest.
+    def _lookup(
+        self, app: str, options: EvaluationOptions
+    ) -> tuple[EvaluationContext, Generation]:
+        """The serving generation's context of (app, options), and that
+        generation; counts one ``hit`` or ``miss``.
 
-        :attr:`serving` is read once, so the three are of one generation;
-        the digest goes down with the snapshot, so neither a hit nor a
-        build hashes anything.  Builds are serialized behind
-        ``_ctx_build_lock`` with a double-check, so a batch of N jobs for
-        one application arriving together performs one context build and
-        N-1 cache hits instead of N racing builds.
+        :attr:`serving` is read once, so the context is of the generation
+        returned; its digest goes down with the snapshot, so neither a hit
+        nor a build hashes anything.  A miss builds through an evaluator
+        behind ``_ctx_build_lock`` with a double-check, so a batch of N
+        jobs for one application arriving together performs one context
+        build and N-1 cache hits instead of N racing builds.
         """
         serving = self.serving
-        evaluator = self._service.evaluator(app, options=options, snapshot=serving.snapshot)
         key = (app, options)
         context = serving.contexts.get(key)
         if context is None:
@@ -489,10 +488,24 @@ class JobRunner:
                 context = serving.contexts.get(key)
                 if context is None:
                     self._m_ctx_cache.inc(event="miss")
+                    evaluator = self._service.evaluator(
+                        app, options=options, snapshot=serving.snapshot
+                    )
                     context = evaluator.fast_context(options, fingerprint=serving.fingerprint)
                     serving.contexts[key] = context
-                    return evaluator, context, serving.fingerprint
+                    return context, serving
         self._m_ctx_cache.inc(event="hit")
+        return context, serving
+
+    def context_for(
+        self, app: str, options: EvaluationOptions = EvaluationOptions()
+    ) -> tuple[MappingEvaluator, EvaluationContext, str]:
+        """An evaluator of *app* on the serving snapshot, the generation's
+        cached context of (app, options) installed in it, and its digest:
+        what a schedule job or a watch tick searches with.  All three are
+        of the one generation :meth:`_lookup` read."""
+        context, serving = self._lookup(app, options)
+        evaluator = self._service.evaluator(app, options=options, snapshot=serving.snapshot)
         evaluator.install_context(context, fingerprint=serving.fingerprint)
         return evaluator, context, serving.fingerprint
 
@@ -516,13 +529,8 @@ class JobRunner:
             doc = schedule_result_to_dict(result)
             telemetry.annotate(evaluations=evaluator.evaluations)
         else:
-            serving = self.serving
-            context = serving.contexts.get((app, options))
-            if context is None:  # context_for builds it, or finds it built, and counts which
-                _, context, fingerprint = self.context_for(app, options)
-            else:
-                self._m_ctx_cache.inc(event="hit")
-                fingerprint = serving.fingerprint
+            context, serving = self._lookup(app, options)
+            fingerprint = serving.fingerprint
             candidates = [payload["nodes"]] if job.kind == "predict" else payload["mappings"]
             docs = [prediction_doc(nodes, *context.rows(nodes)) for nodes in candidates]
             if job.kind == "predict":

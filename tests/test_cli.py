@@ -103,6 +103,31 @@ class TestCommands:
             self.run(db_dir, "predict", "lu.S", nodes)
         assert exit_info.value.code == message
 
+    #: A local command's bad argument, and the one line it exits with.
+    REFUSED = {
+        "profile lu.S --nprocs 0": "error: lu.S does not support nprocs=0",
+        "profile lu.S --nprocs -3": "error: lu.S does not support nprocs=-3",
+        "profile lu.S --nprocs 200": (
+            "error: cannot place 200 processes one per node on the 28 nodes of 'orange-grove'"
+        ),
+        "calibrate --noise -1": "error: noise must be a finite number >= 0, got -1.0",
+        "calibrate --noise nan": "error: noise must be a finite number >= 0, got nan",
+        "schedule lu.S --arch nope": (
+            "error: no nodes of architecture 'nope'; valid: alpha-533, pii-400, sparc-500"
+        ),
+        "schedule lu.S --scheduler ga --islands 0": "error: islands must be >= 1",
+        "schedule lu.S --islands 0": "error: --islands requires --scheduler ga",
+        "schedule lu.S --time-budget nan": "error: time_budget must be > 0 seconds, got nan",
+    }
+
+    @pytest.mark.parametrize("argv, message", REFUSED.items(), ids=list(REFUSED))
+    def test_local_commands_refuse_bad_arguments_without_a_traceback(
+        self, db_dir, argv, message
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(db_dir, *argv.split())
+        assert exit_info.value.code == message
+
     def test_inspect(self, db_dir, capsys):
         assert self.run(db_dir, "inspect") == 0
         out = capsys.readouterr().out

@@ -21,9 +21,11 @@ from pathlib import Path
 import pytest
 
 from repro.core import CBES, EvaluationOptions
+from repro.experiments.report import ascii_table
 
 REPO = Path(__file__).resolve().parent.parent
 DRIVER = REPO / "tools" / "reproduce_all.py"
+GOLDEN_TOOL = REPO / "tools" / "paper_golden.py"
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +107,44 @@ def test_driver_holds_no_experiment_parameter():
             callee = node.func.attr if isinstance(node.func, ast.Attribute) else node.func
             assert getattr(callee, "id", callee) != "AnnealingSchedule"
     assert len(DRIVER.read_text().splitlines()) <= 90
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """``tools/paper_golden.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("paper_golden", GOLDEN_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPaperGolden:
+    """``reproduce_all.py --check-golden``: the masked report is the golden."""
+
+    def test_the_mask_hides_wall_clock_cells_and_nothing_else(self, golden):
+        def report(wall: str, evals: str) -> str:
+            table = ascii_table(["scheduler", "mean evals", "wall (s)"], [["SA", evals, wall]])
+            return f"==== x [ok] ====\n{table}\nsummary line\nSA | 1 | 0.5\n"
+
+        assert golden.mask(report("0.073", "2337")) == golden.mask(report("0.065", "2337"))
+        assert golden.mask(report("0.073", "2337")) != golden.mask(report("0.073", "2338"))
+        masked = golden.mask(report("0.073", "2337"))
+        assert "SA        | 2337       | *       " in masked
+        assert masked.endswith("summary line\nSA | 1 | 0.5\n")  # the table ended above
+        assert golden.mask(masked) == masked
+
+    def test_the_golden_holds_every_record_masked(self, golden):
+        text = golden.GOLDEN.read_text()
+        assert golden.mask(text) == text
+        assert len(re.findall(r"^==== \w+ \[ok\] ====$", text, re.M)) == 17
+
+    def test_the_check_fails_on_one_moved_digit(self, golden, tmp_path, capsys):
+        text = golden.GOLDEN.read_text()
+        (tmp_path / "REPORT.txt").write_text(text)
+        assert golden.check(tmp_path)
+        hits = re.search(r"^LU \(1\) high   \| CS      \| [\d.]+ +\| (\d+) ", text, re.M)
+        moved = text[: hits.start(1)] + str(int(hits[1]) - 10) + text[hits.end(1) :]
+        (tmp_path / "REPORT.txt").write_text(moved)
+        assert not golden.check(tmp_path)
+        assert (tmp_path / "REPORT.masked.txt").read_text() == moved
+        assert "-LU (1) high   | CS " in capsys.readouterr().err

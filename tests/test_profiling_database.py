@@ -1,4 +1,4 @@
-"""Tests for the profile database and trace export tooling."""
+"""Tests for the profile database."""
 
 import json
 import os
@@ -15,17 +15,7 @@ import repro
 from repro.cli import main
 from repro.cluster import single_switch
 from repro.core import CBES, TaskMapping
-from repro.profiling import (
-    ProfileDatabase,
-    TimeCategory,
-    gantt,
-    load_trace,
-    save_trace,
-    trace_from_dict,
-    trace_to_dict,
-    utilization,
-)
-from repro.profiling.trace import ExecutionTrace
+from repro.profiling import ProfileDatabase
 from repro.workloads import SyntheticBenchmark
 
 
@@ -200,79 +190,3 @@ class TestTornFiles:
         assert proc.stderr.count("\n") == 1
         assert str(db / torn) in proc.stderr
 
-
-class TestTraceExport:
-    def make_trace(self):
-        trace = ExecutionTrace("app", 2, {0: "a", 1: "b"})
-        trace.record_time(0, TimeCategory.OWN_CODE, 0.0, 1.0)
-        trace.record_time(0, TimeCategory.BLOCKED, 1.0, 0.5)
-        trace.record_time(1, TimeCategory.OWN_CODE, 0.0, 1.2)
-        trace.record_time(1, TimeCategory.MPI_OVERHEAD, 1.2, 0.1)
-        trace.record_message(0, 1, 1024, 1.0, 1.4)
-        trace.record_marker(0, 1.5, 1, "phase")
-        trace.finish(1.5)
-        return trace
-
-    def test_dict_roundtrip(self):
-        trace = self.make_trace()
-        rebuilt = trace_from_dict(trace_to_dict(trace))
-        assert trace_to_dict(rebuilt) == trace_to_dict(trace)
-
-    def test_file_roundtrip(self, tmp_path):
-        trace = self.make_trace()
-        save_trace(trace, tmp_path / "t.json")
-        loaded = load_trace(tmp_path / "t.json")
-        assert loaded.total_time == trace.total_time
-        assert len(loaded.messages) == 1
-
-    def test_roundtrip_through_analyzer(self, tmp_path, service, app):
-        mapping = TaskMapping(service.cluster.node_ids()[:3])
-        result = service.simulator.run(
-            app.program(3), mapping.as_dict(), seed=1, arch_affinity=app.arch_affinity
-        )
-        save_trace(result.trace, tmp_path / "run.json")
-        loaded = load_trace(tmp_path / "run.json")
-        from repro.profiling import TraceAnalyzer
-
-        prof_a = TraceAnalyzer(service.cluster.latency_model).analyze(
-            result.trace, profile_speeds={r: 1.0 for r in range(3)}
-        )
-        prof_b = TraceAnalyzer(service.cluster.latency_model).analyze(
-            loaded, profile_speeds={r: 1.0 for r in range(3)}
-        )
-        assert prof_a.to_dict() == prof_b.to_dict()
-
-
-class TestGantt:
-    def test_renders_one_row_per_rank(self):
-        trace = TestTraceExport().make_trace()
-        chart = gantt(trace, width=40)
-        lines = chart.splitlines()
-        assert len(lines) == 3  # header + 2 ranks
-        assert lines[1].startswith("r0")
-        assert "#" in lines[1] and "." in lines[1]
-
-    def test_requires_sealed_trace(self):
-        trace = ExecutionTrace("app", 1, {0: "a"})
-        with pytest.raises(ValueError):
-            gantt(trace)
-
-    def test_width_validation(self):
-        trace = TestTraceExport().make_trace()
-        with pytest.raises(ValueError):
-            gantt(trace, width=5)
-
-
-class TestUtilization:
-    def test_shares_sum_to_one(self):
-        trace = TestTraceExport().make_trace()
-        shares = utilization(trace)
-        for rank in range(2):
-            assert sum(shares[rank].values()) == pytest.approx(1.0)
-
-    def test_values_match_records(self):
-        trace = TestTraceExport().make_trace()
-        shares = utilization(trace)
-        assert shares[0]["X"] == pytest.approx(1.0 / 1.5)
-        assert shares[0]["B"] == pytest.approx(0.5 / 1.5)
-        assert shares[1]["O"] == pytest.approx(0.1 / 1.5)

@@ -8,9 +8,16 @@ default, ``--full`` for paper-scale repetitions.  Each record's ``run``,
 uses, so ``<out>/<name>.txt`` holds exactly the text that bench prints;
 ``REPORT.txt`` combines them.  Exits 1 if any ``check`` fails.
 
+``--check-golden`` runs nothing: it exits 1 unless the reduced-scale
+``<out>/REPORT.txt`` equals ``tests/paper_goldens/REPORT.txt`` once
+masked.  The mask (``tools/paper_golden.py``): in every table, each cell
+under a wall-clock header (``wall (s)``, ``scheduler (s)``, ``per-eval
+(us)``, ``sched time (s)``) becomes ``*``; two runs of one commit are
+then byte-equal.
+
 Usage::
 
-    python tools/reproduce_all.py [--out results] [--full]
+    python tools/reproduce_all.py [--out results] [--full | --check-golden]
 """
 
 from __future__ import annotations
@@ -60,8 +67,14 @@ def reproduce(artefacts, out: Path) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--full", action="store_true", help="paper-scale repetitions")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--full", action="store_true", help="paper-scale repetitions")
+    mode.add_argument("--check-golden", action="store_true", help="compare <out>/REPORT.txt")
     args = parser.parse_args()
+    if args.check_golden:
+        from paper_golden import check  # tools/paper_golden.py, beside this script
+
+        return 0 if check(Path(args.out)) else 1
     if args.full:
         os.environ["REPRO_FULL"] = "1"  # read by every run() through harness.repetitions
     failed = reproduce(discover(), Path(args.out))
