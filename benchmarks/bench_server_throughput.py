@@ -23,7 +23,11 @@ finished 8-rank quotes (three predicts to one 8-way compare) over
 encoding those same results once with the C encoder — under 0.5 when
 the snapshot splices the bytes ``mark_done`` stored (~0.25), about 4
 when it re-encoded the whole store with ``json.dump``.
-``result_residency_ratio`` (reported, not gated) is what those results
+And that a batch and its run each cost one journal write: one
+``ROUND_JOBS``-job ``submit_batch`` + ``wait_many`` round (three
+predicts to one compare) against a durable daemon makes exactly
+``ROUND_JOURNAL_WRITES`` (2) writes by ``Journal.writes`` — one per job
+record would be 64.  ``result_residency_ratio`` (reported, not gated) is what those results
 occupy as the store keeps them over what they occupy as the dict trees a
 client parses.
 
@@ -72,6 +76,9 @@ PROBE_SHAPE, PROBE_PASSES, MAX_PREDICT_JOB_RATIO = (16, 8, 24), 15, 1.0
 #: The encoded-once gate: the most a compaction of ``FULL_STORE_JOBS``
 #: finished jobs may cost in single encodings of the results it holds.
 MAX_COMPACT_RATIO = 0.5
+#: The group-commit gate: journal writes of one ``ROUND_JOBS``-job round,
+#: its batch's ``create`` records and its run's outcomes.
+ROUND_JOURNAL_WRITES = 2
 
 
 def build_service(nnodes: int, nprocs: int) -> tuple[CBES, str]:
@@ -147,6 +154,24 @@ def batch_round_ms(service: CBES, app_name: str, nodes: list[str]) -> tuple[floa
             store.mark_done(job.id, result)
         full_ms = round_ms()
     return empty_ms, full_ms
+
+
+def journal_writes_per_round(service: CBES, app_name: str, nodes: list[str]) -> int:
+    """Journal writes of one ``submit_batch`` + ``wait_many`` round of
+    :data:`ROUND_JOBS` quotes, three predicts to one compare, on a durable daemon."""
+    predict = {"kind": "predict", "app": app_name, "nodes": nodes}
+    compare = {"kind": "compare", "app": app_name, "mappings": [nodes, nodes[::-1]]}
+    docs = [predict, predict, predict, compare] * (ROUND_JOBS // 4)
+    with (
+        tempfile.TemporaryDirectory(prefix="cbes-bench-journal-") as data_dir,
+        DaemonThread(service, workers=2, queue_limit=2 * ROUND_JOBS, job_ttl_s=3600.0,
+                     data_dir=data_dir, fsync="never") as srv,
+        srv.client() as client,
+    ):
+        journal = srv.daemon.store.journal
+        before = journal.writes
+        client.wait_many([job["id"] for job in client.submit_batch(docs)], timeout_s=300.0)
+        return journal.writes - before
 
 
 def predict_job_probe() -> tuple[float, float, float]:
@@ -274,6 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     empty_ms, full_ms = batch_round_ms(service, app_name, mappings[0])
+    round_writes = journal_writes_per_round(service, app_name, mappings[0])
 
     job_us, reference_us, hit_ratio = predict_job_probe()
     if job_us > MAX_PREDICT_JOB_RATIO * reference_us:
@@ -301,6 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{ROUND_JOBS}-job batch round: {empty_ms:.1f} ms on an empty store, {full_ms:.1f} ms "
         f"with {FULL_STORE_JOBS} finished jobs held ({full_ms / empty_ms:.2f}x)"
     )
+    print(f"journal writes of one {ROUND_JOBS}-job round: {round_writes}")
     print(
         f"predict job in the executor ({PROBE_SHAPE[1]} ranks): {job_us:.1f} us, reference "
         f"predict(): {reference_us:.1f} us ({job_ratio:.2f}x), context-cache hit ratio "
@@ -322,6 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     report.metric("backpressure_retries", retries)
     report.metric("batch_round_ms_empty_store", round(empty_ms, 2))
     report.metric("batch_round_ms_full_store", round(full_ms, 2))
+    report.metric("round_journal_writes", round_writes)
     report.metric("predict_job_us", round(job_us, 2))
     report.metric("reference_predict_us", round(reference_us, 2))
     report.metric("predict_job_ratio", round(job_ratio, 3))
@@ -340,6 +368,12 @@ def main(argv: list[str] | None = None) -> int:
         full_ms <= MAX_ROUND_RATIO * empty_ms,
         f"batch round with {FULL_STORE_JOBS} finished jobs held is {full_ms / empty_ms:.2f}x "
         f"the empty-store round (limit {MAX_ROUND_RATIO}x)",
+    )
+    report.gate(
+        "round_journal_writes",
+        round_writes == ROUND_JOURNAL_WRITES,
+        f"a {ROUND_JOBS}-job round makes {round_writes} journal writes "
+        f"(want {ROUND_JOURNAL_WRITES}: one per batch, one per run)",
     )
     report.gate(
         "predict_job",

@@ -21,6 +21,10 @@ crash can leave behind sharply different treatments:
   refuses the journal with :class:`JournalCorruptError` rather than
   silently serving a half-wrong job history.
 
+An append is one ``write`` and one flush however many records it
+carries: the job store appends an accepted batch's ``create`` records,
+or the outcomes of a run of jobs, as one unit.
+
 Durability is a policy knob (``fsync=``):
 
 * ``always``   — fsync after every append (every acknowledged record
@@ -166,6 +170,7 @@ class Journal:
         self._clock = clock
         self._lock = threading.Lock()
         self._records = 0
+        self._writes = 0
         self._syncs = 0
         existing = b""
         if self.path.exists():
@@ -195,6 +200,12 @@ class Journal:
             return self._records
 
     @property
+    def writes(self) -> int:
+        """Appends (one ``write`` and flush each) over this object's lifetime."""
+        with self._lock:
+            return self._writes
+
+    @property
     def syncs(self) -> int:
         """fsync calls issued over this object's lifetime (metrics)."""
         with self._lock:
@@ -205,18 +216,22 @@ class Journal:
         """Append one JSON record; returns the bytes written."""
         return self.append_payload(encode_json(record))
 
-    def append_payload(self, payload: bytes) -> int:
-        """Append one record already encoded as a JSON object (a caller
-        holding part of it as bytes); returns the bytes written.
+    def append_payload(self, *payloads: bytes) -> int:
+        """Append records already encoded as JSON objects (a caller holding
+        part of one as bytes) in one write; returns the bytes written.
 
-        The record is flushed to the OS before returning; whether it is
-        fsynced too depends on the policy (see the module docstring).
+        Each payload is framed and checksummed as its own record.  They
+        are flushed to the OS before returning; whether they are fsynced
+        too depends on the policy (see the module docstring).
         """
-        if len(payload) > MAX_RECORD_BYTES:
-            raise JournalError(f"record of {len(payload)} bytes exceeds {MAX_RECORD_BYTES}")
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        frames = []
+        for payload in payloads:
+            if len(payload) > MAX_RECORD_BYTES:
+                raise JournalError(f"record of {len(payload)} bytes exceeds {MAX_RECORD_BYTES}")
+            frames += _HEADER.pack(len(payload), zlib.crc32(payload)), payload
+        data = b"".join(frames)
         with self._lock:
-            self._file.write(frame)
+            self._file.write(data)
             self._file.flush()
             if self._fsync == "always":
                 self._do_sync()
@@ -224,9 +239,10 @@ class Journal:
                 now = self._clock()
                 if now - self._last_sync >= self._fsync_interval:
                     self._do_sync()
-            self._size += len(frame)
-            self._records += 1
-        return len(frame)
+            self._size += len(data)
+            self._records += len(payloads)
+            self._writes += 1
+        return len(data)
 
     def _do_sync(self) -> None:
         os.fsync(self._file.fileno())

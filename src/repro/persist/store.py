@@ -3,11 +3,24 @@
 :class:`DurableJobStore` extends the in-memory
 :class:`~repro.server.jobs.JobStore` state machine with a write-ahead
 journal (see :mod:`repro.persist.journal`): a job's creation, its end
-(``done`` / ``failed``) and its removal (``evict``) are each appended as
-one JSON record *after* the in-memory mutation succeeds, so the journal
-never records an illegal transition.  Starting a job is not journaled:
-recovery rewinds a ``running`` job to ``queued`` exactly as it keeps a
-``queued`` one, so the record would never be read.
+(``done`` / ``failed``) and its removal (``evict``) are each one JSON
+record, so the journal never records an illegal transition.  Starting a
+job is not journaled: recovery rewinds a ``running`` job to ``queued``
+exactly as it keeps a ``queued`` one, so the record would never be read.
+
+Records go down in units, one journal write each:
+
+* **batch create** — :meth:`DurableJobStore.create_many` checks every
+  id of an accepted batch, holds all its jobs, then appends their
+  ``create`` records together; a refused batch touches neither memory
+  nor the journal;
+* **run settle** — :meth:`DurableJobStore.settle` appends the outcomes
+  of a run of jobs together and only then publishes them, under one
+  hold of the store lock; until the write is flushed every job of the
+  run reads ``running``.
+
+A finished job keeps no request payload: the snapshot writes ``{}`` for
+it, and replay drops it at the ``done`` / ``failed`` record.
 
 **Recovery** replays ``snapshot + journal`` on startup:
 
@@ -43,10 +56,11 @@ import os
 import re
 import threading
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from pathlib import Path
 
+from repro._util import encode_json
 from repro.persist.journal import Journal, JournalCorruptError, replay_journal
 from repro.server.config import DAEMON_FIELDS
 from repro.server.jobs import Job, JobState, JobStore, spliced
@@ -99,7 +113,7 @@ def recover_state(
     them the ``running`` records older journals hold: a started job is
     recovered as a queued one), records for unknown jobs, and
     re-creations of known ids are skipped — see the module docstring
-    for why replay is lenient.
+    for why replay is lenient.  A terminal job's payload is ``{}``.
     """
     jobs: dict[str, dict] = {}
     order: list[str] = []
@@ -108,6 +122,8 @@ def recover_state(
         next_seq = max(next_seq, int(snapshot_doc.get("next_seq", 1)))
         for doc in snapshot_doc.get("jobs", []):
             jobs[doc["id"]] = dict(doc)
+            if doc.get("state") in _TERMINAL:
+                jobs[doc["id"]]["payload"] = {}
             order.append(doc["id"])
             seq = _seq_of(doc["id"])
             if seq is not None:
@@ -134,13 +150,11 @@ def recover_state(
         elif op == "done":
             doc = jobs.get(job_id)
             if doc is not None and doc["state"] not in _TERMINAL:
-                doc["state"] = "done"
-                doc["result"] = record.get("result")
+                doc.update(state="done", payload={}, result=record.get("result"))
         elif op == "failed":
             doc = jobs.get(job_id)
             if doc is not None and doc["state"] not in _TERMINAL:
-                doc["state"] = "failed"
-                doc["error"] = record.get("error", "")
+                doc.update(state="failed", payload={}, error=record.get("error", ""))
         elif op == "evict":
             jobs.pop(job_id, None)
     docs = [jobs[job_id] for job_id in order if job_id in jobs]
@@ -313,11 +327,11 @@ class DurableJobStore(JobStore):
             self.compact()
 
     # -- journaling -----------------------------------------------------
-    def _append(self, record: dict, result_json: bytes | None = None, publish=None):
-        """Journal *record*; *publish*'s result, called before a compaction."""
-        written = self._journal.append_payload(b"".join(spliced(record, result_json)))
+    def _append(self, payloads: list[bytes], publish=None):
+        """Journal *payloads* in one write; *publish*'s result, called before a compaction."""
+        written = self._journal.append_payload(*payloads)
         if self._m_appends is not None:
-            self._m_appends.inc()
+            self._m_appends.inc(len(payloads))
             self._m_bytes.inc(written)
         published = publish() if publish is not None else None
         # A snapshot costs its own size to write, so the journal must
@@ -327,48 +341,50 @@ class DurableJobStore(JobStore):
             self.compact()
         return published
 
-    def create(self, kind: str, payload: dict, *, request_id: str = "", job_id: str | None = None) -> Job:
+    def create_many(
+        self, entries: Sequence[tuple[str, dict, str | None]], *, request_id: str = ""
+    ) -> list[Job]:
+        """Hold the jobs, then journal their ``create`` records in one write;
+        a refused batch writes nothing."""
         with self._mutex:
-            job = super().create(kind, payload, request_id=request_id, job_id=job_id)
-            self._append(
-                {
-                    "op": "create",
-                    "id": job.id,
-                    "kind": kind,
-                    "payload": payload,
-                    "request_id": request_id,
-                }
-            )
-            return job
+            jobs = super().create_many(entries, request_id=request_id)
+            self._append([
+                encode_json({"op": "create", "id": job.id, "kind": job.kind,
+                             "payload": job.payload, "request_id": request_id})
+                for job in jobs
+            ])
+            return jobs
 
     def discard(self, job_id: str) -> None:
         with self._mutex:
             existed = job_id in self._jobs
             super().discard(job_id)
             if existed:
-                self._append({"op": "evict", "id": job_id})
+                self._append([encode_json({"op": "evict", "id": job_id})])
 
-    def _transition(self, job_id: str, new: JobState, **outcome) -> Job:
-        """Journal a terminal transition, then publish it: a reader never
-        sees an outcome that a crash could take back.  Only the journal
-        mutex is held across the append, so lookups never wait on an
-        fsync.  ``running`` is not journaled."""
-        if not new.is_terminal:
-            return super()._transition(job_id, new, **outcome)
-        record = {"op": new.value, "id": job_id}
-        if new is JobState.FAILED:
-            record["error"] = outcome["error"]
+    def settle(self, outcomes: Sequence[tuple[str, bytes | None, str | None]]) -> list[Job]:
+        """Journal the outcomes in one write, then publish them: a reader
+        never sees an outcome that a crash could take back, and every job
+        of a run reads ``running`` until the write is flushed (fsynced
+        under ``always``).  Only the journal mutex is held across the
+        write, so lookups never wait on an fsync."""
+        payloads = [
+            b"".join(spliced({"op": "done", "id": job_id}, result_json))
+            if error is None
+            else encode_json({"op": "failed", "id": job_id, "error": error})
+            for job_id, result_json, error in outcomes
+        ]
         with self._mutex:
             with self._lock:
-                self._legal(job_id, new)
-            publish = partial(super()._transition, job_id, new, **outcome)
-            return self._append(record, outcome.get("result_json"), publish)
+                for job_id, _, error in outcomes:
+                    self._legal(job_id, JobState.DONE if error is None else JobState.FAILED)
+            return self._append(payloads, partial(super().settle, outcomes))
 
     def _journal_evict(self, job: Job, age_s: float) -> None:
         # Called by JobStore.evict_expired outside its lock, after the
         # job is gone from memory; the journal must agree.
         with self._mutex:
-            self._append({"op": "evict", "id": job.id})
+            self._append([encode_json({"op": "evict", "id": job.id})])
         if self._user_on_evict is not None:
             self._user_on_evict(job, age_s)
 

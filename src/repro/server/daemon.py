@@ -198,8 +198,7 @@ class CbesDaemon(HttpService):
         await self.runner.start()
         if self._durable:
             recovered = self._store.take_recovered()
-            for job in recovered:
-                self.runner.enqueue(job)
+            self.runner.enqueue(*recovered)
             if recovered:
                 log.info(
                     "re-enqueued %d recovered job(s): %s",
@@ -225,13 +224,15 @@ class CbesDaemon(HttpService):
         """Create and enqueue one job per validated entry, all or nothing.
 
         The queue must have room for *every* job (else 429, nothing
-        queued) and no caller-supplied id may collide (else 409, nothing
-        queued).  The queue itself is unbounded (recovery may overfill
-        it); the client contract — 429 beyond ``queue_limit`` waiting
-        jobs — is enforced here.  Submit handlers run on the event loop
-        with no awaits between this check and the enqueues, so
-        concurrent submits cannot interleave into a partially accepted
-        batch.
+        queued) and no caller-supplied id may collide, with a live job
+        or within the batch (else 409, nothing held or journaled).  The
+        jobs are created in one store call, one journal write, and
+        queued in one go.  The queue itself is unbounded (recovery may
+        overfill it); the client contract — 429 beyond ``queue_limit``
+        waiting jobs — is enforced here.  Submit handlers run on the
+        event loop with no awaits between this check and the enqueue,
+        so concurrent submits cannot interleave into a partially
+        accepted batch.
         """
         free, limit = self.runner.free_slots, self.runner.queue_limit
         if len(validated) > free:
@@ -242,21 +243,14 @@ class CbesDaemon(HttpService):
                 f"({free} of {limit}); retry later or split the batch"
             )
             raise ApiError(429, "queue-full", message, headers={"Retry-After": "1"})
-        jobs: list[Job] = []
+        ids = [entry.get("id") for entry in entries]
         try:
-            for (kind, payload), entry in zip(validated, entries):
-                jobs.append(
-                    self._store.create(
-                        kind, payload, request_id=request.request_id, job_id=entry.get("id")
-                    )
-                )
+            jobs = self._store.create_many(
+                [(kind, payload, job_id) for (kind, payload), job_id in zip(validated, ids)],
+                request_id=request.request_id,
+            )
         except DuplicateJobError as exc:
-            for job in jobs:  # roll back: nothing is enqueued yet
-                self._store.discard(job.id)
             raise ApiError(409, "duplicate-job", str(exc)) from None
-        for job in jobs:
-            self.runner.enqueue(job)
-        self._store.evict_expired()
         if log.isEnabledFor(logging.INFO):  # the job list costs more than the log call
             log.info(
                 "req=%s queued %d job(s): %s",
@@ -264,6 +258,8 @@ class CbesDaemon(HttpService):
                 len(jobs),
                 " ".join(f"{job.id}({job.kind} app={job.payload['app']})" for job in jobs),
             )
+        self.runner.enqueue(*jobs)
+        self._store.evict_expired()
         return jobs
 
     async def _submit(self, request: HttpRequest) -> Response:

@@ -8,7 +8,8 @@ queue and, behind a ``predict`` / ``compare`` job, every quote queued
 after it up to the next job of another kind.  The thread does each
 job's transitions as well as the job itself, so the only hand-off
 between accepting a job and starting it is one condition-variable
-wake-up.  A watch tick rides the same queue as a run of one
+wake-up; it settles a run's outcomes together, one journal write and
+one publish.  A watch tick rides the same queue as a run of one
 (:meth:`JobRunner.call`); each job thread records into its daemon's
 registry.  Jobs are served against one :class:`Generation`: a frozen
 :class:`SystemSnapshot`, its fingerprint and the
@@ -27,8 +28,10 @@ import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro import telemetry
+from repro._util import encode_json
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator
 from repro.core.fast_eval import EvaluationContext
 from repro.core.service import CBES
@@ -42,7 +45,7 @@ from repro.search.pool import (
 from repro.server.jobs import Job, JobStore
 from repro.server.serialize import (
     options_from_dict,
-    prediction_doc,
+    prediction_json,
     schedule_result_to_dict,
 )
 
@@ -108,9 +111,9 @@ class Holds:
     """Lookups held on the event loop until the jobs they name are final.
 
     A held request awaits one future, which resolves when its *ready*
-    test passes after a job finished, when its ``call_later`` timer
+    test passes after a run settled, when its ``call_later`` timer
     fires, or when :meth:`release_all` runs on stop.  A job thread that
-    finishes a job calls :meth:`finished`, which costs one plain read of
+    settles a run calls :meth:`finished`, which costs one plain read of
     the held count unless something is held, and one
     ``call_soon_threadsafe`` when something is.  A hold is counted
     before it first tests *ready*, so a job that ends in between is
@@ -143,7 +146,7 @@ class Holds:
             del self._waiting[future]
 
     def finished(self) -> None:
-        """A job became terminal (any thread): re-test the holds, if there are any."""
+        """Jobs became terminal (any thread): re-test the holds, if there are any."""
         if self._waiting:
             self._loop.call_soon_threadsafe(self._release_ready)
 
@@ -269,12 +272,16 @@ class JobRunner:
         """How many more jobs fit under ``queue_limit`` (may be negative)."""
         return self.queue_limit - self.queue_depth
 
-    def enqueue(self, job: Job) -> None:
-        """Queue an accepted job; the caller has checked :attr:`free_slots`."""
+    def enqueue(self, *jobs: Job) -> None:
+        """Queue accepted jobs together; the caller has checked :attr:`free_slots`.
+
+        A worker woken by them finds all of them waiting, so the quotes
+        of one batch are one run.
+        """
         with self._cond:
-            self._queued += 1
-            self._waiting.append(job)
-            self._cond.notify()
+            self._queued += len(jobs)
+            self._waiting.extend(jobs)
+            self._cond.notify(len(jobs))
 
     def call(self, fn: Callable, *args) -> asyncio.Future:
         """Run CPU-bound ``fn(*args)`` on a job thread, as a run of its own.
@@ -342,11 +349,16 @@ class JobRunner:
             self._stopping = True
             unstarted = list(self._waiting)
             self._waiting.clear()
+        jobs = []
         for entry in unstarted:
             if isinstance(entry, _Call):
                 entry.future.cancel()
             else:
-                self._fail_unstarted(entry)
+                jobs.append(entry)
+        if jobs:
+            with self._cond:
+                self._queued -= len(jobs)
+            self._settle([(job, None, NOT_STARTED) for job in jobs])
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, *self._exited, return_exceptions=True)
@@ -420,21 +432,19 @@ class JobRunner:
                 pass
 
     def _run(self, run: list[Job]) -> None:
-        """Run *run* on this worker thread, job after job, transitions included."""
+        """Run *run* on this worker thread, job after job, then settle it."""
+        outcomes = []
         for job in run:
             if self._stopping:
-                self._fail_unstarted(job)
+                with self._cond:
+                    self._queued -= 1
+                outcomes.append((job, None, NOT_STARTED))
             else:
-                self._run_job(job)
+                outcomes.append(self._run_job(job))
+        self._settle(outcomes)
 
-    def _fail_unstarted(self, job: Job) -> None:
-        self._store.mark_failed(job.id, NOT_STARTED)
-        with self._cond:
-            self._queued -= 1
-        self._m_jobs.inc(kind=job.kind, state="failed")
-        self.holds.finished()
-
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job) -> tuple[Job, bytes | None, str | None]:
+        """Start *job*, run it and encode its result: ``(job, result bytes, error)``."""
         with self._tracer.trace("cbes.job", self._m_job_seconds, job_id=job.id, kind=job.kind,
                                 app=job.payload["app"], request_id=job.request_id) as span:
             self._store.mark_running(job.id)
@@ -444,26 +454,32 @@ class JobRunner:
             queued_for = (job.started_at or 0.0) - job.created_at
             log.info("job %s (%s, req=%s) started after %.1f ms queued",
                      job.id, job.kind, job.request_id, queued_for * 1e3)
+            result_json = error = None
             try:
                 result = self.execute(job)
             except Exception as exc:  # noqa: BLE001 - job errors become job state
                 error = f"{type(exc).__name__}: {exc}"
             else:
                 try:
-                    self._store.mark_done(job.id, result)
-                    error = None
+                    result_json = result if isinstance(result, bytes) else encode_json(result)
                 except (TypeError, ValueError) as exc:
-                    # Encoded before the transition: the job is still running.
                     error = f"result is not JSON-serialisable: {exc}"
             if error is not None:
                 span.status = "error"
-                self._store.mark_failed(job.id, error)
-        if error is None:
-            log.info("job %s done in %.1f ms", job.id, span.duration_s * 1e3)
-        else:
-            log.warning("job %s failed: %s", job.id, error)
-        self._m_jobs.inc(kind=job.kind, state="done" if error is None else "failed")
-        # Last: a lookup released here finds the job's metrics counted too.
+        return job, result_json, error
+
+    def _settle(self, outcomes: list[tuple[Job, bytes | None, str | None]]) -> None:
+        """End the jobs of a run together: one journal write, one publish
+        under the store lock, one wake-up of the held lookups."""
+        self._store.settle([(job.id, result_json, error) for job, result_json, error in outcomes])
+        for job, _, error in outcomes:
+            if error is None:
+                log.info("job %s done in %.1f ms", job.id,
+                         (job.finished_at - job.started_at) * 1e3)
+            else:
+                log.warning("job %s failed: %s", job.id, error)
+            self._m_jobs.inc(kind=job.kind, state="done" if error is None else "failed")
+        # Last: a lookup released here finds the jobs' metrics counted too.
         self.holds.finished()
 
     def _lookup(
@@ -509,12 +525,14 @@ class JobRunner:
         evaluator.install_context(context, fingerprint=serving.fingerprint)
         return evaluator, context, serving.fingerprint
 
-    def execute(self, job: Job) -> dict:
-        """Run one job on a worker thread; returns the JSON result doc.
+    def execute(self, job: Job) -> dict | bytes:
+        """Run one job on a worker thread; returns its result document.
 
         Every kind is priced by the kernel the search uses.  A quote
-        builds no evaluator: the cached context's ``(R, C)`` rows of each
-        mapping go straight into its document.
+        builds no evaluator and no document: the cached context's
+        ``(R, C)`` rows of each mapping are written straight to the
+        result bytes (:func:`~repro.server.serialize.prediction_json`).
+        A schedule job returns its document, encoded by the caller.
         """
         payload = job.payload
         app, options = payload["app"], options_from_dict(payload.get("options"))
@@ -526,23 +544,20 @@ class JobRunner:
                 time_budget=payload.get("time_budget"),
             )
             result = scheduler.schedule(evaluator, payload["pool"], seed=payload["seed"])
-            doc = schedule_result_to_dict(result)
             telemetry.annotate(evaluations=evaluator.evaluations)
-        else:
-            context, serving = self._lookup(app, options)
-            fingerprint = serving.fingerprint
-            candidates = [payload["nodes"]] if job.kind == "predict" else payload["mappings"]
-            docs = [prediction_doc(nodes, *context.rows(nodes)) for nodes in candidates]
-            if job.kind == "predict":
-                doc = docs[0]
-            else:  # compare: fastest first, ties in request order
-                docs.sort(key=lambda doc: doc["execution_time"])
-                doc = {"ranked": docs}
-            # Schedule jobs are counted by Scheduler.schedule itself;
-            # counting here too would double the evaluations.
-            self._metrics.counter(
-                "cbes_evaluations_total", "Mapping evaluations consumed by scheduling."
-            ).inc(len(candidates))
-            telemetry.annotate(evaluations=len(candidates))
-        doc["snapshot_fingerprint"] = fingerprint
-        return doc
+            return {**schedule_result_to_dict(result), "snapshot_fingerprint": fingerprint}
+        context, serving = self._lookup(app, options)
+        candidates = [payload["nodes"]] if job.kind == "predict" else payload["mappings"]
+        quotes = [prediction_json(nodes, *context.rows(nodes)) for nodes in candidates]
+        if job.kind == "predict":
+            body = quotes[0][1]
+        else:  # compare: fastest first, ties in request order
+            quotes.sort(key=itemgetter(0))
+            body = b'{"ranked":[' + b",".join(quote for _, quote in quotes) + b"]}"
+        # Schedule jobs are counted by Scheduler.schedule itself;
+        # counting here too would double the evaluations.
+        self._metrics.counter(
+            "cbes_evaluations_total", "Mapping evaluations consumed by scheduling."
+        ).inc(len(candidates))
+        telemetry.annotate(evaluations=len(candidates))
+        return body[:-1] + b',"snapshot_fingerprint":' + encode_json(serving.fingerprint) + b"}"

@@ -19,7 +19,7 @@ import sys
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,6 +84,7 @@ class Job:
 
     id: str
     kind: str
+    #: The normalized request; ``{}`` once the job has ended (nothing reads it then).
     payload: dict
     state: JobState = JobState.QUEUED
     created_at: float = 0.0
@@ -109,7 +110,7 @@ class Job:
 
     def _head(self) -> dict:
         """The job document without its result, which callers read after
-        this has read the state: never ``done`` without one (``_transition``)."""
+        this has read the state: never ``done`` without one (``JobStore._move``)."""
         doc: dict = {
             "id": self.id,
             "kind": self.kind,
@@ -192,27 +193,44 @@ class JobStore:
         collide with a live job (:class:`DuplicateJobError`).  Without
         it the store mints the next ``jNNNNNN`` id.
         """
+        return self.create_many([(kind, payload, job_id)], request_id=request_id)[0]
+
+    def create_many(
+        self, entries: Sequence[tuple[str, dict, str | None]], *, request_id: str = ""
+    ) -> list[Job]:
+        """Register one queued job per ``(kind, payload, job_id)`` entry, all or none.
+
+        Every caller-chosen id is checked before anything is held: one
+        that collides with a live job, or with another entry, raises
+        :class:`DuplicateJobError` and leaves the store as it was.
+        """
+        chosen = [job_id for _, _, job_id in entries if job_id is not None]
+        if not all(chosen):
+            raise ValueError("job_id must be a non-empty string")
         with self._lock:
-            if job_id is not None:
-                if not job_id:
-                    raise ValueError("job_id must be a non-empty string")
-                if job_id in self._jobs:
+            taken: set[str] = set()
+            for job_id in chosen:
+                if job_id in self._jobs or job_id in taken:
                     raise DuplicateJobError(f"job id {job_id!r} already exists")
-            else:
-                # Skip over any caller-supplied id that happens to look
-                # like ours; ids are never reused while the job lives.
-                while (job_id := f"j{self._next_seq:06d}") in self._jobs:
+                taken.add(job_id)
+            jobs = []
+            for kind, payload, job_id in entries:
+                if job_id is None:
+                    # Skip over any caller-supplied id that happens to look
+                    # like ours; ids are never reused while the job lives.
+                    while (job_id := f"j{self._next_seq:06d}") in self._jobs or job_id in taken:
+                        self._next_seq += 1
                     self._next_seq += 1
-                self._next_seq += 1
-            job = Job(
-                id=job_id,
-                kind=kind,
-                payload=payload,
-                created_at=self._clock(),
-                request_id=request_id,
-            )
-            self._add(job)
-            return job
+                job = Job(
+                    id=job_id,
+                    kind=kind,
+                    payload=payload,
+                    created_at=self._clock(),
+                    request_id=request_id,
+                )
+                self._add(job)
+                jobs.append(job)
+            return jobs
 
     def _add(self, job: Job) -> None:
         """Hold *job* (caller holds the lock)."""
@@ -291,31 +309,6 @@ class JobStore:
             return {state.value: count for state, count in self._counts.items()}
 
     # -- transitions ----------------------------------------------------
-    def _transition(self, job_id: str, new: JobState, **outcome) -> Job:
-        """Move a job to *new* under the store lock, publishing the state **last**.
-
-        Everything the new state promises — the *outcome* fields, the
-        timestamp, a place in the expiry queue — is in place before the
-        state flips, so a reader on another thread that takes no lock
-        never sees ``done`` without its result.  Stamping and enqueueing
-        under the one lock keeps the expiry queue in ``finished_at``
-        order whichever thread finishes a job.
-        """
-        with self._lock:
-            job = self._legal(job_id, new)
-            old = job.state
-            for name, value in outcome.items():
-                setattr(job, name, value)
-            if new.is_terminal:
-                job.finished_at = self._clock()
-                self._expiry.append(job)
-            else:
-                job.started_at = self._clock()
-            self._counts[old] -= 1
-            self._counts[new] += 1
-            job.state = new
-        return job
-
     def _legal(self, job_id: str, new: JobState) -> Job:
         """The job *job_id*, if it may move to *new* (lock held)."""
         job = self._jobs[job_id]
@@ -323,16 +316,52 @@ class JobStore:
             raise JobStateError(f"job {job_id}: illegal transition {job.state.value} -> {new.value}")
         return job
 
+    def _move(self, job: Job, new: JobState) -> None:
+        """Publish *job*'s state *new*, after everything it promises (lock held).
+
+        A reader on another thread that takes no lock never sees
+        ``done`` without its result.
+        """
+        self._counts[job.state] -= 1
+        self._counts[new] += 1
+        job.state = new
+
     def mark_running(self, job_id: str) -> Job:
-        return self._transition(job_id, JobState.RUNNING)
+        with self._lock:
+            job = self._legal(job_id, JobState.RUNNING)
+            job.started_at = self._clock()
+            self._move(job, JobState.RUNNING)
+        return job
+
+    def settle(self, outcomes: Sequence[tuple[str, bytes | None, str | None]]) -> list[Job]:
+        """End jobs in one hold of the store lock, each ``(job_id, result_json, error)``:
+        ``failed`` with *error* when it is not ``None``, else ``done`` with
+        the result bytes.  Every move is checked before any is made.
+
+        A finished job's timestamp and place in the expiry queue are set
+        under the one lock, so the queue stays in ``finished_at`` order
+        whichever thread finishes a job.  Its request payload is dropped:
+        nothing reads it once the job has ended.
+        """
+        with self._lock:
+            jobs = [
+                self._legal(job_id, JobState.DONE if error is None else JobState.FAILED)
+                for job_id, _, error in outcomes
+            ]
+            for job, (_, result_json, error) in zip(jobs, outcomes):
+                job.result_json, job.error, job.payload = result_json, error, {}
+                job.finished_at = self._clock()
+                self._expiry.append(job)
+                self._move(job, JobState.DONE if error is None else JobState.FAILED)
+        return jobs
 
     def mark_done(self, job_id: str, result: dict) -> Job:
         """Finish a job with *result*, encoded once and before the transition:
         one JSON cannot carry raises ``TypeError`` / ``ValueError``, job still running."""
-        return self._transition(job_id, JobState.DONE, result_json=encode_json(result))
+        return self.settle([(job_id, encode_json(result), None)])[0]
 
     def mark_failed(self, job_id: str, error: str) -> Job:
-        return self._transition(job_id, JobState.FAILED, error=error)
+        return self.settle([(job_id, None, error)])[0]
 
     # -- eviction -------------------------------------------------------
     def evict_expired(self) -> int:

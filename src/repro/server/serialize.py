@@ -9,9 +9,11 @@ HTTP 400 instead of surfacing later as failed jobs.
 
 from __future__ import annotations
 
+import json
 import sys
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 
 from repro.core.evaluation import EvaluationOptions, MappingPrediction
 from repro.monitoring.snapshot import SystemSnapshot
@@ -29,7 +31,7 @@ __all__ = [
     "batch_entries",
     "check_field",
     "options_from_dict",
-    "prediction_doc",
+    "prediction_json",
     "prediction_to_dict",
     "schedule_result_to_dict",
     "snapshot_to_dict",
@@ -391,32 +393,48 @@ def schedule_result_to_dict(result: ScheduleResult) -> dict:
     }
 
 
-def prediction_doc(nodes: Sequence[str], r_arr: Sequence[float], c_arr: Sequence[float]) -> dict:
-    """The quote document of the mapping *nodes* (node ids by rank) with its
-    ``R_i`` / ``C_i`` rows: the critical rank is the first with the
-    largest ``R_i + C_i`` (:attr:`MappingPrediction.critical`)."""
+#: How the JSON encoder writes the floats whose ``repr`` is not JSON.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats(values: Sequence[float]) -> list[str]:
+    """*values* as the C encoder writes floats: ``float.__repr__``, or ``NaN`` / ``Infinity``."""
+    return [_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
+
+
+def prediction_json(
+    nodes: Sequence[str], r_arr: Sequence[float], c_arr: Sequence[float]
+) -> tuple[float, bytes]:
+    """The execution time and the quote document of the mapping *nodes*
+    (node ids by rank) with its ``R_i`` / ``C_i`` rows, as compact JSON.
+
+    The critical rank is the first with the largest ``R_i + C_i``
+    (:attr:`MappingPrediction.critical`).  The bytes are
+    ``encode_json`` of the document, written straight from the rows:
+    floats as the C encoder writes them (``float.__repr__``), node ids
+    by its string escaper.
+    """
     totals = [r + c for r, c in zip(r_arr, c_arr, strict=True)]
     execution_time = max(totals)
     critical = totals.index(execution_time)
-    return {
-        "mapping": list(nodes),
-        "execution_time": execution_time,
-        "critical_rank": critical,
-        "critical_breakdown": {
-            "node": nodes[critical],
-            "computation": r_arr[critical],
-            "communication": c_arr[critical],
-        },
-        "processes": [
-            {"rank": rank, "node": node, "computation": r, "communication": c}
-            for rank, (node, r, c) in enumerate(zip(nodes, r_arr, c_arr))
-        ],
-    }
+    names = [encode_basestring_ascii(node) for node in nodes]
+    rs, cs, (total,) = _floats(r_arr), _floats(c_arr), _floats((execution_time,))
+    processes = ",".join(
+        f'{{"rank":{rank},"node":{name},"computation":{r},"communication":{c}}}'
+        for rank, (name, r, c) in enumerate(zip(names, rs, cs))
+    )
+    doc = (
+        f'{{"mapping":[{",".join(names)}],"execution_time":{total},'
+        f'"critical_rank":{critical},"critical_breakdown":{{"node":{names[critical]},'
+        f'"computation":{rs[critical]},"communication":{cs[critical]}}},"processes":[{processes}]}}'
+    )
+    return execution_time, doc.encode()
 
 
 def prediction_to_dict(prediction: MappingPrediction) -> dict:
+    """The quote document of *prediction*: :func:`prediction_json`'s bytes, decoded."""
     r_arr, c_arr = zip(*((p.computation, p.communication) for p in prediction.processes))
-    return prediction_doc(prediction.mapping.as_tuple(), r_arr, c_arr)
+    return json.loads(prediction_json(prediction.mapping.as_tuple(), r_arr, c_arr)[1])
 
 
 def snapshot_to_dict(snapshot: SystemSnapshot) -> dict:

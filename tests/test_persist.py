@@ -154,6 +154,21 @@ class TestJournal:
         with pytest.raises(ValueError, match="fsync policy"):
             Journal(tmp_path / "j.wal", fsync="sometimes")
 
+    def test_one_append_of_many_records_is_one_write(self, tmp_path):
+        """Each payload is a record framed on its own; together they cost
+        one write, one flush and, under ``always``, one fsync."""
+        payloads = [json.dumps({"op": "create", "id": f"j{i}"}).encode() for i in range(3)]
+        with Journal(tmp_path / "j.wal", fsync="always") as journal:
+            written = journal.append_payload(*payloads)
+            assert (journal.writes, journal.syncs, journal.records) == (1, 1, 3)
+            journal.append_payload(payloads[0])
+            assert (journal.writes, journal.syncs, journal.records) == (2, 2, 4)
+        assert written == len(b"".join(map(frame, payloads)))
+        assert (tmp_path / "j.wal").read_bytes() == b"".join(map(frame, payloads + payloads[:1]))
+        assert list(replay_journal(tmp_path / "j.wal")) == [
+            json.loads(payload) for payload in payloads + payloads[:1]
+        ]
+
 
 class TestRecoverState:
     def test_lifecycle_fold(self):
@@ -215,6 +230,22 @@ class TestRecoverState:
             resumed = recover_state(snapshot, full[cut:])
             assert resumed == recover_state(None, full), f"diverged at cut={cut}"
 
+    def test_a_finished_job_keeps_no_payload(self):
+        records = [
+            {"op": "create", "id": f"j00000{i}", "kind": "predict", "payload": {"i": i}}
+            for i in (1, 2, 3)
+        ] + [
+            {"op": "done", "id": "j000001", "result": {"t": 1.0}},
+            {"op": "failed", "id": "j000002", "error": "boom"},
+        ]
+        docs, _ = recover_state(None, records)
+        assert [doc["payload"] for doc in docs] == [{}, {}, {"i": 3}]
+        # ... nor when it comes from a snapshot that still holds one.
+        kept = {"id": "j000001", "kind": "predict", "payload": {"i": 1}, "state": "done",
+                "request_id": "", "result": {"t": 1.0}}
+        docs, _ = recover_state({"version": 1, "next_seq": 2, "jobs": [kept]}, [])
+        assert docs == [{**kept, "payload": {}}]
+
     def test_next_seq_resumes_past_snapshot_and_foreign_ids(self):
         snapshot = {"version": 1, "next_seq": 4, "jobs": []}
         records = [
@@ -239,13 +270,14 @@ class TestDurableJobStore:
         for job in (done, failed):
             store.mark_running(job.id)
         seen = []
+        watched = [done, failed]
         append = store.journal.append_payload
 
-        def appending(payload: bytes) -> int:
+        def appending(*payloads: bytes) -> int:
             with ThreadPoolExecutor(1) as reader:
-                states = reader.submit(lambda: [store.get(j.id).state for j in (done, failed)])
+                states = reader.submit(lambda: [store.get(j.id).state for j in watched])
                 seen.append(states.result(timeout=10))
-            return append(payload)
+            return append(*payloads)
 
         monkeypatch.setattr(store.journal, "append_payload", appending)
         store.mark_done(done.id, {"execution_time": 1.0})
@@ -253,6 +285,70 @@ class TestDurableJobStore:
         running = JobState.RUNNING
         assert seen == [[running, running], [JobState.DONE, running]]
         assert [store.get(j.id).state for j in (done, failed)] == [JobState.DONE, JobState.FAILED]
+        # A run of three settles in one write; all three read running during it.
+        watched[:] = run = [store.create("predict", {"app": "lu.A"}) for _ in range(3)]
+        for job in run:
+            store.mark_running(job.id)
+        seen.clear()
+        writes = store.journal.writes
+        store.settle([(run[0].id, b'{"t":1}', None), (run[1].id, None, "boom"),
+                      (run[2].id, b'{"t":2}', None)])
+        assert seen == [[running] * 3]
+        assert store.journal.writes == writes + 1
+        assert [job.state for job in run] == [JobState.DONE, JobState.FAILED, JobState.DONE]
+        assert [job.result for job in run] == [{"t": 1}, None, {"t": 2}]
+
+    def test_a_store_abandoned_before_a_runs_write_recovers_the_run_queued_once(
+        self, tmp_path, monkeypatch
+    ):
+        store = self._store(tmp_path)
+        run = [store.create("predict", {"app": "lu.A", "i": i}) for i in range(3)]
+        for job in run:
+            store.mark_running(job.id)
+
+        def dies(*payloads: bytes) -> int:
+            raise OSError("the process died before the write")
+
+        monkeypatch.setattr(store.journal, "append_payload", dies)
+        with pytest.raises(OSError):
+            store.settle([(job.id, b"{}", None) for job in run])
+        assert [job.state for job in run] == [JobState.RUNNING] * 3  # nothing published
+        reopened = self._store(tmp_path)  # the abandoned store is never closed
+        recovered = reopened.take_recovered()
+        assert [job.id for job in recovered] == [job.id for job in run]
+        assert all(job.state is JobState.QUEUED for job in recovered)
+        assert [job.payload for job in recovered] == [{"app": "lu.A", "i": i} for i in range(3)]
+        assert reopened.take_recovered() == []
+        assert len(reopened) == 3
+
+    def test_a_batch_is_created_in_one_write_and_a_refused_one_writes_nothing(self, tmp_path):
+        store = self._store(tmp_path)
+        store.create("predict", {}, job_id="live")
+        records, writes = store.journal.records, store.journal.writes
+        for ids in (["a", "b", "live"], ["a", None, "a"]):
+            with pytest.raises(DuplicateJobError):
+                store.create_many([("predict", {"i": i}, job_id) for i, job_id in enumerate(ids)])
+            assert (store.journal.records, store.journal.writes, len(store)) == (records, writes, 1)
+        # A minted id steps over a caller's id of the same batch.
+        jobs = store.create_many([("predict", {}, None), ("compare", {}, "j000001")],
+                                 request_id="req-9")
+        assert [job.id for job in jobs] == ["j000002", "j000001"]
+        assert (store.journal.records, store.journal.writes) == (records + 2, writes + 1)
+        created = list(replay_journal(store.journal.path))[-2:]
+        assert [(r["op"], r["id"], r["kind"], r["request_id"]) for r in created] == [
+            ("create", "j000002", "predict", "req-9"), ("create", "j000001", "compare", "req-9"),
+        ]
+
+    def test_a_finished_job_releases_its_payload(self, tmp_path):
+        store = self._store(tmp_path)
+        done, failed, queued = (store.create("predict", {"app": "lu.A"}) for _ in range(3))
+        store.mark_running(done.id)
+        store.mark_done(done.id, {"t": 1.0})
+        store.mark_failed(failed.id, "boom")
+        assert [job.payload for job in (done, failed, queued)] == [{}, {}, {"app": "lu.A"}]
+        store.compact()
+        snapshot = json.loads(store.snapshot_path.read_bytes())
+        assert [doc["payload"] for doc in snapshot["jobs"]] == [{}, {}, {"app": "lu.A"}]
 
     def test_crash_reopen_recovers_everything(self, tmp_path):
         store = self._store(tmp_path)

@@ -7,18 +7,21 @@ poll, backpressure, drain, and snapshot refresh.
 """
 
 import ast
+import math
 import random
 import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import repro.server
+from repro._util import encode_json
 from repro.cluster import single_switch
 from repro.core import CBES, MappingPrediction, ProcessPrediction, TaskMapping
 from repro.core.errors import InvalidMappingError
@@ -26,7 +29,7 @@ from repro.core.fast_eval import EvaluationContext
 from repro.schedulers import CbesScheduler
 from repro.server import BackpressureError, DaemonThread, JobFailed, JobState, ServerError
 from repro.server.jobs import Job
-from repro.server.serialize import options_from_dict, prediction_to_dict
+from repro.server.serialize import options_from_dict, prediction_json, prediction_to_dict
 from repro.workloads import SyntheticBenchmark
 from tests.http_conformance import JobLookupConformance, RoutingConformance, metric_value
 
@@ -307,6 +310,35 @@ class TestQuotesReadTheKernel:
             assert prediction_to_dict(prediction) == three_passes(prediction)
             ties = [p.rank for p in prediction.processes if p.total == prediction.execution_time]
             assert prediction.critical_rank == ties[0]
+
+    def test_quote_bytes_are_the_encoders(self):
+        """``prediction_json`` writes what ``encode_json`` writes of the document,
+        for floats the encoder spells its own way and node ids it escapes."""
+        rng = random.Random(43)
+        odd = [0.0, -0.0, 1e-320, 1e300, 2.5e16, 1 / 3, math.inf, -math.inf, math.nan]
+        names = ["n0", 'a"b', "caf\u00e9", "tab\t", "\u2028", "\U0001f600"]
+        for case in range(300):
+            nprocs = rng.randint(1, 9)
+            nodes = [rng.choice(names) + str(rank) for rank in range(nprocs)]
+            pick = (lambda: rng.choice(odd)) if case % 3 == 0 else rng.random
+            r_arr = [pick() for _ in range(nprocs)]
+            c_arr = [pick() for _ in range(nprocs)]
+            totals = [r + c for r, c in zip(r_arr, c_arr)]
+            critical = totals.index(max(totals))
+            doc = {
+                "mapping": nodes,
+                "execution_time": totals[critical],
+                "critical_rank": critical,
+                "critical_breakdown": {"node": nodes[critical], "computation": r_arr[critical],
+                                       "communication": c_arr[critical]},
+                "processes": [
+                    {"rank": rank, "node": node, "computation": r, "communication": c}
+                    for rank, (node, r, c) in enumerate(zip(nodes, r_arr, c_arr))
+                ],
+            }
+            execution_time, raw = prediction_json(nodes, r_arr, c_arr)
+            assert raw == encode_json(doc)
+            assert repr(execution_time) == repr(totals[critical])
 
     def test_one_context_serves_every_quote_of_a_generation(self, service_and_app):
         service, app_name = service_and_app
@@ -697,8 +729,7 @@ class TestRuns:
             accepted = [job["id"] for job in client.submit_batch(entries)]
             done = client.wait_many(accepted, timeout_s=60.0)
         assert [job["state"] for job in done] == ["done"] * 32
-        assert len(runs) <= 2
-        assert sorted(job_id for run in runs for job_id in run) == sorted(accepted)
+        assert runs == [accepted]  # queued in one go, taken in one go
 
     def test_a_schedule_job_runs_alone(self, service_and_app):
         """Quotes queued behind a search are a run of their own on the other worker."""
@@ -757,6 +788,39 @@ class TestRuns:
                 assert client.healthz()["queue_depth"] == 0
         finally:
             release.set()
+
+    def test_a_held_lookup_of_a_run_is_answered_once(self, service_and_app):
+        """The jobs of a run turn final together: a held ``?ids=`` lookup of
+        them is woken once, and answered with every job ``done``."""
+        service, app_name = service_and_app
+        quote = {"kind": "predict", "app": app_name, "nodes": service.cluster.node_ids()[:3]}
+        srv = DaemonThread(service, workers=1, queue_limit=8)
+        runner = srv.daemon.runner
+        runner.execute, running, release = blocking_execute()
+        holds, wakeups = runner.holds, []
+        release_ready = holds._release_ready
+
+        def waking() -> None:
+            wakeups.append(len(holds))
+            release_ready()
+
+        holds._release_ready = waking
+        try:
+            with srv, srv.client() as client, srv.client() as holder:
+                ids = [job["id"] for job in client.submit_batch([quote] * 3)]
+                assert running.wait(timeout=10), "worker never picked up the run"
+                with ThreadPoolExecutor(1) as pool:
+                    answer = pool.submit(holder.jobs, ids=ids, wait_s=10.0)
+                    deadline = time.monotonic() + 10
+                    while not len(holds) and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    assert len(holds) == 1
+                    release.set()
+                    jobs = answer.result(timeout=30)
+        finally:
+            release.set()
+        assert [job["state"] for job in jobs] == ["done"] * 3
+        assert wakeups == [1]
 
     def test_jobs_run_on_plain_threads_with_no_loop_task_each(self, service_and_app):
         service, _ = service_and_app

@@ -146,11 +146,60 @@ class TestDurableDaemon(OversizedBodyConformance):
             ids = [job["id"] for job in client.submit_batch(entries)]
             client.wait_many(ids, timeout_s=60)
             records = list(replay_journal(data_dir / DurableJobStore.JOURNAL_NAME))
+            # One write creates the batch, one settles its run.
+            assert srv.daemon.store.journal.writes == 2
         assert [r["id"] for r in records if r["op"] == "create"] == ids
         ops: dict[str, list[str]] = {}
         for record in records:
             ops.setdefault(record["id"], []).append(record["op"])
         assert ops == {job_id: ["create", "done"] for job_id in ids}
+
+    def test_a_refused_batch_writes_nothing_to_the_journal(self, service_and_app, tmp_path):
+        """A 409 batch holds and journals nothing: neither when an id collides
+        with a live job nor when two entries share one."""
+        service, app = service_and_app
+        entry = {"kind": "predict", "app": app, "nodes": NODES}
+        with (
+            DaemonThread(service, workers=1, data_dir=tmp_path / "data", fsync="never") as srv,
+            srv.client() as client,
+        ):
+            client.wait(client.submit("predict", id="live", app=app, nodes=NODES)["id"])
+            journal = srv.daemon.store.journal
+            records = journal.records
+            for ids in (["a", "b", "c", "live"], ["a", "b", "a", "d"]):
+                with pytest.raises(ServerError) as err:
+                    client.submit_batch([{**entry, "id": job_id} for job_id in ids])
+                assert (err.value.status, err.value.code) == (409, "duplicate-job")
+                assert journal.records == records
+                assert len(srv.daemon.store) == 1
+            assert [job["id"] for job in client.submit_batch([{**entry, "id": "a"}])] == ["a"]
+
+    def test_a_quote_that_raises_mid_run_fails_alone(self, service_and_app, tmp_path):
+        """A wrong-length mapping in the middle of a run fails that job; the
+        others finish ``done``, and the run's outcomes are one journal write."""
+        service, app = service_and_app
+        entries = [
+            {"kind": "predict", "app": app, "nodes": NODES},
+            {"kind": "predict", "app": app, "nodes": NODES[:2]},
+            {"kind": "compare", "app": app, "mappings": [NODES, NODES[::-1]]},
+        ]
+        with (
+            DaemonThread(service, workers=1, data_dir=tmp_path / "data", fsync="never") as srv,
+            srv.client() as client,
+        ):
+            ids = [job["id"] for job in client.submit_batch(entries)]
+            with pytest.raises(JobFailed):
+                client.wait_many(ids, timeout_s=60)
+            # The run's jobs turn final together: the failure is seen with the rest.
+            jobs = client.jobs(ids=ids)
+            assert [job["state"] for job in jobs] == ["done", "failed", "done"]
+            assert jobs[1]["error"].startswith("InvalidMappingError: ")
+            assert srv.daemon.store.journal.writes == 2
+            records = list(replay_journal(srv.daemon.store.journal.path))
+        assert [(r["op"], r["id"]) for r in records] == [
+            *(("create", job_id) for job_id in ids), ("done", ids[0]), ("failed", ids[1]),
+            ("done", ids[2]),
+        ]
 
 
 class TestCrashRecoverySubprocess:

@@ -273,8 +273,18 @@ class TestBodyFuzz:
                 yield name, value, status
 
     @pytest.mark.parametrize("door", ["daemon", "router"])
-    def test_job_documents(self, doors, door):
+    def test_job_documents(self, doors, door, monkeypatch):
         client = getattr(doors, door).client(timeout_s=10.0)
+        # A finished job drops its payload, so the payloads are read as stored.
+        store = doors.daemon.daemon.store
+        create_many, stored = store.create_many, []
+
+        def storing(entries, **kwargs):
+            jobs = create_many(entries, **kwargs)
+            stored.extend((job.kind, job.payload) for job in jobs)
+            return jobs
+
+        monkeypatch.setattr(store, "create_many", storing)
         every = set().union(*JOB_FIELDS.values())
         for kind, doc in self.job_docs(doors.app).items():
             foreign = every - JOB_FIELDS[kind].keys()
@@ -291,11 +301,10 @@ class TestBodyFuzz:
             assert status == 400  # no menu value is a list of job documents
         assert client.healthz()["status"] == "ok"
         # What was accepted is stored in a form that re-validates to itself.
-        jobs = doors.daemon.daemon.store.list()
-        assert len(jobs) > 40
-        for job in jobs:
-            again = validate_job_payload(doors.service, {"kind": job.kind, **job.payload})
-            assert again == (job.kind, job.payload)
+        assert len(stored) > 40
+        for kind, payload in stored:
+            again = validate_job_payload(doors.service, {"kind": kind, **payload})
+            assert again == (kind, payload)
 
     def test_schedule_best(self, doors):
         client = doors.router.client(timeout_s=10.0)

@@ -1,6 +1,6 @@
 """The quote budget: what ``predict`` and ``compare`` jobs cost the service.
 
-Prints two figures (docs/PERFORMANCE.md, section 8):
+Prints three figures (docs/PERFORMANCE.md, section 8):
 
 * **CPU per ``sweep_batch`` round**, replica and router: the
   ``benchmarks/e2e`` stack (``repro serve`` with the benchmark's replica
@@ -9,10 +9,16 @@ Prints two figures (docs/PERFORMANCE.md, section 8):
   ``workloads.sweep_round`` (24 ``predict`` + 8 ``compare`` of 8,
   ``cg.A``/8) through ``submit_batch`` + ``wait_many``; CPU is ``utime +
   stime`` of each process (``/proc/<pid>/stat``) over those rounds.
+* **Journal writes and held-lookup wake-ups per round**: the same
+  rounds through an in-process ``DaemonThread`` with the replica's
+  settings and a data dir, counted by ``Journal.writes`` and by the
+  event-loop callbacks that re-test held ``wait_s`` lookups.
 * **``JobRunner.execute`` µs per job**, one ``predict`` and one
   ``compare`` of 8 candidates: the same database loaded in-process, the
   runner of a ``DaemonThread`` called directly on the same requests;
-  the median over passes.
+  the median over passes.  For a quote it covers the context lookup,
+  the kernel's ``(R, C)`` rows and writing the result bytes; not the
+  job's transitions or its journal record.
 
 Usage (Linux; from the repo root)::
 
@@ -77,10 +83,46 @@ def cpu_per_round(workdir: Path, db: Path, rounds: list[list[dict]]) -> dict[str
         running.stop()
 
 
-def execute_us(db: Path, docs: list[dict], passes: int = 21) -> float:
-    """Median µs of ``JobRunner.execute`` over *docs*, per job."""
+def load_service(db: Path) -> CBES:
+    """A Centurion service with the profiles of *db*."""
     service = CBES(centurion())
     ProfileDatabase(db).attach(service)
+    return service
+
+
+def persist_per_round(workdir: Path, db: Path, rounds: list[list[dict]]) -> tuple[float, float]:
+    """Journal writes and held-lookup wake-ups per round over *rounds*, after
+    two warm-up rounds, in-process with the replica's settings."""
+    with (
+        DaemonThread(load_service(db), workers=2, queue_limit=256, refresh_interval_s=0,
+                     data_dir=workdir / "persist-data", fsync="interval") as srv,
+        srv.client() as client,
+    ):
+        holds, journal = srv.daemon.runner.holds, srv.daemon.store.journal
+        release_ready, wakeups = holds._release_ready, []
+
+        def counted() -> None:
+            wakeups.append(None)
+            release_ready()
+
+        holds._release_ready = counted
+
+        def one(docs: list[dict]) -> None:
+            ids = [job["id"] for job in client.submit_batch(docs)]
+            client.wait_many(ids, poll_interval_s=0.005)
+
+        for docs in rounds[:2]:
+            one(docs)
+        writes, woken = journal.writes, len(wakeups)
+        for docs in rounds[2:]:
+            one(docs)
+        timed = len(rounds) - 2
+        return (journal.writes - writes) / timed, (len(wakeups) - woken) / timed
+
+
+def execute_us(db: Path, docs: list[dict], passes: int = 21) -> float:
+    """Median µs of ``JobRunner.execute`` over *docs*, per job."""
+    service = load_service(db)
     jobs = [Job(f"b{i}", *validate_job_payload(service, doc)) for i, doc in enumerate(docs)]
     with DaemonThread(service, workers=1, queue_limit=8) as srv:
         runner = srv.daemon.runner
@@ -108,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         nodes = centurion().node_ids()
         rounds = [workloads.sweep_round(rng, nodes) for _ in range(args.rounds + 2)]
         cpu = cpu_per_round(workdir, db, rounds)
+        writes, wakeups = persist_per_round(workdir, db, rounds)
         quotes = [doc for docs in rounds[:8] for doc in docs]
         predict = execute_us(db, [doc for doc in quotes if doc["kind"] == "predict"])
         compare = execute_us(db, [doc for doc in quotes if doc["kind"] == "compare"])
@@ -115,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
     print(f"sweep_batch round CPU: replica {cpu['replica']:.2f} ms, router {cpu['router']:.2f} ms"
           f" ({args.rounds} rounds)")
+    print(f"per round: {writes:.2f} journal writes, {wakeups:.2f} held-lookup wake-ups")
     print(f"JobRunner.execute: predict {predict:.1f} us, compare of 8 {compare:.1f} us")
     return 0
 
