@@ -22,6 +22,9 @@ Run modes
     CI smoke mode: 16 nodes / 8 ranks, populations of 64; the speedup
     gate relaxes to "not slower" for the python backend and 2x for
     numpy, so the smoke run passes on any machine.
+
+Either way the speedup is the median of paired loop / batch passes,
+drawn until its ~95 % interval clears the target (``_gate.py``).
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ import importlib.util
 import itertools
 import os
 import sys
-import time
 
-from _gate import GateReport
+from _gate import GateReport, timed
 from bench_incremental_eval import build_workload
 
 from repro._util import spawn_rng
@@ -59,16 +61,8 @@ def random_population(node_ids: list[str], nprocs: int, count: int, seed: int):
     ]
 
 
-def best_time(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def run(nnodes: int, nprocs: int, popsize: int, repeats: int):
+def run(nnodes: int, nprocs: int, popsize: int):
+    """``(worst disagreement, split option combos, loop pass, batch pass)``."""
     evaluator, node_ids = build_workload(nnodes, nprocs)
     population = random_population(node_ids, nprocs, popsize, seed=9)
     context = evaluator.fast_context()
@@ -97,7 +91,7 @@ def run(nnodes: int, nprocs: int, popsize: int, repeats: int):
         finally:
             os.environ.pop("REPRO_EVAL_BACKEND", None)
 
-    # -- throughput ----------------------------------------------------
+    # -- throughput: seconds per mapping, per-mapping loop and batch ---
     inc = evaluator.incremental()
 
     def loop():
@@ -107,15 +101,7 @@ def run(nnodes: int, nprocs: int, popsize: int, repeats: int):
     def batch():
         context.evaluate_many(population)
 
-    loop_s = best_time(loop, repeats)
-    batch_s = best_time(batch, repeats)
-    return {
-        "loop_rate": popsize / loop_s,
-        "batch_rate": popsize / batch_s,
-        "speedup": loop_s / batch_s,
-        "worst_disagreement": worst,
-        "backend_split": split,
-    }
+    return worst, split, timed(loop, popsize), timed(batch, popsize)
 
 
 def main(argv=None) -> int:
@@ -129,10 +115,10 @@ def main(argv=None) -> int:
 
     backend = "numpy" if HAVE_NUMPY else "python"
     if args.quick:
-        nnodes, nprocs, popsize, repeats = 16, 8, 64, 20
+        nnodes, nprocs, popsize = 16, 8, 64
         target = 2.0 if backend == "numpy" else 0.8
     else:
-        nnodes, nprocs, popsize, repeats = 64, 32, 256, 10
+        nnodes, nprocs, popsize = 64, 32, 256
         target = 10.0
 
     report = GateReport("batch_eval", mode="quick" if args.quick else "full")
@@ -141,46 +127,44 @@ def main(argv=None) -> int:
     report.metric("population", popsize)
     report.metric("backend", backend)
 
-    results = run(nnodes, nprocs, popsize, repeats)
-    report.metric("loop_rate_per_s", round(results["loop_rate"], 1))
-    report.metric("batch_rate_per_s", round(results["batch_rate"], 1))
-    report.metric("speedup", round(results["speedup"], 3))
-    report.metric("worst_disagreement", results["worst_disagreement"])
-    report.metric("backend_split_combos", len(results["backend_split"]))
+    worst, split, loop, batch = run(nnodes, nprocs, popsize)
+    speedup = report.paired("speedup", loop, batch, target, "higher")
+    loop_rate, batch_rate = 1 / speedup.numerator, 1 / speedup.denominator
+    report.metric("loop_rate_per_s", round(loop_rate, 1))
+    report.metric("batch_rate_per_s", round(batch_rate, 1))
+    report.metric("worst_disagreement", worst)
+    report.metric("backend_split_combos", len(split))
 
     print(f"workload: {nnodes} nodes / {nprocs} ranks, populations of {popsize}")
     print(f"batch backend:           {backend:>10}")
-    print(f"per-mapping loop:        {results['loop_rate']:10.0f} evaluations/s")
-    print(f"batched evaluate_many:   {results['batch_rate']:10.0f} evaluations/s")
+    print(f"per-mapping loop:        {loop_rate:10.0f} evaluations/s")
+    print(f"batched evaluate_many:   {batch_rate:10.0f} evaluations/s")
     print(
-        f"speedup:                 {results['speedup']:10.1f}x   "
+        f"speedup:                 {speedup.ratio:10.1f}x   "
         f"(target >= {target:.1f}x{'' if args.quick else ', reported, not gated'})"
     )
     print(
-        f"backends bit-identical:  {len(OPTION_COMBOS) - len(results['backend_split']):10d}"
+        f"backends bit-identical:  {len(OPTION_COMBOS) - len(split):10d}"
         f"   of {len(OPTION_COMBOS)} toggle combinations"
         + ("" if HAVE_NUMPY else " (numpy absent: not compared)")
     )
-    print(
-        f"worst disagreement:      {results['worst_disagreement']:10.2e}"
-        "   (must be 0: same association)"
-    )
+    print(f"worst disagreement:      {worst:10.2e}   (must be 0: same association)")
 
     report.gate(
         "agreement",
-        results["worst_disagreement"] == 0.0,
-        f"batch vs predict() disagreement {results['worst_disagreement']:.2e} (must be 0.0)",
+        worst == 0.0,
+        f"batch vs predict() disagreement {worst:.2e} (must be 0.0)",
     )
     report.gate(
         "backend_equality",
-        not results["backend_split"],
-        f"python and numpy backends returned different energies under {results['backend_split']}",
+        not split,
+        f"python and numpy backends returned different energies under {split}",
     )
     if args.quick:
         report.gate(
             "speedup",
-            results["speedup"] >= target,
-            f"batch speedup {results['speedup']:.2f}x below target {target:.1f}x",
+            speedup.passed,
+            f"batch speedup {speedup.ratio:.2f}x below target {target:.1f}x",
         )
     return report.finish()
 

@@ -17,6 +17,9 @@ the propose probe says"; the generator that walked the pool per move
 sat near 3.2 — and pool-size independence (us per move on a 128-node
 pool within 1.3x of a 32-node pool, same ranks and schedule).
 
+Every timing gate here, the speedup too, is the paired ratio rule of
+``_gate.py``: the median of paired passes, drawn until it resolves.
+
 A third ratio holds the kernel to the message groups a move touches:
 the same 3 012 moves on a *dense* twin of the SA instance (18 groups a
 rank over 6 peers, lu.A-shaped, beside the 4 groups over 4 peers of the
@@ -49,7 +52,7 @@ import argparse
 import sys
 import time
 
-from _gate import GateReport
+from _gate import GateReport, timed
 
 from repro._util import spawn_rng
 from repro.cluster.latency import LatencyModel, PathComponents
@@ -78,7 +81,6 @@ MAX_DENSE_RATIO = 2.6
 #: Pool-size independence: same ranks and schedule, 4x the nodes.
 POOL_SIZES, POOL_RANKS = (32, 128), 16
 MAX_POOL_RATIO = 1.3
-TRIALS = 5
 
 ARCHS = [
     Architecture("alpha-533", 1.30),
@@ -181,18 +183,12 @@ def move_chain(start: TaskMapping, pool: list[str], length: int, seed: int) -> l
     return chain
 
 
-def rate(fn, chain) -> float:
-    started = time.perf_counter()
-    for mapping in chain:
-        fn(mapping)
-    return len(chain) / (time.perf_counter() - started)
-
-
 def run(nnodes: int, nprocs: int, ref_moves: int, inc_moves: int, check_moves: int):
+    """``(worst disagreement of the two paths along one chain, reference
+    pass, incremental pass)``; a pass is seconds per evaluation."""
     evaluator, node_ids = build_workload(nnodes, nprocs)
     start = TaskMapping(node_ids[:nprocs])
 
-    # -- agreement: every mapping along one chain, both paths ----------
     inc = evaluator.incremental()
     inc.reset(start)
     worst = 0.0
@@ -201,35 +197,51 @@ def run(nnodes: int, nprocs: int, ref_moves: int, inc_moves: int, check_moves: i
         ref = evaluator.execution_time(mapping)
         worst = max(worst, abs(fast - ref))
         inc.commit()
-    agrees = worst == 0.0
 
-    # -- throughput ----------------------------------------------------
     ref_chain = move_chain(start, node_ids, ref_moves, seed=1)
-    ref_rate = rate(evaluator.execution_time, ref_chain)
 
-    inc = evaluator.incremental()
-    inc.reset(start)
-
-    def inc_eval(mapping: TaskMapping) -> float:
-        value = inc.propose(mapping)
-        inc.commit()
-        return value
+    def reference():
+        for mapping in ref_chain:
+            evaluator.execution_time(mapping)
 
     inc_chain = move_chain(start, node_ids, inc_moves, seed=1)
-    inc_rate = rate(inc_eval, inc_chain)
-    return ref_rate, inc_rate, worst, agrees
+    return (
+        worst,
+        timed(reference, ref_moves),
+        proposal_pass(evaluator.incremental(), "propose", inc_chain, start),
+    )
 
 
-def anneal_seconds(energy, start: TaskMapping, moves: MoveGenerator) -> float:
-    """Wall time of one whole seeded ``anneal()`` of exactly SA_MOVES moves."""
-    rng = spawn_rng(5, "bench-inc-sa")
-    started = time.perf_counter()
-    anneal(energy, start, moves, rng, schedule=SA_SCHEDULE)
-    return time.perf_counter() - started
+def proposal_pass(energy, entry: str, candidates, start: TaskMapping):
+    """A pass: ``energy.<entry>`` + ``commit`` over *candidates* from *start*,
+    seconds per candidate (the reset is not timed)."""
+    propose = getattr(energy, entry)
+
+    def walk() -> float:
+        energy.reset(start)
+        started = time.perf_counter()
+        for candidate in candidates:
+            propose(candidate)
+            energy.commit()
+        return (time.perf_counter() - started) / len(candidates)
+
+    return walk
+
+
+def anneal_pass(evaluator, node_ids: list[str], nprocs: int):
+    """A pass: one whole seeded ``anneal()`` of exactly SA_MOVES moves from
+    the first *nprocs* nodes, seconds per move — draw, propose, accept or
+    reject, bookkeeping."""
+    energy, start = evaluator.incremental(), TaskMapping(node_ids[:nprocs])
+    moves = MoveGenerator(node_ids)
+    return timed(
+        lambda: anneal(energy, start, moves, spawn_rng(5, "bench-inc-sa"), schedule=SA_SCHEDULE),
+        SA_MOVES,
+    )
 
 
 def sa_move_chain(node_ids: list[str], nprocs: int):
-    """The SA instance's start, generator and SA_MOVES pre-drawn ``(move, mapping)``."""
+    """The SA instance's start and SA_MOVES pre-drawn ``(move, mapping)``."""
     start = TaskMapping(node_ids[:nprocs])
     moves = MoveGenerator(node_ids)
     rng = spawn_rng(5, "bench-inc-sa-moves")
@@ -239,40 +251,7 @@ def sa_move_chain(node_ids: list[str], nprocs: int):
         move = moves.draw(occupancy, rng)
         occupancy.apply(move)
         chain.append((move, occupancy.mapping()))
-    return start, moves, chain
-
-
-def sa_loop_us(evaluator, dense_evaluator, sa_chain) -> list[float]:
-    """``[loop, propose, propose_move, dense propose_move]`` microseconds per move.
-
-    *loop* is a whole ``anneal()`` — draw, propose, accept or reject,
-    bookkeeping — divided by the moves it proposed.  The others are the
-    evaluation alone over as many pre-drawn moves: the mapping entry
-    (``propose(mapping)`` + ``commit``, re-index and diff included), the
-    move entry the loop really calls, and that same entry over the same
-    moves on the dense instance.  Each is the best of TRIALS interleaved
-    passes: a neighbour's burst sinks a pass, not all.  *sa_chain* is
-    :func:`sa_move_chain` of the instance.
-    """
-    start, moves, chain = sa_chain
-    energy, dense = evaluator.incremental(), dense_evaluator.incremental()
-    passes = (
-        (energy, [(energy.propose, mapping) for _, mapping in chain]),
-        (energy, [(energy.propose_move, move) for move, _ in chain]),
-        (dense, [(dense.propose_move, move) for move, _ in chain]),
-    )
-    best = [float("inf")] * 4
-    for _ in range(TRIALS):
-        timings = [anneal_seconds(energy, start, moves)]
-        for target, proposals in passes:
-            target.reset(start)
-            started = time.perf_counter()
-            for propose, candidate in proposals:
-                propose(candidate)
-                target.commit()
-            timings.append(time.perf_counter() - started)
-        best = [min(pair) for pair in zip(best, timings)]
-    return [seconds / SA_MOVES * 1e6 for seconds in best]
+    return start, chain
 
 
 def terms_per_move(context, sa_chain) -> tuple[float, float, float]:
@@ -289,7 +268,7 @@ def terms_per_move(context, sa_chain) -> tuple[float, float, float]:
     from those.  The chain is one process per node, so no rank but the
     moved ones sees its ACPU change.
     """
-    start, _, chain = sa_chain
+    start, chain = sa_chain
     groups, peer_patches = context.groups, context._peer_patches
     rank_messages = context._rank_messages
     every = touched = priced = 0
@@ -310,21 +289,6 @@ def terms_per_move(context, sa_chain) -> tuple[float, float, float]:
     return every / len(chain), touched / len(chain), priced / len(chain)
 
 
-def pool_loop_us() -> dict[int, float]:
-    """Whole-``anneal()`` microseconds per move for each pool size, interleaved."""
-    setups = {}
-    for nnodes in POOL_SIZES:
-        evaluator, node_ids = build_workload(nnodes, POOL_RANKS)
-        setups[nnodes] = (
-            evaluator.incremental(), TaskMapping(node_ids[:POOL_RANKS]), MoveGenerator(node_ids)
-        )
-    best = dict.fromkeys(POOL_SIZES, float("inf"))
-    for _ in range(TRIALS):
-        for nnodes, setup in setups.items():
-            best[nnodes] = min(best[nnodes], anneal_seconds(*setup))
-    return {nnodes: seconds / SA_MOVES * 1e6 for nnodes, seconds in best.items()}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -343,33 +307,43 @@ def main(argv=None) -> int:
         ref_moves, inc_moves, check_moves = 600, 30000, 400
         target = 10.0
 
-    ref_rate, inc_rate, worst, agrees = run(
-        nnodes, nprocs, ref_moves, inc_moves, check_moves
-    )
-    speedup = inc_rate / ref_rate
+    report = GateReport("incremental_eval", mode="quick" if args.quick else "full")
+    worst, reference, incremental = run(nnodes, nprocs, ref_moves, inc_moves, check_moves)
+    speedup = report.paired("speedup", reference, incremental, target, "higher")
+    ref_rate, inc_rate = 1 / speedup.numerator, 1 / speedup.denominator
     print(f"workload: {nnodes} nodes / {nprocs} ranks (SA move chain)")
     print(f"reference predict():     {ref_rate:10.0f} evaluations/s")
     print(f"incremental delta path:  {inc_rate:10.0f} evaluations/s")
-    print(f"speedup:                 {speedup:10.1f}x   (target >= {target:.0f}x)")
+    print(f"speedup:                 {speedup.ratio:10.1f}x   (target >= {target:.0f}x)")
     print(f"worst disagreement:      {worst:10.2e}   (must be 0: same association)")
 
-    # One re-measure before failing either ratio: a CI neighbour's burst
-    # can sink a whole interleaved pass, but not two in a row.
     sa_evaluator, sa_nodes = build_workload(SA_NODES, SA_RANKS)
     sa_dense, _ = build_workload(SA_NODES, SA_RANKS, dense=True)
     sa_chain = sa_move_chain(sa_nodes, SA_RANKS)
-    loop_us, propose_us, propose_move_us, dense_us = sa_loop_us(sa_evaluator, sa_dense, sa_chain)
-    if loop_us > MAX_MOVE_OVERHEAD * propose_us or dense_us > MAX_DENSE_RATIO * propose_move_us:
-        loop_us, propose_us, propose_move_us, dense_us = sa_loop_us(
-            sa_evaluator, sa_dense, sa_chain
-        )
-    overhead = loop_us / propose_us
-    dense_ratio = dense_us / propose_move_us
+    start, chain = sa_chain
+    overhead = report.paired(
+        "move_overhead_ratio",
+        anneal_pass(sa_evaluator, sa_nodes, SA_RANKS),
+        proposal_pass(sa_evaluator.incremental(), "propose", [m for _, m in chain], start),
+        MAX_MOVE_OVERHEAD,
+        "lower",
+    )
+    move_list = [move for move, _ in chain]
+    dense = report.paired(
+        "dense_move_ratio",
+        proposal_pass(sa_dense.incremental(), "propose_move", move_list, start),
+        proposal_pass(sa_evaluator.incremental(), "propose_move", move_list, start),
+        MAX_DENSE_RATIO,
+        "lower",
+    )
+    loop_us, propose_us = overhead.numerator * 1e6, overhead.denominator * 1e6
+    dense_us, propose_move_us = dense.numerator * 1e6, dense.denominator * 1e6
     terms_every, terms_touched, priced = terms_per_move(sa_dense.fast_context(), sa_chain)
-    by_pool = pool_loop_us()
-    if by_pool[POOL_SIZES[1]] > MAX_POOL_RATIO * by_pool[POOL_SIZES[0]]:
-        by_pool = pool_loop_us()
-    small, large = (by_pool[n] for n in POOL_SIZES)
+    small_pool, large_pool = (
+        anneal_pass(*build_workload(nnodes, POOL_RANKS), POOL_RANKS) for nnodes in POOL_SIZES
+    )
+    pool = report.paired("pool_size_ratio", large_pool, small_pool, MAX_POOL_RATIO, "lower")
+    small, large = pool.denominator * 1e6, pool.numerator * 1e6
     print(f"SA loop: {SA_NODES} nodes / {SA_RANKS} ranks, {SA_MOVES} moves per anneal()")
     print(f"whole anneal():          {1e6 / loop_us:10.0f} moves/s   ({loop_us:.1f} us per move)")
     print(
@@ -380,10 +354,10 @@ def main(argv=None) -> int:
         f"propose_move + commit:   {1e6 / propose_move_us:10.0f} moves/s   "
         f"({propose_move_us:.1f} us per move)"
     )
-    print(f"move overhead ratio:     {overhead:10.2f}x   (limit {MAX_MOVE_OVERHEAD}x)")
+    print(f"move overhead ratio:     {overhead.ratio:10.2f}x   (limit {MAX_MOVE_OVERHEAD}x)")
     print(
         f"dense propose_move:      {1e6 / dense_us:10.0f} moves/s   ({dense_us:.1f} us per move, "
-        f"{dense_ratio:.2f}x the sparse instance, limit {MAX_DENSE_RATIO}x)"
+        f"{dense.ratio:.2f}x the sparse instance, limit {MAX_DENSE_RATIO}x)"
     )
     print(
         f"dense group terms/move:  {terms_touched:10.2f}     "
@@ -396,54 +370,50 @@ def main(argv=None) -> int:
     )
     print(
         f"{POOL_RANKS} ranks, pool {POOL_SIZES[0]} -> {POOL_SIZES[1]}: "
-        f"{small:.1f} -> {large:.1f} us per move ({large / small:.2f}x, limit {MAX_POOL_RATIO}x)"
+        f"{small:.1f} -> {large:.1f} us per move ({pool.ratio:.2f}x, limit {MAX_POOL_RATIO}x)"
     )
 
-    report = GateReport("incremental_eval", mode="quick" if args.quick else "full")
     report.metric("nnodes", nnodes)
     report.metric("nprocs", nprocs)
     report.metric("ref_rate_per_s", round(ref_rate, 1))
     report.metric("inc_rate_per_s", round(inc_rate, 1))
-    report.metric("speedup", round(speedup, 3))
     report.metric("worst_disagreement", worst)
     report.metric("sa_moves_per_s", round(1e6 / loop_us, 1))
     report.metric("sa_loop_us_per_move", round(loop_us, 2))
     report.metric("propose_us", round(propose_us, 2))
     report.metric("propose_move_us", round(propose_move_us, 2))
-    report.metric("move_overhead_ratio", round(overhead, 3))
     report.metric("propose_move_us_dense", round(dense_us, 2))
-    report.metric("dense_move_ratio", round(dense_ratio, 3))
     report.metric("group_terms_per_move", terms_touched)
     report.metric("group_terms_per_move_all_peer_groups", terms_every)
     report.metric("messages_priced_per_move", priced)
-    for n in POOL_SIZES:
-        report.metric(f"sa_loop_us_per_move_pool{n}", round(by_pool[n], 2))
+    report.metric(f"sa_loop_us_per_move_pool{POOL_SIZES[0]}", round(small, 2))
+    report.metric(f"sa_loop_us_per_move_pool{POOL_SIZES[1]}", round(large, 2))
     report.gate(
         "agreement",
-        agrees,
+        worst == 0.0,
         f"incremental path disagrees with the reference by {worst:.2e} (must be 0.0)",
     )
     report.gate(
         "speedup",
-        speedup >= target,
-        f"incremental speedup {speedup:.2f}x below target {target:.0f}x",
+        speedup.passed,
+        f"incremental speedup {speedup.ratio:.2f}x below target {target:.0f}x",
     )
     report.gate(
         "move_overhead",
-        overhead <= MAX_MOVE_OVERHEAD,
-        f"a whole SA move costs {overhead:.2f}x one propose(mapping) + commit "
+        overhead.passed,
+        f"a whole SA move costs {overhead.ratio:.2f}x one propose(mapping) + commit "
         f"(limit {MAX_MOVE_OVERHEAD}x): the loop around the delta path is the cost",
     )
     report.gate(
         "dense_move",
-        dense_ratio <= MAX_DENSE_RATIO,
-        f"propose_move on 18 groups a rank costs {dense_ratio:.2f}x the 4-group instance "
+        dense.passed,
+        f"propose_move on 18 groups a rank costs {dense.ratio:.2f}x the 4-group instance "
         f"(limit {MAX_DENSE_RATIO}x): the kernel walks groups the move did not touch",
     )
     report.gate(
         "pool_size_independence",
-        large <= MAX_POOL_RATIO * small,
-        f"an SA move on a {POOL_SIZES[1]}-node pool costs {large / small:.2f}x one on a "
+        pool.passed,
+        f"an SA move on a {POOL_SIZES[1]}-node pool costs {pool.ratio:.2f}x one on a "
         f"{POOL_SIZES[0]}-node pool (limit {MAX_POOL_RATIO}x)",
     )
     return report.finish()

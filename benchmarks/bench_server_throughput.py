@@ -7,23 +7,23 @@ and the per-request overhead versus calling the evaluator directly.
 Every remote answer is checked ``==`` against the direct path (the
 daemon prices a quote with the kernel, the direct path with the paper
 loop ``predict()``; they share one association), so the run doubles as
-an end-to-end consistency test.  It also gates that waiting on a batch
-costs the batch, not the store: a 32-job ``submit_batch`` +
-``wait_many`` round against a daemon holding ~2 000 finished jobs may
-take at most 1.5x the round against an empty one; and that a quote
-through the daemon's executor costs less than one reference loop:
-``predict_job_ratio`` is ``JobRunner.execute`` of a ``predict`` job over
-``evaluator.predict()`` of the same mapping, timed in the same
-interleaved passes on the 16-node / 8-rank instance in both run modes
+an end-to-end consistency test.  Three timing ratios are gated, each
+by the paired ratio rule of ``_gate.py``.  Waiting on a batch costs the
+batch, not the store: a 32-job ``submit_batch`` + ``wait_many`` round
+against a daemon holding 2 000 finished jobs may take at most 1.5x the
+round against one holding none.  A quote through the daemon's executor
+costs less than one reference loop: ``predict_job_ratio`` is
+``JobRunner.execute`` of a ``predict`` job over ``evaluator.predict()``
+of the same mapping on the 16-node / 8-rank instance in both run modes
 (8 ranks is the quote ``benchmarks/e2e`` sends; a ratio, so no host
-constant: ~1.3 when the executor ran the reference loop itself, ~0.5
-off the cached context); and that a finished job's result is encoded
+constant: ~1.3 when the executor ran the reference loop itself, ~0.35
+off the cached context).  And a finished job's result is encoded
 once: ``compact_ratio`` is ``DurableJobStore.compact()`` of a store of
 finished 8-rank quotes (three predicts to one 8-way compare) over
 encoding those same results once with the C encoder — under 0.5 when
-the snapshot splices the bytes ``mark_done`` stored (~0.25), about 4
+the snapshot splices the bytes ``mark_done`` stored (~0.15), about 4
 when it re-encoded the whole store with ``json.dump``.
-And that a batch and its run each cost one journal write: one
+A count gate holds a batch and its run to one journal write each: one
 ``ROUND_JOBS``-job ``submit_batch`` + ``wait_many`` round (three
 predicts to one compare) against a durable daemon makes exactly
 ``ROUND_JOURNAL_WRITES`` (2) writes by ``Journal.writes`` — one per job
@@ -49,13 +49,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import statistics
 import sys
 import tempfile
 import time
 import tracemalloc
 
-from _gate import GateReport
+from _gate import GateReport, Paired, timed
 
 from repro._util import encode_json
 from repro.cluster import single_switch
@@ -67,12 +66,11 @@ from repro.server.serialize import prediction_to_dict
 from repro.workloads import SyntheticBenchmark
 
 #: The store-size-independence gate: batch size, finished jobs held by
-#: the "full" store, timed rounds per side, and the allowed ratio.
-ROUND_JOBS, FULL_STORE_JOBS, ROUNDS, MAX_ROUND_RATIO = 32, 2000, 9, 1.5
-#: The quote-cost gate: its instance (nodes, ranks, mappings), the
-#: interleaved passes over them, and the most a predict job's
-#: ``execute`` may cost in reference loops.
-PROBE_SHAPE, PROBE_PASSES, MAX_PREDICT_JOB_RATIO = (16, 8, 24), 15, 1.0
+#: the "full" store, and the allowed ratio.
+ROUND_JOBS, FULL_STORE_JOBS, MAX_ROUND_RATIO = 32, 2000, 1.5
+#: The quote-cost gate: its instance (nodes, ranks, mappings) and the
+#: most a predict job's ``execute`` may cost in reference loops.
+PROBE_SHAPE, MAX_PREDICT_JOB_RATIO = (16, 8, 24), 1.0
 #: The encoded-once gate: the most a compaction of ``FULL_STORE_JOBS``
 #: finished jobs may cost in single encodings of the results it holds.
 MAX_COMPACT_RATIO = 0.5
@@ -124,36 +122,44 @@ def daemon_throughput(
     return elapsed, times, retries
 
 
-def batch_round_ms(service: CBES, app_name: str, nodes: list[str]) -> tuple[float, float]:
-    """Median ``submit_batch`` + ``wait_many`` round (ms): empty store, full store.
+def store_size_ratio(report: GateReport, service: CBES, app_name: str, nodes: list[str]) -> Paired:
+    """Paired ``submit_batch`` + ``wait_many`` rounds: full store over empty store.
 
-    One daemon and one connection serve both sides; between them the
-    store is filled in-process with finished jobs carrying a real result
-    document, so only the number of jobs held differs.
+    Two daemons, one holding :data:`FULL_STORE_JOBS` finished jobs that
+    carry a real result document and one holding none; each forgets a
+    round's jobs after timing it, so only the number of jobs held
+    differs and stays put however many pairs are drawn.
     """
     docs = [{"kind": "predict", "app": app_name, "nodes": nodes}] * ROUND_JOBS
-    with DaemonThread(service, workers=2, queue_limit=2 * ROUND_JOBS, job_ttl_s=3600.0) as srv:
-        client = srv.client()
+    with (
+        DaemonThread(service, workers=2, queue_limit=2 * ROUND_JOBS, job_ttl_s=3600.0) as empty,
+        DaemonThread(service, workers=2, queue_limit=2 * ROUND_JOBS, job_ttl_s=3600.0) as full,
+    ):
 
-        def round_ms() -> float:
-            samples = []
-            for _ in range(ROUNDS):
+        def round_pass(srv: DaemonThread):
+            client, store = srv.client(), srv.daemon.store
+
+            def one_round() -> float:
                 start = time.perf_counter()
                 ids = [job["id"] for job in client.submit_batch(docs)]
                 client.wait_many(ids, timeout_s=300.0, poll_interval_s=0.002)
-                samples.append(time.perf_counter() - start)
-            return statistics.median(samples) * 1e3
+                elapsed = time.perf_counter() - start
+                for job_id in ids:
+                    store.discard(job_id)
+                return elapsed
 
-        round_ms()  # warm-up: connection, evaluator, worker threads
-        empty_ms = round_ms()
-        result = client.jobs(limit=1)[0]["result"]
-        store = srv.daemon.store
+            one_round()  # warm-up: connection, evaluator, worker threads
+            return one_round
+
+        result = prediction_to_dict(service.evaluator(app_name).predict(TaskMapping(nodes)))
+        store = full.daemon.store
         for _ in range(FULL_STORE_JOBS):
             job = store.create("predict", docs[0])
             store.mark_running(job.id)
             store.mark_done(job.id, result)
-        full_ms = round_ms()
-    return empty_ms, full_ms
+        return report.paired(
+            "store_size_ratio", round_pass(full), round_pass(empty), MAX_ROUND_RATIO, "lower"
+        )
 
 
 def journal_writes_per_round(service: CBES, app_name: str, nodes: list[str]) -> int:
@@ -174,16 +180,11 @@ def journal_writes_per_round(service: CBES, app_name: str, nodes: list[str]) -> 
         return journal.writes - before
 
 
-def predict_job_probe() -> tuple[float, float, float]:
-    """``(predict_job_us, reference_predict_us, context_cache_hit_ratio)``.
-
-    On its own :data:`PROBE_SHAPE` instance, each pass times
-    ``JobRunner.execute`` over one predict job per mapping, then
-    ``evaluator.predict()`` over the same mappings; the figures are the
-    medians over the passes.  The hit ratio is read off
-    ``cbes_context_cache_events_total`` over the timed passes (the one
-    miss is the untimed first call).
-    """
+def predict_job_ratio(report: GateReport) -> tuple[Paired, float]:
+    """Paired ``JobRunner.execute`` / ``evaluator.predict()`` passes (seconds
+    per mapping of :data:`PROBE_SHAPE`), and the context-cache hit ratio
+    over them off ``cbes_context_cache_events_total`` (the one miss is the
+    untimed first call)."""
     nnodes, nprocs, njobs = PROBE_SHAPE
     service, app_name = build_service(nnodes, nprocs)
     mappings = pools(service, nprocs, njobs)
@@ -203,36 +204,28 @@ def predict_job_probe() -> tuple[float, float, float]:
             return {s["labels"]["event"]: s["value"] for s in family["samples"]}
 
         before = events()
-        job_s, reference_s = [], []
-        for _ in range(PROBE_PASSES):
-            start = time.perf_counter()
-            for job in jobs:
-                execute(job)
-            middle = time.perf_counter()
-            for mapping in candidates:
-                evaluator.predict(mapping)
-            job_s.append(middle - start)
-            reference_s.append(time.perf_counter() - middle)
+        paired = report.paired(
+            "predict_job_ratio",
+            timed(lambda: [execute(job) for job in jobs], njobs),
+            timed(lambda: [evaluator.predict(mapping) for mapping in candidates], njobs),
+            MAX_PREDICT_JOB_RATIO,
+            "lower",
+        )
         after = events()
     hits = after.get("hit", 0.0) - before.get("hit", 0.0)
     misses = after.get("miss", 0.0) - before.get("miss", 0.0)
-    per_call = 1e6 / len(jobs)
-    return (
-        statistics.median(job_s) * per_call,
-        statistics.median(reference_s) * per_call,
-        hits / (hits + misses),
-    )
+    return paired, hits / (hits + misses)
 
 
-def compaction_probe() -> tuple[float, float, float]:
-    """``(compact_ms, encode_results_ms, result_residency_ratio)``.
+def compact_ratio(report: GateReport) -> tuple[Paired, float]:
+    """Paired ``compact()`` / encode-once passes, and the result residency ratio.
 
     A ``DurableJobStore`` of :data:`FULL_STORE_JOBS` finished jobs on the
     :data:`PROBE_SHAPE` instance in both run modes: one ``compact()``
     (snapshot write with its fsyncs) against one C-encoder pass over the
-    same result documents, best of five each.  The residency ratio is by
-    ``tracemalloc``: the results as the store retains them over the same
-    documents parsed into dict trees.
+    same result documents.  The residency ratio is by ``tracemalloc``:
+    the results as the store retains them over the same documents parsed
+    into dict trees.
     """
     nnodes, nprocs, nmappings = PROBE_SHAPE
     service, app_name = build_service(nnodes, nprocs)
@@ -245,14 +238,6 @@ def compaction_probe() -> tuple[float, float, float]:
         quotes[i % nmappings] if i % 4 else {"ranked": [quotes[(i + k) % nmappings] for k in range(8)]}
         for i in range(FULL_STORE_JOBS)
     ]
-
-    def best_ms(call) -> float:
-        samples = []
-        for _ in range(5):
-            start = time.perf_counter()
-            call()
-            samples.append(time.perf_counter() - start)
-        return min(samples) * 1e3
 
     def held_bytes(build) -> int:
         gc.collect()
@@ -273,12 +258,17 @@ def compaction_probe() -> tuple[float, float, float]:
         stored = held_bytes(
             lambda: [store.mark_done(job.id, doc).id for job, doc in zip(jobs, results)]
         )
-        compact_ms = best_ms(store.compact)
+        paired = report.paired(
+            "compact_ratio",
+            timed(store.compact),
+            timed(lambda: [encode_json(doc) for doc in results]),
+            MAX_COMPACT_RATIO,
+            "lower",
+        )
         store.close()
-    encode_ms = best_ms(lambda: [encode_json(doc) for doc in results])
     encoded = [encode_json(doc) for doc in results]
     trees = held_bytes(lambda: [json.loads(raw) for raw in encoded])
-    return compact_ms, encode_ms, stored / trees
+    return paired, stored / trees
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -298,20 +288,14 @@ def main(argv: list[str] | None = None) -> int:
         service, app_name, mappings, workers=workers
     )
 
-    empty_ms, full_ms = batch_round_ms(service, app_name, mappings[0])
+    report = GateReport("server_throughput", mode="quick" if args.quick else "full")
+    rounds = store_size_ratio(report, service, app_name, mappings[0])
+    full_ms, empty_ms = rounds.numerator * 1e3, rounds.denominator * 1e3
     round_writes = journal_writes_per_round(service, app_name, mappings[0])
-
-    job_us, reference_us, hit_ratio = predict_job_probe()
-    if job_us > MAX_PREDICT_JOB_RATIO * reference_us:
-        # One re-measure before failing: a CI neighbour's burst can sink
-        # a whole run of interleaved passes, but not two in a row.
-        job_us, reference_us, hit_ratio = predict_job_probe()
-    job_ratio = job_us / reference_us
-
-    compact_ms, encode_ms, residency_ratio = compaction_probe()
-    if compact_ms > MAX_COMPACT_RATIO * encode_ms:
-        compact_ms, encode_ms, residency_ratio = compaction_probe()  # one re-measure, as above
-    compact_ratio = compact_ms / encode_ms
+    predict_job, hit_ratio = predict_job_ratio(report)
+    job_us, reference_us = predict_job.numerator * 1e6, predict_job.denominator * 1e6
+    compaction, residency_ratio = compact_ratio(report)
+    compact_ms, encode_ms = compaction.numerator * 1e3, compaction.denominator * 1e3
 
     # Kernel (daemon) against paper loop (direct): a zero-difference gate.
     disagreements = sum(1 for a, b in zip(direct_times, daemon_times, strict=True) if a != b)
@@ -325,22 +309,21 @@ def main(argv: list[str] | None = None) -> int:
     print(f"backpressure retries: {retries}, disagreements: {disagreements}")
     print(
         f"{ROUND_JOBS}-job batch round: {empty_ms:.1f} ms on an empty store, {full_ms:.1f} ms "
-        f"with {FULL_STORE_JOBS} finished jobs held ({full_ms / empty_ms:.2f}x)"
+        f"with {FULL_STORE_JOBS} finished jobs held ({rounds.ratio:.2f}x)"
     )
     print(f"journal writes of one {ROUND_JOBS}-job round: {round_writes}")
     print(
         f"predict job in the executor ({PROBE_SHAPE[1]} ranks): {job_us:.1f} us, reference "
-        f"predict(): {reference_us:.1f} us ({job_ratio:.2f}x), context-cache hit ratio "
+        f"predict(): {reference_us:.1f} us ({predict_job.ratio:.2f}x), context-cache hit ratio "
         f"{hit_ratio:.3f}"
     )
 
     print(
         f"compaction of {FULL_STORE_JOBS} finished jobs: {compact_ms:.1f} ms, encoding their "
-        f"results once: {encode_ms:.1f} ms ({compact_ratio:.2f}x); results held at "
+        f"results once: {encode_ms:.1f} ms ({compaction.ratio:.2f}x); results held at "
         f"{residency_ratio:.2f}x their parsed dict trees"
     )
 
-    report = GateReport("server_throughput", mode="quick" if args.quick else "full")
     report.metric("nnodes", nnodes)
     report.metric("jobs", njobs)
     report.metric("workers", workers)
@@ -352,11 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     report.metric("round_journal_writes", round_writes)
     report.metric("predict_job_us", round(job_us, 2))
     report.metric("reference_predict_us", round(reference_us, 2))
-    report.metric("predict_job_ratio", round(job_ratio, 3))
     report.metric("context_cache_hit_ratio", round(hit_ratio, 4))
     report.metric("compact_ms", round(compact_ms, 2))
     report.metric("encode_results_ms", round(encode_ms, 2))
-    report.metric("compact_ratio", round(compact_ratio, 3))
     report.metric("result_residency_ratio", round(residency_ratio, 3))
     report.gate(
         "agreement",
@@ -365,8 +346,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     report.gate(
         "store_size_independence",
-        full_ms <= MAX_ROUND_RATIO * empty_ms,
-        f"batch round with {FULL_STORE_JOBS} finished jobs held is {full_ms / empty_ms:.2f}x "
+        rounds.passed,
+        f"batch round with {FULL_STORE_JOBS} finished jobs held is {rounds.ratio:.2f}x "
         f"the empty-store round (limit {MAX_ROUND_RATIO}x)",
     )
     report.gate(
@@ -377,14 +358,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     report.gate(
         "predict_job",
-        job_ratio <= MAX_PREDICT_JOB_RATIO,
-        f"a predict job costs {job_ratio:.2f}x one reference predict() in the executor "
+        predict_job.passed,
+        f"a predict job costs {predict_job.ratio:.2f}x one reference predict() in the executor "
         f"(limit {MAX_PREDICT_JOB_RATIO}x)",
     )
     report.gate(
         "result_encoded_once",
-        compact_ratio <= MAX_COMPACT_RATIO,
-        f"compacting {FULL_STORE_JOBS} finished jobs costs {compact_ratio:.2f}x encoding their "
+        compaction.passed,
+        f"compacting {FULL_STORE_JOBS} finished jobs costs {compaction.ratio:.2f}x encoding their "
         f"results once (limit {MAX_COMPACT_RATIO}x)",
     )
     if not args.quick:

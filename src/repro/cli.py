@@ -231,7 +231,7 @@ def cmd_predict(args) -> int:
     service, _ = open_service(args)
     evaluator = service.evaluator(resolve_app_name(service, args.app))
     try:
-        prediction = evaluator.predict(TaskMapping([n.strip() for n in args.nodes.split(",")]))
+        prediction = evaluator.predict(TaskMapping(args.nodes))
     except InvalidMappingError as exc:
         raise SystemExit(f"error: {exc}") from None
     print(f"predicted execution time: {prediction.execution_time:.2f} s")
@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="evaluate an explicit mapping")
     p.add_argument("app")
-    p.add_argument("nodes", help="comma-separated node ids, rank order")
+    p.add_argument("nodes", type=_node_ids, help="comma-separated node ids, rank order")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("inspect", help="show cluster facts and stored profiles")

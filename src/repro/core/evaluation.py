@@ -183,12 +183,6 @@ class MappingEvaluator:
         clone._evaluations = self._evaluations
         return clone
 
-    def with_options(self, options: EvaluationOptions) -> "MappingEvaluator":
-        """A copy with different term toggles (counter carries over)."""
-        clone = MappingEvaluator(self._profile, self._latency, self._nodes, self._snapshot, options)
-        clone._evaluations = self._evaluations
-        return clone
-
     def with_profile(self, profile: ApplicationProfile) -> "MappingEvaluator":
         """A copy predicting for *profile* — one segment's, say (counter carries over)."""
         clone = MappingEvaluator(profile, self._latency, self._nodes, self._snapshot, self._options)

@@ -79,10 +79,10 @@ class CbesDaemon(HttpService):
         ``CBES.start_monitoring`` keyword arguments.
     metrics, tracer:
         The telemetry sinks this daemon records into (defaults: fresh
-        instances).  :meth:`start` installs the registry as the
-        process-global ambient one so scheduler/search instrumentation
-        running on worker threads lands in it; every job is a
-        ``cbes.job`` trace on the tracer.  They are surfaced at
+        instances).  Each job thread enters this daemon's registry
+        (``JobRunner._work``), so scheduler/search instrumentation
+        running on it lands here and not in another daemon's; every job
+        is a ``cbes.job`` trace on the tracer.  They are surfaced at
         ``GET /v1/metrics`` and ``GET /v1/traces``.
     settings:
         One keyword per row of :data:`~repro.server.config.DAEMON_FIELDS`

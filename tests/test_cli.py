@@ -90,6 +90,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "critical rank" in out
 
+    def test_predict_parses_nodes_as_submit_does(self, db_dir, capsys):
+        """A trailing comma or padding is dropped, as for ``submit --nodes``."""
+        assert self.run(db_dir, "predict", "lu.S", "og-a00,og-a01,og-a02,og-a03") == 0
+        plain = capsys.readouterr().out
+        assert self.run(db_dir, "predict", "lu.S", " og-a00, og-a01,og-a02 ,og-a03,") == 0
+        assert capsys.readouterr().out == plain
+        parse = build_parser().parse_args
+        submit = parse(["submit", "lu.S", "--nodes", "og-a00,og-a01,"])
+        assert parse(["predict", "lu.S", "og-a00,og-a01,"]).nodes == submit.nodes
+
     @pytest.mark.parametrize(
         "nodes, message",
         [

@@ -770,7 +770,6 @@ class TestWiring:
         assert count >= 1
         fresh = evaluator.with_snapshot(service.snapshot())
         assert fresh.evaluations == count
-        assert evaluator.with_options(EvaluationOptions()).evaluations == count
 
     def test_anneal_uses_incremental_protocol(self, service, app_name):
         evaluator = service.evaluator(app_name)
