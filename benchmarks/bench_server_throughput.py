@@ -63,6 +63,7 @@ from repro.persist import DurableJobStore
 from repro.server import BackpressureError, DaemonThread
 from repro.server.jobs import Job
 from repro.server.serialize import prediction_to_dict
+from repro.telemetry import MetricsRegistry, use_registry
 from repro.workloads import SyntheticBenchmark
 
 #: The store-size-independence gate: batch size, finished jobs held by
@@ -193,7 +194,11 @@ def predict_job_ratio(report: GateReport) -> tuple[Paired, float]:
         for i, nodes in enumerate(mappings)
     ]
     candidates = [TaskMapping(nodes) for nodes in mappings]
-    with DaemonThread(service, workers=1, queue_limit=8) as srv:
+    registry = MetricsRegistry()
+    with (
+        DaemonThread(service, workers=1, queue_limit=8, metrics=registry) as srv,
+        use_registry(registry),  # as a job thread records, into its daemon's registry
+    ):
         client = srv.client()
         execute = srv.daemon.runner.execute
         evaluator = service.evaluator(app_name, snapshot=srv.daemon.runner.snapshot)

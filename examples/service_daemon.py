@@ -43,7 +43,8 @@ def main() -> None:
             f"{remote['evaluations']} mappings evaluated)"
         )
 
-        # 4. The service answer matches a direct in-process call.
+        # 4. The service answer matches a direct in-process call, which
+        #    reuses the context the daemon built for this snapshot.
         direct = service.schedule(app.name, CbesScheduler(), cluster.node_ids(), seed=7)
         agrees = remote["mapping"] == list(direct.mapping.as_tuple())
         print(f"matches direct CBES.schedule(): {agrees}")

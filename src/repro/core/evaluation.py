@@ -128,8 +128,7 @@ class MappingEvaluator:
         # Fast-path contexts cached by (options, snapshot fingerprint);
         # see fast_context() for the invalidation rule.
         self._fast_contexts: dict[tuple, object] = {}
-        # The snapshot digest a caller vouched for (fast_context /
-        # install_context with ``fingerprint=``); None: hash per call.
+        # The snapshot digest install_context was given; None: hash per call.
         self._fingerprint: str | None = None
 
     @property
@@ -190,35 +189,22 @@ class MappingEvaluator:
         return clone
 
     # -- fast path ------------------------------------------------------
-    def _digest(self, fingerprint: str | None) -> str:
-        """The snapshot digest: the one a caller holds, else a fresh hash."""
-        if fingerprint is not None:
-            self._fingerprint = fingerprint
-        if self._fingerprint is not None:
-            return self._fingerprint
-        return self._snapshot.fingerprint()
-
-    def fast_context(
-        self, options: EvaluationOptions | None = None, *, fingerprint: str | None = None
-    ):
+    def fast_context(self, options: EvaluationOptions | None = None):
         """The cached :class:`~repro.core.fast_eval.EvaluationContext`.
 
         Contexts are cached per (options, snapshot fingerprint): a
         snapshot whose content changed — even in place — produces a new
         fingerprint and therefore a fresh context, so stale precomputed
-        ACPU/latency tables can never serve an evaluation.
-
-        A caller that already holds the digest of this evaluator's
-        (frozen) snapshot passes it as *fingerprint*: it is taken at its
-        word from then on and the snapshot is not hashed again.  Without
-        it every call hashes.
+        ACPU/latency tables can never serve an evaluation.  The snapshot
+        is hashed per call unless :meth:`install_context` was given its
+        digest.
         """
         from repro.core.fast_eval import EvaluationContext
 
         from repro.telemetry import get_registry
 
         opts = options if options is not None else self._options
-        key = (opts, self._digest(fingerprint))
+        key = (opts, self._fingerprint or self._snapshot.fingerprint())
         context = self._fast_contexts.get(key)
         if context is None:
             get_registry().counter(
@@ -237,7 +223,7 @@ class MappingEvaluator:
             self._fast_contexts[key] = context
         return context
 
-    def install_context(self, context, *, fingerprint: str | None = None) -> None:
+    def install_context(self, context, fingerprint: str) -> None:
         """Adopt a prebuilt :class:`~repro.core.fast_eval.EvaluationContext`.
 
         Long-running services keep contexts across requests (one per
@@ -245,16 +231,16 @@ class MappingEvaluator:
         evaluator serving each request, so the fast path's precomputation
         is paid once per snapshot generation rather than once per job.
         The context must have been built for this evaluator's profile and
-        current snapshot; a fingerprint mismatch means the monitoring
-        data moved on and the context is stale.  *fingerprint* as in
-        :meth:`fast_context`.
+        its (frozen) snapshot, whose digest the caller holds as
+        *fingerprint*: it is taken at its word from then on, and the
+        snapshot is not hashed again.
         """
         if context.profile is not self._profile:
             raise ValueError("context was built for a different application profile")
-        digest = self._digest(fingerprint)
-        if context.snapshot_fingerprint != digest:
+        if context.snapshot_fingerprint != fingerprint:
             raise ValueError("context was built from a different snapshot (stale fingerprint)")
-        self._fast_contexts[(context.options, digest)] = context
+        self._fingerprint = fingerprint
+        self._fast_contexts[(context.options, fingerprint)] = context
 
     def incremental(self, options: EvaluationOptions | None = None):
         """A fresh :class:`~repro.core.fast_eval.IncrementalEvaluator`.

@@ -9,12 +9,17 @@ external clients such as the schedulers.
 
 from __future__ import annotations
 
+import threading
+import time
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.latency import LatencyModel
 from repro.core.errors import NotCalibratedError, UnknownProfileError
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator, MappingPrediction
+from repro.core.fast_eval import EvaluationContext
 from repro.core.mapping import TaskMapping
 from repro.monitoring.monitor import SystemMonitor
 from repro.monitoring.snapshot import SystemSnapshot
@@ -24,7 +29,12 @@ from repro.profiling.speeds import measure_speed_ratios
 from repro.simulate.engine import ClusterSimulator, SimulationConfig
 from repro.simulate.program import Program
 
-__all__ = ["ApplicationModel", "CBES"]
+__all__ = ["ApplicationModel", "CBES", "CONTEXT_CACHE_EVENTS_TOTAL", "Generation"]
+
+#: (name, help, labelnames) of the counter every context lookup counts into.
+CONTEXT_CACHE_EVENTS_TOTAL = (
+    "cbes_context_cache_events_total", "Evaluation-context cache events.", ("event",)
+)
 
 
 @runtime_checkable
@@ -41,6 +51,55 @@ class ApplicationModel(Protocol):
 
     def arch_affinity(self, arch_name: str) -> float:
         """The application's relative speed multiplier on an architecture."""
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Generation:
+    """A frozen snapshot, its digest and the contexts built from it: what a
+    holder prices requests against, whatever the service adopts meanwhile."""
+
+    service: CBES
+    snapshot: SystemSnapshot
+    fingerprint: str  # hashed once, at adoption
+    latency_model: LatencyModel | None
+    #: (app name, options) -> context; added to under build_lock, read without it.
+    contexts: dict[tuple[str, EvaluationOptions], EvaluationContext] = field(default_factory=dict)
+    adopted_at: float = field(default_factory=time.monotonic)
+    build_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def context(
+        self, app_name: str, options: EvaluationOptions = EvaluationOptions()
+    ) -> EvaluationContext:
+        """The context of (app, options); counts one ``hit`` or ``miss`` into the
+        ambient registry.  A hit takes no lock and hashes nothing; a context of
+        a profile since replaced under *app_name* is rebuilt."""
+        from repro.telemetry import get_registry
+
+        profile, key, event = self.service.profile(app_name), (app_name, options), "hit"
+        context = self.contexts.get(key)
+        if context is None or context.profile is not profile:
+            with self.build_lock:  # N requests arriving together share one build
+                context = self.contexts.get(key)
+                if context is None or context.profile is not profile:
+                    if self.latency_model is None:
+                        raise NotCalibratedError("calibrate the system before evaluating mappings")
+                    event = "miss"
+                    context = self.contexts[key] = EvaluationContext(
+                        profile, self.latency_model, self.service.cluster.nodes,
+                        self.snapshot, options, fingerprint=self.fingerprint,
+                    )
+        get_registry().counter(*CONTEXT_CACHE_EVENTS_TOTAL).inc(event=event)
+        return context
+
+    def evaluator(
+        self, app_name: str, options: EvaluationOptions = EvaluationOptions()
+    ) -> MappingEvaluator:
+        """An evaluator of this snapshot with :meth:`context` installed."""
+        context = self.context(app_name, options)
+        evaluator = MappingEvaluator(context.profile, self.latency_model,
+                                     self.service.cluster.nodes, self.snapshot, options)
+        evaluator.install_context(context, self.fingerprint)
+        return evaluator
 
 
 class CBES:
@@ -67,6 +126,7 @@ class CBES:
         self._monitor = monitor
         self._profiles: dict[str, ApplicationProfile] = {}
         self._simulator = ClusterSimulator(cluster, simulator_config)
+        self._generation: Generation | None = None
 
     # -- system side ------------------------------------------------------
     @property
@@ -209,6 +269,18 @@ class CBES:
         return profile
 
     # -- core: mapping comparison ------------------------------------------------
+    def adopt(self, snapshot: SystemSnapshot) -> Generation:
+        """The generation of the frozen *snapshot*: the current one when its
+        digest and latency model match, else a new, empty one that replaces it."""
+        fingerprint = snapshot.fingerprint()
+        latency = self._cluster.latency_model if self._cluster.is_calibrated else None
+        current = self._generation
+        if current is None or (current.fingerprint, current.latency_model) != (
+            fingerprint, latency
+        ):
+            current = self._generation = Generation(self, snapshot, fingerprint, latency)
+        return current
+
     def evaluator(
         self,
         app_name: str,
@@ -216,7 +288,7 @@ class CBES:
         options: EvaluationOptions = EvaluationOptions(),
         snapshot: SystemSnapshot | None = None,
     ) -> MappingEvaluator:
-        """A mapping evaluator bound to the named application and fresh data."""
+        """A cold mapping evaluator bound to the named application and fresh data."""
         if not self._cluster.is_calibrated:
             raise NotCalibratedError("calibrate the system before evaluating mappings")
         return MappingEvaluator(
@@ -246,7 +318,8 @@ class CBES:
         options: EvaluationOptions = EvaluationOptions(),
         seed: int = 0,
     ):
-        """Run an external scheduler against this service's evaluator."""
+        """Run an external scheduler against the current snapshot's generation,
+        so calls on an unchanged snapshot build its context once."""
         from repro.telemetry import stage
 
         with stage(
@@ -256,7 +329,7 @@ class CBES:
             pool=len(pool),
             seed=seed,
         ):
-            evaluator = self.evaluator(app_name, options=options)
+            evaluator = self.adopt(self.snapshot().freeze()).evaluator(app_name, options)
             return scheduler.schedule(evaluator, list(pool), seed=seed)
 
 

@@ -276,7 +276,7 @@ class CbesDaemon(HttpService):
         400 naming the bad index, nothing queued) and :meth:`_accept`
         must take the *whole* batch.  Jobs for one application then
         share one evaluation-context build (see
-        :meth:`~repro.server.execution.JobRunner._lookup`).
+        :meth:`~repro.core.service.Generation.context`).
         """
         if self._draining:
             raise ApiError(503, "shutting-down", "daemon is draining; submit elsewhere")

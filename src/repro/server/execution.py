@@ -11,12 +11,14 @@ between accepting a job and starting it is one condition-variable
 wake-up; it settles a run's outcomes together, one journal write and
 one publish.  A watch tick rides the same queue as a run of one
 (:meth:`JobRunner.call`); each job thread records into its daemon's
-registry.  Jobs are served against one :class:`Generation`: a frozen
-:class:`SystemSnapshot`, its fingerprint and the
+registry.  Jobs are served against the one
+:class:`~repro.core.service.Generation` the runner holds, adopted from
+the service: a frozen :class:`SystemSnapshot`, its fingerprint and the
 :class:`~repro.core.fast_eval.EvaluationContext` built from it per
 (application, options) pair.  A background task refreshes the snapshot
-on a configurable interval; a changed ``fingerprint()`` swaps in a new
-generation, and the old one's contexts go with it.
+on a configurable interval; a changed ``fingerprint()`` swaps in the
+service's generation of the new one, and the old one's contexts go
+with it.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from repro import telemetry
 from repro._util import encode_json
-from repro.core.evaluation import EvaluationOptions, MappingEvaluator
-from repro.core.fast_eval import EvaluationContext
-from repro.core.service import CBES
+from repro.core.service import CBES, CONTEXT_CACHE_EVENTS_TOTAL, Generation
 from repro.monitoring.snapshot import SystemSnapshot
 from repro.schedulers import make_scheduler
 from repro.search.pool import (
@@ -49,7 +49,7 @@ from repro.server.serialize import (
     schedule_result_to_dict,
 )
 
-__all__ = ["Generation", "Holds", "JobRunner"]
+__all__ = ["Holds", "JobRunner"]
 
 log = logging.getLogger("repro.server.execution")
 
@@ -71,22 +71,6 @@ def _settle(future: asyncio.Future, result, error: BaseException | None) -> None
         future.set_result(result)
     else:
         future.set_exception(error)
-
-
-@dataclass(frozen=True, slots=True)
-class Generation:
-    """One adopted snapshot and what is built from it, swapped as one value:
-    a reader of :attr:`JobRunner.serving` sees one generation throughout."""
-
-    snapshot: SystemSnapshot
-    #: The digest every document reports, hashed once at adoption.
-    fingerprint: str
-    #: (app name, EvaluationOptions) -> EvaluationContext built from *snapshot*;
-    #: added to under the runner's build lock, read without one.
-    contexts: dict[tuple[str, EvaluationOptions], EvaluationContext] = field(
-        default_factory=dict
-    )
-    adopted_at: float = field(default_factory=time.monotonic)
 
 
 @dataclass(slots=True)
@@ -209,12 +193,10 @@ class JobRunner:
         #: One future per worker thread, resolved on the loop as it exits.
         self._exited: list[asyncio.Future] = []
         self._tasks: list[asyncio.Task] = []
-        #: What jobs and watches are served against (``None`` before :meth:`start`).
+        #: What jobs and watches are served against (``None`` before
+        #: :meth:`start`); read once per job, so a job sees one generation.
         self.serving: Generation | None = None
         self.snapshot_refreshes = 0
-        #: Serializes context *builds* so N batch jobs arriving together
-        #: share one build per (app, options) instead of racing N.
-        self._ctx_build_lock = threading.Lock()
         #: Lookups waiting for jobs to finish (``wait_s``).
         self.holds = Holds()
         self._instrument()
@@ -229,11 +211,9 @@ class JobRunner:
         self._m_refreshes = m.counter(
             "cbes_snapshot_refreshes_total", "Snapshot generations adopted."
         )
-        self._m_ctx_cache = m.counter(
-            "cbes_context_cache_events_total",
-            "Daemon-side evaluation-context cache events.",
-            ("event",),
-        )
+        # Hits and misses are counted by Generation.context through the
+        # ambient registry; evictions here, as a refresh drops a generation.
+        self._m_ctx_cache = m.counter(*CONTEXT_CACHE_EVENTS_TOTAL)
         # Warm-pool families are incremented by repro.search.pool through
         # the ambient registry; declaring them here (same name/help)
         # makes them visible at /v1/metrics from the first scrape.
@@ -314,8 +294,7 @@ class JobRunner:
     async def start(self) -> None:
         """Take the first snapshot and start the worker threads + the refresh task."""
         self._loop = asyncio.get_running_loop()
-        snapshot = self._service.snapshot().freeze()
-        self.serving = Generation(snapshot, snapshot.fingerprint())
+        self.serving = self._service.adopt(self._service.snapshot().freeze())
         self._exited = [self._loop.create_future() for _ in range(self.workers)]
         for i, exited in enumerate(self._exited):
             threading.Thread(
@@ -371,13 +350,12 @@ class JobRunner:
         return self._service.snapshot().freeze()
 
     def adopt_snapshot(self, snapshot) -> bool:
-        """Serve a new generation of *snapshot* if its fingerprint differs
-        (once started); the old generation's contexts count ``evicted``."""
-        fingerprint = snapshot.fingerprint()
+        """Serve the service's generation of *snapshot* if it is not the
+        one served (once started); the old one's contexts count ``evicted``."""
         old = self.serving
-        if fingerprint == old.fingerprint:
+        self.serving = self._service.adopt(snapshot)
+        if self.serving is old:
             return False
-        self.serving = Generation(snapshot, fingerprint)
         stale = len(old.contexts)
         if stale:
             self._m_ctx_cache.inc(stale, event="evicted")
@@ -385,7 +363,7 @@ class JobRunner:
         self._m_refreshes.inc()
         log.info(
             "snapshot refreshed (fingerprint %s, %d stale context(s) dropped)",
-            fingerprint[:12],
+            self.serving.fingerprint[:12],
             stale,
         )
         return True
@@ -482,49 +460,6 @@ class JobRunner:
         # Last: a lookup released here finds the jobs' metrics counted too.
         self.holds.finished()
 
-    def _lookup(
-        self, app: str, options: EvaluationOptions
-    ) -> tuple[EvaluationContext, Generation]:
-        """The serving generation's context of (app, options), and that
-        generation; counts one ``hit`` or ``miss``.
-
-        :attr:`serving` is read once, so the context is of the generation
-        returned; its digest goes down with the snapshot, so neither a hit
-        nor a build hashes anything.  A miss builds through an evaluator
-        behind ``_ctx_build_lock`` with a double-check, so a batch of N
-        jobs for one application arriving together performs one context
-        build and N-1 cache hits instead of N racing builds.
-        """
-        serving = self.serving
-        key = (app, options)
-        context = serving.contexts.get(key)
-        if context is None:
-            with self._ctx_build_lock:
-                # Re-check: another worker may have built it while we waited.
-                context = serving.contexts.get(key)
-                if context is None:
-                    self._m_ctx_cache.inc(event="miss")
-                    evaluator = self._service.evaluator(
-                        app, options=options, snapshot=serving.snapshot
-                    )
-                    context = evaluator.fast_context(options, fingerprint=serving.fingerprint)
-                    serving.contexts[key] = context
-                    return context, serving
-        self._m_ctx_cache.inc(event="hit")
-        return context, serving
-
-    def context_for(
-        self, app: str, options: EvaluationOptions = EvaluationOptions()
-    ) -> tuple[MappingEvaluator, EvaluationContext, str]:
-        """An evaluator of *app* on the serving snapshot, the generation's
-        cached context of (app, options) installed in it, and its digest:
-        what a schedule job or a watch tick searches with.  All three are
-        of the one generation :meth:`_lookup` read."""
-        context, serving = self._lookup(app, options)
-        evaluator = self._service.evaluator(app, options=options, snapshot=serving.snapshot)
-        evaluator.install_context(context, fingerprint=serving.fingerprint)
-        return evaluator, context, serving.fingerprint
-
     def execute(self, job: Job) -> dict | bytes:
         """Run one job on a worker thread; returns its result document.
 
@@ -536,8 +471,9 @@ class JobRunner:
         """
         payload = job.payload
         app, options = payload["app"], options_from_dict(payload.get("options"))
+        serving = self.serving
         if job.kind == "schedule":
-            evaluator, _, fingerprint = self.context_for(app, options)
+            evaluator = serving.evaluator(app, options)
             scheduler = make_scheduler(
                 payload["scheduler"],
                 parallel=payload.get("workers", 1),
@@ -545,8 +481,8 @@ class JobRunner:
             )
             result = scheduler.schedule(evaluator, payload["pool"], seed=payload["seed"])
             telemetry.annotate(evaluations=evaluator.evaluations)
-            return {**schedule_result_to_dict(result), "snapshot_fingerprint": fingerprint}
-        context, serving = self._lookup(app, options)
+            return {**schedule_result_to_dict(result), "snapshot_fingerprint": serving.fingerprint}
+        context = serving.context(app, options)
         candidates = [payload["nodes"]] if job.kind == "predict" else payload["mappings"]
         quotes = [prediction_json(nodes, *context.rows(nodes)) for nodes in candidates]
         if job.kind == "predict":

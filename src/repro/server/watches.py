@@ -202,7 +202,8 @@ class RemapWatches:
 
     def _tick(self, watch: RemapWatch) -> None:
         """One monitoring tick, on a job thread (CPU-bound search)."""
-        evaluator, _, fingerprint = self._runner.context_for(watch.app)
+        serving = self._runner.serving
+        evaluator = serving.evaluator(watch.app)
         now_s = watch.ticks * watch.interval_s  # logical clock: deterministic
         fired = watch.loop.step(evaluator, now_s)
         if fired is None:
@@ -215,7 +216,7 @@ class RemapWatches:
             tick=watch.ticks,
             at_s=now_s,
             drift=round(event.degradation, 6),
-            snapshot_fingerprint=fingerprint,
+            snapshot_fingerprint=serving.fingerprint,
         )
         with self._decision_lock:
             self._decisions.append(doc)

@@ -397,18 +397,21 @@ class MetricsRegistry:
 
     # -- declaration ----------------------------------------------------
     def _declare(self, cls: type, name: str, help: str, labelnames, **extra):
-        _validate_name(name)
         labelnames = tuple(labelnames)
-        for ln in labelnames:
-            _validate_name(ln)
-        with self._meta_lock:
-            family = self._metrics.get(name)
-            if family is not None:
-                _same_declaration(family, cls, labelnames)
-                return family
-            family = cls(self, name, help, labelnames, **extra)
-            self._metrics[name] = family
-            return family
+        # A held name was validated when declared: declare-and-use sites
+        # on a hot path pay one dict read, not the name checks and the lock.
+        family = self._metrics.get(name)
+        if family is None:
+            _validate_name(name)
+            for ln in labelnames:
+                _validate_name(ln)
+            with self._meta_lock:
+                family = self._metrics.get(name)
+                if family is None:
+                    family = self._metrics[name] = cls(self, name, help, labelnames, **extra)
+                    return family
+        _same_declaration(family, cls, labelnames)
+        return family
 
     def counter(self, name: str, help: str = "", labelnames: Iterable[str] = ()) -> Counter:
         """Declare (or fetch) a counter family."""

@@ -1,5 +1,10 @@
 """Tests for the CBES service facade."""
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core import (
@@ -10,7 +15,8 @@ from repro.core import (
     UnknownProfileError,
 )
 from repro.cluster import single_switch
-from repro.schedulers import RandomScheduler
+from repro.core.fast_eval import EvaluationContext
+from repro.schedulers import CbesScheduler, RandomScheduler
 from repro.workloads import SyntheticBenchmark
 
 
@@ -120,6 +126,89 @@ class TestComparisonRequests:
         result = service.schedule(app.name, RandomScheduler(), service.cluster.node_ids())
         assert result.mapping.nprocs == 2
         assert result.predicted_time > 0
+
+
+def outcome(result) -> tuple:
+    """What a seeded search decides, without its wall time."""
+    return result.mapping.as_tuple(), result.predicted_time, result.evaluations, result.history
+
+
+class TestContextCache:
+    """In-process ``schedule()`` calls share the current generation's contexts."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``EvaluationContext`` built while the test runs."""
+        built = []
+        build = EvaluationContext.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationContext, "__init__", counted)
+        return built
+
+    def test_calls_on_one_snapshot_build_one_context(self, service, app, built):
+        service.profile_application(app, 3, seed=1)
+        pool = service.cluster.node_ids()
+        cached = [outcome(service.schedule(app.name, CbesScheduler(), pool, seed=s)) for s in range(4)]
+        assert len(built) == 1
+        # A changed load is a new generation: exactly one more build.
+        service.cluster.node(pool[0]).set_background_load(1.5)
+        loaded = outcome(service.schedule(app.name, CbesScheduler(), pool, seed=0))
+        assert len(built) == 2
+        assert built[1].snapshot_fingerprint == service.snapshot().fingerprint()
+        assert built[0].snapshot_fingerprint != built[1].snapshot_fingerprint
+        # The cached context answers what a cold evaluator does.
+        assert loaded == outcome(CbesScheduler().schedule(service.evaluator(app.name), pool, seed=0))
+        service.cluster.node(pool[0]).set_background_load(0.0)
+        for seed, result in enumerate(cached):
+            cold = CbesScheduler().schedule(service.evaluator(app.name), pool, seed=seed)
+            assert result == outcome(cold)
+
+    def test_concurrent_misses_share_one_build(self, service, app, built, monkeypatch):
+        """Threads asking one generation for one context at once build it once."""
+        service.profile_application(app, 3, seed=1)
+        generation = service.adopt(service.snapshot().freeze())
+        counted = EvaluationContext.__init__
+
+        def slow(self, *args, **kwargs):  # widens the race: a build yields the GIL
+            time.sleep(0.01)
+            counted(self, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationContext, "__init__", slow)
+        start = threading.Barrier(8)
+
+        def lookup(_):
+            start.wait(timeout=30)
+            return generation.context(app.name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                contexts = list(pool.map(lookup, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        assert all(context is built[0] for context in contexts)
+
+    def test_a_reprofiled_application_is_built_from_its_new_profile(self, service, app, built):
+        """Re-profiling under the same name (``ExperimentContext.ensure_profiled``
+        at another ``nprocs``) on an unchanged snapshot rebuilds the context."""
+        pool = service.cluster.node_ids()
+        service.profile_application(app, 3, seed=1)
+        service.schedule(app.name, CbesScheduler(), pool, seed=1)
+        service.profile_application(app, 4, seed=1)
+        result = service.schedule(app.name, CbesScheduler(), pool, seed=1)
+        assert len(built) == 2
+        assert built[1].profile is service.profile(app.name)
+        assert result.mapping.nprocs == 4
+        fresh = CBES(single_switch("mini", 6))
+        fresh.calibrate(seed=2)
+        fresh.profile_application(app, 4, seed=1)
+        assert outcome(result) == outcome(fresh.schedule(app.name, CbesScheduler(), pool, seed=1))
 
 
 class TestPredictionAccuracy:

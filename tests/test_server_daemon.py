@@ -189,13 +189,13 @@ class TestJobRoundTrip:
         assert all(ctx.snapshot_fingerprint == fingerprint for ctx in contexts.values())
 
 
-    def test_serving_snapshot_is_hashed_once_per_generation(self, service_and_app):
+    def test_serving_snapshot_is_hashed_once_per_generation(self):
         """The runner's serving generation holds the snapshot and its
         fingerprint: the digest every document reports, computed when the
         snapshot was adopted and not again per job — it goes down with the
         snapshot, so no job kind, context-cache hit or miss, hashes the
-        cluster."""
-        service, app_name = service_and_app
+        cluster.  Its own service: the module's shares its generation."""
+        service, app_name = make_service()
         with DaemonThread(service, workers=1, queue_limit=8) as srv:
             client = srv.client()
             runner = srv.daemon.runner
@@ -228,6 +228,44 @@ class TestJobRoundTrip:
                 assert runner.adopt_snapshot(service.snapshot().freeze()) is False
                 assert runner.serving.snapshot is snapshot
                 assert runner.serving.fingerprint == fingerprint
+
+
+class TestSharedGeneration:
+    """A daemon and in-process ``CBES.schedule()`` calls on one service
+    share its context cache, but the daemon serves the generation it adopted."""
+
+    def test_the_daemon_keeps_its_generation_under_in_process_calls(self):
+        service, app_name = make_service()
+        ids = service.cluster.node_ids()
+        with DaemonThread(service, workers=1, queue_limit=8, refresh_interval_s=0) as srv:
+            client = srv.client()
+            adopted = client.healthz()["snapshot_fingerprint"]
+            service.cluster.node(ids[0]).set_background_load(1.5)
+            try:
+                assert service.snapshot().fingerprint() != adopted
+                service.schedule(app_name, CbesScheduler(), ids, seed=1)
+            finally:
+                service.cluster.node(ids[0]).set_background_load(0.0)
+            assert client.healthz()["snapshot_fingerprint"] == adopted
+            assert client.predict(app_name, ids[:3])["snapshot_fingerprint"] == adopted
+            assert client.schedule(app_name, scheduler="cs", seed=1)["snapshot_fingerprint"] == adopted
+
+    def test_a_daemon_started_after_an_in_process_call_hits_its_context(self):
+        service, app_name = make_service()
+        ids = service.cluster.node_ids()
+        direct = service.schedule(app_name, CbesScheduler(), ids, seed=1)
+        with DaemonThread(service, workers=1, queue_limit=8, refresh_interval_s=0) as srv:
+            client = srv.client()
+            remote = client.schedule(app_name, scheduler="cs", seed=1)
+            events = {
+                event: metric_value(
+                    client, "cbes_context_cache_events_total", f'{{event="{event}"}}'
+                )
+                for event in ("hit", "miss")
+            }
+        assert events == {"hit": 1, "miss": 0}
+        assert remote["mapping"] == list(direct.mapping.as_tuple())
+        assert remote["predicted_time"] == direct.predicted_time
 
 
 class TestQuotesReadTheKernel:
@@ -340,8 +378,9 @@ class TestQuotesReadTheKernel:
             assert raw == encode_json(doc)
             assert repr(execution_time) == repr(totals[critical])
 
-    def test_one_context_serves_every_quote_of_a_generation(self, service_and_app):
-        service, app_name = service_and_app
+    def test_one_context_serves_every_quote_of_a_generation(self):
+        # Its own service: the module's generation holds contexts already.
+        service, app_name = make_service()
         ids = service.cluster.node_ids()
         built = []
         build = EvaluationContext.__init__

@@ -51,6 +51,7 @@ from repro.profiling import ProfileDatabase  # noqa: E402
 from repro.server import DaemonThread  # noqa: E402
 from repro.server.jobs import Job  # noqa: E402
 from repro.server.serialize import validate_job_payload  # noqa: E402
+from repro.telemetry import MetricsRegistry, use_registry  # noqa: E402
 
 
 def cpu_s(pid: int) -> float:
@@ -124,7 +125,11 @@ def execute_us(db: Path, docs: list[dict], passes: int = 21) -> float:
     """Median µs of ``JobRunner.execute`` over *docs*, per job."""
     service = load_service(db)
     jobs = [Job(f"b{i}", *validate_job_payload(service, doc)) for i, doc in enumerate(docs)]
-    with DaemonThread(service, workers=1, queue_limit=8) as srv:
+    registry = MetricsRegistry()
+    with (
+        DaemonThread(service, workers=1, queue_limit=8, metrics=registry) as srv,
+        use_registry(registry),  # as a job thread records, into its daemon's registry
+    ):
         runner = srv.daemon.runner
         runner.execute(jobs[0])  # builds the generation's context
         times = []
