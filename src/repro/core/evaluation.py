@@ -22,6 +22,7 @@ no-load rather than load-adjusted latencies.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 
@@ -128,8 +129,9 @@ class MappingEvaluator:
         # Fast-path contexts cached by (options, snapshot fingerprint);
         # see fast_context() for the invalidation rule.
         self._fast_contexts: dict[tuple, object] = {}
-        # The snapshot digest install_context was given; None: hash per call.
+        # Set by install_context; None: hash the snapshot / build the context.
         self._fingerprint: str | None = None
+        self._resolve: Callable[[], object] | None = None
 
     @property
     def profile(self) -> ApplicationProfile:
@@ -200,47 +202,42 @@ class MappingEvaluator:
         digest.
         """
         from repro.core.fast_eval import EvaluationContext
-
         from repro.telemetry import get_registry
 
         opts = options if options is not None else self._options
         key = (opts, self._fingerprint or self._snapshot.fingerprint())
         context = self._fast_contexts.get(key)
         if context is None:
-            get_registry().counter(
-                "cbes_context_builds_total",
-                "EvaluationContext cache misses (fast-path precompute rebuilds).",
-            ).inc()
-            context = EvaluationContext(
-                self._profile, self._latency, self._nodes, self._snapshot, opts,
-                fingerprint=key[1],
-            )
-            # Keep one snapshot generation at a time: drop contexts
-            # built from snapshots with a different fingerprint.
-            stale = [k for k in self._fast_contexts if k[1] != key[1]]
-            for k in stale:
-                del self._fast_contexts[k]
+            if self._resolve is not None and opts == self._options:
+                context = self._resolve()
+                if context.profile is not self._profile:
+                    raise ValueError("context was built for a different application profile")
+            else:
+                get_registry().counter(
+                    "cbes_context_builds_total",
+                    "EvaluationContext cache misses (fast-path precompute rebuilds).",
+                ).inc()
+                context = EvaluationContext(
+                    self._profile, self._latency, self._nodes, self._snapshot, opts,
+                    fingerprint=key[1],
+                )
+                # Keep one snapshot generation at a time: drop contexts
+                # built from snapshots with a different fingerprint.
+                stale = [k for k in self._fast_contexts if k[1] != key[1]]
+                for k in stale:
+                    del self._fast_contexts[k]
             self._fast_contexts[key] = context
         return context
 
-    def install_context(self, context, fingerprint: str) -> None:
-        """Adopt a prebuilt :class:`~repro.core.fast_eval.EvaluationContext`.
-
-        Long-running services keep contexts across requests (one per
-        application/options pair) and hand them to the short-lived
-        evaluator serving each request, so the fast path's precomputation
-        is paid once per snapshot generation rather than once per job.
-        The context must have been built for this evaluator's profile and
-        its (frozen) snapshot, whose digest the caller holds as
-        *fingerprint*: it is taken at its word from then on, and the
-        snapshot is not hashed again.
+    def install_context(self, resolve: Callable[[], object], fingerprint: str) -> None:
+        """Serve the own options' fast path from a context a service keeps
+        across requests: *resolve* returns it, on the first such
+        :meth:`fast_context`, so a build it does is part of the search that
+        needed it.  *fingerprint* is the digest of this evaluator's (frozen)
+        snapshot, which the context was built from: no call hashes it again.
         """
-        if context.profile is not self._profile:
-            raise ValueError("context was built for a different application profile")
-        if context.snapshot_fingerprint != fingerprint:
-            raise ValueError("context was built from a different snapshot (stale fingerprint)")
         self._fingerprint = fingerprint
-        self._fast_contexts[(context.options, fingerprint)] = context
+        self._resolve = resolve
 
     def incremental(self, options: EvaluationOptions | None = None):
         """A fresh :class:`~repro.core.fast_eval.IncrementalEvaluator`.

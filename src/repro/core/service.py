@@ -10,7 +10,6 @@ external clients such as the schedulers.
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
@@ -64,7 +63,6 @@ class Generation:
     latency_model: LatencyModel | None
     #: (app name, options) -> context; added to under build_lock, read without it.
     contexts: dict[tuple[str, EvaluationOptions], EvaluationContext] = field(default_factory=dict)
-    adopted_at: float = field(default_factory=time.monotonic)
     build_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def context(
@@ -94,11 +92,14 @@ class Generation:
     def evaluator(
         self, app_name: str, options: EvaluationOptions = EvaluationOptions()
     ) -> MappingEvaluator:
-        """An evaluator of this snapshot with :meth:`context` installed."""
-        context = self.context(app_name, options)
-        evaluator = MappingEvaluator(context.profile, self.latency_model,
+        """An evaluator of this snapshot whose fast path is :meth:`context`,
+        looked up on first use: inside the search, so a miss's build is timed
+        with it, and a search that never takes the fast path looks nothing up."""
+        if self.latency_model is None:
+            raise NotCalibratedError("calibrate the system before evaluating mappings")
+        evaluator = MappingEvaluator(self.service.profile(app_name), self.latency_model,
                                      self.service.cluster.nodes, self.snapshot, options)
-        evaluator.install_context(context, self.fingerprint)
+        evaluator.install_context(lambda: self.context(app_name, options), self.fingerprint)
         return evaluator
 
 
@@ -127,6 +128,7 @@ class CBES:
         self._profiles: dict[str, ApplicationProfile] = {}
         self._simulator = ClusterSimulator(cluster, simulator_config)
         self._generation: Generation | None = None
+        self._adopt_lock = threading.Lock()
 
     # -- system side ------------------------------------------------------
     @property
@@ -271,14 +273,16 @@ class CBES:
     # -- core: mapping comparison ------------------------------------------------
     def adopt(self, snapshot: SystemSnapshot) -> Generation:
         """The generation of the frozen *snapshot*: the current one when its
-        digest and latency model match, else a new, empty one that replaces it."""
+        digest and latency model match, else a new, empty one that replaces it
+        (atomically: concurrent adopters of a new snapshot share one)."""
         fingerprint = snapshot.fingerprint()
         latency = self._cluster.latency_model if self._cluster.is_calibrated else None
-        current = self._generation
-        if current is None or (current.fingerprint, current.latency_model) != (
-            fingerprint, latency
-        ):
-            current = self._generation = Generation(self, snapshot, fingerprint, latency)
+        with self._adopt_lock:
+            current = self._generation
+            if current is None or (current.fingerprint, current.latency_model) != (
+                fingerprint, latency
+            ):
+                current = self._generation = Generation(self, snapshot, fingerprint, latency)
         return current
 
     def evaluator(
@@ -318,8 +322,7 @@ class CBES:
         options: EvaluationOptions = EvaluationOptions(),
         seed: int = 0,
     ):
-        """Run an external scheduler against the current snapshot's generation,
-        so calls on an unchanged snapshot build its context once."""
+        """Run an external scheduler against the current snapshot's generation."""
         from repro.telemetry import stage
 
         with stage(

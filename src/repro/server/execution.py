@@ -11,14 +11,13 @@ between accepting a job and starting it is one condition-variable
 wake-up; it settles a run's outcomes together, one journal write and
 one publish.  A watch tick rides the same queue as a run of one
 (:meth:`JobRunner.call`); each job thread records into its daemon's
-registry.  Jobs are served against the one
-:class:`~repro.core.service.Generation` the runner holds, adopted from
-the service: a frozen :class:`SystemSnapshot`, its fingerprint and the
+registry.  Jobs are served against the service's
+:class:`~repro.core.service.Generation` the runner adopted: a frozen
+:class:`SystemSnapshot`, its fingerprint and the
 :class:`~repro.core.fast_eval.EvaluationContext` built from it per
 (application, options) pair.  A background task refreshes the snapshot
 on a configurable interval; a changed ``fingerprint()`` swaps in the
-service's generation of the new one, and the old one's contexts go
-with it.
+service's generation of the new one.
 """
 
 from __future__ import annotations
@@ -196,6 +195,7 @@ class JobRunner:
         #: What jobs and watches are served against (``None`` before
         #: :meth:`start`); read once per job, so a job sees one generation.
         self.serving: Generation | None = None
+        self._adopted_at = 0.0  # monotonic time this runner began serving it
         self.snapshot_refreshes = 0
         #: Lookups waiting for jobs to finish (``wait_s``).
         self.holds = Holds()
@@ -211,8 +211,7 @@ class JobRunner:
         self._m_refreshes = m.counter(
             "cbes_snapshot_refreshes_total", "Snapshot generations adopted."
         )
-        # Hits and misses are counted by Generation.context through the
-        # ambient registry; evictions here, as a refresh drops a generation.
+        # Generation.context counts hits and misses; a refresh, evictions.
         self._m_ctx_cache = m.counter(*CONTEXT_CACHE_EVENTS_TOTAL)
         # Warm-pool families are incremented by repro.search.pool through
         # the ambient registry; declaring them here (same name/help)
@@ -232,7 +231,7 @@ class JobRunner:
             "cbes_snapshot_age_seconds",
             "Seconds since the serving snapshot was adopted.",
             callback=lambda: (
-                time.monotonic() - self.serving.adopted_at if self.serving is not None else 0.0
+                time.monotonic() - self._adopted_at if self.serving is not None else 0.0
             ),
         )
 
@@ -295,6 +294,7 @@ class JobRunner:
         """Take the first snapshot and start the worker threads + the refresh task."""
         self._loop = asyncio.get_running_loop()
         self.serving = self._service.adopt(self._service.snapshot().freeze())
+        self._adopted_at = time.monotonic()
         self._exited = [self._loop.create_future() for _ in range(self.workers)]
         for i, exited in enumerate(self._exited):
             threading.Thread(
@@ -350,12 +350,12 @@ class JobRunner:
         return self._service.snapshot().freeze()
 
     def adopt_snapshot(self, snapshot) -> bool:
-        """Serve the service's generation of *snapshot* if it is not the
-        one served (once started); the old one's contexts count ``evicted``."""
-        old = self.serving
-        self.serving = self._service.adopt(snapshot)
-        if self.serving is old:
+        """Serve the service's generation of *snapshot* if its digest or latency
+        model differ from the served one's; the old one's contexts count ``evicted``."""
+        old, new = self.serving, self._service.adopt(snapshot)
+        if (new.fingerprint, new.latency_model) == (old.fingerprint, old.latency_model):
             return False
+        self.serving, self._adopted_at = new, time.monotonic()
         stale = len(old.contexts)
         if stale:
             self._m_ctx_cache.inc(stale, event="evicted")

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.core.service as service_module
 from repro.core import (
     CBES,
     EvaluationOptions,
@@ -193,6 +194,42 @@ class TestContextCache:
             sys.setswitchinterval(interval)
         assert len(built) == 1
         assert all(context is built[0] for context in contexts)
+
+    def test_a_miss_is_built_inside_the_timed_search(self, service, app, monkeypatch):
+        """A schedule() that builds its context reports the build in its wall time."""
+        service.profile_application(app, 3, seed=1)
+        pool = service.cluster.node_ids()
+        service.schedule(app.name, CbesScheduler(), pool, seed=1)  # first-call costs
+        build = EvaluationContext.__init__
+
+        def slow(self, *args, **kwargs):  # several times a warm search
+            time.sleep(0.25)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationContext, "__init__", slow)
+        service.cluster.node(pool[0]).set_background_load(1.5)  # a new generation
+        assert service.schedule(app.name, CbesScheduler(), pool, seed=1).wall_time_s >= 0.25
+
+    def test_concurrent_adopters_of_a_new_snapshot_share_one_generation(
+        self, service, monkeypatch
+    ):
+        snapshot = service.snapshot().freeze()
+
+        class Slow(service_module.Generation):  # widens the race between check and replace
+            def __init__(self, *args):
+                time.sleep(0.01)
+                super().__init__(*args)
+
+        monkeypatch.setattr(service_module, "Generation", Slow)
+        start = threading.Barrier(8)
+
+        def adopt(_):
+            start.wait(timeout=30)
+            return service.adopt(snapshot)
+
+        with ThreadPoolExecutor(8) as pool:
+            generations = list(pool.map(adopt, range(8), timeout=60))
+        assert all(generation is generations[0] for generation in generations)
 
     def test_a_reprofiled_application_is_built_from_its_new_profile(self, service, app, built):
         """Re-profiling under the same name (``ExperimentContext.ensure_profiled``

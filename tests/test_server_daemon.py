@@ -28,6 +28,7 @@ from repro.core.errors import InvalidMappingError
 from repro.core.fast_eval import EvaluationContext
 from repro.schedulers import CbesScheduler
 from repro.server import BackpressureError, DaemonThread, JobFailed, JobState, ServerError
+from repro.server.execution import JobRunner
 from repro.server.jobs import Job
 from repro.server.serialize import options_from_dict, prediction_json, prediction_to_dict
 from repro.workloads import SyntheticBenchmark
@@ -249,6 +250,43 @@ class TestSharedGeneration:
             assert client.healthz()["snapshot_fingerprint"] == adopted
             assert client.predict(app_name, ids[:3])["snapshot_fingerprint"] == adopted
             assert client.schedule(app_name, scheduler="cs", seed=1)["snapshot_fingerprint"] == adopted
+
+    def test_a_refresh_keeps_its_generation_after_an_in_process_call(self, monkeypatch):
+        """With refresh on, a transient load an in-process call adopted costs
+        the daemon no refresh and no eviction once the load is restored."""
+        service, app_name = make_service()
+        ids = service.cluster.node_ids()
+        gate, polls, poll = threading.Lock(), [], JobRunner.poll_snapshot
+
+        def gated(runner):  # no refresh polls the transient load
+            with gate:
+                polls.append(None)
+                return poll(runner)
+
+        monkeypatch.setattr(JobRunner, "poll_snapshot", gated)
+        with DaemonThread(service, workers=1, queue_limit=8, refresh_interval_s=0.02) as srv:
+            client = srv.client()
+            adopted = client.predict(app_name, ids[:3])["snapshot_fingerprint"]
+            with gate:
+                service.cluster.node(ids[0]).set_background_load(1.5)
+                service.schedule(app_name, CbesScheduler(), ids, seed=1)
+                service.cluster.node(ids[0]).set_background_load(0.0)
+                seen = len(polls)
+            # Refreshes run one after another: a second poll means the
+            # first one after the restore has been adopted.
+            deadline = time.monotonic() + 30
+            while len(polls) < seen + 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(polls) >= seen + 2
+            assert srv.daemon.runner.snapshot_refreshes == 0
+            assert client.predict(app_name, ids[:3])["snapshot_fingerprint"] == adopted
+            events = {
+                event: metric_value(
+                    client, "cbes_context_cache_events_total", f'{{event="{event}"}}'
+                )
+                for event in ("hit", "miss", "evicted")
+            }
+        assert events == {"hit": 1, "miss": 1, "evicted": 0}
 
     def test_a_daemon_started_after_an_in_process_call_hits_its_context(self):
         service, app_name = make_service()
