@@ -34,12 +34,21 @@ prices each message once, the facing terms of a peer read back from
 the moved ranks' own messages, prices ``messages_priced_per_move`` of
 them, again an exact replay.
 
+Last, a context is a view over a system half that every application of
+a generation shares (``SystemTables``) and an application half of its
+own.  A second application's context on a held generation (cg.A/16 after
+lu.A/32) is gated at 128 Centurion nodes: the bytes it holds
+(tracemalloc, at most ``MAX_SECOND_CONTEXT_MB``) and its build time over
+a whole cold build (paired, at most ``MAX_SECOND_CONTEXT_RATIO``).  The
+full mode also builds one at 512 ``fat_star`` nodes, at most
+``MAX_SECOND_CONTEXT_MS_512``, and reports a cold build beside it.
+
 Run modes
 ---------
 ``python benchmarks/bench_incremental_eval.py``
     Full benchmark: 64 nodes / 32 ranks; fails (exit 1) unless the
     incremental path is at least 10x faster than the reference and the
-    two paths agree.
+    two paths agree, or a second application's 512-node context is slow.
 
 ``python benchmarks/bench_incremental_eval.py --quick``
     CI smoke mode: small instance, short move chains; fails if the
@@ -49,20 +58,26 @@ Run modes
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
+import tracemalloc
 
 from _gate import GateReport, timed
 
 from repro._util import spawn_rng
+from repro.cluster import centurion, fat_star
 from repro.cluster.latency import LatencyModel, PathComponents
-from repro.cluster.node import Architecture, Node
+from repro.cluster.node import ALPHA_533, INTEL_PII_400, Architecture, Node
+from repro.core import CBES
 from repro.core.evaluation import MappingEvaluator
+from repro.core.fast_eval import EvaluationContext
 from repro.core.mapping import TaskMapping
 from repro.monitoring.snapshot import NodeState, SystemSnapshot
 from repro.profiling.profile import ApplicationProfile, MessageGroup, ProcessProfile
 from repro.schedulers.annealing import AnnealingSchedule, anneal
 from repro.schedulers.moves import MoveGenerator
+from repro.workloads import CG, LU
 
 #: The SA-loop instance (both modes) and its fixed-length schedule:
 #: patience == steps, so every run proposes exactly SA_MOVES moves.
@@ -81,6 +96,16 @@ MAX_DENSE_RATIO = 2.6
 #: Pool-size independence: same ranks and schedule, 4x the nodes.
 POOL_SIZES, POOL_RANKS = (32, 128), 16
 MAX_POOL_RATIO = 1.3
+#: A second application's context on a held 128-node generation: what
+#: it may hold, and its build time over a whole cold build, 0.25 being
+#: 4 ms of a 16 ms one (it holds 0.13 MB and builds in 0.6-1.1 ms
+#: against 10-16 ms on a 2-vCPU host; a build of its own pair tables
+#: would hold 2.4 MB and cost most of the cold build).
+MAX_SECOND_CONTEXT_MB = 0.5
+MAX_SECOND_CONTEXT_RATIO = 0.25
+#: Full mode: the same build on a held 512-node ``fat_star`` generation,
+#: in ms (2.3 ms against a 220 ms cold build on a 2-vCPU host).
+MAX_SECOND_CONTEXT_MS_512 = 50.0
 
 ARCHS = [
     Architecture("alpha-533", 1.30),
@@ -289,6 +314,40 @@ def terms_per_move(context, sa_chain) -> tuple[float, float, float]:
     return every / len(chain), touched / len(chain), priced / len(chain)
 
 
+def held_generation(cluster):
+    """A service on *cluster* (exact latency model) with lu.A/32 and cg.A/16
+    profiled, and its generation with lu.A's context built."""
+    cluster.use_exact_latency_model()
+    service = CBES(cluster)
+    for app, nprocs in ((LU("A"), 32), (CG("A"), 16)):
+        service.profile_application(app, nprocs, seed=1)
+    generation = service.adopt(service.snapshot().freeze())
+    generation.context("lu.A")
+    return generation
+
+
+def context_passes(generation):
+    """Two passes: a whole cold build of cg.A's context, and one over the
+    generation's system half; seconds each."""
+    args = (generation.service.profile("cg.A"), generation.latency_model,
+            generation.service.cluster.nodes, generation.snapshot)
+    cold = timed(lambda: EvaluationContext(*args))
+    second = timed(lambda: EvaluationContext(*args, system=generation.system))
+    return cold, second
+
+
+def second_context_mb(generation) -> float:
+    """MB a second application's context holds on the held generation (which keeps it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        generation.context("cg.A")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / 1e6
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -373,6 +432,34 @@ def main(argv=None) -> int:
         f"{small:.1f} -> {large:.1f} us per move ({pool.ratio:.2f}x, limit {MAX_POOL_RATIO}x)"
     )
 
+    centurion_gen = held_generation(centurion())
+    held_mb = second_context_mb(centurion_gen)
+    cold_pass, second_pass = context_passes(centurion_gen)
+    second = report.paired(
+        "second_context_ratio", second_pass, cold_pass, MAX_SECOND_CONTEXT_RATIO, "lower"
+    )
+    print(
+        f"2nd app context, 128 n:  {second.numerator * 1e3:10.2f} ms   ({held_mb:.3f} MB; "
+        f"cold build {second.denominator * 1e3:.2f} ms, {second.ratio:.3f}x)"
+    )
+    if not args.quick:
+        star_gen = held_generation(fat_star("star", [(ALPHA_533, 256), (INTEL_PII_400, 256)]))
+        star_cold, star_second = context_passes(star_gen)
+        star_cold_ms = star_cold() * 1e3
+        star_second_ms = statistics.median(star_second() for _ in range(3)) * 1e3
+        print(
+            f"2nd app context, 512 n:  {star_second_ms:10.2f} ms   "
+            f"(limit {MAX_SECOND_CONTEXT_MS_512:.0f} ms; cold build {star_cold_ms:.1f} ms)"
+        )
+        report.metric("second_context_ms_512", round(star_second_ms, 3))
+        report.metric("cold_context_ms_512", round(star_cold_ms, 3))
+        report.gate(
+            "second_context_build_512",
+            star_second_ms <= MAX_SECOND_CONTEXT_MS_512,
+            f"a second application's context on a held 512-node generation costs "
+            f"{star_second_ms:.1f} ms (limit {MAX_SECOND_CONTEXT_MS_512:.0f} ms)",
+        )
+
     report.metric("nnodes", nnodes)
     report.metric("nprocs", nprocs)
     report.metric("ref_rate_per_s", round(ref_rate, 1))
@@ -388,6 +475,9 @@ def main(argv=None) -> int:
     report.metric("messages_priced_per_move", priced)
     report.metric(f"sa_loop_us_per_move_pool{POOL_SIZES[0]}", round(small, 2))
     report.metric(f"sa_loop_us_per_move_pool{POOL_SIZES[1]}", round(large, 2))
+    report.metric("second_context_mb_128", round(held_mb, 4))
+    report.metric("second_context_ms_128", round(second.numerator * 1e3, 3))
+    report.metric("cold_context_ms_128", round(second.denominator * 1e3, 3))
     report.gate(
         "agreement",
         worst == 0.0,
@@ -415,6 +505,18 @@ def main(argv=None) -> int:
         pool.passed,
         f"an SA move on a {POOL_SIZES[1]}-node pool costs {pool.ratio:.2f}x one on a "
         f"{POOL_SIZES[0]}-node pool (limit {MAX_POOL_RATIO}x)",
+    )
+    report.gate(
+        "second_context_bytes",
+        held_mb <= MAX_SECOND_CONTEXT_MB,
+        f"a second application's context on a held 128-node generation holds "
+        f"{held_mb:.2f} MB (limit {MAX_SECOND_CONTEXT_MB} MB): it builds system tables",
+    )
+    report.gate(
+        "second_context_build",
+        second.passed,
+        f"a second application's context costs {second.ratio:.2f}x a cold build at 128 "
+        f"nodes (limit {MAX_SECOND_CONTEXT_RATIO}x): it rebuilds the shared half",
     )
     return report.finish()
 

@@ -131,7 +131,7 @@ class MappingEvaluator:
         self._fast_contexts: dict[tuple, object] = {}
         # Set by install_context; None: hash the snapshot / build the context.
         self._fingerprint: str | None = None
-        self._resolve: Callable[[], object] | None = None
+        self._resolve: Callable[[EvaluationOptions], object] | None = None
 
     @property
     def profile(self) -> ApplicationProfile:
@@ -208,8 +208,8 @@ class MappingEvaluator:
         key = (opts, self._fingerprint or self._snapshot.fingerprint())
         context = self._fast_contexts.get(key)
         if context is None:
-            if self._resolve is not None and opts == self._options:
-                context = self._resolve()
+            if self._resolve is not None:
+                context = self._resolve(opts)
                 if context.profile is not self._profile:
                     raise ValueError("context was built for a different application profile")
             else:
@@ -229,10 +229,13 @@ class MappingEvaluator:
             self._fast_contexts[key] = context
         return context
 
-    def install_context(self, resolve: Callable[[], object], fingerprint: str) -> None:
-        """Serve the own options' fast path from a context a service keeps
-        across requests: *resolve* returns it, on the first such
-        :meth:`fast_context`, so a build it does is part of the search that
+    def install_context(
+        self, resolve: Callable[[EvaluationOptions], object], fingerprint: str
+    ) -> None:
+        """Serve the fast path from contexts a service keeps across requests:
+        ``resolve(options)`` returns one, on the first :meth:`fast_context`
+        of those options (an NCS search's energy options as well as the
+        evaluator's own), so a build it does is part of the search that
         needed it.  *fingerprint* is the digest of this evaluator's (frozen)
         snapshot, which the context was built from: no call hashes it again.
         """

@@ -18,11 +18,13 @@ workers, the remapper, the daemon — does it through this module:
     options)`` that does **not** depend on the candidate mapping, frozen
     once: per-node speeds, the ACPU-vs-colocation curves, the pairwise
     latency components as flat row-major tables (the bulk form of a
-    memo table keyed by ``(src, dst, size)``), and the profile's message
-    groups as per-rank record lists.  The canonical storage is plain
-    python lists — the context builds and serves evaluations without
-    numpy — with numpy mirrors materialized lazily for the batched
-    kernel.  A context is bound to one snapshot *fingerprint*
+    memo table keyed by ``(src, dst, size)``; the system half,
+    :class:`SystemTables`, which every application's context of one
+    snapshot shares), and the profile's message groups as per-rank
+    record lists.  The canonical storage is plain python lists — the
+    context builds and serves evaluations without numpy — with numpy
+    mirrors materialized lazily for the batched kernel.  A context is
+    bound to one snapshot *fingerprint*
     (:meth:`repro.monitoring.snapshot.SystemSnapshot.fingerprint`);
     fresher monitoring data invalidates it.
 
@@ -46,7 +48,11 @@ workers, the remapper, the daemon — does it through this module:
     reductions) was chosen to replay the scalar loop exactly.  Selection
     is per-call via ``REPRO_EVAL_BACKEND`` (``auto`` | ``numpy`` |
     ``python``); ``auto`` uses numpy when installed and falls back
-    cleanly when it is not.
+    cleanly when it is not.  Population schedulers (every GA
+    generation) batch; the SA family scores one mapping at a time on the
+    scalar kernel, its seed scan and the remapper's stay / move pair
+    included, so a process that serves quotes and SA searches never
+    imports numpy.
 
 :class:`IncrementalEvaluator`
     Mutable search state over a context: ``propose_move(move)`` (or
@@ -105,6 +111,7 @@ from repro.simulate.contention import cpu_share
 __all__ = [
     "FastEvalUnavailable",
     "EvaluationContext",
+    "SystemTables",
     "IncrementalEvaluator",
     "active_backend",
 ]
@@ -167,6 +174,83 @@ def active_backend() -> str:
 _Record = tuple[int, int, int, float, float]
 
 
+class SystemTables:
+    """The system half of the contexts of one snapshot (paper section 2):
+    what no application changes, over the sorted node universe.
+
+    Each part is built on first use and then shared, a context's
+    attributes being these very lists: the pair tables (:meth:`pairs`),
+    which read the latency model alone and so pass from *previous*, the
+    tables of an earlier snapshot under the same model and nodes; and per
+    ``load_adjusted_latency`` setting the slopes (:meth:`slopes`).  The
+    holder builds under its own lock (a ``Generation``'s); two holders
+    racing on a shared part build an equal copy twice and keep one.
+    """
+
+    def __init__(
+        self,
+        latency_model: LatencyModel,
+        node_ids: Sequence[str],
+        snapshot: SystemSnapshot,
+        *,
+        previous: SystemTables | None = None,
+    ) -> None:
+        self.latency_model = latency_model
+        self.node_ids: tuple[str, ...] = tuple(node_ids)
+        self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
+        self.snapshot = snapshot
+        if previous is not None:
+            previous.check(latency_model, self.node_ids)
+        self._pairs: tuple | None = previous._pairs if previous is not None else None
+        self._slopes: dict[bool, tuple] = {}
+
+    def check(self, latency_model: LatencyModel, node_ids: tuple[str, ...]) -> None:
+        """Raise ValueError unless these tables are of *latency_model* (the
+        same object) over *node_ids*."""
+        if latency_model is not self.latency_model or node_ids != self.node_ids:
+            raise ValueError("system tables of another latency model or node set")
+
+    def pairs(self) -> tuple[list[float], list[float], list[float], list[float], bool]:
+        """``(a_src, a_dst, a_net, beta, missing)``: the memoized latency table,
+        flat row-major; ``L(src, dst, size)`` for any size is an affine read
+        off it, and *missing* says a NaN marks a pair without data."""
+        if self._pairs is None:
+            a_src, a_dst, a_net, beta = self.latency_model.component_tables(self.node_ids)
+            self._pairs = (a_src, a_dst, a_net, beta, any(x != x for x in a_net))  # NaN scan
+        return self._pairs
+
+    def slopes(
+        self, load_adjusted: bool
+    ) -> tuple[list[float], list[tuple[float, float, float, float]], list[float] | None]:
+        """``(binv, comp_flat, idle_acpu)`` under the snapshot's NIC loads.
+
+        ``binv`` is ``beta`` times the NIC stretch 1 / (1 - min(max(nic_s,
+        nic_d), 0.95)) of each pair, and ``comp_flat`` its row tuples
+        ``(a_src, a_dst, a_net, binv)``: one index, four reads.  Load off
+        is the same expression on an idle system (``L_0`` is ``L_c`` at
+        nic = 0, ACPU = 1): ``binv`` is ``beta``, and ``idle_acpu`` (None
+        under load) stands in for the live ACPU that stretches a
+        latency's endpoint terms.
+        """
+        slopes = self._slopes.get(load_adjusted)
+        if slopes is None:
+            a_src, a_dst, a_net, beta, _ = self.pairs()
+            n = len(self.node_ids)
+            if load_adjusted:
+                nic = [self.snapshot.nic_load(nid) for nid in self.node_ids]
+                binv = [
+                    beta[i * n + j] * (1.0 / (1.0 - min(max(nic[i], nic[j]), 0.95)))
+                    for i in range(n)
+                    for j in range(n)
+                ]
+                idle: list[float] | None = None
+            else:
+                binv, idle = beta, [1.0] * n
+            comp_flat = list(zip(a_src, a_dst, a_net, binv, strict=True))
+            slopes = self._slopes[load_adjusted] = (binv, comp_flat, idle)
+        return slopes
+
+
 class EvaluationContext:
     """Mapping-independent precomputation for one evaluator configuration.
 
@@ -174,13 +258,16 @@ class EvaluationContext:
     (:attr:`snapshot_fingerprint`); its holder drops it when the
     snapshot moves on.
 
-    Storage is plain python lists: per-node columns (``speed``,
-    ``acpu_curve``), flat row-major pair tables (``_a_src`` ..
-    ``_beta``, ``_binv``), per-rank message-group records
+    Storage is plain python lists, a view over two halves: the pair
+    tables ``_a_src`` .. ``_beta``, ``_binv`` and ``_comp_flat`` are the
+    lists of *system* (:class:`SystemTables`, built here when not
+    given; one of another latency model, node set or snapshot is a
+    ValueError), shared by every context of a generation; per-node columns
+    (``speed``, ``acpu_curve``), per-rank message-group records
     (``groups``), the distinct messages they name (``_messages``) and
     the delta kernel's indexes over them (``_rank_messages``,
-    ``_peer_patches``), all picklable.  Numpy mirrors,
-    the groups as CSR columns among them, are built lazily
+    ``_peer_patches``) are this context's own, all picklable.  Numpy
+    mirrors, the groups as CSR columns among them, are built lazily
     (:meth:`_np_cols`) the first time the vectorized batch kernel runs.
     """
 
@@ -193,6 +280,7 @@ class EvaluationContext:
         options: EvaluationOptions = EvaluationOptions(),
         *,
         fingerprint: str | None = None,
+        system: SystemTables | None = None,
     ) -> None:
         if not nodes:
             raise ValueError("evaluation context requires at least one node")
@@ -203,8 +291,15 @@ class EvaluationContext:
         self.snapshot_fingerprint = (
             fingerprint if fingerprint is not None else snapshot.fingerprint()
         )
-        self.node_ids: tuple[str, ...] = tuple(sorted(nodes))
-        self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
+        if system is None:
+            system = SystemTables(latency_model, sorted(nodes), snapshot)
+        else:
+            system.check(latency_model, tuple(sorted(nodes)))
+            if system.snapshot is not snapshot:
+                raise ValueError("system tables of another snapshot")
+        self.system = system
+        self.node_ids = self.system.node_ids
+        self.index = self.system.index
         n = len(self.node_ids)
         self.nnodes = n
         nprocs = profile.nprocs
@@ -233,38 +328,12 @@ class EvaluationContext:
         else:
             self.acpu_curve = [[1.0] * (nprocs + 1) for _ in range(n)]
 
-        # -- pairwise latency components, flat row-major over the node
-        # universe.  This is the memoized latency table: one bulk build
-        # replaces per-call PathComponents lookups, and ``L(src, dst,
-        # size)`` for any size is an affine read off these four tables.
-        a_src, a_dst, a_net, beta = latency_model.component_tables(self.node_ids)
-        self._a_src: list[float] = a_src
-        self._a_dst: list[float] = a_dst
-        self._a_net: list[float] = a_net
-        self._beta: list[float] = beta
-        self._missing_pairs = any(x != x for x in a_net)  # NaN scan
-        # Fused serialization slope ``beta * invnic`` (the load-adjusted
-        # seconds-per-byte of each ordered pair), invnic the effective
-        # NIC stretch 1 / (1 - min(max(nic_s, nic_d), 0.95)).  The no-
-        # load option reads the same expression on an idle system —
-        # ``L_0`` is ``L_c`` at nic = 0 and ACPU = 1 (``x / 1.0 == x``):
-        # ``binv`` is ``beta``, and ``_idle_acpu`` (None otherwise)
-        # stands in for the live ACPU list that stretches a latency's
-        # endpoint terms.
-        if options.load_adjusted_latency:
-            nic = [snapshot.nic_load(nid) for nid in self.node_ids]
-            self._binv: list[float] = [
-                beta[i * n + j] * (1.0 / (1.0 - min(max(nic[i], nic[j]), 0.95)))
-                for i in range(n)
-                for j in range(n)
-            ]
-            self._idle_acpu: list[float] | None = None
-        else:
-            self._binv = beta
-            self._idle_acpu = [1.0] * n
-        # Row tuples for the scalar inner loop: one index, four reads.
-        self._comp_flat: list[tuple[float, float, float, float]] = list(
-            zip(a_src, a_dst, a_net, self._binv, strict=True)
+        # -- the system half's lists, read by name
+        self._a_src, self._a_dst, self._a_net, self._beta, self._missing_pairs = (
+            self.system.pairs()
+        )
+        self._binv, self._comp_flat, self._idle_acpu = self.system.slopes(
+            options.load_adjusted_latency
         )
 
         # -- per-rank profile columns
@@ -343,15 +412,16 @@ class EvaluationContext:
 
     # -- pickling -------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle without per-process warm state.
+        """Pickle the view's lists, without per-process warm state.
 
-        Parallel search workers receive contexts (or rebuild them from
-        snapshots); the numpy column mirrors are pure warm state the
-        receiver rebuilds lazily — shipping them would bloat the pickle
-        (and pin it to a numpy install the receiver may not have).
+        The numpy column mirrors are pure warm state the receiver
+        rebuilds lazily — shipping them would bloat the pickle (and pin
+        it to a numpy install the receiver may not have); the
+        :class:`SystemTables` holder stays home, its lists travel.
         """
         state = dict(self.__dict__)
         state["_np_cache"] = None
+        state["system"] = None
         return state
 
     # -- queries --------------------------------------------------------
@@ -394,16 +464,6 @@ class EvaluationContext:
         """
         curve = self.acpu_curve
         return [curve[j][k] for j, k in enumerate(counts)]
-
-    def evaluate(self, mapping: TaskMapping) -> tuple[list[float], list[float], list[float]]:
-        """Full evaluation: (R, C, acpu-by-node) lists.
-
-        Always the scalar python path, so everything built on it — the
-        incremental evaluator's rebinds in particular — is independent
-        of the batch backend selection.
-        """
-        r_arr, c_arr, acpu, _, _ = self._evaluate_positions(self.positions(mapping))
-        return r_arr, c_arr, acpu
 
     def _evaluate_positions(
         self, pos: list[int]
@@ -454,7 +514,7 @@ class EvaluationContext:
 
     def execution_time(self, mapping: TaskMapping) -> float:
         """``S_M`` of one mapping (stateless, scalar path)."""
-        r_arr, c_arr, _ = self.evaluate(mapping)
+        r_arr, c_arr = self.rows(mapping)
         return max(r + c for r, c in zip(r_arr, c_arr))
 
     # -- batched evaluation ----------------------------------------------
@@ -462,8 +522,7 @@ class EvaluationContext:
         """``S_M`` for a whole population of mappings in one sweep.
 
         The workhorse of population schedulers: GA generation scoring
-        and SA restart seeding submit their mappings here instead of
-        looping.  Backend per
+        submits its mappings here instead of looping.  Backend per
         :func:`active_backend`; both backends produce bit-identical
         energies, so callers never need to know which one served them.
         """
@@ -664,7 +723,7 @@ class IncrementalEvaluator:
     * ``evaluator(mapping) -> S_M`` — stateless full evaluation, via
       ``__call__``;
     * ``evaluator.many(mappings) -> [S_M, ...]`` — a whole population in
-      one batched sweep (used by SA seed scans and every GA generation,
+      one batched sweep (used by every GA generation,
       :func:`repro.schedulers.genetic.ga_generation`).
 
     ``on_evaluate`` is called once per served evaluation — including
@@ -719,7 +778,7 @@ class IncrementalEvaluator:
     def reset(self, mapping: TaskMapping) -> float:
         """Bind the search state to *mapping* via one full evaluation.
 
-        Always the scalar path (:meth:`EvaluationContext.evaluate`), so
+        Always the scalar path (:meth:`EvaluationContext.rows`), so
         an SA trajectory is a pure function of seed and mapping — never
         of which batch backend is selected.
         """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -18,7 +19,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.latency import LatencyModel
 from repro.core.errors import NotCalibratedError, UnknownProfileError
 from repro.core.evaluation import EvaluationOptions, MappingEvaluator, MappingPrediction
-from repro.core.fast_eval import EvaluationContext
+from repro.core.fast_eval import EvaluationContext, SystemTables
 from repro.core.mapping import TaskMapping
 from repro.monitoring.monitor import SystemMonitor
 from repro.monitoring.snapshot import SystemSnapshot
@@ -55,12 +56,15 @@ class ApplicationModel(Protocol):
 @dataclass(frozen=True, slots=True, eq=False)
 class Generation:
     """A frozen snapshot, its digest and the contexts built from it: what a
-    holder prices requests against, whatever the service adopts meanwhile."""
+    holder prices requests against, whatever the service adopts meanwhile.
+    Its contexts are views over one :class:`SystemTables`, whose pair
+    tables the generation took over from the one before it."""
 
     service: CBES
     snapshot: SystemSnapshot
     fingerprint: str  # hashed once, at adoption
     latency_model: LatencyModel | None
+    system: SystemTables | None  # None until calibrated
     #: (app name, options) -> context; added to under build_lock, read without it.
     contexts: dict[tuple[str, EvaluationOptions], EvaluationContext] = field(default_factory=dict)
     build_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -85,6 +89,7 @@ class Generation:
                     context = self.contexts[key] = EvaluationContext(
                         profile, self.latency_model, self.service.cluster.nodes,
                         self.snapshot, options, fingerprint=self.fingerprint,
+                        system=self.system,
                     )
         get_registry().counter(*CONTEXT_CACHE_EVENTS_TOTAL).inc(event=event)
         return context
@@ -99,7 +104,7 @@ class Generation:
             raise NotCalibratedError("calibrate the system before evaluating mappings")
         evaluator = MappingEvaluator(self.service.profile(app_name), self.latency_model,
                                      self.service.cluster.nodes, self.snapshot, options)
-        evaluator.install_context(lambda: self.context(app_name, options), self.fingerprint)
+        evaluator.install_context(partial(self.context, app_name), self.fingerprint)
         return evaluator
 
 
@@ -274,7 +279,8 @@ class CBES:
     def adopt(self, snapshot: SystemSnapshot) -> Generation:
         """The generation of the frozen *snapshot*: the current one when its
         digest and latency model match, else a new, empty one that replaces it
-        (atomically: concurrent adopters of a new snapshot share one)."""
+        (atomically: concurrent adopters of a new snapshot share one) and
+        keeps its pair tables while the latency model is the same."""
         fingerprint = snapshot.fingerprint()
         latency = self._cluster.latency_model if self._cluster.is_calibrated else None
         with self._adopt_lock:
@@ -282,7 +288,15 @@ class CBES:
             if current is None or (current.fingerprint, current.latency_model) != (
                 fingerprint, latency
             ):
-                current = self._generation = Generation(self, snapshot, fingerprint, latency)
+                inherited = None
+                if current is not None and current.latency_model is latency:
+                    inherited = current.system
+                system = None if latency is None else SystemTables(
+                    latency, sorted(self._cluster.nodes), snapshot, previous=inherited
+                )
+                current = self._generation = Generation(
+                    self, snapshot, fingerprint, latency, system
+                )
         return current
 
     def evaluator(

@@ -7,10 +7,10 @@ snapshot and the application's current mapping, it
 1. searches for a candidate mapping with a batch of SA restarts
    (:func:`repro.search.run_tasks`) whose first restart is
    *warm-started from the current mapping* (the remaining restarts
-   seed from greedy / batched random scans, so the search can both
+   seed from greedy / random seed scans, so the search can both
    polish the incumbent and escape it),
-2. scores current-vs-candidate with one batched
-   :meth:`~repro.core.fast_eval.EvaluationContext.evaluate_many` sweep,
+2. scores current and candidate on the scalar kernel
+   (:meth:`~repro.core.fast_eval.EvaluationContext.execution_time`),
 3. prices the mapping diff with its cost model (by default the
    topology-aware :class:`~repro.remap.cost.MigrationCostModel`), and
 4. applies the decision rule
@@ -150,17 +150,17 @@ class Remapper:
         """The cost/benefit verdict on switching *current* -> *candidate*.
 
         Steps 2-4 of :meth:`propose`, for a candidate the caller already
-        has: one batched stay/move scoring under *evaluator*'s (fresh)
-        snapshot, the cost model's price of the diff, and the rule.
+        has: the stay and the move scored under *evaluator*'s (fresh)
+        snapshot, two evaluations, the cost model's price of the diff,
+        and the rule.
         ``fraction_remaining`` is the share of work still to be done.
         """
         check_fraction(fraction_remaining, "fraction_remaining", closed_low=False)
-        stay_s, move_s = evaluator.execution_times([current, candidate])
-        stay_s *= fraction_remaining
-        move_s *= fraction_remaining
-        moves = self.cost_model.moves_from_context(
-            evaluator.fast_context(evaluator.options), current, candidate
-        )
+        context = evaluator.fast_context(evaluator.options)
+        stay_s = context.execution_time(current) * fraction_remaining
+        move_s = context.execution_time(candidate) * fraction_remaining
+        evaluator.record_evaluations(2)
+        moves = self.cost_model.moves_from_context(context, current, candidate)
         cost = self.cost_model.total_cost(moves)
         decision = bool(moves) and stay_s - move_s > cost * self.safety_factor
         registry = get_registry()
@@ -190,7 +190,7 @@ class Remapper:
         spec = SearchSpec.from_evaluator(evaluator, list(pool))
         # Restart 0 warm-starts from the incumbent mapping; restart 1
         # from the fastest-nodes greedy construction; the rest from
-        # batched random seed scans — polish vs escape in one batch.
+        # random seed scans — polish vs escape in one batch.
         tasks = [
             SaTask(
                 index=attempt,

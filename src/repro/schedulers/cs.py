@@ -82,8 +82,8 @@ class CbesScheduler(Scheduler):
         # Independent restarts guard against the two-basin landscapes a
         # federated cluster produces (a whole side can be a local
         # optimum); the first restart starts from the fastest-nodes
-        # greedy construction, the rest from the best of a batched
-        # seed scan over random candidates (one evaluate_many sweep).
+        # greedy construction, the rest from the best of a seed scan
+        # over random candidates.
         tasks = [
             SaTask(
                 index=attempt,

@@ -46,9 +46,9 @@ class SaTask:
     schedule: AnnealingSchedule = AnnealingSchedule()
     swap_probability: float = 0.5
     greedy_start: bool = False
-    #: When > 0, draw this many random candidate starts, score them as
-    #: one batched ``evaluate_many`` sweep, and start SA from the best
-    #: (the greedy start, when requested and feasible, still wins).
+    #: When > 0, draw this many random candidate starts, score each on
+    #: the scalar kernel, and start SA from the best (the greedy start,
+    #: when requested and feasible, still wins).
     seed_scan: int = 0
     direction: str = "minimize"
     #: Explicit start mapping (warm start).  Takes precedence over
@@ -157,11 +157,12 @@ class TaskRunner:
         if start is None and task.greedy_start:
             start = greedy_mapping(self.spec)
         if start is None and task.seed_scan > 0:
-            # Batched restart seeding: score all candidate starts in one
-            # evaluate_many sweep and begin from the best (ties by draw
-            # order keep this deterministic).
+            # Restart seeding: score every candidate start and begin from
+            # the best (ties by draw order keep this deterministic).  One
+            # at a time on the scalar kernel, as the anneal itself: a
+            # handful of mappings does not pay for numpy's import.
             candidates = [self._draw(rng) for _ in range(task.seed_scan)]
-            energies = self._energy.many(candidates)
+            energies = [self._energy(candidate) for candidate in candidates]
             sign = 1.0 if task.direction == "minimize" else -1.0
             best = min(range(len(candidates)), key=lambda i: (sign * energies[i], i))
             start = candidates[best]

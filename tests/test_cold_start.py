@@ -1,7 +1,8 @@
 """The cold-start contract: a process imports and derives only what it uses.
 
 * **Imports** — the daemon, the fleet router and the CLI import neither
-  numpy nor networkx; numpy arrives with the first batched evaluation.
+  numpy nor networkx; numpy arrives with the first batched evaluation,
+  which no quote, SA search or remap watch makes.
 * **Exports** — every package keeps its public names: each one in an
   ``__all__`` resolves and is listed by ``dir()``, though the package
   ``__init__`` imports no submodule until a name is asked for.
@@ -176,6 +177,35 @@ with DaemonThread(service, workers=2, queue_limit=16) as srv:
 print(len(done), "numpy" in sys.modules)
 """
         assert fresh_python(code) == "5 False"
+
+    @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy not installed")
+    def test_a_replica_serving_sa_searches_and_watches_loads_no_numpy(self):
+        """CS / NCS seed scans and the remapper's stay / move pair are priced
+        one mapping at a time on the scalar kernel: numpy's ~13 MB would buy
+        a replica well under a millisecond a job."""
+        code = """
+import sys
+from repro.cluster import single_switch
+from repro.core import CBES
+from repro.server import DaemonThread
+from repro.workloads import SyntheticBenchmark
+
+service = CBES(single_switch("mini", 6))
+service.calibrate(seed=2)
+app = SyntheticBenchmark(comm_fraction=0.3, duration_s=2.0, steps=4)
+service.profile_application(app, 3, seed=1)
+ids = service.cluster.node_ids()
+with DaemonThread(service, workers=2, queue_limit=16) as srv:
+    client = srv.client()
+    for scheduler in ("cs", "ncs"):
+        client.schedule(app.name, scheduler=scheduler, seed=3)
+    client.predict(app.name, ids[:3])
+    watch = client.remap_watch(app.name, ids[:3], interval_s=0.02, max_ticks=200, seed=5)
+    client.inject_load([{"node": node, "cpu_load": 1.5} for node in ids[:3]])
+    decision = client.wait_decision(watch["id"], timeout_s=60.0)
+print(decision["watch_id"] == watch["id"], "numpy" in sys.modules)
+"""
+        assert fresh_python(code) == "True False"
 
 
 class TestExports:

@@ -16,9 +16,10 @@ from repro.core import (
     UnknownProfileError,
 )
 from repro.cluster import single_switch
+from repro.cluster.latency import LatencyModel
 from repro.core.fast_eval import EvaluationContext
-from repro.schedulers import CbesScheduler, RandomScheduler
-from repro.workloads import SyntheticBenchmark
+from repro.schedulers import CbesScheduler, NoCommScheduler, RandomScheduler
+from repro.workloads import CG, LU, SyntheticBenchmark
 
 
 @pytest.fixture
@@ -246,6 +247,76 @@ class TestContextCache:
         fresh.calibrate(seed=2)
         fresh.profile_application(app, 4, seed=1)
         assert outcome(result) == outcome(fresh.schedule(app.name, CbesScheduler(), pool, seed=1))
+
+
+class TestSystemTables:
+    """A context is a view over its generation's system half: the pair tables
+    are computed once per latency model, and an application builds only its own."""
+
+    @pytest.fixture
+    def tables_built(self, monkeypatch):
+        """The host counts of every ``LatencyModel.component_tables`` call."""
+        calls = []
+        build = LatencyModel.component_tables
+
+        def counted(model, hosts):
+            calls.append(len(hosts))
+            return build(model, hosts)
+
+        monkeypatch.setattr(LatencyModel, "component_tables", counted)
+        return calls
+
+    def test_a_second_app_and_a_load_only_refresh_compute_no_pair_table(
+        self, service, tables_built
+    ):
+        for app in (LU("A"), CG("A")):
+            service.profile_application(app, 4, seed=1)
+        held = service.adopt(service.snapshot().freeze())
+        lu = held.context("lu.A")
+        assert tables_built == [6]
+        cg = held.context("cg.A")  # a second app on a held generation
+        idle = held.context("cg.A", EvaluationOptions(load_adjusted_latency=False))
+        assert tables_built == [6]
+        assert cg._a_src is lu._a_src and cg._comp_flat is lu._comp_flat
+        assert idle._a_net is lu._a_net and idle._binv is lu._beta
+        node = service.cluster.node(service.cluster.node_ids()[0])
+        node.set_background_load(1.5)
+        node.set_nic_load(0.4)
+        refreshed = service.adopt(service.snapshot().freeze())
+        assert refreshed is not held
+        again = refreshed.context("lu.A")  # a load-only refresh
+        assert tables_built == [6]
+        assert again._a_src is lu._a_src and again._binv is not lu._binv
+        pool = service.cluster.node_ids()
+        ncs = service.schedule("lu.A", NoCommScheduler(), pool, seed=1)  # its energy options too
+        assert tables_built == [6]
+        energy = refreshed.contexts["lu.A", NoCommScheduler.energy_options]
+        assert energy.system is again.system and not any(energy.groups)
+        cold = NoCommScheduler().schedule(service.evaluator("lu.A"), pool, seed=1)
+        assert outcome(ncs) == outcome(cold)
+        mapping = TaskMapping(pool[:4])
+        assert again.rows(mapping) == service.evaluator("lu.A").fast_context().rows(mapping)
+        assert tables_built == [6, 6, 6]  # the cold factories build both halves
+        service.cluster.clear_loads()
+        service.calibrate(seed=3)  # a new latency model: new pair tables
+        service.adopt(service.snapshot().freeze()).context("cg.A")
+        assert tables_built == [6, 6, 6, 6]
+
+    def test_a_context_refuses_the_system_half_of_another_generation(self, service, app):
+        profile = service.profile_application(app, 3, seed=1)
+        held = service.adopt(service.snapshot().freeze())
+        nodes, model = service.cluster.nodes, held.latency_model
+        own = (profile, model, nodes, held.snapshot)
+        assert EvaluationContext(*own, system=held.system).system is held.system
+        fewer = {nid: nodes[nid] for nid in sorted(nodes)[:4]}
+        other = service.snapshot().freeze()
+        for args in (
+            (profile, model, fewer, held.snapshot),
+            (profile, LatencyModel.from_dict(model.to_dict()), nodes, held.snapshot),
+            (profile, model, nodes, other),
+        ):
+            with pytest.raises(ValueError, match="system tables of another"):
+                EvaluationContext(*args, system=held.system)
 
 
 class TestPredictionAccuracy:

@@ -115,7 +115,7 @@ class TestAgreementProperty:
         pool = service.cluster.node_ids()
         mapping = TaskMapping([pool[0], pool[2], pool[2], pool[5]])
         context = evaluator.fast_context()
-        r_arr, c_arr, _ = context.evaluate(mapping)
+        r_arr, c_arr = context.rows(mapping)
         prediction = evaluator.predict(mapping)
         for proc in prediction.processes:
             assert r_arr[proc.rank] == proc.computation
@@ -333,7 +333,7 @@ class TestTogglesAreTables:
                 assert no_load.comm_terms(rank, pos, live) == idle.comm_terms(
                     rank, pos, idle.acpu_by_node(counts)
                 )
-            assert no_load.evaluate(mapping)[1] == idle.evaluate(mapping)[1]
+            assert no_load.rows(mapping)[1] == idle.rows(mapping)[1]
         assert stretched == len(self.MAPPINGS)  # the instance discriminates
 
     def test_no_communication_is_empty_message_groups(self):
@@ -346,19 +346,20 @@ class TestTogglesAreTables:
         for mapping, move in zip(
             self.MAPPINGS, [Move.swap(0, 5), Move.replace(4, "t0"), Move.replace(2, "t9")]
         ):
-            r_arr, c_arr, acpu = ctx.evaluate(mapping)
             pos = ctx.positions(mapping)
+            r_arr, c_arr = ctx.rows(mapping)
+            acpu = ctx.acpu_by_node([pos.count(j) for j in range(ctx.nnodes)])
             assert all(ctx.comm_terms(rank, pos, acpu) == [] for rank in range(TERM_RANKS))
             assert c_arr == [0.0] * TERM_RANKS
             assert inc.propose(mapping) == max(r_arr)
             inc.commit()
             moved = move.apply(mapping)
-            assert inc.propose_move(move) == max(ctx.evaluate(moved)[0])
+            assert inc.propose_move(move) == ctx.execution_time(moved)
             inc.commit()
             assert inc._terms == [[] for _ in range(TERM_RANKS)]
             assert inc._c == [0.0] * TERM_RANKS
             assert_state_is_fresh(inc, moved, move)
-        want = [max(ctx.evaluate(mapping)[0]) for mapping in self.MAPPINGS]
+        want = [ctx.execution_time(mapping) for mapping in self.MAPPINGS]
         for backend in ("python", "numpy"):
             if backend == "numpy":
                 pytest.importorskip("numpy")
@@ -396,7 +397,7 @@ class TestTogglesAreTables:
                 inc.propose_move(move)
                 inc.commit()
             assert ctx.evaluate_many(self.MAPPINGS) == [
-                max(ctx.evaluate(mapping)[0]) for mapping in self.MAPPINGS
+                ctx.execution_time(mapping) for mapping in self.MAPPINGS
             ]
 
 
@@ -506,7 +507,7 @@ class TestEachMessagePricedOnce:
             mapping = TaskMapping([TERM_NODES[rng.integers(10)] for _ in range(TERM_RANKS)])
             want = evaluator.predict(mapping)
             assert context.breakdown(mapping) == want
-            assert context.evaluate(mapping)[:2] == (
+            assert context.rows(mapping) == (
                 [p.computation for p in want.processes],
                 [p.communication for p in want.processes],
             )
@@ -687,7 +688,7 @@ class TestLeftFold:
                 total += term
             assert total == terms[0] != math.fsum(terms)  # the instance discriminates
             want = total * ctx.lam[0]
-            assert inc._c[0] == ctx.comm_time(0, pos, acpu) == ctx.evaluate(mapping)[1][0] == want
+            assert inc._c[0] == ctx.comm_time(0, pos, acpu) == ctx.rows(mapping)[1][0] == want
 
         check(start)  # the full form, through reset
         for move in (Move.replace(1, "t9"), Move.replace(0, "t8"), Move.swap(0, 1)):
