@@ -128,28 +128,14 @@ def main(argv=None) -> int:
     report.metric("backend", backend)
 
     worst, split, loop, batch = run(nnodes, nprocs, popsize)
-    speedup = report.paired("speedup", loop, batch, target, "higher")
-    loop_rate, batch_rate = 1 / speedup.numerator, 1 / speedup.denominator
-    report.metric("loop_rate_per_s", round(loop_rate, 1))
-    report.metric("batch_rate_per_s", round(batch_rate, 1))
+    speedup = report.paired(
+        "speedup", loop, batch, target, "higher",
+        "the batch kernel lost its speedup over the per-mapping loop" if args.quick else None,
+    )
+    report.metric("loop_rate_per_s", round(1 / speedup.numerator, 1))
+    report.metric("batch_rate_per_s", round(1 / speedup.denominator, 1))
     report.metric("worst_disagreement", worst)
     report.metric("backend_split_combos", len(split))
-
-    print(f"workload: {nnodes} nodes / {nprocs} ranks, populations of {popsize}")
-    print(f"batch backend:           {backend:>10}")
-    print(f"per-mapping loop:        {loop_rate:10.0f} evaluations/s")
-    print(f"batched evaluate_many:   {batch_rate:10.0f} evaluations/s")
-    print(
-        f"speedup:                 {speedup.ratio:10.1f}x   "
-        f"(target >= {target:.1f}x{'' if args.quick else ', reported, not gated'})"
-    )
-    print(
-        f"backends bit-identical:  {len(OPTION_COMBOS) - len(split):10d}"
-        f"   of {len(OPTION_COMBOS)} toggle combinations"
-        + ("" if HAVE_NUMPY else " (numpy absent: not compared)")
-    )
-    print(f"worst disagreement:      {worst:10.2e}   (must be 0: same association)")
-
     report.gate(
         "agreement",
         worst == 0.0,
@@ -160,12 +146,6 @@ def main(argv=None) -> int:
         not split,
         f"python and numpy backends returned different energies under {split}",
     )
-    if args.quick:
-        report.gate(
-            "speedup",
-            speedup.passed,
-            f"batch speedup {speedup.ratio:.2f}x below target {target:.1f}x",
-        )
     return report.finish()
 
 

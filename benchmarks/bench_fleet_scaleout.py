@@ -114,10 +114,6 @@ def quick_mode(report: GateReport) -> None:
                 not mismatched,
                 f"router bodies differ from the owning replica's on {mismatched}",
             )
-            print(
-                f"quick: 12 predict jobs through 2 in-process replicas in "
-                f"{elapsed * 1e3:.0f} ms, 0 disagreements"
-            )
 
 
 def fleet_batch_rate(db: str, replicas: int, njobs: int, app: str) -> tuple[float, list[float]]:
@@ -169,9 +165,6 @@ def full_mode(report: GateReport, njobs: int) -> None:
         rate2, times2 = fleet_batch_rate(db, 2, njobs, "lu.S")
     speedup = rate2 / rate1
     disagreements = sum(1 for a, b in zip(times1, times2, strict=True) if a != b)
-    print(f"1 replica : {rate1:6.2f} schedule jobs/s ({njobs} jobs)")
-    print(f"2 replicas: {rate2:6.2f} schedule jobs/s ({njobs} jobs)")
-    print(f"scale-out speedup: {speedup:.2f}x, disagreements: {disagreements}")
     report.metric("jobs", njobs)
     report.metric("rate_1_replica", round(rate1, 3))
     report.metric("rate_2_replicas", round(rate2, 3))
@@ -191,7 +184,6 @@ def full_mode(report: GateReport, njobs: int) -> None:
     else:
         # One CPU cannot parallelize two CPU-bound replica processes;
         # record the measurement but do not gate on it.
-        print(f"note: {cpus} CPU(s) — scale-out floor not enforced")
         report.metric("scaleout_gate_skipped_cpus", cpus)
 
 

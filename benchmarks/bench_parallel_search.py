@@ -92,21 +92,6 @@ def main(argv=None) -> int:
     parallel_result, parallel_s = run_once(nnodes, nprocs, restarts, workers, schedule)
     speedup = serial_s / parallel_s
 
-    print(f"workload: {nnodes} nodes / {nprocs} ranks, {restarts} SA restarts")
-    print(f"machine:  {cores} schedulable CPU(s), testing {workers} workers")
-    print(
-        f"serial   (parallel=1):  {serial_s:8.2f} s  "
-        f"({serial_result.evaluations} evaluations)"
-    )
-    print(
-        f"parallel (parallel={workers}):  {parallel_s:8.2f} s  "
-        f"({parallel_result.evaluations} evaluations)"
-    )
-    if target is None:
-        print(f"speedup:                {speedup:8.2f}x  (no target on this hardware)")
-    else:
-        print(f"speedup:                {speedup:8.2f}x  (target >= {target:.1f}x)")
-
     report = GateReport("parallel_search", mode="quick" if args.quick else "full")
     report.metric("nnodes", nnodes)
     report.metric("restarts", restarts)
@@ -115,7 +100,7 @@ def main(argv=None) -> int:
     report.metric("serial_s", round(serial_s, 3))
     report.metric("parallel_s", round(parallel_s, 3))
     report.metric("speedup", round(speedup, 3))
-    report.metric("evaluations", serial_result.evaluations)
+    report.count("evaluations", serial_result.evaluations)
     report.gate(
         "same_mapping",
         serial_result.mapping == parallel_result.mapping,

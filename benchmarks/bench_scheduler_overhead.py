@@ -70,6 +70,7 @@ def run(ctx):
         per_eval(ctx, names["SAMRAI (all-to-all)"], pool),
         1.0,
         "lower",
+        "EP-A's evaluations against SAMRAI's: cost does not grow with message groups",
     )
     return rows, paired
 

@@ -23,13 +23,14 @@ finished 8-rank quotes (three predicts to one 8-way compare) over
 encoding those same results once with the C encoder — under 0.5 when
 the snapshot splices the bytes ``mark_done`` stored (~0.15), about 4
 when it re-encoded the whole store with ``json.dump``.
-A count gate holds a batch and its run to one journal write each: one
-``ROUND_JOBS``-job ``submit_batch`` + ``wait_many`` round (three
-predicts to one compare) against a durable daemon makes exactly
-``ROUND_JOURNAL_WRITES`` (2) writes by ``Journal.writes`` — one per job
-record would be 64.  ``result_residency_ratio`` (reported, not gated) is what those results
-occupy as the store keeps them over what they occupy as the dict trees a
-client parses.
+Two counts are gated ``==`` the committed ``BENCH_server_throughput.json``:
+``round_journal_writes``, the ``Journal.writes`` of one ``ROUND_JOBS``-job
+``submit_batch`` + ``wait_many`` round (three predicts to one compare)
+against a durable daemon — 2, one per batch and one per run, where one
+per job record would be 64 — and ``context_cache_hit_ratio`` over the
+timed predict jobs.  ``result_residency_ratio`` (reported, not gated)
+is what those results occupy as the store keeps them over what they
+occupy as the dict trees a client parses.
 
 Run modes
 ---------
@@ -75,9 +76,6 @@ PROBE_SHAPE, MAX_PREDICT_JOB_RATIO = (16, 8, 24), 1.0
 #: The encoded-once gate: the most a compaction of ``FULL_STORE_JOBS``
 #: finished jobs may cost in single encodings of the results it holds.
 MAX_COMPACT_RATIO = 0.5
-#: The group-commit gate: journal writes of one ``ROUND_JOBS``-job round,
-#: its batch's ``create`` records and its run's outcomes.
-ROUND_JOURNAL_WRITES = 2
 
 
 def build_service(nnodes: int, nprocs: int) -> tuple[CBES, str]:
@@ -159,7 +157,8 @@ def store_size_ratio(report: GateReport, service: CBES, app_name: str, nodes: li
             store.mark_running(job.id)
             store.mark_done(job.id, result)
         return report.paired(
-            "store_size_ratio", round_pass(full), round_pass(empty), MAX_ROUND_RATIO, "lower"
+            "store_size_ratio", round_pass(full), round_pass(empty), MAX_ROUND_RATIO, "lower",
+            f"a batch round with {FULL_STORE_JOBS} finished jobs held against one with none",
         )
 
 
@@ -215,6 +214,7 @@ def predict_job_ratio(report: GateReport) -> tuple[Paired, float]:
             timed(lambda: [evaluator.predict(mapping) for mapping in candidates], njobs),
             MAX_PREDICT_JOB_RATIO,
             "lower",
+            "a predict job in the executor against one reference predict()",
         )
         after = events()
     hits = after.get("hit", 0.0) - before.get("hit", 0.0)
@@ -269,6 +269,7 @@ def compact_ratio(report: GateReport) -> tuple[Paired, float]:
             timed(lambda: [encode_json(doc) for doc in results]),
             MAX_COMPACT_RATIO,
             "lower",
+            f"compacting {FULL_STORE_JOBS} finished jobs against encoding their results once",
         )
         store.close()
     encoded = [encode_json(doc) for doc in results]
@@ -292,93 +293,40 @@ def main(argv: list[str] | None = None) -> int:
     daemon_s, daemon_times, retries = daemon_throughput(
         service, app_name, mappings, workers=workers
     )
-
     report = GateReport("server_throughput", mode="quick" if args.quick else "full")
-    rounds = store_size_ratio(report, service, app_name, mappings[0])
-    full_ms, empty_ms = rounds.numerator * 1e3, rounds.denominator * 1e3
-    round_writes = journal_writes_per_round(service, app_name, mappings[0])
-    predict_job, hit_ratio = predict_job_ratio(report)
-    job_us, reference_us = predict_job.numerator * 1e6, predict_job.denominator * 1e6
-    compaction, residency_ratio = compact_ratio(report)
-    compact_ms, encode_ms = compaction.numerator * 1e3, compaction.denominator * 1e3
-
-    # Kernel (daemon) against paper loop (direct): a zero-difference gate.
-    disagreements = sum(1 for a, b in zip(direct_times, daemon_times, strict=True) if a != b)
-    rate = njobs / daemon_s
-    overhead_ms = (daemon_s - direct_s) / njobs * 1e3
-
-    print(f"cluster: {nnodes} nodes / {nprocs} ranks, {njobs} predict jobs, {workers} workers")
-    print(f"direct evaluator : {njobs / direct_s:10.0f} predictions/s ({direct_s * 1e3:7.1f} ms total)")
-    print(f"daemon round-trip: {rate:10.1f} jobs/s        ({daemon_s * 1e3:7.1f} ms total)")
-    print(f"per-job service overhead: {overhead_ms:.2f} ms (HTTP + queue + store)")
-    print(f"backpressure retries: {retries}, disagreements: {disagreements}")
-    print(
-        f"{ROUND_JOBS}-job batch round: {empty_ms:.1f} ms on an empty store, {full_ms:.1f} ms "
-        f"with {FULL_STORE_JOBS} finished jobs held ({rounds.ratio:.2f}x)"
-    )
-    print(f"journal writes of one {ROUND_JOBS}-job round: {round_writes}")
-    print(
-        f"predict job in the executor ({PROBE_SHAPE[1]} ranks): {job_us:.1f} us, reference "
-        f"predict(): {reference_us:.1f} us ({predict_job.ratio:.2f}x), context-cache hit ratio "
-        f"{hit_ratio:.3f}"
-    )
-
-    print(
-        f"compaction of {FULL_STORE_JOBS} finished jobs: {compact_ms:.1f} ms, encoding their "
-        f"results once: {encode_ms:.1f} ms ({compaction.ratio:.2f}x); results held at "
-        f"{residency_ratio:.2f}x their parsed dict trees"
-    )
-
     report.metric("nnodes", nnodes)
     report.metric("jobs", njobs)
     report.metric("workers", workers)
-    report.metric("daemon_jobs_per_s", round(rate, 2))
-    report.metric("overhead_ms_per_job", round(overhead_ms, 3))
+    report.metric("direct_predictions_per_s", round(njobs / direct_s, 1))
+    report.metric("daemon_jobs_per_s", round(njobs / daemon_s, 2))
+    report.metric("overhead_ms_per_job", round((daemon_s - direct_s) / njobs * 1e3, 3))
     report.metric("backpressure_retries", retries)
-    report.metric("batch_round_ms_empty_store", round(empty_ms, 2))
-    report.metric("batch_round_ms_full_store", round(full_ms, 2))
-    report.metric("round_journal_writes", round_writes)
-    report.metric("predict_job_us", round(job_us, 2))
-    report.metric("reference_predict_us", round(reference_us, 2))
-    report.metric("context_cache_hit_ratio", round(hit_ratio, 4))
-    report.metric("compact_ms", round(compact_ms, 2))
-    report.metric("encode_results_ms", round(encode_ms, 2))
-    report.metric("result_residency_ratio", round(residency_ratio, 3))
+    # Kernel (daemon) against paper loop (direct): a zero-difference gate.
+    disagreements = sum(1 for a, b in zip(direct_times, daemon_times, strict=True) if a != b)
     report.gate(
         "agreement",
         disagreements == 0,
         f"{disagreements} remote results disagree with the direct evaluator",
     )
-    report.gate(
-        "store_size_independence",
-        rounds.passed,
-        f"batch round with {FULL_STORE_JOBS} finished jobs held is {rounds.ratio:.2f}x "
-        f"the empty-store round (limit {MAX_ROUND_RATIO}x)",
-    )
-    report.gate(
-        "round_journal_writes",
-        round_writes == ROUND_JOURNAL_WRITES,
-        f"a {ROUND_JOBS}-job round makes {round_writes} journal writes "
-        f"(want {ROUND_JOURNAL_WRITES}: one per batch, one per run)",
-    )
-    report.gate(
-        "predict_job",
-        predict_job.passed,
-        f"a predict job costs {predict_job.ratio:.2f}x one reference predict() in the executor "
-        f"(limit {MAX_PREDICT_JOB_RATIO}x)",
-    )
-    report.gate(
-        "result_encoded_once",
-        compaction.passed,
-        f"compacting {FULL_STORE_JOBS} finished jobs costs {compaction.ratio:.2f}x encoding their "
-        f"results once (limit {MAX_COMPACT_RATIO}x)",
-    )
     if not args.quick:
         report.gate(
             "throughput",
-            rate >= 10.0,
-            f"daemon throughput {rate:.1f} jobs/s below the 10 jobs/s floor",
+            njobs / daemon_s >= 10.0,
+            f"daemon throughput {njobs / daemon_s:.1f} jobs/s below the 10 jobs/s floor",
         )
+
+    rounds = store_size_ratio(report, service, app_name, mappings[0])
+    report.metric("batch_round_ms_empty_store", round(rounds.denominator * 1e3, 2))
+    report.metric("batch_round_ms_full_store", round(rounds.numerator * 1e3, 2))
+    report.count("round_journal_writes", journal_writes_per_round(service, app_name, mappings[0]))
+    predict_job, hit_ratio = predict_job_ratio(report)
+    report.metric("predict_job_us", round(predict_job.numerator * 1e6, 2))
+    report.metric("reference_predict_us", round(predict_job.denominator * 1e6, 2))
+    report.count("context_cache_hit_ratio", round(hit_ratio, 4))
+    compaction, residency_ratio = compact_ratio(report)
+    report.metric("compact_ms", round(compaction.numerator * 1e3, 2))
+    report.metric("encode_results_ms", round(compaction.denominator * 1e3, 2))
+    report.metric("result_residency_ratio", round(residency_ratio, 3))
     return report.finish()
 
 

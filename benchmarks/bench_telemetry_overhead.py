@@ -87,6 +87,8 @@ def main(argv=None) -> int:
         schedule = AnnealingSchedule(moves_per_temperature=80, steps=25, patience=6)
 
     report = GateReport("telemetry_overhead", mode="quick" if args.quick else "full")
+    report.metric("nnodes", nnodes)
+    report.metric("nprocs", nprocs)
     evaluator, pool = build_workload(nnodes, nprocs)
     paired = report.paired(
         "throughput_ratio",  # >1 means enabled was (noise) faster
@@ -94,32 +96,13 @@ def main(argv=None) -> int:
         mode_pass(evaluator, pool, schedule, restarts, MetricsRegistry),
         OVERHEAD_GATE,
         "higher",
+        "a live MetricsRegistry against NullRegistry on the SA scheduling path",
     )
-    ratio, disabled, enabled = paired.ratio, paired.numerator, paired.denominator
+    report.metric("disabled_ms", round(paired.numerator * 1e3, 2))
+    report.metric("enabled_ms", round(paired.denominator * 1e3, 2))
     live_ns, null_ns = primitive_costs(200_000)
-
-    print(f"workload: {nnodes} nodes / {nprocs} ranks, {restarts} SA restarts")
-    print(f"telemetry disabled (NullRegistry): {disabled * 1e3:9.1f} ms/schedule (median)")
-    print(f"telemetry enabled  (MetricsRegistry): {enabled * 1e3:6.1f} ms/schedule (median)")
-    print(
-        f"median paired throughput ratio: {ratio:6.3f}   ~95% interval "
-        f"[{paired.low:.3f}, {paired.high:.3f}], {paired.pairs} pairs   (gate >= {OVERHEAD_GATE})"
-    )
-    print(f"counter.inc(live): {live_ns:7.0f} ns/op    counter.inc(null): {null_ns:5.0f} ns/op")
-
-    report.metric("nnodes", nnodes)
-    report.metric("nprocs", nprocs)
-    report.metric("pairs", paired.pairs)
-    report.metric("disabled_ms", round(disabled * 1e3, 2))
-    report.metric("enabled_ms", round(enabled * 1e3, 2))
     report.metric("counter_inc_live_ns", round(live_ns, 1))
     report.metric("counter_inc_null_ns", round(null_ns, 1))
-    report.gate(
-        "overhead",
-        paired.passed,
-        f"enabling telemetry cost {(1 - ratio) * 100:.1f}% "
-        f"(> {(1 - OVERHEAD_GATE) * 100:.0f}% budget)",
-    )
     return report.finish()
 
 

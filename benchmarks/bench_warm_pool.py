@@ -108,14 +108,9 @@ def bench_warm_vs_cold(report: GateReport, *, quick: bool) -> None:
     speedup = cold / warm
     cores = schedulable_cpus()
 
-    print(f"schedule: {nnodes} nodes / {nprocs} ranks, {restarts} restarts, "
-          f"{workers} workers, {repeats} repeats ({cores} CPUs)")
-    print(f"cold (pool respawned per call): {cold * 1e3:8.1f} ms")
-    print(f"warm (persistent pool):         {warm * 1e3:8.1f} ms")
-    print(f"warm-pool speedup:              {speedup:8.2f}x")
-
     report.metric("schedule_nnodes", nnodes)
     report.metric("schedule_workers", workers)
+    report.metric("cores", cores)
     report.metric("cold_ms", round(cold * 1e3, 2))
     report.metric("warm_ms", round(warm * 1e3, 2))
     report.metric("warm_speedup", round(speedup, 3))
@@ -168,11 +163,6 @@ def bench_batch_vs_serial(report: GateReport, *, quick: bool) -> None:
         1 for a, b in zip(serial_times, batch_times, strict=True) if abs(a - b) > AGREEMENT_TOL
     )
     speedup = serial_s / batch_s
-
-    print(f"submission: {njobs} predict jobs")
-    print(f"serial submits (keep-alive): {serial_s * 1e3:8.1f} ms")
-    print(f"one batch request:           {batch_s * 1e3:8.1f} ms")
-    print(f"batch-submit speedup:        {speedup:8.2f}x  ({disagreements} disagreements)")
 
     report.metric("batch_jobs", njobs)
     report.metric("serial_submit_ms", round(serial_s * 1e3, 2))

@@ -343,23 +343,6 @@ class MappingEvaluator:
         """Shortcut: just ``S_M`` (the SA energy function)."""
         return self.predict(mapping, options=options).execution_time
 
-    def execution_times(
-        self, mappings: list[TaskMapping], *, options: EvaluationOptions | None = None
-    ) -> list[float]:
-        """``S_M`` for a whole population of mappings, in input order.
-
-        One batched :meth:`~repro.core.fast_eval.EvaluationContext.
-        evaluate_many` sweep; every mapping counts exactly one
-        evaluation, so the scheduler cost metric is independent of how
-        the population was submitted.
-        """
-        mappings = list(mappings)
-        if not mappings:
-            return []
-        energies = self.fast_context(options).evaluate_many(mappings)
-        self.record_evaluations(len(mappings))
-        return energies
-
     def compare(self, mappings: list[TaskMapping]) -> list[MappingPrediction]:
         """Evaluate several candidate mappings, best (fastest) first.
 

@@ -182,7 +182,9 @@ class SystemTables:
     attributes being these very lists: the pair tables (:meth:`pairs`),
     which read the latency model alone and so pass from *previous*, the
     tables of an earlier snapshot under the same model and nodes; and per
-    ``load_adjusted_latency`` setting the slopes (:meth:`slopes`).  The
+    ``load_adjusted_latency`` setting the slopes (:meth:`slopes`), which
+    pass from *previous* too when load-off (no snapshot read) or when no
+    node's NIC load moved (the one load they read).  The
     holder builds under its own lock (a ``Generation``'s); two holders
     racing on a shared part build an equal copy twice and keep one.
     """
@@ -199,10 +201,15 @@ class SystemTables:
         self.node_ids: tuple[str, ...] = tuple(node_ids)
         self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         self.snapshot = snapshot
+        self._pairs: tuple | None = None
+        self._slopes: dict[bool, tuple] = {}
         if previous is not None:
             previous.check(latency_model, self.node_ids)
-        self._pairs: tuple | None = previous._pairs if previous is not None else None
-        self._slopes: dict[bool, tuple] = {}
+            self._pairs = previous._pairs
+            nic_kept = all(
+                snapshot.nic_load(nid) == previous.snapshot.nic_load(nid) for nid in self.node_ids
+            )
+            self._slopes = {on: part for on, part in previous._slopes.items() if nic_kept or not on}
 
     def check(self, latency_model: LatencyModel, node_ids: tuple[str, ...]) -> None:
         """Raise ValueError unless these tables are of *latency_model* (the

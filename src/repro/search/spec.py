@@ -117,12 +117,6 @@ class SearchSpec:
         object.__setattr__(self, "_fingerprint", value)
         return value
 
-    def build_evaluator(self) -> MappingEvaluator:
-        """A fresh reference evaluator: the oracle for worker results."""
-        return MappingEvaluator(
-            self.profile, self.latency_model, self.nodes, self.snapshot, self.options
-        )
-
     def feasible(self, mapping: TaskMapping) -> bool:
         return self.constraint is None or self.constraint(mapping)
 

@@ -168,17 +168,6 @@ class TestCountersAndWiring:
             inc.many(population)
         assert evaluator.evaluations == start + len(population)
 
-    def test_execution_times_counts_and_orders(self, service):
-        evaluator = service.evaluator(LU("A").name)
-        pool = service.cluster.node_ids()
-        population = random_population(pool, 6, 12, seed=23)
-        start = evaluator.evaluations
-        energies = evaluator.execution_times(population)
-        assert evaluator.evaluations == start + len(population)
-        for mapping, energy in zip(population, energies, strict=True):
-            assert energy == evaluator.predict(mapping).execution_time
-        assert evaluator.execution_times([]) == []
-
     def test_score_population_uses_batch_protocol(self, service):
         evaluator = service.evaluator(LU("A").name)
         pool = service.cluster.node_ids()

@@ -302,6 +302,32 @@ class TestSystemTables:
         service.adopt(service.snapshot().freeze()).context("cg.A")
         assert tables_built == [6, 6, 6, 6]
 
+    def test_a_cpu_only_refresh_keeps_the_slopes_and_a_nic_change_rebuilds_them(
+        self, service, app
+    ):
+        service.profile_application(app, 4, seed=1)
+        off = EvaluationOptions(load_adjusted_latency=False)
+        node = service.cluster.node(service.cluster.node_ids()[0])
+        node.set_nic_load(0.3)  # the kept slopes are not the idle ones
+        held = service.adopt(service.snapshot().freeze())
+        loaded, idle = held.context(app.name), held.context(app.name, off)
+        node.set_background_load(1.5)  # CPU only
+        cpu = service.adopt(service.snapshot().freeze())
+        assert cpu is not held
+        kept = cpu.context(app.name)
+        assert kept._binv is loaded._binv and kept._comp_flat is loaded._comp_flat
+        assert cpu.context(app.name, off)._comp_flat is idle._comp_flat
+        node.set_nic_load(0.6)
+        nic = service.adopt(service.snapshot().freeze())
+        moved = nic.context(app.name)
+        assert moved._binv is not kept._binv and moved._binv != kept._binv
+        assert nic.context(app.name, off)._comp_flat is idle._comp_flat  # reads no NIC load
+        mappings = [TaskMapping(service.cluster.node_ids()[k:k + 4]) for k in range(3)]
+        for generation, context in ((cpu, kept), (nic, moved)):
+            cold = service.evaluator(app.name, snapshot=generation.snapshot).fast_context()
+            assert (context._binv, context._comp_flat) == (cold._binv, cold._comp_flat)
+            assert [context.rows(m) for m in mappings] == [cold.rows(m) for m in mappings]
+
     def test_a_context_refuses_the_system_half_of_another_generation(self, service, app):
         profile = service.profile_application(app, 3, seed=1)
         held = service.adopt(service.snapshot().freeze())

@@ -29,6 +29,7 @@ import repro
 from repro import telemetry
 from repro.cluster import single_switch
 from repro.core import CBES, EvaluationOptions, TaskMapping
+from repro.core.evaluation import MappingEvaluator
 from repro.core.fast_eval import EvaluationContext, active_backend
 from repro.schedulers import make_scheduler
 from repro.schedulers.annealing import AnnealingSchedule
@@ -109,9 +110,10 @@ class TestPicklability:
         spec = SearchSpec.from_evaluator(evaluator, pool)
         clone = pickle.loads(pickle.dumps(spec))
         m = TaskMapping(pool[:6])
-        assert clone.build_evaluator().execution_time(m) == pytest.approx(
-            evaluator.execution_time(m), abs=1e-12
+        oracle = MappingEvaluator(
+            clone.profile, clone.latency_model, clone.nodes, clone.snapshot, clone.options
         )
+        assert oracle.execution_time(m) == pytest.approx(evaluator.execution_time(m), abs=1e-12)
 
     def test_unpicklable_constraint_fails_fast(self, fresh_evaluator):
         evaluator, pool = fresh_evaluator
