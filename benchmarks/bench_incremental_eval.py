@@ -32,8 +32,11 @@ it, replayed from the context's peer index: 53.6 terms a move against
 the 177.2 of re-walking every group of every peer.  A kernel that
 prices each message once, the facing terms of a peer read back from
 the moved ranks' own messages, prices ``messages_priced_per_move`` of
-them, again an exact replay.  The three are counts: a quick run gates
-each ``==`` the committed ``BENCH_incremental_eval.json``.
+them, again an exact replay.  While no node holds two ranks the kernel
+reads those prices off per-size latency tables; ``table_priced_share``
+is the share of the SA chain's pricing proposals that did, 1.0 on its
+one-rank-per-node chain.  The four are counts: a quick run gates each
+``==`` the committed ``BENCH_incremental_eval.json``.
 
 Last, a context is a view over a system half that every application of
 a generation shares (``SystemTables``) and an application half of its
@@ -63,6 +66,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 from _gate import GateReport, timed
 
@@ -315,6 +319,27 @@ def terms_per_move(context, sa_chain) -> tuple[float, float, float]:
     return every / len(chain), touched / len(chain), priced / len(chain)
 
 
+def table_priced_share(evaluator, sa_chain) -> float:
+    """Share of the SA chain's pricing proposals (``propose_move`` + ``commit``
+    from its start) that the delta kernel priced off the per-size latency
+    tables, replayed with a spy on the term kernel rather than timed."""
+    start, chain = sa_chain
+    inc = evaluator.incremental()
+    inc.reset(start)
+    tabled: list[bool] = []
+    fill = EvaluationContext._fill_terms
+
+    def spy(context, jobs, pos, acpu):
+        tabled.append(acpu is None)
+        return fill(context, jobs, pos, acpu)
+
+    with mock.patch.object(EvaluationContext, "_fill_terms", spy):
+        for move, _ in chain:
+            inc.propose_move(move)
+            inc.commit()
+    return tabled.count(True) / len(tabled)
+
+
 def held_generation(cluster):
     """A service on *cluster* (exact latency model) with lu.A/32 and cg.A/16
     profiled, and its generation with lu.A's context built."""
@@ -416,6 +441,7 @@ def main(argv=None) -> int:
     report.count("group_terms_per_move", terms_touched)
     report.count("group_terms_per_move_all_peer_groups", terms_every)
     report.count("messages_priced_per_move", priced)
+    report.count("table_priced_share", table_priced_share(sa_evaluator, sa_chain))
     small_pool, large_pool = (
         anneal_pass(*build_workload(nnodes, POOL_RANKS), POOL_RANKS) for nnodes in POOL_SIZES
     )

@@ -115,6 +115,7 @@ def bench_warm_vs_cold(report: GateReport, *, quick: bool) -> None:
     report.metric("warm_ms", round(warm * 1e3, 2))
     report.metric("warm_speedup", round(speedup, 3))
     identical = set(cold_keys) | set(warm_keys) | {serial_key}
+    report.count("evaluations", serial_key[2])
     report.gate(
         "warm_identical_results",
         len(identical) == 1,

@@ -21,7 +21,10 @@ The draw-order contract is part of scheduler determinism: each
 consume words via rejection sampling, and ``normal`` consumes two words
 per Box-Muller pair (caching the spare).  Changing any of these changes
 every seeded mapping in the test suite, so treat the word-consumption
-pattern as frozen API.
+pattern as frozen API.  The implementation may change under it, and has:
+``_next`` reads and writes each state word once and ``_randbelow`` keeps
+its rejection limit per ``n``, for the same words.
+``tests/test_util.py::TestFrozenStream`` pins the stream to literals.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ __all__ = ["Rng"]
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 #: 2**-53, the double-precision ulp scale used for uniform doubles.
 _DOUBLE_UNIT = 1.0 / (1 << 53)
+#: ``_randbelow``'s rejection limit per ``n``: the largest multiple of
+#: ``n`` not above 2**64.  The ``n`` drawn from are pool, rank and
+#: roster sizes, so the table stays small; past ``_MAX_LIMITS`` entries
+#: a limit is computed per draw and not kept.
+_LIMITS: dict[int, int] = {}
+_MAX_LIMITS = 4096
 
 
 def _splitmix64(state: int):
@@ -77,16 +86,15 @@ class Rng:
         """The next raw 64-bit word of the stream."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         x = (s1 * 5) & _MASK64
-        result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64  # rotl(x, 7) * 9
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        self._s0, self._s1, self._s2 = s0, s1, s2
+        self._s0 = s0 ^ s3
+        self._s1 = s1 ^ s2
+        self._s2 = s2 ^ t
         self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64  # rotl(s3, 45)
-        return result
+        # rotl(x, 7) * 9: the one mask after the product is the rotation's too.
+        return (((x << 7) | (x >> 57)) * 9) & _MASK64
 
     # -- uniform draws --------------------------------------------------
     def random(self, size: int | None = None):
@@ -103,13 +111,17 @@ class Rng:
 
     def _randbelow(self, n: int) -> int:
         """Unbiased integer in ``[0, n)`` by 64-bit rejection sampling."""
-        if n <= 0:
-            raise ValueError("high must be > 0")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
-        while True:
+        limit = _LIMITS.get(n)
+        if limit is None:
+            if n <= 0:
+                raise ValueError("high must be > 0")
+            limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
+            if len(_LIMITS) < _MAX_LIMITS:
+                _LIMITS[n] = limit
+        word = self._next()
+        while word >= limit:
             word = self._next()
-            if word < limit:
-                return word % n
+        return word % n
 
     def integers(self, high: int, size: int | None = None):
         """Integer(s) drawn uniformly from ``[0, high)``."""

@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from array import array
 from collections.abc import Mapping as MappingABC
 from collections.abc import Sequence
 from typing import Any
@@ -172,6 +173,10 @@ def active_backend() -> str:
 
 #: One message group of a rank: ``(g, src, dst, count, size)``.
 _Record = tuple[int, int, int, float, float]
+
+#: At most this many message sizes of one context get a latency table
+#: (:meth:`EvaluationContext._size_tables`): 8 x 128 KiB at 128 nodes.
+MAX_SIZE_TABLES = 8
 
 
 class SystemTables:
@@ -416,18 +421,23 @@ class EvaluationContext:
         #: columns and the index arrays of the last batch size (None
         #: until the vectorized batch kernel first runs).
         self._np_cache: dict | None = None
+        #: Per-process warm state of the delta kernel: the per-size
+        #: latency tables (None until the first delta proposal).
+        self._tables: tuple[list[float], list[array | None]] | None = None
 
     # -- pickling -------------------------------------------------------
     def __getstate__(self) -> dict:
         """Pickle the view's lists, without per-process warm state.
 
-        The numpy column mirrors are pure warm state the receiver
-        rebuilds lazily — shipping them would bloat the pickle (and pin
-        it to a numpy install the receiver may not have); the
-        :class:`SystemTables` holder stays home, its lists travel.
+        The numpy column mirrors and the per-size latency tables are
+        pure warm state the receiver rebuilds lazily — shipping them
+        would bloat the pickle (and pin it to a numpy install the
+        receiver may not have); the :class:`SystemTables` holder stays
+        home, its lists travel.
         """
         state = dict(self.__dict__)
         state["_np_cache"] = None
+        state["_tables"] = None
         state["system"] = None
         return state
 
@@ -662,7 +672,50 @@ class EvaluationContext:
     def _no_latency(self, s: int, d: int) -> KeyError:
         return KeyError(f"no latency data for pair ({self.node_ids[s]!r}, {self.node_ids[d]!r})")
 
-    def _fill_terms(self, jobs: Sequence[tuple], pos: list[int], acpu: list[float]) -> None:
+    def _size_tables(self) -> tuple[list[float], list[array | None]]:
+        """``(st, tables)``: the one-rank stretch per node and each
+        message's latency table, built on first use.
+
+        ``st[j]`` is the ACPU that stretches a latency's endpoint terms
+        at node j when j holds one rank (``acpu_curve[j][1]``, or the
+        idle system's 1.0 with load-adjusted latency off).  Each of the
+        :data:`MAX_SIZE_TABLES` sizes with the most messages gets one
+        table over node pairs, ``X_z[s * n + d] = L(s, d, z)`` under that
+        stretch: the operations :meth:`_fill_terms` does, in its order,
+        so ``count * X_z[s * n + d]`` is its term bit for bit.
+        ``tables[m]`` is the table of message m's size, None for a size
+        without one.  Two threads that build at once build equal tables
+        and keep one.
+        """
+        built = self._tables
+        if built is None:
+            n = self.nnodes
+            if self._idle_acpu is not None:
+                st = self._idle_acpu
+            else:
+                st = [curve[1] for curve in self.acpu_curve]
+            messages: dict[float, int] = {}
+            for _, _, _, _, size in self._messages:
+                messages[size] = messages.get(size, 0) + 1
+            sizes = sorted(messages, key=lambda size: (-messages[size], size))
+            comp = self._comp_flat
+            by_size: dict[float, array] = {}
+            for z in sizes[:MAX_SIZE_TABLES]:
+                table = by_size[z] = array("d", bytes(8 * n * n))
+                for s in range(n):  # a row at a time: no n * n list of floats
+                    row = s * n
+                    st_s = st[s]
+                    table[row : row + n] = array("d", [
+                        a_s / st_s + a_d / st_d + (a_n + z * slope)
+                        for (a_s, a_d, a_n, slope), st_d in zip(comp[row : row + n], st)
+                    ])
+            tables = [by_size.get(size) for _, _, _, _, size in self._messages]
+            built = self._tables = (st, tables)
+        return built
+
+    def _fill_terms(
+        self, jobs: Sequence[tuple], pos: list[int], acpu: list[float] | None
+    ) -> None:
         """``terms[g] = count * L(src, dst, size)`` for every record of every job.
 
         The list form of eq. 6's message-group term, written here and
@@ -672,6 +725,12 @@ class EvaluationContext:
         *records* are distinct messages (all of :attr:`_messages`, or
         those of one rank in :attr:`_rank_messages`) and *terms* a list
         indexed by message.
+
+        *acpu* None says no node of *pos* holds two ranks, so every
+        mapped node's ACPU is its one-rank value; the records are then
+        distinct messages, and a term whose size has a table
+        (:meth:`_size_tables`) is read off it, any other computed with
+        the one-rank stretch.
         """
         n = self.nnodes
         if self._missing_pairs:
@@ -681,8 +740,22 @@ class EvaluationContext:
                     s, d = pos[src], pos[dst]
                     if a_net[s * n + d] != a_net[s * n + d]:  # NaN check
                         raise self._no_latency(s, d)
+        if acpu is None:
+            stretch, tables = self._tables or self._size_tables()
+            untabled = []
+            for terms, records in jobs:
+                for m, src, dst, count, size in records:
+                    table = tables[m]
+                    if table is None:
+                        untabled.append((terms, ((m, src, dst, count, size),)))
+                    else:
+                        terms[m] = count * table[pos[src] * n + pos[dst]]
+            jobs = untabled
+        elif self._idle_acpu is None:
+            stretch = acpu
+        else:
+            stretch = self._idle_acpu
         comp = self._comp_flat
-        stretch = acpu if self._idle_acpu is None else self._idle_acpu
         # The grouping below — endpoint terms first, then the load-
         # independent tail ``a_net + size * (beta*invnic)`` as one unit
         # (with the fused ``binv`` slope) — is the association the
@@ -752,6 +825,8 @@ class IncrementalEvaluator:
         #: Empty until the first committed mapping (unbound).
         self._pos: list[int] = []
         self._counts: list[int] = []
+        #: How many nodes of the committed mapping hold two ranks or more.
+        self._double = 0
         self._acpu: list[float] = []
         self._r: list[float] = [0.0] * context.nprocs
         self._c: list[float] = [0.0] * context.nprocs
@@ -801,9 +876,9 @@ class IncrementalEvaluator:
         totals = [r_i + c_i for r_i, c_i in zip(r_arr, c_arr)]
         best = max(totals)
         ranks = range(ctx.nprocs)
-        self._pending = (
-            pos, counts, acpu, ranks, r_arr, c_arr, totals, terms, best, totals.index(best)
-        )
+        double = sum(1 for k in counts if k > 1)
+        proposal = list(zip(ranks, r_arr, c_arr, totals, terms))
+        self._pending = (pos, counts, double, acpu, proposal, best, totals.index(best))
         self._note()
         return best
 
@@ -875,27 +950,30 @@ class IncrementalEvaluator:
         self._note()
         if not moved:
             self._pending = (
-                new_pos, self._counts, self._acpu, (), (), (), (), (), self._best, self._arg
+                new_pos, self._counts, self._double, self._acpu, (), self._best, self._arg
             )
             return self._best
         ctx = self._ctx
         pos = self._pos
 
         # Node occupancy and ACPU, copied only when a count really
-        # changes (a swap permutes nodes among ranks: nothing does).
+        # changes (a swap permutes nodes among ranks: nothing does), and
+        # the count of nodes that hold two ranks or more.
         shift: dict[int, int] = {}
         for r in moved:
             old, new = pos[r], new_pos[r]
             shift[old] = shift.get(old, 0) - 1
             shift[new] = shift.get(new, 0) + 1
-        counts, acpu = self._counts, self._acpu
+        counts, acpu, double = self._counts, self._acpu, self._double
         curve = ctx.acpu_curve
         acpu_changed: list[int] = []
         for node, by in shift.items():
             if by:
                 if counts is self._counts:
                     counts = counts.copy()
-                k = counts[node] = counts[node] + by
+                was = counts[node]
+                k = counts[node] = was + by
+                double += (k > 1) - (was > 1)
                 value = curve[node][k]  # column 0 is 1.0: an emptied node
                 if value != acpu[node]:
                     if acpu is self._acpu:
@@ -920,33 +998,33 @@ class IncrementalEvaluator:
                     if new_pos[r] in acpu_changed and r not in moved:
                         base.append(r)
 
-        # The proposal, as parallel lists: rank, R_i, C_i, R_i + C_i and
-        # the terms C_i folds — base ranks first, then patched peers.
+        # The proposal: one ``(rank, R_i, C_i, R_i + C_i, terms)`` per
+        # recomputed rank, C_i the fold of terms — base ranks first, then
+        # patched peers.
         r_list, c_list, t_list = self._r, self._c, self._terms
-        comp_time = ctx.comp_time
-        ranks = base.copy()
-        rs: list[float] = []
-        cs: list[float] = []
-        totals: list[float] = []
-        lists: list[list[float]] = []
+        work, speed = ctx.work, ctx.speed
+        proposal: list[tuple[int, float, float, float, list[float]]] = []
         if ctx._has_groups:
             # Every term with an operand that may have changed is a
             # message with a base rank at an end: price each such
-            # message once, into the scratch.
+            # message once, into the scratch — off the per-size tables
+            # (acpu None) while no node holds two ranks.
             priced = self._priced
             rank_messages = ctx._rank_messages
             jobs = []
             for r in base:
                 jobs.append((priced, rank_messages[r]))
-            ctx._fill_terms(jobs, new_pos, acpu)
+            ctx._fill_terms(jobs, new_pos, acpu if double or ctx._missing_pairs else None)
             # A base rank's list is read out of the scratch; a peer's
             # is a copy of its committed list with the entries facing
             # base ranks read from it too.
             read = priced.__getitem__
             group_messages = ctx._group_messages
+            folds: list[tuple[int, float, list[float]]] = []  # (rank, R_i, terms)
             for r in base:
-                lists.append(list(map(read, group_messages[r])))
-                rs.append(comp_time(r, new_pos[r], acpu))
+                node = new_pos[r]
+                r_i = work[r] / speed[node] / acpu[node]  # comp_time, inlined
+                folds.append((r, r_i, list(map(read, group_messages[r]))))
             touched = dict.fromkeys(base)
             peer_patches = ctx._peer_patches
             for p in base:
@@ -957,53 +1035,49 @@ class IncrementalEvaluator:
                             continue
                     else:
                         terms = touched[r] = t_list[r].copy()
-                        ranks.append(r)
-                        lists.append(terms)
-                        rs.append(r_list[r])
+                        folds.append((r, r_list[r], terms))
                     for g, m in pairs:
                         terms[g] = priced[m]
             lam = ctx.lam
-            for r, terms, r_i in zip(ranks, lists, rs):
+            for r, r_i, terms in folds:
                 total = 0.0  # left_fold, inlined
                 for term in terms:
                     total += term
                 c_i = total * lam[r]
-                cs.append(c_i)
-                totals.append(r_i + c_i)
+                proposal.append((r, r_i, c_i, r_i + c_i, terms))
         else:  # no message group anywhere (NCS): a move reaches R_i only
             touched = base
             for r in base:
-                r_i = comp_time(r, new_pos[r], acpu)
-                rs.append(r_i)
-                cs.append(c_list[r])
-                totals.append(r_i + c_list[r])
-                lists.append(t_list[r])
+                node = new_pos[r]
+                r_i = work[r] / speed[node] / acpu[node]  # comp_time, inlined
+                proposal.append((r, r_i, c_list[r], r_i + c_list[r], t_list[r]))
 
         # Running max: the old argmax stands unless it was recomputed.
         if self._arg in touched:
             everyone = self._totals.copy()
-            for r, total in zip(ranks, totals):
+            for r, _, _, total, _ in proposal:
                 everyone[r] = total
             best = max(everyone)
             arg = everyone.index(best)
         else:
             best, arg = self._best, self._arg
-            for r, total in zip(ranks, totals):
+            for r, _, _, total, _ in proposal:
                 if total > best:
                     best, arg = total, r
-        self._pending = (new_pos, counts, acpu, ranks, rs, cs, totals, lists, best, arg)
+        self._pending = (new_pos, counts, double, acpu, proposal, best, arg)
         return best
 
     def commit(self) -> None:
         """Accept the outstanding proposal."""
         if self._pending is None:
             raise RuntimeError("commit() without a pending propose()")
-        new_pos, counts, acpu, ranks, rs, cs, totals, lists, best, arg = self._pending
+        new_pos, counts, double, acpu, proposal, best, arg = self._pending
         self._pos = new_pos
         self._counts = counts
+        self._double = double
         self._acpu = acpu
         r_list, c_list, total_list, term_lists = self._r, self._c, self._totals, self._terms
-        for r, r_i, c_i, total, terms in zip(ranks, rs, cs, totals, lists):
+        for r, r_i, c_i, total, terms in proposal:
             r_list[r] = r_i
             c_list[r] = c_i
             total_list[r] = total

@@ -151,17 +151,22 @@ class MoveGenerator:
 
         Consumes the stream exactly as the per-mapping generator did: a
         uniform only when both kinds are possible, then two distinct
-        ranks for a swap, or a rank and a free-list index for a replace.
+        ranks for a swap (the words of ``choice(nprocs, 2,
+        replace=False)``), or a rank and a free-list index for a replace
+        (those of two ``integers``), drawn here straight off
+        ``_randbelow``.
         """
         nprocs = len(occupancy.nodes)
         free = occupancy.free
-        can_swap = nprocs >= 2
-        if not can_swap and not free:
-            return Move.swap(0, 0)
-        if can_swap and (not free or rng.random() < self._swap_p):
-            return Move.swap(*rng.choice(nprocs, size=2, replace=False))
-        rank = rng.integers(nprocs)
-        return Move.replace(rank, self._pool[free[rng.integers(len(free))]])
+        below = rng._randbelow  # noqa: SLF001 - the draw is the RNG's own word pattern
+        if nprocs >= 2 and (not free or rng.random() < self._swap_p):
+            rank = below(nprocs)
+            other = 1 + below(nprocs - 1)
+            return Move(rank, 0 if other == rank else other)
+        if not free:
+            return Move(0, 0)  # one process, no free node: the identity
+        rank = below(nprocs)
+        return Move(rank, rank, self._pool[free[below(len(free))]])
 
     def neighbour(self, mapping: TaskMapping, rng: Rng) -> TaskMapping:
         """One random elementary move applied to *mapping*."""

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import math
 import os
+import pickle
 import sys
 import threading
 from unittest import mock
@@ -204,6 +205,7 @@ def assert_state_is_fresh(inc, mapping: TaskMapping, where) -> None:
     assert inc._pos == pos, where
     counts = [pos.count(j) for j in range(ctx.nnodes)]
     assert inc._counts == counts, where
+    assert inc._double == sum(1 for k in counts if k > 1), where
     acpu = ctx.acpu_by_node(counts)
     assert inc._acpu == acpu, where
     for rank in range(ctx.nprocs):
@@ -567,6 +569,161 @@ class TestEachMovePricesItsMessagesOnce:
             current = move.apply(current)
             assert_state_is_fresh(inc, current, (step, move))
         assert swaps == replaces == 48
+
+
+class TestSizeTables:
+    """While no node holds two ranks, the delta kernel reads each message's
+    term off its size's latency table (``acpu`` None to ``_fill_terms``);
+    otherwise it computes it.  Either way the energy and the committed
+    state are a fresh evaluation's, bit for bit."""
+
+    @staticmethod
+    def walk(evaluator, start: TaskMapping, steps: int = 600, seed: int = 9) -> list[bool]:
+        """A random move chain from *start*, every energy and committed state
+        held ``==`` a fresh evaluation; per pricing proposal, whether it read
+        the tables.  A tenth of the replaces may land on an occupied node."""
+        context = evaluator.fast_context()
+        inc = evaluator.incremental()
+        inc.reset(start)
+        branches: list[bool] = []
+        fill = EvaluationContext._fill_terms
+
+        def spy(self, jobs, pos, acpu):
+            branches.append(acpu is None)
+            return fill(self, jobs, pos, acpu)
+
+        rng = spawn_rng(seed, "size-tables")
+        current, tabled = start, []
+        for step in range(steps):
+            rank = rng.integers(TERM_RANKS)
+            kind = rng.random()
+            if kind < 0.5:
+                move = Move.swap(rank, rng.integers(TERM_RANKS))
+            else:
+                used = set(current.as_tuple())
+                free = [nid for nid in TERM_NODES if nid not in used]
+                pool = TERM_NODES if kind < 0.55 or not free else free
+                move = Move.replace(rank, pool[rng.integers(len(pool))])
+            candidate = move.apply(current)
+            branches.clear()
+            with mock.patch.object(EvaluationContext, "_fill_terms", spy):
+                got = inc.propose_move(move)
+            tabled += branches
+            assert branches in ([], [candidate.is_one_per_node]), (step, move)
+            assert got == context.execution_time(candidate), (step, move)
+            if rng.random() < 0.6:
+                inc.commit()
+                current = candidate
+            else:
+                inc.reject()
+            assert_state_is_fresh(inc, current, (step, move))
+        return tabled
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            EvaluationOptions(),
+            EvaluationOptions(load_adjusted_latency=False),
+            EvaluationOptions(cpu_availability=False),
+        ],
+        ids=["loaded", "load-adjusted-latency-off", "cpu-availability-off"],
+    )
+    def test_tables_price_as_the_arithmetic(self, options):
+        evaluator = term_evaluator(options)
+        context = evaluator.fast_context()
+        tabled = self.walk(evaluator, TaskMapping(TERM_NODES[:TERM_RANKS]))
+        assert tabled.count(True) > 200 and tabled.count(False) > 20
+        stretch, tables = context._tables
+        # TERM_GROUPS has 13 sizes: 8 tabled, the rest computed beside them.
+        assert len({id(t) for t in tables if t is not None}) == 8 and None in tables
+        if options == EvaluationOptions():  # a loaded snapshot stretches the endpoint terms
+            assert context._idle_acpu is None and min(stretch) < 1.0
+        else:
+            assert stretch == [1.0] * len(TERM_NODES)
+
+    def test_a_shared_node_prices_by_arithmetic_until_it_empties(self):
+        evaluator = term_evaluator()
+        start = TaskMapping(["t0", "t0", "t1", "t2", "t3", "t4"])
+        tabled = self.walk(evaluator, start)
+        assert tabled[0] is False  # ranks 0 and 1 share t0
+        assert True in tabled  # ... until one of them leaves it
+
+    def test_at_most_eight_sizes_get_a_table(self):
+        """19 sizes: the one every rank sends gets a table, and of the 18
+        that one message each carries, the 7 smallest."""
+        groups = {
+            rank: (
+                [((rank + 1) % TERM_RANKS, 100.0 * (3 * rank + k + 1), 1 + k) for k in range(3)]
+                + [((rank + 2) % TERM_RANKS, 99999.0, 4)],
+                [],
+            )
+            for rank in range(TERM_RANKS)
+        }
+        evaluator = term_evaluator(groups=groups)
+        tabled = self.walk(evaluator, TaskMapping(TERM_NODES[:TERM_RANKS]), steps=300)
+        assert True in tabled
+        context = evaluator.fast_context()
+        _, tables = context._tables
+        assert len({size for *_, size in context._messages}) == 19
+        want = {99999.0, *(100.0 * k for k in range(1, 8))}
+        assert [size in want for *_, size in context._messages] == [
+            t is not None for t in tables
+        ]
+
+    def test_a_missing_pair_is_refused_as_before(self):
+        evaluator = term_evaluator(missing=[("t0", "t9"), ("t9", "t0")])
+        inc = evaluator.incremental()
+        inc.reset(TaskMapping(TERM_NODES[:TERM_RANKS]))
+        with pytest.raises(KeyError, match=r"no latency data for pair \('t9', 't0'\)"):
+            inc.propose_move(Move.replace(1, "t9"))  # ranks 0 and 1 message each other
+        inc.propose_move(Move.replace(1, "t8"))
+        assert evaluator.fast_context()._tables is None  # a context with gaps computes
+
+    def test_a_pickled_context_carries_no_tables_and_prices_the_same(self):
+        evaluator = term_evaluator()
+        context = evaluator.fast_context()
+        start = TaskMapping(TERM_NODES[:TERM_RANKS])
+        chain = TestSharedContext.walk(5, 300)
+        energies = []
+        for ctx in (context, None):
+            if ctx is None:
+                assert context._tables is not None
+                ctx = pickle.loads(pickle.dumps(context))
+                assert ctx._tables is None
+            inc = IncrementalEvaluator(ctx, start)
+            run = []
+            for move, accept in chain:
+                run.append(inc.propose_move(move))
+                inc.commit() if accept else inc.reject()
+            energies.append(run)
+        assert energies[0] == energies[1]
+
+    def test_threads_building_the_tables_at_once_price_alike(self):
+        """Eight threads, switching every microsecond, make their first
+        proposal on one fresh context: each may build the tables."""
+        context = term_evaluator().fast_context()
+        start = TaskMapping(TERM_NODES[:TERM_RANKS])
+        move = Move.replace(2, "t8")
+        barrier = threading.Barrier(8)
+        energies: list[float] = []
+
+        def first_proposal():
+            inc = IncrementalEvaluator(context, start)
+            barrier.wait()
+            energies.append(inc.propose_move(move))
+
+        threads = [threading.Thread(target=first_proposal) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert energies == [context.execution_time(move.apply(start))] * 8
 
 
 class TestSharedContext:
