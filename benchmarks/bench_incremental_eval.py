@@ -2,9 +2,9 @@
 
 Measures evaluations/second of both mapping-evaluation paths on a
 synthetic heterogeneous workload (default: 64 nodes / 32 ranks, the
-scale named in docs/PERFORMANCE.md) while checking that they agree
-exactly (``worst_disagreement == 0.0``: both write eqs. 5-6 in one
-association) on every evaluated mapping.
+full mode in docs/PERFORMANCE.md, "Running the guards") while checking
+that they agree exactly (``worst_disagreement == 0.0``: both write
+eqs. 5-6 in one association) on every evaluated mapping.
 
 It also times the loop *around* the delta path — a whole ``anneal()``
 on the 64-node / 32-rank instance, in both modes — because a propose

@@ -76,9 +76,10 @@ class RemapWatch:
 class RemapWatches:
     """The daemon's remap watches and the decisions they produced.
 
-    Ticks borrow the *runner*'s serving snapshot (polled and adopted
-    before each one) and evaluation-context cache, and ride its job
-    queue: each tick is a run of its own on a job thread.
+    A watch's baseline and its ticks read the *runner*'s serving
+    generation (polled and adopted before each tick) and its
+    evaluation-context cache, and ticks ride its job queue: each tick
+    is a run of its own on a job thread.
     """
 
     def __init__(
@@ -125,7 +126,7 @@ class RemapWatches:
     def create(self, doc: dict) -> RemapWatch:
         """Register a watch from a validated request and start its loop."""
         mapping = TaskMapping(doc["mapping"])
-        evaluator = self._service.evaluator(doc["app"], snapshot=self._runner.snapshot)
+        evaluator = self._runner.serving.evaluator(doc["app"])
         try:
             baseline_s = evaluator.execution_time(mapping)
         except Exception as exc:  # e.g. rank count != profiled nprocs

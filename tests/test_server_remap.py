@@ -205,6 +205,31 @@ class TestWatchLoop:
         assert [w["done"] for w in listed] == [False, True, True, True]
         assert client.healthz()["remap_watches"] == 4
 
+    def test_a_watch_reads_the_serving_generation_never_the_cold_factory(
+        self, client, server, monkeypatch
+    ):
+        cold, calls = CBES.evaluator, []
+
+        def spy(service, *args, **kwargs):
+            calls.append(args)
+            return cold(service, *args, **kwargs)
+
+        monkeypatch.setattr(CBES, "evaluator", spy)
+        nodes = [f"watchy-n{i:02d}" for i in range(NPROCS)]
+        watch = client.remap_watch(server.app_name, nodes, interval_s=0.02, max_ticks=3)
+        deadline = time.monotonic() + 30.0
+        while not (state := client.remap_watches()[0])["done"]:
+            assert time.monotonic() < deadline, state
+            time.sleep(0.02)
+        assert state["ticks"] == 3
+        assert calls == []
+        monkeypatch.undo()
+        # The baseline is the one the cold factory gives on the serving snapshot.
+        daemon = server.daemon
+        assert watch["baseline_s"] == daemon.service.evaluator(
+            server.app_name, snapshot=daemon.runner.snapshot
+        ).execution_time(TaskMapping(nodes))
+
     def test_decisions_limit_query(self, client):
         assert client.remap_decisions(limit=3) == []
         with pytest.raises(ServerError) as excinfo:

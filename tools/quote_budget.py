@@ -1,6 +1,6 @@
 """The quote budget: what ``predict`` and ``compare`` jobs cost the service.
 
-Prints three figures (docs/PERFORMANCE.md, section 8):
+Prints two figures (docs/PERFORMANCE.md, "server: the quote"):
 
 * **CPU per ``sweep_batch`` round**, replica and router: the
   ``benchmarks/e2e`` stack (``repro serve`` with the benchmark's replica
@@ -13,12 +13,11 @@ Prints three figures (docs/PERFORMANCE.md, section 8):
   rounds through an in-process ``DaemonThread`` with the replica's
   settings and a data dir, counted by ``Journal.writes`` and by the
   event-loop callbacks that re-test held ``wait_s`` lookups.
-* **``JobRunner.execute`` µs per job**, one ``predict`` and one
-  ``compare`` of 8 candidates: the same database loaded in-process, the
-  runner of a ``DaemonThread`` called directly on the same requests;
-  the median over passes.  For a quote it covers the context lookup,
-  the kernel's ``(R, C)`` rows and writing the result bytes; not the
-  job's transitions or its journal record.
+
+Both are for one tree at a time.  What a single quote costs inside
+``JobRunner.execute`` is measured paired against one reference
+``predict()`` by ``benchmarks/bench_server_throughput.py``
+(``predict_job_us``, gated as ``predict_job_ratio``).
 
 Usage (Linux; from the repo root)::
 
@@ -34,9 +33,7 @@ import argparse
 import os
 import random
 import shutil
-import statistics
 import sys
-import time
 from pathlib import Path
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
@@ -49,9 +46,6 @@ from repro.cluster import centurion  # noqa: E402
 from repro.core import CBES  # noqa: E402
 from repro.profiling import ProfileDatabase  # noqa: E402
 from repro.server import DaemonThread  # noqa: E402
-from repro.server.jobs import Job  # noqa: E402
-from repro.server.serialize import validate_job_payload  # noqa: E402
-from repro.telemetry import MetricsRegistry, use_registry  # noqa: E402
 
 
 def cpu_s(pid: int) -> float:
@@ -121,26 +115,6 @@ def persist_per_round(workdir: Path, db: Path, rounds: list[list[dict]]) -> tupl
         return (journal.writes - writes) / timed, (len(wakeups) - woken) / timed
 
 
-def execute_us(db: Path, docs: list[dict], passes: int = 21) -> float:
-    """Median µs of ``JobRunner.execute`` over *docs*, per job."""
-    service = load_service(db)
-    jobs = [Job(f"b{i}", *validate_job_payload(service, doc)) for i, doc in enumerate(docs)]
-    registry = MetricsRegistry()
-    with (
-        DaemonThread(service, workers=1, queue_limit=8, metrics=registry) as srv,
-        use_registry(registry),  # as a job thread records, into its daemon's registry
-    ):
-        runner = srv.daemon.runner
-        runner.execute(jobs[0])  # builds the generation's context
-        times = []
-        for _ in range(passes):
-            started = time.perf_counter()
-            for job in jobs:
-                runner.execute(job)
-            times.append((time.perf_counter() - started) / len(jobs))
-    return statistics.median(times) * 1e6
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=200, help="timed sweep rounds")
@@ -156,15 +130,11 @@ def main(argv: list[str] | None = None) -> int:
         rounds = [workloads.sweep_round(rng, nodes) for _ in range(args.rounds + 2)]
         cpu = cpu_per_round(workdir, db, rounds)
         writes, wakeups = persist_per_round(workdir, db, rounds)
-        quotes = [doc for docs in rounds[:8] for doc in docs]
-        predict = execute_us(db, [doc for doc in quotes if doc["kind"] == "predict"])
-        compare = execute_us(db, [doc for doc in quotes if doc["kind"] == "compare"])
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(f"sweep_batch round CPU: replica {cpu['replica']:.2f} ms, router {cpu['router']:.2f} ms"
           f" ({args.rounds} rounds)")
     print(f"per round: {writes:.2f} journal writes, {wakeups:.2f} held-lookup wake-ups")
-    print(f"JobRunner.execute: predict {predict:.1f} us, compare of 8 {compare:.1f} us")
     return 0
 
 
